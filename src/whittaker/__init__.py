@@ -23,7 +23,6 @@ from .ringcore import (
     Scalar,
     TruncatedSeries,
     euler_expand,
-    scalar_arith,
     series_equal,
     substitute,
     u_power,
@@ -68,7 +67,6 @@ __all__ = [
     "parse_rep",
     "partitions_up_to",
     "rs_series",
-    "scalar_arith",
     "schur",
     "schur_detailed",
     "schur_ssyt_oracle",

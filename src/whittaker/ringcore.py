@@ -1,11 +1,16 @@
 """Exact coefficient arithmetic.
 
-Scalars are elements of the fraction field of multivariate Laurent
-polynomials over Q.  The variable alphabet is ordered with u first (u^2
-plays the role of the residue cardinality q, so half-integral powers of q
-are Laurent monomials in u) followed by parameter names in lexicographic
-order.  No floating point is used anywhere; coefficients are
+Scalars are elements of the ring of multivariate Laurent polynomials over
+Q, Q[u, u^-1, a, a^-1, ...].  The variable alphabet is ordered with u first
+(u^2 plays the role of the residue cardinality q, so half-integral powers
+of q are Laurent monomials in u) followed by parameter names in
+lexicographic order.  No floating point is used anywhere; coefficients are
 fractions.Fraction.
+
+Every value in scope lives in this ring: Satake values are rationals or
+single indeterminates, Schur polynomials and complete homogeneous
+polynomials are polynomials, and the only divisions are by monomials,
+which are units.  Division is therefore defined by units only.
 
 The module also provides truncated power series in t = q^(-s) and Euler
 factors (multisets of reciprocal roots), with exact comparison.
@@ -13,7 +18,6 @@ factors (multisets of reciprocal roots), with exact comparison.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Union
 
@@ -23,6 +27,7 @@ from .errors import (
     InvalidCharacter,
     PoleAtPoint,
     UnboundVariable,
+    Unsupported,
 )
 
 Rational = Union[int, Fraction]
@@ -113,9 +118,6 @@ class LaurentPoly:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def is_one(self) -> bool:
-        return len(self.terms) == 1 and self.terms.get(()) == 1
-
     def is_const(self) -> bool:
         return not self.terms or (len(self.terms) == 1 and () in self.terms)
 
@@ -195,11 +197,6 @@ class LaurentPoly:
             return self
         return LaurentPoly({m: v * c for m, v in self.terms.items()})
 
-    def mul_mono(self, mono: Mono) -> "LaurentPoly":
-        if not mono:
-            return self
-        return LaurentPoly({_mono_mul(m, mono): c for m, c in self.terms.items()})
-
     def __pow__(self, k: int):
         if k < 0:
             raise ValueError("negative power of a polynomial")
@@ -211,17 +208,6 @@ class LaurentPoly:
             base = base * base
             k >>= 1
         return result
-
-    def min_exponents(self) -> dict:
-        """Per-variable minimum exponent over all terms (absence counts as 0)."""
-        mins: dict = {}
-        allvars = set()
-        for mono in self.terms:
-            for v, _ in mono:
-                allvars.add(v)
-        for v in allvars:
-            mins[v] = min(dict(mono).get(v, 0) for mono in self.terms)
-        return {v: e for v, e in mins.items() if e}
 
     def evaluate(self, bindings: Mapping[str, Fraction]) -> Fraction:
         total = Fraction(0)
@@ -276,7 +262,8 @@ def _format_poly(p: LaurentPoly) -> str:
 
 
 # ---------------------------------------------------------------------------
-# ordinary-polynomial division and gcd (used for canonical fraction reduction)
+# exact division of ordinary polynomials (the bialternant divides by a
+# Vandermonde determinant)
 # ---------------------------------------------------------------------------
 
 def _lead(p: LaurentPoly, varlist):
@@ -313,236 +300,66 @@ def _exact_div(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
     return LaurentPoly(q)
 
 
-def _deg_in(p: LaurentPoly, x: str) -> int:
-    d = 0
-    for mono in p.terms:
-        d = max(d, dict(mono).get(x, 0))
-    return d
-
-
-def _coeff_of(p: LaurentPoly, x: str, d: int) -> LaurentPoly:
-    out = {}
-    for mono, c in p.terms.items():
-        e = dict(mono)
-        if e.pop(x, 0) == d:
-            rest = tuple(sorted(e.items(), key=lambda kv: _var_key(kv[0])))
-            out[rest] = c
-    return LaurentPoly(out)
-
-
-def _xpow(x: str, d: int) -> LaurentPoly:
-    if d == 0:
-        return _P_ONE
-    return LaurentPoly({((x, d),): Fraction(1)})
-
-
-def _prem(f: LaurentPoly, g: LaurentPoly, x: str) -> LaurentPoly:
-    """Pseudo-remainder: lc(g)^(deg f - deg g + 1) * f reduced modulo g."""
-    dg = _deg_in(g, x)
-    lg = _coeff_of(g, x, dg)
-    delta = _deg_in(f, x) - dg
-    r = f
-    steps = 0
-    while not r.is_zero():
-        dr = _deg_in(r, x)
-        if dr < dg:
-            break
-        lr = _coeff_of(r, x, dr)
-        r = lg * r - lr * _xpow(x, dr - dg) * g
-        steps += 1
-    pad = delta + 1 - steps
-    if pad > 0 and not r.is_zero():
-        r = lg ** pad * r
-    return r
-
-
-def _unit_normalize(p: LaurentPoly) -> LaurentPoly:
-    """Scale to integer-primitive form with positive leading coefficient."""
-    if p.is_zero():
-        return p
-    coeffs = list(p.terms.values())
-    lden = 1
-    for c in coeffs:
-        lden = lden * c.denominator // math.gcd(lden, c.denominator)
-    gnum = 0
-    for c in coeffs:
-        gnum = math.gcd(gnum, c.numerator * (lden // c.denominator))
-    factor = Fraction(lden, gnum)
-    varlist = p.variables()
-    if p.terms[_lead(p, varlist)] < 0:
-        factor = -factor
-    return p.scale(factor)
-
-
-def _content(p: LaurentPoly, x: str) -> LaurentPoly:
-    c = _P_ZERO
-    for d in range(_deg_in(p, x) + 1):
-        coeff = _coeff_of(p, x, d)
-        if not coeff.is_zero():
-            c = _poly_gcd(c, coeff)
-            if c.is_const():
-                break
-    return c
-
-
-def _poly_gcd(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
-    """GCD of ordinary polynomials over Q, via the subresultant remainder sequence."""
-    if f.is_zero():
-        return _unit_normalize(g)
-    if g.is_zero():
-        return _unit_normalize(f)
-    if f.is_const() or g.is_const():
-        return _P_ONE
-    varlist = sorted(set(f.variables()) | set(g.variables()), key=_var_key)
-    x = varlist[-1]
-    fc = _content(f, x)
-    gc = _content(g, x)
-    cont = _poly_gcd(fc, gc)
-    a = _exact_div(f, fc)
-    b = _exact_div(g, gc)
-    if _deg_in(a, x) < _deg_in(b, x):
-        a, b = b, a
-    lead_factor = _P_ONE
-    power_factor = _P_ONE
-    while True:
-        if b.is_zero():
-            result = a
-            break
-        if _deg_in(b, x) == 0:
-            result = _P_ONE
-            break
-        delta = _deg_in(a, x) - _deg_in(b, x)
-        r = _prem(a, b, x)
-        a, b = b, (_P_ZERO if r.is_zero()
-                   else _exact_div(r, lead_factor * power_factor ** delta))
-        lead_factor = _coeff_of(a, x, _deg_in(a, x))
-        if delta == 1:
-            power_factor = lead_factor
-        elif delta > 1:
-            power_factor = _exact_div(lead_factor ** delta, power_factor ** (delta - 1))
-    if not result.is_const():
-        result = _exact_div(result, _content(result, x))
-    return _unit_normalize(cont * result)
-
-
-# ---------------------------------------------------------------------------
-# the fraction field
-# ---------------------------------------------------------------------------
-
-def _canonicalize(num: LaurentPoly, den: LaurentPoly):
-    """Reduce num/den to canonical form.
-
-    The canonical denominator is an ordinary polynomial (minimum exponent 0
-    in each variable, so Laurent monomials never stay below the bar),
-    integer-primitive with positive leading coefficient, and coprime to the
-    polynomial part of the numerator.
-    """
-    if den.is_zero():
-        raise DivisionByZero("scalar division by zero")
-    if num.is_zero():
-        return _P_ZERO, _P_ONE
-    dshift = den.min_exponents()
-    if dshift:
-        inv = tuple(sorted(((v, -e) for v, e in dshift.items()), key=lambda p: _var_key(p[0])))
-        den = den.mul_mono(inv)
-        num = num.mul_mono(inv)
-    if den.is_const():
-        return num.scale(1 / den.const_value()), _P_ONE
-    nshift = num.min_exponents()
-    nmono: Mono = ()
-    if nshift:
-        nmono = tuple(sorted(nshift.items(), key=lambda p: _var_key(p[0])))
-        num = num.mul_mono(_mono_inv(nmono))
-    g = _poly_gcd(num, den)
-    if not g.is_one():
-        num = _exact_div(num, g)
-        den = _exact_div(den, g)
-    if den.is_const():
-        num = num.scale(1 / den.const_value()).mul_mono(nmono)
-        return num, _P_ONE
-    varlist = den.variables()
-    lc = den.terms[_lead(den, varlist)]
-    lden = 1
-    for c in den.terms.values():
-        lden = lden * c.denominator // math.gcd(lden, c.denominator)
-    gnum = 0
-    for c in den.terms.values():
-        gnum = math.gcd(gnum, c.numerator * (lden // c.denominator))
-    factor = Fraction(lden, gnum)
-    if lc < 0:
-        factor = -factor
-    return num.scale(factor).mul_mono(nmono), den.scale(factor)
-
-
 class Scalar:
-    """Element of the fraction field of Laurent polynomials over Q.
+    """Element of the Laurent ring Q[u, u^-1, a, a^-1, ...].
 
-    Immutable; all arithmetic is exact and returns canonical values, so
-    instances are safe to share between threads and to use as dict keys.
+    Immutable; a single LaurentPoly with no zero coefficients is the
+    canonical form, so instances are safe to share between threads and to
+    use as dict keys.  A rational constant hashes like its Fraction.
+    Division is exact and defined only by units, nonzero rationals times
+    monomials: dividing by zero raises DivisionByZero and dividing by any
+    other value raises Unsupported.
     """
 
-    __slots__ = ("num", "den", "_hash")
+    __slots__ = ("poly", "_hash")
 
-    def __init__(self, num, den=None):
-        num = _coerce_poly(num)
-        den = _P_ONE if den is None else _coerce_poly(den)
-        self.num, self.den = _canonicalize(num, den)
+    def __init__(self, poly: LaurentPoly):
+        self.poly = poly
         self._hash = None
-
-    @classmethod
-    def _make(cls, num: LaurentPoly, den: LaurentPoly) -> "Scalar":
-        obj = object.__new__(cls)
-        obj.num = num
-        obj.den = den
-        obj._hash = None
-        return obj
 
     @classmethod
     def of(cls, value) -> "Scalar":
         if isinstance(value, Scalar):
             return value
         if isinstance(value, (int, Fraction)):
-            return cls._make(LaurentPoly.const(value), _P_ONE)
+            return cls(LaurentPoly.const(value))
         if isinstance(value, LaurentPoly):
-            return cls._make(*_canonicalize(value, _P_ONE))
+            return cls(value)
         raise TypeError(f"cannot coerce {type(value).__name__} to Scalar")
 
     @classmethod
     def variable(cls, name: str) -> "Scalar":
         if name in ("t", "q"):
             raise InvalidCharacter(f"'{name}' is reserved and cannot be a scalar variable")
-        return cls._make(LaurentPoly.variable(name), _P_ONE)
+        return cls(LaurentPoly.variable(name))
 
     @classmethod
     def monomial(cls, exps: Mapping[str, int], coeff: Rational = 1) -> "Scalar":
-        return cls._make(LaurentPoly.monomial(exps, coeff), _P_ONE)
+        return cls(LaurentPoly.monomial(exps, coeff))
 
     @classmethod
     def rational(cls, p: Rational, q: Rational = 1) -> "Scalar":
-        return cls._make(LaurentPoly.const(Fraction(p) / Fraction(q)), _P_ONE)
+        return cls(LaurentPoly.const(Fraction(p) / Fraction(q)))
 
     def is_zero(self) -> bool:
-        return self.num.is_zero()
-
-    def is_one(self) -> bool:
-        return self.den.is_one() and self.num.is_one()
+        return self.poly.is_zero()
 
     def is_rational(self) -> bool:
-        return self.den.is_one() and self.num.is_const()
+        return self.poly.is_const()
 
     def as_fraction(self) -> Fraction:
         if not self.is_rational():
             raise ValueError(f"{self} is not a rational constant")
-        return self.num.const_value()
+        return self.poly.const_value()
 
     def is_variable(self) -> bool:
-        if not self.den.is_one() or len(self.num.terms) != 1:
+        if len(self.poly.terms) != 1:
             return False
-        (mono, c), = self.num.terms.items()
+        (mono, c), = self.poly.terms.items()
         return c == 1 and len(mono) == 1 and mono[0][1] == 1
 
     def variables(self):
-        return sorted(set(self.num.variables()) | set(self.den.variables()), key=_var_key)
+        return self.poly.variables()
 
     def __bool__(self):
         return not self.is_zero()
@@ -552,22 +369,19 @@ class Scalar:
             other = Scalar.of(other)
         if not isinstance(other, Scalar):
             return NotImplemented
-        return self.num == other.num and self.den == other.den
+        return self.poly == other.poly
 
     def __hash__(self):
         if self._hash is None:
-            self._hash = hash((frozenset(self.num.terms.items()),
-                               frozenset(self.den.terms.items())))
+            poly = self.poly
+            self._hash = hash(poly.const_value()) if poly.is_const() else hash(poly)
         return self._hash
 
     def __neg__(self):
-        return Scalar._make(-self.num, self.den)
+        return Scalar(-self.poly)
 
     def __add__(self, other):
-        other = Scalar.of(other)
-        if self.den.is_one() and other.den.is_one():
-            return Scalar._make(self.num + other.num, _P_ONE)
-        return Scalar(self.num * other.den + other.num * self.den, self.den * other.den)
+        return Scalar(self.poly + Scalar.of(other).poly)
 
     __radd__ = __add__
 
@@ -578,39 +392,31 @@ class Scalar:
         return (-self) + Scalar.of(other)
 
     def __mul__(self, other):
-        other = Scalar.of(other)
-        if self.den.is_one() and other.den.is_one():
-            return Scalar._make(self.num * other.num, _P_ONE)
-        return Scalar(self.num * other.num, self.den * other.den)
+        return Scalar(self.poly * Scalar.of(other).poly)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        other = Scalar.of(other)
-        if other.is_zero():
-            raise DivisionByZero("scalar division by zero")
-        if other.den.is_one() and len(other.num.terms) == 1:
-            (mono, c), = other.num.terms.items()
-            inv = LaurentPoly({_mono_inv(mono): 1 / c})
-            if self.den.is_one():
-                return Scalar._make(self.num * inv, _P_ONE)
-            return Scalar(self.num * inv, self.den)
-        return Scalar(self.num * other.den, self.den * other.num)
+        return self * Scalar.of(other).inverse()
 
     def __rtruediv__(self, other):
         return Scalar.of(other) / self
 
     def inverse(self) -> "Scalar":
-        return Scalar.of(1) / self
+        """1/self; self must be a unit (a nonzero rational times a monomial)."""
+        terms = self.poly.terms
+        if not terms:
+            raise DivisionByZero("scalar division by zero")
+        if len(terms) != 1:
+            raise Unsupported(f"cannot divide by {self}: only nonzero rationals "
+                              f"times monomials are invertible")
+        (mono, c), = terms.items()
+        return Scalar(LaurentPoly({_mono_inv(mono): 1 / c}))
 
     def __pow__(self, k: int):
-        if k == 0:
-            return Scalar.of(1)
         if k < 0:
             return self.inverse() ** (-k)
-        if self.den.is_one():
-            return Scalar._make(self.num ** k, _P_ONE)
-        return Scalar(self.num ** k, self.den ** k)
+        return Scalar(self.poly ** k)
 
     def substitute(self, bindings: Mapping[str, Rational]) -> Fraction:
         """Evaluate at a rational point (exact); see module-level substitute."""
@@ -619,50 +425,30 @@ class Scalar:
             if v not in bindings:
                 raise UnboundVariable(f"no binding for variable {v}")
             frac_bindings[v] = Fraction(bindings[v])
-        dval = self.den.evaluate(frac_bindings)
-        if dval == 0:
-            raise PoleAtPoint("denominator vanishes at the given point")
-        return self.num.evaluate(frac_bindings) / dval
+        return self.poly.evaluate(frac_bindings)
 
     def _needs_parens(self) -> bool:
-        if not self.den.is_one() or len(self.num.terms) > 1:
+        terms = self.poly.terms
+        if len(terms) > 1:
             return True
-        if self.num.is_zero():
+        if not terms:
             return False
-        (_, c), = self.num.terms.items()
+        (_, c), = terms.items()
         return c < 0
 
     def __str__(self):
-        if self.den.is_one():
-            return _format_poly(self.num)
-        ns = _format_poly(self.num)
-        if len(self.num.terms) > 1:
-            ns = f"({ns})"
-        return f"{ns}/({_format_poly(self.den)})"
+        return _format_poly(self.poly)
 
     def __repr__(self):
         return f"Scalar({self!s})"
 
 
-def scalar_arith(a: Scalar, b: Scalar, op: str) -> Scalar:
-    """Field arithmetic dispatch: op is one of add, sub, mul, div."""
-    a, b = Scalar.of(a), Scalar.of(b)
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "div":
-        return a / b
-    raise ValueError(f"unknown operation {op!r}")
-
-
 def substitute(p: Scalar, bindings: Mapping[str, Rational]) -> Fraction:
     """Exact rational value of p at the point given by bindings.
 
-    Every variable of p must be bound (UnboundVariable otherwise); the
-    denominator must not vanish at the point (PoleAtPoint otherwise).
+    Every variable of p must be bound (UnboundVariable otherwise), and no
+    variable that carries a negative exponent may be 0 (PoleAtPoint
+    otherwise).
     """
     return Scalar.of(p).substitute(bindings)
 
@@ -679,8 +465,7 @@ def u_power(e: int) -> Scalar:
 class TruncatedSeries:
     """Formal power series in t, stored through a fixed truncation order.
 
-    Exactly order+1 coefficients are stored; arithmetic never reads beyond
-    the truncation order.
+    Exactly order+1 coefficients are stored.
     """
 
     __slots__ = ("order", "coeffs")
@@ -694,42 +479,12 @@ class TruncatedSeries:
         self.order = order
         self.coeffs = coeffs
 
-    @staticmethod
-    def constant(value, order: int) -> "TruncatedSeries":
-        return TruncatedSeries(order, [value] + [0] * order)
-
     def __eq__(self, other):
         return (isinstance(other, TruncatedSeries)
                 and self.order == other.order and self.coeffs == other.coeffs)
 
     def __hash__(self):
         return hash((self.order, self.coeffs))
-
-    def __add__(self, other):
-        d = min(self.order, other.order)
-        return TruncatedSeries(d, [self.coeffs[k] + other.coeffs[k] for k in range(d + 1)])
-
-    def __sub__(self, other):
-        d = min(self.order, other.order)
-        return TruncatedSeries(d, [self.coeffs[k] - other.coeffs[k] for k in range(d + 1)])
-
-    def __mul__(self, other):
-        d = min(self.order, other.order)
-        out = []
-        for k in range(d + 1):
-            acc = Scalar.of(0)
-            for i in range(k + 1):
-                ci = self.coeffs[i]
-                cj = other.coeffs[k - i]
-                if ci.is_zero() or cj.is_zero():
-                    continue
-                acc = acc + ci * cj
-            out.append(acc)
-        return TruncatedSeries(d, out)
-
-    def scale(self, c) -> "TruncatedSeries":
-        c = Scalar.of(c)
-        return TruncatedSeries(self.order, [ck * c for ck in self.coeffs])
 
     def __str__(self):
         parts = []
@@ -802,11 +557,20 @@ def euler_expand(factor: EulerFactor, order: int) -> TruncatedSeries:
     """
     if order < 0:
         raise ValueError("expansion order must be nonnegative")
-    coeffs = [Scalar.of(1)] + [Scalar.of(0)] * order
-    for root in factor.roots:
-        for k in range(1, order + 1):
-            coeffs[k] = coeffs[k] + root * coeffs[k - 1]
-    return TruncatedSeries(order, coeffs)
+    return TruncatedSeries(order, _h_convolution(factor.roots, order))
+
+
+def _h_convolution(roots, top: int) -> list:
+    """[h_0, ..., h_top] of the roots (with multiplicity), by geometric convolution.
+
+    Multiplying in one factor 1/(1 - x t) at a time: after each root, the
+    coefficient of t^k gains x times the coefficient of t^(k-1).
+    """
+    coeffs = [Scalar.of(1)] + [Scalar.of(0)] * top
+    for x in roots:
+        for k in range(1, top + 1):
+            coeffs[k] = coeffs[k] + x * coeffs[k - 1]
+    return coeffs
 
 
 def series_equal(a: TruncatedSeries, b: TruncatedSeries, order: int) -> Optional[int]:
@@ -825,10 +589,3 @@ def series_equal(a: TruncatedSeries, b: TruncatedSeries, order: int) -> Optional
             return k
     return None
 
-
-def _coerce_poly(value) -> LaurentPoly:
-    if isinstance(value, LaurentPoly):
-        return value
-    if isinstance(value, (int, Fraction)):
-        return LaurentPoly.const(value)
-    raise TypeError(f"cannot coerce {type(value).__name__} to LaurentPoly")

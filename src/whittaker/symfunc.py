@@ -16,7 +16,7 @@ from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
 
 from .errors import UnsupportedWeight
-from .ringcore import LaurentPoly, Scalar, _exact_div
+from .ringcore import LaurentPoly, Scalar, _exact_div, _h_convolution
 
 ALGORITHMS = ("jacobi-trudi", "bialternant")
 
@@ -87,11 +87,7 @@ def partitions_up_to(size_bound: int, max_parts: int):
 @lru_cache(maxsize=None)
 def _h_list(vars_key: tuple, top: int):
     """[h_0, ..., h_top] of the given variables, by geometric convolution."""
-    coeffs = [Scalar.of(1)] + [Scalar.of(0)] * top
-    for x in vars_key:
-        for k in range(1, top + 1):
-            coeffs[k] = coeffs[k] + x * coeffs[k - 1]
-    return tuple(coeffs)
+    return tuple(_h_convolution(vars_key, top))
 
 
 def complete_homogeneous(k: int, variables: Sequence) -> Scalar:
