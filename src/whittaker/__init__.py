@@ -19,7 +19,6 @@ from .repdata import (
 )
 from .ringcore import (
     EulerFactor,
-    LaurentPoly,
     Scalar,
     TruncatedSeries,
     euler_expand,
@@ -44,7 +43,6 @@ __version__ = "0.1.0"
 __all__ = [
     "EulerFactor",
     "GenericRep",
-    "LaurentPoly",
     "Partition",
     "Scalar",
     "Segment",

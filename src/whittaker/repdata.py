@@ -50,10 +50,8 @@ class UnramifiedCharacter:
     value: Scalar
 
     def __post_init__(self):
-        v = self.value
-        if not isinstance(v, Scalar):
-            object.__setattr__(self, "value", Scalar.of(v))
-            v = self.value
+        v = Scalar.of(self.value)
+        object.__setattr__(self, "value", v)
         if v.is_zero():
             raise InvalidCharacter("character value at the uniformizer must be nonzero")
         if not (v.is_rational() or v.is_variable()):
@@ -89,7 +87,7 @@ class Segment:
     @staticmethod
     def unramified(top_value, length: int) -> "Segment":
         top = top_value if isinstance(top_value, UnramifiedCharacter) \
-            else UnramifiedCharacter(Scalar.of(top_value) if not isinstance(top_value, Scalar) else top_value)
+            else UnramifiedCharacter(top_value)
         return Segment("unramified", top, None, 1, length)
 
     @staticmethod
@@ -213,7 +211,7 @@ class UnramifiedLanglandsRep:
     satake: Tuple[Scalar, ...]
 
     def __post_init__(self):
-        satake = tuple(Scalar.of(v) if not isinstance(v, Scalar) else v for v in self.satake)
+        satake = tuple(Scalar.of(v) for v in self.satake)
         object.__setattr__(self, "satake", satake)
         if not satake:
             raise InvalidCharacter("need at least one Satake value")

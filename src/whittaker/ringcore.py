@@ -1,16 +1,18 @@
 """Exact coefficient arithmetic.
 
-Scalars are elements of the ring of multivariate Laurent polynomials over
-Q, Q[u, u^-1, a, a^-1, ...].  The variable alphabet is ordered with u first
-(u^2 plays the role of the residue cardinality q, so half-integral powers
-of q are Laurent monomials in u) followed by parameter names in
-lexicographic order.  No floating point is used anywhere; coefficients are
-fractions.Fraction.
+Scalar is the one ring-element class: an immutable element of the ring of
+multivariate Laurent polynomials over Q, Q[u, u^-1, a, a^-1, ...], stored
+as a sparse map from monomials to nonzero fractions.Fraction coefficients.
+The variable alphabet is ordered with u first (u^2 plays the role of the
+residue cardinality q, so half-integral powers of q are Laurent monomials
+in u) followed by parameter names in lexicographic order.  No floating
+point is used anywhere.
 
 Every value in scope lives in this ring: Satake values are rationals or
 single indeterminates, Schur polynomials and complete homogeneous
 polynomials are polynomials, and the only divisions are by monomials,
-which are units.  Division is therefore defined by units only.
+which are units.  Division is therefore defined by units only; the
+bialternant's exact polynomial division is the separate _exact_div.
 
 The module also provides truncated power series in t = q^(-s) and Euler
 factors (multisets of reciprocal roots), with exact comparison.
@@ -90,59 +92,103 @@ def _grlex_key(mono: Mono, varlist):
     return (_mono_deg(mono), tuple(exps.get(v, 0) for v in varlist))
 
 
-class LaurentPoly:
-    """Sparse multivariate Laurent polynomial with Fraction coefficients."""
+def _format_term(c: Fraction, mono: Mono) -> str:
+    if not mono:
+        return str(c)
+    ms = "*".join(v if e == 1 else f"{v}^{e}" for v, e in mono)
+    if c == 1:
+        return ms
+    if c == -1:
+        return "-" + ms
+    return f"{c}*{ms}"
 
-    __slots__ = ("terms",)
+
+class Scalar:
+    """Element of the Laurent ring Q[u, u^-1, a, a^-1, ...].
+
+    Immutable; terms maps each monomial to its nonzero Fraction coefficient
+    and is the canonical form, so instances are safe to share between
+    threads and to use as dict keys.  A rational constant hashes like its
+    Fraction.  Division is exact and defined only by units, nonzero
+    rationals times monomials: dividing by zero raises DivisionByZero and
+    dividing by any other value raises Unsupported.
+    """
+
+    __slots__ = ("terms", "_hash")
 
     def __init__(self, terms: dict):
         self.terms = terms
+        self._hash = None
 
-    @staticmethod
-    def const(c: Rational) -> "LaurentPoly":
-        c = Fraction(c)
-        return LaurentPoly({(): c} if c else {})
+    @classmethod
+    def of(cls, value) -> "Scalar":
+        if isinstance(value, Scalar):
+            return value
+        if isinstance(value, (int, Fraction)):
+            return cls.rational(value)
+        raise TypeError(f"cannot coerce {type(value).__name__} to Scalar")
 
-    @staticmethod
-    def variable(name: str) -> "LaurentPoly":
-        return LaurentPoly({((name, 1),): Fraction(1)})
+    @classmethod
+    def rational(cls, p: Rational, q: Rational = 1) -> "Scalar":
+        c = Fraction(p) / Fraction(q)
+        return cls({(): c} if c else {})
 
-    @staticmethod
-    def monomial(exps: Mapping[str, int], coeff: Rational = 1) -> "LaurentPoly":
+    @classmethod
+    def variable(cls, name: str) -> "Scalar":
+        if name in ("t", "q"):
+            raise InvalidCharacter(f"'{name}' is reserved and cannot be a scalar variable")
+        return cls({((name, 1),): Fraction(1)})
+
+    @classmethod
+    def monomial(cls, exps: Mapping[str, int], coeff: Rational = 1) -> "Scalar":
         coeff = Fraction(coeff)
         if not coeff:
-            return LaurentPoly({})
+            return cls({})
         mono = tuple(sorted(((v, e) for v, e in exps.items() if e), key=lambda p: _var_key(p[0])))
-        return LaurentPoly({mono: coeff})
+        return cls({mono: coeff})
 
     def is_zero(self) -> bool:
         return not self.terms
 
-    def is_const(self) -> bool:
+    def is_rational(self) -> bool:
         return not self.terms or (len(self.terms) == 1 and () in self.terms)
 
-    def const_value(self) -> Fraction:
-        if not self.terms:
-            return Fraction(0)
-        return self.terms[()]
+    def as_fraction(self) -> Fraction:
+        if not self.is_rational():
+            raise ValueError(f"{self} is not a rational constant")
+        return self.terms.get((), Fraction(0))
+
+    def is_variable(self) -> bool:
+        if len(self.terms) != 1:
+            return False
+        (mono, c), = self.terms.items()
+        return c == 1 and len(mono) == 1 and mono[0][1] == 1
 
     def variables(self):
-        seen = set()
-        for mono in self.terms:
-            for v, _ in mono:
-                seen.add(v)
-        return sorted(seen, key=_var_key)
+        return sorted({v for mono in self.terms for v, _ in mono}, key=_var_key)
+
+    def __bool__(self):
+        return not self.is_zero()
 
     def __eq__(self, other):
-        return isinstance(other, LaurentPoly) and self.terms == other.terms
+        if isinstance(other, (int, Fraction)):
+            other = Scalar.of(other)
+        if not isinstance(other, Scalar):
+            return NotImplemented
+        return self.terms == other.terms
 
     def __hash__(self):
-        return hash(frozenset(self.terms.items()))
+        if self._hash is None:
+            self._hash = (hash(self.as_fraction()) if self.is_rational()
+                          else hash(frozenset(self.terms.items())))
+        return self._hash
 
     def __neg__(self):
-        return LaurentPoly({m: -c for m, c in self.terms.items()})
+        return Scalar({m: -c for m, c in self.terms.items()})
 
     def __add__(self, other):
+        if not isinstance(other, Scalar):
+            other = Scalar.of(other)
         if not self.terms:
             return other
         if not other.terms:
@@ -158,22 +204,28 @@ class LaurentPoly:
                     out[m] = s
                 else:
                     del out[m]
-        return LaurentPoly(out)
+        return Scalar(out)
+
+    __radd__ = __add__
 
     def __sub__(self, other):
-        return self + (-other)
+        return self + (-Scalar.of(other))
+
+    def __rsub__(self, other):
+        return (-self) + Scalar.of(other)
 
     def __mul__(self, other):
-        a, b = self.terms, other.terms
-        if not a or not b:
-            return _P_ZERO
-        if len(a) > len(b):
-            a, b = b, a
+        if not isinstance(other, Scalar):
+            other = Scalar.of(other)
+        small, big = (self, other) if len(self.terms) <= len(other.terms) else (other, self)
+        a, b = small.terms, big.terms
+        if not a:
+            return _ZERO
         if len(a) == 1:
             (ma, ca), = a.items()
             if not ma and ca == 1:
-                return LaurentPoly(dict(b))
-            return LaurentPoly({_mono_mul(ma, mb): ca * cb for mb, cb in b.items()})
+                return big
+            return Scalar({_mono_mul(ma, mb): ca * cb for mb, cb in b.items()})
         out: dict = {}
         for ma, ca in a.items():
             for mb, cb in b.items():
@@ -187,212 +239,7 @@ class LaurentPoly:
                         out[m] = s
                     else:
                         del out[m]
-        return LaurentPoly(out)
-
-    def scale(self, c: Rational) -> "LaurentPoly":
-        c = Fraction(c)
-        if not c:
-            return _P_ZERO
-        if c == 1:
-            return self
-        return LaurentPoly({m: v * c for m, v in self.terms.items()})
-
-    def __pow__(self, k: int):
-        if k < 0:
-            raise ValueError("negative power of a polynomial")
-        result = _P_ONE
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
-
-    def evaluate(self, bindings: Mapping[str, Fraction]) -> Fraction:
-        total = Fraction(0)
-        for mono, c in self.terms.items():
-            val = c
-            for v, e in mono:
-                base = bindings[v]
-                if base == 0 and e < 0:
-                    raise PoleAtPoint(f"variable {v} is 0 with negative exponent")
-                val = val * Fraction(base) ** e
-            total += val
-        return total
-
-    def __str__(self):
-        return _format_poly(self)
-
-    def __repr__(self):
-        return f"LaurentPoly({_format_poly(self)!r})"
-
-
-_P_ZERO = LaurentPoly({})
-_P_ONE = LaurentPoly({(): Fraction(1)})
-
-
-def _format_mono(mono: Mono) -> str:
-    return "*".join(v if e == 1 else f"{v}^{e}" for v, e in mono)
-
-
-def _format_term(c: Fraction, mono: Mono) -> str:
-    if not mono:
-        return str(c)
-    ms = _format_mono(mono)
-    if c == 1:
-        return ms
-    if c == -1:
-        return "-" + ms
-    return f"{c}*{ms}"
-
-
-def _format_poly(p: LaurentPoly) -> str:
-    if not p.terms:
-        return "0"
-    varlist = p.variables()
-    items = sorted(p.terms.items(), key=lambda mc: _print_key(mc[0], varlist))
-    parts = [_format_term(items[0][1], items[0][0])]
-    for mono, c in items[1:]:
-        if c < 0:
-            parts.append(" - " + _format_term(-c, mono))
-        else:
-            parts.append(" + " + _format_term(c, mono))
-    return "".join(parts)
-
-
-# ---------------------------------------------------------------------------
-# exact division of ordinary polynomials (the bialternant divides by a
-# Vandermonde determinant)
-# ---------------------------------------------------------------------------
-
-def _lead(p: LaurentPoly, varlist):
-    return max(p.terms, key=lambda m: _grlex_key(m, varlist))
-
-
-def _exact_div(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
-    """Exact division of ordinary polynomials; g must divide f."""
-    if g.is_zero():
-        raise DivisionByZero("polynomial division by zero")
-    if f.is_zero():
-        return _P_ZERO
-    if g.is_const():
-        return f.scale(1 / g.const_value())
-    varlist = sorted(set(f.variables()) | set(g.variables()), key=_var_key)
-    mg = _lead(g, varlist)
-    cg = g.terms[mg]
-    mg_exp = dict(mg)
-    r = dict(f.terms)
-    q: dict = {}
-    while r:
-        rp = LaurentPoly(r)
-        mr = _lead(rp, varlist)
-        cr = r[mr]
-        quot_exp = dict(mr)
-        for v, e in mg_exp.items():
-            quot_exp[v] = quot_exp.get(v, 0) - e
-        if any(e < 0 for e in quot_exp.values()):
-            raise ValueError("inexact polynomial division")
-        qm = tuple(sorted(((v, e) for v, e in quot_exp.items() if e), key=lambda p: _var_key(p[0])))
-        qc = cr / cg
-        q[qm] = qc
-        r = (rp - LaurentPoly({qm: qc}) * g).terms
-    return LaurentPoly(q)
-
-
-class Scalar:
-    """Element of the Laurent ring Q[u, u^-1, a, a^-1, ...].
-
-    Immutable; a single LaurentPoly with no zero coefficients is the
-    canonical form, so instances are safe to share between threads and to
-    use as dict keys.  A rational constant hashes like its Fraction.
-    Division is exact and defined only by units, nonzero rationals times
-    monomials: dividing by zero raises DivisionByZero and dividing by any
-    other value raises Unsupported.
-    """
-
-    __slots__ = ("poly", "_hash")
-
-    def __init__(self, poly: LaurentPoly):
-        self.poly = poly
-        self._hash = None
-
-    @classmethod
-    def of(cls, value) -> "Scalar":
-        if isinstance(value, Scalar):
-            return value
-        if isinstance(value, (int, Fraction)):
-            return cls(LaurentPoly.const(value))
-        if isinstance(value, LaurentPoly):
-            return cls(value)
-        raise TypeError(f"cannot coerce {type(value).__name__} to Scalar")
-
-    @classmethod
-    def variable(cls, name: str) -> "Scalar":
-        if name in ("t", "q"):
-            raise InvalidCharacter(f"'{name}' is reserved and cannot be a scalar variable")
-        return cls(LaurentPoly.variable(name))
-
-    @classmethod
-    def monomial(cls, exps: Mapping[str, int], coeff: Rational = 1) -> "Scalar":
-        return cls(LaurentPoly.monomial(exps, coeff))
-
-    @classmethod
-    def rational(cls, p: Rational, q: Rational = 1) -> "Scalar":
-        return cls(LaurentPoly.const(Fraction(p) / Fraction(q)))
-
-    def is_zero(self) -> bool:
-        return self.poly.is_zero()
-
-    def is_rational(self) -> bool:
-        return self.poly.is_const()
-
-    def as_fraction(self) -> Fraction:
-        if not self.is_rational():
-            raise ValueError(f"{self} is not a rational constant")
-        return self.poly.const_value()
-
-    def is_variable(self) -> bool:
-        if len(self.poly.terms) != 1:
-            return False
-        (mono, c), = self.poly.terms.items()
-        return c == 1 and len(mono) == 1 and mono[0][1] == 1
-
-    def variables(self):
-        return self.poly.variables()
-
-    def __bool__(self):
-        return not self.is_zero()
-
-    def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = Scalar.of(other)
-        if not isinstance(other, Scalar):
-            return NotImplemented
-        return self.poly == other.poly
-
-    def __hash__(self):
-        if self._hash is None:
-            poly = self.poly
-            self._hash = hash(poly.const_value()) if poly.is_const() else hash(poly)
-        return self._hash
-
-    def __neg__(self):
-        return Scalar(-self.poly)
-
-    def __add__(self, other):
-        return Scalar(self.poly + Scalar.of(other).poly)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return self + (-Scalar.of(other))
-
-    def __rsub__(self, other):
-        return (-self) + Scalar.of(other)
-
-    def __mul__(self, other):
-        return Scalar(self.poly * Scalar.of(other).poly)
+        return Scalar(out)
 
     __rmul__ = __mul__
 
@@ -404,31 +251,48 @@ class Scalar:
 
     def inverse(self) -> "Scalar":
         """1/self; self must be a unit (a nonzero rational times a monomial)."""
-        terms = self.poly.terms
+        terms = self.terms
         if not terms:
             raise DivisionByZero("scalar division by zero")
         if len(terms) != 1:
             raise Unsupported(f"cannot divide by {self}: only nonzero rationals "
                               f"times monomials are invertible")
         (mono, c), = terms.items()
-        return Scalar(LaurentPoly({_mono_inv(mono): 1 / c}))
+        return Scalar({_mono_inv(mono): 1 / c})
 
     def __pow__(self, k: int):
         if k < 0:
             return self.inverse() ** (-k)
-        return Scalar(self.poly ** k)
+        # square only while bits of k remain, so no product is discarded
+        result = None
+        base = self
+        while True:
+            if k & 1:
+                result = base if result is None else result * base
+            k >>= 1
+            if not k:
+                return _ONE if result is None else result
+            base = base * base
 
     def substitute(self, bindings: Mapping[str, Rational]) -> Fraction:
         """Evaluate at a rational point (exact); see module-level substitute."""
-        frac_bindings = {}
+        point = {}
         for v in self.variables():
             if v not in bindings:
                 raise UnboundVariable(f"no binding for variable {v}")
-            frac_bindings[v] = Fraction(bindings[v])
-        return self.poly.evaluate(frac_bindings)
+            point[v] = Fraction(bindings[v])
+        total = Fraction(0)
+        for mono, c in self.terms.items():
+            for v, e in mono:
+                base = point[v]
+                if base == 0 and e < 0:
+                    raise PoleAtPoint(f"variable {v} is 0 with negative exponent")
+                c = c * base ** e
+            total += c
+        return total
 
     def _needs_parens(self) -> bool:
-        terms = self.poly.terms
+        terms = self.terms
         if len(terms) > 1:
             return True
         if not terms:
@@ -437,10 +301,28 @@ class Scalar:
         return c < 0
 
     def __str__(self):
-        return _format_poly(self.poly)
+        if not self.terms:
+            return "0"
+        varlist = self.variables()
+        items = sorted(self.terms.items(), key=lambda mc: _print_key(mc[0], varlist))
+        parts = [_format_term(items[0][1], items[0][0])]
+        for mono, c in items[1:]:
+            if c < 0:
+                parts.append(" - " + _format_term(-c, mono))
+            else:
+                parts.append(" + " + _format_term(c, mono))
+        return "".join(parts)
 
     def __repr__(self):
         return f"Scalar({self!s})"
+
+
+_ZERO = Scalar({})
+_ONE = Scalar({(): Fraction(1)})
+
+# Former name of the class, kept because perfbench/spans.py times the ring
+# layer by patching __mul__ and __add__ under it.
+LaurentPoly = Scalar
 
 
 def substitute(p: Scalar, bindings: Mapping[str, Rational]) -> Fraction:
@@ -451,6 +333,39 @@ def substitute(p: Scalar, bindings: Mapping[str, Rational]) -> Fraction:
     otherwise).
     """
     return Scalar.of(p).substitute(bindings)
+
+
+# ---------------------------------------------------------------------------
+# exact division of ordinary polynomials (the bialternant divides by a
+# Vandermonde determinant)
+# ---------------------------------------------------------------------------
+
+def _lead(p: Scalar, varlist):
+    return max(p.terms, key=lambda m: _grlex_key(m, varlist))
+
+
+def _exact_div(f: Scalar, g: Scalar) -> Scalar:
+    """Exact division of ordinary polynomials; g must divide f."""
+    if g.is_zero():
+        raise DivisionByZero("polynomial division by zero")
+    if g.is_rational():
+        return f * g.inverse()
+    varlist = sorted(set(f.variables()) | set(g.variables()), key=_var_key)
+    mg = _lead(g, varlist)
+    cg = g.terms[mg]
+    q = _ZERO
+    r = f
+    while r:
+        mr = _lead(r, varlist)
+        exps = dict(mr)
+        for v, e in mg:
+            exps[v] = exps.get(v, 0) - e
+        if any(e < 0 for e in exps.values()):
+            raise ValueError("inexact polynomial division")
+        term = Scalar.monomial(exps, r.terms[mr] / cg)
+        q = q + term
+        r = r - term * g
+    return q
 
 
 def u_power(e: int) -> Scalar:

@@ -17,14 +17,13 @@ from .errors import BadRanks, InvariantViolation, Unsupported
 from .repdata import GenericRep, UnramifiedLanglandsRep, compute_piu
 from .ringcore import EulerFactor, Scalar, TruncatedSeries, euler_expand, series_equal, u_power
 from .symfunc import partitions_up_to
-from .whitfun import (
-    _spherical_value_laurent,
-    delta_half,
-    essential_value,
-    spherical_value,
-)
+from .whitfun import _spherical_value_laurent, essential_value, spherical_value
 
 LeftInput = Union[GenericRep, UnramifiedLanglandsRep]
+
+# How far below zero the last weight entry may go once the integrality
+# indicator is dropped (test hook of rs_series and verify_essential).
+_NEGATIVE_DEPTH = 2
 
 
 @dataclass
@@ -105,7 +104,7 @@ def _dominant_weights(total: int, parts: int, floor: int) -> Iterator[tuple]:
 
 
 def rs_series(left: LeftInput, pi_prime: UnramifiedLanglandsRep, order: int, *,
-              drop_integrality: bool = False, negative_depth: int = 2) -> TruncatedSeries:
+              drop_integrality: bool = False) -> TruncatedSeries:
     """Truncated expansion of the Rankin-Selberg integral in t = q^(-s).
 
     The coefficient of t^k sums, over partitions of k with at most m parts,
@@ -121,7 +120,7 @@ def rs_series(left: LeftInput, pi_prime: UnramifiedLanglandsRep, order: int, *,
 
     drop_integrality (test hook) removes the 1_O(a_r) factor from the
     essential function; the index set then grows to dominant weights with
-    entries down to -negative_depth, exposing the divergence the indicator
+    entries down to -_NEGATIVE_DEPTH, exposing the divergence the indicator
     prevents.
     """
     m = pi_prime.rank
@@ -151,7 +150,7 @@ def rs_series(left: LeftInput, pi_prime: UnramifiedLanglandsRep, order: int, *,
     coeffs = [Scalar.of(0)] * (order + 1)
     if drop_integrality:
         weights = ((sum(w), w) for k in range(order + 1)
-                   for w in _dominant_weights(k, m, -negative_depth))
+                   for w in _dominant_weights(k, m, -_NEGATIVE_DEPTH))
     else:
         weights = ((lam.size, lam.padded(m)) for lam in partitions_up_to(order, m))
     for k, w in weights:
@@ -164,8 +163,9 @@ def rs_series(left: LeftInput, pi_prime: UnramifiedLanglandsRep, order: int, *,
             wprime = spherical_value(satake_prime, w)
         if wprime.is_zero():
             continue
-        # delta^(-1) * nu^(-(n-m)/2) on the torus point
-        mod = delta_half(w, m) ** (-2) * u_power((n - m) * k)
+        # delta^(-1) * nu^(-(n-m)/2) on the torus point: delta^(-1) is
+        # u^(2 * sum_i w_i (m - 1 - 2i)) and the twist is u^((n - m) * k)
+        mod = u_power(sum(x * (n + m - 2 - 4 * i) for i, x in enumerate(w)))
         coeffs[k] = coeffs[k] + term * wprime * mod
     return TruncatedSeries(order, coeffs)
 
@@ -189,8 +189,7 @@ def _essential_left(rep: GenericRep, n: int, drop_integrality: bool):
 
 
 def verify_essential(rep: GenericRep, pi_prime: UnramifiedLanglandsRep,
-                     order: int = 8, *, drop_integrality: bool = False,
-                     negative_depth: int = 2) -> VerificationReport:
+                     order: int = 8, *, drop_integrality: bool = False) -> VerificationReport:
     """Compare I(W_ess, W'_0, s) with L(pi, pi', s) exactly through t^order.
 
     Requires 1 <= m <= n-1, or m = n with an unramified representation.
@@ -207,8 +206,7 @@ def verify_essential(rep: GenericRep, pi_prime: UnramifiedLanglandsRep,
         raise InvariantViolation("l_factor and theorem_product disagree")
     if factor.degree() != r * m:
         raise InvariantViolation(f"expected {r * m} Euler roots, found {factor.degree()}")
-    lhs = rs_series(rep, pi_prime, order,
-                    drop_integrality=drop_integrality, negative_depth=negative_depth)
+    lhs = rs_series(rep, pi_prime, order, drop_integrality=drop_integrality)
     rhs = euler_expand(factor, order)
     mismatch = series_equal(lhs, rhs, order)
     report = VerificationReport(

@@ -11,14 +11,20 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
 
 from .errors import UnsupportedWeight
-from .ringcore import LaurentPoly, Scalar, _exact_div, _h_convolution
+from .ringcore import Scalar, _exact_div, _h_convolution
 
 ALGORITHMS = ("jacobi-trudi", "bialternant")
+
+# Entries kept by each of the two Schur caches (least recently used go
+# first), so long-lived library use stays bounded.  All the checks of one
+# generated suite representation at degree 12 need at most about 500
+# Schur values; a symbolic cauchy 4x4 check at degree 8 needs about 120
+# entries, some 2 MB.
+SCHUR_CACHE_SIZE = 2048
 
 
 @dataclass(frozen=True)
@@ -84,7 +90,7 @@ def partitions_up_to(size_bound: int, max_parts: int):
     return out
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=SCHUR_CACHE_SIZE)
 def _h_list(vars_key: tuple, top: int):
     """[h_0, ..., h_top] of the given variables, by geometric convolution."""
     return tuple(_h_convolution(vars_key, top))
@@ -108,7 +114,7 @@ def _as_partition(shape) -> Partition:
     return shape if isinstance(shape, Partition) else Partition(shape)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=SCHUR_CACHE_SIZE)
 def _schur_jacobi_trudi(parts: tuple, vars_key: tuple) -> Scalar:
     ell = len(parts)
     if ell == 0:
@@ -157,21 +163,20 @@ def _perm_sign(perm) -> int:
 
 
 @lru_cache(maxsize=None)
-def _schur_generic(parts: tuple, nvars: int) -> LaurentPoly:
+def _schur_generic(parts: tuple, nvars: int) -> Scalar:
     """Schur polynomial in internal symbols _g1.._gk via the bialternant."""
     names = [f"_g{i + 1}" for i in range(nvars)]
     padded = parts + (0,) * (nvars - len(parts))
     exps = [padded[i] + nvars - 1 - i for i in range(nvars)]
-    numer = LaurentPoly({})
+    numer = Scalar.of(0)
     for perm in itertools.permutations(range(nvars)):
-        mono = tuple(sorted(((names[perm[i]], exps[i]) for i in range(nvars) if exps[i]),
-                            key=lambda p: p[0]))
-        numer = numer + LaurentPoly({mono: Fraction(_perm_sign(perm))})
-    vandermonde = LaurentPoly.const(1)
+        numer = numer + Scalar.monomial({names[perm[i]]: exps[i] for i in range(nvars)},
+                                        _perm_sign(perm))
+    gens = [Scalar.variable(name) for name in names]
+    vandermonde = Scalar.of(1)
     for i in range(nvars):
         for j in range(i + 1, nvars):
-            vandermonde = vandermonde * (LaurentPoly.variable(names[i])
-                                         - LaurentPoly.variable(names[j]))
+            vandermonde = vandermonde * (gens[i] - gens[j])
     return _exact_div(numer, vandermonde)
 
 
@@ -179,7 +184,7 @@ def _schur_bialternant(parts: tuple, vars_key: tuple) -> Scalar:
     generic = _schur_generic(parts, len(vars_key))
     total = Scalar.of(0)
     for mono, c in generic.terms.items():
-        term = Scalar.of(Fraction(c))
+        term = Scalar.of(c)
         for name, e in mono:
             idx = int(name[2:]) - 1
             term = term * vars_key[idx] ** e

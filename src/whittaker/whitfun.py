@@ -129,8 +129,7 @@ def beta_to_diag(z_exponents: Sequence[int]) -> Tuple[int, ...]:
     return tuple(reversed(out))
 
 
-def essential_value_beta(rep: GenericRep, z_exponents: Sequence[int], *,
-                         enforce_integrality: bool = True) -> Scalar:
+def essential_value_beta(rep: GenericRep, z_exponents: Sequence[int]) -> Scalar:
     """Essential Whittaker value in simple-root coordinates.
 
     Direct evaluation of the torus formula in the z-parametrization: the
@@ -152,16 +151,10 @@ def essential_value_beta(rep: GenericRep, z_exponents: Sequence[int], *,
         raise BadRank("the simple-root formula is stated for ramified representations only")
     if r == 0:
         return Scalar.of(1) if not any(z) else Scalar.of(0)
-    if any(z[i] for i in range(r, n - 1)):
+    if z[r - 1] < 0 or any(z[i] for i in range(r, n - 1)):
         return Scalar.of(0)
-    if z[r - 1] < 0 and enforce_integrality:
-        return Scalar.of(0)
-    head = beta_to_diag(z[:r])
-    if not _weakly_decreasing(head):
-        return Scalar.of(0)
-    if head[-1] < 0:
-        w0 = _spherical_value_laurent(params, head)
-    else:
-        w0 = spherical_value(params, head)
+    # the last suffix sum is z[r-1] >= 0, and spherical_value is 0 off the
+    # dominant cone
+    w0 = spherical_value(params, beta_to_diag(z[:r]))
     twist = -(n - r) * sum((k + 1) * z[k] for k in range(r))
     return w0 * u_power(twist)

@@ -15,7 +15,6 @@ from whittaker.errors import (
 )
 from whittaker.ringcore import (
     EulerFactor,
-    LaurentPoly,
     Scalar,
     TruncatedSeries,
     _exact_div,
@@ -84,8 +83,27 @@ def test_scalar_reduction_matches_long_division():
     for num, den in (([1, 0, -1], [1, -1]), ([2, -3, 0, 1], [1, -1]),
                      ([-1, 0, 0, 0, 1], [1, 0, 1])):
         expected = _poly_from_u_coeffs(_divide_univariate(num, den))
-        value = _exact_div(_poly_from_u_coeffs(num).poly, _poly_from_u_coeffs(den).poly)
-        assert Scalar.of(value) == expected
+        assert _exact_div(_poly_from_u_coeffs(num), _poly_from_u_coeffs(den)) == expected
+
+
+def test_power_squares_only_while_bits_remain(monkeypatch):
+    # binary powering needs floor(log2 k) squarings plus one product per
+    # further set bit of k; p ** 1 multiplies nothing
+    calls = []
+    mul = Scalar.__mul__
+
+    def counting_mul(self, other):
+        calls.append(1)
+        return mul(self, other)
+
+    p = x1 + 2 * x2
+    expected = {k: p if k == 1 else mul(p ** (k - 1), p) for k in range(1, 9)}
+    monkeypatch.setattr(Scalar, "__mul__", counting_mul)
+    for k, muls in ((0, 0), (1, 0), (2, 1), (3, 2), (5, 3), (7, 4), (8, 3)):
+        calls.clear()
+        value = p ** k
+        assert len(calls) == muls, k
+        assert value == (1 if k == 0 else expected[k])
 
 
 def test_division_by_zero():
@@ -186,14 +204,14 @@ _names = ("u", "x1", "x2")
 
 @st.composite
 def polys(draw, max_terms=2, min_terms=0):
-    p = LaurentPoly.const(0)
+    p = Scalar.of(0)
     for _ in range(draw(st.integers(min_terms, max_terms))):
         exps = {}
         for v in draw(st.sets(st.sampled_from(_names), max_size=2)):
             e = draw(st.integers(-2, 2))
             if e:
                 exps[v] = e
-        p = p + LaurentPoly.monomial(exps, draw(st.integers(-3, 3)))
+        p = p + Scalar.monomial(exps, draw(st.integers(-3, 3)))
     return p
 
 

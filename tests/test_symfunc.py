@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from whittaker.errors import UnsupportedWeight
 from whittaker.ringcore import EulerFactor, Scalar, euler_expand
+from whittaker import symfunc
 from whittaker.symfunc import (
     Partition,
     complete_homogeneous,
@@ -157,3 +158,16 @@ def test_truncated_cauchy_identity(n, m, order):
     rhs = euler_expand(EulerFactor([x * y for x in xs for y in ys]), order)
     assert tuple(lhs) == rhs.coeffs, \
         "sum of s(x)s(y) t^|shape| does not match the Euler expansion"
+
+
+def test_schur_caches_are_bounded():
+    # one distinct variable set per call: without a bound both caches
+    # would hold an entry for each of them
+    bound = symfunc.SCHUR_CACHE_SIZE
+    for cache in (symfunc._h_list, symfunc._schur_jacobi_trudi):
+        assert cache.cache_info().maxsize == bound
+    for i in range(bound + 10):
+        schur((1,), [Scalar.variable(f"bound{i}")])
+    for cache in (symfunc._h_list, symfunc._schur_jacobi_trudi):
+        assert cache.cache_info().currsize <= bound
+    assert schur((2, 1), X[:2]) == X[0] ** 2 * X[1] + X[0] * X[1] ** 2
