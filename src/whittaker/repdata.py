@@ -30,6 +30,12 @@ _IDENT_RE = re.compile(r"^[a-z][a-z0-9]*$")
 _RATIONAL_RE = re.compile(r"^[+-]?[0-9]+(/[0-9]+)?$")
 _RESERVED = {"u", "t", "q"}
 
+# Entries kept by each of the two per-representation caches (least recently
+# used go first), so long-lived library use stays bounded.  Every check on
+# one representation, for each rank m of the second representation, looks
+# the same entry up again; a generated suite of 72 representations fits.
+REP_CACHE_SIZE = 256
+
 
 def parse_scalar_atom(text: str) -> Scalar:
     """Parse a rational string 'p/q' or a bare indeterminate identifier."""
@@ -238,7 +244,7 @@ def langlands_order(values: Sequence[Scalar]) -> Tuple[Scalar, ...]:
     return values
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=REP_CACHE_SIZE)
 def compute_piu(rep: GenericRep):
     """Rank r and ordered parameters of the unramified part of the representation.
 
@@ -284,7 +290,7 @@ def _is_unramified_character_product(product) -> bool:
     return all(s.kind == "unramified" and s.length == 1 for s in product)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=REP_CACHE_SIZE)
 def _check_derivative_consistency(rep: GenericRep) -> None:
     # the first derivative order carrying a product of unramified characters
     # must be n - r, and the product there must be pi_u; this pins the

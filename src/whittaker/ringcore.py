@@ -2,11 +2,15 @@
 
 Scalar is the one ring-element class: an immutable element of the ring of
 multivariate Laurent polynomials over Q, Q[u, u^-1, a, a^-1, ...], stored
-as a sparse map from monomials to nonzero fractions.Fraction coefficients.
-The variable alphabet is ordered with u first (u^2 plays the role of the
-residue cardinality q, so half-integral powers of q are Laurent monomials
-in u) followed by parameter names in lexicographic order.  No floating
-point is used anywhere.
+as a sparse map from monomials to nonzero coefficients.  A coefficient is
+an int when it is integral and a fractions.Fraction with denominator > 1
+otherwise, so the integer coefficients that Schur polynomials, h_k and
+Euler products of symbolic parameters produce never pay for Fraction
+arithmetic.  The variable alphabet is ordered with u first (u^2 plays the
+role of the residue cardinality q, so half-integral powers of q are
+Laurent monomials in u) followed by parameter names in lexicographic
+order.  No floating point is used anywhere; exact evaluation at a rational
+point sums integers over one common denominator.
 
 Every value in scope lives in this ring: Satake values are rationals or
 single indeterminates, Schur polynomials and complete homogeneous
@@ -21,6 +25,7 @@ factors (multisets of reciprocal roots), with exact comparison.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Mapping, Optional, Union
 
 from .errors import (
@@ -44,6 +49,14 @@ def _var_key(name: str):
     return (0,) if name == "u" else (1, name)
 
 
+def _canon(c: Rational) -> Rational:
+    # canonical coefficient: an int when integral, else a Fraction with
+    # denominator > 1
+    if c.__class__ is int:
+        return c
+    return c.numerator if c.denominator == 1 else c
+
+
 def _mono_mul(a: Mono, b: Mono) -> Mono:
     if not a:
         return b
@@ -61,7 +74,7 @@ def _mono_mul(a: Mono, b: Mono) -> Mono:
                 out.append((va, e))
             i += 1
             j += 1
-        elif _var_key(va) < _var_key(vb):
+        elif va == "u" or (vb != "u" and va < vb):
             out.append(a[i])
             i += 1
         else:
@@ -92,7 +105,7 @@ def _grlex_key(mono: Mono, varlist):
     return (_mono_deg(mono), tuple(exps.get(v, 0) for v in varlist))
 
 
-def _format_term(c: Fraction, mono: Mono) -> str:
+def _format_term(c: Rational, mono: Mono) -> str:
     if not mono:
         return str(c)
     ms = "*".join(v if e == 1 else f"{v}^{e}" for v, e in mono)
@@ -106,12 +119,13 @@ def _format_term(c: Fraction, mono: Mono) -> str:
 class Scalar:
     """Element of the Laurent ring Q[u, u^-1, a, a^-1, ...].
 
-    Immutable; terms maps each monomial to its nonzero Fraction coefficient
-    and is the canonical form, so instances are safe to share between
-    threads and to use as dict keys.  A rational constant hashes like its
-    Fraction.  Division is exact and defined only by units, nonzero
-    rationals times monomials: dividing by zero raises DivisionByZero and
-    dividing by any other value raises Unsupported.
+    Immutable; terms maps each monomial to its nonzero coefficient, an int
+    when integral and otherwise a Fraction with denominator > 1.  That map
+    is the canonical form, so instances are safe to share between threads
+    and to use as dict keys.  A rational constant hashes like its Fraction.
+    Division is exact and defined only by units, nonzero rationals times
+    monomials: dividing by zero raises DivisionByZero and dividing by any
+    other value raises Unsupported.
     """
 
     __slots__ = ("terms", "_hash")
@@ -124,24 +138,27 @@ class Scalar:
     def of(cls, value) -> "Scalar":
         if isinstance(value, Scalar):
             return value
+        if value.__class__ is int:
+            return cls({(): value} if value else {})
         if isinstance(value, (int, Fraction)):
             return cls.rational(value)
         raise TypeError(f"cannot coerce {type(value).__name__} to Scalar")
 
     @classmethod
     def rational(cls, p: Rational, q: Rational = 1) -> "Scalar":
-        c = Fraction(p) / Fraction(q)
+        c = _canon(Fraction(p) / Fraction(q))
         return cls({(): c} if c else {})
 
     @classmethod
     def variable(cls, name: str) -> "Scalar":
         if name in ("t", "q"):
             raise InvalidCharacter(f"'{name}' is reserved and cannot be a scalar variable")
-        return cls({((name, 1),): Fraction(1)})
+        return cls({((name, 1),): 1})
 
     @classmethod
     def monomial(cls, exps: Mapping[str, int], coeff: Rational = 1) -> "Scalar":
-        coeff = Fraction(coeff)
+        if coeff.__class__ is not int:
+            coeff = _canon(Fraction(coeff))
         if not coeff:
             return cls({})
         mono = tuple(sorted(((v, e) for v, e in exps.items() if e), key=lambda p: _var_key(p[0])))
@@ -156,7 +173,7 @@ class Scalar:
     def as_fraction(self) -> Fraction:
         if not self.is_rational():
             raise ValueError(f"{self} is not a rational constant")
-        return self.terms.get((), Fraction(0))
+        return Fraction(self.terms.get((), 0))
 
     def is_variable(self) -> bool:
         if len(self.terms) != 1:
@@ -179,7 +196,8 @@ class Scalar:
 
     def __hash__(self):
         if self._hash is None:
-            self._hash = (hash(self.as_fraction()) if self.is_rational()
+            # hash(3) == hash(Fraction(3)), so a constant hashes like its Fraction
+            self._hash = (hash(self.terms.get((), 0)) if self.is_rational()
                           else hash(frozenset(self.terms.items())))
         return self._hash
 
@@ -201,7 +219,7 @@ class Scalar:
             else:
                 s = s + c
                 if s:
-                    out[m] = s
+                    out[m] = s if s.__class__ is int else _canon(s)
                 else:
                     del out[m]
         return Scalar(out)
@@ -223,22 +241,29 @@ class Scalar:
             return _ZERO
         if len(a) == 1:
             (ma, ca), = a.items()
-            if not ma and ca == 1:
-                return big
-            return Scalar({_mono_mul(ma, mb): ca * cb for mb, cb in b.items()})
-        out: dict = {}
-        for ma, ca in a.items():
-            for mb, cb in b.items():
-                m = _mono_mul(ma, mb)
-                s = out.get(m)
-                if s is None:
-                    out[m] = ca * cb
-                else:
-                    s = s + ca * cb
-                    if s:
-                        out[m] = s
+            if ca.__class__ is int and ca == 1:
+                # a bare monomial shifts exponents; coefficients stay canonical
+                if not ma:
+                    return big
+                return Scalar({_mono_mul(ma, mb): cb for mb, cb in b.items()})
+            out = {_mono_mul(ma, mb): ca * cb for mb, cb in b.items()}
+        else:
+            out = {}
+            for ma, ca in a.items():
+                for mb, cb in b.items():
+                    m = _mono_mul(ma, mb)
+                    s = out.get(m)
+                    if s is None:
+                        out[m] = ca * cb
                     else:
-                        del out[m]
+                        s = s + ca * cb
+                        if s:
+                            out[m] = s
+                        else:
+                            del out[m]
+        for m, c in out.items():
+            if c.__class__ is not int:
+                out[m] = _canon(c)
         return Scalar(out)
 
     __rmul__ = __mul__
@@ -258,7 +283,7 @@ class Scalar:
             raise Unsupported(f"cannot divide by {self}: only nonzero rationals "
                               f"times monomials are invertible")
         (mono, c), = terms.items()
-        return Scalar({_mono_inv(mono): 1 / c})
+        return Scalar({_mono_inv(mono): _canon(Fraction(1) / c)})
 
     def __pow__(self, k: int):
         if k < 0:
@@ -275,21 +300,54 @@ class Scalar:
             base = base * base
 
     def substitute(self, bindings: Mapping[str, Rational]) -> Fraction:
-        """Evaluate at a rational point (exact); see module-level substitute."""
+        """Evaluate at a rational point (exact); see module-level substitute.
+
+        Each variable v, bound to n/d, has an exponent range [lo, hi] that
+        contains 0, and n^(e - lo) * d^(hi - e) is an integer for every e in
+        it; with the lcm of the coefficient denominators this puts every
+        term over one common denominator, so the sum is taken in integers
+        and only the result is a Fraction.
+        """
+        terms = self.terms
         point = {}
         for v in self.variables():
             if v not in bindings:
                 raise UnboundVariable(f"no binding for variable {v}")
             point[v] = Fraction(bindings[v])
-        total = Fraction(0)
-        for mono, c in self.terms.items():
+        lo = dict.fromkeys(point, 0)
+        hi = dict.fromkeys(point, 0)
+        coeff_den = 1
+        for mono, c in terms.items():
+            if c.__class__ is not int:
+                coeff_den = lcm(coeff_den, c.denominator)
             for v, e in mono:
-                base = point[v]
-                if base == 0 and e < 0:
-                    raise PoleAtPoint(f"variable {v} is 0 with negative exponent")
-                c = c * base ** e
-            total += c
-        return total
+                if e < lo[v]:
+                    # e < 0 here, so v = 0 is a pole
+                    if not point[v]:
+                        raise PoleAtPoint(f"variable {v} is 0 with negative exponent")
+                    lo[v] = e
+                elif e > hi[v]:
+                    hi[v] = e
+        # tables: (v, -lo, [n^(e - lo) * d^(hi - e) for e in lo..hi]); a
+        # variable absent from a monomial contributes its e = 0 entry
+        tables = []
+        den = coeff_den
+        for v, x in point.items():
+            n, d, low, high = x.numerator, x.denominator, lo[v], hi[v]
+            tables.append((v, -low, [n ** (e - low) * d ** (high - e)
+                                     for e in range(low, high + 1)]))
+            den *= n ** -low * d ** high
+        total = 0
+        for mono, c in terms.items():
+            if c.__class__ is int:
+                acc = c * coeff_den
+            else:
+                acc = c.numerator * (coeff_den // c.denominator)
+            exps = dict(mono)
+            for v, shift, table in tables:
+                acc *= table[exps.get(v, 0) + shift]
+            total += acc
+        return Fraction(total, den)
 
     def _needs_parens(self) -> bool:
         terms = self.terms
@@ -318,7 +376,7 @@ class Scalar:
 
 
 _ZERO = Scalar({})
-_ONE = Scalar({(): Fraction(1)})
+_ONE = Scalar({(): 1})
 
 # Former name of the class, kept because perfbench/spans.py times the ring
 # layer by patching __mul__ and __add__ under it.
@@ -362,7 +420,7 @@ def _exact_div(f: Scalar, g: Scalar) -> Scalar:
             exps[v] = exps.get(v, 0) - e
         if any(e < 0 for e in exps.values()):
             raise ValueError("inexact polynomial division")
-        term = Scalar.monomial(exps, r.terms[mr] / cg)
+        term = Scalar.monomial(exps, Fraction(r.terms[mr]) / cg)
         q = q + term
         r = r - term * g
     return q
@@ -481,7 +539,7 @@ def _h_convolution(roots, top: int) -> list:
     Multiplying in one factor 1/(1 - x t) at a time: after each root, the
     coefficient of t^k gains x times the coefficient of t^(k-1).
     """
-    coeffs = [Scalar.of(1)] + [Scalar.of(0)] * top
+    coeffs = [_ONE] + [_ZERO] * top
     for x in roots:
         for k in range(1, top + 1):
             coeffs[k] = coeffs[k] + x * coeffs[k - 1]

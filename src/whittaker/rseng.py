@@ -15,7 +15,8 @@ from typing import Iterator, Optional, Sequence, Tuple, Union
 
 from .errors import BadRanks, InvariantViolation, Unsupported
 from .repdata import GenericRep, UnramifiedLanglandsRep, compute_piu
-from .ringcore import EulerFactor, Scalar, TruncatedSeries, euler_expand, series_equal, u_power
+from .ringcore import (_ZERO, EulerFactor, Scalar, TruncatedSeries, euler_expand, series_equal,
+                       u_power)
 from .symfunc import partitions_up_to
 from .whitfun import _spherical_value_laurent, essential_value, spherical_value
 
@@ -147,7 +148,7 @@ def rs_series(left: LeftInput, pi_prime: UnramifiedLanglandsRep, order: int, *,
     else:
         raise TypeError(f"unsupported left argument {type(left).__name__}")
 
-    coeffs = [Scalar.of(0)] * (order + 1)
+    coeffs = [_ZERO] * (order + 1)
     if drop_integrality:
         weights = ((sum(w), w) for k in range(order + 1)
                    for w in _dominant_weights(k, m, -_NEGATIVE_DEPTH))

@@ -15,7 +15,7 @@ from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
 
 from .errors import UnsupportedWeight
-from .ringcore import Scalar, _exact_div, _h_convolution
+from .ringcore import _ONE, _ZERO, Scalar, _exact_div, _h_convolution
 
 ALGORITHMS = ("jacobi-trudi", "bialternant")
 
@@ -118,21 +118,20 @@ def _as_partition(shape) -> Partition:
 def _schur_jacobi_trudi(parts: tuple, vars_key: tuple) -> Scalar:
     ell = len(parts)
     if ell == 0:
-        return Scalar.of(1)
+        return _ONE
     top = parts[0] + ell
     hs = _h_list(vars_key, top)
-    zero = Scalar.of(0)
 
     def entry(i, j):
         e = parts[i] - (i + 1) + (j + 1)
         if e < 0:
-            return zero
+            return _ZERO
         return hs[e]
 
-    total = zero
+    total = _ZERO
     for perm in itertools.permutations(range(ell)):
         sign = _perm_sign(perm)
-        prod = Scalar.of(1)
+        prod = _ONE
         ok = True
         for i in range(ell):
             a = entry(i, perm[i])

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from whittaker import repdata
 from whittaker.errors import BadDegree, BadOrder, ConfigError, InvalidCharacter, NotGeneric
 from whittaker.repdata import (
     GenericRep,
@@ -161,6 +162,25 @@ def test_compute_piu_invariant_under_segment_order():
         r, params = compute_piu(rep)
         assert r == 2
         assert sorted(map(str, params)) == sorted(map(str, expected))
+
+
+def test_representation_caches_are_bounded():
+    # one distinct representation per call: without a bound both caches
+    # would hold an entry for each of them
+    bound = repdata.REP_CACHE_SIZE
+    caches = (repdata.compute_piu, repdata._check_derivative_consistency)
+    for cache in caches:
+        assert cache.cache_info().maxsize == bound
+    for i in range(bound + 10):
+        rep = GenericRep((Segment.unramified(Scalar.variable(f"bound{i}"), 1),))
+        compute_piu(rep)
+        derivative_subquotients(rep, 0)
+    for cache in caches:
+        assert cache.cache_info().currsize <= bound
+    # repeated lookups of one representation still hit
+    hits = compute_piu.cache_info().hits
+    assert compute_piu(rep) == (1, (Scalar.variable(f"bound{bound + 9}"),))
+    assert compute_piu.cache_info().hits == hits + 1
 
 
 # --- derivative_subquotients ------------------------------------------------------

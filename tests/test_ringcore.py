@@ -106,6 +106,13 @@ def test_power_squares_only_while_bits_remain(monkeypatch):
         assert value == (1 if k == 0 else expected[k])
 
 
+def test_monomial_merge_puts_u_first():
+    # "a1" sorts before "u" by name, but u leads the variable order
+    a1 = Scalar.variable("a1")
+    assert a1 * u ** 2 == Scalar.monomial({"a1": 1, "u": 2})
+    assert str(a1 * u ** 2 + x1 * a1) == "a1*x1 + u^2*a1"
+
+
 def test_division_by_zero():
     with pytest.raises(DivisionByZero):
         x1 / Scalar.of(0)
@@ -303,6 +310,105 @@ def test_euler_coefficients_are_complete_homogeneous(root_values, order):
     series = euler_expand(EulerFactor(roots), order)
     for k in range(order + 1):
         assert series.coeffs[k] == complete_homogeneous(k, roots)
+
+
+# --- canonical coefficients -------------------------------------------------
+
+def _is_canonical(value: Scalar) -> bool:
+    # an int exactly when integral, otherwise a Fraction with denominator > 1
+    return all(type(c) is int or (type(c) is Fraction and c.denominator > 1)
+               for c in value.terms.values())
+
+
+_small_fractions = st.fractions(-3, 3, max_denominator=4).filter(bool)
+
+
+@st.composite
+def rational_polys(draw, names=("a1", "u", "x1"), low=-2, max_terms=3):
+    # few monomials and small denominators, so sums and products often
+    # cancel a denominator; "a1" sorts before "u" by name but after it in
+    # the variable order
+    p = Scalar.of(draw(st.integers(-2, 2)))
+    for _ in range(draw(st.integers(0, max_terms))):
+        exps = {v: draw(st.integers(low, 2))
+                for v in draw(st.sets(st.sampled_from(names), max_size=2))}
+        p = p + Scalar.monomial(exps, draw(st.one_of(st.integers(-3, 3), _small_fractions)))
+    return p
+
+
+@settings(max_examples=60, deadline=None)
+@given(rational_polys(), rational_polys(), units(), st.integers(0, 3),
+       rational_polys(low=0), rational_polys(low=0))
+@example(Scalar.of(1), Scalar.of(1), Scalar.monomial({"x1": 1}, 2), 1, Scalar.of(1), Scalar.of(1))
+@example(Scalar.rational(1, 2) * x1, Scalar.rational(1, 2) * x1, Scalar.rational(1, 2), 2,
+         Scalar.rational(3, 2) + x1, 2 * x1 + 1)
+def test_coefficients_are_canonical(a, b, unit, k, f, g):
+    results = [a, b, a + b, a - b, b - a, a * b, a ** k, unit.inverse(), unit ** -1,
+               a * unit, a / unit]
+    assert (a * unit) / unit == a
+    if g:
+        results.append(_exact_div(f * g, g))
+        assert results[-1] == f
+    for value in results:
+        assert _is_canonical(value), value.terms
+
+
+def test_canonical_coefficient_regressions():
+    assert Scalar.of(1).terms == {(): 1} and type(Scalar.of(1).terms[()]) is int
+    inverse = (2 * x1).inverse()
+    (coeff,) = inverse.terms.values()
+    assert type(coeff) is Fraction and coeff == Fraction(1, 2)
+    assert type(Scalar.of(3).as_fraction()) is Fraction
+    assert type(Scalar.of(0).as_fraction()) is Fraction
+    assert type((Scalar.rational(1, 2) * 2).terms[()]) is int
+    thirds = x1 * Scalar.rational(2, 3) + x1 * Scalar.rational(1, 3)
+    assert type(thirds.terms[(("x1", 1),)]) is int
+
+
+# --- substitute against a naive Fraction oracle ------------------------------
+
+def _substitute_oracle(value: Scalar, bindings):
+    # None when some variable is unbound, "pole" for a pole, else the value
+    total = Fraction(0)
+    pole = False
+    for mono, c in value.terms.items():
+        term = Fraction(c)
+        for v, e in mono:
+            if v not in bindings:
+                return None
+            base = Fraction(bindings[v])
+            if base == 0 and e < 0:
+                pole = True
+                continue
+            term *= base ** e
+        total += term
+    return "pole" if pole else total
+
+
+_bindings = st.dictionaries(
+    st.sampled_from(_names),
+    st.one_of(st.integers(-4, 4), st.fractions(-5, 5, max_denominator=6)),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(rational_polys(low=-3, max_terms=5), _bindings)
+@example(x1 ** -2 * x2 + Scalar.rational(1, 3) * u ** 3,
+         {"u": Fraction(-2, 3), "x1": Fraction(5, 4), "x2": 0})
+@example(x1 ** -1 + x2, {"x1": 0, "x2": 1})
+@example(x1 ** 2 * x2 ** -1, {"x1": 0, "x2": Fraction(-1, 2)})
+@example(x1 + u, {"x1": 1})
+def test_substitute_matches_naive_oracle(value, bindings):
+    expected = _substitute_oracle(value, bindings)
+    if expected is None:
+        with pytest.raises(UnboundVariable):
+            value.substitute(bindings)
+    elif expected == "pole":
+        with pytest.raises(PoleAtPoint):
+            value.substitute(bindings)
+    else:
+        got = value.substitute(bindings)
+        assert type(got) is Fraction and got == expected
 
 
 def test_euler_factor_multiset_equality():

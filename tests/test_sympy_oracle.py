@@ -1,10 +1,12 @@
-"""Laurent-ring arithmetic against sympy (development-only oracle).
+"""Laurent-ring arithmetic and the Cauchy identity against sympy.
 
 Each drawn operand is a list of terms (coefficient, exponents).  The same
 terms build a Scalar through the library and a sympy expression through
 sympy alone; sums, products and small powers must then agree with
-sympy.expand.  The comparison reads only the result's terms map, so the
-oracle shares no arithmetic with ringcore.
+sympy.expand.  The Cauchy test expands prod 1/(1 - x_i y_j t) in sympy and
+compares it with the series cauchy_check computes.  The comparisons read
+only the results' terms maps, so the oracle shares no arithmetic with
+ringcore.  sympy is a development-only dependency.
 """
 
 from fractions import Fraction
@@ -15,6 +17,7 @@ from hypothesis import given, settings, strategies as st
 sympy = pytest.importorskip("sympy")
 
 from whittaker.ringcore import Scalar  # noqa: E402
+from whittaker.rseng import cauchy_check  # noqa: E402
 
 _NAMES = ("u", "x1", "x2")
 _SYMBOLS = {name: sympy.Symbol(name) for name in _NAMES}
@@ -45,7 +48,8 @@ def _oracle(term_list):
 def _to_sympy(value: Scalar):
     expr = sympy.Integer(0)
     for mono, coeff in value.terms.items():
-        assert isinstance(coeff, Fraction) and coeff != 0
+        assert type(coeff) is int or type(coeff) is Fraction and coeff.denominator > 1
+        assert coeff != 0
         expr = expr + sympy.Rational(coeff.numerator, coeff.denominator) * sympy.Mul(
             *(_SYMBOLS[name] ** e for name, e in mono))
     return expr
@@ -75,3 +79,32 @@ def test_terms_map_is_the_expanded_form(a_terms):
     expected = sympy.expand(_oracle(a_terms))
     count = 0 if expected == 0 else len(sympy.Add.make_args(expected))
     assert len(a.terms) == count
+
+
+def _cauchy_series(xs, ys, order):
+    # coefficients of t^0..t^order of prod 1/(1 - x y t), each factor
+    # expanded as the geometric series sum_j (x y t)^j
+    coeffs = [sympy.Integer(1)] + [sympy.Integer(0)] * order
+    for x in xs:
+        for y in ys:
+            root = x * y
+            coeffs = [sympy.expand(sum(coeffs[k - j] * root ** j for j in range(k + 1)))
+                      for k in range(order + 1)]
+    return coeffs
+
+
+# the Cauchy parameters, for _to_sympy to look up
+_SYMBOLS.update((name, sympy.Symbol(name)) for name in ("x3", "y1", "y2", "y3"))
+
+
+@pytest.mark.parametrize("n, m", [(1, 1), (2, 1), (2, 2), (3, 1), (3, 2), (3, 3)])
+def test_cauchy_coefficients_match_sympy_series(n, m):
+    order = 4
+    xs = [f"x{i + 1}" for i in range(n)]
+    ys = [f"y{j + 1}" for j in range(m)]
+    report = cauchy_check(n, m, [Scalar.variable(v) for v in xs],
+                          [Scalar.variable(v) for v in ys], order)
+    expected = _cauchy_series([_SYMBOLS[v] for v in xs], [_SYMBOLS[v] for v in ys], order)
+    assert report.passed
+    for k in range(order + 1):
+        assert _agrees(report.lhs_series.coeffs[k], expected[k]), k
