@@ -428,7 +428,7 @@ def _exact_div(f: Scalar, g: Scalar) -> Scalar:
 
 def u_power(e: int) -> Scalar:
     """The Laurent monomial u^e (u^2 stands for the residue cardinality q)."""
-    return Scalar.monomial({"u": e})
+    return Scalar({(("u", e),): 1}) if e else _ONE
 
 
 # ---------------------------------------------------------------------------
@@ -463,10 +463,10 @@ class TruncatedSeries:
         parts = []
         for k, c in enumerate(self.coeffs):
             cs = str(c)
-            if c._needs_parens():
+            if k and c._needs_parens():
                 cs = f"({cs})"
             if k == 0:
-                parts.append(str(c))
+                parts.append(cs)
             elif k == 1:
                 parts.append(f"{cs}*t")
             else:

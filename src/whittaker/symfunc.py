@@ -1,10 +1,12 @@
 """Partitions, Schur polynomials and complete homogeneous polynomials.
 
-Two production algorithms for Schur polynomials are provided: the
-Jacobi-Trudi determinant in complete homogeneous polynomials (primary,
-division-free) and the bialternant ratio (secondary, exact polynomial
-division at a generic point).  A semistandard-tableau enumerator serves as
-an independent test oracle.
+The default Schur algorithm fills one table per variable tuple by the
+Gelfand-Tsetlin branching rule, so every Schur value of that tuple shares
+the work of the smaller ones; when every value is rational the table runs
+in Python ints.  The Jacobi-Trudi determinant in complete homogeneous
+polynomials and the bialternant ratio (exact polynomial division at a
+generic point) stay selectable by name, and with a semistandard-tableau
+enumerator they are the independent oracles the tests compare against.
 """
 
 from __future__ import annotations
@@ -12,19 +14,26 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
+from math import lcm
 from typing import Iterable, Iterator, Sequence
 
 from .errors import UnsupportedWeight
 from .ringcore import _ONE, _ZERO, Scalar, _exact_div, _h_convolution
 
-ALGORITHMS = ("jacobi-trudi", "bialternant")
+ALGORITHMS = ("branching", "jacobi-trudi", "bialternant")
 
-# Entries kept by each of the two Schur caches (least recently used go
-# first), so long-lived library use stays bounded.  All the checks of one
-# generated suite representation at degree 12 need at most about 500
-# Schur values; a symbolic cauchy 4x4 check at degree 8 needs about 120
-# entries, some 2 MB.
+# Entries kept by each of the two Jacobi-Trudi caches, _h_list and
+# _schur_jacobi_trudi (least recently used go first), so long-lived
+# library use stays bounded.  All the checks of one generated suite
+# representation at degree 12 need at most about 500 Schur values; a
+# symbolic cauchy 4x4 check at degree 8 needs about 120 entries, some 2 MB.
 SCHUR_CACHE_SIZE = 2048
+
+# Branching tables kept (least recently used go first), one per variable
+# tuple.  A verification needs two at a time, and the checks of one
+# representation share its table; a symbolic table at degree 8 in four
+# variables holds 129 polynomials of 3304 terms in all.
+SCHUR_TABLE_CACHE_SIZE = 64
 
 
 @dataclass(frozen=True)
@@ -191,7 +200,81 @@ def _schur_bialternant(parts: tuple, vars_key: tuple) -> Scalar:
     return total
 
 
-def schur_detailed(shape, variables: Sequence, algorithm: str = "jacobi-trudi") -> SchurValue:
+class _SchurTable:
+    """Schur values of one variable tuple x_1..x_n, by the branching rule.
+
+    s_lam(x_1..x_k) is the sum, over mu interlacing lam
+    (lam_1 >= mu_1 >= lam_2 >= ... >= mu_(k-1) >= lam_k), of
+    s_mu(x_1..x_(k-1)) * x_k^(|lam| - |mu|) (Macdonald, Symmetric Functions
+    and Hall Polynomials, I.(5.11)); every s_mu is memoised per prefix
+    length.  When every value is rational the table is filled in ints at
+    the point y = D*x, D the lcm of the denominators, and homogeneity gives
+    s_lam(x) = s_lam(y) / D^|lam|.  Otherwise the same code runs on Scalars.
+    Values are deterministic, so threads that fill one entry concurrently
+    store equal values.
+    """
+
+    __slots__ = ("_xs", "_scale", "_memo", "_powers", "_values")
+
+    def __init__(self, vars_key: tuple):
+        if all(v.is_rational() for v in vars_key):
+            fracs = [v.as_fraction() for v in vars_key]
+            scale = lcm(*(f.denominator for f in fracs))
+            self._xs = [f.numerator * (scale // f.denominator) for f in fracs]
+            self._scale = scale
+            one = 1
+        else:
+            self._xs = vars_key
+            self._scale = None
+            one = _ONE
+        # lam, zero-padded to length k -> s_lam(x_1..x_k)
+        self._memo = {(): one}
+        self._powers = [{} for _ in vars_key]   # d -> x_k^d
+        self._values = {}                       # parts -> returned Scalar
+
+    def value(self, parts: tuple) -> Scalar:
+        """s_parts(x_1..x_n); parts has at most n entries, no trailing zeros."""
+        out = self._values.get(parts)
+        if out is None:
+            out = self._branch(parts + (0,) * (len(self._xs) - len(parts)))
+            if self._scale is not None:
+                out = Scalar.rational(out, self._scale ** sum(parts))
+            self._values[parts] = out
+        return out
+
+    def _branch(self, lam: tuple):
+        memo = self._memo
+        out = memo.get(lam)
+        if out is not None:
+            return out
+        k = len(lam)
+        size = sum(lam)
+        groups = {}                             # |lam| - |mu| -> sum of s_mu
+        # mu interlaces lam: lam_(i+1) <= mu_i <= lam_i for i < k
+        for mu in itertools.product(*(range(lam[i + 1], lam[i] + 1) for i in range(k - 1))):
+            s_mu = memo.get(mu)
+            if s_mu is None:
+                s_mu = self._branch(mu)
+            d = size - sum(mu)
+            acc = groups.get(d)
+            groups[d] = s_mu if acc is None else acc + s_mu
+        powers = self._powers[k - 1]
+        for d, acc in groups.items():
+            power = powers.get(d)
+            if power is None:
+                power = powers[d] = self._xs[k - 1] ** d
+            term = acc * power
+            out = term if out is None else out + term
+        memo[lam] = out
+        return out
+
+
+@lru_cache(maxsize=SCHUR_TABLE_CACHE_SIZE)
+def _schur_table(vars_key: tuple) -> _SchurTable:
+    return _SchurTable(vars_key)
+
+
+def schur_detailed(shape, variables: Sequence, algorithm: str = "branching") -> SchurValue:
     """Schur polynomial s_shape(variables), with the length-vanishing flag.
 
     A shape longer than the variable list is not an error: the value is 0
@@ -201,7 +284,9 @@ def schur_detailed(shape, variables: Sequence, algorithm: str = "jacobi-trudi") 
     vars_key = tuple(Scalar.of(v) for v in variables)
     if shape.length > len(vars_key):
         return SchurValue(Scalar.of(0), True)
-    if algorithm == "jacobi-trudi":
+    if algorithm == "branching":
+        value = _schur_table(vars_key).value(shape.parts)
+    elif algorithm == "jacobi-trudi":
         value = _schur_jacobi_trudi(shape.parts, vars_key)
     elif algorithm == "bialternant":
         value = _schur_bialternant(shape.parts, vars_key)
@@ -210,7 +295,7 @@ def schur_detailed(shape, variables: Sequence, algorithm: str = "jacobi-trudi") 
     return SchurValue(value, False)
 
 
-def schur(shape, variables: Sequence, algorithm: str = "jacobi-trudi") -> Scalar:
+def schur(shape, variables: Sequence, algorithm: str = "branching") -> Scalar:
     return schur_detailed(shape, variables, algorithm).value
 
 

@@ -110,7 +110,7 @@ def test_ssyt_oracle_examples():
 def test_schur_length_vanishing_flag():
     result = schur_detailed((1, 1, 1), X[:2])
     assert result.vanishes_by_length and result.value.is_zero()
-    for algorithm in ("jacobi-trudi", "bialternant"):
+    for algorithm in symfunc.ALGORITHMS:
         assert schur((1, 1, 1), X[:2], algorithm).is_zero()
 
 
@@ -120,10 +120,32 @@ def test_schur_length_vanishing_flag():
 def test_triple_agreement_small(nvars):
     variables = X[:nvars]
     for shape in partitions_up_to(4, 4):
+        br = schur(shape, variables, "branching")
         jt = schur(shape, variables, "jacobi-trudi")
         bi = schur(shape, variables, "bialternant")
         tab = schur_ssyt_oracle(shape, variables)
-        assert jt == bi == tab, f"disagreement at {shape}"
+        assert br == jt == bi == tab, f"disagreement at {shape}"
+
+
+_U = Scalar.variable("u")
+_RATIONALS = st.builds(Scalar.rational, st.integers(-9, 9), st.integers(1, 6))
+_LAURENT = st.sampled_from([X[0], X[1], _U * X[0], X[0] ** -1, _U ** -1 * X[1] ** 2,
+                            X[0] - X[1], 3 * X[1]])
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(st.lists(_RATIONALS, max_size=4),
+                 st.lists(st.one_of(_RATIONALS, _LAURENT), max_size=4)),
+       st.data())
+def test_branching_matches_jacobi_trudi(values, data):
+    # rational tuples run the table in integers at D*x; any other tuple runs
+    # it on Scalars; zeros, negatives, non-integral fractions, repeated and
+    # Laurent values all reach it
+    shape = data.draw(st.sampled_from(partitions_up_to(6, len(values))))
+    value = schur(shape, values, "branching")
+    assert value == schur(shape, values, "jacobi-trudi")
+    if all(v.is_rational() for v in values):
+        assert value.is_rational()
 
 
 def test_schur_at_rational_points():
@@ -161,13 +183,18 @@ def test_truncated_cauchy_identity(n, m, order):
 
 
 def test_schur_caches_are_bounded():
-    # one distinct variable set per call: without a bound both caches
-    # would hold an entry for each of them
+    # one distinct variable set per call: without a bound each cache would
+    # hold an entry for each of them
     bound = symfunc.SCHUR_CACHE_SIZE
+    table_bound = symfunc.SCHUR_TABLE_CACHE_SIZE
     for cache in (symfunc._h_list, symfunc._schur_jacobi_trudi):
         assert cache.cache_info().maxsize == bound
+    assert symfunc._schur_table.cache_info().maxsize == table_bound
     for i in range(bound + 10):
-        schur((1,), [Scalar.variable(f"bound{i}")])
+        variables = [Scalar.variable(f"bound{i}")]
+        schur((1,), variables, "jacobi-trudi")
+        schur((1,), variables, "branching")
     for cache in (symfunc._h_list, symfunc._schur_jacobi_trudi):
         assert cache.cache_info().currsize <= bound
+    assert symfunc._schur_table.cache_info().currsize <= table_bound
     assert schur((2, 1), X[:2]) == X[0] ** 2 * X[1] + X[0] * X[1] ** 2
