@@ -3,7 +3,9 @@
 
 Checks, fully symbolically, that the spherical-by-spherical lattice sum
 matches the Euler product over all parameter pairs, for every
-1 <= m <= n <= nmax at the requested truncation order.
+1 <= m <= n <= nmax at the requested truncation order, and that the t^k
+coefficient of the lattice sum has C(k+n-1, n-1) * C(k+m-1, m-1) terms.
+Prints the term count of the top coefficient; exits 1 on any failure.
 
 Usage:
   python scripts/cauchy_sweep.py [--nmax 4] [--degree 8]
@@ -14,7 +16,7 @@ import sys
 import time
 
 from whittaker.ringcore import Scalar
-from whittaker.rseng import cauchy_check
+from whittaker.rseng import cauchy_check, cauchy_term_count
 
 
 def main() -> int:
@@ -32,11 +34,18 @@ def main() -> int:
             report = cauchy_check(n, m, xs, ys, args.degree)
             elapsed = time.perf_counter() - start
             status = "pass" if report.passed else "FAIL"
-            print(f"n={n} m={m} degree={args.degree}: {status} [{elapsed:.2f}s]")
+            top = len(report.lhs_series.coeffs[-1].terms)
+            print(f"n={n} m={m} degree={args.degree}: {status} [{elapsed:.2f}s] "
+                  f"top terms {top}")
             if not report.passed:
                 failures += 1
                 k, lhs_c, rhs_c = report.first_mismatch
                 print(f"  first mismatch at t^{k}: lhs={lhs_c} rhs={rhs_c}")
+            for k, coeff in enumerate(report.lhs_series.coeffs):
+                expected = cauchy_term_count(n, m, k)
+                if len(coeff.terms) != expected:
+                    failures += 1
+                    print(f"  t^{k} has {len(coeff.terms)} terms, expected {expected}")
     return 1 if failures else 0
 
 

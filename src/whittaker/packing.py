@@ -1,0 +1,263 @@
+"""Packed monomials and the kernels of sparse term maps.
+
+A Laurent monomial over an alphabet (v_0, ..., v_(n-1)), the variables of
+one value in the order u first and then by name, is one Python int: at
+field width W the exponents (e_0, ..., e_(n-1)) pack as
+
+    d * 2^(W n) + e_0 * 2^(W (n-1)) + ... + e_(n-1),   d = e_0 + ... + e_(n-1),
+
+with balanced (signed) fields, |e_i| < 2^(W-1).  A balanced digit expansion
+is unique and adds digit by digit while no field overflows, so negative
+exponents need no bias, a monomial product is one integer add, and integer
+order is graded lexicographic order with v_0 most significant (graded
+packing after Monagan and Pearce, "Sparse polynomial division using a
+heap", J. Symb. Comp. 2011).  The unit monomial is 0 over every alphabet.
+
+A terms map sends packed monomials to nonzero coefficients: an int when
+integral, else a Fraction with denominator > 1.  Maps over different
+alphabets are repacked into the union before they meet; the functions
+here take maps already over one alphabet unless they say otherwise.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+from functools import lru_cache
+from typing import Tuple, Union
+
+Rational = Union[int, Fraction]
+
+# a packed monomial (see above)
+Mono = int
+
+# Field width of every value whose exponents all have absolute value below
+# 2^(_WIDTH - 1).  A value with a larger exponent doubles the width until
+# its largest exponent fits, so the width, and with it the packed form, is
+# a function of the value.
+_WIDTH = 16
+_LIMIT = 1 << (_WIDTH - 1)
+
+# the packed variable v^1 at width _WIDTH: degree 1, exponent 1
+_VAR = (1 << _WIDTH) + 1
+
+
+def _var_key(name: str):
+    # u sorts before every parameter name; parameters sort lexicographically
+    return (0,) if name == "u" else (1, name)
+
+
+def _canon(c: Rational) -> Rational:
+    # canonical coefficient: an int when integral, else a Fraction with
+    # denominator > 1
+    if c.__class__ is int:
+        return c
+    return c.numerator if c.denominator == 1 else c
+
+
+def _canon_all(terms: dict) -> dict:
+    # canonical coefficients in place; returns terms
+    for m, c in terms.items():
+        if c.__class__ is not int:
+            terms[m] = _canon(c)
+    return terms
+
+
+def _width(bound: int) -> int:
+    # field width of a value whose exponents have absolute value <= bound
+    w = _WIDTH
+    while bound >> (w - 1):
+        w *= 2
+    return w
+
+
+@lru_cache(maxsize=256)
+def _layout(n: int, w: int):
+    # (bias, mask, half, shifts) for n fields of width w: adding bias makes
+    # every field nonnegative without carries, so exponent i of key is
+    # ((key + bias) >> shifts[i] & mask) - half
+    half = 1 << (w - 1)
+    shifts = tuple(w * (n - 1 - i) for i in range(n))
+    return sum(half << s for s in shifts), (1 << w) - 1, half, shifts
+
+
+def _pack(exps, w: int) -> Mono:
+    key = sum(exps)
+    for e in exps:
+        key = (key << w) + e
+    return key
+
+
+def _unpack(key: Mono, n: int, w: int) -> list:
+    bias, mask, half, shifts = _layout(n, w)
+    t = key + bias
+    return [(t >> s & mask) - half for s in shifts]
+
+
+def _union(a: tuple, b: tuple) -> tuple:
+    return a if a == b else tuple(sorted(set(a).union(b), key=_var_key))
+
+
+@lru_cache(maxsize=1024)
+def _mover(src: tuple, dst: tuple, w: int):
+    """Function re-keying a terms map from alphabet src to dst, both at width w.
+
+    None when the keys stay as they are.  Every variable of src that some
+    key uses must be in dst.  The fields of src that stay adjacent in dst
+    form runs; a single run (one alphabet is a contiguous block of the
+    other) moves by one shift, and only the degree field needs a fix,
+    except for a leading block.
+    """
+    if not src or src == dst:
+        return None
+    n, m = len(src), len(dst)
+    if not m:
+        return lambda terms: {0: c for c in terms.values()}
+    index = {v: j for j, v in enumerate(dst)}
+    runs = []       # [first src field, first dst field, length]
+    for j, v in enumerate(src):
+        q = index.get(v)
+        if q is None:
+            continue
+        if runs and runs[-1][0] + runs[-1][2] == j and runs[-1][1] + runs[-1][2] == q:
+            runs[-1][2] += 1
+        else:
+            runs.append([j, q, 1])
+    top, dst_top = w * n, w * m
+    if len(runs) == 1:
+        (j, q, length), = runs
+        shift = w * (m - q - length) - w * (n - j - length)
+        fix = (1 << dst_top) - (1 << (top + shift))
+        half = 1 << (top - 1)
+        if shift >= 0:
+            if not fix:
+                return lambda terms: {k << shift: c for k, c in terms.items()}
+            return lambda terms: {(k << shift) + ((k + half) >> top) * fix: c
+                                  for k, c in terms.items()}
+        shift = -shift
+        if not fix:
+            return lambda terms: {k >> shift: c for k, c in terms.items()}
+        return lambda terms: {(k >> shift) + ((k + half) >> top) * fix: c
+                              for k, c in terms.items()}
+    # with t = key + bias every field is nonnegative, so each run moves as
+    # one masked shift and loses its bias afterwards
+    bias, _, half, _ = _layout(n, w)
+    moves = []
+    unbias = 0
+    for j, q, length in runs:
+        low = w * (m - q - length)
+        moves.append((w * (n - j - length), (1 << w * length) - 1, low))
+        unbias += sum(half << (low + w * i) for i in range(length))
+
+    def move(terms):
+        out = {}
+        for k, c in terms.items():
+            t = k + bias
+            key = (t >> top << dst_top) - unbias
+            for src_low, mask, low in moves:
+                key += (t >> src_low & mask) << low
+            out[key] = c
+        return out
+
+    return move
+
+
+@lru_cache(maxsize=1024)
+def _plan(a: tuple, b: tuple):
+    # (union alphabet, mover of a, mover of b, positions of shared variables)
+    # at width _WIDTH
+    names = _union(a, b)
+    shared = tuple(j for j, v in enumerate(names) if v in a and v in b)
+    return names, _mover(a, names, _WIDTH), _mover(b, names, _WIDTH), shared
+
+
+def _repack(terms: dict, src: tuple, dst: tuple, w_src: int, w: int) -> dict:
+    """terms re-keyed from alphabet src at width w_src to dst at width w."""
+    if w_src == w:
+        move = _mover(src, dst, w)
+        return move(terms) if move else terms
+    n, m = len(src), len(dst)
+    where = [dst.index(v) if v in dst else None for v in src]
+    out = {}
+    for k, c in terms.items():
+        exps = [0] * m
+        for j, e in zip(where, _unpack(k, n, w_src)):
+            if j is not None:
+                exps[j] = e
+        out[_pack(exps, w)] = c
+    return out
+
+
+def _product(a: dict, b: dict) -> dict:
+    # terms of the product of two terms maps over one alphabet; a is the smaller
+    if len(a) == 1:
+        (ma, ca), = a.items()
+        if ca.__class__ is int and ca == 1:
+            # a bare monomial shifts exponents; coefficients stay canonical
+            return {ma + mb: cb for mb, cb in b.items()}
+        return _canon_all({ma + mb: ca * cb for mb, cb in b.items()})
+    out = {}
+    for ma, ca in a.items():
+        for mb, cb in b.items():
+            m = ma + mb
+            s = out.get(m)
+            if s is None:
+                out[m] = ca * cb
+            else:
+                s = s + ca * cb
+                if s:
+                    out[m] = s
+                else:
+                    del out[m]
+    return _canon_all(out)
+
+
+def _merge(out: dict, terms: dict) -> bool:
+    # adds terms into out in place; True when some key cancelled
+    cancelled = False
+    for m, c in terms.items():
+        s = out.get(m)
+        if s is None:
+            out[m] = c
+        else:
+            s = s + c
+            if s:
+                out[m] = s if s.__class__ is int else _canon(s)
+            else:
+                del out[m]
+                cancelled = True
+    return cancelled
+
+
+def _drop_vanished(terms: dict, names: tuple, w: int, positions) -> Tuple[tuple, dict]:
+    """(alphabet, terms) without the variables at positions that no key uses.
+
+    A field is 0 in every key exactly when its biased value is the same in
+    the OR and in the AND of all biased keys and equals the bias.
+    """
+    bias, mask, half, shifts = _layout(len(names), w)
+    some, every = 0, -1
+    for k in terms:
+        t = k + bias
+        some |= t
+        every &= t
+    gone = {names[j] for j in positions
+            if (some >> shifts[j] & mask) == half == (every >> shifts[j] & mask)}
+    if not gone:
+        return names, terms
+    kept = tuple(v for v in names if v not in gone)
+    return kept, _repack(terms, names, kept, w, w)
+
+
+def _normalise(terms: dict, names: tuple, w: int) -> Tuple[dict, tuple, int]:
+    """(terms, alphabet, bound) of the value of terms, keys at width w, with
+    its exact bound, its trimmed alphabet and its own width; used whenever a
+    width above _WIDTH is in play."""
+    n = len(names)
+    rows = [(_unpack(k, n, w), c) for k, c in terms.items()]
+    used = [j for j in range(n) if any(exps[j] for exps, _ in rows)]
+    bound = max((abs(e) for exps, _ in rows for e in exps), default=0)
+    w_out = _width(bound)
+    if len(used) == n and w_out == w:
+        return terms, names, bound
+    return ({_pack([exps[j] for j in used], w_out): c for exps, c in rows},
+            tuple(names[j] for j in used), bound)

@@ -41,6 +41,9 @@ def parse_scalar_atom(text: str) -> Scalar:
     """Parse a rational string 'p/q' or a bare indeterminate identifier."""
     text = text.strip()
     if _RATIONAL_RE.match(text):
+        numerator, _, denominator = text.partition("/")
+        if denominator and not int(denominator):
+            raise ConfigError(f"cannot parse {text!r}: zero denominator")
         return Scalar.of(Fraction(text))
     if _IDENT_RE.match(text):
         if text in _RESERVED:

@@ -2,15 +2,22 @@
 
 Scalar is the one ring-element class: an immutable element of the ring of
 multivariate Laurent polynomials over Q, Q[u, u^-1, a, a^-1, ...], stored
-as a sparse map from monomials to nonzero coefficients.  A coefficient is
-an int when it is integral and a fractions.Fraction with denominator > 1
-otherwise, so the integer coefficients that Schur polynomials, h_k and
-Euler products of symbolic parameters produce never pay for Fraction
-arithmetic.  The variable alphabet is ordered with u first (u^2 plays the
-role of the residue cardinality q, so half-integral powers of q are
-Laurent monomials in u) followed by parameter names in lexicographic
-order.  No floating point is used anywhere; exact evaluation at a rational
-point sums integers over one common denominator.
+as a sparse map from packed monomials to nonzero coefficients.  A
+coefficient is an int when it is integral and a fractions.Fraction with
+denominator > 1 otherwise, so the integer coefficients that Schur
+polynomials, h_k and Euler products of symbolic parameters produce never
+pay for Fraction arithmetic.  The variable alphabet is ordered with u first
+(u^2 plays the role of the residue cardinality q, so half-integral powers
+of q are Laurent monomials in u) followed by parameter names in
+lexicographic order.  No floating point is used anywhere; exact evaluation
+at a rational point sums integers over one common denominator.
+
+Each value stores its alphabet: exactly the variables it contains, in that
+order.  A monomial is one Python int holding one signed field per variable
+of the alphabet and the total degree on top (the layout is in packing), so
+a monomial product is one integer add and the graded lexicographic
+comparison is one integer compare.  Operands over different alphabets are
+repacked into their union first.
 
 Every value in scope lives in this ring: Satake values are rationals or
 single indeterminates, Schur polynomials and complete homogeneous
@@ -25,8 +32,8 @@ factors (multisets of reciprocal roots), with exact comparison.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
-from typing import Iterable, Mapping, Optional, Union
+from math import lcm, prod
+from typing import Iterable, Iterator, Mapping, Optional
 
 from .errors import (
     DivisionByZero,
@@ -36,79 +43,19 @@ from .errors import (
     UnboundVariable,
     Unsupported,
 )
+from .packing import (_LIMIT, _VAR, _WIDTH, Rational, _canon, _canon_all, _drop_vanished,
+                      _layout, _merge, _normalise, _pack, _plan, _product, _repack, _union,
+                      _unpack, _var_key, _width)
 
-Rational = Union[int, Fraction]
-
-# A monomial is a tuple of (variable, exponent) pairs, sorted by variable
-# order, with all exponents nonzero.  The empty tuple is the unit monomial.
-Mono = tuple
-
-
-def _var_key(name: str):
-    # u sorts before every parameter name; parameters sort lexicographically
-    return (0,) if name == "u" else (1, name)
+def _power_str(v: str, e: int) -> str:
+    if not e:
+        return ""
+    return v if e == 1 else f"{v}^{e}"
 
 
-def _canon(c: Rational) -> Rational:
-    # canonical coefficient: an int when integral, else a Fraction with
-    # denominator > 1
-    if c.__class__ is int:
-        return c
-    return c.numerator if c.denominator == 1 else c
-
-
-def _mono_mul(a: Mono, b: Mono) -> Mono:
-    if not a:
-        return b
-    if not b:
-        return a
-    out = []
-    i = j = 0
-    na, nb = len(a), len(b)
-    while i < na and j < nb:
-        va, ea = a[i]
-        vb, eb = b[j]
-        if va == vb:
-            e = ea + eb
-            if e:
-                out.append((va, e))
-            i += 1
-            j += 1
-        elif va == "u" or (vb != "u" and va < vb):
-            out.append(a[i])
-            i += 1
-        else:
-            out.append(b[j])
-            j += 1
-    out.extend(a[i:])
-    out.extend(b[j:])
-    return tuple(out)
-
-
-def _mono_inv(a: Mono) -> Mono:
-    return tuple((v, -e) for v, e in a)
-
-
-def _mono_deg(a: Mono) -> int:
-    return sum(e for _, e in a)
-
-
-def _print_key(mono: Mono, varlist):
-    # total degree, then exponent vector; higher exponents on earlier
-    # variables print first within a degree
-    exps = dict(mono)
-    return (_mono_deg(mono), tuple(-exps.get(v, 0) for v in varlist))
-
-
-def _grlex_key(mono: Mono, varlist):
-    exps = dict(mono)
-    return (_mono_deg(mono), tuple(exps.get(v, 0) for v in varlist))
-
-
-def _format_term(c: Rational, mono: Mono) -> str:
-    if not mono:
+def _format_term(c: Rational, ms: str) -> str:
+    if not ms:
         return str(c)
-    ms = "*".join(v if e == 1 else f"{v}^{e}" for v, e in mono)
     if c == 1:
         return ms
     if c == -1:
@@ -119,19 +66,24 @@ def _format_term(c: Rational, mono: Mono) -> str:
 class Scalar:
     """Element of the Laurent ring Q[u, u^-1, a, a^-1, ...].
 
-    Immutable; terms maps each monomial to its nonzero coefficient, an int
-    when integral and otherwise a Fraction with denominator > 1.  That map
-    is the canonical form, so instances are safe to share between threads
+    Immutable; terms maps each packed monomial to its nonzero coefficient,
+    an int when integral and otherwise a Fraction with denominator > 1;
+    names is the alphabet, exactly the variables the value contains, with u
+    first; bound bounds the absolute value of every exponent (exact when
+    it is 2^(_WIDTH - 1) or more) and fixes the field width.  Together they
+    are the canonical form, so instances are safe to share between threads
     and to use as dict keys.  A rational constant hashes like its Fraction.
     Division is exact and defined only by units, nonzero rationals times
     monomials: dividing by zero raises DivisionByZero and dividing by any
     other value raises Unsupported.
     """
 
-    __slots__ = ("terms", "_hash")
+    __slots__ = ("terms", "names", "bound", "_hash")
 
-    def __init__(self, terms: dict):
+    def __init__(self, terms: dict, names: tuple = (), bound: int = 0):
         self.terms = terms
+        self.names = names
+        self.bound = bound
         self._hash = None
 
     @classmethod
@@ -139,7 +91,7 @@ class Scalar:
         if isinstance(value, Scalar):
             return value
         if value.__class__ is int:
-            return cls({(): value} if value else {})
+            return cls({0: value} if value else {})
         if isinstance(value, (int, Fraction)):
             return cls.rational(value)
         raise TypeError(f"cannot coerce {type(value).__name__} to Scalar")
@@ -147,13 +99,13 @@ class Scalar:
     @classmethod
     def rational(cls, p: Rational, q: Rational = 1) -> "Scalar":
         c = _canon(Fraction(p) / Fraction(q))
-        return cls({(): c} if c else {})
+        return cls({0: c} if c else {})
 
     @classmethod
     def variable(cls, name: str) -> "Scalar":
         if name in ("t", "q"):
             raise InvalidCharacter(f"'{name}' is reserved and cannot be a scalar variable")
-        return cls({((name, 1),): 1})
+        return cls({_VAR: 1}, (name,), 1)
 
     @classmethod
     def monomial(cls, exps: Mapping[str, int], coeff: Rational = 1) -> "Scalar":
@@ -161,68 +113,82 @@ class Scalar:
             coeff = _canon(Fraction(coeff))
         if not coeff:
             return cls({})
-        mono = tuple(sorted(((v, e) for v, e in exps.items() if e), key=lambda p: _var_key(p[0])))
-        return cls({mono: coeff})
+        items = sorted(((v, e) for v, e in exps.items() if e), key=lambda p: _var_key(p[0]))
+        powers = [e for _, e in items]
+        bound = max(map(abs, powers), default=0)
+        return cls({_pack(powers, _width(bound)): coeff}, tuple(v for v, _ in items), bound)
 
     def is_zero(self) -> bool:
         return not self.terms
 
     def is_rational(self) -> bool:
-        return not self.terms or (len(self.terms) == 1 and () in self.terms)
+        return not self.names
 
     def as_fraction(self) -> Fraction:
-        if not self.is_rational():
+        if self.names:
             raise ValueError(f"{self} is not a rational constant")
-        return Fraction(self.terms.get((), 0))
+        return Fraction(self.terms.get(0, 0))
 
     def is_variable(self) -> bool:
-        if len(self.terms) != 1:
-            return False
-        (mono, c), = self.terms.items()
-        return c == 1 and len(mono) == 1 and mono[0][1] == 1
+        return len(self.names) == 1 and len(self.terms) == 1 and self.terms.get(_VAR) == 1
 
-    def variables(self):
-        return sorted({v for mono in self.terms for v, _ in mono}, key=_var_key)
+    def variables(self) -> tuple:
+        return self.names
+
+    def iter_terms(self) -> Iterator[tuple]:
+        """(monomial, coefficient) pairs, the monomial as ((name, exponent), ...).
+
+        Names follow the alphabet order and only nonzero exponents appear.
+        """
+        names = self.names
+        n, w = len(names), _width(self.bound)
+        for k, c in self.terms.items():
+            yield tuple((v, e) for v, e in zip(names, _unpack(k, n, w)) if e), c
 
     def __bool__(self):
-        return not self.is_zero()
+        return bool(self.terms)
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
             other = Scalar.of(other)
         if not isinstance(other, Scalar):
             return NotImplemented
-        return self.terms == other.terms
+        return (self.names == other.names and self.terms == other.terms
+                and _width(self.bound) == _width(other.bound))
 
     def __hash__(self):
         if self._hash is None:
             # hash(3) == hash(Fraction(3)), so a constant hashes like its Fraction
-            self._hash = (hash(self.terms.get((), 0)) if self.is_rational()
-                          else hash(frozenset(self.terms.items())))
+            self._hash = (hash(self.terms.get(0, 0)) if not self.names
+                          else hash((self.names, frozenset(self.terms.items()))))
         return self._hash
 
     def __neg__(self):
-        return Scalar({m: -c for m, c in self.terms.items()})
+        return Scalar({m: -c for m, c in self.terms.items()}, self.names, self.bound)
 
     def __add__(self, other):
-        if not isinstance(other, Scalar):
+        if other.__class__ is not Scalar:
             other = Scalar.of(other)
         if not self.terms:
             return other
         if not other.terms:
             return self
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            s = out.get(m)
-            if s is None:
-                out[m] = c
-            else:
-                s = s + c
-                if s:
-                    out[m] = s if s.__class__ is int else _canon(s)
-                else:
-                    del out[m]
-        return Scalar(out)
+        # copy the larger map, merge the smaller one into it
+        big, small = (self, other) if len(self.terms) >= len(other.terms) else (other, self)
+        bound = big.bound if big.bound >= small.bound else small.bound
+        if bound >= _LIMIT:
+            names = _union(big.names, small.names)
+            w = _width(bound)
+            out = dict(_repack(big.terms, big.names, names, _width(big.bound), w))
+            _merge(out, _repack(small.terms, small.names, names, _width(small.bound), w))
+            return Scalar(*_normalise(out, names, w))
+        names, move_big, move_small, _ = _plan(big.names, small.names)
+        out = move_big(big.terms) if move_big else dict(big.terms)
+        if _merge(out, move_small(small.terms) if move_small else small.terms):
+            if not out:
+                return _ZERO
+            names, out = _drop_vanished(out, names, _WIDTH, range(len(names)))
+        return Scalar(out, names, bound)
 
     __radd__ = __add__
 
@@ -233,38 +199,47 @@ class Scalar:
         return (-self) + Scalar.of(other)
 
     def __mul__(self, other):
-        if not isinstance(other, Scalar):
+        if other.__class__ is not Scalar:
             other = Scalar.of(other)
         small, big = (self, other) if len(self.terms) <= len(other.terms) else (other, self)
-        a, b = small.terms, big.terms
-        if not a:
+        if not small.terms:
             return _ZERO
-        if len(a) == 1:
-            (ma, ca), = a.items()
-            if ca.__class__ is int and ca == 1:
-                # a bare monomial shifts exponents; coefficients stay canonical
-                if not ma:
-                    return big
-                return Scalar({_mono_mul(ma, mb): cb for mb, cb in b.items()})
-            out = {_mono_mul(ma, mb): ca * cb for mb, cb in b.items()}
+        if not big.names:
+            small, big = big, small
+        if not small.names:
+            # a rational constant scales the coefficients
+            (c,) = small.terms.values()
+            if c.__class__ is int and c == 1:
+                return big
+            return Scalar(_canon_all({m: c * cb for m, cb in big.terms.items()}),
+                          big.names, big.bound)
+        bound = small.bound + big.bound
+        if bound >= _LIMIT:
+            names = _union(small.names, big.names)
+            w = _width(bound)
+            return Scalar(*_normalise(
+                _product(_repack(small.terms, small.names, names, _width(small.bound), w),
+                         _repack(big.terms, big.names, names, _width(big.bound), w)),
+                names, w))
+        names = small.names
+        if names == big.names:
+            a, b = small.terms, big.terms
+            shared = range(len(names))
         else:
-            out = {}
-            for ma, ca in a.items():
-                for mb, cb in b.items():
-                    m = _mono_mul(ma, mb)
-                    s = out.get(m)
-                    if s is None:
-                        out[m] = ca * cb
-                    else:
-                        s = s + ca * cb
-                        if s:
-                            out[m] = s
-                        else:
-                            del out[m]
-        for m, c in out.items():
-            if c.__class__ is not int:
-                out[m] = _canon(c)
-        return Scalar(out)
+            names, move_small, move_big, shared = _plan(names, big.names)
+            a = move_small(small.terms) if move_small else small.terms
+            b = move_big(big.terms) if move_big else big.terms
+        out = _product(a, b)
+        if shared:
+            # a shared variable leaves the product exactly when its exponent
+            # is constant in each factor and the two constants cancel, so
+            # only variables whose exponents cancel in the first pair can go
+            bias, mask, half, shifts = _layout(len(names), _WIDTH)
+            t = next(iter(a)) + next(iter(b)) + bias
+            suspects = [j for j in shared if (t >> shifts[j] & mask) == half]
+            if suspects:
+                names, out = _drop_vanished(out, names, _WIDTH, suspects)
+        return Scalar(out, names, bound)
 
     __rmul__ = __mul__
 
@@ -283,7 +258,7 @@ class Scalar:
             raise Unsupported(f"cannot divide by {self}: only nonzero rationals "
                               f"times monomials are invertible")
         (mono, c), = terms.items()
-        return Scalar({_mono_inv(mono): _canon(Fraction(1) / c)})
+        return Scalar({-mono: _canon(Fraction(1) / c)}, self.names, self.bound)
 
     def __pow__(self, k: int):
         if k < 0:
@@ -308,46 +283,32 @@ class Scalar:
         term over one common denominator, so the sum is taken in integers
         and only the result is a Fraction.
         """
-        terms = self.terms
-        point = {}
-        for v in self.variables():
+        names = self.names
+        point = []
+        for v in names:
             if v not in bindings:
                 raise UnboundVariable(f"no binding for variable {v}")
-            point[v] = Fraction(bindings[v])
-        lo = dict.fromkeys(point, 0)
-        hi = dict.fromkeys(point, 0)
-        coeff_den = 1
-        for mono, c in terms.items():
-            if c.__class__ is not int:
-                coeff_den = lcm(coeff_den, c.denominator)
-            for v, e in mono:
-                if e < lo[v]:
-                    # e < 0 here, so v = 0 is a pole
-                    if not point[v]:
-                        raise PoleAtPoint(f"variable {v} is 0 with negative exponent")
-                    lo[v] = e
-                elif e > hi[v]:
-                    hi[v] = e
-        # tables: (v, -lo, [n^(e - lo) * d^(hi - e) for e in lo..hi]); a
-        # variable absent from a monomial contributes its e = 0 entry
-        tables = []
+            point.append(Fraction(bindings[v]))
+        terms = self.terms
+        coeff_den = lcm(*(c.denominator for c in terms.values() if c.__class__ is not int))
+        # one column of integer factors per variable, and the coefficients
+        # over the common denominator
+        factors = [[c * coeff_den if c.__class__ is int
+                    else c.numerator * (coeff_den // c.denominator) for c in terms.values()]]
         den = coeff_den
-        for v, x in point.items():
-            n, d, low, high = x.numerator, x.denominator, lo[v], hi[v]
-            tables.append((v, -low, [n ** (e - low) * d ** (high - e)
-                                     for e in range(low, high + 1)]))
-            den *= n ** -low * d ** high
-        total = 0
-        for mono, c in terms.items():
-            if c.__class__ is int:
-                acc = c * coeff_den
-            else:
-                acc = c.numerator * (coeff_den // c.denominator)
-            exps = dict(mono)
-            for v, shift, table in tables:
-                acc *= table[exps.get(v, 0) + shift]
-            total += acc
-        return Fraction(total, den)
+        bias, mask, half, shifts = _layout(len(names), _width(self.bound))
+        biased = [k + bias for k in terms]
+        for v, x, s in zip(names, point, shifts):
+            # exponents e biased to e + half; the range always contains e = 0
+            column = [t >> s & mask for t in biased]
+            low, high = min(min(column), half), max(max(column), half)
+            if low < half and not x:
+                raise PoleAtPoint(f"variable {v} is 0 with negative exponent")
+            num, d = x.numerator, x.denominator
+            table = {f: num ** (f - low) * d ** (high - f) for f in set(column)}
+            factors.append([table[f] for f in column])
+            den *= num ** (half - low) * d ** (high - half)
+        return Fraction(sum(map(prod, zip(*factors))), den)
 
     def _needs_parens(self) -> bool:
         terms = self.terms
@@ -359,16 +320,36 @@ class Scalar:
         return c < 0
 
     def __str__(self):
-        if not self.terms:
+        terms = self.terms
+        if not terms:
             return "0"
-        varlist = self.variables()
-        items = sorted(self.terms.items(), key=lambda mc: _print_key(mc[0], varlist))
-        parts = [_format_term(items[0][1], items[0][0])]
-        for mono, c in items[1:]:
-            if c < 0:
-                parts.append(" - " + _format_term(-c, mono))
+        names = self.names
+        if not names:
+            return str(terms[0])
+        n, w = len(names), _width(self.bound)
+        top = w * n
+        half = 1 << (top - 1)
+        # degree ascending, and within a degree the packed exponents
+        # descending (a higher exponent on an earlier variable first):
+        # (d << top) - body for key = (d << top) + body, |body| < 2^(top-1)
+        keys = sorted(terms, key=lambda k: (((k + half) >> top) << (top + 1)) - k)
+        bias, mask, fhalf, shifts = _layout(n, w)
+        biased = [k + bias for k in keys]
+        columns = []
+        for v, s in zip(names, shifts):
+            column = [t >> s & mask for t in biased]
+            powers = {f: _power_str(v, f - fhalf) for f in set(column)}
+            columns.append([powers[f] for f in column])
+        parts = []
+        for k, pieces in zip(keys, zip(*columns)):
+            ms = "*".join(filter(None, pieces))
+            c = terms[k]
+            if not parts:
+                parts.append(_format_term(c, ms))
+            elif c < 0:
+                parts.append(" - " + _format_term(-c, ms))
             else:
-                parts.append(" + " + _format_term(c, mono))
+                parts.append(" + " + _format_term(c, ms))
         return "".join(parts)
 
     def __repr__(self):
@@ -376,7 +357,7 @@ class Scalar:
 
 
 _ZERO = Scalar({})
-_ONE = Scalar({(): 1})
+_ONE = Scalar({0: 1})
 
 # Former name of the class, kept because perfbench/spans.py times the ring
 # layer by patching __mul__ and __add__ under it.
@@ -398,8 +379,10 @@ def substitute(p: Scalar, bindings: Mapping[str, Rational]) -> Fraction:
 # Vandermonde determinant)
 # ---------------------------------------------------------------------------
 
-def _lead(p: Scalar, varlist):
-    return max(p.terms, key=lambda m: _grlex_key(m, varlist))
+def _lead(p: Scalar):
+    # exponents of the graded-lexicographic leading monomial: the largest key
+    m = max(p.terms)
+    return dict(zip(p.names, _unpack(m, len(p.names), _width(p.bound)))), p.terms[m]
 
 
 def _exact_div(f: Scalar, g: Scalar) -> Scalar:
@@ -408,19 +391,16 @@ def _exact_div(f: Scalar, g: Scalar) -> Scalar:
         raise DivisionByZero("polynomial division by zero")
     if g.is_rational():
         return f * g.inverse()
-    varlist = sorted(set(f.variables()) | set(g.variables()), key=_var_key)
-    mg = _lead(g, varlist)
-    cg = g.terms[mg]
+    mg, cg = _lead(g)
     q = _ZERO
     r = f
     while r:
-        mr = _lead(r, varlist)
-        exps = dict(mr)
-        for v, e in mg:
+        exps, cr = _lead(r)
+        for v, e in mg.items():
             exps[v] = exps.get(v, 0) - e
         if any(e < 0 for e in exps.values()):
             raise ValueError("inexact polynomial division")
-        term = Scalar.monomial(exps, Fraction(r.terms[mr]) / cg)
+        term = Scalar.monomial(exps, Fraction(cr) / cg)
         q = q + term
         r = r - term * g
     return q
@@ -428,7 +408,11 @@ def _exact_div(f: Scalar, g: Scalar) -> Scalar:
 
 def u_power(e: int) -> Scalar:
     """The Laurent monomial u^e (u^2 stands for the residue cardinality q)."""
-    return Scalar({(("u", e),): 1}) if e else _ONE
+    if not e:
+        return _ONE
+    if -_LIMIT < e < _LIMIT:
+        return Scalar({(e << _WIDTH) + e: 1}, ("u",), abs(e))
+    return Scalar.monomial({"u": e})
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ pinned by cauchy_check.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import comb
 from typing import Iterator, Optional, Sequence, Tuple, Union
 
 from .errors import BadRanks, InvariantViolation, Unsupported
@@ -139,7 +140,7 @@ def rs_series(left: LeftInput, pi_prime: UnramifiedLanglandsRep, order: int, *,
             if r != n:
                 raise Unsupported(
                     "equal-rank integrals need an unramified left argument")
-            left_value = _spherical_left(params, n)
+            left_value = _spherical_left(params, n, drop_integrality)
         else:
             left_value = _essential_left(left, n, drop_integrality)
     elif isinstance(left, UnramifiedLanglandsRep):
@@ -148,26 +149,34 @@ def rs_series(left: LeftInput, pi_prime: UnramifiedLanglandsRep, order: int, *,
             raise BadRanks(f"pi' rank {m} exceeds n = {n}")
         if drop_integrality:
             raise Unsupported("the integrality hook applies to the essential-function side")
-        left_value = _spherical_left(left.satake, n)
+        left_value = _spherical_left(left.satake, n, False)
     else:
         raise TypeError(f"unsupported left argument {type(left).__name__}")
 
+    # each index is passed to the value functions as a Partition, or as a
+    # weight tuple when the indicator is dropped
     coeffs = [_ZERO] * (order + 1)
     if drop_integrality:
-        weights = ((sum(w), w) for k in range(order + 1)
+        weights = ((w, w) for k in range(order + 1)
                    for w in _dominant_weights(k, m, -_NEGATIVE_DEPTH))
+
+        def right_value(w):
+            if w and w[-1] < 0:
+                return _spherical_value_laurent(satake_prime, w)
+            return spherical_value(satake_prime, w)
     else:
-        weights = ((lam.size, lam.padded(m)) for lam in partitions_up_to(order, m))
-    for k, w in weights:
-        term = left_value(w)
+        weights = ((lam, lam.padded(m)) for lam in partitions_up_to(order, m))
+
+        def right_value(lam):
+            return spherical_value(satake_prime, lam)
+    for index, w in weights:
+        term = left_value(index)
         if term.is_zero():
             continue
-        if drop_integrality and w and w[-1] < 0:
-            wprime = _spherical_value_laurent(satake_prime, w)
-        else:
-            wprime = spherical_value(satake_prime, w)
+        wprime = right_value(index)
         if wprime.is_zero():
             continue
+        k = sum(w)
         # delta^(-1) * nu^(-(n-m)/2) on the torus point: delta^(-1) is
         # u^(2 * sum_i w_i (m - 1 - 2i)) and the twist is u^((n - m) * k)
         mod = u_power(sum(x * (n + m - 2 - 4 * i) for i, x in enumerate(w)))
@@ -175,8 +184,10 @@ def rs_series(left: LeftInput, pi_prime: UnramifiedLanglandsRep, order: int, *,
     return TruncatedSeries(order, coeffs)
 
 
-def _spherical_left(satake: Sequence[Scalar], n: int):
+def _spherical_left(satake: Sequence[Scalar], n: int, drop_integrality: bool):
     satake = tuple(satake)
+    if not drop_integrality:
+        return lambda lam: spherical_value(satake, lam)
 
     def value(weight):
         return spherical_value(satake, weight + (0,) * (n - len(weight)))
@@ -185,10 +196,12 @@ def _spherical_left(satake: Sequence[Scalar], n: int):
 
 
 def _essential_left(rep: GenericRep, n: int, drop_integrality: bool):
+    if not drop_integrality:
+        return lambda lam: essential_value(rep, lam)
+
     def value(weight):
         padded = weight + (0,) * (n - 1 - len(weight))
-        return essential_value(rep, padded,
-                               enforce_integrality=not drop_integrality)
+        return essential_value(rep, padded, enforce_integrality=False)
 
     return value
 
@@ -256,3 +269,14 @@ def cauchy_check(n: int, m: int, params_x: Sequence[Scalar],
         rhs_series=rhs,
         metadata={"n": n, "m": m, "kind": "unramified-pairing"},
     )
+
+
+def cauchy_term_count(n: int, m: int, k: int) -> int:
+    """Number of monomials in the t^k coefficient of a symbolic cauchy_check.
+
+    That coefficient is h_k of the products x_i * y_j, a sum of monomials
+    x^a * y^b with positive coefficients: every pair of exponent vectors
+    with |a| = |b| = k is the row and column sums of some n-by-m table, so
+    there are C(k+n-1, n-1) * C(k+m-1, m-1) of them.
+    """
+    return comb(k + n - 1, n - 1) * comb(k + m - 1, m - 1)

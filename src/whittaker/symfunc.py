@@ -191,7 +191,7 @@ def _schur_generic(parts: tuple, nvars: int) -> Scalar:
 def _schur_bialternant(parts: tuple, vars_key: tuple) -> Scalar:
     generic = _schur_generic(parts, len(vars_key))
     total = Scalar.of(0)
-    for mono, c in generic.terms.items():
+    for mono, c in generic.iter_terms():
         term = Scalar.of(c)
         for name, e in mono:
             idx = int(name[2:]) - 1
@@ -281,7 +281,7 @@ def schur_detailed(shape, variables: Sequence, algorithm: str = "branching") -> 
     by the standard vanishing convention and the flag records it.
     """
     shape = _as_partition(shape)
-    vars_key = tuple(Scalar.of(v) for v in variables)
+    vars_key = tuple(map(Scalar.of, variables))
     if shape.length > len(vars_key):
         return SchurValue(Scalar.of(0), True)
     if algorithm == "branching":

@@ -29,8 +29,12 @@ def delta_half(weight: Sequence[int], rank: int) -> Scalar:
     weight = tuple(int(x) for x in weight)
     if len(weight) != rank:
         raise BadRank(f"weight has length {len(weight)}, expected {rank}")
-    e = -sum(x * (rank - 1 - 2 * i) for i, x in enumerate(weight))
-    return u_power(e)
+    return u_power(_delta_half_exponent(weight, rank))
+
+
+def _delta_half_exponent(weight: Sequence[int], rank: int) -> int:
+    # trailing zeros of weight may be left out
+    return -sum(x * (rank - 1 - 2 * i) for i, x in enumerate(weight))
 
 
 def spherical_value(satake: Sequence[Scalar], weight: Sequence[int]) -> Scalar:
@@ -40,18 +44,26 @@ def spherical_value(satake: Sequence[Scalar], weight: Sequence[int]) -> Scalar:
     weight; zero off the dominant cone.  Callers keep the last entry
     nonnegative (the integrals' support conditions force partitions), and
     dominant weights with negative entries are rejected to document that
-    contract.
+    contract.  The weight may also be a Partition of at most m parts,
+    standing for its parts padded with zeros; rs_series passes its lattice
+    points that way, so nothing is rebuilt per value.
     """
-    satake = tuple(Scalar.of(v) for v in satake)
-    weight = tuple(int(x) for x in weight)
-    if len(weight) != len(satake):
-        raise BadRank(f"weight rank {len(weight)} != Satake rank {len(satake)}")
-    if not _weakly_decreasing(weight):
-        return Scalar.of(0)
-    if weight and weight[-1] < 0:
-        raise UnsupportedWeight(
-            f"dominant weight {weight} has negative entries; only partitions are supported")
-    return delta_half(weight, len(weight)) * schur(Partition(weight), satake)
+    satake = tuple(map(Scalar.of, satake))
+    if isinstance(weight, Partition):
+        if weight.length > len(satake):
+            raise BadRank(f"weight {weight} has more than {len(satake)} parts")
+        lam = weight
+    else:
+        weight = tuple(int(x) for x in weight)
+        if len(weight) != len(satake):
+            raise BadRank(f"weight rank {len(weight)} != Satake rank {len(satake)}")
+        if not _weakly_decreasing(weight):
+            return Scalar.of(0)
+        if weight and weight[-1] < 0:
+            raise UnsupportedWeight(
+                f"dominant weight {weight} has negative entries; only partitions are supported")
+        lam = Partition(weight)
+    return u_power(_delta_half_exponent(lam.parts, len(satake))) * schur(lam, satake)
 
 
 def _spherical_value_laurent(satake: Sequence[Scalar], weight: Sequence[int]) -> Scalar:
@@ -82,7 +94,8 @@ def essential_value(rep: GenericRep, weight: Sequence[int], *,
     spherical value of the unramified part at the first r coordinates, times
     u^(-(n-r) * sum), supported where the remaining coordinates vanish and
     the r-th is nonnegative.  For r = 0 the function is the indicator of the
-    zero weight.
+    zero weight.  The weight may also be a Partition of at most n-1 parts,
+    standing for its parts padded with zeros.
 
     enforce_integrality=False is a test-only hook that drops the
     nonnegativity condition on coordinate r (the 1_O(a_r) factor); the
@@ -91,26 +104,39 @@ def essential_value(rep: GenericRep, weight: Sequence[int], *,
     n = rep.n
     if n < 2:
         raise BadRank("essential values need a representation of GL(n), n >= 2")
-    weight = tuple(int(x) for x in weight)
-    if len(weight) != n - 1:
-        raise BadRank(f"weight has length {len(weight)}, expected {n - 1}")
+    if isinstance(weight, Partition):
+        if weight.length > n - 1:
+            raise BadRank(f"weight {weight} has more than {n - 1} parts")
+        lam = weight
+    else:
+        weight = tuple(int(x) for x in weight)
+        if len(weight) != n - 1:
+            raise BadRank(f"weight has length {len(weight)}, expected {n - 1}")
+        if not _weakly_decreasing(weight) or (weight and weight[-1] < 0):
+            return _essential_off_partitions(rep, weight, enforce_integrality)
+        lam = Partition(weight)
     r, params = compute_piu(rep)
     if r == n:
-        return spherical_value(params, weight + (0,))
+        return spherical_value(params, lam)
     if r == 0:
-        return Scalar.of(1) if not any(weight) else Scalar.of(0)
-    if any(weight[i] for i in range(r, n - 1)):
+        return Scalar.of(0) if lam.parts else Scalar.of(1)
+    if lam.length > r:
+        return Scalar.of(0)
+    return spherical_value(params, lam) * u_power(-(n - r) * lam.size)
+
+
+def _essential_off_partitions(rep: GenericRep, weight: tuple,
+                              enforce_integrality: bool) -> Scalar:
+    # essential_value at a weight that is not a partition: 0, unless the
+    # integrality hook is on and coordinate r is the only obstruction
+    n = rep.n
+    r, params = compute_piu(rep)
+    if enforce_integrality or not 1 <= r <= n - 1 or any(weight[r:]):
         return Scalar.of(0)
     head = weight[:r]
     if not _weakly_decreasing(head):
         return Scalar.of(0)
-    if head[-1] < 0:
-        if enforce_integrality:
-            return Scalar.of(0)
-        w0 = _spherical_value_laurent(params, head)
-    else:
-        w0 = spherical_value(params, head)
-    return w0 * u_power(-(n - r) * sum(head))
+    return _spherical_value_laurent(params, head) * u_power(-(n - r) * sum(head))
 
 
 def beta_to_diag(z_exponents: Sequence[int]) -> Tuple[int, ...]:

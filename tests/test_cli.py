@@ -78,6 +78,19 @@ def test_bad_flag_value_exit_two(capsys):
     assert main(["schur", "--partition", "1,2", "--vars", "2"]) == 2
 
 
+def test_zero_denominator_exit_two(tmp_path, capsys):
+    rep = _write(tmp_path, "zero.json", {"q": "3", "segments": [
+        {"kind": "unramified", "satake": "1/0", "length": 1}]})
+    steinberg = _write(tmp_path, "rep.json", STEINBERG)
+    for argv in (["spherical", "--satake", "1/0", "--weight", "1"],
+                 ["verify", "--rep", steinberg, "--satake-prime", "1/0"],
+                 ["verify", "--rep", rep, "--satake-prime", "w1"]):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert "zero denominator" in captured.err
+        assert captured.out == ""
+
+
 def test_schur_output(capsys):
     assert main(["schur", "--partition", "2,1", "--vars", "2"]) == 0
     assert capsys.readouterr().out.strip() == "x1^2*x2 + x1*x2^2"

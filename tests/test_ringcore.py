@@ -13,6 +13,7 @@ from whittaker.errors import (
     UnboundVariable,
     Unsupported,
 )
+from whittaker.packing import _WIDTH, _pack, _unpack
 from whittaker.ringcore import (
     EulerFactor,
     Scalar,
@@ -354,15 +355,17 @@ def test_coefficients_are_canonical(a, b, unit, k, f, g):
 
 
 def test_canonical_coefficient_regressions():
-    assert Scalar.of(1).terms == {(): 1} and type(Scalar.of(1).terms[()]) is int
+    assert dict(Scalar.of(1).iter_terms()) == {(): 1}
+    assert type(dict(Scalar.of(1).iter_terms())[()]) is int
     inverse = (2 * x1).inverse()
-    (coeff,) = inverse.terms.values()
+    ((mono, coeff),) = inverse.iter_terms()
+    assert mono == (("x1", -1),)
     assert type(coeff) is Fraction and coeff == Fraction(1, 2)
     assert type(Scalar.of(3).as_fraction()) is Fraction
     assert type(Scalar.of(0).as_fraction()) is Fraction
-    assert type((Scalar.rational(1, 2) * 2).terms[()]) is int
+    assert type(dict((Scalar.rational(1, 2) * 2).iter_terms())[()]) is int
     thirds = x1 * Scalar.rational(2, 3) + x1 * Scalar.rational(1, 3)
-    assert type(thirds.terms[(("x1", 1),)]) is int
+    assert type(dict(thirds.iter_terms())[(("x1", 1),)]) is int
 
 
 # --- substitute against a naive Fraction oracle ------------------------------
@@ -371,7 +374,7 @@ def _substitute_oracle(value: Scalar, bindings):
     # None when some variable is unbound, "pole" for a pole, else the value
     total = Fraction(0)
     pole = False
-    for mono, c in value.terms.items():
+    for mono, c in value.iter_terms():
         term = Fraction(c)
         for v, e in mono:
             if v not in bindings:
@@ -424,3 +427,128 @@ def test_series_store_exactly_order_plus_one_coefficients():
         TruncatedSeries(2, [1, 2])
     series = TruncatedSeries(2, [1, 2, 3])
     assert len(series.coeffs) == 3
+
+
+# --- packed monomials ---------------------------------------------------------
+
+_LIMIT = 2 ** (_WIDTH - 1)
+_letters = ("a1", "u", "x1", "x2", "y1")
+# small exponents, and exponents at and around the field limit
+_exponents = st.one_of(st.integers(-3, 3), st.integers(-_LIMIT - 2, -_LIMIT + 2),
+                       st.integers(_LIMIT - 2, _LIMIT + 2))
+
+
+@st.composite
+def packed_polys(draw, names=_letters, exponents=_exponents, max_terms=3):
+    p = Scalar.of(draw(st.integers(-2, 2)))
+    for _ in range(draw(st.integers(0, max_terms))):
+        exps = {v: draw(exponents) for v in draw(st.sets(st.sampled_from(names), max_size=3))}
+        p = p + Scalar.monomial(exps, draw(st.one_of(st.integers(-3, 3), _small_fractions)))
+    return p
+
+
+def _expected_terms(value):
+    # {frozenset of (name, exponent): coefficient}, read through the decoder
+    return {frozenset(mono): c for mono, c in value.iter_terms()}
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.integers(-2 ** 40, 2 ** 40), max_size=5), st.sampled_from((16, 32, 64)))
+def test_pack_unpack_round_trip(exps, width):
+    assume(all(abs(e) < 2 ** (width - 1) for e in exps))
+    assert _unpack(_pack(exps, width), len(exps), width) == exps
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.dictionaries(st.sampled_from(_letters), _exponents, max_size=4),
+       st.one_of(st.integers(-3, 3).filter(bool), _small_fractions))
+def test_monomial_decodes_to_its_exponents(exps, coeff):
+    value = Scalar.monomial(exps, coeff)
+    mono = tuple(sorted(((v, e) for v, e in exps.items() if e),
+                        key=lambda p: (p[0] != "u", p[0])))
+    assert list(value.iter_terms()) == [(mono, coeff)]
+    assert value.variables() == tuple(v for v, _ in mono)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(-_LIMIT - 3, _LIMIT + 3), st.integers(-_LIMIT - 3, _LIMIT + 3),
+       st.integers(-3, 3))
+@example(_LIMIT - 1, 1, 0)
+@example(-_LIMIT + 1, -1, 0)
+@example(_LIMIT - 1, _LIMIT - 1, 1)
+def test_products_at_the_field_limit_never_wrap(a, b, c):
+    # a field that reaches 2^(W-1) in absolute value would overflow into its
+    # neighbour; the product must widen instead, and narrow again when the
+    # exponents shrink back
+    x = Scalar.variable("x1")
+    y = Scalar.variable("y1")
+    p = x ** a * y ** c
+    q = x ** b * y
+    product = p * q
+    assert _expected_terms(product) == {
+        frozenset((v, e) for v, e in (("x1", a + b), ("y1", c + 1)) if e): 1}
+    assert product == Scalar.monomial({"x1": a + b, "y1": c + 1})
+    assert product * x ** -(a + b) == y ** (c + 1)
+    assert (product + x) - product == x
+    assert str(product * x ** -(a + b)) == str(y ** (c + 1))
+
+
+def test_huge_exponents_print_exactly():
+    x = Scalar.variable("x1")
+    assert str(x ** (2 ** 40) * x) == f"x1^{2 ** 40 + 1}"
+    assert str((x ** (2 ** 70) + 1) * x ** -(2 ** 70)) == "x1^-1180591620717411303424 + 1"
+    assert x ** (2 ** 40) * x ** -(2 ** 40) == 1
+
+
+@settings(max_examples=80, deadline=None)
+@given(packed_polys(), packed_polys(), units())
+def test_equal_values_over_different_alphabets(a, b, unit):
+    # the same value reached by different routes has one packed form: equal,
+    # equal hashes, and the alphabet of exactly the variables it contains
+    for left, right in ((a * unit / unit, a), ((a + b) - b, a), (a * b + a, a * (b + 1)),
+                        (a - a, Scalar.of(0))):
+        assert left == right
+        assert hash(left) == hash(right)
+        assert left.variables() == right.variables()
+        used = {v for mono, _ in left.iter_terms() for v, _ in mono}
+        assert set(left.variables()) == used
+
+
+def test_alphabet_is_trimmed():
+    x, y = Scalar.variable("x"), Scalar.variable("y")
+    assert (x * y) * x ** -1 == y
+    assert ((x * y) * x ** -1).variables() == ("y",)
+    assert (x + y - x).variables() == ("y",)
+    assert (x + y - x) == y and hash(x + y - x) == hash(y)
+    assert (u * x * u ** -1).variables() == ("x",)
+    assert (x - x).variables() == () and (u * x / (u * x)).variables() == ()
+
+
+def _old_print_key(mono, varlist):
+    # the print order of tuple monomials: total degree, then higher
+    # exponents on earlier variables first
+    exps = dict(mono)
+    return (sum(exps.values()), tuple(-exps.get(v, 0) for v in varlist))
+
+
+def _old_format(value):
+    def term(c, mono):
+        if not mono:
+            return str(c)
+        ms = "*".join(v if e == 1 else f"{v}^{e}" for v, e in mono)
+        return ms if c == 1 else "-" + ms if c == -1 else f"{c}*{ms}"
+
+    items = sorted(value.iter_terms(), key=lambda mc: _old_print_key(mc[0], value.variables()))
+    if not items:
+        return "0"
+    parts = [term(items[0][1], items[0][0])]
+    for mono, c in items[1:]:
+        parts.append(" - " + term(-c, mono) if c < 0 else " + " + term(c, mono))
+    return "".join(parts)
+
+
+@settings(max_examples=80, deadline=None)
+@given(packed_polys(max_terms=5), packed_polys(exponents=st.integers(-3, 3), max_terms=5))
+def test_print_order_matches_tuple_order(a, b):
+    for value in (a, b, a * b, a + b):
+        assert str(value) == _old_format(value)

@@ -8,7 +8,8 @@ import pytest
 from whittaker.errors import BadRanks, Unsupported
 from whittaker.repdata import UnramifiedLanglandsRep, parse_rep
 from whittaker.ringcore import EulerFactor, Scalar, euler_expand
-from whittaker.rseng import cauchy_check, l_factor, rs_series, theorem_product, verify_essential
+from whittaker.rseng import (cauchy_check, cauchy_term_count, l_factor, rs_series,
+                             theorem_product, verify_essential)
 from whittaker.suite import generate_suite, make_pi_prime
 from whittaker.symfunc import complete_homogeneous
 from whittaker.whitfun import essential_value, spherical_value
@@ -212,3 +213,18 @@ def test_symbolic_verification_coheres_with_numeric_substitution():
                  for v in ("u", "a1", "a2", "w1")}
         for lc, rc in zip(report.lhs_series.coeffs, report.rhs_series.coeffs):
             assert lc.substitute(point) == rc.substitute(point)
+
+
+def test_cauchy_term_count_matches_series():
+    # the count is an oracle for the multiply kernel that shares nothing
+    # with it: a dropped or merged monomial changes the count
+    for n in range(1, 4):
+        xs = [Scalar.variable(f"x{i + 1}") for i in range(n)]
+        for m in range(1, n + 1):
+            ys = [Scalar.variable(f"y{j + 1}") for j in range(m)]
+            report = cauchy_check(n, m, xs, ys, 6)
+            assert report.passed
+            for k, coeff in enumerate(report.lhs_series.coeffs):
+                assert len(coeff.terms) == cauchy_term_count(n, m, k), (n, m, k)
+    assert cauchy_term_count(4, 4, 8) == 27225
+    assert cauchy_term_count(5, 5, 8) == 245025

@@ -47,7 +47,7 @@ def _oracle(term_list):
 
 def _to_sympy(value: Scalar):
     expr = sympy.Integer(0)
-    for mono, coeff in value.terms.items():
+    for mono, coeff in value.iter_terms():
         assert type(coeff) is int or type(coeff) is Fraction and coeff.denominator > 1
         assert coeff != 0
         expr = expr + sympy.Rational(coeff.numerator, coeff.denominator) * sympy.Mul(
