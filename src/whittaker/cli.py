@@ -15,12 +15,14 @@ import os
 import random
 import sys
 from fractions import Fraction
-from typing import Optional, Tuple
+from functools import lru_cache
+from typing import Optional, Sequence, Tuple
 
 from .errors import ConfigError, InvariantViolation, WhittakerError
-from .repdata import GenericRep, UnramifiedLanglandsRep, parse_rep, parse_scalar_atom
-from .ringcore import Scalar
-from .rseng import VerificationReport, cauchy_check, euler_expand, l_factor, verify_essential
+from .repdata import GenericRep, UnramifiedLanglandsRep, compute_piu, parse_rep, parse_scalar_atom
+from .ringcore import EulerFactor, Scalar
+from .rseng import (VerificationReport, _int_lattice_series, cauchy_check, euler_expand,
+                    l_factor, verify_essential)
 from .symfunc import Partition, schur_detailed
 from .whitfun import essential_value, spherical_value
 
@@ -64,39 +66,57 @@ def _resolve_degree(flag_value: Optional[int]) -> int:
     return flag_value
 
 
-def _spot_check(report: VerificationReport, seed: int) -> Optional[str]:
-    """Substitute seeded random nonzero rationals into both series.
+def _spot_check(report: VerificationReport, seed: int, params: Sequence[Scalar], n: int,
+                satake_prime: Sequence[Scalar]) -> Optional[str]:
+    """Recompute a passing symbolic report at a seeded rational point.
 
-    Run only for passing symbolic reports, where substitution must commute
-    with the whole pipeline; disagreement would be an internal bug.  Every
-    coefficient is a Laurent polynomial, which has poles only where a
-    variable is 0, so one sample of nonzero values always evaluates.
+    The report came from the unramified parameters params of a
+    representation of GL(n) and the Satake values of pi'.  Every atom of
+    theirs, and u, is bound to a seeded random nonzero rational; the
+    lattice sum and the Euler expansion are then recomputed from the bound
+    values, in integers, by an arithmetic that shares no Scalar products
+    with the symbolic series, and compared with the symbolic lhs at the
+    same point.  So a fault that corrupts both symbolic series alike shows
+    up as a disagreement, an internal bug.  Every coefficient is a Laurent
+    polynomial, which has poles only where a variable is 0, so one sample
+    of nonzero values always evaluates.
     """
     if not report.passed:
         return None
+    lhs = report.lhs_series
     variables = set()
-    for series in (report.lhs_series, report.rhs_series):
-        for c in series.coeffs:
-            variables.update(c.variables())
+    for c in lhs.coeffs:
+        variables.update(c.variables())
     if not variables:
         return None
+    for v in (*params, *satake_prime):
+        variables.update(v.variables())
+    variables.add("u")
     rng = random.Random(seed)
     bindings = {}
     for v in sorted(variables):
         num = rng.choice([x for x in range(-9, 10) if x])
         den = rng.randint(1, 9)
         bindings[v] = Fraction(num, den)
-    for lc, rc in zip(report.lhs_series.coeffs, report.rhs_series.coeffs):
-        if lc.substitute(bindings) != rc.substitute(bindings):
-            raise InvariantViolation(
-                "numeric substitution disagrees with symbolic comparison")
+
+    def at_point(values):
+        return [c.as_fraction() if c.is_rational() else c.substitute(bindings) for c in values]
+
+    xs, ys = at_point(params), at_point(satake_prime)
+    lattice = _int_lattice_series(tuple(map(Scalar.of, xs)), n, tuple(map(Scalar.of, ys)),
+                                  lhs.order)
+    euler = euler_expand(EulerFactor([x * y for x in xs for y in ys]), lhs.order)
+    expected = at_point(lhs.coeffs)
+    if at_point(lattice.coeffs) != expected or at_point(euler.coeffs) != expected:
+        raise InvariantViolation("numeric recomputation disagrees with the symbolic series")
     return f"numeric spot-check (seed {seed}): pass"
 
 
-def _print_report(report: VerificationReport, seed: int) -> int:
+def _print_report(report: VerificationReport, seed: int, params: Sequence[Scalar], n: int,
+                  satake_prime: Sequence[Scalar]) -> int:
     for line in report.summary_lines():
         print(line)
-    note = _spot_check(report, seed)
+    note = _spot_check(report, seed, params, n, satake_prime)
     if note:
         print(note)
     return 0 if report.passed else 1
@@ -142,7 +162,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     rep = _load_rep(args.rep)
     pi_prime = UnramifiedLanglandsRep(_parse_atom_list(args.satake_prime))
     report = verify_essential(rep, pi_prime, degree, drop_integrality=args.drop_integrality)
-    return _print_report(report, args.seed)
+    return _print_report(report, args.seed, compute_piu(rep)[1], rep.n, pi_prime.satake)
 
 
 def _cmd_cauchy(args: argparse.Namespace) -> int:
@@ -152,7 +172,7 @@ def _cmd_cauchy(args: argparse.Namespace) -> int:
     xs = [Scalar.variable(f"x{i + 1}") for i in range(args.n)]
     ys = [Scalar.variable(f"y{j + 1}") for j in range(args.m)]
     report = cauchy_check(args.n, args.m, xs, ys, degree)
-    return _print_report(report, args.seed)
+    return _print_report(report, args.seed, xs, args.n, ys)
 
 
 def _cmd_derivatives(args: argparse.Namespace) -> int:
@@ -234,10 +254,15 @@ _HANDLERS = {
 }
 
 
+@lru_cache(maxsize=1)
+def _parser() -> argparse.ArgumentParser:
+    # parsing leaves the parser unchanged, so every call can share one
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
     try:

@@ -510,20 +510,38 @@ def euler_expand(factor: EulerFactor, order: int) -> TruncatedSeries:
     """Expand the Euler factor as a power series in t through the given order.
 
     The coefficient of t^k is the complete homogeneous polynomial h_k of the
-    roots (with multiplicity); the constant term is 1.
+    roots (with multiplicity); the constant term is 1.  When every root is
+    rational, h_k is computed in ints at the roots scaled by L, the lcm of
+    their denominators, and h_k(c) = h_k(L*c) / L^k.
     """
     if order < 0:
         raise ValueError("expansion order must be nonnegative")
-    return TruncatedSeries(order, _h_convolution(factor.roots, order))
+    roots = factor.roots
+    if not all(c.is_rational() for c in roots):
+        return TruncatedSeries(order, _h_convolution(roots, order))
+    scale, scaled = _scaled_ints(roots)
+    return TruncatedSeries(order, [Scalar.rational(h, scale ** k) for k, h in
+                                   enumerate(_h_convolution(scaled, order, 1))])
 
 
-def _h_convolution(roots, top: int) -> list:
+def _scaled_ints(values) -> tuple:
+    """(L, [L*v for v in values]) for rational Scalars, L the lcm of their denominators.
+
+    Every L*v is an int.
+    """
+    fracs = [v.as_fraction() for v in values]
+    scale = lcm(*(f.denominator for f in fracs))
+    return scale, [f.numerator * (scale // f.denominator) for f in fracs]
+
+
+def _h_convolution(roots, top: int, one=_ONE) -> list:
     """[h_0, ..., h_top] of the roots (with multiplicity), by geometric convolution.
 
     Multiplying in one factor 1/(1 - x t) at a time: after each root, the
-    coefficient of t^k gains x times the coefficient of t^(k-1).
+    coefficient of t^k gains x times the coefficient of t^(k-1).  The roots
+    and one are Scalars, or ints with one = 1.
     """
-    coeffs = [_ONE] + [_ZERO] * top
+    coeffs = [one] + [one - one] * top
     for x in roots:
         for k in range(1, top + 1):
             coeffs[k] = coeffs[k] + x * coeffs[k - 1]

@@ -6,11 +6,17 @@ The torus measure is normalized so each lattice point contributes once
 (vol(A_m(O)) = 1); this is the normalization under which the unramified
 pairing identities hold with the standard spherical formula, and it is
 pinned by cauchy_check.
+
+When the left parameters and the Satake values of pi' are all rational,
+the lattice sum runs in Python ints on the raw values of the two Schur
+branching tables, and one Scalar is built per coefficient; otherwise each
+lattice point is a product of Scalar Whittaker values from whitfun.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from fractions import Fraction
 from math import comb
 from typing import Iterator, Optional, Sequence, Tuple, Union
 
@@ -18,8 +24,9 @@ from .errors import BadRanks, InvariantViolation, Unsupported
 from .repdata import GenericRep, UnramifiedLanglandsRep, compute_piu
 from .ringcore import (_ZERO, EulerFactor, Scalar, TruncatedSeries, euler_expand, series_equal,
                        u_power)
-from .symfunc import partitions_up_to
-from .whitfun import _spherical_value_laurent, essential_value, spherical_value
+from .symfunc import _schur_table, partitions_of, partitions_up_to
+from .whitfun import (_delta_half_exponent, _essential_twist, _spherical_value_laurent,
+                      essential_value, spherical_value)
 
 LeftInput = Union[GenericRep, UnramifiedLanglandsRep]
 
@@ -124,6 +131,10 @@ def rs_series(left: LeftInput, pi_prime: UnramifiedLanglandsRep, order: int, *,
     UnramifiedLanglandsRep of rank n >= m (spherical side; the equal-rank
     branch restricts to partitions through the lattice indicator).
 
+    When the left parameters and the Satake values of pi' are all rational
+    the sum is taken in ints (_int_lattice_series); otherwise, or with
+    drop_integrality, each term is a product of whitfun values.
+
     drop_integrality (test hook) removes the 1_O(a_r) factor from the
     essential function; the index set then grows to dominant weights with
     entries down to -_NEGATIVE_DEPTH, exposing the divergence the indicator
@@ -136,22 +147,23 @@ def rs_series(left: LeftInput, pi_prime: UnramifiedLanglandsRep, order: int, *,
         if m > n:
             raise BadRanks(f"pi' rank {m} exceeds n = {n}")
         r, params = compute_piu(left)
-        if m == n:
-            if r != n:
-                raise Unsupported(
-                    "equal-rank integrals need an unramified left argument")
-            left_value = _spherical_left(params, n, drop_integrality)
-        else:
-            left_value = _essential_left(left, n, drop_integrality)
+        if m == n and r != n:
+            raise Unsupported("equal-rank integrals need an unramified left argument")
     elif isinstance(left, UnramifiedLanglandsRep):
         n = left.rank
         if m > n:
             raise BadRanks(f"pi' rank {m} exceeds n = {n}")
         if drop_integrality:
             raise Unsupported("the integrality hook applies to the essential-function side")
-        left_value = _spherical_left(left.satake, n, False)
+        params = left.satake
     else:
         raise TypeError(f"unsupported left argument {type(left).__name__}")
+    if not drop_integrality and all(v.is_rational() for v in (*params, *satake_prime)):
+        return _int_lattice_series(params, n, satake_prime, order)
+    if isinstance(left, GenericRep) and m < n:
+        left_value = _essential_left(left, n, drop_integrality)
+    else:
+        left_value = _spherical_left(params, n, drop_integrality)
 
     # each index is passed to the value functions as a Partition, or as a
     # weight tuple when the indicator is dropped
@@ -177,10 +189,52 @@ def rs_series(left: LeftInput, pi_prime: UnramifiedLanglandsRep, order: int, *,
         if wprime.is_zero():
             continue
         k = sum(w)
-        # delta^(-1) * nu^(-(n-m)/2) on the torus point: delta^(-1) is
-        # u^(2 * sum_i w_i (m - 1 - 2i)) and the twist is u^((n - m) * k)
-        mod = u_power(sum(x * (n + m - 2 - 4 * i) for i, x in enumerate(w)))
-        coeffs[k] = coeffs[k] + term * wprime * mod
+        coeffs[k] = coeffs[k] + term * wprime * u_power(_modulus_exponent(w, n, m))
+    return TruncatedSeries(order, coeffs)
+
+
+def _modulus_exponent(weight: Sequence[int], n: int, m: int) -> int:
+    # delta^(-1) * nu^(-(n-m)/2) on the torus point: delta^(-1) is
+    # u^(2 * sum_i w_i (m - 1 - 2i)) and the twist is u^((n - m) * k);
+    # trailing zeros of weight may be left out
+    return sum(x * (n + m - 2 - 4 * i) for i, x in enumerate(weight))
+
+
+def _int_lattice_series(params: Sequence[Scalar], n: int, satake: Sequence[Scalar],
+                        order: int) -> TruncatedSeries:
+    """rs_series for rational values, summed in ints.
+
+    params are the r <= n unramified parameters of the left representation
+    of GL(n) (r = n: an unramified one, whose essential function is its
+    spherical function) and satake the m <= n Satake values of pi'; all are
+    rational.  The left value at lam is the spherical value of params
+    times a power of u, with the support and the twist of
+    whitfun._essential_twist.  Both Schur tables run in ints, at D*params
+    and E*satake, so the t^k coefficient is (DE)^(-k) times the sum, over
+    partitions lam of k with at most m parts, of the two tables' ints times
+    u^e(lam); e(lam) adds the exponents of both delta_half factors, the
+    twist and the modulus.  One Scalar is built per coefficient.
+    """
+    r, m = len(params), len(satake)
+    scale_x, s_x = _schur_table(tuple(params)).integral()
+    scale_y, s_y = _schur_table(tuple(satake)).integral()
+    coeffs = []
+    for k in range(order + 1):
+        sums = {}                               # u exponent -> int
+        for parts in partitions_of(k, m):
+            twist = _essential_twist(n, r, parts)
+            if twist is None:
+                continue
+            value = s_x(parts) * s_y(parts)
+            if value:
+                e = (_delta_half_exponent(parts, r) + twist
+                     + _delta_half_exponent(parts, m) + _modulus_exponent(parts, n, m))
+                sums[e] = sums.get(e, 0) + value
+        den = (scale_x * scale_y) ** k
+        coeff = _ZERO
+        for e, c in sorted(sums.items()):
+            coeff = coeff + Scalar.monomial({"u": e}, Fraction(c, den))
+        coeffs.append(coeff)
     return TruncatedSeries(order, coeffs)
 
 

@@ -14,11 +14,10 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from math import lcm
 from typing import Iterable, Iterator, Sequence
 
 from .errors import UnsupportedWeight
-from .ringcore import _ONE, _ZERO, Scalar, _exact_div, _h_convolution
+from .ringcore import _ONE, _ZERO, Scalar, _exact_div, _h_convolution, _scaled_ints
 
 ALGORITHMS = ("branching", "jacobi-trudi", "bialternant")
 
@@ -34,6 +33,10 @@ SCHUR_CACHE_SIZE = 2048
 # representation share its table; a symbolic table at degree 8 in four
 # variables holds 129 polynomials of 3304 terms in all.
 SCHUR_TABLE_CACHE_SIZE = 64
+
+# Partition lists kept, one per (size, maximal number of parts): every check
+# to degree d against a pi' of rank m reads the d + 1 lists of (k, m), k <= d.
+PARTITION_CACHE_SIZE = 256
 
 
 @dataclass(frozen=True)
@@ -92,11 +95,17 @@ def partitions_up_to(size_bound: int, max_parts: int):
     """
     if size_bound < 0 or max_parts < 0:
         raise ValueError("bounds must be nonnegative")
-    out = []
-    for k in range(size_bound + 1):
-        for parts in _exact_partitions(k, max_parts, k):
-            out.append(Partition(parts))
-    return out
+    return [Partition(parts) for k in range(size_bound + 1)
+            for parts in partitions_of(k, max_parts)]
+
+
+@lru_cache(maxsize=PARTITION_CACHE_SIZE)
+def partitions_of(size: int, max_parts: int) -> tuple:
+    """The parts tuples of the partitions of size with at most max_parts parts.
+
+    Reverse-lexicographic order, as in partitions_up_to.
+    """
+    return tuple(_exact_partitions(size, max_parts, size))
 
 
 @lru_cache(maxsize=SCHUR_CACHE_SIZE)
@@ -209,19 +218,18 @@ class _SchurTable:
     and Hall Polynomials, I.(5.11)); every s_mu is memoised per prefix
     length.  When every value is rational the table is filled in ints at
     the point y = D*x, D the lcm of the denominators, and homogeneity gives
-    s_lam(x) = s_lam(y) / D^|lam|.  Otherwise the same code runs on Scalars.
-    Values are deterministic, so threads that fill one entry concurrently
-    store equal values.
+    s_lam(x) = s_lam(y) / D^|lam|; integral() hands out D and those ints,
+    so a caller can keep a whole sum of Schur values in ints and divide
+    once.  Otherwise the same code runs on Scalars.  Values are
+    deterministic, so threads that fill one entry concurrently store equal
+    values.
     """
 
     __slots__ = ("_xs", "_scale", "_memo", "_powers", "_values")
 
     def __init__(self, vars_key: tuple):
         if all(v.is_rational() for v in vars_key):
-            fracs = [v.as_fraction() for v in vars_key]
-            scale = lcm(*(f.denominator for f in fracs))
-            self._xs = [f.numerator * (scale // f.denominator) for f in fracs]
-            self._scale = scale
+            self._scale, self._xs = _scaled_ints(vars_key)
             one = 1
         else:
             self._xs = vars_key
@@ -236,11 +244,22 @@ class _SchurTable:
         """s_parts(x_1..x_n); parts has at most n entries, no trailing zeros."""
         out = self._values.get(parts)
         if out is None:
-            out = self._branch(parts + (0,) * (len(self._xs) - len(parts)))
+            out = self._raw(parts)
             if self._scale is not None:
                 out = Scalar.rational(out, self._scale ** sum(parts))
             self._values[parts] = out
         return out
+
+    def integral(self):
+        """(D, s) for a table of rationals: s(parts) = s_parts(D*x_1..D*x_n), an int.
+
+        D is the lcm of the denominators and parts has at most n entries,
+        no trailing zeros.
+        """
+        return self._scale, self._raw
+
+    def _raw(self, parts: tuple):
+        return self._branch(parts + (0,) * (len(self._xs) - len(parts)))
 
     def _branch(self, lam: tuple):
         memo = self._memo

@@ -7,7 +7,7 @@ makes these values sufficient for every integral in scope.
 
 from __future__ import annotations
 
-from typing import Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 from .errors import BadRank, UnsupportedWeight
 from .repdata import GenericRep, compute_piu
@@ -116,13 +116,25 @@ def essential_value(rep: GenericRep, weight: Sequence[int], *,
             return _essential_off_partitions(rep, weight, enforce_integrality)
         lam = Partition(weight)
     r, params = compute_piu(rep)
-    if r == n:
-        return spherical_value(params, lam)
-    if r == 0:
-        return Scalar.of(0) if lam.parts else Scalar.of(1)
-    if lam.length > r:
+    twist = _essential_twist(n, r, lam.parts)
+    if twist is None:
         return Scalar.of(0)
-    return spherical_value(params, lam) * u_power(-(n - r) * lam.size)
+    value = spherical_value(params, lam)
+    return value * u_power(twist) if twist else value
+
+
+def _essential_twist(n: int, r: int, parts: tuple) -> Optional[int]:
+    """Exponent e with W_ess(lam) = u^e * W_0(lam), or None where W_ess(lam) = 0.
+
+    W_ess is the essential function of a representation of GL(n) whose
+    unramified part has rank r, W_0 the spherical function of that part,
+    and lam the partition with the given parts.  W_ess is supported on
+    partitions of at most r parts (for r = 0, the empty one) and carries
+    the twist u^(-(n-r)|lam|); r = n gives W_0 itself.
+    """
+    if len(parts) > r:
+        return None
+    return -(n - r) * sum(parts)
 
 
 def _essential_off_partitions(rep: GenericRep, weight: tuple,

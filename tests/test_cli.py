@@ -1,8 +1,14 @@
 """Command-line surface: dispatch, output streams, exit codes, stability."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 from whittaker.cli import main
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 STEINBERG = {"q": "3", "segments": [
     {"kind": "unramified", "satake": "1/2", "length": 2}]}
@@ -11,6 +17,9 @@ ALL_RAMIFIED = {"q": "3", "segments": [
 RANK2 = {"q": "3", "segments": [
     {"kind": "unramified", "satake": "2", "length": 2},
     {"kind": "unramified", "satake": "5", "length": 1}]}
+SYMBOLIC = {"q": "symbolic", "segments": [
+    {"kind": "unramified", "satake": "a1", "length": 2},
+    {"kind": "ramified", "id": "rho1", "degree": 2, "length": 1}]}
 LINKED = {"q": "3", "segments": [
     {"kind": "unramified", "satake": "1", "length": 1},
     {"kind": "unramified", "satake": "3", "length": 1}]}
@@ -171,3 +180,52 @@ def test_internal_invariant_violation_exit_three(tmp_path, capsys, monkeypatch):
                         lambda *_: EulerFactor([Scalar.of(99)]))
     assert main(["verify", "--rep", rep, "--satake-prime", "w1"]) == 3
     assert "invariant" in capsys.readouterr().err
+
+
+def test_spot_check_catches_a_fault_shared_by_both_series(tmp_path, capsys, monkeypatch):
+    # one coefficient corrupted alike in both series, as a fault in the
+    # shared Scalar arithmetic would: the report still passes, and only a
+    # recomputation by other arithmetic can tell
+    import whittaker.cli as cli
+    from whittaker.ringcore import TruncatedSeries
+    from whittaker.rseng import VerificationReport
+
+    def corrupted(report):
+        coeffs = list(report.lhs_series.coeffs)
+        coeffs[2] = coeffs[2] + 1
+        series = TruncatedSeries(report.lhs_series.order, coeffs)
+        return VerificationReport(True, report.degree_checked, None, series, series,
+                                  report.metadata)
+
+    verify, cauchy = cli.verify_essential, cli.cauchy_check
+    rep = _write(tmp_path, "rep.json", SYMBOLIC)
+    argvs = (["verify", "--rep", rep, "--satake-prime", "b1,b2", "--degree", "4"],
+             ["cauchy", "--n", "2", "--m", "2", "--degree", "4"])
+    for argv in argvs:
+        assert main(argv) == 0
+        assert "numeric spot-check (seed 0): pass" in capsys.readouterr().out
+    monkeypatch.setattr(cli, "verify_essential", lambda *a, **k: corrupted(verify(*a, **k)))
+    monkeypatch.setattr(cli, "cauchy_check", lambda *a: corrupted(cauchy(*a)))
+    for argv in argvs:
+        assert main(argv) == 3
+        captured = capsys.readouterr()
+        assert "result: pass" in captured.out
+        assert "spot-check" not in captured.out
+        assert "invariant" in captured.err
+
+
+def test_one_parser_serves_every_call_like_a_fresh_process(tmp_path, capsys, monkeypatch):
+    # an invalid argv, then a valid one, then another subcommand, in this
+    # process against one fresh process each
+    monkeypatch.setenv("COLUMNS", "80")
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    rep = _write(tmp_path, "rep.json", STEINBERG)
+    for argv in (["verify", "--rep", rep, "--degree", "three"],
+                 ["verify", "--rep", rep, "--satake-prime", "w1", "--degree", "3"],
+                 ["schur", "--partition", "2,1", "--vars", "2"]):
+        code = main(argv)
+        captured = capsys.readouterr()
+        fresh = subprocess.run([sys.executable, "-m", "whittaker.cli", *argv], env=env,
+                               capture_output=True, text=True, timeout=60)
+        assert (code, captured.out, captured.err) == (fresh.returncode, fresh.stdout,
+                                                      fresh.stderr)

@@ -4,12 +4,15 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import whittaker.rseng as rseng
 from whittaker.errors import BadRanks, Unsupported
 from whittaker.repdata import UnramifiedLanglandsRep, parse_rep
-from whittaker.ringcore import EulerFactor, Scalar, euler_expand
-from whittaker.rseng import (cauchy_check, cauchy_term_count, l_factor, rs_series,
-                             theorem_product, verify_essential)
+from whittaker.ringcore import EulerFactor, Scalar, _h_convolution, euler_expand
+from whittaker.rseng import (_int_lattice_series, cauchy_check, cauchy_term_count, l_factor,
+                             rs_series, theorem_product, verify_essential)
 from whittaker.suite import generate_suite, make_pi_prime
 from whittaker.symfunc import complete_homogeneous
 from whittaker.whitfun import essential_value, spherical_value
@@ -228,3 +231,104 @@ def test_cauchy_term_count_matches_series():
                 assert len(coeff.terms) == cauchy_term_count(n, m, k), (n, m, k)
     assert cauchy_term_count(4, 4, 8) == 27225
     assert cauchy_term_count(5, 5, 8) == 245025
+
+
+# --- the integer path for rational values ---------------------------------------------
+
+# Satake values and parameters: negatives, non-integral fractions, and a
+# small pool so that values repeat
+VALUES = st.one_of(
+    st.sampled_from([-2, -1, 1, 3, Fraction(1, 2), Fraction(-2, 3), Fraction(5, 4)]),
+    st.fractions(min_value=-4, max_value=4, max_denominator=5).filter(bool))
+# u away from 0 and +-1, so a stray power of u changes the value
+U_VALUES = st.sampled_from([2, -3, Fraction(1, 2), Fraction(-3, 2)])
+
+
+def _canonical(coeffs):
+    # an int when integral, never Fraction(k, 1)
+    return all(not (isinstance(c, Fraction) and c.denominator == 1)
+               for coeff in coeffs for c in coeff.terms.values())
+
+
+def _symbolic_left(case, n, r):
+    """The left argument over atoms a1..ar, with the same Schur rank r."""
+    if case == "langlands":
+        return UnramifiedLanglandsRep(tuple(Scalar.variable(f"a{i + 1}") for i in range(n)))
+    segments = [{"kind": "unramified", "satake": f"a{i + 1}", "length": 1} for i in range(r)]
+    if r < n:
+        segments.append({"kind": "ramified", "id": "rho1", "degree": n - r, "length": 1})
+    return parse_rep({"q": "symbolic", "segments": segments})
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_integer_lattice_sum_matches_symbolic_series_at_a_point(data):
+    # the essential side with r = 0, with 1 <= r < n and with m = n = r, and
+    # an UnramifiedLanglandsRep left side; the symbolic series takes the
+    # Scalar path, the rational values the integer one
+    case = data.draw(st.sampled_from(["r=0", "r<n", "m=n=r", "langlands"]))
+    n = data.draw(st.integers(2, 4))
+    if case == "r=0":
+        r, m = 0, data.draw(st.integers(1, n - 1))
+    elif case == "r<n":
+        r, m = data.draw(st.integers(1, n - 1)), data.draw(st.integers(1, n - 1))
+    elif case == "m=n=r":
+        r = m = n
+    else:
+        r, m = n, data.draw(st.integers(1, n))
+    order = data.draw(st.integers(0, 5))
+    xs = [data.draw(VALUES) for _ in range(r)]
+    ys = [data.draw(VALUES) for _ in range(m)]
+    u = data.draw(U_VALUES)
+    point = {"u": u, **{f"a{i + 1}": x for i, x in enumerate(xs)},
+             **{f"b{j + 1}": y for j, y in enumerate(ys)}}
+    pi_prime = UnramifiedLanglandsRep(tuple(Scalar.variable(f"b{j + 1}") for j in range(m)))
+    symbolic = rs_series(_symbolic_left(case, n, r), pi_prime, order)
+    numeric = _int_lattice_series(tuple(map(Scalar.of, xs)), n, tuple(map(Scalar.of, ys)), order)
+    assert [c.substitute(point) for c in numeric.coeffs] == \
+        [c.substitute(point) for c in symbolic.coeffs]
+    assert _canonical(numeric.coeffs)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(VALUES, max_size=6), st.integers(0, 6))
+def test_integer_euler_expand_matches_scalar_convolution(roots, order):
+    roots = [Scalar.of(v) for v in roots]
+    series = euler_expand(EulerFactor(roots), order)
+    assert list(series.coeffs) == _h_convolution(roots, order)
+    assert _canonical(series.coeffs)
+
+
+def test_rational_tuples_take_the_integer_path(monkeypatch):
+    calls = {"seam": 0, "spherical": 0}
+    seam, spherical = rseng._int_lattice_series, rseng.spherical_value
+
+    def counted_seam(*args):
+        calls["seam"] += 1
+        return seam(*args)
+
+    def counted_spherical(*args):
+        calls["spherical"] += 1
+        return spherical(*args)
+
+    monkeypatch.setattr(rseng, "_int_lattice_series", counted_seam)
+    monkeypatch.setattr(rseng, "spherical_value", counted_spherical)
+
+    def path(left, satake, **kwargs):
+        calls.update(seam=0, spherical=0)
+        rs_series(left, UnramifiedLanglandsRep(satake), 4, **kwargs)
+        assert calls["seam"] in (0, 1)
+        return "integer" if calls["seam"] else "scalar" if calls["spherical"] else None
+
+    rational = (Scalar.of(7), Scalar.rational(1, 11))
+    mixed = (Scalar.of(7), W)
+    unramified = parse_rep({"q": "3", "segments": [
+        {"kind": "unramified", "satake": "2", "length": 1},
+        {"kind": "unramified", "satake": "-1/5", "length": 1}]})
+    assert path(RANK2_UNRAM, rational) == "integer"
+    assert path(unramified, rational) == "integer"
+    assert path(UnramifiedLanglandsRep(rational), rational[:1]) == "integer"
+    assert path(RANK2_UNRAM, (W, Scalar.variable("w2"))) == "scalar"
+    assert path(RANK2_UNRAM, mixed) == "scalar"
+    assert path(UnramifiedLanglandsRep(mixed), rational) == "scalar"
+    assert path(RANK2_UNRAM, rational, drop_integrality=True) == "scalar"
