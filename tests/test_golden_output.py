@@ -34,6 +34,10 @@ REPS = {
     "symbolic.json": {"q": "symbolic", "segments": [
         {"kind": "unramified", "satake": "a1", "length": 2},
         {"kind": "ramified", "id": "rho1", "degree": 2, "length": 1}]},
+    "twotops.json": {"q": "symbolic", "segments": [
+        {"kind": "unramified", "satake": "a1", "length": 1},
+        {"kind": "unramified", "satake": "a2", "length": 1},
+        {"kind": "ramified", "id": "rho1", "degree": 1, "length": 1}]},
 }
 
 INVOCATIONS = [
@@ -50,6 +54,12 @@ INVOCATIONS = [
     ["verify", "--rep", "{symbolic.json}", "--satake-prime", "b1,b2", "--degree", "4",
      "--seed", "5"],
     ["cauchy", "--n", "2", "--m", "2"],
+    ["verify", "--rep", "{rank2.json}", "--satake-prime", "7,1/11", "--degree", "4",
+     "--drop-integrality-indicator"],
+    ["verify", "--rep", "{twotops.json}", "--satake-prime", "b1,b2", "--degree", "4",
+     "--drop-integrality-indicator"],
+    ["verify", "--rep", "{symbolic.json}", "--satake-prime", "b1", "--degree", "4",
+     "--drop-integrality-indicator"],
 ]
 
 
