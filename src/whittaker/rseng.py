@@ -18,15 +18,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb
-from typing import Iterator, Optional, Sequence, Tuple, Union
+from typing import Optional, Sequence, Tuple, Union
 
 from .errors import BadRanks, InvariantViolation, Unsupported
 from .repdata import GenericRep, UnramifiedLanglandsRep, compute_piu
 from .ringcore import (_ZERO, EulerFactor, Scalar, TruncatedSeries, euler_expand, series_equal,
                        u_power)
 from .symfunc import _schur_table, partitions_of, partitions_up_to
-from .whitfun import (_delta_half_exponent, _essential_twist, _spherical_value_laurent,
-                      essential_value, spherical_value)
+from .whitfun import _delta_half_exponent, _essential_twist, essential_value, spherical_value
 
 LeftInput = Union[GenericRep, UnramifiedLanglandsRep]
 
@@ -97,25 +96,6 @@ def theorem_product(rep: GenericRep, satake_prime: Sequence[Scalar]) -> EulerFac
     return EulerFactor(roots)
 
 
-def _dominant_weights(total: int, parts: int, floor: int) -> Iterator[tuple]:
-    """Weakly decreasing integer tuples of fixed length, entries >= floor."""
-    hi_start = total + (parts - 1) * max(-floor, 0) if parts else 0
-
-    def gen(remaining, slots, hi):
-        if slots == 0:
-            if remaining == 0:
-                yield ()
-            return
-        lo = max(floor, remaining - (slots - 1) * hi) if slots > 1 else remaining
-        if lo < floor:
-            lo = floor
-        for first in range(min(hi, remaining - (slots - 1) * floor), lo - 1, -1):
-            for rest in gen(remaining - first, slots - 1, first):
-                yield (first,) + rest
-
-    yield from gen(total, parts, hi_start)
-
-
 def rs_series(left: LeftInput, pi_prime: UnramifiedLanglandsRep, order: int, *,
               drop_integrality: bool = False) -> TruncatedSeries:
     """Truncated expansion of the Rankin-Selberg integral in t = q^(-s).
@@ -132,13 +112,20 @@ def rs_series(left: LeftInput, pi_prime: UnramifiedLanglandsRep, order: int, *,
     branch restricts to partitions through the lattice indicator).
 
     When the left parameters and the Satake values of pi' are all rational
-    the sum is taken in ints (_int_lattice_series); otherwise, or with
-    drop_integrality, each term is a product of whitfun values.
+    the sum is taken in ints (_int_lattice_series); otherwise each term is
+    a product of whitfun values.
 
     drop_integrality (test hook) removes the 1_O(a_r) factor from the
-    essential function; the index set then grows to dominant weights with
-    entries down to -_NEGATIVE_DEPTH, exposing the divergence the indicator
-    prevents.
+    essential function, so the index set grows to the dominant weights w
+    of length m with entries >= -D, D = _NEGATIVE_DEPTH.  The left factor
+    is 0 at every new weight unless m = r, so for m != r the hook is the
+    ordinary series.  For m = r, w = mu - (D^m) for exactly one partition
+    mu of |w| + D*m with at most m parts, and in m variables
+    s_w = (x_1...x_m)^(-D) s_mu (the bialternant, Macdonald I.(3.1)); every
+    u-exponent of the term is linear in the weight.  So the t^k
+    coefficient of the hook is the t^(k + D*m) coefficient of the ordinary
+    series times the unit u^(-D e(1^m)) (prod params * prod satake')^(-D),
+    e as in _lattice_exponent.
     """
     m = pi_prime.rank
     satake_prime = pi_prime.satake
@@ -155,42 +142,32 @@ def rs_series(left: LeftInput, pi_prime: UnramifiedLanglandsRep, order: int, *,
             raise BadRanks(f"pi' rank {m} exceeds n = {n}")
         if drop_integrality:
             raise Unsupported("the integrality hook applies to the essential-function side")
-        params = left.satake
+        r, params = n, left.satake
     else:
         raise TypeError(f"unsupported left argument {type(left).__name__}")
-    if not drop_integrality and all(v.is_rational() for v in (*params, *satake_prime)):
-        return _int_lattice_series(params, n, satake_prime, order)
-    if isinstance(left, GenericRep) and m < n:
-        left_value = _essential_left(left, n, drop_integrality)
+    shift = _NEGATIVE_DEPTH * m if drop_integrality and m == r else 0
+    top = order + shift
+    if all(v.is_rational() for v in (*params, *satake_prime)):
+        series = _int_lattice_series(params, n, satake_prime, top)
     else:
-        left_value = _spherical_left(params, n, drop_integrality)
-
-    # each index is passed to the value functions as a Partition, or as a
-    # weight tuple when the indicator is dropped
-    coeffs = [_ZERO] * (order + 1)
-    if drop_integrality:
-        weights = ((w, w) for k in range(order + 1)
-                   for w in _dominant_weights(k, m, -_NEGATIVE_DEPTH))
-
-        def right_value(w):
-            if w and w[-1] < 0:
-                return _spherical_value_laurent(satake_prime, w)
-            return spherical_value(satake_prime, w)
-    else:
-        weights = ((lam, lam.padded(m)) for lam in partitions_up_to(order, m))
-
-        def right_value(lam):
-            return spherical_value(satake_prime, lam)
-    for index, w in weights:
-        term = left_value(index)
-        if term.is_zero():
-            continue
-        wprime = right_value(index)
-        if wprime.is_zero():
-            continue
-        k = sum(w)
-        coeffs[k] = coeffs[k] + term * wprime * u_power(_modulus_exponent(w, n, m))
-    return TruncatedSeries(order, coeffs)
+        essential = isinstance(left, GenericRep) and m < n
+        coeffs = [_ZERO] * (top + 1)
+        for lam in partitions_up_to(top, m):
+            term = essential_value(left, lam) if essential else spherical_value(params, lam)
+            if term.is_zero():
+                continue
+            wprime = spherical_value(satake_prime, lam)
+            if wprime.is_zero():
+                continue
+            k = lam.size
+            coeffs[k] = coeffs[k] + term * wprime * u_power(_modulus_exponent(lam.parts, n, m))
+        series = TruncatedSeries(top, coeffs)
+    if not shift:
+        return series
+    unit = u_power(-_NEGATIVE_DEPTH * _lattice_exponent((1,) * m, n, r, m))
+    for v in (*params, *satake_prime):
+        unit = unit / v ** _NEGATIVE_DEPTH
+    return TruncatedSeries(order, [unit * c for c in series.coeffs[shift:]])
 
 
 def _modulus_exponent(weight: Sequence[int], n: int, m: int) -> int:
@@ -198,6 +175,21 @@ def _modulus_exponent(weight: Sequence[int], n: int, m: int) -> int:
     # u^(2 * sum_i w_i (m - 1 - 2i)) and the twist is u^((n - m) * k);
     # trailing zeros of weight may be left out
     return sum(x * (n + m - 2 - 4 * i) for i, x in enumerate(weight))
+
+
+def _lattice_exponent(parts: tuple, n: int, r: int, m: int) -> Optional[int]:
+    """The u-exponent e(lam) of the lattice term at lam, or None where W_ess(lam) = 0.
+
+    lam is the partition with the given parts, the left representation of
+    GL(n) has unramified rank r and pi' rank m; e adds the exponents of
+    both delta_half factors, the essential twist and the modulus, and is
+    linear in lam where it is defined.
+    """
+    twist = _essential_twist(n, r, parts)
+    if twist is None:
+        return None
+    return (_delta_half_exponent(parts, r) + twist + _delta_half_exponent(parts, m)
+            + _modulus_exponent(parts, n, m))
 
 
 def _int_lattice_series(params: Sequence[Scalar], n: int, satake: Sequence[Scalar],
@@ -212,8 +204,7 @@ def _int_lattice_series(params: Sequence[Scalar], n: int, satake: Sequence[Scala
     whitfun._essential_twist.  Both Schur tables run in ints, at D*params
     and E*satake, so the t^k coefficient is (DE)^(-k) times the sum, over
     partitions lam of k with at most m parts, of the two tables' ints times
-    u^e(lam); e(lam) adds the exponents of both delta_half factors, the
-    twist and the modulus.  One Scalar is built per coefficient.
+    u^e(lam) (_lattice_exponent).  One Scalar is built per coefficient.
     """
     r, m = len(params), len(satake)
     scale_x, s_x = _schur_table(tuple(params)).integral()
@@ -222,13 +213,11 @@ def _int_lattice_series(params: Sequence[Scalar], n: int, satake: Sequence[Scala
     for k in range(order + 1):
         sums = {}                               # u exponent -> int
         for parts in partitions_of(k, m):
-            twist = _essential_twist(n, r, parts)
-            if twist is None:
+            e = _lattice_exponent(parts, n, r, m)
+            if e is None:
                 continue
             value = s_x(parts) * s_y(parts)
             if value:
-                e = (_delta_half_exponent(parts, r) + twist
-                     + _delta_half_exponent(parts, m) + _modulus_exponent(parts, n, m))
                 sums[e] = sums.get(e, 0) + value
         den = (scale_x * scale_y) ** k
         coeff = _ZERO
@@ -238,26 +227,17 @@ def _int_lattice_series(params: Sequence[Scalar], n: int, satake: Sequence[Scala
     return TruncatedSeries(order, coeffs)
 
 
-def _spherical_left(satake: Sequence[Scalar], n: int, drop_integrality: bool):
-    satake = tuple(satake)
-    if not drop_integrality:
-        return lambda lam: spherical_value(satake, lam)
-
-    def value(weight):
-        return spherical_value(satake, weight + (0,) * (n - len(weight)))
-
-    return value
-
-
-def _essential_left(rep: GenericRep, n: int, drop_integrality: bool):
-    if not drop_integrality:
-        return lambda lam: essential_value(rep, lam)
-
-    def value(weight):
-        padded = weight + (0,) * (n - 1 - len(weight))
-        return essential_value(rep, padded, enforce_integrality=False)
-
-    return value
+def _report(lhs: TruncatedSeries, rhs: TruncatedSeries, order: int,
+            metadata: dict) -> VerificationReport:
+    mismatch = series_equal(lhs, rhs, order)
+    return VerificationReport(
+        passed=mismatch is None,
+        degree_checked=order,
+        first_mismatch=None if mismatch is None else (mismatch, lhs.coeffs[mismatch], rhs.coeffs[mismatch]),
+        lhs_series=lhs,
+        rhs_series=rhs,
+        metadata=metadata,
+    )
 
 
 def verify_essential(rep: GenericRep, pi_prime: UnramifiedLanglandsRep,
@@ -279,23 +259,13 @@ def verify_essential(rep: GenericRep, pi_prime: UnramifiedLanglandsRep,
     if factor.degree() != r * m:
         raise InvariantViolation(f"expected {r * m} Euler roots, found {factor.degree()}")
     lhs = rs_series(rep, pi_prime, order, drop_integrality=drop_integrality)
-    rhs = euler_expand(factor, order)
-    mismatch = series_equal(lhs, rhs, order)
-    report = VerificationReport(
-        passed=mismatch is None,
-        degree_checked=order,
-        first_mismatch=None if mismatch is None else (mismatch, lhs.coeffs[mismatch], rhs.coeffs[mismatch]),
-        lhs_series=lhs,
-        rhs_series=rhs,
-        metadata={
-            "n": n,
-            "m": m,
-            "r": r,
-            "q": "symbolic" if rep.q is None else str(rep.q),
-            "roots": "[" + ", ".join(str(c) for c in factor.sorted_roots()) + "]",
-        },
-    )
-    return report
+    return _report(lhs, euler_expand(factor, order), order, {
+        "n": n,
+        "m": m,
+        "r": r,
+        "q": "symbolic" if rep.q is None else str(rep.q),
+        "roots": "[" + ", ".join(str(c) for c in factor.sorted_roots()) + "]",
+    })
 
 
 def cauchy_check(n: int, m: int, params_x: Sequence[Scalar],
@@ -314,15 +284,7 @@ def cauchy_check(n: int, m: int, params_x: Sequence[Scalar],
         raise BadRanks(f"need 1 <= m <= n, got n={n}, m={m}")
     lhs = rs_series(UnramifiedLanglandsRep(params_x), UnramifiedLanglandsRep(params_y), order)
     rhs = euler_expand(EulerFactor(_root_products(params_x, params_y)), order)
-    mismatch = series_equal(lhs, rhs, order)
-    return VerificationReport(
-        passed=mismatch is None,
-        degree_checked=order,
-        first_mismatch=None if mismatch is None else (mismatch, lhs.coeffs[mismatch], rhs.coeffs[mismatch]),
-        lhs_series=lhs,
-        rhs_series=rhs,
-        metadata={"n": n, "m": m, "kind": "unramified-pairing"},
-    )
+    return _report(lhs, rhs, order, {"n": n, "m": m, "kind": "unramified-pairing"})
 
 
 def cauchy_term_count(n: int, m: int, k: int) -> int:

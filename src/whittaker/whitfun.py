@@ -66,27 +66,7 @@ def spherical_value(satake: Sequence[Scalar], weight: Sequence[int]) -> Scalar:
     return u_power(_delta_half_exponent(lam.parts, len(satake))) * schur(lam, satake)
 
 
-def _spherical_value_laurent(satake: Sequence[Scalar], weight: Sequence[int]) -> Scalar:
-    # dominant weights with negative entries, via the shift
-    # s_(l + c, ..., l_m + c) = (prod satake)^c * s_l; used only by the
-    # indicator-removal test hook
-    satake = tuple(Scalar.of(v) for v in satake)
-    weight = tuple(int(x) for x in weight)
-    if not _weakly_decreasing(weight):
-        return Scalar.of(0)
-    shift = -min(weight[-1], 0) if weight else 0
-    shifted = tuple(x + shift for x in weight)
-    value = delta_half(weight, len(weight)) * schur(Partition(shifted), satake)
-    if shift:
-        prod = Scalar.of(1)
-        for v in satake:
-            prod = prod * v
-        value = value / prod ** shift
-    return value
-
-
-def essential_value(rep: GenericRep, weight: Sequence[int], *,
-                    enforce_integrality: bool = True) -> Scalar:
+def essential_value(rep: GenericRep, weight: Sequence[int]) -> Scalar:
     """Essential Whittaker value at diag(a, 1) with a = diag(w^l1, ..., w^l(n-1)).
 
     For an unramified representation (r = n) this is the spherical value on
@@ -94,12 +74,9 @@ def essential_value(rep: GenericRep, weight: Sequence[int], *,
     spherical value of the unramified part at the first r coordinates, times
     u^(-(n-r) * sum), supported where the remaining coordinates vanish and
     the r-th is nonnegative.  For r = 0 the function is the indicator of the
-    zero weight.  The weight may also be a Partition of at most n-1 parts,
-    standing for its parts padded with zeros.
-
-    enforce_integrality=False is a test-only hook that drops the
-    nonnegativity condition on coordinate r (the 1_O(a_r) factor); the
-    resulting "function" no longer matches any Rankin-Selberg L-factor.
+    zero weight.  The value is 0 at every weight that is not a partition.
+    The weight may also be a Partition of at most n-1 parts, standing for
+    its parts padded with zeros.
     """
     n = rep.n
     if n < 2:
@@ -113,7 +90,7 @@ def essential_value(rep: GenericRep, weight: Sequence[int], *,
         if len(weight) != n - 1:
             raise BadRank(f"weight has length {len(weight)}, expected {n - 1}")
         if not _weakly_decreasing(weight) or (weight and weight[-1] < 0):
-            return _essential_off_partitions(rep, weight, enforce_integrality)
+            return Scalar.of(0)
         lam = Partition(weight)
     r, params = compute_piu(rep)
     twist = _essential_twist(n, r, lam.parts)
@@ -135,20 +112,6 @@ def _essential_twist(n: int, r: int, parts: tuple) -> Optional[int]:
     if len(parts) > r:
         return None
     return -(n - r) * sum(parts)
-
-
-def _essential_off_partitions(rep: GenericRep, weight: tuple,
-                              enforce_integrality: bool) -> Scalar:
-    # essential_value at a weight that is not a partition: 0, unless the
-    # integrality hook is on and coordinate r is the only obstruction
-    n = rep.n
-    r, params = compute_piu(rep)
-    if enforce_integrality or not 1 <= r <= n - 1 or any(weight[r:]):
-        return Scalar.of(0)
-    head = weight[:r]
-    if not _weakly_decreasing(head):
-        return Scalar.of(0)
-    return _spherical_value_laurent(params, head) * u_power(-(n - r) * sum(head))
 
 
 def beta_to_diag(z_exponents: Sequence[int]) -> Tuple[int, ...]:

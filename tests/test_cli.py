@@ -20,6 +20,9 @@ RANK2 = {"q": "3", "segments": [
 SYMBOLIC = {"q": "symbolic", "segments": [
     {"kind": "unramified", "satake": "a1", "length": 2},
     {"kind": "ramified", "id": "rho1", "degree": 2, "length": 1}]}
+UNRAMIFIED2 = {"q": "3", "segments": [
+    {"kind": "unramified", "satake": "2", "length": 1},
+    {"kind": "unramified", "satake": "5", "length": 1}]}
 LINKED = {"q": "3", "segments": [
     {"kind": "unramified", "satake": "1", "length": 1},
     {"kind": "unramified", "satake": "3", "length": 1}]}
@@ -58,6 +61,17 @@ def test_verify_mismatch_exit_one(tmp_path, capsys):
     assert code == 1
     out = capsys.readouterr().out
     assert "FAIL first_mismatch=t^0" in out
+
+
+def test_hook_at_full_rank_exit_one(tmp_path, capsys):
+    # m = r = n: an unramified GL(2) rep against a rank-2 pi'; the hook's
+    # negative weights are internal, so this is a mismatch, not bad input
+    rep = _write(tmp_path, "unram.json", UNRAMIFIED2)
+    code = main(["verify", "--rep", rep, "--satake-prime", "5,7",
+                 "--drop-integrality-indicator"])
+    captured = capsys.readouterr()
+    assert code == 1, captured.err
+    assert "FAIL first_mismatch=t^0" in captured.out
 
 
 def test_invalid_config_exit_two(tmp_path, capsys):

@@ -9,13 +9,13 @@ from hypothesis import strategies as st
 
 import whittaker.rseng as rseng
 from whittaker.errors import BadRanks, Unsupported
-from whittaker.repdata import UnramifiedLanglandsRep, parse_rep
-from whittaker.ringcore import EulerFactor, Scalar, _h_convolution, euler_expand
+from whittaker.repdata import UnramifiedLanglandsRep, compute_piu, parse_rep
+from whittaker.ringcore import EulerFactor, Scalar, _h_convolution, euler_expand, u_power
 from whittaker.rseng import (_int_lattice_series, cauchy_check, cauchy_term_count, l_factor,
                              rs_series, theorem_product, verify_essential)
 from whittaker.suite import generate_suite, make_pi_prime
-from whittaker.symfunc import complete_homogeneous
-from whittaker.whitfun import essential_value, spherical_value
+from whittaker.symfunc import Partition, complete_homogeneous, schur_ssyt_oracle
+from whittaker.whitfun import delta_half, essential_value, spherical_value
 
 STEINBERG = parse_rep({"q": "3", "segments": [
     {"kind": "unramified", "satake": "1/2", "length": 2}]})
@@ -331,4 +331,110 @@ def test_rational_tuples_take_the_integer_path(monkeypatch):
     assert path(RANK2_UNRAM, (W, Scalar.variable("w2"))) == "scalar"
     assert path(RANK2_UNRAM, mixed) == "scalar"
     assert path(UnramifiedLanglandsRep(mixed), rational) == "scalar"
-    assert path(RANK2_UNRAM, rational, drop_integrality=True) == "scalar"
+    assert path(RANK2_UNRAM, rational, drop_integrality=True) == "integer"
+
+
+# --- the integrality-indicator hook ---------------------------------------------------
+#
+# The oracle below sums the hook as its definition reads: over every dominant
+# weight w of length m with entries >= -D, of the left value with the 1_O(a_r)
+# factor removed, times the spherical value of pi', times the inverse modulus
+# and the twist, with Schur values at weights with negative entries taken by
+# the shift s_w = (prod x)^(-c) * s_(w + c).
+
+def _dominant_weights(total, parts, floor):
+    """Weakly decreasing integer tuples of fixed length, entries >= floor."""
+    hi_start = total + (parts - 1) * max(-floor, 0) if parts else 0
+
+    def gen(remaining, slots, hi):
+        if slots == 0:
+            if remaining == 0:
+                yield ()
+            return
+        lo = max(floor, remaining - (slots - 1) * hi) if slots > 1 else remaining
+        if lo < floor:
+            lo = floor
+        for first in range(min(hi, remaining - (slots - 1) * floor), lo - 1, -1):
+            for rest in gen(remaining - first, slots - 1, first):
+                yield (first,) + rest
+
+    yield from gen(total, parts, hi_start)
+
+
+def _laurent_spherical(variables, weight, cache):
+    """delta_half(w) * s_w(variables) for a weight w, dominant or not."""
+    if any(a < b for a, b in zip(weight, weight[1:])):
+        return Scalar.of(0)
+    c = max(0, -weight[-1]) if weight else 0
+    key = (tuple(variables), weight)
+    if key not in cache:
+        shifted = schur_ssyt_oracle(Partition(x + c for x in weight), variables)
+        prod = Scalar.of(1)
+        for v in variables:
+            prod = prod * v
+        cache[key] = delta_half(weight, len(weight)) * shifted * prod ** -c
+    return cache[key]
+
+
+def _hook_oracle(rep, satake, order, depth):
+    n = rep.n
+    r, params = compute_piu(rep)
+    m = len(satake)
+    cache = {}
+    coeffs = []
+    for k in range(order + 1):
+        total = Scalar.of(0)
+        for w in _dominant_weights(k, m, -depth):
+            if r == n:
+                left = _laurent_spherical(params, w + (0,) * (n - m), cache)
+            else:
+                # W_ess at diag(a, 1): coordinates r..n-2 of a vanish, and
+                # without the indicator coordinate r - 1 may be negative
+                a = w + (0,) * (n - 1 - m)
+                if any(a[r:]):
+                    continue
+                head = a[:r]
+                left = _laurent_spherical(params, head, cache) * u_power(-(n - r) * sum(head))
+            if left.is_zero():
+                continue
+            right = _laurent_spherical(satake, w, cache)
+            total = total + left * right * delta_half(w, m) ** -2 * u_power((n - m) * k)
+        coeffs.append(total)
+    return coeffs
+
+
+def _rep_with_tops(tops, n):
+    """A rep of GL(n) whose unramified tops are the given atoms, one segment each."""
+    segments = [{"kind": "unramified", "satake": str(x), "length": 1} for x in tops]
+    if len(tops) < n:
+        segments.append({"kind": "ramified", "id": "rho1", "degree": n - len(tops),
+                         "length": 1})
+    return parse_rep({"q": "symbolic", "segments": segments})
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_integrality_hook_matches_its_definition(data):
+    n = data.draw(st.integers(2, 4))
+    r = data.draw(st.integers(0, n))
+    m = data.draw(st.integers(1, n - 1))
+    if data.draw(st.booleans(), label="symbolic"):
+        tops = [f"a{i + 1}" for i in range(r)]
+        satake = tuple(Scalar.variable(f"b{j + 1}") for j in range(m))
+        order = data.draw(st.integers(0, 3))
+    else:
+        tops = [data.draw(VALUES) for _ in range(r)]
+        satake = tuple(Scalar.of(data.draw(VALUES)) for _ in range(m))
+        order = data.draw(st.integers(0, 4))
+    rep = _rep_with_tops(tops, n)
+    series = rs_series(rep, UnramifiedLanglandsRep(satake), order, drop_integrality=True)
+    assert list(series.coeffs) == _hook_oracle(rep, satake, order, rseng._NEGATIVE_DEPTH)
+
+
+def test_integrality_hook_at_full_rank_matches_its_definition():
+    # m = r = n: the hook's weights (2, -2) and below reach the left side too
+    for tops, satake in ((("2", "-1/3"), (Scalar.of(5), Scalar.rational(7, 2))),
+                         (("a1", "a2"), (Scalar.variable("b1"), Scalar.variable("b2")))):
+        rep = _rep_with_tops(tops, 2)
+        series = rs_series(rep, UnramifiedLanglandsRep(satake), 3, drop_integrality=True)
+        assert list(series.coeffs) == _hook_oracle(rep, satake, 3, rseng._NEGATIVE_DEPTH)
