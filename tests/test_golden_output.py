@@ -60,6 +60,10 @@ INVOCATIONS = [
      "--drop-integrality-indicator"],
     ["verify", "--rep", "{symbolic.json}", "--satake-prime", "b1", "--degree", "4",
      "--drop-integrality-indicator"],
+    ["verify", "--rep", "{rank2.json}", "--satake-prime", "b1,b2", "--degree", "4"],
+    ["verify", "--rep", "{symbolic.json}", "--satake-prime", "7,1/11", "--degree", "4"],
+    ["verify", "--rep", "{rank2.json}", "--satake-prime", "b1,b2", "--degree", "4",
+     "--drop-integrality-indicator"],
 ]
 
 
