@@ -21,9 +21,9 @@ from typing import Optional, Sequence, Tuple
 from .errors import ConfigError, InvariantViolation, WhittakerError
 from .repdata import GenericRep, UnramifiedLanglandsRep, compute_piu, parse_rep, parse_scalar_atom
 from .ringcore import EulerFactor, Scalar
-from .rseng import (VerificationReport, _int_lattice_series, cauchy_check, euler_expand,
-                    l_factor, verify_essential)
-from .symfunc import Partition, schur_detailed
+from .rseng import (VerificationReport, _lattice_series, cauchy_check, euler_expand, l_factor,
+                    verify_essential)
+from .symfunc import ALGORITHMS, Partition, schur_detailed
 from .whitfun import essential_value, spherical_value
 
 DEFAULT_DEGREE = 8
@@ -74,10 +74,11 @@ def _spot_check(report: VerificationReport, seed: int, params: Sequence[Scalar],
     representation of GL(n) and the Satake values of pi'.  Every atom of
     theirs, and u, is bound to a seeded random nonzero rational; the
     lattice sum and the Euler expansion are then recomputed from the bound
-    values, in integers, by an arithmetic that shares no Scalar products
-    with the symbolic series, and compared with the symbolic lhs at the
-    same point.  So a fault that corrupts both symbolic series alike shows
-    up as a disagreement, an internal bug.  Every coefficient is a Laurent
+    values and compared with the symbolic lhs at the same point.  The
+    lattice sum there is the table sum of the symbolic series rerun in
+    integers, which shares no Scalar products with that series; so a
+    fault that corrupts both symbolic series alike shows up as a
+    disagreement, an internal bug.  Every coefficient is a Laurent
     polynomial, which has poles only where a variable is 0, so one sample
     of nonzero values always evaluates.
     """
@@ -103,8 +104,8 @@ def _spot_check(report: VerificationReport, seed: int, params: Sequence[Scalar],
         return [c.as_fraction() if c.is_rational() else c.substitute(bindings) for c in values]
 
     xs, ys = at_point(params), at_point(satake_prime)
-    lattice = _int_lattice_series(tuple(map(Scalar.of, xs)), n, tuple(map(Scalar.of, ys)),
-                                  lhs.order)
+    lattice = _lattice_series(tuple(map(Scalar.of, xs)), n, tuple(map(Scalar.of, ys)),
+                              lhs.order)
     euler = euler_expand(EulerFactor([x * y for x in xs for y in ys]), lhs.order)
     expected = at_point(lhs.coeffs)
     if at_point(lattice.coeffs) != expected or at_point(euler.coeffs) != expected:
@@ -204,8 +205,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("schur", help="print a Schur polynomial in x1..xk")
     p.add_argument("--partition", required=True, help="comma-separated parts, e.g. 2,1")
     p.add_argument("--vars", type=int, required=True, help="number of variables")
-    p.add_argument("--algorithm", choices=("jacobi-trudi", "bialternant"),
-                   default="jacobi-trudi")
+    p.add_argument("--algorithm", choices=ALGORITHMS, default="branching")
 
     p = sub.add_parser("spherical", help="spherical Whittaker value on the torus")
     p.add_argument("--satake", required=True, help="comma-separated Satake values")

@@ -7,10 +7,10 @@ The torus measure is normalized so each lattice point contributes once
 pairing identities hold with the standard spherical formula, and it is
 pinned by cauchy_check.
 
-When the left parameters and the Satake values of pi' are all rational,
-the lattice sum runs in Python ints on the raw values of the two Schur
-branching tables, and one Scalar is built per coefficient; otherwise each
-lattice point is a product of Scalar Whittaker values from whitfun.
+The lattice sum multiplies the raw values of the two Schur branching
+tables and groups them by their power of u, for every tuple alike: ints
+for rational values, Scalars for symbolic ones, and an int times a Scalar
+for a mixed pair.  One Scalar is built per power of u and coefficient.
 """
 
 from __future__ import annotations
@@ -24,8 +24,8 @@ from .errors import BadRanks, InvariantViolation, Unsupported
 from .repdata import GenericRep, UnramifiedLanglandsRep, compute_piu
 from .ringcore import (_ZERO, EulerFactor, Scalar, TruncatedSeries, euler_expand, series_equal,
                        u_power)
-from .symfunc import _schur_table, partitions_of, partitions_up_to
-from .whitfun import _delta_half_exponent, _essential_twist, essential_value, spherical_value
+from .symfunc import _schur_table, partitions_of
+from .whitfun import _delta_half_exponent, _essential_twist
 
 LeftInput = Union[GenericRep, UnramifiedLanglandsRep]
 
@@ -111,9 +111,9 @@ def rs_series(left: LeftInput, pi_prime: UnramifiedLanglandsRep, order: int, *,
     UnramifiedLanglandsRep of rank n >= m (spherical side; the equal-rank
     branch restricts to partitions through the lattice indicator).
 
-    When the left parameters and the Satake values of pi' are all rational
-    the sum is taken in ints (_int_lattice_series); otherwise each term is
-    a product of whitfun values.
+    The sum is one table sum for every tuple (_lattice_series): in ints
+    when both tuples are rational, in Scalars when both are symbolic, and
+    an int times a Scalar per lattice point when one of them is rational.
 
     drop_integrality (test hook) removes the 1_O(a_r) factor from the
     essential function, so the index set grows to the dominant weights w
@@ -146,22 +146,7 @@ def rs_series(left: LeftInput, pi_prime: UnramifiedLanglandsRep, order: int, *,
     else:
         raise TypeError(f"unsupported left argument {type(left).__name__}")
     shift = _NEGATIVE_DEPTH * m if drop_integrality and m == r else 0
-    top = order + shift
-    if all(v.is_rational() for v in (*params, *satake_prime)):
-        series = _int_lattice_series(params, n, satake_prime, top)
-    else:
-        essential = isinstance(left, GenericRep) and m < n
-        coeffs = [_ZERO] * (top + 1)
-        for lam in partitions_up_to(top, m):
-            term = essential_value(left, lam) if essential else spherical_value(params, lam)
-            if term.is_zero():
-                continue
-            wprime = spherical_value(satake_prime, lam)
-            if wprime.is_zero():
-                continue
-            k = lam.size
-            coeffs[k] = coeffs[k] + term * wprime * u_power(_modulus_exponent(lam.parts, n, m))
-        series = TruncatedSeries(top, coeffs)
+    series = _lattice_series(params, n, satake_prime, order + shift)
     if not shift:
         return series
     unit = u_power(-_NEGATIVE_DEPTH * _lattice_exponent((1,) * m, n, r, m))
@@ -192,26 +177,28 @@ def _lattice_exponent(parts: tuple, n: int, r: int, m: int) -> Optional[int]:
             + _modulus_exponent(parts, n, m))
 
 
-def _int_lattice_series(params: Sequence[Scalar], n: int, satake: Sequence[Scalar],
-                        order: int) -> TruncatedSeries:
-    """rs_series for rational values, summed in ints.
+def _lattice_series(params: Sequence[Scalar], n: int, satake: Sequence[Scalar],
+                    order: int) -> TruncatedSeries:
+    """rs_series as a sum over the raw values of two Schur tables.
 
     params are the r <= n unramified parameters of the left representation
     of GL(n) (r = n: an unramified one, whose essential function is its
-    spherical function) and satake the m <= n Satake values of pi'; all are
-    rational.  The left value at lam is the spherical value of params
-    times a power of u, with the support and the twist of
-    whitfun._essential_twist.  Both Schur tables run in ints, at D*params
-    and E*satake, so the t^k coefficient is (DE)^(-k) times the sum, over
-    partitions lam of k with at most m parts, of the two tables' ints times
-    u^e(lam) (_lattice_exponent).  One Scalar is built per coefficient.
+    spherical function) and satake the m <= n Satake values of pi'.  The
+    left value at lam is the spherical value of params times a power of u,
+    with the support and the twist of whitfun._essential_twist.  The two
+    Schur tables hold their values at D*params and E*satake (ints, with D
+    and E the lcms of the denominators, for a rational tuple; Scalars, with
+    scale 1, otherwise), so the t^k coefficient is (DE)^(-k) times the sum,
+    over partitions lam of k with at most m parts, of the two tables'
+    values times u^e(lam) (_lattice_exponent).  The values are grouped by
+    e, so u enters once per group, not once per lattice point.
     """
     r, m = len(params), len(satake)
-    scale_x, s_x = _schur_table(tuple(params)).integral()
-    scale_y, s_y = _schur_table(tuple(satake)).integral()
+    scale_x, s_x = _schur_table(tuple(params)).scaled()
+    scale_y, s_y = _schur_table(tuple(satake)).scaled()
     coeffs = []
     for k in range(order + 1):
-        sums = {}                               # u exponent -> int
+        sums = {}                               # u exponent -> int or Scalar
         for parts in partitions_of(k, m):
             e = _lattice_exponent(parts, n, r, m)
             if e is None:
@@ -222,7 +209,7 @@ def _int_lattice_series(params: Sequence[Scalar], n: int, satake: Sequence[Scala
         den = (scale_x * scale_y) ** k
         coeff = _ZERO
         for e, c in sorted(sums.items()):
-            coeff = coeff + Scalar.monomial({"u": e}, Fraction(c, den))
+            coeff = coeff + c * Scalar.monomial({"u": e}, Fraction(1, den))
         coeffs.append(coeff)
     return TruncatedSeries(order, coeffs)
 

@@ -21,10 +21,10 @@ from .ringcore import _ONE, _ZERO, Scalar, _exact_div, _h_convolution, _scaled_i
 
 ALGORITHMS = ("branching", "jacobi-trudi", "bialternant")
 
-# Entries kept by each of the two Jacobi-Trudi caches, _h_list and
-# _schur_jacobi_trudi (least recently used go first), so long-lived
-# library use stays bounded.  All the checks of one generated suite
-# representation at degree 12 need at most about 500 Schur values; a
+# Entries kept by each of the oracle caches, _h_list, _schur_jacobi_trudi
+# and the bialternant's _schur_generic (least recently used go first), so
+# long-lived library use stays bounded.  All the checks of one generated
+# suite representation at degree 12 need at most about 500 Schur values; a
 # symbolic cauchy 4x4 check at degree 8 needs about 120 entries, some 2 MB.
 SCHUR_CACHE_SIZE = 2048
 
@@ -179,7 +179,7 @@ def _perm_sign(perm) -> int:
     return sign
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=SCHUR_CACHE_SIZE)
 def _schur_generic(parts: tuple, nvars: int) -> Scalar:
     """Schur polynomial in internal symbols _g1.._gk via the bialternant."""
     names = [f"_g{i + 1}" for i in range(nvars)]
@@ -218,11 +218,11 @@ class _SchurTable:
     and Hall Polynomials, I.(5.11)); every s_mu is memoised per prefix
     length.  When every value is rational the table is filled in ints at
     the point y = D*x, D the lcm of the denominators, and homogeneity gives
-    s_lam(x) = s_lam(y) / D^|lam|; integral() hands out D and those ints,
-    so a caller can keep a whole sum of Schur values in ints and divide
-    once.  Otherwise the same code runs on Scalars.  Values are
-    deterministic, so threads that fill one entry concurrently store equal
-    values.
+    s_lam(x) = s_lam(y) / D^|lam|.  Otherwise the same code runs on
+    Scalars at y = x, D = 1.  scaled() hands out D and the raw values, so
+    a caller can keep a whole sum of Schur values in ints (or in Scalars)
+    and divide once.  Values are deterministic, so threads that fill one
+    entry concurrently store equal values.
     """
 
     __slots__ = ("_xs", "_scale", "_memo", "_powers", "_values")
@@ -233,7 +233,7 @@ class _SchurTable:
             one = 1
         else:
             self._xs = vars_key
-            self._scale = None
+            self._scale = 1
             one = _ONE
         # lam, zero-padded to length k -> s_lam(x_1..x_k)
         self._memo = {(): one}
@@ -245,16 +245,17 @@ class _SchurTable:
         out = self._values.get(parts)
         if out is None:
             out = self._raw(parts)
-            if self._scale is not None:
+            if out.__class__ is int:
                 out = Scalar.rational(out, self._scale ** sum(parts))
             self._values[parts] = out
         return out
 
-    def integral(self):
-        """(D, s) for a table of rationals: s(parts) = s_parts(D*x_1..D*x_n), an int.
+    def scaled(self):
+        """(D, s) with s(parts) = s_parts(D*x_1..D*x_n).
 
-        D is the lcm of the denominators and parts has at most n entries,
-        no trailing zeros.
+        For a table of rationals D is the lcm of the denominators and s
+        returns ints; otherwise D = 1 and s returns Scalars.  parts has at
+        most n entries, no trailing zeros.
         """
         return self._scale, self._raw
 

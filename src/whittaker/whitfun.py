@@ -2,7 +2,10 @@
 
 All evaluations happen on the diagonal torus, at points diag(w^l1, ...,
 w^lm) encoded by their integer exponent vectors; Iwasawa decomposition
-makes these values sufficient for every integral in scope.
+makes these values sufficient for every integral in scope.  The values
+here are taken one point at a time; rseng's lattice sum reads the same
+Schur values off whole tables and uses only the exponent rules
+_delta_half_exponent and _essential_twist from this module.
 """
 
 from __future__ import annotations
@@ -44,26 +47,18 @@ def spherical_value(satake: Sequence[Scalar], weight: Sequence[int]) -> Scalar:
     weight; zero off the dominant cone.  Callers keep the last entry
     nonnegative (the integrals' support conditions force partitions), and
     dominant weights with negative entries are rejected to document that
-    contract.  The weight may also be a Partition of at most m parts,
-    standing for its parts padded with zeros; rs_series passes its lattice
-    points that way, so nothing is rebuilt per value.
+    contract.
     """
     satake = tuple(map(Scalar.of, satake))
-    if isinstance(weight, Partition):
-        if weight.length > len(satake):
-            raise BadRank(f"weight {weight} has more than {len(satake)} parts")
-        lam = weight
-    else:
-        weight = tuple(int(x) for x in weight)
-        if len(weight) != len(satake):
-            raise BadRank(f"weight rank {len(weight)} != Satake rank {len(satake)}")
-        if not _weakly_decreasing(weight):
-            return Scalar.of(0)
-        if weight and weight[-1] < 0:
-            raise UnsupportedWeight(
-                f"dominant weight {weight} has negative entries; only partitions are supported")
-        lam = Partition(weight)
-    return u_power(_delta_half_exponent(lam.parts, len(satake))) * schur(lam, satake)
+    weight = tuple(int(x) for x in weight)
+    if len(weight) != len(satake):
+        raise BadRank(f"weight rank {len(weight)} != Satake rank {len(satake)}")
+    if not _weakly_decreasing(weight):
+        return Scalar.of(0)
+    if weight and weight[-1] < 0:
+        raise UnsupportedWeight(
+            f"dominant weight {weight} has negative entries; only partitions are supported")
+    return u_power(_delta_half_exponent(weight, len(satake))) * schur(weight, satake)
 
 
 def essential_value(rep: GenericRep, weight: Sequence[int]) -> Scalar:
@@ -75,28 +70,21 @@ def essential_value(rep: GenericRep, weight: Sequence[int]) -> Scalar:
     u^(-(n-r) * sum), supported where the remaining coordinates vanish and
     the r-th is nonnegative.  For r = 0 the function is the indicator of the
     zero weight.  The value is 0 at every weight that is not a partition.
-    The weight may also be a Partition of at most n-1 parts, standing for
-    its parts padded with zeros.
     """
     n = rep.n
     if n < 2:
         raise BadRank("essential values need a representation of GL(n), n >= 2")
-    if isinstance(weight, Partition):
-        if weight.length > n - 1:
-            raise BadRank(f"weight {weight} has more than {n - 1} parts")
-        lam = weight
-    else:
-        weight = tuple(int(x) for x in weight)
-        if len(weight) != n - 1:
-            raise BadRank(f"weight has length {len(weight)}, expected {n - 1}")
-        if not _weakly_decreasing(weight) or (weight and weight[-1] < 0):
-            return Scalar.of(0)
-        lam = Partition(weight)
+    weight = tuple(int(x) for x in weight)
+    if len(weight) != n - 1:
+        raise BadRank(f"weight has length {len(weight)}, expected {n - 1}")
+    if not _weakly_decreasing(weight) or (weight and weight[-1] < 0):
+        return Scalar.of(0)
+    lam = Partition(weight)
     r, params = compute_piu(rep)
     twist = _essential_twist(n, r, lam.parts)
     if twist is None:
         return Scalar.of(0)
-    value = spherical_value(params, lam)
+    value = spherical_value(params, lam.padded(r))
     return value * u_power(twist) if twist else value
 
 

@@ -6,6 +6,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+from whittaker import symfunc
 from whittaker.cli import main
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -132,6 +133,16 @@ def test_schur_algorithm_flag(capsys):
     bialt = capsys.readouterr().out
     assert main(["schur", "--partition", "2,1", "--vars", "3"]) == 0
     assert capsys.readouterr().out == bialt
+
+
+def test_schur_defaults_to_the_branching_table(capsys, monkeypatch):
+    def jacobi_trudi(*args):
+        raise AssertionError("the default schur command ran Jacobi-Trudi")
+
+    monkeypatch.setattr(symfunc, "_schur_jacobi_trudi", jacobi_trudi)
+    assert main(["schur", "--partition", "2,1", "--vars", "3"]) == 0
+    assert capsys.readouterr().out == \
+        "x1^2*x2 + x1^2*x3 + x1*x2^2 + 2*x1*x2*x3 + x1*x3^2 + x2^2*x3 + x2*x3^2\n"
 
 
 def test_spherical_output(capsys):

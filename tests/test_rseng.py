@@ -9,12 +9,13 @@ from hypothesis import strategies as st
 
 import whittaker.rseng as rseng
 from whittaker.errors import BadRanks, Unsupported
-from whittaker.repdata import UnramifiedLanglandsRep, compute_piu, parse_rep
+from whittaker.repdata import UnramifiedLanglandsRep, compute_piu, parse_rep, parse_scalar_atom
 from whittaker.ringcore import EulerFactor, Scalar, _h_convolution, euler_expand, u_power
-from whittaker.rseng import (_int_lattice_series, cauchy_check, cauchy_term_count, l_factor,
-                             rs_series, theorem_product, verify_essential)
+from whittaker.rseng import (cauchy_check, cauchy_term_count, l_factor, rs_series,
+                             theorem_product, verify_essential)
 from whittaker.suite import generate_suite, make_pi_prime
-from whittaker.symfunc import Partition, complete_homogeneous, schur_ssyt_oracle
+from whittaker.symfunc import (Partition, complete_homogeneous, partitions_up_to,
+                               schur_ssyt_oracle)
 from whittaker.whitfun import delta_half, essential_value, spherical_value
 
 STEINBERG = parse_rep({"q": "3", "segments": [
@@ -233,15 +234,13 @@ def test_cauchy_term_count_matches_series():
     assert cauchy_term_count(5, 5, 8) == 245025
 
 
-# --- the integer path for rational values ---------------------------------------------
+# --- the lattice sum against pointwise Whittaker products -----------------------------
 
 # Satake values and parameters: negatives, non-integral fractions, and a
 # small pool so that values repeat
 VALUES = st.one_of(
     st.sampled_from([-2, -1, 1, 3, Fraction(1, 2), Fraction(-2, 3), Fraction(5, 4)]),
     st.fractions(min_value=-4, max_value=4, max_denominator=5).filter(bool))
-# u away from 0 and +-1, so a stray power of u changes the value
-U_VALUES = st.sampled_from([2, -3, Fraction(1, 2), Fraction(-3, 2)])
 
 
 def _canonical(coeffs):
@@ -250,22 +249,44 @@ def _canonical(coeffs):
                for coeff in coeffs for c in coeff.terms.values())
 
 
-def _symbolic_left(case, n, r):
-    """The left argument over atoms a1..ar, with the same Schur rank r."""
-    if case == "langlands":
-        return UnramifiedLanglandsRep(tuple(Scalar.variable(f"a{i + 1}") for i in range(n)))
-    segments = [{"kind": "unramified", "satake": f"a{i + 1}", "length": 1} for i in range(r)]
-    if r < n:
-        segments.append({"kind": "ramified", "id": "rho1", "degree": n - r, "length": 1})
-    return parse_rep({"q": "symbolic", "segments": segments})
+def _pointwise_series(left, pi_prime, order):
+    """The lattice sum as one product of whitfun values per partition.
+
+    The t^k coefficient sums, over partitions lam of k with at most m
+    parts, the left Whittaker value at lam, the spherical value of pi' at
+    lam, the inverse Borel modulus delta_half(lam)^(-2) and the twist
+    u^((n - m) k).
+    """
+    m = pi_prime.rank
+    if isinstance(left, UnramifiedLanglandsRep):
+        n, params, essential = left.rank, left.satake, False
+    else:
+        n, (_, params), essential = left.n, compute_piu(left), m < left.n
+    coeffs = [Scalar.of(0)] * (order + 1)
+    for lam in partitions_up_to(order, m):
+        if essential:
+            value = essential_value(left, lam.padded(n - 1))
+        else:
+            value = spherical_value(params, lam.padded(n))
+        k = lam.size
+        coeffs[k] = coeffs[k] + (value * spherical_value(pi_prime.satake, lam.padded(m))
+                                 * delta_half(lam.padded(m), m) ** -2
+                                 * u_power((n - m) * k))
+    return coeffs
+
+
+def _atoms_where(mask, rationals, name):
+    """The values as strings: the atom name<i> where mask[i], else the i-th rational."""
+    return [f"{name}{i + 1}" if atom else str(x)
+            for i, (x, atom) in enumerate(zip(rationals, mask))]
 
 
 @settings(max_examples=40, deadline=None)
 @given(st.data())
-def test_integer_lattice_sum_matches_symbolic_series_at_a_point(data):
+def test_lattice_sum_matches_pointwise_whittaker_products(data):
     # the essential side with r = 0, with 1 <= r < n and with m = n = r, and
-    # an UnramifiedLanglandsRep left side; the symbolic series takes the
-    # Scalar path, the rational values the integer one
+    # an UnramifiedLanglandsRep left side; each shape with symbolic, rational
+    # and mixed tuples, in both orientations
     case = data.draw(st.sampled_from(["r=0", "r<n", "m=n=r", "langlands"]))
     n = data.draw(st.integers(2, 4))
     if case == "r=0":
@@ -279,15 +300,22 @@ def test_integer_lattice_sum_matches_symbolic_series_at_a_point(data):
     order = data.draw(st.integers(0, 5))
     xs = [data.draw(VALUES) for _ in range(r)]
     ys = [data.draw(VALUES) for _ in range(m)]
-    u = data.draw(U_VALUES)
-    point = {"u": u, **{f"a{i + 1}": x for i, x in enumerate(xs)},
-             **{f"b{j + 1}": y for j, y in enumerate(ys)}}
-    pi_prime = UnramifiedLanglandsRep(tuple(Scalar.variable(f"b{j + 1}") for j in range(m)))
-    symbolic = rs_series(_symbolic_left(case, n, r), pi_prime, order)
-    numeric = _int_lattice_series(tuple(map(Scalar.of, xs)), n, tuple(map(Scalar.of, ys)), order)
-    assert [c.substitute(point) for c in numeric.coeffs] == \
-        [c.substitute(point) for c in symbolic.coeffs]
-    assert _canonical(numeric.coeffs)
+    x_mixed = data.draw(st.lists(st.booleans(), min_size=r, max_size=r))
+    y_mixed = data.draw(st.lists(st.booleans(), min_size=m, max_size=m))
+    x_atoms, x_rational = [True] * r, [False] * r
+    y_atoms, y_rational = [True] * m, [False] * m
+    for x_mask, y_mask in ((x_atoms, y_atoms), (x_atoms, y_rational), (x_rational, y_atoms),
+                           (x_rational, y_rational), (x_mixed, y_mixed)):
+        tops = _atoms_where(x_mask, xs, "a")
+        if case == "langlands":
+            left = UnramifiedLanglandsRep(tuple(map(parse_scalar_atom, tops)))
+        else:
+            left = _rep_with_tops(tops, n)
+        pi_prime = UnramifiedLanglandsRep(tuple(map(parse_scalar_atom,
+                                                    _atoms_where(y_mask, ys, "b"))))
+        series = rs_series(left, pi_prime, order)
+        assert list(series.coeffs) == _pointwise_series(left, pi_prime, order), (x_mask, y_mask)
+        assert _canonical(series.coeffs)
 
 
 @settings(max_examples=40, deadline=None)
@@ -297,41 +325,6 @@ def test_integer_euler_expand_matches_scalar_convolution(roots, order):
     series = euler_expand(EulerFactor(roots), order)
     assert list(series.coeffs) == _h_convolution(roots, order)
     assert _canonical(series.coeffs)
-
-
-def test_rational_tuples_take_the_integer_path(monkeypatch):
-    calls = {"seam": 0, "spherical": 0}
-    seam, spherical = rseng._int_lattice_series, rseng.spherical_value
-
-    def counted_seam(*args):
-        calls["seam"] += 1
-        return seam(*args)
-
-    def counted_spherical(*args):
-        calls["spherical"] += 1
-        return spherical(*args)
-
-    monkeypatch.setattr(rseng, "_int_lattice_series", counted_seam)
-    monkeypatch.setattr(rseng, "spherical_value", counted_spherical)
-
-    def path(left, satake, **kwargs):
-        calls.update(seam=0, spherical=0)
-        rs_series(left, UnramifiedLanglandsRep(satake), 4, **kwargs)
-        assert calls["seam"] in (0, 1)
-        return "integer" if calls["seam"] else "scalar" if calls["spherical"] else None
-
-    rational = (Scalar.of(7), Scalar.rational(1, 11))
-    mixed = (Scalar.of(7), W)
-    unramified = parse_rep({"q": "3", "segments": [
-        {"kind": "unramified", "satake": "2", "length": 1},
-        {"kind": "unramified", "satake": "-1/5", "length": 1}]})
-    assert path(RANK2_UNRAM, rational) == "integer"
-    assert path(unramified, rational) == "integer"
-    assert path(UnramifiedLanglandsRep(rational), rational[:1]) == "integer"
-    assert path(RANK2_UNRAM, (W, Scalar.variable("w2"))) == "scalar"
-    assert path(RANK2_UNRAM, mixed) == "scalar"
-    assert path(UnramifiedLanglandsRep(mixed), rational) == "scalar"
-    assert path(RANK2_UNRAM, rational, drop_integrality=True) == "integer"
 
 
 # --- the integrality-indicator hook ---------------------------------------------------

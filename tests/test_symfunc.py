@@ -187,7 +187,7 @@ def test_schur_caches_are_bounded():
     # hold an entry for each of them
     bound = symfunc.SCHUR_CACHE_SIZE
     table_bound = symfunc.SCHUR_TABLE_CACHE_SIZE
-    for cache in (symfunc._h_list, symfunc._schur_jacobi_trudi):
+    for cache in (symfunc._h_list, symfunc._schur_jacobi_trudi, symfunc._schur_generic):
         assert cache.cache_info().maxsize == bound
     assert symfunc._schur_table.cache_info().maxsize == table_bound
     for i in range(bound + 10):
