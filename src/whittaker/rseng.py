@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb
+from operator import mul
 from typing import Optional, Sequence, Tuple, Union
 
 from .errors import BadRanks, InvariantViolation, Unsupported
@@ -104,7 +105,10 @@ def rs_series(left: LeftInput, pi_prime: UnramifiedLanglandsRep, order: int, *,
     the product of the left Whittaker value at the embedded weight, the
     spherical value of pi', the inverse Borel modulus, and the twist
     u^((n-m)|lambda|).  The support conditions of both factors force the
-    index set to be exactly those partitions.
+    index set to be exactly those partitions, and the left factor vanishes
+    on those with more than r parts, so the sum runs over
+    partitions_of(k, min(r, m)).  The power of u of each term is a linear
+    form in lambda, read off once per call (_exponent_slopes).
 
     The left argument is a GenericRep (essential-function side, m <= n-1,
     or m = n when the representation is unramified) or an
@@ -177,6 +181,16 @@ def _lattice_exponent(parts: tuple, n: int, r: int, m: int) -> Optional[int]:
             + _modulus_exponent(parts, n, m))
 
 
+def _exponent_slopes(n: int, r: int, m: int) -> list:
+    """[e(1^(i+1)) - e(1^i) for i < min(r, m)], e = _lattice_exponent.
+
+    e is linear where it is defined, so on a partition lam with at most
+    min(r, m) parts e(lam) is the sum of slope_i * lam_i.
+    """
+    steps = [_lattice_exponent((1,) * i, n, r, m) for i in range(min(r, m) + 1)]
+    return [b - a for a, b in zip(steps, steps[1:])]
+
+
 def _lattice_series(params: Sequence[Scalar], n: int, satake: Sequence[Scalar],
                     order: int) -> TruncatedSeries:
     """rs_series as a sum over the raw values of two Schur tables.
@@ -185,31 +199,38 @@ def _lattice_series(params: Sequence[Scalar], n: int, satake: Sequence[Scalar],
     of GL(n) (r = n: an unramified one, whose essential function is its
     spherical function) and satake the m <= n Satake values of pi'.  The
     left value at lam is the spherical value of params times a power of u,
-    with the support and the twist of whitfun._essential_twist.  The two
-    Schur tables hold their values at D*params and E*satake (ints, with D
-    and E the lcms of the denominators, for a rational tuple; Scalars, with
-    scale 1, otherwise), so the t^k coefficient is (DE)^(-k) times the sum,
-    over partitions lam of k with at most m parts, of the two tables'
-    values times u^e(lam) (_lattice_exponent).  The values are grouped by
-    e, so u enters once per group, not once per lattice point.
+    with the support and the twist of whitfun._essential_twist: the index
+    set is the partitions of k with at most min(r, m) parts.  The two Schur
+    tables hold their values at D*params and E*satake (ints, with D and E
+    the lcms of the denominators, for a rational tuple; Scalars, with scale
+    1, otherwise), so the t^k coefficient is (DE)^(-k) times the sum, over
+    those partitions lam, of the two tables' values times u^e(lam)
+    (_lattice_exponent).  e is linear in lam, so it is read off once per
+    call as the slopes of _exponent_slopes and summed against the parts.
+    The values are grouped by e, so u enters once per group, not once per
+    lattice point: an int group is one monomial, a Scalar group one
+    product.
     """
     r, m = len(params), len(satake)
+    length = min(r, m)
+    slope = _exponent_slopes(n, r, m)
     scale_x, s_x = _schur_table(tuple(params)).scaled()
     scale_y, s_y = _schur_table(tuple(satake)).scaled()
     coeffs = []
     for k in range(order + 1):
         sums = {}                               # u exponent -> int or Scalar
-        for parts in partitions_of(k, m):
-            e = _lattice_exponent(parts, n, r, m)
-            if e is None:
-                continue
+        for parts in partitions_of(k, length):
             value = s_x(parts) * s_y(parts)
             if value:
+                e = sum(map(mul, slope, parts))
                 sums[e] = sums.get(e, 0) + value
         den = (scale_x * scale_y) ** k
         coeff = _ZERO
         for e, c in sorted(sums.items()):
-            coeff = coeff + c * Scalar.monomial({"u": e}, Fraction(1, den))
+            if c.__class__ is int:
+                coeff = coeff + Scalar.monomial({"u": e}, Fraction(c, den))
+            else:
+                coeff = coeff + c * Scalar.monomial({"u": e}, Fraction(1, den))
         coeffs.append(coeff)
     return TruncatedSeries(order, coeffs)
 

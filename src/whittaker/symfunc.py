@@ -1,9 +1,11 @@
 """Partitions, Schur polynomials and complete homogeneous polynomials.
 
 The default Schur algorithm fills one table per variable tuple by the
-Gelfand-Tsetlin branching rule, so every Schur value of that tuple shares
-the work of the smaller ones; when every value is rational the table runs
-in Python ints.  The Jacobi-Trudi determinant in complete homogeneous
+Gelfand-Tsetlin branching rule (Macdonald I.(5.11)), summed over one
+interlacing row at a time, with full columns split off by the bialternant
+(I.(3.1)), so every Schur value of that tuple shares the work of the
+smaller ones; when every value is rational the table runs in Python ints.
+The Jacobi-Trudi determinant in complete homogeneous
 polynomials and the bialternant ratio (exact polynomial division at a
 generic point) stay selectable by name, and with a semistandard-tableau
 enumerator they are the independent oracles the tests compare against.
@@ -12,6 +14,7 @@ enumerator they are the independent oracles the tests compare against.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
@@ -215,17 +218,26 @@ class _SchurTable:
     s_lam(x_1..x_k) is the sum, over mu interlacing lam
     (lam_1 >= mu_1 >= lam_2 >= ... >= mu_(k-1) >= lam_k), of
     s_mu(x_1..x_(k-1)) * x_k^(|lam| - |mu|) (Macdonald, Symmetric Functions
-    and Hall Polynomials, I.(5.11)); every s_mu is memoised per prefix
-    length.  When every value is rational the table is filled in ints at
-    the point y = D*x, D the lcm of the denominators, and homogeneity gives
-    s_lam(x) = s_lam(y) / D^|lam|.  Otherwise the same code runs on
-    Scalars at y = x, D = 1.  scaled() hands out D and the raw values, so
-    a caller can keep a whole sum of Schur values in ints (or in Scalars)
-    and divide once.  Values are deterministic, so threads that fill one
-    entry concurrently store equal values.
+    and Hall Polynomials, I.(5.11)).  The sum runs one row of mu at a time:
+    G_i(lam), its part with mu_j = lam_j for j < i, is
+    G_(i+1)(lam) + x_k * G_i(lam - e_i) if lam_i > lam_(i+1), and
+    G_(i+1)(lam) if the two rows are equal; G_1(lam) = s_lam, and
+    G_k(lam) = s_(lam_1..lam_(k-1))(x_1..x_(k-1)) when lam_k = 0.  Each
+    value thus costs one add and one multiply by x_k.  A full column comes
+    off first: s_lam = (x_1...x_k)^c * s_(lam - c^k) for c = lam_k, as the
+    bialternant a_(lam+delta) / a_delta (I.(3.1)) shows.  The Schur values
+    are memoised per prefix length, and the other G_i in one dict per i.
+
+    When every value is rational the table is filled in ints at the point
+    y = D*x, D the lcm of the denominators, and homogeneity gives
+    s_lam(x) = s_lam(y) / D^|lam|.  Otherwise the same code runs on Scalars
+    at y = x, D = 1.  scaled() hands out D and the raw values, so a caller
+    can keep a whole sum of Schur values in ints (or in Scalars) and divide
+    once.  Values are deterministic, so threads that fill one entry
+    concurrently store equal values.
     """
 
-    __slots__ = ("_xs", "_scale", "_memo", "_powers", "_values")
+    __slots__ = ("_xs", "_scale", "_memo", "_rows_memo", "_columns", "_values")
 
     def __init__(self, vars_key: tuple):
         if all(v.is_rational() for v in vars_key):
@@ -236,8 +248,9 @@ class _SchurTable:
             self._scale = 1
             one = _ONE
         # lam, zero-padded to length k -> s_lam(x_1..x_k)
-        self._memo = {(): one}
-        self._powers = [{} for _ in vars_key]   # d -> x_k^d
+        self._memo = {(0,) * k: one for k in range(len(vars_key) + 1)}
+        self._rows_memo = [{} for _ in vars_key]   # i -> {lam: G_(i+1)(lam)}, i >= 1
+        self._columns = list(itertools.accumulate(self._xs, operator.mul))  # x_1...x_k
         self._values = {}                       # parts -> returned Scalar
 
     def value(self, parts: tuple) -> Scalar:
@@ -260,32 +273,50 @@ class _SchurTable:
         return self._scale, self._raw
 
     def _raw(self, parts: tuple):
-        return self._branch(parts + (0,) * (len(self._xs) - len(parts)))
+        return self._branch(0, parts + (0,) * (len(self._xs) - len(parts)))
 
-    def _branch(self, lam: tuple):
-        memo = self._memo
-        out = memo.get(lam)
-        if out is not None:
-            return out
-        k = len(lam)
-        size = sum(lam)
-        groups = {}                             # |lam| - |mu| -> sum of s_mu
-        # mu interlaces lam: lam_(i+1) <= mu_i <= lam_i for i < k
-        for mu in itertools.product(*(range(lam[i + 1], lam[i] + 1) for i in range(k - 1))):
-            s_mu = memo.get(mu)
-            if s_mu is None:
-                s_mu = self._branch(mu)
-            d = size - sum(mu)
-            acc = groups.get(d)
-            groups[d] = s_mu if acc is None else acc + s_mu
-        powers = self._powers[k - 1]
-        for d, acc in groups.items():
-            power = powers.get(d)
-            if power is None:
-                power = powers[d] = self._xs[k - 1] ** d
-            term = acc * power
-            out = term if out is None else out + term
-        memo[lam] = out
+    def _branch(self, i: int, lam: tuple):
+        # G_(i+1)(lam) of the class docstring, rows counted from 0 here.
+        # Equal rows are skipped, and the last row hands over to k - 1
+        # variables in this frame, so each variable nests at most one frame
+        # per distinct part of lam: the recursion depth stays O(n).  A value
+        # with i >= 1 is stored in _rows_memo[i] for the first row i >= the
+        # one asked for with lam_i > lam_(i+1)
+        while True:
+            k = len(lam)
+            if not i:
+                out = self._memo.get(lam)
+                if out is not None:
+                    return out
+                c = lam[-1]
+                if c:
+                    out = self._columns[k - 1] ** c * self._branch(0, tuple(p - c for p in lam))
+                    self._memo[lam] = out
+                    return out
+            while i < k - 1 and lam[i] == lam[i + 1]:
+                i += 1
+            if i < k - 1:
+                break
+            lam, i = lam[:-1], 0
+        if i:
+            memo = self._rows_memo[i]
+            out = memo.get(lam)
+            if out is not None:
+                return out
+        else:
+            memo = self._memo
+        # Horner over lam_i, from the largest stored value below it, or from
+        # lam_i = lam_(i+1), where the two rows are equal
+        head, low, tail = lam[:i], lam[i + 1], lam[i + 1:]
+        top = lam[i] - 1
+        while top > low and (out := memo.get(head + (top,) + tail)) is None:
+            top -= 1
+        if top == low:
+            out = self._branch(i + 1, head + (low,) + tail)
+        x = self._xs[k - 1]
+        for part in range(top + 1, lam[i] + 1):
+            key = head + (part,) + tail
+            out = memo[key] = self._branch(i + 1, key) + x * out
         return out
 
 

@@ -120,6 +120,12 @@ def test_schur_output(capsys):
     assert capsys.readouterr().out.strip() == "x1^2*x2 + x1*x2^2"
 
 
+def test_schur_in_many_variables(capsys):
+    assert main(["schur", "--partition", "1,1", "--vars", "60"]) == 0
+    out = capsys.readouterr().out
+    assert out.count(" + ") == 60 * 59 // 2 - 1 and "x59*x60" in out
+
+
 def test_schur_vanishing_note_on_stderr(capsys):
     assert main(["schur", "--partition", "1,1,1", "--vars", "2"]) == 0
     captured = capsys.readouterr()

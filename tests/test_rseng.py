@@ -201,6 +201,24 @@ def test_no_nonpartition_weight_contributes():
             assert essential_value(MIXED, weight + (0, 0)).is_zero()
 
 
+def test_lattice_exponent_is_the_slope_form():
+    # _lattice_series sums u-exponents as a linear form in the parts; it
+    # relies on e being linear on partitions with at most min(r, m) parts
+    # and undefined on those with more than r
+    for n in range(1, 7):
+        for r in range(n + 1):
+            for m in range(1, n + 1):
+                slope = rseng._exponent_slopes(n, r, m)
+                assert len(slope) == min(r, m)
+                for shape in partitions_up_to(6, 6):
+                    e = rseng._lattice_exponent(shape.parts, n, r, m)
+                    if shape.length > r:
+                        assert e is None, (n, r, m, shape)
+                    elif shape.length <= m:
+                        assert e == sum(a * b for a, b in zip(slope, shape.parts)), \
+                            (n, r, m, shape)
+
+
 # --- symbolic/numeric coherence -----------------------------------------------------
 
 def test_symbolic_verification_coheres_with_numeric_substitution():

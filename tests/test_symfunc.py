@@ -148,6 +148,28 @@ def test_branching_matches_jacobi_trudi(values, data):
         assert value.is_rational()
 
 
+@settings(max_examples=20, deadline=None)
+@given(st.one_of(st.lists(_RATIONALS, max_size=5),
+                 st.lists(_LAURENT, max_size=5),
+                 st.lists(st.one_of(_RATIONALS, _LAURENT), max_size=5)),
+       st.data())
+def test_branching_table_in_any_access_order(values, data):
+    # the row recursion reuses whatever the table already holds, so every
+    # order of queries (full-column shapes among them) must fill it the
+    # same way; a fresh table, not the cached one, starts empty
+    table = symfunc._SchurTable(tuple(values))
+    shapes = data.draw(st.permutations(partitions_up_to(7, len(values))))
+    for shape in shapes:
+        assert table.value(shape.parts) == schur(shape, values, "jacobi-trudi"), shape
+
+
+def test_branching_recursion_depth_grows_linearly():
+    # each variable adds a few frames to the recursion, never one per row
+    # (that would be quadratic in the variable count)
+    values = [Scalar.rational(i % 7 - 3, i % 5 + 1) for i in range(120)]
+    assert schur((2, 1), values) == schur((2, 1), values, "jacobi-trudi")
+
+
 def test_schur_at_rational_points():
     # repeated numeric values exercise the generic-evaluation path of the
     # bialternant, which would be 0/0 if evaluated naively
