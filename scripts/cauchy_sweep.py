@@ -24,6 +24,10 @@ def main() -> int:
     parser.add_argument("--nmax", type=int, default=4)
     parser.add_argument("--degree", type=int, default=8)
     args = parser.parse_args()
+    if args.nmax < 1:
+        parser.error("--nmax must be positive")
+    if args.degree < 0:
+        parser.error("--degree must be nonnegative")
 
     failures = 0
     for n in range(1, args.nmax + 1):

@@ -28,6 +28,10 @@ def main() -> int:
     parser.add_argument("--seed", type=int, default=20260810)
     parser.add_argument("--verbose", action="store_true")
     args = parser.parse_args()
+    if args.count < 1:
+        parser.error("--count must be positive")
+    if args.degree < 0:
+        parser.error("--degree must be nonnegative")
 
     reps = generate_suite(args.count, args.seed)
     rng = random.Random(args.seed + 1)

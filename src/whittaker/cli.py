@@ -66,15 +66,15 @@ def _resolve_degree(flag_value: Optional[int]) -> int:
     return flag_value
 
 
-def _spot_check(report: VerificationReport, seed: int, params: Sequence[Scalar], n: int,
+def _spot_check(report: VerificationReport, seed: int, params: Sequence[Scalar],
                 satake_prime: Sequence[Scalar]) -> Optional[str]:
     """Recompute a passing symbolic report at a seeded rational point.
 
     The report came from the unramified parameters params of a
-    representation of GL(n) and the Satake values of pi'.  Every atom of
-    theirs, and u, is bound to a seeded random nonzero rational; the
-    lattice sum and the Euler expansion are then recomputed from the bound
-    values and compared with the symbolic lhs at the same point.  The
+    representation and the Satake values of pi'.  Every atom of theirs,
+    and u, is bound to a seeded random nonzero rational; the lattice sum
+    and the Euler expansion are then recomputed from the bound values and
+    compared with the symbolic lhs at the same point.  The
     lattice sum there is the table sum of the symbolic series rerun in
     integers, which shares no Scalar products with that series; so a
     fault that corrupts both symbolic series alike shows up as a
@@ -104,8 +104,7 @@ def _spot_check(report: VerificationReport, seed: int, params: Sequence[Scalar],
         return [c.as_fraction() if c.is_rational() else c.substitute(bindings) for c in values]
 
     xs, ys = at_point(params), at_point(satake_prime)
-    lattice = _lattice_series(tuple(map(Scalar.of, xs)), n, tuple(map(Scalar.of, ys)),
-                              lhs.order)
+    lattice = _lattice_series(tuple(map(Scalar.of, xs)), tuple(map(Scalar.of, ys)), lhs.order)
     euler = euler_expand(EulerFactor([x * y for x in xs for y in ys]), lhs.order)
     expected = at_point(lhs.coeffs)
     if at_point(lattice.coeffs) != expected or at_point(euler.coeffs) != expected:
@@ -113,11 +112,11 @@ def _spot_check(report: VerificationReport, seed: int, params: Sequence[Scalar],
     return f"numeric spot-check (seed {seed}): pass"
 
 
-def _print_report(report: VerificationReport, seed: int, params: Sequence[Scalar], n: int,
+def _print_report(report: VerificationReport, seed: int, params: Sequence[Scalar],
                   satake_prime: Sequence[Scalar]) -> int:
     for line in report.summary_lines():
         print(line)
-    note = _spot_check(report, seed, params, n, satake_prime)
+    note = _spot_check(report, seed, params, satake_prime)
     if note:
         print(note)
     return 0 if report.passed else 1
@@ -163,7 +162,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     rep = _load_rep(args.rep)
     pi_prime = UnramifiedLanglandsRep(_parse_atom_list(args.satake_prime))
     report = verify_essential(rep, pi_prime, degree, drop_integrality=args.drop_integrality)
-    return _print_report(report, args.seed, compute_piu(rep)[1], rep.n, pi_prime.satake)
+    return _print_report(report, args.seed, compute_piu(rep)[1], pi_prime.satake)
 
 
 def _cmd_cauchy(args: argparse.Namespace) -> int:
@@ -173,7 +172,7 @@ def _cmd_cauchy(args: argparse.Namespace) -> int:
     xs = [Scalar.variable(f"x{i + 1}") for i in range(args.n)]
     ys = [Scalar.variable(f"y{j + 1}") for j in range(args.m)]
     report = cauchy_check(args.n, args.m, xs, ys, degree)
-    return _print_report(report, args.seed, xs, args.n, ys)
+    return _print_report(report, args.seed, xs, ys)
 
 
 def _cmd_derivatives(args: argparse.Namespace) -> int:

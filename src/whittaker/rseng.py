@@ -7,26 +7,23 @@ The torus measure is normalized so each lattice point contributes once
 pairing identities hold with the standard spherical formula, and it is
 pinned by cauchy_check.
 
-The lattice sum multiplies the raw values of the two Schur branching
-tables and groups them by their power of u, for every tuple alike: ints
-for rational values, Scalars for symbolic ones, and an int times a Scalar
-for a mixed pair.  One Scalar is built per power of u and coefficient.
+Every power of u cancels in a lattice term, so the lattice sum is one
+plain sum, per coefficient, of products of the raw values of the two
+Schur branching tables, for every tuple alike: ints for rational values,
+Scalars for symbolic ones, and an int times a Scalar for a mixed pair.
+One Scalar is built per coefficient.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from math import comb
-from operator import mul
 from typing import Optional, Sequence, Tuple, Union
 
 from .errors import BadRanks, InvariantViolation, Unsupported
 from .repdata import GenericRep, UnramifiedLanglandsRep, compute_piu
-from .ringcore import (_ZERO, EulerFactor, Scalar, TruncatedSeries, euler_expand, series_equal,
-                       u_power)
+from .ringcore import EulerFactor, Scalar, TruncatedSeries, euler_expand, series_equal
 from .symfunc import _schur_table, partitions_of
-from .whitfun import _delta_half_exponent, _essential_twist
 
 LeftInput = Union[GenericRep, UnramifiedLanglandsRep]
 
@@ -107,8 +104,8 @@ def rs_series(left: LeftInput, pi_prime: UnramifiedLanglandsRep, order: int, *,
     u^((n-m)|lambda|).  The support conditions of both factors force the
     index set to be exactly those partitions, and the left factor vanishes
     on those with more than r parts, so the sum runs over
-    partitions_of(k, min(r, m)).  The power of u of each term is a linear
-    form in lambda, read off once per call (_exponent_slopes).
+    partitions_of(k, min(r, m)).  The powers of u of each term cancel
+    (_lattice_series).
 
     The left argument is a GenericRep (essential-function side, m <= n-1,
     or m = n when the representation is unramified) or an
@@ -125,11 +122,11 @@ def rs_series(left: LeftInput, pi_prime: UnramifiedLanglandsRep, order: int, *,
     is 0 at every new weight unless m = r, so for m != r the hook is the
     ordinary series.  For m = r, w = mu - (D^m) for exactly one partition
     mu of |w| + D*m with at most m parts, and in m variables
-    s_w = (x_1...x_m)^(-D) s_mu (the bialternant, Macdonald I.(3.1)); every
-    u-exponent of the term is linear in the weight.  So the t^k
-    coefficient of the hook is the t^(k + D*m) coefficient of the ordinary
-    series times the unit u^(-D e(1^m)) (prod params * prod satake')^(-D),
-    e as in _lattice_exponent.
+    s_w = (x_1...x_m)^(-D) s_mu (the bialternant, Macdonald I.(3.1)).  The
+    powers of u of a term add up to the same zero linear form on these
+    weights too.  So the t^k coefficient of the hook is the t^(k + D*m)
+    coefficient of the ordinary series times the unit
+    (prod params * prod satake')^(-D).
     """
     m = pi_prime.rank
     satake_prime = pi_prime.satake
@@ -150,88 +147,47 @@ def rs_series(left: LeftInput, pi_prime: UnramifiedLanglandsRep, order: int, *,
     else:
         raise TypeError(f"unsupported left argument {type(left).__name__}")
     shift = _NEGATIVE_DEPTH * m if drop_integrality and m == r else 0
-    series = _lattice_series(params, n, satake_prime, order + shift)
+    series = _lattice_series(params, satake_prime, order + shift)
     if not shift:
         return series
-    unit = u_power(-_NEGATIVE_DEPTH * _lattice_exponent((1,) * m, n, r, m))
+    unit = Scalar.of(1)
     for v in (*params, *satake_prime):
         unit = unit / v ** _NEGATIVE_DEPTH
     return TruncatedSeries(order, [unit * c for c in series.coeffs[shift:]])
 
 
-def _modulus_exponent(weight: Sequence[int], n: int, m: int) -> int:
-    # delta^(-1) * nu^(-(n-m)/2) on the torus point: delta^(-1) is
-    # u^(2 * sum_i w_i (m - 1 - 2i)) and the twist is u^((n - m) * k);
-    # trailing zeros of weight may be left out
-    return sum(x * (n + m - 2 - 4 * i) for i, x in enumerate(weight))
-
-
-def _lattice_exponent(parts: tuple, n: int, r: int, m: int) -> Optional[int]:
-    """The u-exponent e(lam) of the lattice term at lam, or None where W_ess(lam) = 0.
-
-    lam is the partition with the given parts, the left representation of
-    GL(n) has unramified rank r and pi' rank m; e adds the exponents of
-    both delta_half factors, the essential twist and the modulus, and is
-    linear in lam where it is defined.
-    """
-    twist = _essential_twist(n, r, parts)
-    if twist is None:
-        return None
-    return (_delta_half_exponent(parts, r) + twist + _delta_half_exponent(parts, m)
-            + _modulus_exponent(parts, n, m))
-
-
-def _exponent_slopes(n: int, r: int, m: int) -> list:
-    """[e(1^(i+1)) - e(1^i) for i < min(r, m)], e = _lattice_exponent.
-
-    e is linear where it is defined, so on a partition lam with at most
-    min(r, m) parts e(lam) is the sum of slope_i * lam_i.
-    """
-    steps = [_lattice_exponent((1,) * i, n, r, m) for i in range(min(r, m) + 1)]
-    return [b - a for a, b in zip(steps, steps[1:])]
-
-
-def _lattice_series(params: Sequence[Scalar], n: int, satake: Sequence[Scalar],
+def _lattice_series(params: Sequence[Scalar], satake: Sequence[Scalar],
                     order: int) -> TruncatedSeries:
     """rs_series as a sum over the raw values of two Schur tables.
 
-    params are the r <= n unramified parameters of the left representation
-    of GL(n) (r = n: an unramified one, whose essential function is its
-    spherical function) and satake the m <= n Satake values of pi'.  The
-    left value at lam is the spherical value of params times a power of u,
-    with the support and the twist of whitfun._essential_twist: the index
-    set is the partitions of k with at most min(r, m) parts.  The two Schur
-    tables hold their values at D*params and E*satake (ints, with D and E
-    the lcms of the denominators, for a rational tuple; Scalars, with scale
-    1, otherwise), so the t^k coefficient is (DE)^(-k) times the sum, over
-    those partitions lam, of the two tables' values times u^e(lam)
-    (_lattice_exponent).  e is linear in lam, so it is read off once per
-    call as the slopes of _exponent_slopes and summed against the parts.
-    The values are grouped by e, so u enters once per group, not once per
-    lattice point: an int group is one monomial, a Scalar group one
-    product.
+    params are the r unramified parameters of the left representation of
+    GL(n) (its essential function is supported on the partitions with at
+    most r parts, and is its spherical function when r = n) and satake
+    the m Satake values of pi', so the index set is the partitions of k
+    with at most min(r, m) parts.  Every power of u cancels in a lattice
+    term: the two delta_half factors, the essential twist u^(-(n-r)|lam|)
+    and the inverse modulus with its twist u^((n-m)|lam|) put
+    -(r-1-2i) - (n-r) - (m-1-2i) + (n+m-2-4i) = 0 on each part lam_i.  So
+    the t^k coefficient is sum_lam s_lam(params) s_lam(satake), the
+    degree-k part of the Cauchy identity (Macdonald I.(4.3)).  The two
+    Schur tables hold their values at D*params and E*satake (ints, with D
+    and E the lcms of the denominators, for a rational tuple; Scalars,
+    with scale 1, otherwise), so the coefficient is (DE)^(-k) times one
+    plain sum of products of the tables' values.
     """
-    r, m = len(params), len(satake)
-    length = min(r, m)
-    slope = _exponent_slopes(n, r, m)
+    length = min(len(params), len(satake))
     scale_x, s_x = _schur_table(tuple(params)).scaled()
     scale_y, s_y = _schur_table(tuple(satake)).scaled()
     coeffs = []
     for k in range(order + 1):
-        sums = {}                               # u exponent -> int or Scalar
-        for parts in partitions_of(k, length):
-            value = s_x(parts) * s_y(parts)
-            if value:
-                e = sum(map(mul, slope, parts))
-                sums[e] = sums.get(e, 0) + value
+        c = sum(s_x(parts) * s_y(parts) for parts in partitions_of(k, length))
         den = (scale_x * scale_y) ** k
-        coeff = _ZERO
-        for e, c in sorted(sums.items()):
-            if c.__class__ is int:
-                coeff = coeff + Scalar.monomial({"u": e}, Fraction(c, den))
-            else:
-                coeff = coeff + c * Scalar.monomial({"u": e}, Fraction(1, den))
-        coeffs.append(coeff)
+        if c.__class__ is int:
+            coeffs.append(Scalar.rational(c, den))
+        elif den == 1:
+            coeffs.append(c)
+        else:
+            coeffs.append(c * Scalar.rational(1, den))
     return TruncatedSeries(order, coeffs)
 
 

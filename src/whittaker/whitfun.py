@@ -4,13 +4,13 @@ All evaluations happen on the diagonal torus, at points diag(w^l1, ...,
 w^lm) encoded by their integer exponent vectors; Iwasawa decomposition
 makes these values sufficient for every integral in scope.  The values
 here are taken one point at a time; rseng's lattice sum reads the same
-Schur values off whole tables and uses only the exponent rules
-_delta_half_exponent and _essential_twist from this module.
+Schur values off whole tables, where every power of u cancels, and uses
+nothing from this module.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Tuple
+from typing import Sequence, Tuple
 
 from .errors import BadRank, UnsupportedWeight
 from .repdata import GenericRep, compute_piu
@@ -81,25 +81,11 @@ def essential_value(rep: GenericRep, weight: Sequence[int]) -> Scalar:
         return Scalar.of(0)
     lam = Partition(weight)
     r, params = compute_piu(rep)
-    twist = _essential_twist(n, r, lam.parts)
-    if twist is None:
+    if lam.length > r:
         return Scalar.of(0)
     value = spherical_value(params, lam.padded(r))
+    twist = -(n - r) * lam.size
     return value * u_power(twist) if twist else value
-
-
-def _essential_twist(n: int, r: int, parts: tuple) -> Optional[int]:
-    """Exponent e with W_ess(lam) = u^e * W_0(lam), or None where W_ess(lam) = 0.
-
-    W_ess is the essential function of a representation of GL(n) whose
-    unramified part has rank r, W_0 the spherical function of that part,
-    and lam the partition with the given parts.  W_ess is supported on
-    partitions of at most r parts (for r = 0, the empty one) and carries
-    the twist u^(-(n-r)|lam|); r = n gives W_0 itself.
-    """
-    if len(parts) > r:
-        return None
-    return -(n - r) * sum(parts)
 
 
 def beta_to_diag(z_exponents: Sequence[int]) -> Tuple[int, ...]:

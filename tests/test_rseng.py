@@ -16,7 +16,7 @@ from whittaker.rseng import (cauchy_check, cauchy_term_count, l_factor, rs_serie
 from whittaker.suite import generate_suite, make_pi_prime
 from whittaker.symfunc import (Partition, complete_homogeneous, partitions_up_to,
                                schur_ssyt_oracle)
-from whittaker.whitfun import delta_half, essential_value, spherical_value
+from whittaker.whitfun import _delta_half_exponent, delta_half, essential_value, spherical_value
 
 STEINBERG = parse_rep({"q": "3", "segments": [
     {"kind": "unramified", "satake": "1/2", "length": 2}]})
@@ -201,22 +201,19 @@ def test_no_nonpartition_weight_contributes():
             assert essential_value(MIXED, weight + (0, 0)).is_zero()
 
 
-def test_lattice_exponent_is_the_slope_form():
-    # _lattice_series sums u-exponents as a linear form in the parts; it
-    # relies on e being linear on partitions with at most min(r, m) parts
-    # and undefined on those with more than r
-    for n in range(1, 7):
+def test_lattice_u_exponents_cancel():
+    # _lattice_series leaves u out: at every lattice point the two
+    # delta_half exponents, the essential twist and the inverse modulus
+    # with its twist u^((n - m)|lam|) add up to 0
+    for n in range(1, 9):
         for r in range(n + 1):
             for m in range(1, n + 1):
-                slope = rseng._exponent_slopes(n, r, m)
-                assert len(slope) == min(r, m)
-                for shape in partitions_up_to(6, 6):
-                    e = rseng._lattice_exponent(shape.parts, n, r, m)
-                    if shape.length > r:
-                        assert e is None, (n, r, m, shape)
-                    elif shape.length <= m:
-                        assert e == sum(a * b for a, b in zip(slope, shape.parts)), \
-                            (n, r, m, shape)
+                for shape in partitions_up_to(6, min(r, m)):
+                    lam = shape.parts
+                    modulus = sum(x * (n + m - 2 - 4 * i) for i, x in enumerate(lam))
+                    total = (_delta_half_exponent(lam, r) - (n - r) * shape.size
+                             + _delta_half_exponent(lam, m) + modulus)
+                    assert total == 0, (n, r, m, shape)
 
 
 # --- symbolic/numeric coherence -----------------------------------------------------
