@@ -98,7 +98,10 @@ class Scalar:
 
     @classmethod
     def rational(cls, p: Rational, q: Rational = 1) -> "Scalar":
-        c = _canon(Fraction(p) / Fraction(q))
+        if p.__class__ is int and q.__class__ is int:
+            c = Fraction(p, q) if p % q else p // q
+        else:
+            c = _canon(Fraction(p) / Fraction(q))
         return cls({0: c} if c else {})
 
     @classmethod

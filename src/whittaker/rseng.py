@@ -7,23 +7,24 @@ The torus measure is normalized so each lattice point contributes once
 pairing identities hold with the standard spherical formula, and it is
 pinned by cauchy_check.
 
-Every power of u cancels in a lattice term, so the lattice sum is one
-plain sum, per coefficient, of products of the raw values of the two
-Schur branching tables, for every tuple alike: ints for rational values,
-Scalars for symbolic ones, and an int times a Scalar for a mixed pair.
-One Scalar is built per coefficient.
+Every power of u cancels in a lattice term, so each coefficient of the
+lattice sum is one dot product of the raw values of two Schur tables over
+the partitions of its degree, for every tuple alike: ints for rational
+values, Scalars for symbolic ones, and an int times a Scalar for a mixed
+pair.  One Scalar is built per coefficient.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from math import comb
+from operator import mul
 from typing import Optional, Sequence, Tuple, Union
 
 from .errors import BadRanks, InvariantViolation, Unsupported
 from .repdata import GenericRep, UnramifiedLanglandsRep, compute_piu
 from .ringcore import EulerFactor, Scalar, TruncatedSeries, euler_expand, series_equal
-from .symfunc import _schur_table, partitions_of
+from .symfunc import _schur_table
 
 LeftInput = Union[GenericRep, UnramifiedLanglandsRep]
 
@@ -169,19 +170,24 @@ def _lattice_series(params: Sequence[Scalar], satake: Sequence[Scalar],
     and the inverse modulus with its twist u^((n-m)|lam|) put
     -(r-1-2i) - (n-r) - (m-1-2i) + (n+m-2-4i) = 0 on each part lam_i.  So
     the t^k coefficient is sum_lam s_lam(params) s_lam(satake), the
-    degree-k part of the Cauchy identity (Macdonald I.(4.3)).  The two
-    Schur tables hold their values at D*params and E*satake (ints, with D
-    and E the lcms of the denominators, for a rational tuple; Scalars,
-    with scale 1, otherwise), so the coefficient is (DE)^(-k) times one
-    plain sum of products of the tables' values.
+    degree-k part of the Cauchy identity (Macdonald I.(4.3)).  Both Schur
+    tables are filled over one order ideal, the partitions of size <= order
+    with at most min(r, m) parts, sorted by size, so the partitions of k are
+    one slice of each table's values.  The tables hold their values at
+    D*params and E*satake (ints, with D and E the lcms of the denominators,
+    for a rational tuple; Scalars, with scale 1, otherwise), so the
+    coefficient is one dot product of the two slices, divided once by
+    (DE)^k.
     """
     length = min(len(params), len(satake))
-    scale_x, s_x = _schur_table(tuple(params)).scaled()
-    scale_y, s_y = _schur_table(tuple(satake)).scaled()
+    x = _schur_table(tuple(params), order, length)
+    y = _schur_table(tuple(satake), order, length)
+    starts = x.ideal.starts
     coeffs = []
     for k in range(order + 1):
-        c = sum(s_x(parts) * s_y(parts) for parts in partitions_of(k, length))
-        den = (scale_x * scale_y) ** k
+        a, b = starts[k], starts[k + 1]
+        c = sum(map(mul, x.values[a:b], y.values[a:b]))
+        den = (x.scale * y.scale) ** k
         if c.__class__ is int:
             coeffs.append(Scalar.rational(c, den))
         elif den == 1:

@@ -1,22 +1,25 @@
 """Partitions, Schur polynomials and complete homogeneous polynomials.
 
-The default Schur algorithm fills one table per variable tuple by the
-Gelfand-Tsetlin branching rule (Macdonald I.(5.11)), summed over one
-interlacing row at a time, with full columns split off by the bialternant
-(I.(3.1)), so every Schur value of that tuple shares the work of the
-smaller ones; when every value is rational the table runs in Python ints.
-The Jacobi-Trudi determinant in complete homogeneous
-polynomials and the bialternant ratio (exact polynomial division at a
-generic point) stay selectable by name, and with a semistandard-tableau
-enumerator they are the independent oracles the tests compare against.
+The default Schur algorithm fills a table over an order ideal of
+partitions (a set closed under removing a box) by the Gelfand-Tsetlin
+branching rule (Macdonald I.(5.11)): one variable and one interlacing row
+at a time, each row in order of size, in place and without recursion, so
+every value shares the work of the smaller ones.  rseng's lattice sum reads
+a whole table of the partitions of bounded size and length; a single value
+s_lam fills the partitions contained in lam.  When every value is rational
+the table runs in Python ints.  The Jacobi-Trudi determinant in complete
+homogeneous polynomials and the bialternant ratio (exact polynomial
+division at a generic point) stay selectable by name, and with a
+semistandard-tableau enumerator they are the independent oracles the tests
+compare against.
 """
 
 from __future__ import annotations
 
 import itertools
-import operator
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import ge
 from typing import Iterable, Iterator, Sequence
 
 from .errors import UnsupportedWeight
@@ -24,21 +27,22 @@ from .ringcore import _ONE, _ZERO, Scalar, _exact_div, _h_convolution, _scaled_i
 
 ALGORITHMS = ("branching", "jacobi-trudi", "bialternant")
 
-# Entries kept by each of the oracle caches, _h_list, _schur_jacobi_trudi
-# and the bialternant's _schur_generic (least recently used go first), so
-# long-lived library use stays bounded.  All the checks of one generated
-# suite representation at degree 12 need at most about 500 Schur values; a
-# symbolic cauchy 4x4 check at degree 8 needs about 120 entries, some 2 MB.
+# Entries kept by each of the single-value caches, _schur_branching, and the
+# oracles' _h_list, _schur_jacobi_trudi and _schur_generic (least recently
+# used go first), so long-lived library use stays bounded.  All the checks
+# of one generated suite representation at degree 12 need at most about 500
+# Schur values; a symbolic cauchy 4x4 check at degree 8 needs about 120
+# entries, some 2 MB.
 SCHUR_CACHE_SIZE = 2048
 
-# Branching tables kept (least recently used go first), one per variable
-# tuple.  A verification needs two at a time, and the checks of one
-# representation share its table; a symbolic table at degree 8 in four
-# variables holds 129 polynomials of 3304 terms in all.
+# Lattice tables kept (least recently used go first), one per variable tuple,
+# degree and length.  A verification needs two at a time.  A symbolic table at
+# degree 8 holds 53 polynomials of 2597 terms in all in four variables.
 SCHUR_TABLE_CACHE_SIZE = 64
 
-# Partition lists kept, one per (size, maximal number of parts): every check
-# to degree d against a pi' of rank m reads the d + 1 lists of (k, m), k <= d.
+# Partition lists kept, one per (size, maximal number of parts), and order
+# ideals, one per (cap, size bound): a lattice sum to degree d at length L
+# reads one ideal, and a single Schur value s_lam the one below lam.
 PARTITION_CACHE_SIZE = 256
 
 
@@ -212,117 +216,111 @@ def _schur_bialternant(parts: tuple, vars_key: tuple) -> Scalar:
     return total
 
 
+class _OrderIdeal:
+    """The partitions mu contained in cap with |mu| <= bound.
+
+    Such a set is an order ideal of Young's lattice: it holds mu - e_i
+    whenever that is a partition.  states lists its members zero-padded to
+    len(cap), by size and reverse-lexicographically within a size (the
+    order of partitions_of), so the states of size k are
+    states[starts[k]:starts[k + 1]].  rows[i] lists, in the order of j, the
+    pairs (j, d) with states[d] = states[j] - e_i.  The ideal is built
+    level by level, each size from the one below it.
+    """
+
+    __slots__ = ("cap", "states", "index", "starts", "rows")
+
+    def __init__(self, cap: tuple, bound: int):
+        self.cap = cap
+        self.states, self.starts = [], []
+        level = [(0,) * len(cap)]
+        for _ in range(bound + 1):
+            self.starts.append(len(self.states))
+            self.states.extend(level)
+            level = sorted({mu[:i] + (mu[i] + 1,) + mu[i + 1:] for mu in level
+                            for i in range(len(cap))
+                            if mu[i] < cap[i] and (not i or mu[i - 1] > mu[i])}, reverse=True)
+        self.starts.append(len(self.states))
+        self.index = {mu: j for j, mu in enumerate(self.states)}
+        self.rows = [[(j, d) for j, mu in enumerate(self.states)
+                      if (d := self.index.get(mu[:i] + (mu[i] - 1,) + mu[i + 1:])) is not None]
+                     for i in range(len(cap))]
+
+
+@lru_cache(maxsize=PARTITION_CACHE_SIZE)
+def _order_ideal(cap: tuple, bound: int) -> _OrderIdeal:
+    return _OrderIdeal(cap, bound)
+
+
 class _SchurTable:
-    """Schur values of one variable tuple x_1..x_n, by the branching rule.
+    """Schur values of one variable tuple x_1..x_n on one order ideal.
 
     s_lam(x_1..x_k) is the sum, over mu interlacing lam
     (lam_1 >= mu_1 >= lam_2 >= ... >= mu_(k-1) >= lam_k), of
     s_mu(x_1..x_(k-1)) * x_k^(|lam| - |mu|) (Macdonald, Symmetric Functions
-    and Hall Polynomials, I.(5.11)).  The sum runs one row of mu at a time:
-    G_i(lam), its part with mu_j = lam_j for j < i, is
-    G_(i+1)(lam) + x_k * G_i(lam - e_i) if lam_i > lam_(i+1), and
-    G_(i+1)(lam) if the two rows are equal; G_1(lam) = s_lam, and
-    G_k(lam) = s_(lam_1..lam_(k-1))(x_1..x_(k-1)) when lam_k = 0.  Each
-    value thus costs one add and one multiply by x_k.  A full column comes
-    off first: s_lam = (x_1...x_k)^c * s_(lam - c^k) for c = lam_k, as the
-    bialternant a_(lam+delta) / a_delta (I.(3.1)) shows.  The Schur values
-    are memoised per prefix length, and the other G_i in one dict per i.
+    and Hall Polynomials, I.(5.11)).  Let W_i(lam) be the part of that sum
+    with mu_j = lam_j for every row j < i (rows counted from 0).  Then
+    W_i(lam) = W_(i+1)(lam) + x_k * W_i(lam - e_i), without the second term
+    when lam - e_i is not a partition; W_0(lam) = s_lam(x_1..x_k), and
+    W_k(lam) = s_lam(x_1..x_(k-1)), which is 0 when lam has k parts.  So one
+    list holds W over the ideal, starting from s_lam() (1 at the empty
+    partition, else 0), and for k = 1..n the rows i = min(len(cap), k) - 1
+    down to 0 are swept in place, in order of size, over the states with at
+    most k parts: one add and one multiply by x_k per state and row, and no
+    recursion at any width.  When only s_top is wanted, row i at step k
+    sweeps only the lam with lam_j >= top_(j+n-k+1) for j <= i and
+    lam_j >= top_(j+n-k) for j > i, the states that a Gelfand-Tsetlin
+    pattern ending at top passes through, with their chains; the other
+    values go stale.
 
     When every value is rational the table is filled in ints at the point
     y = D*x, D the lcm of the denominators, and homogeneity gives
     s_lam(x) = s_lam(y) / D^|lam|.  Otherwise the same code runs on Scalars
-    at y = x, D = 1.  scaled() hands out D and the raw values, so a caller
-    can keep a whole sum of Schur values in ints (or in Scalars) and divide
-    once.  Values are deterministic, so threads that fill one entry
-    concurrently store equal values.
+    at y = x, D = 1.  scale is D and values the raw values at y, in the
+    order of ideal.states, so a caller can keep a whole sum of Schur values
+    in ints (or in Scalars) and divide once.
     """
 
-    __slots__ = ("_xs", "_scale", "_memo", "_rows_memo", "_columns", "_values")
+    __slots__ = ("ideal", "scale", "values")
 
-    def __init__(self, vars_key: tuple):
+    def __init__(self, vars_key: tuple, ideal: _OrderIdeal, top: tuple = ()):
         if all(v.is_rational() for v in vars_key):
-            self._scale, self._xs = _scaled_ints(vars_key)
+            self.scale, xs = _scaled_ints(vars_key)
             one = 1
         else:
-            self._xs = vars_key
-            self._scale = 1
+            self.scale, xs = 1, vars_key
             one = _ONE
-        # lam, zero-padded to length k -> s_lam(x_1..x_k)
-        self._memo = {(0,) * k: one for k in range(len(vars_key) + 1)}
-        self._rows_memo = [{} for _ in vars_key]   # i -> {lam: G_(i+1)(lam)}, i >= 1
-        self._columns = list(itertools.accumulate(self._xs, operator.mul))  # x_1...x_k
-        self._values = {}                       # parts -> returned Scalar
+        values = [one] + [one - one] * (len(ideal.states) - 1)
+        n, length, states = len(xs), len(ideal.cap), ideal.states
+        for k, x in enumerate(xs, 1):
+            window = top[n - k:]
+            for i in reversed(range(min(length, k))):
+                row = ideal.rows[i]
+                floor = window[1:i + 2] + window[i + 1:]
+                if k < length or any(floor):
+                    row = [(j, d) for j, d in row
+                           if (k >= length or not states[j][k]) and all(map(ge, states[d], floor))]
+                for j, d in row:
+                    values[j] = values[j] + x * values[d]
+        self.ideal = ideal
+        self.values = values
 
     def value(self, parts: tuple) -> Scalar:
-        """s_parts(x_1..x_n); parts has at most n entries, no trailing zeros."""
-        out = self._values.get(parts)
-        if out is None:
-            out = self._raw(parts)
-            if out.__class__ is int:
-                out = Scalar.rational(out, self._scale ** sum(parts))
-            self._values[parts] = out
-        return out
-
-    def scaled(self):
-        """(D, s) with s(parts) = s_parts(D*x_1..D*x_n).
-
-        For a table of rationals D is the lcm of the denominators and s
-        returns ints; otherwise D = 1 and s returns Scalars.  parts has at
-        most n entries, no trailing zeros.
-        """
-        return self._scale, self._raw
-
-    def _raw(self, parts: tuple):
-        return self._branch(0, parts + (0,) * (len(self._xs) - len(parts)))
-
-    def _branch(self, i: int, lam: tuple):
-        # G_(i+1)(lam) of the class docstring, rows counted from 0 here.
-        # Equal rows are skipped, and the last row hands over to k - 1
-        # variables in this frame, so each variable nests at most one frame
-        # per distinct part of lam: the recursion depth stays O(n).  A value
-        # with i >= 1 is stored in _rows_memo[i] for the first row i >= the
-        # one asked for with lam_i > lam_(i+1)
-        while True:
-            k = len(lam)
-            if not i:
-                out = self._memo.get(lam)
-                if out is not None:
-                    return out
-                c = lam[-1]
-                if c:
-                    out = self._columns[k - 1] ** c * self._branch(0, tuple(p - c for p in lam))
-                    self._memo[lam] = out
-                    return out
-            while i < k - 1 and lam[i] == lam[i + 1]:
-                i += 1
-            if i < k - 1:
-                break
-            lam, i = lam[:-1], 0
-        if i:
-            memo = self._rows_memo[i]
-            out = memo.get(lam)
-            if out is not None:
-                return out
-        else:
-            memo = self._memo
-        # Horner over lam_i, from the largest stored value below it, or from
-        # lam_i = lam_(i+1), where the two rows are equal
-        head, low, tail = lam[:i], lam[i + 1], lam[i + 1:]
-        top = lam[i] - 1
-        while top > low and (out := memo.get(head + (top,) + tail)) is None:
-            top -= 1
-        if top == low:
-            out = self._branch(i + 1, head + (low,) + tail)
-        x = self._xs[k - 1]
-        for part in range(top + 1, lam[i] + 1):
-            key = head + (part,) + tail
-            out = memo[key] = self._branch(i + 1, key) + x * out
-        return out
+        """s_parts(x_1..x_n); parts (no trailing zeros) is top, or any state if no top."""
+        out = self.values[self.ideal.index[parts + (0,) * (len(self.ideal.cap) - len(parts))]]
+        return Scalar.rational(out, self.scale ** sum(parts)) if out.__class__ is int else out
 
 
 @lru_cache(maxsize=SCHUR_TABLE_CACHE_SIZE)
-def _schur_table(vars_key: tuple) -> _SchurTable:
-    return _SchurTable(vars_key)
+def _schur_table(vars_key: tuple, order: int, length: int) -> _SchurTable:
+    """The table of vars_key on the partitions of size <= order with <= length parts."""
+    return _SchurTable(vars_key, _order_ideal((order,) * length, order))
+
+
+@lru_cache(maxsize=SCHUR_CACHE_SIZE)
+def _schur_branching(parts: tuple, vars_key: tuple) -> Scalar:
+    """s_parts(vars_key) from a table on the partitions contained in parts."""
+    return _SchurTable(vars_key, _order_ideal(parts, sum(parts)), parts).value(parts)
 
 
 def schur_detailed(shape, variables: Sequence, algorithm: str = "branching") -> SchurValue:
@@ -336,7 +334,7 @@ def schur_detailed(shape, variables: Sequence, algorithm: str = "branching") -> 
     if shape.length > len(vars_key):
         return SchurValue(Scalar.of(0), True)
     if algorithm == "branching":
-        value = _schur_table(vars_key).value(shape.parts)
+        value = _schur_branching(shape.parts, vars_key)
     elif algorithm == "jacobi-trudi":
         value = _schur_jacobi_trudi(shape.parts, vars_key)
     elif algorithm == "bialternant":

@@ -8,6 +8,9 @@ from pathlib import Path
 
 from whittaker import symfunc
 from whittaker.cli import main
+from whittaker.ringcore import Scalar, u_power
+from whittaker.symfunc import schur
+from whittaker.whitfun import _delta_half_exponent
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -154,6 +157,17 @@ def test_schur_defaults_to_the_branching_table(capsys, monkeypatch):
 def test_spherical_output(capsys):
     assert main(["spherical", "--satake", "z1,z2", "--weight", "1,0"]) == 0
     assert capsys.readouterr().out.strip() == "u^-1*z1 + u^-1*z2"
+
+
+def test_spherical_on_600_rational_values(capsys):
+    # the Schur table has no recursion, so a wide tuple is no harder than a
+    # long one; the values start with "-", hence the --satake= form
+    values = [Scalar.rational(i % 13 - 6, i % 7 + 1) for i in range(600)]
+    weight = (2, 1) + (0,) * 598
+    satake = ",".join(map(str, values))
+    assert main(["spherical", f"--satake={satake}", "--weight", ",".join(map(str, weight))]) == 0
+    expected = u_power(_delta_half_exponent(weight, 600)) * schur((2, 1), values, "jacobi-trudi")
+    assert capsys.readouterr().out == f"{expected}\n"
 
 
 def test_lfactor_output(tmp_path, capsys):

@@ -304,6 +304,29 @@ def test_dict_lookup_by_plain_rational_finds_scalar(r):
     assert {Fraction(r): "x"}.get(Scalar.of(r)) == "x"
 
 
+@settings(max_examples=80, deadline=None)
+@given(st.integers(-10 ** 30, 10 ** 30), st.integers(-10 ** 12, 10 ** 12).filter(bool))
+@example(6, 3)
+@example(-6, 4)
+@example(0, -5)
+@example(7, -1)
+def test_rational_from_ints_matches_the_fraction_route(p, q):
+    # two ints take a shortcut past Fraction(p) / Fraction(q); the value,
+    # the type of the canonical coefficient and the hash must not change
+    got = Scalar.rational(p, q)
+    expected = Scalar.rational(Fraction(p), Fraction(q))
+    assert got == expected and hash(got) == hash(expected)
+    assert [type(c) for _, c in got.iter_terms()] == [type(c) for _, c in expected.iter_terms()]
+    assert got.as_fraction() == Fraction(p, q)
+
+
+def test_rational_from_ints_rejects_zero_denominator():
+    with pytest.raises(ZeroDivisionError):
+        Scalar.rational(3, 0)
+    with pytest.raises(ZeroDivisionError):
+        Scalar.rational(0, 0)
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.lists(st.integers(-3, 3).filter(bool), max_size=4), st.integers(0, 5))
 def test_euler_coefficients_are_complete_homogeneous(root_values, order):

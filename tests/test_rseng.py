@@ -14,8 +14,8 @@ from whittaker.ringcore import EulerFactor, Scalar, _h_convolution, euler_expand
 from whittaker.rseng import (cauchy_check, cauchy_term_count, l_factor, rs_series,
                              theorem_product, verify_essential)
 from whittaker.suite import generate_suite, make_pi_prime
-from whittaker.symfunc import (Partition, complete_homogeneous, partitions_up_to,
-                               schur_ssyt_oracle)
+from whittaker.symfunc import (Partition, complete_homogeneous, partitions_of, partitions_up_to,
+                               schur, schur_ssyt_oracle)
 from whittaker.whitfun import _delta_half_exponent, delta_half, essential_value, spherical_value
 
 STEINBERG = parse_rep({"q": "3", "segments": [
@@ -214,6 +214,31 @@ def test_lattice_u_exponents_cancel():
                     total = (_delta_half_exponent(lam, r) - (n - r) * shape.size
                              + _delta_half_exponent(lam, m) + modulus)
                     assert total == 0, (n, r, m, shape)
+
+
+_RATIONAL_VALUES = st.builds(Scalar.rational, st.integers(-9, 9), st.integers(1, 6))
+_SYMBOLIC_VALUES = st.sampled_from([Scalar.variable("x1"), Scalar.variable("x2"),
+                                    Scalar.variable("y1") ** -1, 2 * Scalar.variable("y2"),
+                                    Scalar.variable("x1") - Scalar.variable("y1")])
+_TUPLES = st.one_of(st.lists(_RATIONAL_VALUES, min_size=1, max_size=4),
+                    st.lists(_SYMBOLIC_VALUES, min_size=1, max_size=3),
+                    st.lists(st.one_of(_RATIONAL_VALUES, _SYMBOLIC_VALUES), min_size=1, max_size=3))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_TUPLES, _TUPLES, st.integers(0, 5))
+def test_lattice_read_out_is_the_cauchy_sum(params, satake, order):
+    # each coefficient is read off the two tables' slices of one degree;
+    # the oracle sums Jacobi-Trudi products over the same partitions, for
+    # rational, symbolic and mixed tuples on either side
+    series = rseng._lattice_series(params, satake, order)
+    length = min(len(params), len(satake))
+    for k in range(order + 1):
+        expected = Scalar.of(0)
+        for parts in partitions_of(k, length):
+            expected = expected + (schur(parts, params, "jacobi-trudi")
+                                   * schur(parts, satake, "jacobi-trudi"))
+        assert series.coeffs[k] == expected, k
 
 
 # --- symbolic/numeric coherence -----------------------------------------------------

@@ -154,11 +154,13 @@ def test_branching_matches_jacobi_trudi(values, data):
                  st.lists(st.one_of(_RATIONALS, _LAURENT), max_size=5)),
        st.data())
 def test_branching_table_in_any_access_order(values, data):
-    # the row recursion reuses whatever the table already holds, so every
-    # order of queries (full-column shapes among them) must fill it the
-    # same way; a fresh table, not the cached one, starts empty
-    table = symfunc._SchurTable(tuple(values))
+    # one fill covers the whole order ideal of shapes up to size 7, so every
+    # order of reads (full-column shapes among them) must find the same
+    # values; a fresh table, not the cached one, is filled from nothing
+    ideal = symfunc._order_ideal((7,) * len(values), 7)
+    table = symfunc._SchurTable(tuple(values), ideal)
     shapes = data.draw(st.permutations(partitions_up_to(7, len(values))))
+    assert len(ideal.states) == len(shapes)
     for shape in shapes:
         assert table.value(shape.parts) == schur(shape, values, "jacobi-trudi"), shape
 
@@ -168,6 +170,32 @@ def test_branching_recursion_depth_grows_linearly():
     # (that would be quadratic in the variable count)
     values = [Scalar.rational(i % 7 - 3, i % 5 + 1) for i in range(120)]
     assert schur((2, 1), values) == schur((2, 1), values, "jacobi-trudi")
+
+
+@pytest.mark.parametrize("shape", [(2, 1), (4, 4, 2, 2)])
+def test_branching_on_thousands_of_rational_values(shape):
+    # the fill is iterative, so the width of the tuple is bounded by time
+    # and memory, not by the recursion limit
+    values = [Scalar.rational(i % 11 - 5, i % 6 + 1) for i in range(2000)]
+    assert schur(shape, values) == schur(shape, values, "jacobi-trudi")
+
+
+def test_order_ideal_state_counts():
+    # below a shape: the 429 partitions inside the staircase (6,5,4,3,2,1),
+    # not every partition of size <= 21
+    staircase = (6, 5, 4, 3, 2, 1)
+    assert len(symfunc._order_ideal(staircase, sum(staircase)).states) == 429
+    # the lattice ideal: every partition of size <= order with <= L parts,
+    # one slice per size
+    for order in range(9):
+        for length in range(5):
+            ideal = symfunc._order_ideal((order,) * length, order)
+            assert len(ideal.states) == sum(len(symfunc.partitions_of(k, length))
+                                            for k in range(order + 1))
+            for k in range(order + 1):
+                listed = ideal.states[ideal.starts[k]:ideal.starts[k + 1]]
+                assert [Partition(mu).parts for mu in listed] == \
+                    list(symfunc.partitions_of(k, length))
 
 
 def test_schur_at_rational_points():
@@ -209,14 +237,22 @@ def test_schur_caches_are_bounded():
     # hold an entry for each of them
     bound = symfunc.SCHUR_CACHE_SIZE
     table_bound = symfunc.SCHUR_TABLE_CACHE_SIZE
-    for cache in (symfunc._h_list, symfunc._schur_jacobi_trudi, symfunc._schur_generic):
+    ideal_bound = symfunc.PARTITION_CACHE_SIZE
+    value_caches = (symfunc._h_list, symfunc._schur_jacobi_trudi, symfunc._schur_branching)
+    for cache in value_caches + (symfunc._schur_generic,):
         assert cache.cache_info().maxsize == bound
     assert symfunc._schur_table.cache_info().maxsize == table_bound
+    assert symfunc._order_ideal.cache_info().maxsize == ideal_bound
     for i in range(bound + 10):
         variables = [Scalar.variable(f"bound{i}")]
         schur((1,), variables, "jacobi-trudi")
         schur((1,), variables, "branching")
-    for cache in (symfunc._h_list, symfunc._schur_jacobi_trudi):
+        symfunc._schur_table(tuple(variables), 1, 1)
+    for i in range(ideal_bound + 10):
+        # one distinct order ideal per shape
+        assert schur((i,), [Scalar.of(2)]) == 2 ** i
+    for cache in value_caches:
         assert cache.cache_info().currsize <= bound
     assert symfunc._schur_table.cache_info().currsize <= table_bound
+    assert symfunc._order_ideal.cache_info().currsize <= ideal_bound
     assert schur((2, 1), X[:2]) == X[0] ** 2 * X[1] + X[0] * X[1] ** 2
