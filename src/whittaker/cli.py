@@ -71,11 +71,12 @@ def _spot_check(report: VerificationReport, seed: int, params: Sequence[Scalar],
     """Recompute a passing symbolic report at a seeded rational point.
 
     The report came from the unramified parameters params of a
-    representation and the Satake values of pi'.  Every atom of theirs,
-    and u, is bound to a seeded random nonzero rational; the lattice sum
-    and the Euler expansion are then recomputed from the bound values and
-    compared with the symbolic lhs at the same point.  The
-    lattice sum there is the table sum of the symbolic series rerun in
+    representation and the Satake values of pi'.  Every atom of theirs is
+    bound to a seeded random nonzero rational; u needs no value, as it is
+    reserved in every input and cancels from the lattice sum.  The lattice
+    sum and the Euler expansion are then recomputed from the bound values
+    and compared with the symbolic lhs at the same point.  The lattice sum
+    there is the table sum of the symbolic series rerun in
     integers, which shares no Scalar products with that series; so a
     fault that corrupts both symbolic series alike shows up as a
     disagreement, an internal bug.  Every coefficient is a Laurent
@@ -92,7 +93,6 @@ def _spot_check(report: VerificationReport, seed: int, params: Sequence[Scalar],
         return None
     for v in (*params, *satake_prime):
         variables.update(v.variables())
-    variables.add("u")
     rng = random.Random(seed)
     bindings = {}
     for v in sorted(variables):

@@ -5,15 +5,15 @@ segment either carries an unramified character top (with an exact value,
 rational or a named indeterminate) or an opaque ramified cuspidal tag.
 Ramified cuspidal data stays opaque on purpose: every L-factor in scope
 takes the factor 1 from those segments, so their Whittaker data is never
-needed.
+needed.  A representation computes its unramified part once, when it is
+built, and keeps it; the module holds no state across calls.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
 from typing import Optional, Sequence, Tuple
 
 from .errors import (
@@ -29,13 +29,6 @@ from .ringcore import Scalar
 _IDENT_RE = re.compile(r"^[a-z][a-z0-9]*$")
 _RATIONAL_RE = re.compile(r"^[+-]?[0-9]+(/[0-9]+)?$")
 _RESERVED = {"u", "t", "q"}
-
-# Entries kept by each of the two per-representation caches (least recently
-# used go first), so long-lived library use stays bounded.  Every check on
-# one representation, for each rank m of the second representation, looks
-# the same entry up again; a generated suite of 72 representations fits.
-REP_CACHE_SIZE = 256
-
 
 def parse_scalar_atom(text: str) -> Scalar:
     """Parse a rational string 'p/q' or a bare indeterminate identifier."""
@@ -185,10 +178,15 @@ def validate_unlinked(a: Segment, b: Segment, q_value: Optional[Fraction] = None
 
 @dataclass(frozen=True)
 class GenericRep:
-    """Product of pairwise unlinked segments; validated at construction."""
+    """Product of pairwise unlinked segments; validated at construction.
+
+    Construction also stores the unramified part (see compute_piu) in _piu,
+    which takes no part in init, repr, equality or hashing.
+    """
 
     segments: Tuple[Segment, ...]
     q: Optional[Fraction] = None
+    _piu: Tuple[int, Tuple[Scalar, ...]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         segments = tuple(self.segments)
@@ -203,6 +201,8 @@ class GenericRep:
             for j in range(i + 1, len(segments)):
                 if validate_unlinked(segments[i], segments[j], self.q).linked:
                     raise NotGeneric(i, j)
+        tops = tuple(s.top.value for s in segments if s.kind == "unramified")
+        object.__setattr__(self, "_piu", (len(tops), langlands_order(tops)))
 
     @property
     def n(self) -> int:
@@ -247,16 +247,14 @@ def langlands_order(values: Sequence[Scalar]) -> Tuple[Scalar, ...]:
     return values
 
 
-@lru_cache(maxsize=REP_CACHE_SIZE)
 def compute_piu(rep: GenericRep):
     """Rank r and ordered parameters of the unramified part of the representation.
 
     r counts the segments whose top is an unramified character of GL(1); the
     parameters are those top values in Langlands order.  r = 0 yields the
-    empty parameter list.
+    empty parameter list.  The value is computed once, when rep is built.
     """
-    tops = tuple(s.top.value for s in rep.segments if s.kind == "unramified")
-    return len(tops), langlands_order(tops)
+    return rep._piu
 
 
 def _derived_segment(seg: Segment, steps: int) -> Optional[Segment]:
@@ -293,7 +291,6 @@ def _is_unramified_character_product(product) -> bool:
     return all(s.kind == "unramified" and s.length == 1 for s in product)
 
 
-@lru_cache(maxsize=REP_CACHE_SIZE)
 def _check_derivative_consistency(rep: GenericRep) -> None:
     # the first derivative order carrying a product of unramified characters
     # must be n - r, and the product there must be pi_u; this pins the

@@ -22,8 +22,7 @@ repacked into their union first.
 Every value in scope lives in this ring: Satake values are rationals or
 single indeterminates, Schur polynomials and complete homogeneous
 polynomials are polynomials, and the only divisions are by monomials,
-which are units.  Division is therefore defined by units only; the
-bialternant's exact polynomial division is the separate _exact_div.
+which are units.  Division is therefore defined by units only.
 
 The module also provides truncated power series in t = q^(-s) and Euler
 factors (multisets of reciprocal roots), with exact comparison.
@@ -375,38 +374,6 @@ def substitute(p: Scalar, bindings: Mapping[str, Rational]) -> Fraction:
     otherwise).
     """
     return Scalar.of(p).substitute(bindings)
-
-
-# ---------------------------------------------------------------------------
-# exact division of ordinary polynomials (the bialternant divides by a
-# Vandermonde determinant)
-# ---------------------------------------------------------------------------
-
-def _lead(p: Scalar):
-    # exponents of the graded-lexicographic leading monomial: the largest key
-    m = max(p.terms)
-    return dict(zip(p.names, _unpack(m, len(p.names), _width(p.bound)))), p.terms[m]
-
-
-def _exact_div(f: Scalar, g: Scalar) -> Scalar:
-    """Exact division of ordinary polynomials; g must divide f."""
-    if g.is_zero():
-        raise DivisionByZero("polynomial division by zero")
-    if g.is_rational():
-        return f * g.inverse()
-    mg, cg = _lead(g)
-    q = _ZERO
-    r = f
-    while r:
-        exps, cr = _lead(r)
-        for v, e in mg.items():
-            exps[v] = exps.get(v, 0) - e
-        if any(e < 0 for e in exps.values()):
-            raise ValueError("inexact polynomial division")
-        term = Scalar.monomial(exps, Fraction(cr) / cg)
-        q = q + term
-        r = r - term * g
-    return q
 
 
 def u_power(e: int) -> Scalar:

@@ -24,7 +24,7 @@ from typing import Optional, Sequence, Tuple, Union
 from .errors import BadRanks, InvariantViolation, Unsupported
 from .repdata import GenericRep, UnramifiedLanglandsRep, compute_piu
 from .ringcore import EulerFactor, Scalar, TruncatedSeries, euler_expand, series_equal
-from .symfunc import _schur_table
+from .symfunc import _order_ideal, _SchurTable
 
 LeftInput = Union[GenericRep, UnramifiedLanglandsRep]
 
@@ -171,18 +171,18 @@ def _lattice_series(params: Sequence[Scalar], satake: Sequence[Scalar],
     -(r-1-2i) - (n-r) - (m-1-2i) + (n+m-2-4i) = 0 on each part lam_i.  So
     the t^k coefficient is sum_lam s_lam(params) s_lam(satake), the
     degree-k part of the Cauchy identity (Macdonald I.(4.3)).  Both Schur
-    tables are filled over one order ideal, the partitions of size <= order
-    with at most min(r, m) parts, sorted by size, so the partitions of k are
-    one slice of each table's values.  The tables hold their values at
-    D*params and E*satake (ints, with D and E the lcms of the denominators,
-    for a rational tuple; Scalars, with scale 1, otherwise), so the
-    coefficient is one dot product of the two slices, divided once by
-    (DE)^k.
+    tables are filled for this call only, over one shared order ideal, the
+    partitions of size <= order with at most min(r, m) parts, sorted by
+    size, so the partitions of k are one slice of each table's values.  The
+    tables hold their values at D*params and E*satake (ints, with D and E
+    the lcms of the denominators, for a rational tuple; Scalars, with scale
+    1, otherwise), so the coefficient is one dot product of the two slices,
+    divided once by (DE)^k.
     """
-    length = min(len(params), len(satake))
-    x = _schur_table(tuple(params), order, length)
-    y = _schur_table(tuple(satake), order, length)
-    starts = x.ideal.starts
+    ideal = _order_ideal((order,) * min(len(params), len(satake)), order)
+    x = _SchurTable(tuple(params), ideal)
+    y = _SchurTable(tuple(satake), ideal)
+    starts = ideal.starts
     coeffs = []
     for k in range(order + 1):
         a, b = starts[k], starts[k + 1]

@@ -18,27 +18,22 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 from operator import ge
 from typing import Iterable, Iterator, Sequence
 
-from .errors import UnsupportedWeight
-from .ringcore import _ONE, _ZERO, Scalar, _exact_div, _h_convolution, _scaled_ints
+from .errors import DivisionByZero, UnsupportedWeight
+from .packing import _unpack, _width
+from .ringcore import _ONE, _ZERO, Scalar, _h_convolution, _scaled_ints
 
 ALGORITHMS = ("branching", "jacobi-trudi", "bialternant")
 
-# Entries kept by each of the single-value caches, _schur_branching, and the
-# oracles' _h_list, _schur_jacobi_trudi and _schur_generic (least recently
-# used go first), so long-lived library use stays bounded.  All the checks
-# of one generated suite representation at degree 12 need at most about 500
-# Schur values; a symbolic cauchy 4x4 check at degree 8 needs about 120
-# entries, some 2 MB.
+# Generic bialternant quotients kept by _schur_generic, one per (partition,
+# number of variables), least recently used first, so long-lived library use
+# stays bounded.  No other Schur value is kept: a table lives only as long as
+# the lattice sum or the single value that filled it.
 SCHUR_CACHE_SIZE = 2048
-
-# Lattice tables kept (least recently used go first), one per variable tuple,
-# degree and length.  A verification needs two at a time.  A symbolic table at
-# degree 8 holds 53 polynomials of 2597 terms in all in four variables.
-SCHUR_TABLE_CACHE_SIZE = 64
 
 # Partition lists kept, one per (size, maximal number of parts), and order
 # ideals, one per (cap, size bound): a lattice sum to degree d at length L
@@ -115,18 +110,12 @@ def partitions_of(size: int, max_parts: int) -> tuple:
     return tuple(_exact_partitions(size, max_parts, size))
 
 
-@lru_cache(maxsize=SCHUR_CACHE_SIZE)
-def _h_list(vars_key: tuple, top: int):
-    """[h_0, ..., h_top] of the given variables, by geometric convolution."""
-    return tuple(_h_convolution(vars_key, top))
-
-
 def complete_homogeneous(k: int, variables: Sequence) -> Scalar:
     """Sum of all monomials of total degree k in the given variables."""
     if k < 0:
         raise ValueError("degree must be nonnegative")
     vars_key = tuple(Scalar.of(v) for v in variables)
-    return _h_list(vars_key, k)[k]
+    return _h_convolution(vars_key, k)[k]
 
 
 @dataclass(frozen=True)
@@ -139,13 +128,12 @@ def _as_partition(shape) -> Partition:
     return shape if isinstance(shape, Partition) else Partition(shape)
 
 
-@lru_cache(maxsize=SCHUR_CACHE_SIZE)
 def _schur_jacobi_trudi(parts: tuple, vars_key: tuple) -> Scalar:
     ell = len(parts)
     if ell == 0:
         return _ONE
     top = parts[0] + ell
-    hs = _h_list(vars_key, top)
+    hs = _h_convolution(vars_key, top)
 
     def entry(i, j):
         e = parts[i] - (i + 1) + (j + 1)
@@ -202,6 +190,33 @@ def _schur_generic(parts: tuple, nvars: int) -> Scalar:
         for j in range(i + 1, nvars):
             vandermonde = vandermonde * (gens[i] - gens[j])
     return _exact_div(numer, vandermonde)
+
+
+def _lead(p: Scalar):
+    # exponents of the graded-lexicographic leading monomial: the largest key
+    m = max(p.terms)
+    return dict(zip(p.names, _unpack(m, len(p.names), _width(p.bound)))), p.terms[m]
+
+
+def _exact_div(f: Scalar, g: Scalar) -> Scalar:
+    """Exact division of ordinary polynomials; g must divide f."""
+    if g.is_zero():
+        raise DivisionByZero("polynomial division by zero")
+    if g.is_rational():
+        return f * g.inverse()
+    mg, cg = _lead(g)
+    q = _ZERO
+    r = f
+    while r:
+        exps, cr = _lead(r)
+        for v, e in mg.items():
+            exps[v] = exps.get(v, 0) - e
+        if any(e < 0 for e in exps.values()):
+            raise ValueError("inexact polynomial division")
+        term = Scalar.monomial(exps, Fraction(cr) / cg)
+        q = q + term
+        r = r - term * g
+    return q
 
 
 def _schur_bialternant(parts: tuple, vars_key: tuple) -> Scalar:
@@ -311,18 +326,6 @@ class _SchurTable:
         return Scalar.rational(out, self.scale ** sum(parts)) if out.__class__ is int else out
 
 
-@lru_cache(maxsize=SCHUR_TABLE_CACHE_SIZE)
-def _schur_table(vars_key: tuple, order: int, length: int) -> _SchurTable:
-    """The table of vars_key on the partitions of size <= order with <= length parts."""
-    return _SchurTable(vars_key, _order_ideal((order,) * length, order))
-
-
-@lru_cache(maxsize=SCHUR_CACHE_SIZE)
-def _schur_branching(parts: tuple, vars_key: tuple) -> Scalar:
-    """s_parts(vars_key) from a table on the partitions contained in parts."""
-    return _SchurTable(vars_key, _order_ideal(parts, sum(parts)), parts).value(parts)
-
-
 def schur_detailed(shape, variables: Sequence, algorithm: str = "branching") -> SchurValue:
     """Schur polynomial s_shape(variables), with the length-vanishing flag.
 
@@ -333,12 +336,14 @@ def schur_detailed(shape, variables: Sequence, algorithm: str = "branching") -> 
     vars_key = tuple(map(Scalar.of, variables))
     if shape.length > len(vars_key):
         return SchurValue(Scalar.of(0), True)
+    parts = shape.parts
     if algorithm == "branching":
-        value = _schur_branching(shape.parts, vars_key)
+        # a table on the partitions contained in parts, swept toward parts
+        value = _SchurTable(vars_key, _order_ideal(parts, sum(parts)), parts).value(parts)
     elif algorithm == "jacobi-trudi":
-        value = _schur_jacobi_trudi(shape.parts, vars_key)
+        value = _schur_jacobi_trudi(parts, vars_key)
     elif algorithm == "bialternant":
-        value = _schur_bialternant(shape.parts, vars_key)
+        value = _schur_bialternant(parts, vars_key)
     else:
         raise ValueError(f"unknown algorithm {algorithm!r}; expected one of {ALGORITHMS}")
     return SchurValue(value, False)

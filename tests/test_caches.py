@@ -1,0 +1,66 @@
+"""Which derived data outlives a call: the cache inventory and table ownership."""
+
+import functools
+import gc
+import importlib
+import pkgutil
+
+import whittaker
+from whittaker.repdata import GenericRep, Segment, UnramifiedLanglandsRep
+from whittaker.ringcore import Scalar
+from whittaker.rseng import cauchy_check, rs_series, verify_essential
+from whittaker.symfunc import _order_ideal, _SchurTable, schur
+
+# every cache the library keeps across calls, by defining module
+CACHES = {
+    "whittaker.cli._parser",
+    "whittaker.packing._layout",
+    "whittaker.packing._mover",
+    "whittaker.packing._plan",
+    "whittaker.symfunc._order_ideal",
+    "whittaker.symfunc._schur_generic",
+    "whittaker.symfunc.partitions_of",
+}
+
+
+def _lru_wrappers():
+    """Every functools LRU wrapper in a whittaker module or in one of its classes."""
+    found = {}
+    for info in pkgutil.iter_modules(whittaker.__path__, "whittaker."):
+        module = importlib.import_module(info.name)
+        namespaces = [vars(module)] + [vars(obj) for obj in vars(module).values()
+                                       if isinstance(obj, type) and obj.__module__ == info.name]
+        for namespace in namespaces:
+            for obj in namespace.values():
+                obj = getattr(obj, "__func__", obj)  # staticmethod, classmethod
+                if isinstance(obj, functools._lru_cache_wrapper):
+                    found[f"{obj.__module__}.{obj.__qualname__}"] = obj
+    return found
+
+
+def test_cache_inventory():
+    # a new cache has to be bounded and listed here, or this test fails
+    found = _lru_wrappers()
+    assert set(found) == CACHES
+    for name, cache in found.items():
+        assert cache.cache_parameters()["maxsize"] is not None, name
+
+
+def _live_tables() -> int:
+    gc.collect()
+    return sum(isinstance(obj, _SchurTable) for obj in gc.get_objects())
+
+
+def test_no_schur_table_outlives_its_call():
+    table = _SchurTable((Scalar.variable("ownt"),), _order_ideal((2,), 2))
+    assert _live_tables() >= 1  # the count sees a live table
+    del table
+    a, b, c, d = (Scalar.variable(f"own{v}") for v in "abcd")
+    rep = GenericRep((Segment.unramified(a, 1), Segment.unramified(b, 2)))
+    pi_prime = UnramifiedLanglandsRep((c, d))
+    assert rs_series(rep, pi_prime, 4).coeffs[0] == 1
+    assert rs_series(UnramifiedLanglandsRep((a, b, 3)), pi_prime, 4).coeffs[0] == 1
+    assert verify_essential(rep, UnramifiedLanglandsRep((c,)), 4).passed
+    assert cauchy_check(2, 2, (a, Scalar.rational(1, 2)), (c, d), 4).passed
+    assert schur((2, 1), (a, b, c)) == schur((2, 1), (a, b, c), "jacobi-trudi")
+    assert _live_tables() == 0

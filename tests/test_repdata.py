@@ -5,7 +5,6 @@ from fractions import Fraction
 
 import pytest
 
-from whittaker import repdata
 from whittaker.errors import BadDegree, BadOrder, ConfigError, InvalidCharacter, NotGeneric
 from whittaker.repdata import (
     GenericRep,
@@ -19,6 +18,9 @@ from whittaker.repdata import (
     validate_unlinked,
 )
 from whittaker.ringcore import Scalar
+from whittaker.suite import generate_suite
+
+from test_golden_output import REPS as GOLDEN_REPS
 
 MIXED_CONFIG = {"q": "3", "segments": [
     {"kind": "unramified", "satake": "1/2", "length": 2},
@@ -164,23 +166,34 @@ def test_compute_piu_invariant_under_segment_order():
         assert sorted(map(str, params)) == sorted(map(str, expected))
 
 
-def test_representation_caches_are_bounded():
-    # one distinct representation per call: without a bound both caches
-    # would hold an entry for each of them
-    bound = repdata.REP_CACHE_SIZE
-    caches = (repdata.compute_piu, repdata._check_derivative_consistency)
-    for cache in caches:
-        assert cache.cache_info().maxsize == bound
-    for i in range(bound + 10):
-        rep = GenericRep((Segment.unramified(Scalar.variable(f"bound{i}"), 1),))
-        compute_piu(rep)
-        derivative_subquotients(rep, 0)
-    for cache in caches:
-        assert cache.cache_info().currsize <= bound
-    # repeated lookups of one representation still hit
-    hits = compute_piu.cache_info().hits
-    assert compute_piu(rep) == (1, (Scalar.variable(f"bound{bound + 9}"),))
-    assert compute_piu.cache_info().hits == hits + 1
+def _piu_from_segments(rep):
+    tops = tuple(s.top.value for s in rep.segments if s.kind == "unramified")
+    return len(tops), langlands_order(tops)
+
+
+@pytest.mark.parametrize("seed", [20260810, 7])
+def test_compute_piu_matches_its_segments_on_the_suite(seed):
+    for rep in generate_suite(72, seed):
+        assert compute_piu(rep) == _piu_from_segments(rep)
+
+
+def test_compute_piu_matches_its_segments_on_the_golden_reps():
+    for config in GOLDEN_REPS.values():
+        rep = parse_rep(config)
+        assert compute_piu(rep) == _piu_from_segments(rep)
+
+
+def test_representation_owns_its_unramified_part():
+    # the unramified part is stored on the representation when it is built:
+    # a repeated lookup returns the identical tuple, and the stored field
+    # takes no part in equality, hashing or repr
+    rep = GenericRep((Segment.unramified(Scalar.variable("own1"), 1),))
+    assert compute_piu(rep) == (1, (Scalar.variable("own1"),))
+    assert compute_piu(rep) is compute_piu(rep)
+    a, b = parse_rep(MIXED_CONFIG), parse_rep(MIXED_CONFIG)
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert repr(a) == f"GenericRep(segments={a.segments!r}, q={a.q!r})"
+    assert a != GenericRep(a.segments[:2], a.q)
 
 
 # --- derivative_subquotients ------------------------------------------------------

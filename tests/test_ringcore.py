@@ -18,13 +18,12 @@ from whittaker.ringcore import (
     EulerFactor,
     Scalar,
     TruncatedSeries,
-    _exact_div,
     euler_expand,
     series_equal,
     substitute,
     u_power,
 )
-from whittaker.symfunc import complete_homogeneous
+from whittaker.symfunc import _exact_div, complete_homogeneous
 
 u = Scalar.variable("u")
 x1 = Scalar.variable("x1")
