@@ -32,7 +32,6 @@ from .symfunc import (
     complete_homogeneous,
     partitions_up_to,
     schur,
-    schur_detailed,
     schur_ssyt_oracle,
     ssyt_tableaux,
 )
@@ -66,7 +65,6 @@ __all__ = [
     "partitions_up_to",
     "rs_series",
     "schur",
-    "schur_detailed",
     "schur_ssyt_oracle",
     "series_equal",
     "spherical_value",

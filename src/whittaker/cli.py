@@ -23,7 +23,7 @@ from .repdata import GenericRep, UnramifiedLanglandsRep, compute_piu, parse_rep,
 from .ringcore import EulerFactor, Scalar
 from .rseng import (VerificationReport, _lattice_series, cauchy_check, euler_expand, l_factor,
                     verify_essential)
-from .symfunc import ALGORITHMS, Partition, schur_detailed
+from .symfunc import ALGORITHMS, Partition, schur
 from .whitfun import essential_value, spherical_value
 
 DEFAULT_DEGREE = 8
@@ -127,11 +127,10 @@ def _cmd_schur(args: argparse.Namespace) -> int:
     if args.vars < 0:
         raise ConfigError("--vars must be nonnegative")
     variables = [Scalar.variable(f"x{i + 1}") for i in range(args.vars)]
-    result = schur_detailed(partition, variables, args.algorithm)
-    if result.vanishes_by_length:
+    if partition.length > args.vars:
         print("note: partition is longer than the variable count; "
               "the Schur polynomial vanishes", file=sys.stderr)
-    print(result.value)
+    print(schur(partition, variables, args.algorithm))
     return 0
 
 

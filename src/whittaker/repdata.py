@@ -328,6 +328,19 @@ def derivative_subquotients(rep: GenericRep, order: int):
     return _subquotients_raw(rep, order)
 
 
+def _config_int(document: dict, key: str) -> int:
+    """document[key]: a JSON integer other than a bool, or a string of decimal digits."""
+    value = document[key]
+    if value.__class__ is int:  # bool is a subclass, and int(True) would read 1
+        return value
+    if isinstance(value, str) and value.isascii() and value.isdigit():
+        try:
+            return int(value)
+        except ValueError:  # more digits than int() converts
+            pass
+    raise ConfigError(f"{key} must be an integer, got {value!r}")
+
+
 def parse_rep(config: dict) -> GenericRep:
     """Build a validated GenericRep from a configuration document.
 
@@ -335,7 +348,7 @@ def parse_rep(config: dict) -> GenericRep:
     with unramified entries {"kind": "unramified", "satake": <atom>,
     "length": k} and ramified entries {"kind": "ramified", "id": <name>,
     "degree": m, "length": k}.  An optional "n" is checked against the
-    degree sum.
+    degree sum.  length, degree and n are JSON integers or digit strings.
     """
     if not isinstance(config, dict):
         raise ConfigError("representation config must be a JSON object")
@@ -363,17 +376,18 @@ def parse_rep(config: dict) -> GenericRep:
                 top = parse_scalar_atom(str(entry["satake"]))
                 if top.is_zero():
                     raise InvalidCharacter("zero Satake value")
-                segments.append(Segment.unramified(top, int(entry["length"])))
+                segments.append(Segment.unramified(top, _config_int(entry, "length")))
             elif kind == "ramified":
                 cid = str(entry["id"])
                 if not _IDENT_RE.match(cid):
                     raise ConfigError(f"bad cuspidal id {cid!r}")
-                segments.append(Segment.ramified(cid, int(entry["degree"]), int(entry["length"])))
+                segments.append(Segment.ramified(cid, _config_int(entry, "degree"),
+                                                 _config_int(entry, "length")))
             else:
                 raise ConfigError(f"unknown segment kind {kind!r}")
         except KeyError as missing:
             raise ConfigError(f"segment entry missing key {missing}") from None
     rep = GenericRep(tuple(segments), q)
-    if "n" in config and int(config["n"]) != rep.n:
+    if "n" in config and _config_int(config, "n") != rep.n:
         raise BadDegree(f"declared degree {config['n']} != segment degree sum {rep.n}")
     return rep

@@ -450,22 +450,21 @@ class EulerFactor:
     def sorted_roots(self):
         return sorted(self.roots, key=str)
 
-    def __eq__(self, other):
-        if not isinstance(other, EulerFactor):
-            return NotImplemented
-        a = {}
-        for c in self.roots:
-            a[c] = a.get(c, 0) + 1
-        b = {}
-        for c in other.roots:
-            b[c] = b.get(c, 0) + 1
-        return a == b
-
-    def __hash__(self):
+    def _multiplicities(self) -> dict:
+        # a plain dict: building a collections.Counter costs a few
+        # microseconds more, which shows in small verifications
         counts = {}
         for c in self.roots:
             counts[c] = counts.get(c, 0) + 1
-        return hash(frozenset(counts.items()))
+        return counts
+
+    def __eq__(self, other):
+        if not isinstance(other, EulerFactor):
+            return NotImplemented
+        return self._multiplicities() == other._multiplicities()
+
+    def __hash__(self):
+        return hash(frozenset(self._multiplicities().items()))
 
     def __str__(self):
         if not self.roots:
@@ -480,28 +479,35 @@ def euler_expand(factor: EulerFactor, order: int) -> TruncatedSeries:
     """Expand the Euler factor as a power series in t through the given order.
 
     The coefficient of t^k is the complete homogeneous polynomial h_k of the
-    roots (with multiplicity); the constant term is 1.  When every root is
-    rational, h_k is computed in ints at the roots scaled by L, the lcm of
-    their denominators, and h_k(c) = h_k(L*c) / L^k.
+    roots (with multiplicity); the constant term is 1.  The h_k are taken at
+    the roots scaled by _scaled (in ints when every root is rational) and
+    brought back by _unscaled, h_k(c) = h_k(L*c) / L^k.
     """
     if order < 0:
         raise ValueError("expansion order must be nonnegative")
-    roots = factor.roots
-    if not all(c.is_rational() for c in roots):
-        return TruncatedSeries(order, _h_convolution(roots, order))
-    scale, scaled = _scaled_ints(roots)
-    return TruncatedSeries(order, [Scalar.rational(h, scale ** k) for k, h in
-                                   enumerate(_h_convolution(scaled, order, 1))])
+    scale, xs, one = _scaled(factor.roots)
+    return TruncatedSeries(order, [_unscaled(h, scale ** k) for k, h in
+                                   enumerate(_h_convolution(xs, order, one))])
 
 
-def _scaled_ints(values) -> tuple:
-    """(L, [L*v for v in values]) for rational Scalars, L the lcm of their denominators.
+def _scaled(values: tuple) -> tuple:
+    """(L, [L*v for v in values], 1) when every value is rational, else (1, values, _ONE).
 
-    Every L*v is an int.
+    L is the lcm of the denominators, so every L*v is an int, and a form f
+    of degree k has f(values) = f(L*values) / L^k (see _unscaled).
     """
+    if not all(v.is_rational() for v in values):
+        return 1, values, _ONE
     fracs = [v.as_fraction() for v in values]
     scale = lcm(*(f.denominator for f in fracs))
-    return scale, [f.numerator * (scale // f.denominator) for f in fracs]
+    return scale, [f.numerator * (scale // f.denominator) for f in fracs], 1
+
+
+def _unscaled(raw, den: int) -> Scalar:
+    """raw / den as a Scalar, for raw an int or a Scalar and den a positive int."""
+    if raw.__class__ is int:
+        return Scalar.rational(raw, den)
+    return raw if den == 1 else raw * Scalar.rational(1, den)
 
 
 def _h_convolution(roots, top: int, one=_ONE) -> list:

@@ -23,7 +23,7 @@ from typing import Optional, Sequence, Tuple, Union
 
 from .errors import BadRanks, InvariantViolation, Unsupported
 from .repdata import GenericRep, UnramifiedLanglandsRep, compute_piu
-from .ringcore import EulerFactor, Scalar, TruncatedSeries, euler_expand, series_equal
+from .ringcore import EulerFactor, Scalar, TruncatedSeries, _unscaled, euler_expand, series_equal
 from .symfunc import _order_ideal, _SchurTable
 
 LeftInput = Union[GenericRep, UnramifiedLanglandsRep]
@@ -104,9 +104,9 @@ def rs_series(left: LeftInput, pi_prime: UnramifiedLanglandsRep, order: int, *,
     spherical value of pi', the inverse Borel modulus, and the twist
     u^((n-m)|lambda|).  The support conditions of both factors force the
     index set to be exactly those partitions, and the left factor vanishes
-    on those with more than r parts, so the sum runs over
-    partitions_of(k, min(r, m)).  The powers of u of each term cancel
-    (_lattice_series).
+    on those with more than r parts, so the sum runs over the partitions
+    of k with at most min(r, m) parts.  The powers of u of each term
+    cancel (_lattice_series).
 
     The left argument is a GenericRep (essential-function side, m <= n-1,
     or m = n when the representation is unramified) or an
@@ -177,7 +177,7 @@ def _lattice_series(params: Sequence[Scalar], satake: Sequence[Scalar],
     tables hold their values at D*params and E*satake (ints, with D and E
     the lcms of the denominators, for a rational tuple; Scalars, with scale
     1, otherwise), so the coefficient is one dot product of the two slices,
-    divided once by (DE)^k.
+    divided once by (DE)^k (ringcore._unscaled).
     """
     ideal = _order_ideal((order,) * min(len(params), len(satake)), order)
     x = _SchurTable(tuple(params), ideal)
@@ -187,13 +187,7 @@ def _lattice_series(params: Sequence[Scalar], satake: Sequence[Scalar],
     for k in range(order + 1):
         a, b = starts[k], starts[k + 1]
         c = sum(map(mul, x.values[a:b], y.values[a:b]))
-        den = (x.scale * y.scale) ** k
-        if c.__class__ is int:
-            coeffs.append(Scalar.rational(c, den))
-        elif den == 1:
-            coeffs.append(c)
-        else:
-            coeffs.append(c * Scalar.rational(1, den))
+        coeffs.append(_unscaled(c, (x.scale * y.scale) ** k))
     return TruncatedSeries(order, coeffs)
 
 

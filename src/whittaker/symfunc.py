@@ -1,17 +1,18 @@
 """Partitions, Schur polynomials and complete homogeneous polynomials.
 
-The default Schur algorithm fills a table over an order ideal of
-partitions (a set closed under removing a box) by the Gelfand-Tsetlin
-branching rule (Macdonald I.(5.11)): one variable and one interlacing row
-at a time, each row in order of size, in place and without recursion, so
-every value shares the work of the smaller ones.  rseng's lattice sum reads
-a whole table of the partitions of bounded size and length; a single value
-s_lam fills the partitions contained in lam.  When every value is rational
-the table runs in Python ints.  The Jacobi-Trudi determinant in complete
-homogeneous polynomials and the bialternant ratio (exact polynomial
-division at a generic point) stay selectable by name, and with a
-semistandard-tableau enumerator they are the independent oracles the tests
-compare against.
+Bounded partitions and Schur tables rest on one structure, an order ideal
+of partitions (a set closed under removing a box): partitions_up_to lists
+an ideal's states, and the default Schur algorithm fills a table over an
+ideal by the Gelfand-Tsetlin branching rule (Macdonald I.(5.11)): one
+variable and one interlacing row at a time, each row in order of size, in
+place and without recursion, so every value shares the work of the smaller
+ones.  rseng's lattice sum reads a whole table of the partitions of bounded
+size and length; a single value s_lam fills the partitions contained in
+lam.  When every value is rational the table runs in Python ints.  schur is
+the one entry point: the Jacobi-Trudi determinant in complete homogeneous
+polynomials and the bialternant ratio (exact polynomial division at a
+generic point) stay selectable by name, and with a semistandard-tableau
+enumerator they are the independent oracles the tests compare against.
 """
 
 from __future__ import annotations
@@ -25,19 +26,15 @@ from typing import Iterable, Iterator, Sequence
 
 from .errors import DivisionByZero, UnsupportedWeight
 from .packing import _unpack, _width
-from .ringcore import _ONE, _ZERO, Scalar, _h_convolution, _scaled_ints
+from .ringcore import _ONE, _ZERO, Scalar, _h_convolution, _scaled, _unscaled
 
 ALGORITHMS = ("branching", "jacobi-trudi", "bialternant")
 
-# Generic bialternant quotients kept by _schur_generic, one per (partition,
-# number of variables), least recently used first, so long-lived library use
-# stays bounded.  No other Schur value is kept: a table lives only as long as
-# the lattice sum or the single value that filled it.
-SCHUR_CACHE_SIZE = 2048
-
-# Partition lists kept, one per (size, maximal number of parts), and order
-# ideals, one per (cap, size bound): a lattice sum to degree d at length L
-# reads one ideal, and a single Schur value s_lam the one below lam.
+# Order ideals kept, one per (cap, size bound), least recently used first,
+# so long-lived library use stays bounded: a lattice sum to degree d at
+# length L reads one ideal, a single Schur value s_lam the one below lam,
+# and partitions_up_to the one it lists.  No Schur value is kept: a table
+# lives only as long as the lattice sum or the single value that filled it.
 PARTITION_CACHE_SIZE = 256
 
 
@@ -76,38 +73,17 @@ class Partition:
         return "(" + ",".join(map(str, self.parts)) + ")" if self.parts else "()"
 
 
-def _exact_partitions(total: int, max_parts: int, max_first: int) -> Iterator[tuple]:
-    # descending first part yields reverse-lexicographic order
-    if total == 0:
-        yield ()
-        return
-    if max_parts == 0:
-        return
-    lo = -(-total // max_parts)  # ceil: smallest admissible first part
-    for first in range(min(total, max_first), lo - 1, -1):
-        for rest in _exact_partitions(total - first, max_parts - 1, first):
-            yield (first,) + rest
-
-
 def partitions_up_to(size_bound: int, max_parts: int):
     """All partitions with size <= size_bound and at most max_parts parts.
 
     Ordered by size, then reverse-lexicographically within a size; each
-    partition appears exactly once.
+    partition appears exactly once.  They are the states of one order
+    ideal: a partition of size <= size_bound has at most size_bound parts.
     """
     if size_bound < 0 or max_parts < 0:
         raise ValueError("bounds must be nonnegative")
-    return [Partition(parts) for k in range(size_bound + 1)
-            for parts in partitions_of(k, max_parts)]
-
-
-@lru_cache(maxsize=PARTITION_CACHE_SIZE)
-def partitions_of(size: int, max_parts: int) -> tuple:
-    """The parts tuples of the partitions of size with at most max_parts parts.
-
-    Reverse-lexicographic order, as in partitions_up_to.
-    """
-    return tuple(_exact_partitions(size, max_parts, size))
+    ideal = _order_ideal((size_bound,) * min(max_parts, size_bound), size_bound)
+    return [Partition(mu) for mu in ideal.states]
 
 
 def complete_homogeneous(k: int, variables: Sequence) -> Scalar:
@@ -116,12 +92,6 @@ def complete_homogeneous(k: int, variables: Sequence) -> Scalar:
         raise ValueError("degree must be nonnegative")
     vars_key = tuple(Scalar.of(v) for v in variables)
     return _h_convolution(vars_key, k)[k]
-
-
-@dataclass(frozen=True)
-class SchurValue:
-    value: Scalar
-    vanishes_by_length: bool
 
 
 def _as_partition(shape) -> Partition:
@@ -174,7 +144,6 @@ def _perm_sign(perm) -> int:
     return sign
 
 
-@lru_cache(maxsize=SCHUR_CACHE_SIZE)
 def _schur_generic(parts: tuple, nvars: int) -> Scalar:
     """Schur polynomial in internal symbols _g1.._gk via the bialternant."""
     names = [f"_g{i + 1}" for i in range(nvars)]
@@ -237,7 +206,7 @@ class _OrderIdeal:
     Such a set is an order ideal of Young's lattice: it holds mu - e_i
     whenever that is a partition.  states lists its members zero-padded to
     len(cap), by size and reverse-lexicographically within a size (the
-    order of partitions_of), so the states of size k are
+    order of partitions_up_to), so the states of size k are
     states[starts[k]:starts[k + 1]].  rows[i] lists, in the order of j, the
     pairs (j, d) with states[d] = states[j] - e_i.  The ideal is built
     level by level, each size from the one below it.
@@ -288,23 +257,18 @@ class _SchurTable:
     pattern ending at top passes through, with their chains; the other
     values go stale.
 
-    When every value is rational the table is filled in ints at the point
-    y = D*x, D the lcm of the denominators, and homogeneity gives
-    s_lam(x) = s_lam(y) / D^|lam|.  Otherwise the same code runs on Scalars
-    at y = x, D = 1.  scale is D and values the raw values at y, in the
-    order of ideal.states, so a caller can keep a whole sum of Schur values
-    in ints (or in Scalars) and divide once.
+    The table is filled at the point y = D*x that ringcore._scaled gives:
+    in ints, D the lcm of the denominators, when every value is rational,
+    and on Scalars at y = x, D = 1, otherwise.  Homogeneity gives
+    s_lam(x) = s_lam(y) / D^|lam|.  scale is D and values the raw values at
+    y, in the order of ideal.states, so a caller can keep a whole sum of
+    Schur values in ints (or in Scalars) and divide once by _unscaled.
     """
 
     __slots__ = ("ideal", "scale", "values")
 
     def __init__(self, vars_key: tuple, ideal: _OrderIdeal, top: tuple = ()):
-        if all(v.is_rational() for v in vars_key):
-            self.scale, xs = _scaled_ints(vars_key)
-            one = 1
-        else:
-            self.scale, xs = 1, vars_key
-            one = _ONE
+        self.scale, xs, one = _scaled(vars_key)
         values = [one] + [one - one] * (len(ideal.states) - 1)
         n, length, states = len(xs), len(ideal.cap), ideal.states
         for k, x in enumerate(xs, 1):
@@ -323,34 +287,28 @@ class _SchurTable:
     def value(self, parts: tuple) -> Scalar:
         """s_parts(x_1..x_n); parts (no trailing zeros) is top, or any state if no top."""
         out = self.values[self.ideal.index[parts + (0,) * (len(self.ideal.cap) - len(parts))]]
-        return Scalar.rational(out, self.scale ** sum(parts)) if out.__class__ is int else out
+        return _unscaled(out, self.scale ** sum(parts))
 
 
-def schur_detailed(shape, variables: Sequence, algorithm: str = "branching") -> SchurValue:
-    """Schur polynomial s_shape(variables), with the length-vanishing flag.
+def schur(shape, variables: Sequence, algorithm: str = "branching") -> Scalar:
+    """Schur polynomial s_shape(variables) by the named algorithm.
 
     A shape longer than the variable list is not an error: the value is 0
-    by the standard vanishing convention and the flag records it.
+    by the standard vanishing convention.
     """
     shape = _as_partition(shape)
     vars_key = tuple(map(Scalar.of, variables))
     if shape.length > len(vars_key):
-        return SchurValue(Scalar.of(0), True)
+        return _ZERO
     parts = shape.parts
     if algorithm == "branching":
         # a table on the partitions contained in parts, swept toward parts
-        value = _SchurTable(vars_key, _order_ideal(parts, sum(parts)), parts).value(parts)
-    elif algorithm == "jacobi-trudi":
-        value = _schur_jacobi_trudi(parts, vars_key)
-    elif algorithm == "bialternant":
-        value = _schur_bialternant(parts, vars_key)
-    else:
-        raise ValueError(f"unknown algorithm {algorithm!r}; expected one of {ALGORITHMS}")
-    return SchurValue(value, False)
-
-
-def schur(shape, variables: Sequence, algorithm: str = "branching") -> Scalar:
-    return schur_detailed(shape, variables, algorithm).value
+        return _SchurTable(vars_key, _order_ideal(parts, sum(parts)), parts).value(parts)
+    if algorithm == "jacobi-trudi":
+        return _schur_jacobi_trudi(parts, vars_key)
+    if algorithm == "bialternant":
+        return _schur_bialternant(parts, vars_key)
+    raise ValueError(f"unknown algorithm {algorithm!r}; expected one of {ALGORITHMS}")
 
 
 def ssyt_tableaux(shape, nvars: int) -> Iterator[tuple]:

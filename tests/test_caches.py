@@ -18,18 +18,20 @@ CACHES = {
     "whittaker.packing._mover",
     "whittaker.packing._plan",
     "whittaker.symfunc._order_ideal",
-    "whittaker.symfunc._schur_generic",
-    "whittaker.symfunc.partitions_of",
 }
+
+
+def _modules():
+    return [importlib.import_module(info.name)
+            for info in pkgutil.iter_modules(whittaker.__path__, "whittaker.")]
 
 
 def _lru_wrappers():
     """Every functools LRU wrapper in a whittaker module or in one of its classes."""
     found = {}
-    for info in pkgutil.iter_modules(whittaker.__path__, "whittaker."):
-        module = importlib.import_module(info.name)
+    for module in _modules():
         namespaces = [vars(module)] + [vars(obj) for obj in vars(module).values()
-                                       if isinstance(obj, type) and obj.__module__ == info.name]
+                                       if isinstance(obj, type) and obj.__module__ == module.__name__]
         for namespace in namespaces:
             for obj in namespace.values():
                 obj = getattr(obj, "__func__", obj)  # staticmethod, classmethod
@@ -44,6 +46,10 @@ def test_cache_inventory():
     assert set(found) == CACHES
     for name, cache in found.items():
         assert cache.cache_parameters()["maxsize"] is not None, name
+    # and one size knob bounds them: a new knob has to be listed here too
+    knobs = {f"{module.__name__}.{name}" for module in _modules()
+             for name in vars(module) if name.endswith("_CACHE_SIZE")}
+    assert knobs == {"whittaker.symfunc.PARTITION_CACHE_SIZE"}
 
 
 def _live_tables() -> int:

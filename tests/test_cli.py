@@ -6,6 +6,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from whittaker import symfunc
 from whittaker.cli import main
 from whittaker.ringcore import Scalar, u_power
@@ -83,6 +85,37 @@ def test_invalid_config_exit_two(tmp_path, capsys):
     assert main(["verify", "--rep", rep, "--satake-prime", "w1"]) == 2
     err = capsys.readouterr().err
     assert "linked" in err
+
+
+ONE_SEGMENT = {"q": "3", "segments": [{"kind": "unramified", "satake": "2", "length": 1}]}
+
+
+@pytest.mark.parametrize("key,value", [
+    ("length", "x"), ("length", None), ("length", []), ("length", 2.7), ("length", True),
+    ("n", "x"), ("n", None), ("n", 1.9), ("degree", None),
+])
+def test_non_integer_config_values_exit_two(tmp_path, capsys, key, value):
+    # a traceback would exit 1 (the mismatch code), and int() would
+    # silently truncate 2.7, 1.9 and True into representations that verify
+    document = json.loads(json.dumps(ONE_SEGMENT))
+    if key == "n":
+        document["n"] = value
+    elif key == "length":
+        document["segments"][0]["length"] = value
+    else:
+        document["segments"].append({"kind": "ramified", "id": "rho1", "degree": value,
+                                     "length": 1})
+    rep = _write(tmp_path, "rep.json", document)
+    assert main(["verify", "--rep", rep, "--satake-prime", "5", "--degree", "3"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and key in err
+
+
+def test_digit_string_length_still_verifies(tmp_path, capsys):
+    document = {"q": "3", "segments": [{"kind": "unramified", "satake": "2", "length": "2"}]}
+    rep = _write(tmp_path, "rep.json", document)
+    assert main(["verify", "--rep", rep, "--satake-prime", "5", "--degree", "3"]) == 0
+    assert "result: pass" in capsys.readouterr().out
 
 
 def test_missing_file_exit_two(tmp_path, capsys):

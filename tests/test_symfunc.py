@@ -1,5 +1,6 @@
 """Partitions, Schur polynomials, and the combinatorial cross-checks."""
 
+import itertools
 from functools import lru_cache
 
 import pytest
@@ -13,7 +14,6 @@ from whittaker.symfunc import (
     complete_homogeneous,
     partitions_up_to,
     schur,
-    schur_detailed,
     schur_ssyt_oracle,
     ssyt_tableaux,
 )
@@ -38,6 +38,14 @@ def _count_partitions(total, max_parts):
 def test_count_oracle_sanity():
     # p(n) for n = 0..7 with unbounded parts: 1 1 2 3 5 7 11 15
     assert [_count_partitions(n, n) for n in range(8)] == [1, 1, 2, 3, 5, 7, 11, 15]
+
+
+def _brute_partitions(total, max_parts):
+    """Partitions of total into at most max_parts parts, reverse-lexicographically."""
+    found = [tuple(reversed(parts)) for length in range(min(total, max_parts) + 1)
+             for parts in itertools.combinations_with_replacement(range(1, total + 1), length)
+             if sum(parts) == total]
+    return sorted(found, reverse=True)
 
 
 # --- partitions_up_to --------------------------------------------------------
@@ -67,6 +75,14 @@ def test_partitions_grid_against_oracle(bound, parts):
     assert len(listed) == sum(_count_partitions(k, parts) for k in range(bound + 1))
     for p in listed:
         assert p.size <= bound and p.length <= parts
+
+
+def test_partitions_equal_a_brute_force_listing():
+    # element for element and in order, including max_parts > size_bound
+    for bound in range(8):
+        for parts in range(10):
+            assert [p.parts for p in partitions_up_to(bound, parts)] == \
+                [mu for k in range(bound + 1) for mu in _brute_partitions(k, parts)], (bound, parts)
 
 
 def test_partition_validation():
@@ -108,8 +124,6 @@ def test_ssyt_oracle_examples():
 
 
 def test_schur_length_vanishing_flag():
-    result = schur_detailed((1, 1, 1), X[:2])
-    assert result.vanishes_by_length and result.value.is_zero()
     for algorithm in symfunc.ALGORITHMS:
         assert schur((1, 1, 1), X[:2], algorithm).is_zero()
 
@@ -160,7 +174,8 @@ def test_branching_table_in_any_access_order(values, data):
     ideal = symfunc._order_ideal((7,) * len(values), 7)
     table = symfunc._SchurTable(tuple(values), ideal)
     shapes = data.draw(st.permutations(partitions_up_to(7, len(values))))
-    assert len(ideal.states) == len(shapes)
+    assert len(ideal.states) == len(shapes) == \
+        sum(_count_partitions(k, len(values)) for k in range(8))
     for shape in shapes:
         assert table.value(shape.parts) == schur(shape, values, "jacobi-trudi"), shape
 
@@ -190,12 +205,13 @@ def test_order_ideal_state_counts():
     for order in range(9):
         for length in range(5):
             ideal = symfunc._order_ideal((order,) * length, order)
-            assert len(ideal.states) == sum(len(symfunc.partitions_of(k, length))
+            assert len(ideal.states) == sum(_count_partitions(k, length)
                                             for k in range(order + 1))
             for k in range(order + 1):
                 listed = ideal.states[ideal.starts[k]:ideal.starts[k + 1]]
-                assert [Partition(mu).parts for mu in listed] == \
-                    list(symfunc.partitions_of(k, length))
+                assert len(listed) == _count_partitions(k, length)
+                assert all(len(mu) == length and sum(mu) == k for mu in listed)
+                assert listed == sorted(set(listed), reverse=True)
 
 
 def test_schur_at_rational_points():
@@ -234,7 +250,6 @@ def test_truncated_cauchy_identity(n, m, order):
 
 def test_schur_caches_are_bounded():
     ideal_bound = symfunc.PARTITION_CACHE_SIZE
-    assert symfunc._schur_generic.cache_info().maxsize == symfunc.SCHUR_CACHE_SIZE
     assert symfunc._order_ideal.cache_info().maxsize == ideal_bound
     for i in range(ideal_bound + 10):
         # one distinct order ideal per shape
