@@ -47,7 +47,7 @@ def _load_rep(path: str) -> GenericRep:
             document = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # also an integer literal past Python's digit limit
         raise ConfigError(f"{path} is not valid JSON: {exc}") from None
     return parse_rep(document)
 

@@ -12,7 +12,7 @@ built, and keeps it; the module holds no state across calls.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Optional, Sequence, Tuple
 
@@ -113,23 +113,21 @@ class Linkage:
 
 
 def _q_power_exponent(ratio: Fraction, q: Fraction) -> Optional[int]:
+    # with q = a/b in lowest terms, q^e = a^e/b^e is in lowest terms too, so
+    # the only candidate e is the number of times a divides the numerator
+    # of max(ratio, 1/ratio); one comparison confirms it
     if ratio == 1:
         return 0
     if ratio <= 0 or q <= 1:
         return None
-    d = 0
-    r = ratio
-    while r > 1:
-        r /= q
-        d += 1
-    if r == 1:
-        return d
-    d = 0
-    r = ratio
-    while r < 1:
-        r *= q
-        d += 1
-    return -d if r == 1 else None
+    big = max(ratio, 1 / ratio)
+    numerator, e = big.numerator, 0
+    while numerator % q.numerator == 0:  # q > 1 makes q.numerator >= 2
+        numerator //= q.numerator
+        e += 1
+    if q ** e != big:
+        return None
+    return e if ratio > 1 else -e
 
 
 def _intervals_linked(lo1: int, hi1: int, lo2: int, hi2: int) -> bool:
@@ -262,56 +260,54 @@ def _derived_segment(seg: Segment, steps: int) -> Optional[Segment]:
     # elements; fully derived segments drop out of the product
     if steps == seg.length:
         return None
-    if seg.kind == "unramified":
-        return Segment.unramified(seg.top, seg.length - steps)
-    return Segment.ramified(seg.cuspidal_id, seg.cuspidal_degree, seg.length - steps)
+    return replace(seg, length=seg.length - steps)
 
 
 def _subquotients_raw(rep: GenericRep, order: int):
+    # reach[i]: the orders that segments i, i+1, ... can add up to; the walk
+    # enters a branch only if the order it still needs is reachable
+    reach = [{0}]
+    for seg in reversed(rep.segments):
+        reach.append({o + steps * seg.cuspidal_degree
+                      for o in reach[-1] for steps in range(seg.length + 1)})
+    reach.reverse()
     out = []
 
     def walk(idx, remaining, acc):
         if idx == len(rep.segments):
-            if remaining == 0:
-                out.append(tuple(acc))
+            out.append(tuple(acc))
             return
         seg = rep.segments[idx]
         for steps in range(seg.length + 1):
-            cost = steps * seg.cuspidal_degree
-            if cost > remaining:
-                break
-            derived = _derived_segment(seg, steps)
-            walk(idx + 1, remaining - cost, acc + ([derived] if derived else []))
+            rest = remaining - steps * seg.cuspidal_degree
+            if rest in reach[idx + 1]:
+                derived = _derived_segment(seg, steps)
+                walk(idx + 1, rest, acc + ([derived] if derived else []))
 
     walk(0, order, [])
     return out
 
 
-def _is_unramified_character_product(product) -> bool:
-    return all(s.kind == "unramified" and s.length == 1 for s in product)
-
-
 def _check_derivative_consistency(rep: GenericRep) -> None:
-    # the first derivative order carrying a product of unramified characters
-    # must be n - r, and the product there must be pi_u; this pins the
-    # truncation direction of _derived_segment
+    # a product of unramified characters keeps each segment as one such
+    # character or derives it away, so the first order carrying one sums each
+    # segment's cheapest way there; it must be n - r with pi_u as the kept
+    # tops.  This pins the truncation direction of _derived_segment.
     r, params = compute_piu(rep)
-    expected = rep.n - r
-    for order in range(rep.n + 1):
-        hits = [p for p in _subquotients_raw(rep, order)
-                if _is_unramified_character_product(p)]
-        if not hits:
-            continue
-        if order != expected:
-            raise InvariantViolation(
-                f"first spherical derivative order is {order}, expected {expected}")
-        if len(hits) != 1:
-            raise InvariantViolation("the spherical subquotient is not unique")
-        values = sorted((s.top.value for s in hits[0]), key=str)
-        if values != sorted(params, key=str):
-            raise InvariantViolation("spherical subquotient does not match pi_u")
-        return
-    raise InvariantViolation("no spherical derivative subquotient found")
+    order, tops = 0, []
+    for seg in rep.segments:
+        for steps in range(seg.length + 1):
+            derived = _derived_segment(seg, steps)
+            if derived is None or (derived.kind == "unramified" and derived.length == 1):
+                break
+        order += steps * seg.cuspidal_degree
+        if derived is not None:
+            tops.append(derived.top.value)
+    if order != rep.n - r:
+        raise InvariantViolation(
+            f"first spherical derivative order is {order}, expected {rep.n - r}")
+    if sorted(tops, key=str) != sorted(params, key=str):
+        raise InvariantViolation("spherical subquotient does not match pi_u")
 
 
 def derivative_subquotients(rep: GenericRep, order: int):

@@ -378,10 +378,6 @@ def substitute(p: Scalar, bindings: Mapping[str, Rational]) -> Fraction:
 
 def u_power(e: int) -> Scalar:
     """The Laurent monomial u^e (u^2 stands for the residue cardinality q)."""
-    if not e:
-        return _ONE
-    if -_LIMIT < e < _LIMIT:
-        return Scalar({(e << _WIDTH) + e: 1}, ("u",), abs(e))
     return Scalar.monomial({"u": e})
 
 

@@ -297,6 +297,8 @@ def schur(shape, variables: Sequence, algorithm: str = "branching") -> Scalar:
     by the standard vanishing convention.
     """
     shape = _as_partition(shape)
+    if algorithm not in ALGORITHMS:
+        raise ValueError(f"unknown algorithm {algorithm!r}; expected one of {ALGORITHMS}")
     vars_key = tuple(map(Scalar.of, variables))
     if shape.length > len(vars_key):
         return _ZERO
@@ -306,9 +308,7 @@ def schur(shape, variables: Sequence, algorithm: str = "branching") -> Scalar:
         return _SchurTable(vars_key, _order_ideal(parts, sum(parts)), parts).value(parts)
     if algorithm == "jacobi-trudi":
         return _schur_jacobi_trudi(parts, vars_key)
-    if algorithm == "bialternant":
-        return _schur_bialternant(parts, vars_key)
-    raise ValueError(f"unknown algorithm {algorithm!r}; expected one of {ALGORITHMS}")
+    return _schur_bialternant(parts, vars_key)
 
 
 def ssyt_tableaux(shape, nvars: int) -> Iterator[tuple]:

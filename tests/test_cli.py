@@ -123,6 +123,46 @@ def test_missing_file_exit_two(tmp_path, capsys):
                  "--weight", "0"]) == 2
 
 
+def test_integer_past_the_digit_limit_exits_two(tmp_path, capsys):
+    # json.load raises a plain ValueError, not JSONDecodeError, for an
+    # integer literal longer than Python's int-string conversion limit
+    path = tmp_path / "huge.json"
+    path.write_text('{"q": "3", "segments": [{"kind": "unramified", "satake": "2", '
+                    '"length": ' + "1" * 5000 + '}]}')
+    assert main(["essential", "--rep", str(path), "--weight", "0"]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+_TEN_RAMIFIED = {"q": "3", "segments": [
+    {"kind": "ramified", "id": f"rho{i}", "degree": 1, "length": 3} for i in range(10)]}
+_ELEVEN_RAMIFIED = {"q": "3", "segments": [
+    {"kind": "ramified", "id": f"rho{i}", "degree": 1, "length": 3} for i in range(11)]}
+_NEAR_ONE_Q = {"q": "1000001/1000000", "segments": [
+    {"kind": "unramified", "satake": "2", "length": 1},
+    {"kind": "unramified", "satake": "1", "length": 1}]}
+
+
+@pytest.mark.parametrize("document,argv,head", [
+    # 2 is q^e for e near 700,000 only approximately, so linkage must not
+    # search for e by powers of q
+    (_NEAR_ONE_Q, ["essential", "--weight", "1"], "3*u^-1"),
+    # the derivative check must not list the subquotients of every order
+    (_TEN_RAMIFIED, ["derivatives", "--order", "1"], "order 1: 10 subquotients"),
+    # one product among 4^11 step tuples: the walk must follow only those
+    # that can still reach the order
+    (_ELEVEN_RAMIFIED, ["derivatives", "--order", "33"], "order 33: 1 subquotients"),
+], ids=["near-one-q", "ten-segments-order-1", "eleven-segments-order-33"])
+def test_value_driven_inputs_finish_quickly(tmp_path, document, argv, head):
+    # each run takes milliseconds; the timeout turns a regression into a
+    # failure rather than a hang
+    rep = _write(tmp_path, "rep.json", document)
+    done = subprocess.run([sys.executable, "-m", "whittaker.cli", argv[0], "--rep", rep,
+                           *argv[1:]], env=dict(os.environ, PYTHONPATH=str(SRC)),
+                          capture_output=True, text=True, timeout=3)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[0] == head
+
+
 def test_malformed_json_exit_two(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text("{not json")

@@ -1,6 +1,7 @@
 """Segments, linkage validation, the unramified part, and derivatives."""
 
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -16,6 +17,7 @@ from whittaker.repdata import (
     parse_rep,
     parse_scalar_atom,
     validate_unlinked,
+    _q_power_exponent,
 )
 from whittaker.ringcore import Scalar
 from whittaker.suite import generate_suite
@@ -78,6 +80,41 @@ def test_mixed_kinds_never_linked():
     a = Segment.unramified(1, 2)
     b = Segment.ramified("rho1", 1, 2)
     assert not validate_unlinked(a, b, Fraction(2)).linked
+
+
+def _q_power_exponent_by_search(ratio, q):
+    # the exponent e with ratio = q^e, found by dividing (or multiplying)
+    # by q until the ratio crosses 1
+    if ratio == 1:
+        return 0
+    if ratio <= 0 or q <= 1:
+        return None
+    d, r = 0, ratio
+    while r > 1:
+        r /= q
+        d += 1
+    if r == 1:
+        return d
+    d, r = 0, ratio
+    while r < 1:
+        r *= q
+        d += 1
+    return -d if r == 1 else None
+
+
+def test_q_power_exponent_matches_the_search():
+    qs = [Fraction(v) for v in ("2", "3", "4", "8", "3/2", "9/4", "5/3", "27/8", "1", "1/2",
+                                "0", "-2")]
+    for q in qs:
+        ratios = {Fraction(0), Fraction(-1), Fraction(1), Fraction(2, 3), Fraction(-9, 4)}
+        if q > 1:
+            for k in range(-5, 6):
+                power = q ** k
+                ratios.update({power, -power, power * 2, power / 2, power * q.denominator,
+                               power * q.numerator, power * Fraction(3, 2)})
+        for ratio in ratios:
+            assert _q_power_exponent(ratio, q) == _q_power_exponent_by_search(ratio, q), \
+                (ratio, q)
 
 
 # --- parse_rep ------------------------------------------------------------------
@@ -231,23 +268,71 @@ def test_derivative_bad_order():
         derivative_subquotients(rep, -1)
 
 
-def test_first_spherical_order_is_n_minus_r():
-    # independent re-check of the assertion wired into the operation
-    from whittaker.suite import generate_suite
+def _drawn_reps(count, seed):
+    # symbolic unramified tops and ramified cuspidals of degree up to 3, one
+    # twist line per segment, so every draw is generic
+    rng = random.Random(seed)
+    reps = []
+    for _ in range(count):
+        segments = []
+        for i in range(rng.randint(1, 4)):
+            length = rng.randint(1, 3)
+            if rng.random() < 0.5:
+                segments.append(Segment.unramified(Scalar.variable(f"x{i}"), length))
+            else:
+                segments.append(Segment.ramified(f"rho{i}", rng.randint(1, 3), length))
+        reps.append(GenericRep(tuple(segments)))
+    return reps
 
-    for rep in generate_suite(12):
+
+DRAWN_REPS = _drawn_reps(60, 15)
+
+
+def test_first_spherical_order_is_n_minus_r():
+    # independent re-check of the assertion wired into the operation: scan
+    # every order for products of unramified characters
+    for rep in [*generate_suite(12), *DRAWN_REPS]:
         r, params = compute_piu(rep)
         first = None
         for j in range(rep.n + 1):
-            products = derivative_subquotients(rep, j)
-            hits = [p for p in products
+            hits = [p for p in derivative_subquotients(rep, j)
                     if all(s.kind == "unramified" and s.length == 1 for s in p)]
             if hits:
                 first = j
+                assert len(hits) == 1
                 assert sorted(str(s.top.value) for s in hits[0]) \
                     == sorted(map(str, params))
                 break
         assert first == rep.n - r
+
+
+def _unpruned_subquotients(rep, order):
+    # every tuple of derivative steps, cut only when its cost overshoots
+    out = []
+
+    def walk(idx, remaining, acc):
+        if idx == len(rep.segments):
+            if remaining == 0:
+                out.append(tuple(acc))
+            return
+        seg = rep.segments[idx]
+        for steps in range(seg.length + 1):
+            cost = steps * seg.cuspidal_degree
+            if cost > remaining:
+                break
+            kept = () if steps == seg.length else (
+                Segment(seg.kind, seg.top, seg.cuspidal_id, seg.cuspidal_degree,
+                        seg.length - steps),)
+            walk(idx + 1, remaining - cost, acc + list(kept))
+
+    walk(0, order, [])
+    return out
+
+
+def test_derivative_walk_matches_an_unpruned_walk():
+    for rep in DRAWN_REPS:
+        for j in range(rep.n + 1):
+            assert derivative_subquotients(rep, j) == _unpruned_subquotients(rep, j), (rep, j)
 
 
 def test_ramified_derivative_orders():

@@ -128,6 +128,14 @@ def test_schur_length_vanishing_flag():
         assert schur((1, 1, 1), X[:2], algorithm).is_zero()
 
 
+@pytest.mark.parametrize("shape", [(1,), (1, 1, 1)])
+def test_schur_rejects_an_unknown_algorithm_at_every_length(shape):
+    # the name is checked before the vanishing shortcut for shapes longer
+    # than the variable list
+    with pytest.raises(ValueError, match="unknown algorithm"):
+        schur(shape, X[:1], "nope")
+
+
 # --- cross-algorithm agreement (small grid; acceptance runs the full one) ----
 
 @pytest.mark.parametrize("nvars", [1, 2, 3])
@@ -180,9 +188,9 @@ def test_branching_table_in_any_access_order(values, data):
         assert table.value(shape.parts) == schur(shape, values, "jacobi-trudi"), shape
 
 
-def test_branching_recursion_depth_grows_linearly():
-    # each variable adds a few frames to the recursion, never one per row
-    # (that would be quadratic in the variable count)
+def test_branching_fill_of_a_120_value_rational_tuple_matches_jacobi_trudi():
+    # the fill is iterative: a wide rational tuple goes through it in the
+    # lcm-scaled ints and agrees with the determinant formula
     values = [Scalar.rational(i % 7 - 3, i % 5 + 1) for i in range(120)]
     assert schur((2, 1), values) == schur((2, 1), values, "jacobi-trudi")
 
