@@ -93,6 +93,60 @@ def _unpack(key: Mono, n: int, w: int) -> list:
     return [(t >> s & mask) - half for s in shifts]
 
 
+def _field_items(values, fields, shifts, mask: int, table_of) -> list:
+    # one iterator per field i of fields over the item table_of(i, ...)
+    # gives to field i of each value, field i of t being t >> shifts[i] & mask
+    out = []
+    for i in fields:
+        s = shifts[i]
+        column = [t >> s & mask for t in values]
+        out.append(map(table_of(i, set(column)).__getitem__, column))
+    return out
+
+
+def _columns(keys, n: int, w: int, table_of, combine) -> list:
+    """Columns of items over keys of n fields at width w.
+
+    table_of(i, fields) maps each biased value of field i that occurs to
+    an item.  Returns iterators over keys, in the order of keys, such that
+    combining a key's items across the columns, in order, gives combine's
+    fold of the items of its fields, in field order.
+
+    The fields split into a high half, fields 0..n-n//2-1, and a low half,
+    the other n // 2.  A half of two or more fields whose values repeat,
+    each distinct value on four or more keys on average, gives one
+    column: it is folded once per distinct value and looked up per key,
+    so a key pays one lookup for the half, however many fields it has.
+    Every other field gives a column of its own.  Finding a half's
+    distinct values costs about a field lookup per key, so it is skipped
+    when there are fewer than four keys per field: the tables could then
+    save little.
+    """
+    bias, mask, _, shifts = _layout(n, w)
+    biased = [k + bias for k in keys]
+    if len(keys) < 4 * n:
+        return _field_items(biased, range(n), shifts, mask, table_of)
+    split, low_bits = n - n // 2, w * (n // 2)
+    columns = []
+    for first, stop in ((0, split), (split, n)):
+        if stop - first > 1:
+            # a half's value is the run of its biased fields
+            shift, run = (low_bits if first == 0 else 0), (1 << w * (stop - first)) - 1
+            values = [t >> shift & run for t in biased] if shift else [t & run for t in biased]
+            distinct = set(values)
+            if 4 * len(distinct) <= len(values):
+                source = list(distinct)
+                items = _field_items(source, range(first, stop), [s - shift for s in shifts],
+                                     mask, table_of)
+                folded = items[0]
+                for column in items[1:]:
+                    folded = map(combine, folded, column)
+                columns.append(map(dict(zip(source, folded)).__getitem__, values))
+                continue
+        columns += _field_items(biased, range(first, stop), shifts, mask, table_of)
+    return columns
+
+
 def _union(a: tuple, b: tuple) -> tuple:
     return a if a == b else tuple(sorted(set(a).union(b), key=_var_key))
 

@@ -35,9 +35,13 @@ def parse_scalar_atom(text: str) -> Scalar:
     text = text.strip()
     if _RATIONAL_RE.match(text):
         numerator, _, denominator = text.partition("/")
-        if denominator and not int(denominator):
-            raise ConfigError(f"cannot parse {text!r}: zero denominator")
-        return Scalar.of(Fraction(text))
+        try:
+            if denominator and not int(denominator):
+                raise ConfigError(f"cannot parse {text!r}: zero denominator")
+            value = Fraction(text)
+        except ValueError as exc:  # more digits than Python's int-string limit
+            raise ConfigError(f"cannot parse a rational of {len(text)} characters: {exc}") from None
+        return Scalar.of(value)
     if _IDENT_RE.match(text):
         if text in _RESERVED:
             raise ConfigError(f"'{text}' is reserved and cannot name an indeterminate")

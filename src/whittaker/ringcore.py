@@ -30,8 +30,10 @@ factors (multisets of reciprocal roots), with exact comparison.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from fractions import Fraction
-from math import lcm, prod
+from math import lcm
+from operator import add, mul
 from typing import Iterable, Iterator, Mapping, Optional
 
 from .errors import (
@@ -43,23 +45,62 @@ from .errors import (
     Unsupported,
 )
 from .packing import (_LIMIT, _VAR, _WIDTH, Rational, _canon, _canon_all, _drop_vanished,
-                      _layout, _merge, _normalise, _pack, _plan, _product, _repack, _union,
-                      _unpack, _var_key, _width)
+                      _columns, _layout, _merge, _normalise, _pack, _plan, _product, _repack,
+                      _union, _unpack, _var_key, _width)
 
-def _power_str(v: str, e: int) -> str:
+def _int_text(i: int) -> str:
+    """Decimal text of i, also past Python's limit on int-to-str digits.
+
+    str refuses an int of more digits than the process-wide limit (4,300
+    by default) with ValueError; only then are the digits cut off by
+    divmod in chunks of 500, fewer than the least limit Python allows, so
+    the limit stays in force for every other conversion, such as parsing.
+    """
+    try:
+        return str(i)
+    except ValueError:
+        pass
+    chunk = 10 ** 500
+    rest, pieces = abs(i), []
+    while rest >= chunk:
+        rest, low = divmod(rest, chunk)
+        pieces.append(f"{low:0500d}")
+    pieces.append(str(rest))
+    return ("-" if i < 0 else "") + "".join(reversed(pieces))
+
+
+def _coeff_text(c: Rational) -> str:
+    if c.__class__ is int:
+        return _int_text(c)
+    return f"{_int_text(c.numerator)}/{_int_text(c.denominator)}"
+
+
+def _power_text(v: str, e: int) -> str:
+    # "*v^e", or "" for e = 0; a monomial's text joins these and drops the first "*"
     if not e:
         return ""
-    return v if e == 1 else f"{v}^{e}"
+    return "*" + v if e == 1 else f"*{v}^{_int_text(e)}"
 
 
-def _format_term(c: Rational, ms: str) -> str:
-    if not ms:
-        return str(c)
-    if c == 1:
-        return ms
-    if c == -1:
-        return "-" + ms
-    return f"{c}*{ms}"
+def _signed_text(c: Rational) -> str:
+    # what precedes a monomial of coefficient c after the first term:
+    # " + c*" or " - |c|*", and " + " or " - " for c = 1 or -1
+    sign, c = (" - ", -c) if c < 0 else (" + ", c)
+    return sign if c == 1 else f"{sign}{_coeff_text(c)}*"
+
+
+def _term_text(c: Rational, monomial: str) -> str:
+    # a term after the first: " + c*monomial", or " + c" for the constant
+    if monomial:
+        return _signed_text(c) + monomial
+    return " - " + _coeff_text(-c) if c < 0 else " + " + _coeff_text(c)
+
+
+def _join_terms(parts: list) -> str:
+    # the terms joined, the first without its " + " and with "-" for " - "
+    first = parts[0]
+    parts[0] = first[3:] if first[1] == "+" else "-" + first[3:]
+    return "".join(parts)
 
 
 class Scalar:
@@ -283,34 +324,64 @@ class Scalar:
         contains 0, and n^(e - lo) * d^(hi - e) is an integer for every e in
         it; with the lcm of the coefficient denominators this puts every
         term over one common denominator, so the sum is taken in integers
-        and only the result is a Fraction.
+        and only the result is a Fraction.  A term's integer factor is the
+        product of the columns of packing._columns, so a term of a value
+        whose key halves repeat costs two multiplies, however many
+        variables it has.
         """
         names = self.names
         point = []
         for v in names:
             if v not in bindings:
                 raise UnboundVariable(f"no binding for variable {v}")
-            point.append(Fraction(bindings[v]))
+            x = bindings[v]
+            point.append(x if x.__class__ is int or x.__class__ is Fraction else Fraction(x))
         terms = self.terms
+        n = len(names)
+        if len(terms) <= n:
+            # no more terms than variables: tables would cost more than they
+            # save, so each term is a fraction of its own, summed over the
+            # product of the denominators
+            w = _width(self.bound)
+            num, den = 0, 1
+            for k, c in terms.items():
+                a, b = c.numerator, c.denominator
+                for x, e, v in zip(point, _unpack(k, n, w), names):
+                    p, q = x.numerator, x.denominator
+                    if e < 0:
+                        if not p:
+                            raise PoleAtPoint(f"variable {v} is 0 with negative exponent")
+                        p, q, e = q, p, -e
+                    a *= p ** e
+                    b *= q ** e
+                num, den = num * b + a * den, den * b
+            return Fraction(num, den)
         coeff_den = lcm(*(c.denominator for c in terms.values() if c.__class__ is not int))
-        # one column of integer factors per variable, and the coefficients
-        # over the common denominator
-        factors = [[c * coeff_den if c.__class__ is int
-                    else c.numerator * (coeff_den // c.denominator) for c in terms.values()]]
+        # the coefficients over the common denominator
+        total = terms.values() if coeff_den == 1 else [
+            c * coeff_den if c.__class__ is int else c.numerator * (coeff_den // c.denominator)
+            for c in terms.values()]
         den = coeff_den
-        bias, mask, half, shifts = _layout(len(names), _width(self.bound))
-        biased = [k + bias for k in terms]
-        for v, x, s in zip(names, point, shifts):
-            # exponents e biased to e + half; the range always contains e = 0
-            column = [t >> s & mask for t in biased]
-            low, high = min(min(column), half), max(max(column), half)
-            if low < half and not x:
-                raise PoleAtPoint(f"variable {v} is 0 with negative exponent")
-            num, d = x.numerator, x.denominator
-            table = {f: num ** (f - low) * d ** (high - f) for f in set(column)}
-            factors.append([table[f] for f in column])
-            den *= num ** (half - low) * d ** (high - half)
-        return Fraction(sum(map(prod, zip(*factors))), den)
+        if names:
+            w = _width(self.bound)
+            half = 1 << (w - 1)
+
+            def factors(i, fields):
+                # exponents e biased to e + half; the range always contains e = 0
+                nonlocal den
+                low, high = min(min(fields), half), max(max(fields), half)
+                num, d = point[i].numerator, point[i].denominator
+                if low < half and not num:
+                    raise PoleAtPoint(f"variable {names[i]} is 0 with negative exponent")
+                den *= num ** (half - low) * d ** (high - half)
+                table = {}
+                for f in fields:
+                    table[f] = num ** (f - low) * d ** (high - f)
+                return table
+
+            for column in _columns(terms, n, w, factors, mul):
+                total = map(mul, total, column)
+        return Fraction(sum(total), den)
 
     def _needs_parens(self) -> bool:
         terms = self.terms
@@ -327,32 +398,46 @@ class Scalar:
             return "0"
         names = self.names
         if not names:
-            return str(terms[0])
+            return _coeff_text(terms[0])
         n, w = len(names), _width(self.bound)
         top = w * n
-        half = 1 << (top - 1)
-        # degree ascending, and within a degree the packed exponents
-        # descending (a higher exponent on an earlier variable first):
-        # (d << top) - body for key = (d << top) + body, |body| < 2^(top-1)
-        keys = sorted(terms, key=lambda k: (((k + half) >> top) << (top + 1)) - k)
-        bias, mask, fhalf, shifts = _layout(n, w)
-        biased = [k + bias for k in keys]
-        columns = []
-        for v, s in zip(names, shifts):
-            column = [t >> s & mask for t in biased]
-            powers = {f: _power_str(v, f - fhalf) for f in set(column)}
-            columns.append([powers[f] for f in column])
-        parts = []
-        for k, pieces in zip(keys, zip(*columns)):
-            ms = "*".join(filter(None, pieces))
-            c = terms[k]
-            if not parts:
-                parts.append(_format_term(c, ms))
-            elif c < 0:
-                parts.append(" - " + _format_term(-c, ms))
-            else:
-                parts.append(" + " + _format_term(c, ms))
-        return "".join(parts)
+        bias = _layout(n, w)[0]
+        # ascending keys run by degree, and within a degree by packed
+        # exponents ascending; the print order has higher exponents on
+        # earlier variables first, so each degree's block is reversed (a
+        # degree is (key + bias) >> top, and its keys lie below
+        # (degree << top) + 2^(top - 1))
+        keys = sorted(terms)
+        if (keys[0] + bias) >> top == (keys[-1] + bias) >> top:
+            keys.reverse()
+        else:
+            start = 0
+            while start < len(keys):
+                end = bisect_left(keys, (((keys[start] + bias) >> top) << top) + (1 << (top - 1)),
+                                  start)
+                keys[start:end] = keys[start:end][::-1]
+                start = end
+        if len(keys) <= n:
+            # no more terms than variables: each term is written by itself
+            return _join_terms([_term_text(terms[k], "".join(
+                map(_power_text, names, _unpack(k, n, w)))[1:]) for k in keys])
+        half = 1 << (w - 1)
+
+        def powers(i, fields):
+            v, table = names[i], {}
+            for f in fields:
+                table[f] = _power_text(v, f - half)
+            return table
+
+        # a monomial's text joins its power texts (packing._columns), each
+        # made once per variable and exponent; then the sign and coefficient
+        # of each distinct coefficient go in front
+        signed = {c: _signed_text(c) for c in set(terms.values())}
+        parts = [signed[terms[k]] + "".join(pieces)[1:]
+                 for k, pieces in zip(keys, zip(*_columns(keys, n, w, powers, add)))]
+        if 0 in terms:
+            parts[keys.index(0)] = _term_text(terms[0], "")
+        return _join_terms(parts)
 
     def __repr__(self):
         return f"Scalar({self!s})"

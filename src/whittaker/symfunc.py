@@ -32,9 +32,10 @@ ALGORITHMS = ("branching", "jacobi-trudi", "bialternant")
 
 # Order ideals kept, one per (cap, size bound), least recently used first,
 # so long-lived library use stays bounded: a lattice sum to degree d at
-# length L reads one ideal, a single Schur value s_lam the one below lam,
-# and partitions_up_to the one it lists.  No Schur value is kept: a table
-# lives only as long as the lattice sum or the single value that filled it.
+# length L reads one ideal, and a single Schur value s_lam the one below
+# lam (partitions_up_to lists states without building an ideal).  No Schur
+# value is kept: a table lives only as long as the lattice sum or the
+# single value that filled it.
 PARTITION_CACHE_SIZE = 256
 
 
@@ -82,8 +83,8 @@ def partitions_up_to(size_bound: int, max_parts: int):
     """
     if size_bound < 0 or max_parts < 0:
         raise ValueError("bounds must be nonnegative")
-    ideal = _order_ideal((size_bound,) * min(max_parts, size_bound), size_bound)
-    return [Partition(mu) for mu in ideal.states]
+    states, _ = _ideal_states((size_bound,) * min(max_parts, size_bound), size_bound)
+    return [Partition(mu) for mu in states]
 
 
 def complete_homogeneous(k: int, variables: Sequence) -> Scalar:
@@ -200,31 +201,40 @@ def _schur_bialternant(parts: tuple, vars_key: tuple) -> Scalar:
     return total
 
 
+def _ideal_states(cap: tuple, bound: int) -> tuple:
+    """(states, starts) of the partitions mu inside cap with |mu| <= bound.
+
+    states lists them zero-padded to len(cap), by size and reverse-
+    lexicographically within a size, and the states of size k are
+    states[starts[k]:starts[k + 1]].  Each size is built from the one
+    below it, by adding a box to one row.
+    """
+    states, starts = [], [0]
+    level = [(0,) * len(cap)]
+    for size in range(bound + 1):
+        states.extend(level)
+        starts.append(len(states))
+        if size < bound:
+            level = sorted({mu[:i] + (mu[i] + 1,) + mu[i + 1:] for mu in level
+                            for i in range(len(cap))
+                            if mu[i] < cap[i] and (not i or mu[i - 1] > mu[i])}, reverse=True)
+    return states, starts
+
+
 class _OrderIdeal:
     """The partitions mu contained in cap with |mu| <= bound.
 
     Such a set is an order ideal of Young's lattice: it holds mu - e_i
-    whenever that is a partition.  states lists its members zero-padded to
-    len(cap), by size and reverse-lexicographically within a size (the
-    order of partitions_up_to), so the states of size k are
-    states[starts[k]:starts[k + 1]].  rows[i] lists, in the order of j, the
-    pairs (j, d) with states[d] = states[j] - e_i.  The ideal is built
-    level by level, each size from the one below it.
+    whenever that is a partition.  states and starts are those of
+    _ideal_states, in the order of partitions_up_to; rows[i] lists, in the
+    order of j, the pairs (j, d) with states[d] = states[j] - e_i.
     """
 
     __slots__ = ("cap", "states", "index", "starts", "rows")
 
     def __init__(self, cap: tuple, bound: int):
         self.cap = cap
-        self.states, self.starts = [], []
-        level = [(0,) * len(cap)]
-        for _ in range(bound + 1):
-            self.starts.append(len(self.states))
-            self.states.extend(level)
-            level = sorted({mu[:i] + (mu[i] + 1,) + mu[i + 1:] for mu in level
-                            for i in range(len(cap))
-                            if mu[i] < cap[i] and (not i or mu[i - 1] > mu[i])}, reverse=True)
-        self.starts.append(len(self.states))
+        self.states, self.starts = _ideal_states(cap, bound)
         self.index = {mu: j for j, mu in enumerate(self.states)}
         self.rows = [[(j, d) for j, mu in enumerate(self.states)
                       if (d := self.index.get(mu[:i] + (mu[i] - 1,) + mu[i + 1:])) is not None]

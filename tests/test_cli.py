@@ -4,13 +4,16 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from whittaker import symfunc
 from whittaker.cli import main
+from whittaker.repdata import UnramifiedLanglandsRep, parse_rep
 from whittaker.ringcore import Scalar, u_power
+from whittaker.rseng import verify_essential
 from whittaker.symfunc import schur
 from whittaker.whitfun import _delta_half_exponent
 
@@ -131,6 +134,56 @@ def test_integer_past_the_digit_limit_exits_two(tmp_path, capsys):
                     '"length": ' + "1" * 5000 + '}]}')
     assert main(["essential", "--rep", str(path), "--weight", "0"]) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def _digits_value(text: str) -> Fraction:
+    # the rational that "p" or "p/q" names, each part read in chunks below
+    # Python's int-string limit (int() refuses a longer string)
+    def whole(digits):
+        sign, digits = (-1, digits[1:]) if digits.startswith("-") else (1, digits)
+        value = 0
+        for i in range(0, len(digits), 1000):
+            chunk = digits[i:i + 1000]
+            value = value * 10 ** len(chunk) + int(chunk)
+        return sign * value
+
+    numerator, _, denominator = text.partition("/")
+    return Fraction(whole(numerator), whole(denominator) if denominator else 1)
+
+
+def test_spherical_value_past_the_digit_limit_prints_exactly(capsys):
+    # 2^20000 has 6,021 digits, past Python's int-to-str limit of 4,300
+    assert main(["spherical", "--satake", "2", "--weight", "20000"]) == 0
+    out = capsys.readouterr().out
+    assert len(out) == 6022 and _digits_value(out.strip()) == 2 ** 20000
+    # printing leaves the process-wide limit in force, which input parsing relies on
+    with pytest.raises(ValueError):
+        str(2 ** 20000)
+
+
+def test_verify_coefficients_past_the_digit_limit_print_exactly(tmp_path, capsys):
+    big = "9" * 50
+    rep = _write(tmp_path, "readme.json", {"q": "3", "segments": [
+        {"kind": "unramified", "satake": "1/2", "length": 2},
+        {"kind": "ramified", "id": "rho1", "degree": 2, "length": 1},
+        {"kind": "unramified", "satake": "3", "length": 1}]})
+    assert main(["verify", "--rep", rep, "--satake-prime", f"{big},3", "--degree", "100"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-1] == "result: pass (exact through t^100)"
+    # the rhs line repeats the lhs; its t^100 coefficient is h_100 of the roots
+    expected = verify_essential(parse_rep(json.loads(Path(rep).read_text())),
+                                UnramifiedLanglandsRep((Scalar.of(int(big)), Scalar.of(3))),
+                                100).rhs_series.coeffs[100].as_fraction()
+    top = lines[-2].split(" + ")[-2]
+    assert top.endswith("*t^100") and len(top) > 4300
+    assert _digits_value(top[:-len("*t^100")]) == expected
+
+
+def test_rational_past_the_digit_limit_exits_two(capsys):
+    assert main(["spherical", "--satake", "7" * 5000, "--weight", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1
 
 
 _TEN_RAMIFIED = {"q": "3", "segments": [

@@ -23,6 +23,7 @@ from whittaker.ringcore import (
     substitute,
     u_power,
 )
+from whittaker.rseng import cauchy_check
 from whittaker.symfunc import _exact_div, complete_homogeneous
 
 u = Scalar.variable("u")
@@ -515,6 +516,22 @@ def test_products_at_the_field_limit_never_wrap(a, b, c):
     assert str(product * x ** -(a + b)) == str(y ** (c + 1))
 
 
+def test_ints_past_the_digit_limit_print_in_full():
+    # str() refuses ints of more than 4,300 digits; chunks of all zeros
+    # and a sign must survive the fallback
+    def read(text):
+        digits, value = text.lstrip("-"), 0
+        for i in range(0, len(digits), 1000):
+            value = value * 10 ** len(digits[i:i + 1000]) + int(digits[i:i + 1000])
+        return -value if text.startswith("-") else value
+
+    for v in (10 ** 5000, -(10 ** 5000 + 7), 3 ** 9000):
+        assert read(str(Scalar.of(v))) == v
+        head, _, tail = str(Scalar.rational(1, v) * x1 - 1).partition("/")
+        assert head == ("-1 - 1" if v < 0 else "-1 + 1") and tail.endswith("*x1")
+        assert read(tail[:-len("*x1")]) == abs(v)
+
+
 def test_huge_exponents_print_exactly():
     x = Scalar.variable("x1")
     assert str(x ** (2 ** 40) * x) == f"x1^{2 ** 40 + 1}"
@@ -574,3 +591,92 @@ def _old_format(value):
 def test_print_order_matches_tuple_order(a, b):
     for value in (a, b, a * b, a + b):
         assert str(value) == _old_format(value)
+
+
+# --- printing and evaluation by packed-key halves ------------------------------
+
+_EIGHT = ("a1", "b2", "c3", "u", "w4", "x1", "x2", "y1")
+
+
+@st.composite
+def half_polys(draw):
+    # a constant and up to 12 terms over an alphabet of up to 8 names: up
+    # to 3 high-name exponent patterns times up to 3 low-name ones, so the
+    # halves of the packed keys repeat, and up to 3 more terms; Laurent
+    # exponents in several degrees, Fraction coefficients, and sometimes
+    # exponents at and past the field limit (the wide layout)
+    exponents = draw(st.sampled_from((st.integers(-3, 3), _exponents)))
+    coefficients = st.one_of(st.integers(-3, 3), _small_fractions)
+    names = sorted(draw(st.sets(st.sampled_from(_EIGHT), min_size=1)),
+                   key=lambda v: (v != "u", v))
+    split = len(names) - len(names) // 2
+
+    def patterns(group):
+        return [dict(zip(group, exps)) for exps in draw(st.lists(
+            st.lists(exponents, min_size=len(group), max_size=len(group)),
+            min_size=1, max_size=3))]
+
+    highs, lows = patterns(names[:split]), patterns(names[split:])
+    p = Scalar.of(draw(st.integers(-2, 2)))
+    for h in highs:
+        for l in lows:
+            p = p + Scalar.monomial({**h, **l}, draw(coefficients))
+    for exps in patterns(names):
+        p = p + Scalar.monomial(exps, draw(coefficients))
+    return p
+
+
+_eight_bindings = st.dictionaries(
+    st.sampled_from(_EIGHT), st.one_of(st.integers(-4, 4), st.fractions(-5, 5, max_denominator=6)),
+    min_size=6).map(lambda b: {v: Fraction(x) for v, x in b.items()})
+
+
+def _check_against_oracles(value, bindings):
+    assert str(value) == _old_format(value)
+    expected = _substitute_oracle(value, bindings)
+    if expected is None:
+        with pytest.raises(UnboundVariable):
+            value.substitute(bindings)
+    elif expected == "pole":
+        with pytest.raises(PoleAtPoint):
+            value.substitute(bindings)
+    else:
+        got = value.substitute(bindings)
+        assert type(got) is Fraction and got == expected
+
+
+@settings(max_examples=60, deadline=None)
+@given(half_polys(), half_polys(), _eight_bindings)
+@example(Scalar.monomial({"x1": 2}) + Scalar.monomial({"x2": -1}), Scalar.of(0),
+         {"x1": 0, "x2": 0})
+@example(Scalar.monomial({"x1": 2**15, "y1": -1}) * (Scalar.variable("a1") + 1),
+         Scalar.of(1), {"a1": 2, "x1": Fraction(-1, 2), "y1": 3})
+def test_half_tables_match_the_oracles(a, b, bindings):
+    # the printer and the evaluator read a key by halves when the halves
+    # repeat, and by fields otherwise; both must agree with the term-by-term
+    # oracles, including the unbound-variable and pole cases
+    values = [a, b, a + b]
+    if a.bound < _LIMIT and b.bound < _LIMIT:
+        values.append(a * b)
+    else:
+        # keep the oracle's exact powers of exponents near 2^15 small
+        bindings = {v: x.numerator % 5 - 2 for v, x in bindings.items()}
+    for value in values:
+        _check_against_oracles(value, bindings)
+
+
+def test_cauchy_lhs_matches_the_oracles():
+    # 3x3 at degree 8: the t^8 coefficient has 2,025 terms in 6 variables,
+    # and every key half repeats 45 times
+    xs = [Scalar.variable(f"x{i + 1}") for i in range(3)]
+    ys = [Scalar.variable(f"y{j + 1}") for j in range(3)]
+    lhs = cauchy_check(3, 3, xs, ys, 8).lhs_series
+    assert len(lhs.coeffs[8].terms) == 2025
+    bindings = {"x1": Fraction(-2, 3), "x2": 5, "x3": Fraction(7, 4),
+                "y1": Fraction(1, 9), "y2": -3, "y3": Fraction(-5, 2)}
+    for coeff in lhs.coeffs:
+        _check_against_oracles(coeff, bindings)
+    _check_against_oracles(lhs.coeffs[8], {**bindings, "y2": 0})
+    _check_against_oracles(lhs.coeffs[8] * Scalar.monomial({"y2": -1}), {**bindings, "y2": 0})
+    del bindings["x3"]
+    _check_against_oracles(lhs.coeffs[8], bindings)

@@ -132,11 +132,13 @@ def test_negative_control_indicator_removal():
     pp = UnramifiedLanglandsRep((Scalar.of(7), Scalar.rational(1, 11)))
     good = verify_essential(RANK2_UNRAM, pp, 6)
     assert good.passed
+    assert good.rhs_series is good.lhs_series  # a passing report keeps one series
     bad = verify_essential(RANK2_UNRAM, pp, 6, drop_integrality=True)
     assert not bad.passed
     k, lhs_c, rhs_c = bad.first_mismatch
     assert k == 0
     assert lhs_c != rhs_c
+    assert (bad.lhs_series.coeffs[k], bad.rhs_series.coeffs[k]) == (lhs_c, rhs_c)
 
 
 def test_negative_control_is_invisible_off_the_critical_rank():
@@ -254,12 +256,14 @@ def test_symbolic_verification_coheres_with_numeric_substitution():
     pp = UnramifiedLanglandsRep((Scalar.variable("w1"),))
     report = verify_essential(rep, pp, 6)
     assert report.passed
+    # a passing report keeps one series, so the Euler side is expanded here
+    rhs = euler_expand(l_factor(rep, pp), 6)
     rng = random.Random(17)
     for _ in range(5):
         point = {v: Fraction(rng.choice([x for x in range(-7, 8) if x]),
                              rng.randint(1, 5))
                  for v in ("u", "a1", "a2", "w1")}
-        for lc, rc in zip(report.lhs_series.coeffs, report.rhs_series.coeffs):
+        for lc, rc in zip(report.lhs_series.coeffs, rhs.coeffs):
             assert lc.substitute(point) == rc.substitute(point)
 
 
