@@ -3,8 +3,9 @@
 Subcommands: schur, spherical, essential, lfactor, verify, cauchy,
 derivatives.  Results go to stdout, diagnostics to stderr.  Exit codes:
 0 success / verified, 1 verification mismatch, 2 invalid input or
-configuration, 3 internal invariant violation.  Output is byte-stable for
-identical configurations.
+configuration, 3 internal invariant violation or any other internal error,
+so a crash never reads as a mismatch.  Output is byte-stable for identical
+configurations.
 """
 
 from __future__ import annotations
@@ -271,6 +272,13 @@ def main(argv=None) -> int:
     except WhittakerError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:
+        # last resort: exit 1 would read as "the identity failed"
+        import traceback
+
+        traceback.print_exc()
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -265,6 +265,65 @@ def _product(a: dict, b: dict) -> dict:
     return _canon_all(out)
 
 
+def _add_product(out: dict, a: dict, b: dict) -> None:
+    """out += a * b in place, for terms maps over one alphabet and width.
+
+    Keys that cancel are deleted.  Coefficients are left as the arithmetic
+    gives them, so an integral Fraction may remain: a sum of products is
+    made canonical once, with _canon_all, when it is complete.
+    """
+    if len(a) > len(b):
+        a, b = b, a
+    get = out.get
+    for ma, ca in a.items():
+        for mb, cb in b.items():
+            m = ma + mb
+            s = get(m)
+            if s is None:
+                out[m] = ca * cb
+            else:
+                s += ca * cb
+                if s:
+                    out[m] = s
+                else:
+                    del out[m]
+
+
+def _aligned(values, degree: int) -> tuple:
+    """(names, w, bound, maps) for sums of products of degree factors among values.
+
+    values are ringcore Scalars: terms maps with their alphabet (names) and
+    exponent bound.  names is the union of their alphabets, bound the
+    largest exponent such a product can reach, degree times the largest
+    bound of a value, and w its width; maps holds the terms map of each
+    value over names at width w.  A value that needs no move keeps its own
+    map, so the maps are only to be read.
+    """
+    names = ()
+    for v in values:
+        names = _union(names, v.names)
+    bound = max((v.bound for v in values), default=0) * degree
+    w = _width(bound)
+    return names, w, bound, [_repack(v.terms, v.names, names, _width(v.bound), w)
+                             for v in values]
+
+
+def _finished(terms: dict, names: tuple, w: int, bound: int) -> Tuple[dict, tuple, int]:
+    """(terms, alphabet, bound) of the value of a map summed in place over names at width w.
+
+    bound bounds its exponents.  The coefficients are made canonical and the
+    variables no key uses are dropped; a width above _WIDTH gives the value
+    its exact bound and own width (_normalise).  terms is reused.
+    """
+    if not terms:
+        return terms, (), 0
+    _canon_all(terms)
+    if w > _WIDTH:
+        return _normalise(terms, names, w)
+    names, terms = _drop_vanished(terms, names, w, range(len(names)))
+    return terms, names, bound
+
+
 def _merge(out: dict, terms: dict) -> bool:
     # adds terms into out in place; True when some key cancelled
     cancelled = False

@@ -44,9 +44,10 @@ from .errors import (
     UnboundVariable,
     Unsupported,
 )
-from .packing import (_LIMIT, _VAR, _WIDTH, Rational, _canon, _canon_all, _drop_vanished,
-                      _columns, _layout, _merge, _normalise, _pack, _plan, _product, _repack,
-                      _union, _unpack, _var_key, _width)
+from .packing import (_LIMIT, _VAR, _WIDTH, Rational, _add_product, _aligned, _canon,
+                      _canon_all, _drop_vanished, _columns, _finished, _layout, _merge,
+                      _normalise, _pack, _plan, _product, _repack, _union, _unpack, _var_key,
+                      _width)
 
 def _int_text(i: int) -> str:
     """Decimal text of i, also past Python's limit on int-to-str digits.
@@ -561,7 +562,8 @@ def euler_expand(factor: EulerFactor, order: int) -> TruncatedSeries:
 
     The coefficient of t^k is the complete homogeneous polynomial h_k of the
     roots (with multiplicity); the constant term is 1.  The h_k are taken at
-    the roots scaled by _scaled (in ints when every root is rational) and
+    the roots scaled by _scaled (in ints when every root is rational, and
+    otherwise in terms maps added in place, see _h_convolution) and
     brought back by _unscaled, h_k(c) = h_k(L*c) / L^k.
     """
     if order < 0:
@@ -596,13 +598,23 @@ def _h_convolution(roots, top: int, one=_ONE) -> list:
 
     Multiplying in one factor 1/(1 - x t) at a time: after each root, the
     coefficient of t^k gains x times the coefficient of t^(k-1).  The roots
-    and one are Scalars, or ints with one = 1.
+    and one are Scalars, or ints with one = 1.  Scalar roots are put on one
+    alphabet first, and each gain is added into the terms map of its
+    coefficient in place (packing._add_product); the Scalars are built at
+    the end, one per coefficient.
     """
-    coeffs = [one] + [one - one] * top
-    for x in roots:
+    if one.__class__ is int:
+        coeffs = [one] + [one - one] * top
+        for x in roots:
+            for k in range(1, top + 1):
+                coeffs[k] = coeffs[k] + x * coeffs[k - 1]
+        return coeffs
+    names, w, bound, xs = _aligned(roots, top)
+    coeffs = [{0: 1}] + [{} for _ in range(top)]
+    for x in xs:
         for k in range(1, top + 1):
-            coeffs[k] = coeffs[k] + x * coeffs[k - 1]
-    return coeffs
+            _add_product(coeffs[k], x, coeffs[k - 1])
+    return [Scalar(*_finished(c, names, w, bound)) for c in coeffs]
 
 
 def series_equal(a: TruncatedSeries, b: TruncatedSeries, order: int) -> Optional[int]:

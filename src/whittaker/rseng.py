@@ -9,9 +9,10 @@ pinned by cauchy_check.
 
 Every power of u cancels in a lattice term, so each coefficient of the
 lattice sum is one dot product of the raw values of two Schur tables over
-the partitions of its degree, for every tuple alike: ints for rational
-values, Scalars for symbolic ones, and an int times a Scalar for a mixed
-pair.  One Scalar is built per coefficient.
+the partitions of its degree, for every tuple alike: a sum of int
+products when both tuples are rational, and otherwise products of terms
+maps on one alphabet, added in place into one map per coefficient
+(packing._add_product).  One Scalar is built per coefficient.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from typing import Optional, Sequence, Tuple, Union
 
 from .errors import BadRanks, InvariantViolation, Unsupported
 from .repdata import GenericRep, UnramifiedLanglandsRep, compute_piu
+from .packing import _add_product, _finished, _union, _width
 from .ringcore import EulerFactor, Scalar, TruncatedSeries, _unscaled, euler_expand, series_equal
 from .symfunc import _order_ideal, _SchurTable
 
@@ -114,8 +116,8 @@ def rs_series(left: LeftInput, pi_prime: UnramifiedLanglandsRep, order: int, *,
     branch restricts to partitions through the lattice indicator).
 
     The sum is one table sum for every tuple (_lattice_series): in ints
-    when both tuples are rational, in Scalars when both are symbolic, and
-    an int times a Scalar per lattice point when one of them is rational.
+    when both tuples are rational, and in terms maps added in place
+    otherwise.
 
     drop_integrality (test hook) removes the 1_O(a_r) factor from the
     essential function, so the index set grows to the dominant weights w
@@ -175,18 +177,35 @@ def _lattice_series(params: Sequence[Scalar], satake: Sequence[Scalar],
     partitions of size <= order with at most min(r, m) parts, sorted by
     size, so the partitions of k are one slice of each table's values.  The
     tables hold their values at D*params and E*satake (ints, with D and E
-    the lcms of the denominators, for a rational tuple; Scalars, with scale
-    1, otherwise), so the coefficient is one dot product of the two slices,
-    divided once by (DE)^k (ringcore._unscaled).
+    the lcms of the denominators, for a rational tuple; terms maps, with
+    scale 1, otherwise), so the coefficient is one dot product of the two
+    slices, divided once by (DE)^k (ringcore._unscaled).  Unless both are
+    ints, each table's values are moved once onto the union alphabet of
+    the two, at a width holding the sum of their bounds, an int entry
+    becoming a constant map, and the dot product adds each product into
+    one map in place; the Scalar is built once, when the sum is complete.
     """
     ideal = _order_ideal((order,) * min(len(params), len(satake)), order)
     x = _SchurTable(tuple(params), ideal)
     y = _SchurTable(tuple(satake), ideal)
+    raw = x.names is not None or y.names is not None
+    if raw:
+        names = _union(x.names or (), y.names or ())
+        bound = x.bound + y.bound
+        w = _width(bound)
+        x.move(names, w)
+        y.move(names, w)
     starts = ideal.starts
     coeffs = []
     for k in range(order + 1):
         a, b = starts[k], starts[k + 1]
-        c = sum(map(mul, x.values[a:b], y.values[a:b]))
+        if raw:
+            out = {}
+            for u, v in zip(x.values[a:b], y.values[a:b]):
+                _add_product(out, u, v)
+            c = Scalar(*_finished(out, names, w, bound))
+        else:
+            c = sum(map(mul, x.values[a:b], y.values[a:b]))
         coeffs.append(_unscaled(c, (x.scale * y.scale) ** k))
     return TruncatedSeries(order, coeffs)
 

@@ -8,11 +8,14 @@ variable and one interlacing row at a time, each row in order of size, in
 place and without recursion, so every value shares the work of the smaller
 ones.  rseng's lattice sum reads a whole table of the partitions of bounded
 size and length; a single value s_lam fills the partitions contained in
-lam.  When every value is rational the table runs in Python ints.  schur is
-the one entry point: the Jacobi-Trudi determinant in complete homogeneous
-polynomials and the bialternant ratio (exact polynomial division at a
-generic point) stay selectable by name, and with a semistandard-tableau
-enumerator they are the independent oracles the tests compare against.
+lam.  When every value is rational the table runs in Python ints, and
+otherwise in plain terms maps on the tuple's union alphabet, each step
+adding a product into an entry in place, with a Scalar built only for a
+value read out.  schur is the one entry point: the Jacobi-Trudi
+determinant in complete homogeneous polynomials and the bialternant ratio
+(exact polynomial division at a generic point) stay selectable by name,
+and with a semistandard-tableau enumerator they are the independent
+oracles the tests compare against.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from operator import ge
 from typing import Iterable, Iterator, Sequence
 
 from .errors import DivisionByZero, UnsupportedWeight
-from .packing import _unpack, _width
+from .packing import _add_product, _aligned, _finished, _repack, _unpack, _width
 from .ringcore import _ONE, _ZERO, Scalar, _h_convolution, _scaled, _unscaled
 
 ALGORITHMS = ("branching", "jacobi-trudi", "bialternant")
@@ -269,17 +272,32 @@ class _SchurTable:
 
     The table is filled at the point y = D*x that ringcore._scaled gives:
     in ints, D the lcm of the denominators, when every value is rational,
-    and on Scalars at y = x, D = 1, otherwise.  Homogeneity gives
-    s_lam(x) = s_lam(y) / D^|lam|.  scale is D and values the raw values at
-    y, in the order of ideal.states, so a caller can keep a whole sum of
-    Schur values in ints (or in Scalars) and divide once by _unscaled.
+    and at y = x, D = 1, otherwise.  Homogeneity gives s_lam(x) =
+    s_lam(y) / D^|lam|.  scale is D and values the raw values at y, in the
+    order of ideal.states, so a caller can keep a whole sum of Schur values
+    raw and divide once by _unscaled.  A raw value is an int, or, when
+    some value is symbolic, a packing terms map over the alphabet
+    self.names at the field width self.width, which holds every exponent
+    up to self.bound: each step adds x_k times one map into another in
+    place (packing._add_product), and a Scalar is built only for a value
+    read out.  self.names is None for a table of ints.  move puts the
+    values of a table on a larger alphabet, as terms maps, for the
+    products of rseng's lattice sum.
     """
 
-    __slots__ = ("ideal", "scale", "values")
+    __slots__ = ("ideal", "scale", "values", "names", "width", "bound")
 
     def __init__(self, vars_key: tuple, ideal: _OrderIdeal, top: tuple = ()):
         self.scale, xs, one = _scaled(vars_key)
-        values = [one] + [one - one] * (len(ideal.states) - 1)
+        size, raw = len(ideal.states), one is _ONE
+        if raw:
+            # a value is a sum of products of |lam| factors, and the last
+            # state has the largest size
+            self.names, self.width, self.bound, xs = _aligned(xs, sum(ideal.states[-1]))
+            values = [{0: 1}] + [{} for _ in range(size - 1)]
+        else:
+            self.names, self.width, self.bound = None, None, 0
+            values = [one] + [one - one] * (size - 1)
         n, length, states = len(xs), len(ideal.cap), ideal.states
         for k, x in enumerate(xs, 1):
             window = top[n - k:]
@@ -289,14 +307,34 @@ class _SchurTable:
                 if k < length or any(floor):
                     row = [(j, d) for j, d in row
                            if (k >= length or not states[j][k]) and all(map(ge, states[d], floor))]
-                for j, d in row:
-                    values[j] = values[j] + x * values[d]
+                if raw:
+                    for j, d in row:
+                        _add_product(values[j], x, values[d])
+                else:
+                    for j, d in row:
+                        values[j] = values[j] + x * values[d]
         self.ideal = ideal
         self.values = values
+
+    def move(self, names: tuple, w: int):
+        """Put the raw values on the alphabet names, which holds self.names, at width w.
+
+        An int becomes a constant terms map.  The values are replaced one at
+        a time, so the table never holds two copies of itself.
+        """
+        values, src, w_src = self.values, self.names, self.width
+        for j, v in enumerate(values):
+            if src is None:
+                values[j] = {0: v} if v else {}
+            else:
+                values[j] = _repack(v, src, names, w_src, w)
+        self.names, self.width = names, w
 
     def value(self, parts: tuple) -> Scalar:
         """s_parts(x_1..x_n); parts (no trailing zeros) is top, or any state if no top."""
         out = self.values[self.ideal.index[parts + (0,) * (len(self.ideal.cap) - len(parts))]]
+        if self.names is not None:
+            out = Scalar(*_finished(out, self.names, self.width, self.bound))
         return _unscaled(out, self.scale ** sum(parts))
 
 

@@ -400,3 +400,17 @@ def test_one_parser_serves_every_call_like_a_fresh_process(tmp_path, capsys, mon
                                capture_output=True, text=True, timeout=60)
         assert (code, captured.out, captured.err) == (fresh.returncode, fresh.stdout,
                                                       fresh.stderr)
+
+
+def test_an_unexpected_exception_exits_three_not_one(capsys, monkeypatch):
+    # exit 1 means a printed mismatch; a crash in a handler must not read so
+    import whittaker.cli as cli
+
+    def crash(args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setitem(cli._HANDLERS, "schur", crash)
+    assert main(["schur", "--partition", "2,1", "--vars", "2"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines()[-1] == "internal error: RuntimeError: boom"

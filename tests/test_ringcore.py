@@ -13,7 +13,7 @@ from whittaker.errors import (
     UnboundVariable,
     Unsupported,
 )
-from whittaker.packing import _WIDTH, _pack, _unpack
+from whittaker.packing import _WIDTH, _add_product, _aligned, _finished, _pack, _unpack, _width
 from whittaker.ringcore import (
     EulerFactor,
     Scalar,
@@ -680,3 +680,53 @@ def test_cauchy_lhs_matches_the_oracles():
     _check_against_oracles(lhs.coeffs[8] * Scalar.monomial({"y2": -1}), {**bindings, "y2": 0})
     del bindings["x3"]
     _check_against_oracles(lhs.coeffs[8], bindings)
+
+
+# --- sums of products added in place -----------------------------------------------
+
+_y1 = Scalar.variable("y1")
+
+
+@st.composite
+def product_pairs(draw):
+    """Factor pairs (a, b) of a sum of products.
+
+    The factors of a pair share names or use disjoint halves of the
+    alphabet; exponents reach the field limit (the wide layout), and
+    coefficients include Fractions.  The sum may be made to cancel down to
+    zero, or to a constant, by appending the negated pairs.
+    """
+    disjoint = draw(st.booleans())
+    left = packed_polys(names=("a1", "x1") if disjoint else _letters)
+    right = packed_polys(names=("u", "x2", "y1") if disjoint else _letters)
+    pairs = draw(st.lists(st.tuples(left, right), min_size=1, max_size=4))
+    cancel = draw(st.sampled_from(("none", "zero", "constant")))
+    if cancel != "none":
+        pairs += [(-a, b) for a, b in pairs]
+    if cancel == "constant":
+        pairs += [(x1 - _y1 + draw(_small_fractions), Scalar.of(1)), (_y1 - x1, Scalar.of(1))]
+    return pairs
+
+
+@settings(max_examples=120, deadline=None)
+@given(product_pairs())
+@example([(x1 - _y1, x1 + _y1)])
+@example([(x1 - _y1, Scalar.of(1)), (_y1 - x1, Scalar.of(1))])
+@example([(x1 ** (_LIMIT - 1), x1 ** (_LIMIT - 1)), (x1 ** -5, x1 ** 5)])
+def test_sum_of_products_in_place_matches_the_operators(pairs):
+    # the kernel route of the Schur tables, the lattice sum and the h
+    # convolution: every factor on one alphabet at the width of a product
+    # of two, each product added into one map, one Scalar at the end
+    expected = Scalar.of(0)
+    for a, b in pairs:
+        expected = expected + a * b
+    names, w, bound, maps = _aligned([v for pair in pairs for v in pair], 2)
+    out = {}
+    for i in range(len(pairs)):
+        _add_product(out, maps[2 * i], maps[2 * i + 1])
+    got = Scalar(*_finished(out, names, w, bound))
+    assert got == expected
+    assert hash(got) == hash(expected)
+    assert got.names == expected.names
+    assert _width(got.bound) == _width(expected.bound)
+    assert all(c.__class__ is int or c.denominator > 1 for c in got.terms.values())

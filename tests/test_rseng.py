@@ -1,11 +1,13 @@
 """Series expansion of the local integrals and the main-identity verifier."""
 
 import itertools
+import json
 import random
 from fractions import Fraction
+from operator import ge, mul
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import whittaker.rseng as rseng
@@ -15,7 +17,7 @@ from whittaker.ringcore import EulerFactor, Scalar, _h_convolution, euler_expand
 from whittaker.rseng import (cauchy_check, cauchy_term_count, l_factor, rs_series,
                              theorem_product, verify_essential)
 from whittaker.suite import generate_suite, make_pi_prime
-from whittaker.symfunc import (Partition, complete_homogeneous, partitions_up_to,
+from whittaker.symfunc import (Partition, _order_ideal, complete_homogeneous, partitions_up_to,
                                schur, schur_ssyt_oracle)
 from whittaker.whitfun import _delta_half_exponent, delta_half, essential_value, spherical_value
 
@@ -245,6 +247,107 @@ def test_lattice_read_out_is_the_cauchy_sum(params, satake, order):
             expected = expected + (schur(parts, params, "jacobi-trudi")
                                    * schur(parts, satake, "jacobi-trudi"))
         assert series.coeffs[k] == expected, k
+
+
+# --- the in-place sums against the Scalar operator loops they replaced ---------------
+#
+# The Schur table fill, the lattice sum and the h convolution add products
+# into terms maps in place (packing._add_product).  The oracles below are
+# the same loops on Scalars, one operator per step.
+
+def _operator_table(values, ideal, top=()):
+    """The Schur table fill of symfunc._SchurTable with a Scalar + and * per state and row."""
+    xs = tuple(map(Scalar.of, values))
+    out = [Scalar.of(1)] + [Scalar.of(0)] * (len(ideal.states) - 1)
+    n, length, states = len(xs), len(ideal.cap), ideal.states
+    for k, x in enumerate(xs, 1):
+        window = top[n - k:]
+        for i in reversed(range(min(length, k))):
+            row = ideal.rows[i]
+            floor = window[1:i + 2] + window[i + 1:]
+            if k < length or any(floor):
+                row = [(j, d) for j, d in row
+                       if (k >= length or not states[j][k]) and all(map(ge, states[d], floor))]
+            for j, d in row:
+                out[j] = out[j] + x * out[d]
+    return out
+
+
+def _operator_lattice(params, satake, order):
+    ideal = _order_ideal((order,) * min(len(params), len(satake)), order)
+    x, y, starts = _operator_table(params, ideal), _operator_table(satake, ideal), ideal.starts
+    return [sum(map(mul, x[starts[k]:starts[k + 1]], y[starts[k]:starts[k + 1]]), Scalar.of(0))
+            for k in range(order + 1)]
+
+
+def _operator_h(roots, top):
+    coeffs = [Scalar.of(1)] + [Scalar.of(0)] * top
+    for x in roots:
+        for k in range(1, top + 1):
+            coeffs[k] = coeffs[k] + x * coeffs[k - 1]
+    return coeffs
+
+
+def _same(got, expected):
+    # equal values: same terms, alphabet and width, so also the same hash
+    return ([(c, c.names, hash(c)) for c in got]
+            == [(c, c.names, hash(c)) for c in expected])
+
+
+_a = Scalar.variable("a")
+_WIDE = Scalar.variable("x1") ** 20000
+# the non-atoms of _SYMBOLIC_VALUES, a Fraction coefficient, and a power
+# of a whose lattice products at degree 4 need the wide layout when both
+# tuples hold it
+_IN_PLACE_VALUES = st.one_of(
+    _RATIONAL_VALUES, _SYMBOLIC_VALUES,
+    st.sampled_from([Scalar.rational(-2, 3) * Scalar.variable("x2"), _a, _a ** 5000]))
+_IN_PLACE_TUPLES = st.lists(_IN_PLACE_VALUES, min_size=1, max_size=3)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_IN_PLACE_TUPLES, _IN_PLACE_TUPLES, st.integers(0, 4))
+@example([_a], [_a], 4)
+@example([_a ** 5000], [_a ** 5000], 4)
+@example([_a, Scalar.rational(1, 2)], [_a ** -1, Scalar.of(3)], 3)
+@example([_WIDE, Scalar.variable("y1")], [Scalar.variable("x1") - Scalar.variable("y1")], 2)
+def test_in_place_sums_match_the_operator_loops(params, satake, order):
+    # symbolic, mixed and Fraction tuples, names shared by the two tuples,
+    # and wide values, through all three rewritten loops
+    assert _same(rseng._lattice_series(params, satake, order).coeffs,
+                 _operator_lattice(params, satake, order))
+    roots = [x * y for x in params for y in satake if x and y]
+    assert _same(euler_expand(EulerFactor(roots), order).coeffs, _operator_h(roots, order))
+    for shape in partitions_up_to(order, len(params)):
+        parts = shape.parts
+        table = _operator_table(params, _order_ideal(parts, shape.size), parts)
+        assert _same([schur(parts, params)], [table[-1]]), parts
+
+
+def test_in_place_h_convolution_of_a_wide_root():
+    # x^40000 needs 32-bit fields; h_0 and h_1 fit in 16
+    series = euler_expand(EulerFactor([_WIDE]), 2)
+    assert _same(series.coeffs, _operator_h([_WIDE], 2))
+    assert [c.variables() for c in series.coeffs] == [(), ("x1",), ("x1",)]
+
+
+def test_verify_with_a_name_shared_by_the_rep_and_pi_prime(tmp_path, capsys):
+    # top a against Satake' a: both tables are over the one alphabet (a),
+    # so neither is moved, and each lattice product multiplies two powers of a
+    from whittaker.cli import main
+
+    document = {"q": "symbolic", "segments": [
+        {"kind": "unramified", "satake": "a", "length": 1},
+        {"kind": "ramified", "id": "rho1", "degree": 1, "length": 1}]}
+    pi_prime = UnramifiedLanglandsRep((_a,))
+    assert _same(rs_series(parse_rep(document), pi_prime, 5).coeffs,
+                 _operator_lattice([_a], [_a], 5))
+    path = tmp_path / "rep.json"
+    path.write_text(json.dumps(document))
+    assert main(["verify", "--rep", str(path), "--satake-prime", "a", "--degree", "5"]) == 0
+    out = capsys.readouterr().out
+    assert "lhs: 1 + a^2*t + a^4*t^2" in out
+    assert "numeric spot-check (seed 0): pass" in out
 
 
 # --- symbolic/numeric coherence -----------------------------------------------------
