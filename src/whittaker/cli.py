@@ -50,6 +50,8 @@ def _load_rep(path: str) -> GenericRep:
         raise ConfigError(f"cannot read {path}: {exc}") from None
     except ValueError as exc:  # also an integer literal past Python's digit limit
         raise ConfigError(f"{path} is not valid JSON: {exc}") from None
+    except RecursionError:  # arrays or objects nested past the interpreter's depth
+        raise ConfigError(f"{path} nests JSON arrays or objects too deeply to read") from None
     return parse_rep(document)
 
 

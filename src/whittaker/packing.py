@@ -17,6 +17,13 @@ A terms map sends packed monomials to nonzero coefficients: an int when
 integral, else a Fraction with denominator > 1.  Maps over different
 alphabets are repacked into the union before they meet; the functions
 here take maps already over one alphabet unless they say otherwise.
+
+One kernel adds and multiplies terms maps, for ringcore's + and * and for
+every sum of products: _aligned puts the values on their union alphabet
+at a width that holds every product to be formed, _add_product adds a
+product into a map in place, and _finished makes the canonical value of
+a finished map (canonical coefficients, the alphabet trimmed, and the
+exact width of a value with an exponent of 2^(_WIDTH - 1) or more).
 """
 
 from __future__ import annotations
@@ -35,7 +42,6 @@ Mono = int
 # its largest exponent fits, so the width, and with it the packed form, is
 # a function of the value.
 _WIDTH = 16
-_LIMIT = 1 << (_WIDTH - 1)
 
 # the packed variable v^1 at width _WIDTH: degree 1, exponent 1
 _VAR = (1 << _WIDTH) + 1
@@ -148,7 +154,7 @@ def _columns(keys, n: int, w: int, table_of, combine) -> list:
 
 
 def _union(a: tuple, b: tuple) -> tuple:
-    return a if a == b else tuple(sorted(set(a).union(b), key=_var_key))
+    return b if not a or a == b else tuple(sorted(set(a).union(b), key=_var_key))
 
 
 @lru_cache(maxsize=1024)
@@ -215,15 +221,6 @@ def _mover(src: tuple, dst: tuple, w: int):
     return move
 
 
-@lru_cache(maxsize=1024)
-def _plan(a: tuple, b: tuple):
-    # (union alphabet, mover of a, mover of b, positions of shared variables)
-    # at width _WIDTH
-    names = _union(a, b)
-    shared = tuple(j for j, v in enumerate(names) if v in a and v in b)
-    return names, _mover(a, names, _WIDTH), _mover(b, names, _WIDTH), shared
-
-
 def _repack(terms: dict, src: tuple, dst: tuple, w_src: int, w: int) -> dict:
     """terms re-keyed from alphabet src at width w_src to dst at width w."""
     if w_src == w:
@@ -239,30 +236,6 @@ def _repack(terms: dict, src: tuple, dst: tuple, w_src: int, w: int) -> dict:
                 exps[j] = e
         out[_pack(exps, w)] = c
     return out
-
-
-def _product(a: dict, b: dict) -> dict:
-    # terms of the product of two terms maps over one alphabet; a is the smaller
-    if len(a) == 1:
-        (ma, ca), = a.items()
-        if ca.__class__ is int and ca == 1:
-            # a bare monomial shifts exponents; coefficients stay canonical
-            return {ma + mb: cb for mb, cb in b.items()}
-        return _canon_all({ma + mb: ca * cb for mb, cb in b.items()})
-    out = {}
-    for ma, ca in a.items():
-        for mb, cb in b.items():
-            m = ma + mb
-            s = out.get(m)
-            if s is None:
-                out[m] = ca * cb
-            else:
-                s = s + ca * cb
-                if s:
-                    out[m] = s
-                else:
-                    del out[m]
-    return _canon_all(out)
 
 
 def _add_product(out: dict, a: dict, b: dict) -> None:
@@ -320,29 +293,12 @@ def _finished(terms: dict, names: tuple, w: int, bound: int) -> Tuple[dict, tupl
     _canon_all(terms)
     if w > _WIDTH:
         return _normalise(terms, names, w)
-    names, terms = _drop_vanished(terms, names, w, range(len(names)))
+    names, terms = _drop_vanished(terms, names, w)
     return terms, names, bound
 
 
-def _merge(out: dict, terms: dict) -> bool:
-    # adds terms into out in place; True when some key cancelled
-    cancelled = False
-    for m, c in terms.items():
-        s = out.get(m)
-        if s is None:
-            out[m] = c
-        else:
-            s = s + c
-            if s:
-                out[m] = s if s.__class__ is int else _canon(s)
-            else:
-                del out[m]
-                cancelled = True
-    return cancelled
-
-
-def _drop_vanished(terms: dict, names: tuple, w: int, positions) -> Tuple[tuple, dict]:
-    """(alphabet, terms) without the variables at positions that no key uses.
+def _drop_vanished(terms: dict, names: tuple, w: int) -> Tuple[tuple, dict]:
+    """(alphabet, terms) without the variables that no key uses.
 
     A field is 0 in every key exactly when its biased value is the same in
     the OR and in the AND of all biased keys and equals the bias.
@@ -353,8 +309,7 @@ def _drop_vanished(terms: dict, names: tuple, w: int, positions) -> Tuple[tuple,
         t = k + bias
         some |= t
         every &= t
-    gone = {names[j] for j in positions
-            if (some >> shifts[j] & mask) == half == (every >> shifts[j] & mask)}
+    gone = {v for v, s in zip(names, shifts) if (some >> s & mask) == half == (every >> s & mask)}
     if not gone:
         return names, terms
     kept = tuple(v for v in names if v not in gone)

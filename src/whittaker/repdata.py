@@ -26,14 +26,15 @@ from .errors import (
 )
 from .ringcore import Scalar
 
-_IDENT_RE = re.compile(r"^[a-z][a-z0-9]*$")
-_RATIONAL_RE = re.compile(r"^[+-]?[0-9]+(/[0-9]+)?$")
+# matched with fullmatch: $ would also match before a trailing newline
+_IDENT_RE = re.compile(r"[a-z][a-z0-9]*")
+_RATIONAL_RE = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
 _RESERVED = {"u", "t", "q"}
 
 def parse_scalar_atom(text: str) -> Scalar:
     """Parse a rational string 'p/q' or a bare indeterminate identifier."""
     text = text.strip()
-    if _RATIONAL_RE.match(text):
+    if _RATIONAL_RE.fullmatch(text):
         numerator, _, denominator = text.partition("/")
         try:
             if denominator and not int(denominator):
@@ -42,7 +43,7 @@ def parse_scalar_atom(text: str) -> Scalar:
         except ValueError as exc:  # more digits than Python's int-string limit
             raise ConfigError(f"cannot parse a rational of {len(text)} characters: {exc}") from None
         return Scalar.of(value)
-    if _IDENT_RE.match(text):
+    if _IDENT_RE.fullmatch(text):
         if text in _RESERVED:
             raise ConfigError(f"'{text}' is reserved and cannot name an indeterminate")
         return Scalar.variable(text)
@@ -268,12 +269,14 @@ def _derived_segment(seg: Segment, steps: int) -> Optional[Segment]:
 
 
 def _subquotients_raw(rep: GenericRep, order: int):
-    # reach[i]: the orders that segments i, i+1, ... can add up to; the walk
-    # enters a branch only if the order it still needs is reachable
+    # reach[i]: the orders up to order that segments i, i+1, ... can add up
+    # to; the walk enters a branch only if the order it still needs is
+    # reachable, so neither depends on a segment's length beyond order
     reach = [{0}]
     for seg in reversed(rep.segments):
-        reach.append({o + steps * seg.cuspidal_degree
-                      for o in reach[-1] for steps in range(seg.length + 1)})
+        d = seg.cuspidal_degree
+        reach.append({o + steps * d for o in reach[-1]
+                      for steps in range(min(seg.length, (order - o) // d) + 1)})
     reach.reverse()
     out = []
 
@@ -282,7 +285,7 @@ def _subquotients_raw(rep: GenericRep, order: int):
             out.append(tuple(acc))
             return
         seg = rep.segments[idx]
-        for steps in range(seg.length + 1):
+        for steps in range(min(seg.length, remaining // seg.cuspidal_degree) + 1):
             rest = remaining - steps * seg.cuspidal_degree
             if rest in reach[idx + 1]:
                 derived = _derived_segment(seg, steps)
@@ -295,15 +298,15 @@ def _subquotients_raw(rep: GenericRep, order: int):
 def _check_derivative_consistency(rep: GenericRep) -> None:
     # a product of unramified characters keeps each segment as one such
     # character or derives it away, so the first order carrying one sums each
-    # segment's cheapest way there; it must be n - r with pi_u as the kept
-    # tops.  This pins the truncation direction of _derived_segment.
+    # segment's cheapest way there: full derivation of a ramified segment,
+    # and all steps but the last of an unramified one.  It must be n - r
+    # with pi_u as the kept tops.  This pins the truncation direction of
+    # _derived_segment.
     r, params = compute_piu(rep)
     order, tops = 0, []
     for seg in rep.segments:
-        for steps in range(seg.length + 1):
-            derived = _derived_segment(seg, steps)
-            if derived is None or (derived.kind == "unramified" and derived.length == 1):
-                break
+        steps = seg.length - (seg.kind == "unramified")
+        derived = _derived_segment(seg, steps)
         order += steps * seg.cuspidal_degree
         if derived is not None:
             tops.append(derived.top.value)
@@ -379,7 +382,7 @@ def parse_rep(config: dict) -> GenericRep:
                 segments.append(Segment.unramified(top, _config_int(entry, "length")))
             elif kind == "ramified":
                 cid = str(entry["id"])
-                if not _IDENT_RE.match(cid):
+                if not _IDENT_RE.fullmatch(cid):
                     raise ConfigError(f"bad cuspidal id {cid!r}")
                 segments.append(Segment.ramified(cid, _config_int(entry, "degree"),
                                                  _config_int(entry, "length")))

@@ -16,8 +16,12 @@ Each value stores its alphabet: exactly the variables it contains, in that
 order.  A monomial is one Python int holding one signed field per variable
 of the alphabet and the total degree on top (the layout is in packing), so
 a monomial product is one integer add and the graded lexicographic
-comparison is one integer compare.  Operands over different alphabets are
-repacked into their union first.
+comparison is one integer compare.  Sums and products of values go
+through one kernel in packing: the operands are put on the union of
+their alphabets (_aligned), the products are added into one terms map in
+place (_add_product), and the canonical value is made once (_finished).
+The operators + and * run it on one sum or one product; the Schur
+tables, the lattice sum and the h convolution on a whole sum of products.
 
 Every value in scope lives in this ring: Satake values are rationals or
 single indeterminates, Schur polynomials and complete homogeneous
@@ -44,10 +48,8 @@ from .errors import (
     UnboundVariable,
     Unsupported,
 )
-from .packing import (_LIMIT, _VAR, _WIDTH, Rational, _add_product, _aligned, _canon,
-                      _canon_all, _drop_vanished, _columns, _finished, _layout, _merge,
-                      _normalise, _pack, _plan, _product, _repack, _union, _unpack, _var_key,
-                      _width)
+from .packing import (_VAR, Rational, _add_product, _aligned, _canon, _canon_all, _columns,
+                      _finished, _layout, _pack, _unpack, _var_key, _width)
 
 def _int_text(i: int) -> str:
     """Decimal text of i, also past Python's limit on int-to-str digits.
@@ -114,6 +116,8 @@ class Scalar:
     it is 2^(_WIDTH - 1) or more) and fixes the field width.  Together they
     are the canonical form, so instances are safe to share between threads
     and to use as dict keys.  A rational constant hashes like its Fraction.
+    + and * make every result through packing's kernel, and so its one
+    canonical form; a rational constant factor only scales coefficients.
     Division is exact and defined only by units, nonzero rationals times
     monomials: dividing by zero raises DivisionByZero and dividing by any
     other value raises Unsupported.
@@ -217,22 +221,12 @@ class Scalar:
             return other
         if not other.terms:
             return self
-        # copy the larger map, merge the smaller one into it
+        # copy the larger map and add the smaller one into it
         big, small = (self, other) if len(self.terms) >= len(other.terms) else (other, self)
-        bound = big.bound if big.bound >= small.bound else small.bound
-        if bound >= _LIMIT:
-            names = _union(big.names, small.names)
-            w = _width(bound)
-            out = dict(_repack(big.terms, big.names, names, _width(big.bound), w))
-            _merge(out, _repack(small.terms, small.names, names, _width(small.bound), w))
-            return Scalar(*_normalise(out, names, w))
-        names, move_big, move_small, _ = _plan(big.names, small.names)
-        out = move_big(big.terms) if move_big else dict(big.terms)
-        if _merge(out, move_small(small.terms) if move_small else small.terms):
-            if not out:
-                return _ZERO
-            names, out = _drop_vanished(out, names, _WIDTH, range(len(names)))
-        return Scalar(out, names, bound)
+        names, w, bound, (a, b) = _aligned((big, small), 1)
+        out = dict(a)
+        _add_product(out, _ONE.terms, b)
+        return Scalar(*_finished(out, names, w, bound))
 
     __radd__ = __add__
 
@@ -257,33 +251,12 @@ class Scalar:
                 return big
             return Scalar(_canon_all({m: c * cb for m, cb in big.terms.items()}),
                           big.names, big.bound)
-        bound = small.bound + big.bound
-        if bound >= _LIMIT:
-            names = _union(small.names, big.names)
-            w = _width(bound)
-            return Scalar(*_normalise(
-                _product(_repack(small.terms, small.names, names, _width(small.bound), w),
-                         _repack(big.terms, big.names, names, _width(big.bound), w)),
-                names, w))
-        names = small.names
-        if names == big.names:
-            a, b = small.terms, big.terms
-            shared = range(len(names))
-        else:
-            names, move_small, move_big, shared = _plan(names, big.names)
-            a = move_small(small.terms) if move_small else small.terms
-            b = move_big(big.terms) if move_big else big.terms
-        out = _product(a, b)
-        if shared:
-            # a shared variable leaves the product exactly when its exponent
-            # is constant in each factor and the two constants cancel, so
-            # only variables whose exponents cancel in the first pair can go
-            bias, mask, half, shifts = _layout(len(names), _WIDTH)
-            t = next(iter(a)) + next(iter(b)) + bias
-            suspects = [j for j in shared if (t >> shifts[j] & mask) == half]
-            if suspects:
-                names, out = _drop_vanished(out, names, _WIDTH, suspects)
-        return Scalar(out, names, bound)
+        names, w, _, (a, b) = _aligned((small, big), 2)
+        out = {}
+        _add_product(out, a, b)
+        # the width holds twice the larger bound; the sum of the two bounds
+        # is the tighter bound of the product
+        return Scalar(*_finished(out, names, w, small.bound + big.bound))
 
     __rmul__ = __mul__
 

@@ -16,7 +16,6 @@ CACHES = {
     "whittaker.cli._parser",
     "whittaker.packing._layout",
     "whittaker.packing._mover",
-    "whittaker.packing._plan",
     "whittaker.symfunc._order_ideal",
 }
 

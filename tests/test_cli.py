@@ -190,6 +190,10 @@ _TEN_RAMIFIED = {"q": "3", "segments": [
     {"kind": "ramified", "id": f"rho{i}", "degree": 1, "length": 3} for i in range(10)]}
 _ELEVEN_RAMIFIED = {"q": "3", "segments": [
     {"kind": "ramified", "id": f"rho{i}", "degree": 1, "length": 3} for i in range(11)]}
+_LONG_RAMIFIED = {"q": "3", "segments": [
+    {"kind": "ramified", "id": "rho1", "degree": 1, "length": 10 ** 8}]}
+_LONG_UNRAMIFIED = {"q": "3", "segments": [
+    {"kind": "unramified", "satake": "2", "length": "1" * 30}]}
 _NEAR_ONE_Q = {"q": "1000001/1000000", "segments": [
     {"kind": "unramified", "satake": "2", "length": 1},
     {"kind": "unramified", "satake": "1", "length": 1}]}
@@ -204,7 +208,11 @@ _NEAR_ONE_Q = {"q": "1000001/1000000", "segments": [
     # one product among 4^11 step tuples: the walk must follow only those
     # that can still reach the order
     (_ELEVEN_RAMIFIED, ["derivatives", "--order", "33"], "order 33: 1 subquotients"),
-], ids=["near-one-q", "ten-segments-order-1", "eleven-segments-order-33"])
+    # the derivative check and walk must not step through a segment's length
+    (_LONG_RAMIFIED, ["derivatives", "--order", "1"], "order 1: 1 subquotients"),
+    (_LONG_UNRAMIFIED, ["derivatives", "--order", "2"], "order 2: 1 subquotients"),
+], ids=["near-one-q", "ten-segments-order-1", "eleven-segments-order-33",
+        "length-ten-to-the-eight-order-1", "thirty-digit-length-order-2"])
 def test_value_driven_inputs_finish_quickly(tmp_path, document, argv, head):
     # each run takes milliseconds; the timeout turns a regression into a
     # failure rather than a hang

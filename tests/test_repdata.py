@@ -157,6 +157,15 @@ def test_parse_reserved_identifier():
         parse_scalar_atom("Bad")
 
 
+def test_cuspidal_id_is_the_whole_string():
+    # "rho\n" was read as an id of its own, unlinked from "rho", and printed
+    # across two lines
+    for cid in ("rho\n", "rho1\n", "rho "):
+        with pytest.raises(ConfigError):
+            parse_rep({"q": "3", "segments": [
+                {"kind": "ramified", "id": cid, "degree": 1, "length": 1}]})
+
+
 # --- compute_piu / langlands_order ----------------------------------------------
 
 def test_compute_piu_mixed():

@@ -708,6 +708,35 @@ def product_pairs(draw):
     return pairs
 
 
+def _reference_sum(pairs) -> dict:
+    """{((name, exponent), ...): Fraction} of the sum of the products a * b.
+
+    Built from plain dicts read off iter_terms, so it shares no arithmetic
+    with ringcore or packing.
+    """
+    out = {}
+    for a, b in pairs:
+        for mono_a, ca in a.iter_terms():
+            for mono_b, cb in b.iter_terms():
+                exps = dict(mono_a)
+                for v, e in mono_b:
+                    exps[v] = exps.get(v, 0) + e
+                mono = tuple(sorted((v, e) for v, e in exps.items() if e))
+                out[mono] = out.get(mono, 0) + Fraction(ca) * cb
+    return {mono: c for mono, c in out.items() if c}
+
+
+def _assert_is_reference(value, reference):
+    # the terms, canonical coefficients, the alphabet (u first, then by
+    # name) and the width of the largest exponent
+    assert {tuple(sorted(mono)): c for mono, c in value.iter_terms()} == reference
+    assert all(c.__class__ is int or c.denominator > 1 for c in value.terms.values())
+    names = {v for mono in reference for v, _ in mono}
+    assert value.names == tuple(sorted(names, key=lambda v: (v != "u", v)))
+    largest = max((abs(e) for mono in reference for _, e in mono), default=0)
+    assert _width(value.bound) == _width(largest)
+
+
 @settings(max_examples=120, deadline=None)
 @given(product_pairs())
 @example([(x1 - _y1, x1 + _y1)])
@@ -716,7 +745,10 @@ def product_pairs(draw):
 def test_sum_of_products_in_place_matches_the_operators(pairs):
     # the kernel route of the Schur tables, the lattice sum and the h
     # convolution: every factor on one alphabet at the width of a product
-    # of two, each product added into one map, one Scalar at the end
+    # of two, each product added into one map, one Scalar at the end.  The
+    # operators run the same kernel, so both are held to a reference sum
+    # of plain dicts.
+    reference = _reference_sum(pairs)
     expected = Scalar.of(0)
     for a, b in pairs:
         expected = expected + a * b
@@ -725,8 +757,7 @@ def test_sum_of_products_in_place_matches_the_operators(pairs):
     for i in range(len(pairs)):
         _add_product(out, maps[2 * i], maps[2 * i + 1])
     got = Scalar(*_finished(out, names, w, bound))
+    _assert_is_reference(got, reference)
+    _assert_is_reference(expected, reference)
     assert got == expected
     assert hash(got) == hash(expected)
-    assert got.names == expected.names
-    assert _width(got.bound) == _width(expected.bound)
-    assert all(c.__class__ is int or c.denominator > 1 for c in got.terms.values())

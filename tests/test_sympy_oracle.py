@@ -12,7 +12,7 @@ ringcore.  sympy is a development-only dependency.
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 sympy = pytest.importorskip("sympy")
 
@@ -22,9 +22,12 @@ from whittaker.rseng import cauchy_check  # noqa: E402
 _NAMES = ("u", "x1", "x2")
 _SYMBOLS = {name: sympy.Symbol(name) for name in _NAMES}
 
+# small exponents, and exponents at and past 2^15, where a value's packed
+# monomials need more than 16 bits per variable
+_EXPONENTS = st.one_of(st.integers(-3, 3), st.sampled_from([32767, -32767, 32768, 40000]))
 terms = st.lists(
     st.tuples(st.fractions(-5, 5, max_denominator=4).filter(bool),
-              st.dictionaries(st.sampled_from(_NAMES), st.integers(-3, 3), max_size=3)),
+              st.dictionaries(st.sampled_from(_NAMES), _EXPONENTS, max_size=3)),
     max_size=4)
 
 
@@ -56,11 +59,16 @@ def _to_sympy(value: Scalar):
 
 
 def _agrees(value: Scalar, expected) -> bool:
-    return sympy.expand(_to_sympy(value) - expected) == 0
+    # the same terms, and an alphabet of exactly the variables they use
+    return (sympy.expand(_to_sympy(value) - expected) == 0
+            and set(value.variables()) == {s.name for s in expected.free_symbols})
 
 
 @settings(max_examples=40, deadline=None)
 @given(terms, terms, st.integers(0, 4))
+# x1 leaves the sum of the first pair, and the product of the second
+@example([(Fraction(1), {"x1": 1}), (Fraction(1), {"x2": 2})], [(Fraction(-1), {"x1": 1})], 1)
+@example([(Fraction(1), {"x1": 1, "u": 40000})], [(Fraction(1, 2), {"x1": -1, "u": -1})], 2)
 def test_ring_operations_match_sympy_expand(a_terms, b_terms, k):
     a, b = _library(a_terms), _library(b_terms)
     ea, eb = _oracle(a_terms), _oracle(b_terms)
