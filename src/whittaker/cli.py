@@ -31,11 +31,24 @@ DEFAULT_DEGREE = 8
 DEGREE_ENV = "WHITTAKER_DEGREE"
 
 
-def _parse_int_list(text: str) -> Tuple[int, ...]:
-    try:
-        return tuple(int(x) for x in text.split(","))
-    except ValueError:
-        raise ConfigError(f"cannot parse integer list {text!r}") from None
+def _parse_int(text: str, what: str) -> int:
+    """The int that text names: an optional sign and ASCII digits, whitespace around.
+
+    The one reader of command-line integers: like a numerator in
+    parse_scalar_atom, and unlike int(), it takes no other digits and no "_".
+    """
+    digits = text.strip()
+    unsigned = digits[1:] if digits[:1] in ("+", "-") else digits
+    if unsigned.isascii() and unsigned.isdigit():
+        try:
+            return int(digits)
+        except ValueError:  # more digits than Python's int-string limit
+            raise ConfigError(f"{what} has too many digits ({len(unsigned)})") from None
+    raise ConfigError(f"{what} must be an integer, got {text!r}")
+
+
+def _parse_int_list(text: str, what: str) -> Tuple[int, ...]:
+    return tuple(_parse_int(x, f"{what} entry") for x in text.split(","))
 
 
 def _parse_atom_list(text: str) -> Tuple[Scalar, ...]:
@@ -55,18 +68,17 @@ def _load_rep(path: str) -> GenericRep:
     return parse_rep(document)
 
 
-def _resolve_degree(flag_value: Optional[int]) -> int:
-    if flag_value is None:
+def _resolve_degree(flag_value: Optional[str]) -> int:
+    if flag_value is not None:
+        degree = _parse_int(flag_value, "--degree")
+    else:
         raw = os.environ.get(DEGREE_ENV)
         if raw is None:
             return DEFAULT_DEGREE
-        try:
-            flag_value = int(raw)
-        except ValueError:
-            raise ConfigError(f"{DEGREE_ENV} must be an integer, got {raw!r}") from None
-    if flag_value < 1:
+        degree = _parse_int(raw, DEGREE_ENV)
+    if degree < 1:
         raise ConfigError("degree must be a positive integer")
-    return flag_value
+    return degree
 
 
 def _spot_check(report: VerificationReport, seed: int, params: Sequence[Scalar],
@@ -126,11 +138,12 @@ def _print_report(report: VerificationReport, seed: int, params: Sequence[Scalar
 
 
 def _cmd_schur(args: argparse.Namespace) -> int:
-    partition = Partition(_parse_int_list(args.partition))
-    if args.vars < 0:
+    partition = Partition(_parse_int_list(args.partition, "--partition"))
+    nvars = _parse_int(args.vars, "--vars")
+    if nvars < 0:
         raise ConfigError("--vars must be nonnegative")
-    variables = [Scalar.variable(f"x{i + 1}") for i in range(args.vars)]
-    if partition.length > args.vars:
+    variables = [Scalar.variable(f"x{i + 1}") for i in range(nvars)]
+    if partition.length > nvars:
         print("note: partition is longer than the variable count; "
               "the Schur polynomial vanishes", file=sys.stderr)
     print(schur(partition, variables, args.algorithm))
@@ -139,13 +152,13 @@ def _cmd_schur(args: argparse.Namespace) -> int:
 
 def _cmd_spherical(args: argparse.Namespace) -> int:
     satake = _parse_atom_list(args.satake)
-    print(spherical_value(satake, _parse_int_list(args.weight)))
+    print(spherical_value(satake, _parse_int_list(args.weight, "--weight")))
     return 0
 
 
 def _cmd_essential(args: argparse.Namespace) -> int:
     rep = _load_rep(args.rep)
-    print(essential_value(rep, _parse_int_list(args.weight)))
+    print(essential_value(rep, _parse_int_list(args.weight, "--weight")))
     return 0
 
 
@@ -160,28 +173,30 @@ def _cmd_lfactor(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    degree = _resolve_degree(args.degree)
+    degree, seed = _resolve_degree(args.degree), _parse_int(args.seed, "--seed")
     rep = _load_rep(args.rep)
     pi_prime = UnramifiedLanglandsRep(_parse_atom_list(args.satake_prime))
     report = verify_essential(rep, pi_prime, degree, drop_integrality=args.drop_integrality)
-    return _print_report(report, args.seed, compute_piu(rep)[1], pi_prime.satake)
+    return _print_report(report, seed, compute_piu(rep)[1], pi_prime.satake)
 
 
 def _cmd_cauchy(args: argparse.Namespace) -> int:
-    degree = _resolve_degree(args.degree)
-    if args.n < 1 or args.m < 1:
+    degree, seed = _resolve_degree(args.degree), _parse_int(args.seed, "--seed")
+    n, m = _parse_int(args.n, "--n"), _parse_int(args.m, "--m")
+    if n < 1 or m < 1:
         raise ConfigError("--n and --m must be positive")
-    xs = [Scalar.variable(f"x{i + 1}") for i in range(args.n)]
-    ys = [Scalar.variable(f"y{j + 1}") for j in range(args.m)]
-    report = cauchy_check(args.n, args.m, xs, ys, degree)
-    return _print_report(report, args.seed, xs, ys)
+    xs = [Scalar.variable(f"x{i + 1}") for i in range(n)]
+    ys = [Scalar.variable(f"y{j + 1}") for j in range(m)]
+    report = cauchy_check(n, m, xs, ys, degree)
+    return _print_report(report, seed, xs, ys)
 
 
 def _cmd_derivatives(args: argparse.Namespace) -> int:
     from .repdata import derivative_subquotients
 
-    products = derivative_subquotients(_load_rep(args.rep), args.order)
-    print(f"order {args.order}: {len(products)} subquotients")
+    order = _parse_int(args.order, "--order")
+    products = derivative_subquotients(_load_rep(args.rep), order)
+    print(f"order {order}: {len(products)} subquotients")
     for product in products:
         print("- " + (" x ".join(str(s) for s in product) if product else "1"))
     return 0
@@ -196,16 +211,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_common(p, degree=False, seed=False):
         if degree:
-            p.add_argument("--degree", type=int, default=None,
+            p.add_argument("--degree", default=None,
                            help=f"truncation order (default {DEFAULT_DEGREE}; "
                                 f"env {DEGREE_ENV} overrides)")
         if seed:
-            p.add_argument("--seed", type=int, default=0,
+            p.add_argument("--seed", default="0",
                            help="seed for randomized numeric spot-checks")
 
     p = sub.add_parser("schur", help="print a Schur polynomial in x1..xk")
     p.add_argument("--partition", required=True, help="comma-separated parts, e.g. 2,1")
-    p.add_argument("--vars", type=int, required=True, help="number of variables")
+    p.add_argument("--vars", required=True, help="number of variables")
     p.add_argument("--algorithm", choices=ALGORITHMS, default="branching")
 
     p = sub.add_parser("spherical", help="spherical Whittaker value on the torus")
@@ -233,13 +248,13 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p, degree=True, seed=True)
 
     p = sub.add_parser("cauchy", help="unramified pairing identity with symbolic parameters")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--m", type=int, required=True)
+    p.add_argument("--n", required=True)
+    p.add_argument("--m", required=True)
     add_common(p, degree=True, seed=True)
 
     p = sub.add_parser("derivatives", help="derivative subquotients of a representation")
     p.add_argument("--rep", required=True)
-    p.add_argument("--order", type=int, required=True)
+    p.add_argument("--order", required=True)
 
     return parser
 

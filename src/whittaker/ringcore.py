@@ -20,8 +20,9 @@ comparison is one integer compare.  Sums and products of values go
 through one kernel in packing: the operands are put on the union of
 their alphabets (_aligned), the products are added into one terms map in
 place (_add_product), and the canonical value is made once (_finished).
-The operators + and * run it on one sum or one product; the Schur
-tables, the lattice sum and the h convolution on a whole sum of products.
+The operators + and * run it on one sum or one product, and symfunc's
+Schur tables on a whole sum of products: the lattice sum, and the Euler
+expansion, whose h_k are read off a one-row table (euler_expand).
 
 Every value in scope lives in this ring: Satake values are rationals or
 single indeterminates, Schur polynomials and complete homogeneous
@@ -534,60 +535,18 @@ def euler_expand(factor: EulerFactor, order: int) -> TruncatedSeries:
     """Expand the Euler factor as a power series in t through the given order.
 
     The coefficient of t^k is the complete homogeneous polynomial h_k of the
-    roots (with multiplicity); the constant term is 1.  The h_k are taken at
-    the roots scaled by _scaled (in ints when every root is rational, and
-    otherwise in terms maps added in place, see _h_convolution) and
-    brought back by _unscaled, h_k(c) = h_k(L*c) / L^k.
+    roots (with multiplicity), and h_k = s_(k), so the series is read off
+    one symfunc Schur table of the roots over the one-row order ideal
+    (0), (1), ..., (order): state k is (k), and its fill is the geometric
+    convolution h_k += x * h_(k-1), one root at a time.  The table runs in
+    ints or in terms maps, as symfunc decides; the constant term is 1.
     """
+    from . import symfunc
+
     if order < 0:
         raise ValueError("expansion order must be nonnegative")
-    scale, xs, one = _scaled(factor.roots)
-    return TruncatedSeries(order, [_unscaled(h, scale ** k) for k, h in
-                                   enumerate(_h_convolution(xs, order, one))])
-
-
-def _scaled(values: tuple) -> tuple:
-    """(L, [L*v for v in values], 1) when every value is rational, else (1, values, _ONE).
-
-    L is the lcm of the denominators, so every L*v is an int, and a form f
-    of degree k has f(values) = f(L*values) / L^k (see _unscaled).
-    """
-    if not all(v.is_rational() for v in values):
-        return 1, values, _ONE
-    fracs = [v.as_fraction() for v in values]
-    scale = lcm(*(f.denominator for f in fracs))
-    return scale, [f.numerator * (scale // f.denominator) for f in fracs], 1
-
-
-def _unscaled(raw, den: int) -> Scalar:
-    """raw / den as a Scalar, for raw an int or a Scalar and den a positive int."""
-    if raw.__class__ is int:
-        return Scalar.rational(raw, den)
-    return raw if den == 1 else raw * Scalar.rational(1, den)
-
-
-def _h_convolution(roots, top: int, one=_ONE) -> list:
-    """[h_0, ..., h_top] of the roots (with multiplicity), by geometric convolution.
-
-    Multiplying in one factor 1/(1 - x t) at a time: after each root, the
-    coefficient of t^k gains x times the coefficient of t^(k-1).  The roots
-    and one are Scalars, or ints with one = 1.  Scalar roots are put on one
-    alphabet first, and each gain is added into the terms map of its
-    coefficient in place (packing._add_product); the Scalars are built at
-    the end, one per coefficient.
-    """
-    if one.__class__ is int:
-        coeffs = [one] + [one - one] * top
-        for x in roots:
-            for k in range(1, top + 1):
-                coeffs[k] = coeffs[k] + x * coeffs[k - 1]
-        return coeffs
-    names, w, bound, xs = _aligned(roots, top)
-    coeffs = [{0: 1}] + [{} for _ in range(top)]
-    for x in xs:
-        for k in range(1, top + 1):
-            _add_product(coeffs[k], x, coeffs[k - 1])
-    return [Scalar(*_finished(c, names, w, bound)) for c in coeffs]
+    table = symfunc._SchurTable(factor.roots, symfunc._order_ideal((order,), order))
+    return TruncatedSeries(order, table.scalars())
 
 
 def series_equal(a: TruncatedSeries, b: TruncatedSeries, order: int) -> Optional[int]:

@@ -7,26 +7,25 @@ The torus measure is normalized so each lattice point contributes once
 pairing identities hold with the standard spherical formula, and it is
 pinned by cauchy_check.
 
-Every power of u cancels in a lattice term, so each coefficient of the
-lattice sum is one dot product of the raw values of two Schur tables over
-the partitions of its degree, for every tuple alike: a sum of int
-products when both tuples are rational, and otherwise products of terms
-maps on one alphabet, added in place into one map per coefficient
-(packing._add_product).  One Scalar is built per coefficient.
+Every power of u cancels in a lattice term, so the lattice sum is the
+Cauchy sum of the two tuples, sum_lam s_lam(params) s_lam(satake) by
+degree, and the Euler factor's expansion is h_k of its roots.  Both come
+from symfunc's one Schur-table fill (symfunc._cauchy_sums and
+ringcore.euler_expand), which alone decides whether a table runs in ints
+or in terms maps; the two sides share that fill loop and packing's
+kernel, and nothing else.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from math import comb
-from operator import mul
 from typing import Optional, Sequence, Tuple, Union
 
 from .errors import BadRanks, InvariantViolation, Unsupported
 from .repdata import GenericRep, UnramifiedLanglandsRep, compute_piu
-from .packing import _add_product, _finished, _union, _width
-from .ringcore import EulerFactor, Scalar, TruncatedSeries, _unscaled, euler_expand, series_equal
-from .symfunc import _order_ideal, _SchurTable
+from .ringcore import EulerFactor, Scalar, TruncatedSeries, euler_expand, series_equal
+from .symfunc import _cauchy_sums
 
 LeftInput = Union[GenericRep, UnramifiedLanglandsRep]
 
@@ -115,9 +114,9 @@ def rs_series(left: LeftInput, pi_prime: UnramifiedLanglandsRep, order: int, *,
     UnramifiedLanglandsRep of rank n >= m (spherical side; the equal-rank
     branch restricts to partitions through the lattice indicator).
 
-    The sum is one table sum for every tuple (_lattice_series): in ints
-    when both tuples are rational, and in terms maps added in place
-    otherwise.
+    The sum is one Cauchy sum over two Schur tables for every tuple
+    (_lattice_series); symfunc fills them in ints when a tuple is
+    rational and in terms maps otherwise.
 
     drop_integrality (test hook) removes the 1_O(a_r) factor from the
     essential function, so the index set grows to the dominant weights w
@@ -161,7 +160,7 @@ def rs_series(left: LeftInput, pi_prime: UnramifiedLanglandsRep, order: int, *,
 
 def _lattice_series(params: Sequence[Scalar], satake: Sequence[Scalar],
                     order: int) -> TruncatedSeries:
-    """rs_series as a sum over the raw values of two Schur tables.
+    """rs_series as the Cauchy sums of the two tuples (symfunc._cauchy_sums).
 
     params are the r unramified parameters of the left representation of
     GL(n) (its essential function is supported on the partitions with at
@@ -172,42 +171,10 @@ def _lattice_series(params: Sequence[Scalar], satake: Sequence[Scalar],
     and the inverse modulus with its twist u^((n-m)|lam|) put
     -(r-1-2i) - (n-r) - (m-1-2i) + (n+m-2-4i) = 0 on each part lam_i.  So
     the t^k coefficient is sum_lam s_lam(params) s_lam(satake), the
-    degree-k part of the Cauchy identity (Macdonald I.(4.3)).  Both Schur
-    tables are filled for this call only, over one shared order ideal, the
-    partitions of size <= order with at most min(r, m) parts, sorted by
-    size, so the partitions of k are one slice of each table's values.  The
-    tables hold their values at D*params and E*satake (ints, with D and E
-    the lcms of the denominators, for a rational tuple; terms maps, with
-    scale 1, otherwise), so the coefficient is one dot product of the two
-    slices, divided once by (DE)^k (ringcore._unscaled).  Unless both are
-    ints, each table's values are moved once onto the union alphabet of
-    the two, at a width holding the sum of their bounds, an int entry
-    becoming a constant map, and the dot product adds each product into
-    one map in place; the Scalar is built once, when the sum is complete.
+    degree-k part of the Cauchy identity (Macdonald I.(4.3)), which
+    symfunc sums over two Schur tables, in ints or in terms maps.
     """
-    ideal = _order_ideal((order,) * min(len(params), len(satake)), order)
-    x = _SchurTable(tuple(params), ideal)
-    y = _SchurTable(tuple(satake), ideal)
-    raw = x.names is not None or y.names is not None
-    if raw:
-        names = _union(x.names or (), y.names or ())
-        bound = x.bound + y.bound
-        w = _width(bound)
-        x.move(names, w)
-        y.move(names, w)
-    starts = ideal.starts
-    coeffs = []
-    for k in range(order + 1):
-        a, b = starts[k], starts[k + 1]
-        if raw:
-            out = {}
-            for u, v in zip(x.values[a:b], y.values[a:b]):
-                _add_product(out, u, v)
-            c = Scalar(*_finished(out, names, w, bound))
-        else:
-            c = sum(map(mul, x.values[a:b], y.values[a:b]))
-        coeffs.append(_unscaled(c, (x.scale * y.scale) ** k))
-    return TruncatedSeries(order, coeffs)
+    return TruncatedSeries(order, _cauchy_sums(params, satake, order))
 
 
 def _report(lhs: TruncatedSeries, rhs: TruncatedSeries, order: int,

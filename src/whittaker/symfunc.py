@@ -6,16 +6,20 @@ an ideal's states, and the default Schur algorithm fills a table over an
 ideal by the Gelfand-Tsetlin branching rule (Macdonald I.(5.11)): one
 variable and one interlacing row at a time, each row in order of size, in
 place and without recursion, so every value shares the work of the smaller
-ones.  rseng's lattice sum reads a whole table of the partitions of bounded
-size and length; a single value s_lam fills the partitions contained in
-lam.  When every value is rational the table runs in Python ints, and
-otherwise in plain terms maps on the tuple's union alphabet, each step
-adding a product into an entry in place, with a Scalar built only for a
-value read out.  schur is the one entry point: the Jacobi-Trudi
-determinant in complete homogeneous polynomials and the bialternant ratio
-(exact polynomial division at a generic point) stay selectable by name,
-and with a semistandard-tableau enumerator they are the independent
-oracles the tests compare against.
+ones.  That fill is the one engine for sums of products of symmetric
+functions.  The Cauchy sums of rseng's lattice sum pair two tables of the
+partitions of bounded size and length (_cauchy_sums); a single value s_lam
+fills the partitions contained in lam; and h_k = s_(k) is read off the
+table of the one-row ideal (0), ..., (k), for complete_homogeneous, the
+Jacobi-Trudi determinant and ringcore.euler_expand.  This module alone
+decides the ring: when every value is rational a table runs in Python
+ints, scaled by the lcm of the denominators, and otherwise in plain terms
+maps on the tuple's union alphabet, each step adding a product into an
+entry in place, with a Scalar built only for a value read out.  schur is
+the one entry point: the Jacobi-Trudi determinant in complete homogeneous
+polynomials and the bialternant ratio (exact polynomial division at a
+generic point) stay selectable by name, and with a semistandard-tableau
+enumerator they are the independent oracles the tests compare against.
 """
 
 from __future__ import annotations
@@ -24,12 +28,13 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from operator import ge
+from math import lcm
+from operator import ge, mul
 from typing import Iterable, Iterator, Sequence
 
 from .errors import DivisionByZero, UnsupportedWeight
-from .packing import _add_product, _aligned, _finished, _repack, _unpack, _width
-from .ringcore import _ONE, _ZERO, Scalar, _h_convolution, _scaled, _unscaled
+from .packing import _add_product, _aligned, _finished, _repack, _union, _unpack, _width
+from .ringcore import _ONE, _ZERO, Scalar
 
 ALGORITHMS = ("branching", "jacobi-trudi", "bialternant")
 
@@ -94,8 +99,7 @@ def complete_homogeneous(k: int, variables: Sequence) -> Scalar:
     """Sum of all monomials of total degree k in the given variables."""
     if k < 0:
         raise ValueError("degree must be nonnegative")
-    vars_key = tuple(Scalar.of(v) for v in variables)
-    return _h_convolution(vars_key, k)[k]
+    return schur((k,), variables)
 
 
 def _as_partition(shape) -> Partition:
@@ -107,7 +111,8 @@ def _schur_jacobi_trudi(parts: tuple, vars_key: tuple) -> Scalar:
     if ell == 0:
         return _ONE
     top = parts[0] + ell
-    hs = _h_convolution(vars_key, top)
+    # h_0..h_top: state e of the one-row ideal is (e), and h_e = s_(e)
+    hs = _SchurTable(vars_key, _order_ideal((top,), top)).scalars()
 
     def entry(i, j):
         e = parts[i] - (i + 1) + (j + 1)
@@ -270,72 +275,119 @@ class _SchurTable:
     pattern ending at top passes through, with their chains; the other
     values go stale.
 
-    The table is filled at the point y = D*x that ringcore._scaled gives:
-    in ints, D the lcm of the denominators, when every value is rational,
-    and at y = x, D = 1, otherwise.  Homogeneity gives s_lam(x) =
-    s_lam(y) / D^|lam|.  scale is D and values the raw values at y, in the
-    order of ideal.states, so a caller can keep a whole sum of Schur values
-    raw and divide once by _unscaled.  A raw value is an int, or, when
-    some value is symbolic, a packing terms map over the alphabet
-    self.names at the field width self.width, which holds every exponent
-    up to self.bound: each step adds x_k times one map into another in
-    place (packing._add_product), and a Scalar is built only for a value
-    read out.  self.names is None for a table of ints.  move puts the
-    values of a table on a larger alphabet, as terms maps, for the
-    products of rseng's lattice sum.
+    On the one-row ideal (0), (1), ..., (order) the one row is the
+    convolution h_k += x_k * h_(k-1) of the h_k = s_(k) (Macdonald
+    I.(3.9)), which is how every h_k is made.
+
+    The table chooses the ring for every caller.  When every value is
+    rational it is filled in ints at the point y = D*x, D the lcm of the
+    denominators, and homogeneity gives s_lam(x) = s_lam(y) / D^|lam|;
+    otherwise at y = x, D = 1, in packing terms maps over the alphabet
+    self.names (None for ints) at the field width self.width, which holds
+    every exponent up to self.bound, each step adding x_k times one map
+    into another in place (packing._add_product).  scale is D and values
+    the raw values at y, in the order of ideal.states; a Scalar is built
+    only for a value read out (value, scalars, or a whole sum of products
+    in _cauchy_sums).
     """
 
     __slots__ = ("ideal", "scale", "values", "names", "width", "bound")
 
     def __init__(self, vars_key: tuple, ideal: _OrderIdeal, top: tuple = ()):
-        self.scale, xs, one = _scaled(vars_key)
-        size, raw = len(ideal.states), one is _ONE
-        if raw:
+        size = len(ideal.states)
+        if all(not v.names for v in vars_key):
+            # a rational value's one coefficient is an int or a Fraction,
+            # and either has a numerator and a denominator
+            cs = [v.terms.get(0, 0) for v in vars_key]
+            self.scale = lcm(*(c.denominator for c in cs))
+            xs = [c.numerator * (self.scale // c.denominator) for c in cs]
+            self.names, self.width, self.bound = None, None, 0
+            values = [1] + [0] * (size - 1)
+        else:
             # a value is a sum of products of |lam| factors, and the last
             # state has the largest size
-            self.names, self.width, self.bound, xs = _aligned(xs, sum(ideal.states[-1]))
+            self.scale = 1
+            self.names, self.width, self.bound, xs = _aligned(vars_key, sum(ideal.states[-1]))
             values = [{0: 1}] + [{} for _ in range(size - 1)]
-        else:
-            self.names, self.width, self.bound = None, None, 0
-            values = [one] + [one - one] * (size - 1)
-        n, length, states = len(xs), len(ideal.cap), ideal.states
+        n, length, states, rows = len(xs), len(ideal.cap), ideal.states, ideal.rows
+        every_row = rows[::-1]
         for k, x in enumerate(xs, 1):
-            window = top[n - k:]
-            for i in reversed(range(min(length, k))):
-                row = ideal.rows[i]
-                floor = window[1:i + 2] + window[i + 1:]
-                if k < length or any(floor):
-                    row = [(j, d) for j, d in row
-                           if (k >= length or not states[j][k]) and all(map(ge, states[d], floor))]
-                if raw:
+            # the rows to sweep at step k, in order: every row whole, unless
+            # k < len(cap) or the window of top narrows some
+            sweeps, window = every_row, top[n - k:]
+            if window or k < length:
+                sweeps = []
+                for i in reversed(range(min(length, k))):
+                    row, floor = rows[i], window[1:i + 2] + window[i + 1:]
+                    if k < length or any(floor):
+                        row = [(j, d) for j, d in row if (k >= length or not states[j][k])
+                               and all(map(ge, states[d], floor))]
+                    sweeps.append(row)
+            if self.names is None:
+                for row in sweeps:
+                    for j, d in row:
+                        values[j] += x * values[d]
+            else:
+                for row in sweeps:
                     for j, d in row:
                         _add_product(values[j], x, values[d])
-                else:
-                    for j, d in row:
-                        values[j] = values[j] + x * values[d]
         self.ideal = ideal
         self.values = values
 
-    def move(self, names: tuple, w: int):
-        """Put the raw values on the alphabet names, which holds self.names, at width w.
-
-        An int becomes a constant terms map.  The values are replaced one at
-        a time, so the table never holds two copies of itself.
-        """
-        values, src, w_src = self.values, self.names, self.width
-        for j, v in enumerate(values):
-            if src is None:
-                values[j] = {0: v} if v else {}
-            else:
-                values[j] = _repack(v, src, names, w_src, w)
-        self.names, self.width = names, w
+    def _read(self, values, states) -> list:
+        # the Scalars of the raw values of the given states, in order
+        if self.names is not None:
+            names, w, bound = self.names, self.width, self.bound
+            return [Scalar(*_finished(v, names, w, bound)) for v in values]
+        scale = self.scale
+        return [Scalar.rational(v, scale ** sum(mu)) for v, mu in zip(values, states)]
 
     def value(self, parts: tuple) -> Scalar:
         """s_parts(x_1..x_n); parts (no trailing zeros) is top, or any state if no top."""
-        out = self.values[self.ideal.index[parts + (0,) * (len(self.ideal.cap) - len(parts))]]
-        if self.names is not None:
-            out = Scalar(*_finished(out, self.names, self.width, self.bound))
-        return _unscaled(out, self.scale ** sum(parts))
+        mu = parts + (0,) * (len(self.ideal.cap) - len(parts))
+        return self._read([self.values[self.ideal.index[mu]]], [mu])[0]
+
+    def scalars(self) -> list:
+        """s_mu(x_1..x_n) for every state mu, in the order of ideal.states; no top."""
+        return self._read(self.values, self.ideal.states)
+
+
+def _cauchy_sums(xs: Sequence[Scalar], ys: Sequence[Scalar], order: int) -> list:
+    """[c_0, ..., c_order], c_k the sum of s_lam(xs) * s_lam(ys) over the partitions lam of k.
+
+    Two tables, filled for this call only over the partitions of size <=
+    order with at most min(len(xs), len(ys)) parts, sorted by size: c_k is
+    the dot product of their raw slices of size k, divided once by the
+    scales to the power k.  Unless both hold ints, each table is moved
+    value by value onto the union alphabet, at a width holding the sum of
+    their bounds, and the products are added into one map in place.
+    """
+    ideal = _order_ideal((order,) * min(len(xs), len(ys)), order)
+    x, y = _SchurTable(xs, ideal), _SchurTable(ys, ideal)
+    maps = x.names is not None or y.names is not None
+    if maps:
+        names = _union(x.names or (), y.names or ())
+        bound = x.bound + y.bound
+        w = _width(bound)
+        for table in (x, y):
+            values, src, w_src = table.values, table.names, table.width
+            for j, v in enumerate(values):
+                if src is None:
+                    values[j] = {0: v} if v else {}
+                else:
+                    values[j] = _repack(v, src, names, w_src, w)
+    starts, scale, sums = ideal.starts, x.scale * y.scale, []
+    for k in range(order + 1):
+        a, b, den = starts[k], starts[k + 1], scale ** k
+        if maps:
+            out = {}
+            for u, v in zip(x.values[a:b], y.values[a:b]):
+                _add_product(out, u, v)
+            c = Scalar(*_finished(out, names, w, bound))
+            sums.append(c if den == 1 else c * Scalar.rational(1, den))
+        else:
+            sums.append(Scalar.rational(sum(map(mul, x.values[a:b], y.values[a:b])), den))
+    return sums
 
 
 def schur(shape, variables: Sequence, algorithm: str = "branching") -> Scalar:

@@ -239,6 +239,45 @@ def test_bad_flag_value_exit_two(capsys):
     assert main(["schur", "--partition", "1,2", "--vars", "2"]) == 2
 
 
+@pytest.mark.parametrize("argv,env", [
+    (["spherical", "--satake", "2", "--weight", "١"], None),
+    (["spherical", "--satake", "2", "--weight", "1_0"], None),
+    (["essential", "--rep", "{rep}", "--weight", "0,1_0"], None),
+    (["schur", "--partition", "2,١", "--vars", "3"], None),
+    (["schur", "--partition", "2,1", "--vars", "٣"], None),
+    (["cauchy", "--n", "1", "--m", "1", "--degree", "٢"], None),
+    (["cauchy", "--n", "1", "--m", "1"], "٣"),
+    (["cauchy", "--n", "1", "--m", "1"], "1_0"),
+    (["cauchy", "--n", "1_0", "--m", "1"], None),
+    (["cauchy", "--n", "1", "--m", "١"], None),
+    (["cauchy", "--n", "1", "--m", "1", "--seed", "1_0"], None),
+    (["verify", "--rep", "{rep}", "--satake-prime", "w1", "--seed", "٤"], None),
+    (["verify", "--rep", "{rep}", "--satake-prime", "w1", "--degree", "9" * 5000], None),
+    (["derivatives", "--rep", "{rep}", "--order", "1_0"], None),
+])
+def test_command_line_integers_are_ascii_digits(tmp_path, capsys, monkeypatch, argv, env):
+    # int() alone also reads other scripts' digits and underscores between
+    # digits; a rep document's length reads neither, and no integer on the
+    # command line does
+    rep = _write(tmp_path, "rep.json", STEINBERG)
+    if env is None:
+        monkeypatch.delenv("WHITTAKER_DEGREE", raising=False)
+    else:
+        monkeypatch.setenv("WHITTAKER_DEGREE", env)
+    assert main([a.replace("{rep}", rep) for a in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1
+
+
+def test_command_line_integers_take_a_sign_and_surrounding_whitespace(capsys, monkeypatch):
+    monkeypatch.setenv("WHITTAKER_DEGREE", " 3 ")
+    assert main(["cauchy", "--n", " +1", "--m", "1 ", "--seed", "-4"]) == 0
+    assert "O(t^4)" in capsys.readouterr().out
+    assert main(["spherical", "--satake", "2", "--weight", " +3 "]) == 0
+    assert capsys.readouterr().out == "8\n"
+
+
 def test_zero_denominator_exit_two(tmp_path, capsys):
     rep = _write(tmp_path, "zero.json", {"q": "3", "segments": [
         {"kind": "unramified", "satake": "1/0", "length": 1}]})

@@ -24,7 +24,7 @@ from whittaker.ringcore import (
     u_power,
 )
 from whittaker.rseng import cauchy_check
-from whittaker.symfunc import _exact_div, complete_homogeneous
+from whittaker.symfunc import _exact_div, schur_ssyt_oracle
 
 u = Scalar.variable("u")
 x1 = Scalar.variable("x1")
@@ -332,8 +332,9 @@ def test_rational_from_ints_rejects_zero_denominator():
 def test_euler_coefficients_are_complete_homogeneous(root_values, order):
     roots = [Scalar.of(v) for v in root_values]
     series = euler_expand(EulerFactor(roots), order)
+    # h_k = s_(k): the tableaux of one row of k boxes, filled by brute force
     for k in range(order + 1):
-        assert series.coeffs[k] == complete_homogeneous(k, roots)
+        assert series.coeffs[k] == schur_ssyt_oracle((k,), roots)
 
 
 # --- canonical coefficients -------------------------------------------------

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 import whittaker.rseng as rseng
 from whittaker.errors import BadRanks, Unsupported
 from whittaker.repdata import UnramifiedLanglandsRep, compute_piu, parse_rep, parse_scalar_atom
-from whittaker.ringcore import EulerFactor, Scalar, _h_convolution, euler_expand, u_power
+from whittaker.ringcore import EulerFactor, Scalar, euler_expand, u_power
 from whittaker.rseng import (cauchy_check, cauchy_term_count, l_factor, rs_series,
                              theorem_product, verify_essential)
 from whittaker.suite import generate_suite, make_pi_prime
@@ -251,9 +251,10 @@ def test_lattice_read_out_is_the_cauchy_sum(params, satake, order):
 
 # --- the in-place sums against the Scalar operator loops they replaced ---------------
 #
-# The Schur table fill, the lattice sum and the h convolution add products
-# into terms maps in place (packing._add_product).  The oracles below are
-# the same loops on Scalars, one operator per step.
+# The Schur table fill (with the h convolution of euler_expand, its one-row
+# case) and the lattice sum add products into terms maps in place
+# (packing._add_product).  The oracles below are the same loops on Scalars,
+# one operator per step.
 
 def _operator_table(values, ideal, top=()):
     """The Schur table fill of symfunc._SchurTable with a Scalar + and * per state and row."""
@@ -474,7 +475,7 @@ def test_lattice_sum_matches_pointwise_whittaker_products(data):
 def test_integer_euler_expand_matches_scalar_convolution(roots, order):
     roots = [Scalar.of(v) for v in roots]
     series = euler_expand(EulerFactor(roots), order)
-    assert list(series.coeffs) == _h_convolution(roots, order)
+    assert list(series.coeffs) == _operator_h(roots, order)
     assert _canonical(series.coeffs)
 
 

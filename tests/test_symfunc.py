@@ -99,6 +99,10 @@ def test_h_examples():
     assert complete_homogeneous(0, X) == Scalar.of(1)
     assert complete_homogeneous(2, X[:2]) == X[0] ** 2 + X[0] * X[1] + X[1] ** 2
     assert complete_homogeneous(3, X[:1]) == X[0] ** 3
+    # no variables: only the empty monomial, of degree 0
+    assert complete_homogeneous(0, []) == Scalar.of(1)
+    assert complete_homogeneous(1, []) == Scalar.of(0)
+    assert complete_homogeneous(4, []) == Scalar.of(0)
 
 
 # --- schur examples ----------------------------------------------------------
