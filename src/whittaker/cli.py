@@ -166,7 +166,7 @@ def _cmd_lfactor(args: argparse.Namespace) -> int:
     degree = _resolve_degree(args.degree)
     rep = _load_rep(args.rep)
     factor = l_factor(rep, UnramifiedLanglandsRep(_parse_atom_list(args.satake_prime)))
-    roots = ", ".join(str(c) for c in factor.sorted_roots())
+    roots = ", ".join(factor.root_texts())
     print(f"roots: [{roots}]")
     print(f"series: {euler_expand(factor, degree)}")
     return 0

@@ -198,10 +198,11 @@ class Scalar:
         return bool(self.terms)
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = Scalar.of(other)
-        if not isinstance(other, Scalar):
-            return NotImplemented
+        if other.__class__ is not Scalar:
+            if isinstance(other, (int, Fraction)):
+                other = Scalar.of(other)
+            elif not isinstance(other, Scalar):
+                return NotImplemented
         return (self.names == other.names and self.terms == other.terms
                 and _width(self.bound) == _width(other.bound))
 
@@ -240,6 +241,10 @@ class Scalar:
     def __mul__(self, other):
         if other.__class__ is not Scalar:
             other = Scalar.of(other)
+        if not (self.names or other.names):
+            # two rational constants: one coefficient product
+            c = self.terms.get(0, 0) * other.terms.get(0, 0)
+            return Scalar({0: _canon(c)}) if c else _ZERO
         small, big = (self, other) if len(self.terms) <= len(other.terms) else (other, self)
         if not small.terms:
             return _ZERO
@@ -503,8 +508,9 @@ class EulerFactor:
     def degree(self) -> int:
         return len(self.roots)
 
-    def sorted_roots(self):
-        return sorted(self.roots, key=str)
+    def root_texts(self) -> list:
+        """The text of every root, sorted."""
+        return sorted(map(str, self.roots))
 
     def _multiplicities(self) -> dict:
         # a plain dict: building a collections.Counter costs a few
@@ -525,10 +531,10 @@ class EulerFactor:
     def __str__(self):
         if not self.roots:
             return "1"
-        return " * ".join(f"1/(1 - ({c})*t)" for c in self.sorted_roots())
+        return " * ".join(f"1/(1 - ({c})*t)" for c in self.root_texts())
 
     def __repr__(self):
-        return f"EulerFactor([{', '.join(map(str, self.sorted_roots()))}])"
+        return f"EulerFactor([{', '.join(self.root_texts())}])"
 
 
 def euler_expand(factor: EulerFactor, order: int) -> TruncatedSeries:

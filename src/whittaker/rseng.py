@@ -10,10 +10,12 @@ pinned by cauchy_check.
 Every power of u cancels in a lattice term, so the lattice sum is the
 Cauchy sum of the two tuples, sum_lam s_lam(params) s_lam(satake) by
 degree, and the Euler factor's expansion is h_k of its roots.  Both come
-from symfunc's one Schur-table fill (symfunc._cauchy_sums and
-ringcore.euler_expand), which alone decides whether a table runs in ints
-or in terms maps; the two sides share that fill loop and packing's
-kernel, and nothing else.
+from symfunc's one Schur-table fill (symfunc._cauchy_sums, and
+symfunc._euler_mismatch or ringcore.euler_expand), which alone decides
+whether a table runs in ints or in terms maps; the two sides share that
+fill loop and packing's kernel, and nothing else.  The comparison runs
+in symfunc too (_report): in ints when every root is rational, so a
+passing rational check makes no Scalar of the Euler side.
 """
 
 from __future__ import annotations
@@ -24,8 +26,8 @@ from typing import Optional, Sequence, Tuple, Union
 
 from .errors import BadRanks, InvariantViolation, Unsupported
 from .repdata import GenericRep, UnramifiedLanglandsRep, compute_piu
-from .ringcore import EulerFactor, Scalar, TruncatedSeries, euler_expand, series_equal
-from .symfunc import _cauchy_sums
+from .ringcore import EulerFactor, Scalar, TruncatedSeries, euler_expand
+from .symfunc import _cauchy_sums, _euler_mismatch
 
 LeftInput = Union[GenericRep, UnramifiedLanglandsRep]
 
@@ -177,21 +179,21 @@ def _lattice_series(params: Sequence[Scalar], satake: Sequence[Scalar],
     return TruncatedSeries(order, _cauchy_sums(params, satake, order))
 
 
-def _report(lhs: TruncatedSeries, rhs: TruncatedSeries, order: int,
-            metadata: dict) -> VerificationReport:
-    mismatch = series_equal(lhs, rhs, order)
+def _report(lhs: TruncatedSeries, factor: EulerFactor, metadata: dict) -> VerificationReport:
+    """The report comparing lhs with the expansion of factor through lhs.order.
+
+    symfunc._euler_mismatch compares them, in the ints its table is filled
+    in when every root is rational.  Equal values are interchangeable, so
+    a passing report keeps lhs as both series, and the Euler side's
+    Scalars are made (euler_expand) only for a failing report.
+    """
+    order = lhs.order
+    mismatch = _euler_mismatch(lhs, factor.roots)
     if mismatch is None:
-        # equal values are interchangeable: a passing report keeps one series
-        # object, and the other side's coefficients can be freed
-        rhs = lhs
-    return VerificationReport(
-        passed=mismatch is None,
-        degree_checked=order,
-        first_mismatch=None if mismatch is None else (mismatch, lhs.coeffs[mismatch], rhs.coeffs[mismatch]),
-        lhs_series=lhs,
-        rhs_series=rhs,
-        metadata=metadata,
-    )
+        return VerificationReport(True, order, None, lhs, lhs, metadata)
+    rhs = euler_expand(factor, order)
+    return VerificationReport(False, order, (mismatch, lhs.coeffs[mismatch], rhs.coeffs[mismatch]),
+                              lhs, rhs, metadata)
 
 
 def verify_essential(rep: GenericRep, pi_prime: UnramifiedLanglandsRep,
@@ -213,12 +215,12 @@ def verify_essential(rep: GenericRep, pi_prime: UnramifiedLanglandsRep,
     if factor.degree() != r * m:
         raise InvariantViolation(f"expected {r * m} Euler roots, found {factor.degree()}")
     lhs = rs_series(rep, pi_prime, order, drop_integrality=drop_integrality)
-    return _report(lhs, euler_expand(factor, order), order, {
+    return _report(lhs, factor, {
         "n": n,
         "m": m,
         "r": r,
         "q": "symbolic" if rep.q is None else str(rep.q),
-        "roots": "[" + ", ".join(str(c) for c in factor.sorted_roots()) + "]",
+        "roots": "[" + ", ".join(factor.root_texts()) + "]",
     })
 
 
@@ -237,8 +239,8 @@ def cauchy_check(n: int, m: int, params_x: Sequence[Scalar],
     if not 1 <= m <= n:
         raise BadRanks(f"need 1 <= m <= n, got n={n}, m={m}")
     lhs = rs_series(UnramifiedLanglandsRep(params_x), UnramifiedLanglandsRep(params_y), order)
-    rhs = euler_expand(EulerFactor(_root_products(params_x, params_y)), order)
-    return _report(lhs, rhs, order, {"n": n, "m": m, "kind": "unramified-pairing"})
+    factor = EulerFactor(_root_products(params_x, params_y))
+    return _report(lhs, factor, {"n": n, "m": m, "kind": "unramified-pairing"})
 
 
 def cauchy_term_count(n: int, m: int, k: int) -> int:

@@ -6,20 +6,24 @@ an ideal's states, and the default Schur algorithm fills a table over an
 ideal by the Gelfand-Tsetlin branching rule (Macdonald I.(5.11)): one
 variable and one interlacing row at a time, each row in order of size, in
 place and without recursion, so every value shares the work of the smaller
-ones.  That fill is the one engine for sums of products of symmetric
-functions.  The Cauchy sums of rseng's lattice sum pair two tables of the
-partitions of bounded size and length (_cauchy_sums); a single value s_lam
-fills the partitions contained in lam; and h_k = s_(k) is read off the
-table of the one-row ideal (0), ..., (k), for complete_homogeneous, the
-Jacobi-Trudi determinant and ringcore.euler_expand.  This module alone
-decides the ring: when every value is rational a table runs in Python
-ints, scaled by the lcm of the denominators, and otherwise in plain terms
-maps on the tuple's union alphabet, each step adding a product into an
-entry in place, with a Scalar built only for a value read out.  schur is
-the one entry point: the Jacobi-Trudi determinant in complete homogeneous
-polynomials and the bialternant ratio (exact polynomial division at a
-generic point) stay selectable by name, and with a semistandard-tableau
-enumerator they are the independent oracles the tests compare against.
+ones.  The rows a fill sweeps at each step depend on the step alone, so
+an ideal lists them once for every table on it.  That fill is the one
+engine for sums of products of symmetric functions.  The Cauchy sums of
+rseng's lattice sum pair two tables of the partitions of bounded size and
+length (_cauchy_sums); a single value s_lam fills the partitions
+contained in lam; and h_k = s_(k) is read off the table of the one-row
+ideal (0), ..., (k), for complete_homogeneous, the Jacobi-Trudi
+determinant, ringcore.euler_expand and the comparison of a series with an
+Euler factor (_euler_mismatch).  This module alone decides the ring: when
+every value is rational a table runs in Python ints, scaled by the lcm of
+the denominators, and that comparison stays in them; otherwise a table
+runs in plain terms maps on the tuple's union alphabet, each step adding a
+product into an entry in place, with a Scalar built only for a value read
+out.  schur is the one entry point: the Jacobi-Trudi determinant in
+complete homogeneous polynomials and the bialternant ratio (exact
+polynomial division at a generic point) stay selectable by name, and with
+a semistandard-tableau enumerator they are the independent oracles the
+tests compare against.
 """
 
 from __future__ import annotations
@@ -30,11 +34,11 @@ from fractions import Fraction
 from functools import lru_cache
 from math import lcm
 from operator import ge, mul
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import DivisionByZero, UnsupportedWeight
 from .packing import _add_product, _aligned, _finished, _repack, _union, _unpack, _width
-from .ringcore import _ONE, _ZERO, Scalar
+from .ringcore import _ONE, _ZERO, Scalar, TruncatedSeries, series_equal
 
 ALGORITHMS = ("branching", "jacobi-trudi", "bialternant")
 
@@ -236,9 +240,13 @@ class _OrderIdeal:
     whenever that is a partition.  states and starts are those of
     _ideal_states, in the order of partitions_up_to; rows[i] lists, in the
     order of j, the pairs (j, d) with states[d] = states[j] - e_i.
+    sweeps[min(k, len(cap))] lists the rows that step k of a _SchurTable
+    fill sweeps, last row first: for k < len(cap), rows k-1 down to 0 over
+    the states with at most k parts, and from k = len(cap) on every row
+    whole.  They depend on k alone, so every table on the ideal shares them.
     """
 
-    __slots__ = ("cap", "states", "index", "starts", "rows")
+    __slots__ = ("cap", "states", "index", "starts", "rows", "sweeps")
 
     def __init__(self, cap: tuple, bound: int):
         self.cap = cap
@@ -247,6 +255,9 @@ class _OrderIdeal:
         self.rows = [[(j, d) for j, mu in enumerate(self.states)
                       if (d := self.index.get(mu[:i] + (mu[i] - 1,) + mu[i + 1:])) is not None]
                      for i in range(len(cap))]
+        self.sweeps = [[[(j, d) for j, d in self.rows[i] if not self.states[j][k]]
+                        for i in reversed(range(k))] for k in range(len(cap))]
+        self.sweeps.append(self.rows[::-1])
 
 
 @lru_cache(maxsize=PARTITION_CACHE_SIZE)
@@ -269,11 +280,12 @@ class _SchurTable:
     partition, else 0), and for k = 1..n the rows i = min(len(cap), k) - 1
     down to 0 are swept in place, in order of size, over the states with at
     most k parts: one add and one multiply by x_k per state and row, and no
-    recursion at any width.  When only s_top is wanted, row i at step k
+    recursion at any width.  Those sweeps are the ideal's (ideal.sweeps),
+    made once per ideal.  When only s_top is wanted, row i at step k
     sweeps only the lam with lam_j >= top_(j+n-k+1) for j <= i and
     lam_j >= top_(j+n-k) for j > i, the states that a Gelfand-Tsetlin
     pattern ending at top passes through, with their chains; the other
-    values go stale.
+    values go stale.  Only this window filters rows per table.
 
     On the one-row ideal (0), (1), ..., (order) the one row is the
     convolution h_k += x_k * h_(k-1) of the h_k = s_(k) (Macdonald
@@ -288,7 +300,7 @@ class _SchurTable:
     into another in place (packing._add_product).  scale is D and values
     the raw values at y, in the order of ideal.states; a Scalar is built
     only for a value read out (value, scalars, or a whole sum of products
-    in _cauchy_sums).
+    in _cauchy_sums), and _euler_mismatch compares ints with ints.
     """
 
     __slots__ = ("ideal", "scale", "values", "names", "width", "bound")
@@ -309,20 +321,19 @@ class _SchurTable:
             self.scale = 1
             self.names, self.width, self.bound, xs = _aligned(vars_key, sum(ideal.states[-1]))
             values = [{0: 1}] + [{} for _ in range(size - 1)]
-        n, length, states, rows = len(xs), len(ideal.cap), ideal.states, ideal.rows
-        every_row = rows[::-1]
+        n, length, states = len(xs), len(ideal.cap), ideal.states
         for k, x in enumerate(xs, 1):
-            # the rows to sweep at step k, in order: every row whole, unless
-            # k < len(cap) or the window of top narrows some
-            sweeps, window = every_row, top[n - k:]
-            if window or k < length:
-                sweeps = []
-                for i in reversed(range(min(length, k))):
-                    row, floor = rows[i], window[1:i + 2] + window[i + 1:]
-                    if k < length or any(floor):
-                        row = [(j, d) for j, d in row if (k >= length or not states[j][k])
-                               and all(map(ge, states[d], floor))]
-                    sweeps.append(row)
+            # the rows to sweep at step k, in order: the ideal's, unless the
+            # window of top narrows some
+            sweeps, window = ideal.sweeps[min(k, length)], top[n - k:]
+            if window:
+                narrowed = []
+                for i, row in zip(range(len(sweeps) - 1, -1, -1), sweeps):
+                    floor = window[1:i + 2] + window[i + 1:]
+                    if any(floor):
+                        row = [(j, d) for j, d in row if all(map(ge, states[d], floor))]
+                    narrowed.append(row)
+                sweeps = narrowed
             if self.names is None:
                 for row in sweeps:
                     for j, d in row:
@@ -340,6 +351,8 @@ class _SchurTable:
             names, w, bound = self.names, self.width, self.bound
             return [Scalar(*_finished(v, names, w, bound)) for v in values]
         scale = self.scale
+        if scale == 1:
+            return [Scalar({0: v} if v else {}) for v in values]
         return [Scalar.rational(v, scale ** sum(mu)) for v, mu in zip(values, states)]
 
     def value(self, parts: tuple) -> Scalar:
@@ -388,6 +401,27 @@ def _cauchy_sums(xs: Sequence[Scalar], ys: Sequence[Scalar], order: int) -> list
         else:
             sums.append(Scalar.rational(sum(map(mul, x.values[a:b], y.values[a:b])), den))
     return sums
+
+
+def _euler_mismatch(lhs: TruncatedSeries, roots: tuple) -> Optional[int]:
+    """series_equal(lhs, euler_expand(EulerFactor(roots), lhs.order), lhs.order).
+
+    The h_k of the roots fill one table over the one-row ideal, as in
+    ringcore.euler_expand.  In ints, at scale S, the t^k coefficient p/q
+    of lhs equals h_k = v / S^k exactly when p * S^k == v * q, and a
+    coefficient that is not rational differs, so no Scalar of the Euler
+    side is made; in terms maps its Scalars are compared with lhs.
+    """
+    table = _SchurTable(roots, _order_ideal((lhs.order,), lhs.order))
+    if table.names is not None:
+        return series_equal(lhs, TruncatedSeries(lhs.order, table.scalars()), lhs.order)
+    scale, power = table.scale, 1
+    for k, (c, v) in enumerate(zip(lhs.coeffs, table.values)):
+        p = c.terms.get(0, 0)
+        if c.names or p.numerator * power != v * p.denominator:
+            return k
+        power *= scale
+    return None
 
 
 def schur(shape, variables: Sequence, algorithm: str = "branching") -> Scalar:

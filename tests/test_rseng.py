@@ -13,12 +13,13 @@ from hypothesis import strategies as st
 import whittaker.rseng as rseng
 from whittaker.errors import BadRanks, Unsupported
 from whittaker.repdata import UnramifiedLanglandsRep, compute_piu, parse_rep, parse_scalar_atom
-from whittaker.ringcore import EulerFactor, Scalar, euler_expand, u_power
-from whittaker.rseng import (cauchy_check, cauchy_term_count, l_factor, rs_series,
-                             theorem_product, verify_essential)
+from whittaker.ringcore import (EulerFactor, Scalar, TruncatedSeries, euler_expand, series_equal,
+                                u_power)
+from whittaker.rseng import (VerificationReport, cauchy_check, cauchy_term_count, l_factor,
+                             rs_series, theorem_product, verify_essential)
 from whittaker.suite import generate_suite, make_pi_prime
-from whittaker.symfunc import (Partition, _order_ideal, complete_homogeneous, partitions_up_to,
-                               schur, schur_ssyt_oracle)
+from whittaker.symfunc import (Partition, _order_ideal, _SchurTable, complete_homogeneous,
+                               partitions_up_to, schur, schur_ssyt_oracle)
 from whittaker.whitfun import _delta_half_exponent, delta_half, essential_value, spherical_value
 
 STEINBERG = parse_rep({"q": "3", "segments": [
@@ -583,3 +584,118 @@ def test_integrality_hook_at_full_rank_matches_its_definition():
         rep = _rep_with_tops(tops, 2)
         series = rs_series(rep, UnramifiedLanglandsRep(satake), 3, drop_integrality=True)
         assert list(series.coeffs) == _hook_oracle(rep, satake, 3, rseng._NEGATIVE_DEPTH)
+
+
+# --- the Euler-side comparison against the route it replaced --------------------------
+#
+# rseng._report compares a series with an Euler factor through
+# symfunc._euler_mismatch, in ints when every root is rational.  The oracle is
+# the route that comparison replaced: series_equal on the Scalars of
+# euler_expand, with the report made from its first mismatch.
+
+_Z = Scalar.variable("z")
+
+
+def _oracle_report(lhs, factor, metadata):
+    rhs = euler_expand(factor, lhs.order)
+    k = series_equal(lhs, rhs, lhs.order)
+    if k is None:
+        return VerificationReport(True, lhs.order, None, lhs, lhs, metadata)
+    return VerificationReport(False, lhs.order, (k, lhs.coeffs[k], rhs.coeffs[k]), lhs, rhs,
+                              metadata)
+
+
+def _mismatch_texts(report):
+    if report.first_mismatch is None:
+        return None
+    k, lc, rc = report.first_mismatch
+    return k, str(lc), str(rc)
+
+
+def _assert_oracle_report(report, factor):
+    expected = _oracle_report(report.lhs_series, factor, report.metadata)
+    assert report.passed == expected.passed
+    assert _mismatch_texts(report) == _mismatch_texts(expected)
+    assert report.summary_lines() == expected.summary_lines()
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(VALUES, max_size=6), st.integers(0, 6), st.data())
+def test_rational_comparison_matches_series_equal(roots, order, data):
+    # the exact expansion, or one coefficient moved by a nonzero rational or
+    # by a nonzero term in z (z^0 included), which leaves a z^e term's
+    # constant term as it was
+    factor = EulerFactor([Scalar.of(v) for v in roots])
+    coeffs = list(euler_expand(factor, order).coeffs)
+    k = data.draw(st.integers(0, order))
+    change = data.draw(st.sampled_from(["none", "rational", "symbolic"]))
+    if change == "rational":
+        coeffs[k] = coeffs[k] + Scalar.of(data.draw(VALUES))
+    elif change == "symbolic":
+        coeffs[k] = coeffs[k] + Scalar.of(data.draw(VALUES)) * _Z ** data.draw(st.integers(-2, 2))
+    report = rseng._report(TruncatedSeries(order, coeffs), factor, {"roots": len(roots)})
+    assert report.passed == (change == "none")
+    _assert_oracle_report(report, factor)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_rational_reports_match_series_equal(data):
+    n = data.draw(st.integers(2, 4))
+    r, m = data.draw(st.integers(0, n)), data.draw(st.integers(1, n - 1))
+    order = data.draw(st.integers(0, 6))
+    tops = [data.draw(VALUES) for _ in range(r)]
+    satake = tuple(Scalar.of(data.draw(VALUES)) for _ in range(m))
+    rep, pi_prime = _rep_with_tops(tops, n), UnramifiedLanglandsRep(satake)
+    drop = data.draw(st.booleans(), label="drop_integrality")
+    report = verify_essential(rep, pi_prime, order, drop_integrality=drop)
+    _assert_oracle_report(report, l_factor(rep, pi_prime))
+    xs = tuple(Scalar.of(data.draw(VALUES)) for _ in range(n))
+    report = cauchy_check(n, m, xs, satake, order)
+    assert report.passed
+    _assert_oracle_report(report, EulerFactor([x * y for x in xs for y in satake]))
+
+
+def test_empty_single_root_and_failing_reports_match_series_equal():
+    pp = UnramifiedLanglandsRep((Scalar.of(7), Scalar.rational(1, 11)))
+    cases = [
+        (ALL_RAMIFIED4, UnramifiedLanglandsRep((Scalar.of(2), Scalar.rational(-3, 5))), False),
+        (STEINBERG, UnramifiedLanglandsRep((Scalar.rational(-4, 3),)), False),
+        (RANK2_UNRAM, pp, True),  # the integrality hook at m = r fails at t^0
+    ]
+    for rep, pi_prime, drop in cases:
+        report = verify_essential(rep, pi_prime, 6, drop_integrality=drop)
+        assert report.passed != drop
+        _assert_oracle_report(report, l_factor(rep, pi_prime))
+    assert l_factor(ALL_RAMIFIED4, pp).roots == ()
+
+
+def test_a_symbolic_coefficient_with_the_right_constant_term_is_a_mismatch():
+    factor = EulerFactor([Scalar.rational(1, 2), Scalar.of(-3)])
+    coeffs = list(euler_expand(factor, 4).coeffs)
+    coeffs[2] = coeffs[2] + _Z
+    report = rseng._report(TruncatedSeries(4, coeffs), factor, {})
+    assert _mismatch_texts(report) == (2, "31/4 + z", "31/4")
+    _assert_oracle_report(report, factor)
+
+
+def test_symbolic_factors_keep_the_scalar_comparison():
+    factor = EulerFactor([W, Scalar.rational(2, 3)])
+    coeffs = list(euler_expand(factor, 3).coeffs)
+    assert rseng._report(TruncatedSeries(3, coeffs), factor, {}).passed
+    coeffs[3] = coeffs[3] + 1
+    report = rseng._report(TruncatedSeries(3, coeffs), factor, {})
+    assert report.first_mismatch[0] == 3
+    _assert_oracle_report(report, factor)
+
+
+def test_a_passing_rational_check_makes_no_scalar_of_the_euler_side(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a Scalar of the Euler side was made")
+
+    monkeypatch.setattr(rseng, "euler_expand", refuse)
+    monkeypatch.setattr(_SchurTable, "_read", refuse)
+    pp = UnramifiedLanglandsRep((Scalar.of(7), Scalar.rational(1, 11)))
+    assert verify_essential(RANK2_UNRAM, pp, 6).passed
+    assert verify_essential(ALL_RAMIFIED4, pp, 6).passed
+    assert cauchy_check(2, 2, (Scalar.of(2), Scalar.rational(-1, 3)), pp.satake, 6).passed

@@ -226,6 +226,28 @@ def test_order_ideal_state_counts():
                 assert listed == sorted(set(listed), reverse=True)
 
 
+def _filtered_sweeps(ideal, k):
+    """The rows step k of a fill sweeps, last row first, filtered per call.
+
+    Rows 0..k-1 over the states with at most k parts while k < len(cap),
+    and every row whole after that: the filter each fill once ran for
+    itself, kept here as the oracle of the ideal's stored sweeps.
+    """
+    length, states = len(ideal.cap), ideal.states
+    return [[(j, d) for j, d in ideal.rows[i] if k >= length or not states[j][k]]
+            for i in reversed(range(min(length, k)))]
+
+
+def test_stored_sweeps_are_the_per_call_filter():
+    for bound in range(9):
+        for length in range(5):
+            for cap in itertools.combinations_with_replacement(range(8, 0, -1), length):
+                ideal = symfunc._OrderIdeal(cap, bound)
+                assert len(ideal.sweeps) == length + 1
+                for k in range(1, length + 2):
+                    assert ideal.sweeps[min(k, length)] == _filtered_sweeps(ideal, k), (cap, k)
+
+
 def test_schur_at_rational_points():
     # repeated numeric values exercise the generic-evaluation path of the
     # bialternant, which would be 0/0 if evaluated naively
