@@ -241,10 +241,6 @@ class Scalar:
     def __mul__(self, other):
         if other.__class__ is not Scalar:
             other = Scalar.of(other)
-        if not (self.names or other.names):
-            # two rational constants: one coefficient product
-            c = self.terms.get(0, 0) * other.terms.get(0, 0)
-            return Scalar({0: _canon(c)}) if c else _ZERO
         small, big = (self, other) if len(self.terms) <= len(other.terms) else (other, self)
         if not small.terms:
             return _ZERO
@@ -253,6 +249,9 @@ class Scalar:
         if not small.names:
             # a rational constant scales the coefficients
             (c,) = small.terms.values()
+            if not big.names:
+                # times another nonzero constant: one coefficient product
+                return Scalar({0: _canon(c * big.terms[0])})
             if c.__class__ is int and c == 1:
                 return big
             return Scalar(_canon_all({m: c * cb for m, cb in big.terms.items()}),

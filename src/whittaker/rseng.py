@@ -184,14 +184,15 @@ def _report(lhs: TruncatedSeries, factor: EulerFactor, metadata: dict) -> Verifi
 
     symfunc._euler_mismatch compares them, in the ints its table is filled
     in when every root is rational.  Equal values are interchangeable, so
-    a passing report keeps lhs as both series, and the Euler side's
-    Scalars are made (euler_expand) only for a failing report.
+    a passing report keeps lhs as both series; a failing one shows the
+    expansion, made by euler_expand unless the comparison made it already.
     """
     order = lhs.order
-    mismatch = _euler_mismatch(lhs, factor.roots)
+    mismatch, rhs = _euler_mismatch(lhs, factor)
     if mismatch is None:
         return VerificationReport(True, order, None, lhs, lhs, metadata)
-    rhs = euler_expand(factor, order)
+    if rhs is None:
+        rhs = euler_expand(factor, order)
     return VerificationReport(False, order, (mismatch, lhs.coeffs[mismatch], rhs.coeffs[mismatch]),
                               lhs, rhs, metadata)
 

@@ -34,11 +34,11 @@ from fractions import Fraction
 from functools import lru_cache
 from math import lcm
 from operator import ge, mul
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import DivisionByZero, UnsupportedWeight
 from .packing import _add_product, _aligned, _finished, _repack, _union, _unpack, _width
-from .ringcore import _ONE, _ZERO, Scalar, TruncatedSeries, series_equal
+from .ringcore import _ONE, _ZERO, EulerFactor, Scalar, TruncatedSeries, euler_expand, series_equal
 
 ALGORITHMS = ("branching", "jacobi-trudi", "bialternant")
 
@@ -351,8 +351,6 @@ class _SchurTable:
             names, w, bound = self.names, self.width, self.bound
             return [Scalar(*_finished(v, names, w, bound)) for v in values]
         scale = self.scale
-        if scale == 1:
-            return [Scalar({0: v} if v else {}) for v in values]
         return [Scalar.rational(v, scale ** sum(mu)) for v, mu in zip(values, states)]
 
     def value(self, parts: tuple) -> Scalar:
@@ -403,25 +401,30 @@ def _cauchy_sums(xs: Sequence[Scalar], ys: Sequence[Scalar], order: int) -> list
     return sums
 
 
-def _euler_mismatch(lhs: TruncatedSeries, roots: tuple) -> Optional[int]:
-    """series_equal(lhs, euler_expand(EulerFactor(roots), lhs.order), lhs.order).
+def _euler_mismatch(lhs: TruncatedSeries, factor: EulerFactor) -> tuple:
+    """(k, rhs): k the first index through lhs.order at which lhs differs
+    from euler_expand(factor, lhs.order) (None if none), rhs that expansion
+    if it was made (else None).
 
-    The h_k of the roots fill one table over the one-row ideal, as in
-    ringcore.euler_expand.  In ints, at scale S, the t^k coefficient p/q
+    When every root is rational the h_k fill one table over the one-row
+    ideal in ints, as in euler_expand: at scale S the t^k coefficient p/q
     of lhs equals h_k = v / S^k exactly when p * S^k == v * q, and a
     coefficient that is not rational differs, so no Scalar of the Euler
-    side is made; in terms maps its Scalars are compared with lhs.
+    side is made.  Otherwise euler_expand fills the table in terms maps
+    and its Scalars are compared with series_equal.
     """
-    table = _SchurTable(roots, _order_ideal((lhs.order,), lhs.order))
-    if table.names is not None:
-        return series_equal(lhs, TruncatedSeries(lhs.order, table.scalars()), lhs.order)
+    order, roots = lhs.order, factor.roots
+    if any(x.names for x in roots):
+        rhs = euler_expand(factor, order)
+        return series_equal(lhs, rhs, order), rhs
+    table = _SchurTable(roots, _order_ideal((order,), order))
     scale, power = table.scale, 1
     for k, (c, v) in enumerate(zip(lhs.coeffs, table.values)):
         p = c.terms.get(0, 0)
         if c.names or p.numerator * power != v * p.denominator:
-            return k
+            return k, None
         power *= scale
-    return None
+    return None, None
 
 
 def schur(shape, variables: Sequence, algorithm: str = "branching") -> Scalar:
