@@ -21,10 +21,10 @@ from typing import Optional, Sequence, Tuple
 
 from .errors import ConfigError, InvariantViolation, WhittakerError
 from .repdata import GenericRep, UnramifiedLanglandsRep, compute_piu, parse_rep, parse_scalar_atom
-from .ringcore import EulerFactor, Scalar
-from .rseng import (VerificationReport, _lattice_series, cauchy_check, euler_expand, l_factor,
+from .ringcore import Scalar
+from .rseng import (VerificationReport, _root_products, cauchy_check, euler_expand, l_factor,
                     verify_essential)
-from .symfunc import ALGORITHMS, Partition, schur
+from .symfunc import ALGORITHMS, Partition, _cauchy_ints, _h_table, _scaled_ints, schur
 from .whitfun import essential_value, spherical_value
 
 DEFAULT_DEGREE = 8
@@ -90,13 +90,13 @@ def _spot_check(report: VerificationReport, seed: int, params: Sequence[Scalar],
     bound to a seeded random nonzero rational; u needs no value, as it is
     reserved in every input and cancels from the lattice sum.  The lattice
     sum and the Euler expansion are then recomputed from the bound values
-    and compared with the symbolic lhs at the same point.  The lattice sum
-    there is the table sum of the symbolic series rerun in
-    integers, which shares no Scalar products with that series; so a
-    fault that corrupts both symbolic series alike shows up as a
-    disagreement, an internal bug.  Every coefficient is a Laurent
-    polynomial, which has poles only where a variable is 0, so one sample
-    of nonzero values always evaluates.
+    in the ints of one scale S, as a rational check runs them
+    (rseng._sides), and each t^k coefficient must be S^k times the
+    symbolic lhs's at the same point.  Those ints share no Scalar products
+    with the symbolic series; so a fault that corrupts both symbolic
+    series alike shows up as a disagreement, an internal bug.  Every
+    coefficient is a Laurent polynomial, which has poles only where a
+    variable is 0, so one sample of nonzero values always evaluates.
     """
     if not report.passed:
         return None
@@ -118,11 +118,11 @@ def _spot_check(report: VerificationReport, seed: int, params: Sequence[Scalar],
     def at_point(values):
         return [c.as_fraction() if c.is_rational() else c.substitute(bindings) for c in values]
 
-    xs, ys = at_point(params), at_point(satake_prime)
-    lattice = _lattice_series(tuple(map(Scalar.of, xs)), tuple(map(Scalar.of, ys)), lhs.order)
-    euler = euler_expand(EulerFactor([x * y for x in xs for y in ys]), lhs.order)
-    expected = at_point(lhs.coeffs)
-    if at_point(lattice.coeffs) != expected or at_point(euler.coeffs) != expected:
+    (sx, xs), (sy, ys) = _scaled_ints(at_point(params)), _scaled_ints(at_point(satake_prime))
+    order, scale = lhs.order, sx * sy
+    expected = [c * scale ** k for k, c in enumerate(at_point(lhs.coeffs))]
+    if (_cauchy_ints(xs, ys, order) != expected
+            or _h_table(_root_products(xs, ys), order).values != expected):
         raise InvariantViolation("numeric recomputation disagrees with the symbolic series")
     return f"numeric spot-check (seed {seed}): pass"
 

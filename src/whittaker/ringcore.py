@@ -458,7 +458,7 @@ class TruncatedSeries:
     __slots__ = ("order", "coeffs")
 
     def __init__(self, order: int, coeffs: Iterable):
-        coeffs = tuple(Scalar.of(c) for c in coeffs)
+        coeffs = tuple(map(Scalar.of, coeffs))
         if order < 0:
             raise ValueError("series order must be nonnegative")
         if len(coeffs) != order + 1:
@@ -492,13 +492,22 @@ class TruncatedSeries:
         return f"TruncatedSeries({self!s})"
 
 
+def _counts(values: Iterable) -> dict:
+    # each value's multiplicity, for ints and Scalars alike; a plain dict,
+    # as a collections.Counter costs a few microseconds more
+    counts = {}
+    for c in values:
+        counts[c] = counts.get(c, 0) + 1
+    return counts
+
+
 class EulerFactor:
     """Multiset of reciprocal roots c_i, denoting the product of 1/(1 - c_i t)."""
 
     __slots__ = ("roots",)
 
     def __init__(self, roots: Iterable):
-        roots = tuple(Scalar.of(c) for c in roots)
+        roots = tuple(map(Scalar.of, roots))
         for c in roots:
             if c.is_zero():
                 raise InvalidCharacter("Euler factor roots must be nonzero")
@@ -511,21 +520,13 @@ class EulerFactor:
         """The text of every root, sorted."""
         return sorted(map(str, self.roots))
 
-    def _multiplicities(self) -> dict:
-        # a plain dict: building a collections.Counter costs a few
-        # microseconds more, which shows in small verifications
-        counts = {}
-        for c in self.roots:
-            counts[c] = counts.get(c, 0) + 1
-        return counts
-
     def __eq__(self, other):
         if not isinstance(other, EulerFactor):
             return NotImplemented
-        return self._multiplicities() == other._multiplicities()
+        return _counts(self.roots) == _counts(other.roots)
 
     def __hash__(self):
-        return hash(frozenset(self._multiplicities().items()))
+        return hash(frozenset(_counts(self.roots).items()))
 
     def __str__(self):
         if not self.roots:
@@ -550,8 +551,7 @@ def euler_expand(factor: EulerFactor, order: int) -> TruncatedSeries:
 
     if order < 0:
         raise ValueError("expansion order must be nonnegative")
-    table = symfunc._SchurTable(factor.roots, symfunc._order_ideal((order,), order))
-    return TruncatedSeries(order, table.scalars())
+    return TruncatedSeries(order, symfunc._h_table(factor.roots, order).scalars())
 
 
 def series_equal(a: TruncatedSeries, b: TruncatedSeries, order: int) -> Optional[int]:

@@ -9,13 +9,12 @@ pinned by cauchy_check.
 
 Every power of u cancels in a lattice term, so the lattice sum is the
 Cauchy sum of the two tuples, sum_lam s_lam(params) s_lam(satake) by
-degree, and the Euler factor's expansion is h_k of its roots.  Both come
-from symfunc's one Schur-table fill (symfunc._cauchy_sums, and
-symfunc._euler_mismatch or ringcore.euler_expand), which alone decides
-whether a table runs in ints or in terms maps; the two sides share that
-fill loop and packing's kernel, and nothing else.  The comparison runs
-in symfunc too (_report): in ints when every root is rational, so a
-passing rational check makes no Scalar of the Euler side.
+degree, and the Euler factor's expansion is h_k of its roots x_i * y_j
+(Macdonald I.(4.3)).  Both come from symfunc's one Schur-table fill, which
+alone decides whether a table runs in ints or in terms maps.  When every
+value is rational, a whole check runs in the ints of one scale (_sides),
+and a Scalar is made only for what the report prints; otherwise _report
+compares the Euler expansion with the series by series_equal.
 """
 
 from __future__ import annotations
@@ -26,8 +25,8 @@ from typing import Optional, Sequence, Tuple, Union
 
 from .errors import BadRanks, InvariantViolation, Unsupported
 from .repdata import GenericRep, UnramifiedLanglandsRep, compute_piu
-from .ringcore import EulerFactor, Scalar, TruncatedSeries, euler_expand
-from .symfunc import _cauchy_sums, _euler_mismatch
+from .ringcore import EulerFactor, Scalar, TruncatedSeries, _counts, euler_expand, series_equal
+from .symfunc import _cauchy_ints, _cauchy_sums, _h_table, _scaled_ints
 
 LeftInput = Union[GenericRep, UnramifiedLanglandsRep]
 
@@ -68,8 +67,14 @@ class VerificationReport:
         return lines
 
 
-def _root_products(params: Sequence[Scalar], satake: Sequence[Scalar]):
-    return [xi * w for xi in params for w in satake]
+def _root_products(xs: Sequence, ys: Sequence) -> list:
+    """The products x * y, x outer, of ints or of Scalars alike: l_factor's roots."""
+    return [x * y for x in xs for y in ys]
+
+
+def _theorem_roots(xs: Sequence, ys: Sequence) -> list:
+    """theorem_product's roots: the standard roots xs of pi rescaled by each y in turn."""
+    return _root_products(ys, xs)
 
 
 def l_factor(rep: GenericRep, pi_prime: UnramifiedLanglandsRep) -> EulerFactor:
@@ -80,8 +85,7 @@ def l_factor(rep: GenericRep, pi_prime: UnramifiedLanglandsRep) -> EulerFactor:
     products of the unramified-part parameters with the Satake values of
     pi'.  r = 0 gives the empty product, i.e. L = 1.
     """
-    _, params = compute_piu(rep)
-    return EulerFactor(_root_products(params, pi_prime.satake))
+    return EulerFactor(_root_products(compute_piu(rep)[1], pi_prime.satake))
 
 
 def theorem_product(rep: GenericRep, satake_prime: Sequence[Scalar]) -> EulerFactor:
@@ -90,12 +94,7 @@ def theorem_product(rep: GenericRep, satake_prime: Sequence[Scalar]) -> EulerFac
     Each Satake value w_j = q^(-s_j) rescales the reciprocal roots of the
     standard factor of pi; the result must equal l_factor as a multiset.
     """
-    _, params = compute_piu(rep)
-    roots = []
-    for w in satake_prime:
-        w = Scalar.of(w)
-        roots.extend(xi * w for xi in params)
-    return EulerFactor(roots)
+    return EulerFactor(_theorem_roots(compute_piu(rep)[1], [Scalar.of(w) for w in satake_prime]))
 
 
 def rs_series(left: LeftInput, pi_prime: UnramifiedLanglandsRep, order: int, *,
@@ -179,22 +178,54 @@ def _lattice_series(params: Sequence[Scalar], satake: Sequence[Scalar],
     return TruncatedSeries(order, _cauchy_sums(params, satake, order))
 
 
-def _report(lhs: TruncatedSeries, factor: EulerFactor, metadata: dict) -> VerificationReport:
+def _sides(xs: Sequence[Scalar], ys: Sequence[Scalar], order: int, lhs=None,
+           cross_check: bool = False) -> tuple:
+    """(lhs, factor, passed): the lattice series of xs and ys through t^order
+    (or lhs, when given), the Euler factor of the roots x * y, and whether
+    the two were found equal (else _report compares them).
+
+    cross_check compares the roots with theorem_product's order of them as
+    multisets.  When every value is rational and no lhs is given, all of it
+    runs in ints: X = Sx * xs and Y = Sy * ys, S = Sx * Sy, the roots are
+    R = X_i * Y_j, the lattice side L_k = S^k c_k, the Euler side
+    V_k = S^k h_k(R / S), and passed is L == V; the only Scalars made are
+    Scalar.rational(L_k, S^k) and Scalar.rational(R, S), for the report.
+    """
+    sx, sy = _scaled_ints(xs), _scaled_ints(ys)
+    rational = lhs is None and sx and sy
+    if rational:
+        xs, ys = sx[1], sy[1]
+    roots = _root_products(xs, ys)
+    if cross_check and _counts(roots) != _counts(_theorem_roots(xs, ys)):
+        raise InvariantViolation("l_factor and theorem_product disagree")
+    if not rational:
+        if lhs is None:
+            lhs = _lattice_series(xs, ys, order)
+        return lhs, EulerFactor(roots), False
+    scale = sx[0] * sy[0]
+    lattice = _cauchy_ints(xs, ys, order)
+    lhs = TruncatedSeries(order, [Scalar.rational(c, scale ** k) for k, c in enumerate(lattice)])
+    factor = EulerFactor([Scalar.rational(c, scale) for c in roots])
+    return lhs, factor, lattice == _h_table(roots, order).values
+
+
+def _report(lhs: TruncatedSeries, factor: EulerFactor, metadata: dict,
+            passed: bool = False) -> VerificationReport:
     """The report comparing lhs with the expansion of factor through lhs.order.
 
-    symfunc._euler_mismatch compares them, in the ints its table is filled
-    in when every root is rational.  Equal values are interchangeable, so
-    a passing report keeps lhs as both series; a failing one shows the
-    expansion, made by euler_expand unless the comparison made it already.
+    Unless passed (the ints of _sides found them equal), euler_expand
+    expands factor and series_equal compares.  Equal values are
+    interchangeable, so a passing report keeps lhs as both series; a
+    failing one shows the expansion.
     """
     order = lhs.order
-    mismatch, rhs = _euler_mismatch(lhs, factor)
-    if mismatch is None:
-        return VerificationReport(True, order, None, lhs, lhs, metadata)
-    if rhs is None:
+    if not passed:
         rhs = euler_expand(factor, order)
-    return VerificationReport(False, order, (mismatch, lhs.coeffs[mismatch], rhs.coeffs[mismatch]),
-                              lhs, rhs, metadata)
+        k = series_equal(lhs, rhs, order)
+        if k is not None:
+            return VerificationReport(False, order, (k, lhs.coeffs[k], rhs.coeffs[k]), lhs, rhs,
+                                      metadata)
+    return VerificationReport(True, order, None, lhs, lhs, metadata)
 
 
 def verify_essential(rep: GenericRep, pi_prime: UnramifiedLanglandsRep,
@@ -202,27 +233,26 @@ def verify_essential(rep: GenericRep, pi_prime: UnramifiedLanglandsRep,
     """Compare I(W_ess, W'_0, s) with L(pi, pi', s) exactly through t^order.
 
     Requires 1 <= m <= n-1, or m = n with an unramified representation.
-    Also cross-checks that the two Euler-factor constructions agree as
-    multisets before expanding.
+    Also cross-checks that the two Euler-factor constructions, l_factor's
+    and theorem_product's, agree as multisets before expanding.
     """
     n = rep.n
     m = pi_prime.rank
-    r, _ = compute_piu(rep)
+    r, params = compute_piu(rep)
     if not (1 <= m <= n - 1 or (m == n and r == n)):
         raise BadRanks(f"need 1 <= m <= n-1 (or m = n unramified); got n={n}, m={m}, r={r}")
-    factor = l_factor(rep, pi_prime)
-    if factor != theorem_product(rep, pi_prime.satake):
-        raise InvariantViolation("l_factor and theorem_product disagree")
-    if factor.degree() != r * m:
-        raise InvariantViolation(f"expected {r * m} Euler roots, found {factor.degree()}")
-    lhs = rs_series(rep, pi_prime, order, drop_integrality=drop_integrality)
+    # the integrality hook shifts the series only at m = r (rs_series)
+    lhs = None
+    if drop_integrality and m == r:
+        lhs = rs_series(rep, pi_prime, order, drop_integrality=True)
+    lhs, factor, passed = _sides(params, pi_prime.satake, order, lhs, cross_check=True)
     return _report(lhs, factor, {
         "n": n,
         "m": m,
         "r": r,
         "q": "symbolic" if rep.q is None else str(rep.q),
         "roots": "[" + ", ".join(factor.root_texts()) + "]",
-    })
+    }, passed)
 
 
 def cauchy_check(n: int, m: int, params_x: Sequence[Scalar],
@@ -239,9 +269,9 @@ def cauchy_check(n: int, m: int, params_x: Sequence[Scalar],
         raise BadRanks("parameter lists must match the stated ranks")
     if not 1 <= m <= n:
         raise BadRanks(f"need 1 <= m <= n, got n={n}, m={m}")
-    lhs = rs_series(UnramifiedLanglandsRep(params_x), UnramifiedLanglandsRep(params_y), order)
-    factor = EulerFactor(_root_products(params_x, params_y))
-    return _report(lhs, factor, {"n": n, "m": m, "kind": "unramified-pairing"})
+    x, y = UnramifiedLanglandsRep(params_x), UnramifiedLanglandsRep(params_y)
+    lhs, factor, passed = _sides(x.satake, y.satake, order)
+    return _report(lhs, factor, {"n": n, "m": m, "kind": "unramified-pairing"}, passed)
 
 
 def cauchy_term_count(n: int, m: int, k: int) -> int:

@@ -12,18 +12,19 @@ engine for sums of products of symmetric functions.  The Cauchy sums of
 rseng's lattice sum pair two tables of the partitions of bounded size and
 length (_cauchy_sums); a single value s_lam fills the partitions
 contained in lam; and h_k = s_(k) is read off the table of the one-row
-ideal (0), ..., (k), for complete_homogeneous, the Jacobi-Trudi
-determinant, ringcore.euler_expand and the comparison of a series with an
-Euler factor (_euler_mismatch).  This module alone decides the ring: when
-every value is rational a table runs in Python ints, scaled by the lcm of
-the denominators, and that comparison stays in them; otherwise a table
-runs in plain terms maps on the tuple's union alphabet, each step adding a
-product into an entry in place, with a Scalar built only for a value read
-out.  schur is the one entry point: the Jacobi-Trudi determinant in
-complete homogeneous polynomials and the bialternant ratio (exact
-polynomial division at a generic point) stay selectable by name, and with
-a semistandard-tableau enumerator they are the independent oracles the
-tests compare against.
+ideal (0), ..., (k) (_h_table), for complete_homogeneous, the
+Jacobi-Trudi determinant, ringcore.euler_expand and rseng's rational
+checks.  This module alone decides the ring: when every value is rational
+a table runs in Python ints, scaled by the lcm of the denominators
+(_scaled_ints), and int tuples run at scale 1, so a rational check can
+hold both sides of the Cauchy identity in ints (_cauchy_ints and the int
+h_k); otherwise a table runs in plain terms maps on the tuple's union
+alphabet, each step adding a product into an entry in place, with a
+Scalar built only for a value read out.  schur is the one entry point:
+the Jacobi-Trudi determinant in complete homogeneous polynomials and the
+bialternant ratio (exact polynomial division at a generic point) stay
+selectable by name, and with a semistandard-tableau enumerator they are
+the independent oracles the tests compare against.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from typing import Iterable, Iterator, Sequence
 
 from .errors import DivisionByZero, UnsupportedWeight
 from .packing import _add_product, _aligned, _finished, _repack, _union, _unpack, _width
-from .ringcore import _ONE, _ZERO, EulerFactor, Scalar, TruncatedSeries, euler_expand, series_equal
+from .ringcore import _ONE, _ZERO, Scalar
 
 ALGORITHMS = ("branching", "jacobi-trudi", "bialternant")
 
@@ -115,8 +116,7 @@ def _schur_jacobi_trudi(parts: tuple, vars_key: tuple) -> Scalar:
     if ell == 0:
         return _ONE
     top = parts[0] + ell
-    # h_0..h_top: state e of the one-row ideal is (e), and h_e = s_(e)
-    hs = _SchurTable(vars_key, _order_ideal((top,), top)).scalars()
+    hs = _h_table(vars_key, top).scalars()
 
     def entry(i, j):
         e = parts[i] - (i + 1) + (j + 1)
@@ -238,26 +238,28 @@ class _OrderIdeal:
 
     Such a set is an order ideal of Young's lattice: it holds mu - e_i
     whenever that is a partition.  states and starts are those of
-    _ideal_states, in the order of partitions_up_to; rows[i] lists, in the
+    _ideal_states, in the order of partitions_up_to.  Row i lists, in the
     order of j, the pairs (j, d) with states[d] = states[j] - e_i.
     sweeps[min(k, len(cap))] lists the rows that step k of a _SchurTable
     fill sweeps, last row first: for k < len(cap), rows k-1 down to 0 over
     the states with at most k parts, and from k = len(cap) on every row
-    whole.  They depend on k alone, so every table on the ideal shares them.
+    whole (so sweeps[-1] is rows len(cap)-1 down to 0).  They depend on k
+    alone, so every table on the ideal shares them.
     """
 
-    __slots__ = ("cap", "states", "index", "starts", "rows", "sweeps")
+    __slots__ = ("cap", "states", "index", "starts", "sweeps")
 
     def __init__(self, cap: tuple, bound: int):
         self.cap = cap
-        self.states, self.starts = _ideal_states(cap, bound)
-        self.index = {mu: j for j, mu in enumerate(self.states)}
-        self.rows = [[(j, d) for j, mu in enumerate(self.states)
-                      if (d := self.index.get(mu[:i] + (mu[i] - 1,) + mu[i + 1:])) is not None]
-                     for i in range(len(cap))]
-        self.sweeps = [[[(j, d) for j, d in self.rows[i] if not self.states[j][k]]
+        states, self.starts = _ideal_states(cap, bound)
+        index = {mu: j for j, mu in enumerate(states)}
+        rows = [[(j, d) for j, mu in enumerate(states)
+                 if (d := index.get(mu[:i] + (mu[i] - 1,) + mu[i + 1:])) is not None]
+                for i in range(len(cap))]
+        self.sweeps = [[[(j, d) for j, d in rows[i] if not states[j][k]]
                         for i in reversed(range(k))] for k in range(len(cap))]
-        self.sweeps.append(self.rows[::-1])
+        self.sweeps.append(rows[::-1])
+        self.states, self.index = states, index
 
 
 @lru_cache(maxsize=PARTITION_CACHE_SIZE)
@@ -298,21 +300,19 @@ class _SchurTable:
     self.names (None for ints) at the field width self.width, which holds
     every exponent up to self.bound, each step adding x_k times one map
     into another in place (packing._add_product).  scale is D and values
-    the raw values at y, in the order of ideal.states; a Scalar is built
-    only for a value read out (value, scalars, or a whole sum of products
-    in _cauchy_sums), and _euler_mismatch compares ints with ints.
+    the raw values at y, in the order of ideal.states (at scale 1 for an
+    int tuple, as _cauchy_ints and rseng's rational checks use them); a
+    Scalar is built only for a value read out (value, scalars, or a whole
+    sum of products in _cauchy_sums).
     """
 
     __slots__ = ("ideal", "scale", "values", "names", "width", "bound")
 
-    def __init__(self, vars_key: tuple, ideal: _OrderIdeal, top: tuple = ()):
+    def __init__(self, vars_key: Sequence, ideal: _OrderIdeal, top: tuple = ()):
         size = len(ideal.states)
-        if all(not v.names for v in vars_key):
-            # a rational value's one coefficient is an int or a Fraction,
-            # and either has a numerator and a denominator
-            cs = [v.terms.get(0, 0) for v in vars_key]
-            self.scale = lcm(*(c.denominator for c in cs))
-            xs = [c.numerator * (self.scale // c.denominator) for c in cs]
+        scaled = _scaled_ints(vars_key)
+        if scaled:
+            self.scale, xs = scaled
             self.names, self.width, self.bound = None, None, 0
             values = [1] + [0] * (size - 1)
         else:
@@ -363,68 +363,77 @@ class _SchurTable:
         return self._read(self.values, self.ideal.states)
 
 
+def _scaled_ints(values: Sequence) -> tuple:
+    """(D, [D * v for v in values]), D the lcm of the denominators, if every
+    value is an int, a Fraction or a rational Scalar; else None.  By
+    homogeneity s_lam(values) = s_lam(D * values) / D^|lam|."""
+    cs = []
+    for v in values:
+        if v.__class__ is Scalar:
+            if v.names:
+                return None
+            v = v.terms.get(0, 0)
+        cs.append(v)
+    scale = lcm(*[c.denominator for c in cs])
+    return scale, cs if scale == 1 else [c.numerator * (scale // c.denominator) for c in cs]
+
+
+def _h_table(values: Sequence, order: int) -> _SchurTable:
+    """The table of h_0..h_order of values: state k of the one-row ideal
+    (0), (1), ..., (order) is (k), and h_k = s_(k)."""
+    return _SchurTable(values, _order_ideal((order,), order))
+
+
+def _cauchy_ints(xs: Sequence[int], ys: Sequence[int], order: int) -> list:
+    """[L_0, ..., L_order] for int tuples, L_k the sum of s_lam(xs) * s_lam(ys) over |lam| = k.
+
+    Two int tables over the partitions of size <= order with at most
+    min(len(xs), len(ys)) parts, sorted by size, so L_k is the dot product
+    of their slices of size k.  At rational points X = Sx * x and Y = Sy * y
+    this is (Sx * Sy)^k times the Cauchy sum of x and y.
+    """
+    ideal = _order_ideal((order,) * min(len(xs), len(ys)), order)
+    x, y, starts = _SchurTable(xs, ideal).values, _SchurTable(ys, ideal).values, ideal.starts
+    return [sum(map(mul, x[a:b], y[a:b])) for a, b in zip(starts, starts[1:])]
+
+
 def _cauchy_sums(xs: Sequence[Scalar], ys: Sequence[Scalar], order: int) -> list:
     """[c_0, ..., c_order], c_k the sum of s_lam(xs) * s_lam(ys) over the partitions lam of k.
 
-    Two tables, filled for this call only over the partitions of size <=
-    order with at most min(len(xs), len(ys)) parts, sorted by size: c_k is
-    the dot product of their raw slices of size k, divided once by the
-    scales to the power k.  Unless both hold ints, each table is moved
-    value by value onto the union alphabet, at a width holding the sum of
-    their bounds, and the products are added into one map in place.
+    When both tuples are rational, c_k is _cauchy_ints of the scaled
+    tuples divided once by the scale to the power k.  Otherwise two
+    tables are filled for this call only over the partitions of size <=
+    order with at most min(len(xs), len(ys)) parts, sorted by size, and
+    moved value by value onto the union alphabet, at a width holding the
+    sum of their bounds; c_k adds the products of their slices of size k
+    into one map in place.
     """
+    sx, sy = _scaled_ints(xs), _scaled_ints(ys)
+    if sx and sy:
+        scale = sx[0] * sy[0]
+        return [Scalar.rational(c, scale ** k)
+                for k, c in enumerate(_cauchy_ints(sx[1], sy[1], order))]
     ideal = _order_ideal((order,) * min(len(xs), len(ys)), order)
     x, y = _SchurTable(xs, ideal), _SchurTable(ys, ideal)
-    maps = x.names is not None or y.names is not None
-    if maps:
-        names = _union(x.names or (), y.names or ())
-        bound = x.bound + y.bound
-        w = _width(bound)
-        for table in (x, y):
-            values, src, w_src = table.values, table.names, table.width
-            for j, v in enumerate(values):
-                if src is None:
-                    values[j] = {0: v} if v else {}
-                else:
-                    values[j] = _repack(v, src, names, w_src, w)
+    names = _union(x.names or (), y.names or ())
+    bound = x.bound + y.bound
+    w = _width(bound)
+    for table in (x, y):
+        values, src, w_src = table.values, table.names, table.width
+        for j, v in enumerate(values):
+            if src is None:
+                values[j] = {0: v} if v else {}
+            else:
+                values[j] = _repack(v, src, names, w_src, w)
     starts, scale, sums = ideal.starts, x.scale * y.scale, []
     for k in range(order + 1):
         a, b, den = starts[k], starts[k + 1], scale ** k
-        if maps:
-            out = {}
-            for u, v in zip(x.values[a:b], y.values[a:b]):
-                _add_product(out, u, v)
-            c = Scalar(*_finished(out, names, w, bound))
-            sums.append(c if den == 1 else c * Scalar.rational(1, den))
-        else:
-            sums.append(Scalar.rational(sum(map(mul, x.values[a:b], y.values[a:b])), den))
+        out = {}
+        for u, v in zip(x.values[a:b], y.values[a:b]):
+            _add_product(out, u, v)
+        c = Scalar(*_finished(out, names, w, bound))
+        sums.append(c if den == 1 else c * Scalar.rational(1, den))
     return sums
-
-
-def _euler_mismatch(lhs: TruncatedSeries, factor: EulerFactor) -> tuple:
-    """(k, rhs): k the first index through lhs.order at which lhs differs
-    from euler_expand(factor, lhs.order) (None if none), rhs that expansion
-    if it was made (else None).
-
-    When every root is rational the h_k fill one table over the one-row
-    ideal in ints, as in euler_expand: at scale S the t^k coefficient p/q
-    of lhs equals h_k = v / S^k exactly when p * S^k == v * q, and a
-    coefficient that is not rational differs, so no Scalar of the Euler
-    side is made.  Otherwise euler_expand fills the table in terms maps
-    and its Scalars are compared with series_equal.
-    """
-    order, roots = lhs.order, factor.roots
-    if any(x.names for x in roots):
-        rhs = euler_expand(factor, order)
-        return series_equal(lhs, rhs, order), rhs
-    table = _SchurTable(roots, _order_ideal((order,), order))
-    scale, power = table.scale, 1
-    for k, (c, v) in enumerate(zip(lhs.coeffs, table.values)):
-        p = c.terms.get(0, 0)
-        if c.names or p.numerator * power != v * p.denominator:
-            return k, None
-        power *= scale
-    return None, None
 
 
 def schur(shape, variables: Sequence, algorithm: str = "branching") -> Scalar:

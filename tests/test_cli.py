@@ -390,14 +390,18 @@ def test_exit_one_iff_report_fails(tmp_path):
 
 
 def test_internal_invariant_violation_exit_three(tmp_path, capsys, monkeypatch):
+    # theorem_product's construction of the roots loses one, on symbolic
+    # Scalars and on the ints of a rational check alike
     import whittaker.rseng as rseng
-    from whittaker.ringcore import EulerFactor, Scalar
 
-    rep = _write(tmp_path, "rep.json", STEINBERG)
-    monkeypatch.setattr(rseng, "theorem_product",
-                        lambda *_: EulerFactor([Scalar.of(99)]))
-    assert main(["verify", "--rep", rep, "--satake-prime", "w1"]) == 3
-    assert "invariant" in capsys.readouterr().err
+    rep = _write(tmp_path, "rep.json", RANK2)
+    theorem_roots = rseng._theorem_roots
+    monkeypatch.setattr(rseng, "_theorem_roots", lambda xs, ys: theorem_roots(xs, ys)[1:])
+    for satake in ("w1", "7,1/11"):
+        assert main(["verify", "--rep", rep, "--satake-prime", satake]) == 3
+        captured = capsys.readouterr()
+        assert "l_factor and theorem_product disagree" in captured.err
+        assert captured.out == ""
 
 
 def test_spot_check_catches_a_fault_shared_by_both_series(tmp_path, capsys, monkeypatch):
@@ -430,6 +434,18 @@ def test_spot_check_catches_a_fault_shared_by_both_series(tmp_path, capsys, monk
         assert "result: pass" in captured.out
         assert "spot-check" not in captured.out
         assert "invariant" in captured.err
+
+
+def test_spot_check_compares_both_recomputations(tmp_path, capsys, monkeypatch):
+    # the lattice recomputation is right and the Euler one loses a root
+    import whittaker.cli as cli
+
+    root_products = cli._root_products
+    monkeypatch.setattr(cli, "_root_products", lambda xs, ys: root_products(xs, ys)[1:])
+    rep = _write(tmp_path, "rep.json", SYMBOLIC)
+    assert main(["verify", "--rep", rep, "--satake-prime", "b1,b2", "--degree", "4"]) == 3
+    captured = capsys.readouterr()
+    assert "result: pass" in captured.out and "invariant" in captured.err
 
 
 def test_one_parser_serves_every_call_like_a_fresh_process(tmp_path, capsys, monkeypatch):

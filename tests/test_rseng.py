@@ -262,10 +262,14 @@ def _operator_table(values, ideal, top=()):
     xs = tuple(map(Scalar.of, values))
     out = [Scalar.of(1)] + [Scalar.of(0)] * (len(ideal.states) - 1)
     n, length, states = len(xs), len(ideal.cap), ideal.states
+    # row i: the pairs (j, d) with states[d] = states[j] - e_i
+    rows = [[(j, d) for j, mu in enumerate(states)
+             if mu[i] and (d := ideal.index.get(mu[:i] + (mu[i] - 1,) + mu[i + 1:])) is not None]
+            for i in range(length)]
     for k, x in enumerate(xs, 1):
         window = top[n - k:]
         for i in reversed(range(min(length, k))):
-            row = ideal.rows[i]
+            row = rows[i]
             floor = window[1:i + 2] + window[i + 1:]
             if k < length or any(floor):
                 row = [(j, d) for j, d in row
@@ -586,12 +590,12 @@ def test_integrality_hook_at_full_rank_matches_its_definition():
         assert list(series.coeffs) == _hook_oracle(rep, satake, 3, rseng._NEGATIVE_DEPTH)
 
 
-# --- the Euler-side comparison against the route it replaced --------------------------
+# --- the rational route against the Scalar route --------------------------------------
 #
-# rseng._report compares a series with an Euler factor through
-# symfunc._euler_mismatch, in ints when every root is rational.  The oracle is
-# the route that comparison replaced: series_equal on the Scalars of
-# euler_expand, with the report made from its first mismatch.
+# A rational verify_essential or cauchy_check runs in the ints of one scale
+# (rseng._sides) and builds Scalars only for its report.  The oracle is the
+# Scalar route: series_equal on the Scalars of euler_expand, with the report
+# made from its first mismatch, and the lattice sum as Scalar operator loops.
 
 _Z = Scalar.variable("z")
 
@@ -638,22 +642,43 @@ def test_rational_comparison_matches_series_equal(roots, order, data):
     _assert_oracle_report(report, factor)
 
 
-@settings(max_examples=40, deadline=None)
+# ints, negative Fractions and large denominators; each check draws its
+# values from a pool of at most three, so values repeat
+_RATIONAL_ATOMS = st.one_of(
+    VALUES,
+    st.integers(-30, 30).filter(bool),
+    st.fractions(min_value=-7, max_value=Fraction(-1, 12), max_denominator=12),
+    st.builds(Fraction, st.integers(-10 ** 6, 10 ** 6).filter(bool),
+              st.integers(10 ** 9, 10 ** 12)))
+
+
+@settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_rational_reports_match_series_equal(data):
+    # r = 0 and m = n = r included; with the hook at m = r the series
+    # shifts and the report fails
+    pool = data.draw(st.lists(_RATIONAL_ATOMS, min_size=1, max_size=3, unique=True), label="pool")
+    value = st.sampled_from(pool)
     n = data.draw(st.integers(2, 4))
-    r, m = data.draw(st.integers(0, n)), data.draw(st.integers(1, n - 1))
+    if data.draw(st.booleans(), label="full rank"):
+        r = m = n
+    else:
+        r, m = data.draw(st.integers(0, n)), data.draw(st.integers(1, n - 1))
     order = data.draw(st.integers(0, 6))
-    tops = [data.draw(VALUES) for _ in range(r)]
-    satake = tuple(Scalar.of(data.draw(VALUES)) for _ in range(m))
+    tops = [data.draw(value) for _ in range(r)]
+    satake = tuple(Scalar.of(data.draw(value)) for _ in range(m))
     rep, pi_prime = _rep_with_tops(tops, n), UnramifiedLanglandsRep(satake)
     drop = data.draw(st.booleans(), label="drop_integrality")
     report = verify_essential(rep, pi_prime, order, drop_integrality=drop)
     _assert_oracle_report(report, l_factor(rep, pi_prime))
-    xs = tuple(Scalar.of(data.draw(VALUES)) for _ in range(n))
+    if not drop:
+        params = compute_piu(rep)[1]
+        assert _same(report.lhs_series.coeffs, _operator_lattice(params, satake, order))
+    xs = tuple(Scalar.of(data.draw(value)) for _ in range(n))
     report = cauchy_check(n, m, xs, satake, order)
     assert report.passed
     _assert_oracle_report(report, EulerFactor([x * y for x in xs for y in satake]))
+    assert _same(report.lhs_series.coeffs, _operator_lattice(xs, satake, order))
 
 
 def test_empty_single_root_and_failing_reports_match_series_equal():
@@ -689,13 +714,47 @@ def test_symbolic_factors_keep_the_scalar_comparison():
     _assert_oracle_report(report, factor)
 
 
+def test_a_fault_in_the_int_lattice_sums_fails_through_the_scalar_route(monkeypatch):
+    # the int comparison sees L != V, and the report is made as the Scalar
+    # route makes it, from the corrupted series
+    cauchy_ints = rseng._cauchy_ints
+
+    def corrupted(xs, ys, order):
+        sums = cauchy_ints(xs, ys, order)
+        sums[3] += 1
+        return sums
+
+    monkeypatch.setattr(rseng, "_cauchy_ints", corrupted)
+    pp = UnramifiedLanglandsRep((Scalar.of(7), Scalar.rational(1, 11)))
+    xs = (Scalar.of(2), Scalar.rational(-1, 3))
+    for report, factor in ((verify_essential(RANK2_UNRAM, pp, 6), l_factor(RANK2_UNRAM, pp)),
+                           (cauchy_check(2, 2, xs, pp.satake, 6),
+                            EulerFactor([x * y for x in xs for y in pp.satake]))):
+        assert report.first_mismatch[0] == 3
+        _assert_oracle_report(report, factor)
+
+
 def test_a_passing_rational_check_makes_no_scalar_of_the_euler_side(monkeypatch):
+    # nor multiplies any Scalar: the roots, both sides and the comparison
+    # are ints, and the report's Scalars are built as Scalar.rational
     def refuse(*args):
-        raise AssertionError("a Scalar of the Euler side was made")
+        raise AssertionError("a Scalar of the Euler side was made, or Scalars multiplied")
 
     monkeypatch.setattr(rseng, "euler_expand", refuse)
     monkeypatch.setattr(_SchurTable, "_read", refuse)
+    monkeypatch.setattr(Scalar, "__mul__", refuse)
+    monkeypatch.setattr(Scalar, "__rmul__", refuse)
     pp = UnramifiedLanglandsRep((Scalar.of(7), Scalar.rational(1, 11)))
-    assert verify_essential(RANK2_UNRAM, pp, 6).passed
-    assert verify_essential(ALL_RAMIFIED4, pp, 6).passed
-    assert cauchy_check(2, 2, (Scalar.of(2), Scalar.rational(-1, 3)), pp.satake, 6).passed
+    full_rank = _rep_with_tops(("2", "-1/3"), 2)
+    reports = [
+        verify_essential(RANK2_UNRAM, pp, 6),
+        verify_essential(ALL_RAMIFIED4, pp, 6),
+        verify_essential(full_rank, UnramifiedLanglandsRep((Scalar.rational(5, 10 ** 12),
+                                                            Scalar.of(-3))), 6),
+        # the integrality hook at m = 1 != r = 2 adds no shift
+        verify_essential(MIXED, UnramifiedLanglandsRep((Scalar.of(7),)), 6, drop_integrality=True),
+        cauchy_check(2, 2, (Scalar.of(2), Scalar.rational(-1, 3)), pp.satake, 6),
+    ]
+    for report in reports:
+        assert report.passed
+        assert report.summary_lines()[-1] == "result: pass (exact through t^6)"

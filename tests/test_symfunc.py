@@ -226,6 +226,13 @@ def test_order_ideal_state_counts():
                 assert listed == sorted(set(listed), reverse=True)
 
 
+def _rows(ideal):
+    """Row i lists, in the order of j, the pairs (j, d) with states[d] = states[j] - e_i."""
+    return [[(j, d) for j, mu in enumerate(ideal.states)
+             if mu[i] and (d := ideal.index.get(mu[:i] + (mu[i] - 1,) + mu[i + 1:])) is not None]
+            for i in range(len(ideal.cap))]
+
+
 def _filtered_sweeps(ideal, k):
     """The rows step k of a fill sweeps, last row first, filtered per call.
 
@@ -233,8 +240,8 @@ def _filtered_sweeps(ideal, k):
     and every row whole after that: the filter each fill once ran for
     itself, kept here as the oracle of the ideal's stored sweeps.
     """
-    length, states = len(ideal.cap), ideal.states
-    return [[(j, d) for j, d in ideal.rows[i] if k >= length or not states[j][k]]
+    length, states, rows = len(ideal.cap), ideal.states, _rows(ideal)
+    return [[(j, d) for j, d in rows[i] if k >= length or not states[j][k]]
             for i in reversed(range(min(length, k)))]
 
 
