@@ -1,0 +1,178 @@
+#!/usr/bin/env python3
+"""Mutation check: do the tier-1 tests catch fixed one-line faults in src/?
+
+Each mutation replaces one exact piece of text (its anchor) in one file of
+a copy of src/ made in a temporary directory; src/ itself is never
+written.  For every mutant, the named tier-1 tests run against the copy
+(PYTHONPATH points at it) under a timeout, and a mutant whose tests all
+pass is reported as a survivor.  The unmutated copy runs every named test
+first, so a failure there is not mistaken for a kill.
+
+    python3 scripts/mutation_check.py [--timeout S] [NAME ...]
+
+Names select mutations (default: all).  Exit 0 when every mutant is
+killed, 1 when one survives, 2 when an anchor does not occur exactly once
+in src/ or the unmutated copy fails.  Stdlib only; not part of tier-1,
+whose tests check only that every anchor occurs exactly once.
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+from typing import NamedTuple, Tuple
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
+
+KERNEL_TESTS = ("tests/test_ringcore.py", "tests/test_symfunc.py", "tests/test_rseng.py")
+IDENTITY_TESTS = ("tests/test_rseng.py", "tests/test_independent_oracles.py",
+                  "tests/test_acceptance.py", "tests/test_golden_output.py")
+CLI_TESTS = ("tests/test_cli.py", "tests/test_golden_output.py")
+
+
+class Mutation(NamedTuple):
+    name: str
+    path: str          # relative to src/
+    anchor: str        # exact text, once in all of src/
+    replacement: str
+    tests: Tuple[str, ...]
+
+
+MUTATIONS = [
+    # the kernel and the layouts (ROADMAP item 14's starting list)
+    Mutation("finished-keeps-vanished-variables", "whittaker/packing.py",
+             "names, terms = _drop_vanished(terms, names, w)", "names, terms = names, terms",
+             KERNEL_TESTS),
+    Mutation("finished-skips-canon", "whittaker/packing.py",
+             "    _canon_all(terms)\n", "    pass\n", KERNEL_TESTS),
+    Mutation("lattice-width-from-max", "whittaker/symfunc.py",
+             "bound = x.bound + y.bound", "bound = max(x.bound, y.bound)", KERNEL_TESTS),
+    Mutation("aligned-without-degree", "whittaker/packing.py",
+             "bound = max((v.bound for v in values), default=0) * degree",
+             "bound = max((v.bound for v in values), default=0)", KERNEL_TESTS),
+    Mutation("kernel-keeps-cancelled-keys", "whittaker/packing.py",
+             "del out[m]", "out[m] = s", KERNEL_TESTS),
+    Mutation("zero-int-entry-as-constant-map", "whittaker/symfunc.py",
+             "values[j] = {0: v} if v else {}", "values[j] = {0: v}", KERNEL_TESTS),
+    Mutation("delta-half-sign", "whittaker/whitfun.py",
+             "return -sum(x * (rank - 1 - 2 * i)", "return sum(x * (rank - 1 - 2 * i)",
+             ("tests/test_whitfun.py", "tests/test_rseng.py")),
+    # the Cauchy identity route (symfunc._cauchy_identity) and its callers
+    Mutation("holds-forced-true-scalars", "whittaker/symfunc.py",
+             "return sums, roots, sums == h.scalars()", "return sums, roots, True",
+             IDENTITY_TESTS),
+    Mutation("holds-forced-true-ints", "whittaker/symfunc.py",
+             "for c in roots], lattice == h.values", "for c in roots], True",
+             IDENTITY_TESTS),
+    Mutation("sums-scaled-by-s-to-the-k-plus-one", "whittaker/symfunc.py",
+             "scale ** k) for k, c in enumerate(lattice)]",
+             "scale ** (k + 1)) for k, c in enumerate(lattice)]", IDENTITY_TESTS),
+    Mutation("int-slice-drops-a-term", "whittaker/symfunc.py",
+             "sum(map(mul, u[a:b], v[a:b]))", "sum(map(mul, u[a + 1:b], v[a + 1:b]))",
+             IDENTITY_TESTS),
+    Mutation("map-slice-drops-a-term", "whittaker/symfunc.py",
+             "zip(x.values[a:b], y.values[a:b])", "zip(x.values[a + 1:b], y.values[a + 1:b])",
+             IDENTITY_TESTS),
+    Mutation("cross-check-removed", "whittaker/symfunc.py",
+             "if _counts(roots) != _counts(theorem):", "if False:", CLI_TESTS),
+    Mutation("spot-check-ignores-holds", "whittaker/cli.py",
+             "if not holds or [c.as_fraction() for c in sums]",
+             "if [c.as_fraction() for c in sums]", CLI_TESTS),
+    Mutation("spot-check-ignores-sums", "whittaker/cli.py",
+             "[c.as_fraction() for c in sums] != at_point(lhs.coeffs):", "False:", CLI_TESTS),
+    Mutation("roots-scaled-by-2s", "whittaker/symfunc.py",
+             "[Scalar.rational(c, scale) for c in roots]",
+             "[Scalar.rational(c, 2 * scale) for c in roots]", IDENTITY_TESTS),
+    Mutation("hook-unit-inverted", "whittaker/rseng.py",
+             "unit = unit / v ** _NEGATIVE_DEPTH", "unit = unit * v ** _NEGATIVE_DEPTH",
+             ("tests/test_rseng.py",)),
+    Mutation("hook-trusts-holds", "whittaker/rseng.py",
+             "holds and not shift", "holds", ("tests/test_rseng.py", "tests/test_cli.py")),
+]
+
+
+def anchor_problems(src: Path = SRC) -> list:
+    """One line per mutation whose anchor does not occur exactly once in src/."""
+    texts = {p: p.read_text(encoding="utf-8") for p in src.rglob("*.py")}
+    problems = []
+    for m in MUTATIONS:
+        total = sum(text.count(m.anchor) for text in texts.values())
+        if total != 1 or m.anchor not in texts.get(src / m.path, ""):
+            problems.append(f"{m.name}: anchor occurs {total} times in src/, "
+                            f"expected once in {m.path}")
+        if m.replacement == m.anchor:
+            problems.append(f"{m.name}: the replacement equals the anchor")
+    return problems
+
+
+def _run_tests(src: Path, tests, timeout: float) -> str:
+    """'pass', 'timeout' or the first failure for the tests run against the code in src."""
+    env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
+    argv = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
+            *(str(ROOT / t) for t in tests)]
+    try:
+        # run from the temporary directory, so that Hypothesis keeps the
+        # mutants' failing examples there and never replays them on src/
+        done = subprocess.run(argv, cwd=src.parent, env=env, capture_output=True, text=True,
+                              timeout=timeout)
+    except subprocess.TimeoutExpired:
+        return "timeout"
+    if done.returncode == 0:
+        return "pass"
+    failed = [line for line in done.stdout.splitlines() if line.startswith(("FAILED", "ERROR"))]
+    if not failed:
+        return f"exit {done.returncode}"
+    # pytest names the test relative to the directory it ran from
+    return failed[0].split(" - ")[0].replace(os.path.relpath(ROOT, src.parent) + os.sep, "")
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--timeout", type=float, default=300.0,
+                        help="seconds allowed for one mutant's tests (default 300)")
+    parser.add_argument("names", nargs="*", help="mutations to run (default: all)")
+    args = parser.parse_args(argv)
+    known = {m.name for m in MUTATIONS}
+    unknown = [n for n in args.names if n not in known]
+    if unknown:
+        parser.error(f"unknown mutation(s): {', '.join(unknown)}")
+    problems = anchor_problems()
+    if problems:
+        print("\n".join(problems), file=sys.stderr)
+        return 2
+    chosen = [m for m in MUTATIONS if not args.names or m.name in args.names]
+    with tempfile.TemporaryDirectory(prefix="mutation-check-") as tmp:
+        copy = Path(tmp) / "src"
+        shutil.copytree(SRC, copy, ignore=shutil.ignore_patterns("__pycache__", "*.egg-info"))
+        every_test = sorted({t for m in chosen for t in m.tests})
+        baseline = _run_tests(copy, every_test, args.timeout)
+        if baseline != "pass":
+            print(f"the unmutated copy does not pass ({baseline}): {' '.join(every_test)}",
+                  file=sys.stderr)
+            return 2
+        survivors = []
+        for m in chosen:
+            target = copy / m.path
+            original = target.read_text(encoding="utf-8")
+            target.write_text(original.replace(m.anchor, m.replacement), encoding="utf-8")
+            try:
+                outcome = _run_tests(copy, m.tests, args.timeout)
+            finally:
+                target.write_text(original, encoding="utf-8")
+            verdict = "SURVIVED" if outcome == "pass" else f"killed: {outcome}"
+            print(f"{m.name}: {verdict}", flush=True)
+            if outcome == "pass":
+                survivors.append(m.name)
+    print(f"{len(chosen) - len(survivors)} of {len(chosen)} mutants killed; "
+          f"survivors: {', '.join(survivors) or 'none'}")
+    return 1 if survivors else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -22,9 +22,8 @@ from typing import Optional, Sequence, Tuple
 from .errors import ConfigError, InvariantViolation, WhittakerError
 from .repdata import GenericRep, UnramifiedLanglandsRep, compute_piu, parse_rep, parse_scalar_atom
 from .ringcore import Scalar
-from .rseng import (VerificationReport, _root_products, cauchy_check, euler_expand, l_factor,
-                    verify_essential)
-from .symfunc import ALGORITHMS, Partition, _cauchy_ints, _h_table, _scaled_ints, schur
+from .rseng import VerificationReport, cauchy_check, euler_expand, l_factor, verify_essential
+from .symfunc import ALGORITHMS, Partition, _cauchy_identity, schur
 from .whitfun import essential_value, spherical_value
 
 DEFAULT_DEGREE = 8
@@ -88,15 +87,15 @@ def _spot_check(report: VerificationReport, seed: int, params: Sequence[Scalar],
     The report came from the unramified parameters params of a
     representation and the Satake values of pi'.  Every atom of theirs is
     bound to a seeded random nonzero rational; u needs no value, as it is
-    reserved in every input and cancels from the lattice sum.  The lattice
-    sum and the Euler expansion are then recomputed from the bound values
-    in the ints of one scale S, as a rational check runs them
-    (rseng._sides), and each t^k coefficient must be S^k times the
-    symbolic lhs's at the same point.  Those ints share no Scalar products
-    with the symbolic series; so a fault that corrupts both symbolic
-    series alike shows up as a disagreement, an internal bug.  Every
-    coefficient is a Laurent polynomial, which has poles only where a
-    variable is 0, so one sample of nonzero values always evaluates.
+    reserved in every input and cancels from the lattice sum.  The
+    identity is then recomputed from the bound values by
+    symfunc._cauchy_identity, as a rational check runs it, in the ints of
+    one scale: the two sides must agree there, and the lattice sum must
+    equal the symbolic lhs at the same point.  Those ints share no Scalar
+    products with the symbolic series; so a fault that corrupts both
+    symbolic series alike shows up as a disagreement, an internal bug.
+    Every coefficient is a Laurent polynomial, which has poles only where
+    a variable is 0, so one sample of nonzero values always evaluates.
     """
     if not report.passed:
         return None
@@ -118,11 +117,8 @@ def _spot_check(report: VerificationReport, seed: int, params: Sequence[Scalar],
     def at_point(values):
         return [c.as_fraction() if c.is_rational() else c.substitute(bindings) for c in values]
 
-    (sx, xs), (sy, ys) = _scaled_ints(at_point(params)), _scaled_ints(at_point(satake_prime))
-    order, scale = lhs.order, sx * sy
-    expected = [c * scale ** k for k, c in enumerate(at_point(lhs.coeffs))]
-    if (_cauchy_ints(xs, ys, order) != expected
-            or _h_table(_root_products(xs, ys), order).values != expected):
+    sums, _, holds = _cauchy_identity(at_point(params), at_point(satake_prime), lhs.order)
+    if not holds or [c.as_fraction() for c in sums] != at_point(lhs.coeffs):
         raise InvariantViolation("numeric recomputation disagrees with the symbolic series")
     return f"numeric spot-check (seed {seed}): pass"
 
@@ -208,6 +204,12 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact spherical/essential Whittaker values and "
                     "Rankin-Selberg series verification for GL(n).")
     sub = parser.add_subparsers(dest="command", required=True)
+    # argparse reads a token that starts with "-" and is not a plain number
+    # as an option name, so a list whose first entry is negative needs "="
+    weight_help = ("comma-separated torus exponents; write a list that starts with a "
+                   "negative one as --weight=-1,0")
+    satake_prime_help = ("comma-separated Satake values of pi'; write a list that starts "
+                         "with a negative one as --satake-prime=-1/2,3")
 
     def add_common(p, degree=False, seed=False):
         if degree:
@@ -224,21 +226,23 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--algorithm", choices=ALGORITHMS, default="branching")
 
     p = sub.add_parser("spherical", help="spherical Whittaker value on the torus")
-    p.add_argument("--satake", required=True, help="comma-separated Satake values")
-    p.add_argument("--weight", required=True, help="comma-separated torus exponents")
+    p.add_argument("--satake", required=True,
+                   help="comma-separated Satake values; write a list that starts "
+                        "with a negative one as --satake=-2,3")
+    p.add_argument("--weight", required=True, help=weight_help)
 
     p = sub.add_parser("essential", help="essential Whittaker value on the torus")
     p.add_argument("--rep", required=True, help="path to a representation JSON file")
-    p.add_argument("--weight", required=True, help="comma-separated torus exponents")
+    p.add_argument("--weight", required=True, help=weight_help)
 
     p = sub.add_parser("lfactor", help="Euler roots and expansion of L(pi, pi', s)")
     p.add_argument("--rep", required=True)
-    p.add_argument("--satake-prime", required=True, dest="satake_prime")
+    p.add_argument("--satake-prime", required=True, dest="satake_prime", help=satake_prime_help)
     add_common(p, degree=True)
 
     p = sub.add_parser("verify", help="check I(W_ess, W'_0, s) = L(pi, pi', s) exactly")
     p.add_argument("--rep", required=True)
-    p.add_argument("--satake-prime", required=True, dest="satake_prime")
+    p.add_argument("--satake-prime", required=True, dest="satake_prime", help=satake_prime_help)
     p.add_argument("--drop-integrality-indicator", action="store_true",
                    dest="drop_integrality",
                    help="diagnostic hook: remove the lattice indicator from the "

@@ -7,14 +7,14 @@ The torus measure is normalized so each lattice point contributes once
 pairing identities hold with the standard spherical formula, and it is
 pinned by cauchy_check.
 
-Every power of u cancels in a lattice term, so the lattice sum is the
-Cauchy sum of the two tuples, sum_lam s_lam(params) s_lam(satake) by
-degree, and the Euler factor's expansion is h_k of its roots x_i * y_j
-(Macdonald I.(4.3)).  Both come from symfunc's one Schur-table fill, which
-alone decides whether a table runs in ints or in terms maps.  When every
-value is rational, a whole check runs in the ints of one scale (_sides),
-and a Scalar is made only for what the report prints; otherwise _report
-compares the Euler expansion with the series by series_equal.
+Every power of u cancels in a lattice term (rs_series), so the lattice
+sum is the Cauchy sum of the two tuples, sum_lam s_lam(params)
+s_lam(satake) by degree, and the Euler factor's expansion is h_k of its
+roots x_i * y_j (Macdonald I.(4.3)).  symfunc._cauchy_identity computes
+both sides and the roots, cross-checks the roots' two orders and decides
+whether the sides agree, in the ring it chooses (the ints of one scale
+for a rational pair); this module only builds the reports, and _report
+locates the first mismatch of a failing one.
 """
 
 from __future__ import annotations
@@ -25,8 +25,8 @@ from typing import Optional, Sequence, Tuple, Union
 
 from .errors import BadRanks, InvariantViolation, Unsupported
 from .repdata import GenericRep, UnramifiedLanglandsRep, compute_piu
-from .ringcore import EulerFactor, Scalar, TruncatedSeries, _counts, euler_expand, series_equal
-from .symfunc import _cauchy_ints, _cauchy_sums, _h_table, _scaled_ints
+from .ringcore import EulerFactor, Scalar, TruncatedSeries, euler_expand, series_equal
+from .symfunc import _cauchy_identity, _cauchy_sums
 
 LeftInput = Union[GenericRep, UnramifiedLanglandsRep]
 
@@ -67,16 +67,6 @@ class VerificationReport:
         return lines
 
 
-def _root_products(xs: Sequence, ys: Sequence) -> list:
-    """The products x * y, x outer, of ints or of Scalars alike: l_factor's roots."""
-    return [x * y for x in xs for y in ys]
-
-
-def _theorem_roots(xs: Sequence, ys: Sequence) -> list:
-    """theorem_product's roots: the standard roots xs of pi rescaled by each y in turn."""
-    return _root_products(ys, xs)
-
-
 def l_factor(rep: GenericRep, pi_prime: UnramifiedLanglandsRep) -> EulerFactor:
     """L(pi, pi', s) as an Euler factor.
 
@@ -85,7 +75,7 @@ def l_factor(rep: GenericRep, pi_prime: UnramifiedLanglandsRep) -> EulerFactor:
     products of the unramified-part parameters with the Satake values of
     pi'.  r = 0 gives the empty product, i.e. L = 1.
     """
-    return EulerFactor(_root_products(compute_piu(rep)[1], pi_prime.satake))
+    return EulerFactor([x * y for x in compute_piu(rep)[1] for y in pi_prime.satake])
 
 
 def theorem_product(rep: GenericRep, satake_prime: Sequence[Scalar]) -> EulerFactor:
@@ -94,7 +84,8 @@ def theorem_product(rep: GenericRep, satake_prime: Sequence[Scalar]) -> EulerFac
     Each Satake value w_j = q^(-s_j) rescales the reciprocal roots of the
     standard factor of pi; the result must equal l_factor as a multiset.
     """
-    return EulerFactor(_theorem_roots(compute_piu(rep)[1], [Scalar.of(w) for w in satake_prime]))
+    params = compute_piu(rep)[1]
+    return EulerFactor([Scalar.of(w) * x for w in satake_prime for x in params])
 
 
 def rs_series(left: LeftInput, pi_prime: UnramifiedLanglandsRep, order: int, *,
@@ -107,17 +98,19 @@ def rs_series(left: LeftInput, pi_prime: UnramifiedLanglandsRep, order: int, *,
     u^((n-m)|lambda|).  The support conditions of both factors force the
     index set to be exactly those partitions, and the left factor vanishes
     on those with more than r parts, so the sum runs over the partitions
-    of k with at most min(r, m) parts.  The powers of u of each term
-    cancel (_lattice_series).
+    of k with at most min(r, m) parts.  Every power of u cancels in a
+    term: the two delta_half factors, the essential twist u^(-(n-r)|lam|)
+    and the inverse modulus with its twist u^((n-m)|lam|) put
+    -(r-1-2i) - (n-r) - (m-1-2i) + (n+m-2-4i) = 0 on each part lam_i.  So
+    the t^k coefficient is sum_lam s_lam(params) s_lam(satake'), the
+    degree-k part of the Cauchy identity (Macdonald I.(4.3)), which
+    symfunc._cauchy_sums sums over two Schur tables, in ints when a tuple
+    is rational and in terms maps otherwise.
 
     The left argument is a GenericRep (essential-function side, m <= n-1,
     or m = n when the representation is unramified) or an
     UnramifiedLanglandsRep of rank n >= m (spherical side; the equal-rank
     branch restricts to partitions through the lattice indicator).
-
-    The sum is one Cauchy sum over two Schur tables for every tuple
-    (_lattice_series); symfunc fills them in ints when a tuple is
-    rational and in terms maps otherwise.
 
     drop_integrality (test hook) removes the 1_O(a_r) factor from the
     essential function, so the index set grows to the dominant weights w
@@ -129,7 +122,7 @@ def rs_series(left: LeftInput, pi_prime: UnramifiedLanglandsRep, order: int, *,
     powers of u of a term add up to the same zero linear form on these
     weights too.  So the t^k coefficient of the hook is the t^(k + D*m)
     coefficient of the ordinary series times the unit
-    (prod params * prod satake')^(-D).
+    (prod params * prod satake')^(-D) (_hooked).
     """
     m = pi_prime.rank
     satake_prime = pi_prime.satake
@@ -150,73 +143,32 @@ def rs_series(left: LeftInput, pi_prime: UnramifiedLanglandsRep, order: int, *,
     else:
         raise TypeError(f"unsupported left argument {type(left).__name__}")
     shift = _NEGATIVE_DEPTH * m if drop_integrality and m == r else 0
-    series = _lattice_series(params, satake_prime, order + shift)
+    return _hooked(_cauchy_sums(params, satake_prime, order + shift), params, satake_prime, order)
+
+
+def _hooked(sums: list, params: Sequence[Scalar], satake: Sequence[Scalar],
+            order: int) -> TruncatedSeries:
+    """The series through t^order from the Cauchy sums of params and satake
+    through t^(order + shift): the sums themselves when shift is 0, and
+    for the integrality hook's shift D*m (rs_series) the unit
+    (prod params * prod satake)^(-D) times sums[k + shift] at t^k."""
+    shift = len(sums) - 1 - order
     if not shift:
-        return series
+        return TruncatedSeries(order, sums)
     unit = Scalar.of(1)
-    for v in (*params, *satake_prime):
+    for v in (*params, *satake):
         unit = unit / v ** _NEGATIVE_DEPTH
-    return TruncatedSeries(order, [unit * c for c in series.coeffs[shift:]])
-
-
-def _lattice_series(params: Sequence[Scalar], satake: Sequence[Scalar],
-                    order: int) -> TruncatedSeries:
-    """rs_series as the Cauchy sums of the two tuples (symfunc._cauchy_sums).
-
-    params are the r unramified parameters of the left representation of
-    GL(n) (its essential function is supported on the partitions with at
-    most r parts, and is its spherical function when r = n) and satake
-    the m Satake values of pi', so the index set is the partitions of k
-    with at most min(r, m) parts.  Every power of u cancels in a lattice
-    term: the two delta_half factors, the essential twist u^(-(n-r)|lam|)
-    and the inverse modulus with its twist u^((n-m)|lam|) put
-    -(r-1-2i) - (n-r) - (m-1-2i) + (n+m-2-4i) = 0 on each part lam_i.  So
-    the t^k coefficient is sum_lam s_lam(params) s_lam(satake), the
-    degree-k part of the Cauchy identity (Macdonald I.(4.3)), which
-    symfunc sums over two Schur tables, in ints or in terms maps.
-    """
-    return TruncatedSeries(order, _cauchy_sums(params, satake, order))
-
-
-def _sides(xs: Sequence[Scalar], ys: Sequence[Scalar], order: int, lhs=None,
-           cross_check: bool = False) -> tuple:
-    """(lhs, factor, passed): the lattice series of xs and ys through t^order
-    (or lhs, when given), the Euler factor of the roots x * y, and whether
-    the two were found equal (else _report compares them).
-
-    cross_check compares the roots with theorem_product's order of them as
-    multisets.  When every value is rational and no lhs is given, all of it
-    runs in ints: X = Sx * xs and Y = Sy * ys, S = Sx * Sy, the roots are
-    R = X_i * Y_j, the lattice side L_k = S^k c_k, the Euler side
-    V_k = S^k h_k(R / S), and passed is L == V; the only Scalars made are
-    Scalar.rational(L_k, S^k) and Scalar.rational(R, S), for the report.
-    """
-    sx, sy = _scaled_ints(xs), _scaled_ints(ys)
-    rational = lhs is None and sx and sy
-    if rational:
-        xs, ys = sx[1], sy[1]
-    roots = _root_products(xs, ys)
-    if cross_check and _counts(roots) != _counts(_theorem_roots(xs, ys)):
-        raise InvariantViolation("l_factor and theorem_product disagree")
-    if not rational:
-        if lhs is None:
-            lhs = _lattice_series(xs, ys, order)
-        return lhs, EulerFactor(roots), False
-    scale = sx[0] * sy[0]
-    lattice = _cauchy_ints(xs, ys, order)
-    lhs = TruncatedSeries(order, [Scalar.rational(c, scale ** k) for k, c in enumerate(lattice)])
-    factor = EulerFactor([Scalar.rational(c, scale) for c in roots])
-    return lhs, factor, lattice == _h_table(roots, order).values
+    return TruncatedSeries(order, [unit * c for c in sums[shift:]])
 
 
 def _report(lhs: TruncatedSeries, factor: EulerFactor, metadata: dict,
             passed: bool = False) -> VerificationReport:
     """The report comparing lhs with the expansion of factor through lhs.order.
 
-    Unless passed (the ints of _sides found them equal), euler_expand
-    expands factor and series_equal compares.  Equal values are
-    interchangeable, so a passing report keeps lhs as both series; a
-    failing one shows the expansion.
+    passed says that _cauchy_identity found the two equal; otherwise
+    euler_expand expands factor and series_equal locates the first
+    mismatch, if any.  Equal values are interchangeable, so a passing
+    report keeps lhs as both series; a failing one shows the expansion.
     """
     order = lhs.order
     if not passed:
@@ -234,7 +186,7 @@ def verify_essential(rep: GenericRep, pi_prime: UnramifiedLanglandsRep,
 
     Requires 1 <= m <= n-1, or m = n with an unramified representation.
     Also cross-checks that the two Euler-factor constructions, l_factor's
-    and theorem_product's, agree as multisets before expanding.
+    and theorem_product's, agree as multisets (symfunc._cauchy_identity).
     """
     n = rep.n
     m = pi_prime.rank
@@ -242,17 +194,16 @@ def verify_essential(rep: GenericRep, pi_prime: UnramifiedLanglandsRep,
     if not (1 <= m <= n - 1 or (m == n and r == n)):
         raise BadRanks(f"need 1 <= m <= n-1 (or m = n unramified); got n={n}, m={m}, r={r}")
     # the integrality hook shifts the series only at m = r (rs_series)
-    lhs = None
-    if drop_integrality and m == r:
-        lhs = rs_series(rep, pi_prime, order, drop_integrality=True)
-    lhs, factor, passed = _sides(params, pi_prime.satake, order, lhs, cross_check=True)
-    return _report(lhs, factor, {
+    shift = _NEGATIVE_DEPTH * m if drop_integrality and m == r else 0
+    sums, roots, holds = _cauchy_identity(params, pi_prime.satake, order + shift)
+    factor = EulerFactor(roots)
+    return _report(_hooked(sums, params, pi_prime.satake, order), factor, {
         "n": n,
         "m": m,
         "r": r,
         "q": "symbolic" if rep.q is None else str(rep.q),
         "roots": "[" + ", ".join(factor.root_texts()) + "]",
-    }, passed)
+    }, holds and not shift)
 
 
 def cauchy_check(n: int, m: int, params_x: Sequence[Scalar],
@@ -261,7 +212,8 @@ def cauchy_check(n: int, m: int, params_x: Sequence[Scalar],
 
     Expands the lattice sum for a rank-n and a rank-m unramified pair and
     compares it with the expansion of the product over all x_i * y_j; this
-    is the truncated Cauchy identity routed through the full engine.
+    is the truncated Cauchy identity routed through the full engine, with
+    the same cross-check of the roots as verify_essential.
     """
     params_x = tuple(Scalar.of(v) for v in params_x)
     params_y = tuple(Scalar.of(v) for v in params_y)
@@ -270,8 +222,9 @@ def cauchy_check(n: int, m: int, params_x: Sequence[Scalar],
     if not 1 <= m <= n:
         raise BadRanks(f"need 1 <= m <= n, got n={n}, m={m}")
     x, y = UnramifiedLanglandsRep(params_x), UnramifiedLanglandsRep(params_y)
-    lhs, factor, passed = _sides(x.satake, y.satake, order)
-    return _report(lhs, factor, {"n": n, "m": m, "kind": "unramified-pairing"}, passed)
+    sums, roots, holds = _cauchy_identity(x.satake, y.satake, order)
+    return _report(TruncatedSeries(order, sums), EulerFactor(roots),
+                   {"n": n, "m": m, "kind": "unramified-pairing"}, holds)
 
 
 def cauchy_term_count(n: int, m: int, k: int) -> int:

@@ -13,12 +13,12 @@ rseng's lattice sum pair two tables of the partitions of bounded size and
 length (_cauchy_sums); a single value s_lam fills the partitions
 contained in lam; and h_k = s_(k) is read off the table of the one-row
 ideal (0), ..., (k) (_h_table), for complete_homogeneous, the
-Jacobi-Trudi determinant, ringcore.euler_expand and rseng's rational
-checks.  This module alone decides the ring: when every value is rational
-a table runs in Python ints, scaled by the lcm of the denominators
-(_scaled_ints), and int tuples run at scale 1, so a rational check can
-hold both sides of the Cauchy identity in ints (_cauchy_ints and the int
-h_k); otherwise a table runs in plain terms maps on the tuple's union
+Jacobi-Trudi determinant, ringcore.euler_expand and _cauchy_identity,
+which decides the Cauchy identity for rseng and the CLI spot-check.  This
+module alone decides the ring: when every value is rational a table runs
+in Python ints, scaled by the lcm of the denominators (_scaled_ints), so
+a rational pair holds both sides and the roots in the ints of one scale;
+otherwise a table runs in plain terms maps on the tuple's union
 alphabet, each step adding a product into an entry in place, with a
 Scalar built only for a value read out.  schur is the one entry point:
 the Jacobi-Trudi determinant in complete homogeneous polynomials and the
@@ -37,9 +37,9 @@ from math import lcm
 from operator import ge, mul
 from typing import Iterable, Iterator, Sequence
 
-from .errors import DivisionByZero, UnsupportedWeight
+from .errors import DivisionByZero, InvariantViolation, UnsupportedWeight
 from .packing import _add_product, _aligned, _finished, _repack, _union, _unpack, _width
-from .ringcore import _ONE, _ZERO, Scalar
+from .ringcore import _ONE, _ZERO, Scalar, _counts
 
 ALGORITHMS = ("branching", "jacobi-trudi", "bialternant")
 
@@ -299,26 +299,26 @@ class _SchurTable:
     otherwise at y = x, D = 1, in packing terms maps over the alphabet
     self.names (None for ints) at the field width self.width, which holds
     every exponent up to self.bound, each step adding x_k times one map
-    into another in place (packing._add_product).  scale is D and values
-    the raw values at y, in the order of ideal.states (at scale 1 for an
-    int tuple, as _cauchy_ints and rseng's rational checks use them); a
-    Scalar is built only for a value read out (value, scalars, or a whole
-    sum of products in _cauchy_sums).
+    into another in place (packing._add_product).  scale is D, ints the
+    point y as ints (None for terms maps), and values the raw values at
+    y, in the order of ideal.states; a Scalar is built only for a value
+    read out (value, scalars, or a whole sum of products in
+    _cauchy_tables).
     """
 
-    __slots__ = ("ideal", "scale", "values", "names", "width", "bound")
+    __slots__ = ("ideal", "scale", "ints", "values", "names", "width", "bound")
 
     def __init__(self, vars_key: Sequence, ideal: _OrderIdeal, top: tuple = ()):
         size = len(ideal.states)
         scaled = _scaled_ints(vars_key)
         if scaled:
-            self.scale, xs = scaled
-            self.names, self.width, self.bound = None, None, 0
+            self.scale, self.ints = scaled
+            self.names, self.width, self.bound, xs = None, None, 0, self.ints
             values = [1] + [0] * (size - 1)
         else:
             # a value is a sum of products of |lam| factors, and the last
             # state has the largest size
-            self.scale = 1
+            self.scale, self.ints = 1, None
             self.names, self.width, self.bound, xs = _aligned(vars_key, sum(ideal.states[-1]))
             values = [{0: 1}] + [{} for _ in range(size - 1)]
         n, length, states = len(xs), len(ideal.cap), ideal.states
@@ -384,37 +384,33 @@ def _h_table(values: Sequence, order: int) -> _SchurTable:
     return _SchurTable(values, _order_ideal((order,), order))
 
 
-def _cauchy_ints(xs: Sequence[int], ys: Sequence[int], order: int) -> list:
-    """[L_0, ..., L_order] for int tuples, L_k the sum of s_lam(xs) * s_lam(ys) over |lam| = k.
+def _int_sums(x: _SchurTable, y: _SchurTable) -> list:
+    """[L_0, ..., L_order] of two int tables on one ideal sorted by size,
+    L_k the dot product of their slices of size k: (x.scale * y.scale)^k
+    times the Cauchy sum c_k of the two tuples."""
+    starts, u, v = x.ideal.starts, x.values, y.values
+    return [sum(map(mul, u[a:b], v[a:b])) for a, b in zip(starts, starts[1:])]
 
-    Two int tables over the partitions of size <= order with at most
-    min(len(xs), len(ys)) parts, sorted by size, so L_k is the dot product
-    of their slices of size k.  At rational points X = Sx * x and Y = Sy * y
-    this is (Sx * Sy)^k times the Cauchy sum of x and y.
+
+def _cauchy_tables(xs: Sequence, ys: Sequence, order: int) -> tuple:
+    """(sums, rational) read off the Schur tables of xs and ys, filled for
+    this call only over the partitions of size <= order with at most
+    min(len(xs), len(ys)) parts, sorted by size: sums = [c_0, ..., c_order],
+    c_k the sum of s_lam(xs) * s_lam(ys) over the partitions lam of k, and
+    rational = (L, X, Y, S) when both tables run in ints, else None.
+
+    Two int tables, at the int points X = x.ints and Y = y.ints, give
+    L = _int_sums and c_k = L_k / S^k, S = x.scale * y.scale.  Otherwise
+    both tables are moved value by value onto the union alphabet, at a
+    width holding the sum of their bounds, and c_k adds the products of
+    their slices of size k into one map in place.
     """
-    ideal = _order_ideal((order,) * min(len(xs), len(ys)), order)
-    x, y, starts = _SchurTable(xs, ideal).values, _SchurTable(ys, ideal).values, ideal.starts
-    return [sum(map(mul, x[a:b], y[a:b])) for a, b in zip(starts, starts[1:])]
-
-
-def _cauchy_sums(xs: Sequence[Scalar], ys: Sequence[Scalar], order: int) -> list:
-    """[c_0, ..., c_order], c_k the sum of s_lam(xs) * s_lam(ys) over the partitions lam of k.
-
-    When both tuples are rational, c_k is _cauchy_ints of the scaled
-    tuples divided once by the scale to the power k.  Otherwise two
-    tables are filled for this call only over the partitions of size <=
-    order with at most min(len(xs), len(ys)) parts, sorted by size, and
-    moved value by value onto the union alphabet, at a width holding the
-    sum of their bounds; c_k adds the products of their slices of size k
-    into one map in place.
-    """
-    sx, sy = _scaled_ints(xs), _scaled_ints(ys)
-    if sx and sy:
-        scale = sx[0] * sy[0]
-        return [Scalar.rational(c, scale ** k)
-                for k, c in enumerate(_cauchy_ints(sx[1], sy[1], order))]
     ideal = _order_ideal((order,) * min(len(xs), len(ys)), order)
     x, y = _SchurTable(xs, ideal), _SchurTable(ys, ideal)
+    if x.ints is not None and y.ints is not None:
+        lattice, scale = _int_sums(x, y), x.scale * y.scale
+        return ([Scalar.rational(c, scale ** k) for k, c in enumerate(lattice)],
+                (lattice, x.ints, y.ints, scale))
     names = _union(x.names or (), y.names or ())
     bound = x.bound + y.bound
     w = _width(bound)
@@ -433,7 +429,44 @@ def _cauchy_sums(xs: Sequence[Scalar], ys: Sequence[Scalar], order: int) -> list
             _add_product(out, u, v)
         c = Scalar(*_finished(out, names, w, bound))
         sums.append(c if den == 1 else c * Scalar.rational(1, den))
-    return sums
+    return sums, None
+
+
+def _cauchy_sums(xs: Sequence, ys: Sequence, order: int) -> list:
+    """[c_0, ..., c_order], c_k the sum of s_lam(xs) * s_lam(ys) over the partitions lam of k."""
+    return _cauchy_tables(xs, ys, order)[0]
+
+
+def _check_roots(roots: list, theorem: list) -> None:
+    """Raise unless l_factor's roots and theorem_product's order of them agree as multisets."""
+    if _counts(roots) != _counts(theorem):
+        raise InvariantViolation("l_factor and theorem_product disagree")
+
+
+def _cauchy_identity(xs: Sequence, ys: Sequence, order: int) -> tuple:
+    """(sums, roots, holds): the Cauchy sums of xs and ys through t^order,
+    the roots x * y, x outer (l_factor's order), and whether
+    sums[k] = h_k(roots) for every k (Macdonald I.(4.3)).
+
+    The roots are first checked against theorem_product's order, y outer.
+    A rational pair runs in the ints of one scale (_cauchy_tables' L, X, Y
+    and S): the roots are R = X_i * Y_j, the Euler side V_k = S^k h_k(R / S)
+    comes from the one-row int table of R, and holds is L == V; only the
+    returned Scalar.rational(L_k, S^k) and Scalar.rational(R, S) are built.
+    Otherwise the roots are Scalar products and the sums are compared with
+    their one-row table's Scalars.
+    """
+    sums, rational = _cauchy_tables(xs, ys, order)
+    if rational is None:
+        xs, ys = tuple(map(Scalar.of, xs)), tuple(map(Scalar.of, ys))
+    else:
+        lattice, xs, ys, scale = rational
+    roots = [a * b for a in xs for b in ys]
+    _check_roots(roots, [b * a for b in ys for a in xs])
+    h = _h_table(roots, order)
+    if rational is None:
+        return sums, roots, sums == h.scalars()
+    return sums, [Scalar.rational(c, scale) for c in roots], lattice == h.values
 
 
 def schur(shape, variables: Sequence, algorithm: str = "branching") -> Scalar:

@@ -390,15 +390,16 @@ def test_exit_one_iff_report_fails(tmp_path):
 
 
 def test_internal_invariant_violation_exit_three(tmp_path, capsys, monkeypatch):
-    # theorem_product's construction of the roots loses one, on symbolic
-    # Scalars and on the ints of a rational check alike
-    import whittaker.rseng as rseng
-
+    # theorem_product's order of the roots loses one, on symbolic Scalars
+    # and on the ints of a rational check alike, in verify and cauchy
     rep = _write(tmp_path, "rep.json", RANK2)
-    theorem_roots = rseng._theorem_roots
-    monkeypatch.setattr(rseng, "_theorem_roots", lambda xs, ys: theorem_roots(xs, ys)[1:])
-    for satake in ("w1", "7,1/11"):
-        assert main(["verify", "--rep", rep, "--satake-prime", satake]) == 3
+    check_roots = symfunc._check_roots
+    monkeypatch.setattr(symfunc, "_check_roots",
+                        lambda roots, theorem: check_roots(roots, theorem[1:]))
+    for argv in (["verify", "--rep", rep, "--satake-prime", "w1"],
+                 ["verify", "--rep", rep, "--satake-prime", "7,1/11"],
+                 ["cauchy", "--n", "2", "--m", "2"]):
+        assert main(argv) == 3
         captured = capsys.readouterr()
         assert "l_factor and theorem_product disagree" in captured.err
         assert captured.out == ""
@@ -437,15 +438,54 @@ def test_spot_check_catches_a_fault_shared_by_both_series(tmp_path, capsys, monk
 
 
 def test_spot_check_compares_both_recomputations(tmp_path, capsys, monkeypatch):
-    # the lattice recomputation is right and the Euler one loses a root
-    import whittaker.cli as cli
+    # the lattice recomputation is right and the Euler one, the only int h
+    # table of a symbolic run, is off at t^2
+    h_table = symfunc._h_table
 
-    root_products = cli._root_products
-    monkeypatch.setattr(cli, "_root_products", lambda xs, ys: root_products(xs, ys)[1:])
+    def corrupted(values, order):
+        table = h_table(values, order)
+        if table.ints is not None:
+            table.values[2] += 1
+        return table
+
+    monkeypatch.setattr(symfunc, "_h_table", corrupted)
     rep = _write(tmp_path, "rep.json", SYMBOLIC)
     assert main(["verify", "--rep", rep, "--satake-prime", "b1,b2", "--degree", "4"]) == 3
     captured = capsys.readouterr()
     assert "result: pass" in captured.out and "invariant" in captured.err
+
+
+def test_a_list_that_starts_negative_is_read_in_the_equals_form(tmp_path, capsys):
+    # argparse takes "-2" for a value but "-2,3" or "-1/2" for an option
+    # name; "--option=-2,3", the form the help strings give, reads any value
+    from whittaker.whitfun import essential_value, spherical_value
+
+    rep = _write(tmp_path, "rep.json", RANK2)
+    half = UnramifiedLanglandsRep((Scalar.rational(-1, 2),))
+    cases = [
+        (["spherical", "--weight", "1,0"], "--satake", "-2,3",
+         [str(spherical_value((Scalar.of(-2), Scalar.of(3)), (1, 0)))]),
+        (["spherical", "--satake", "2,3"], "--weight", "-1,0",
+         [str(spherical_value((Scalar.of(2), Scalar.of(3)), (-1, 0)))]),
+        (["essential", "--rep", rep], "--weight", "-1,0",
+         [str(essential_value(parse_rep(RANK2), (-1, 0)))]),
+        (["verify", "--rep", rep, "--degree", "3"], "--satake-prime", "-1/2",
+         verify_essential(parse_rep(RANK2), half, 3).summary_lines()),
+    ]
+    for argv, option, value, lines in cases:
+        assert main([*argv, f"{option}={value}"]) == 0
+        assert capsys.readouterr().out.splitlines() == lines
+        # a version of argparse that reads the value as a number gives the
+        # same lines; this one stops with its usage error
+        code = main([*argv, option, value])
+        captured = capsys.readouterr()
+        if code:
+            assert (code, captured.out) == (2, "")
+            assert f"argument {option}: expected one argument" in captured.err
+        else:
+            assert captured.out.splitlines() == lines
+    assert main(["spherical", "--satake", "-2", "--weight", "1"]) == 0
+    assert capsys.readouterr().out == "-2\n"
 
 
 def test_one_parser_serves_every_call_like_a_fresh_process(tmp_path, capsys, monkeypatch):

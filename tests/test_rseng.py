@@ -11,6 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import whittaker.rseng as rseng
+from whittaker import symfunc
 from whittaker.errors import BadRanks, Unsupported
 from whittaker.repdata import UnramifiedLanglandsRep, compute_piu, parse_rep, parse_scalar_atom
 from whittaker.ringcore import (EulerFactor, Scalar, TruncatedSeries, euler_expand, series_equal,
@@ -18,8 +19,8 @@ from whittaker.ringcore import (EulerFactor, Scalar, TruncatedSeries, euler_expa
 from whittaker.rseng import (VerificationReport, cauchy_check, cauchy_term_count, l_factor,
                              rs_series, theorem_product, verify_essential)
 from whittaker.suite import generate_suite, make_pi_prime
-from whittaker.symfunc import (Partition, _order_ideal, _SchurTable, complete_homogeneous,
-                               partitions_up_to, schur, schur_ssyt_oracle)
+from whittaker.symfunc import (Partition, _cauchy_sums, _order_ideal, _SchurTable,
+                               complete_homogeneous, partitions_up_to, schur, schur_ssyt_oracle)
 from whittaker.whitfun import _delta_half_exponent, delta_half, essential_value, spherical_value
 
 STEINBERG = parse_rep({"q": "3", "segments": [
@@ -208,7 +209,7 @@ def test_no_nonpartition_weight_contributes():
 
 
 def test_lattice_u_exponents_cancel():
-    # _lattice_series leaves u out: at every lattice point the two
+    # rs_series leaves u out: at every lattice point the two
     # delta_half exponents, the essential twist and the inverse modulus
     # with its twist u^((n - m)|lam|) add up to 0
     for n in range(1, 9):
@@ -237,7 +238,7 @@ def test_lattice_read_out_is_the_cauchy_sum(params, satake, order):
     # each coefficient is read off the two tables' slices of one degree;
     # the oracle sums Jacobi-Trudi products over the same partitions, for
     # rational, symbolic and mixed tuples on either side
-    series = rseng._lattice_series(params, satake, order)
+    sums = _cauchy_sums(params, satake, order)
     length = min(len(params), len(satake))
     for k in range(order + 1):
         expected = Scalar.of(0)
@@ -247,7 +248,7 @@ def test_lattice_read_out_is_the_cauchy_sum(params, satake, order):
                 continue
             expected = expected + (schur(parts, params, "jacobi-trudi")
                                    * schur(parts, satake, "jacobi-trudi"))
-        assert series.coeffs[k] == expected, k
+        assert sums[k] == expected, k
 
 
 # --- the in-place sums against the Scalar operator loops they replaced ---------------
@@ -320,14 +321,45 @@ _IN_PLACE_TUPLES = st.lists(_IN_PLACE_VALUES, min_size=1, max_size=3)
 def test_in_place_sums_match_the_operator_loops(params, satake, order):
     # symbolic, mixed and Fraction tuples, names shared by the two tuples,
     # and wide values, through all three rewritten loops
-    assert _same(rseng._lattice_series(params, satake, order).coeffs,
-                 _operator_lattice(params, satake, order))
+    assert _same(_cauchy_sums(params, satake, order), _operator_lattice(params, satake, order))
     roots = [x * y for x in params for y in satake if x and y]
     assert _same(euler_expand(EulerFactor(roots), order).coeffs, _operator_h(roots, order))
     for shape in partitions_up_to(order, len(params)):
         parts = shape.parts
         table = _operator_table(params, _order_ideal(parts, shape.size), parts)
         assert _same([schur(parts, params)], [table[-1]]), parts
+
+
+_PAIR_TUPLES = st.one_of(_TUPLES, _IN_PLACE_TUPLES)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_PAIR_TUPLES, _PAIR_TUPLES, st.integers(0, 4), st.data())
+@example([Scalar.of(2), Scalar.rational(-1, 3)], [Scalar.rational(1, 11)], 3, None)
+@example([_a, Scalar.rational(1, 2)], [Scalar.of(3)], 3, None)
+def test_cauchy_identity_decides_on_every_kind_of_pair(params, satake, order, data):
+    # rational pairs decide in ints, symbolic and mixed ones on Scalars;
+    # a fault in one degree of the sums, in the ints and the Scalars alike,
+    # must turn holds False on either path
+    sums, roots, holds = symfunc._cauchy_identity(params, satake, order)
+    assert _same(sums, _operator_lattice(params, satake, order))
+    assert _same(roots, [x * y for x in params for y in satake])
+    assert holds
+    k = data.draw(st.integers(0, order), label="k") if data else order
+    tables = symfunc._cauchy_tables
+
+    def corrupted(xs, ys, top):
+        sums, rational = tables(xs, ys, top)
+        sums[k] = sums[k] + 1
+        if rational is not None:
+            rational[0][k] += 1
+        return sums, rational
+
+    symfunc._cauchy_tables = corrupted
+    try:
+        assert not symfunc._cauchy_identity(params, satake, order)[2]
+    finally:
+        symfunc._cauchy_tables = tables
 
 
 def test_in_place_h_convolution_of_a_wide_root():
@@ -593,7 +625,7 @@ def test_integrality_hook_at_full_rank_matches_its_definition():
 # --- the rational route against the Scalar route --------------------------------------
 #
 # A rational verify_essential or cauchy_check runs in the ints of one scale
-# (rseng._sides) and builds Scalars only for its report.  The oracle is the
+# (symfunc._cauchy_identity) and builds Scalars only for its report.  The oracle is the
 # Scalar route: series_equal on the Scalars of euler_expand, with the report
 # made from its first mismatch, and the lattice sum as Scalar operator loops.
 
@@ -717,14 +749,14 @@ def test_symbolic_factors_keep_the_scalar_comparison():
 def test_a_fault_in_the_int_lattice_sums_fails_through_the_scalar_route(monkeypatch):
     # the int comparison sees L != V, and the report is made as the Scalar
     # route makes it, from the corrupted series
-    cauchy_ints = rseng._cauchy_ints
+    int_sums = symfunc._int_sums
 
-    def corrupted(xs, ys, order):
-        sums = cauchy_ints(xs, ys, order)
+    def corrupted(x, y):
+        sums = int_sums(x, y)
         sums[3] += 1
         return sums
 
-    monkeypatch.setattr(rseng, "_cauchy_ints", corrupted)
+    monkeypatch.setattr(symfunc, "_int_sums", corrupted)
     pp = UnramifiedLanglandsRep((Scalar.of(7), Scalar.rational(1, 11)))
     xs = (Scalar.of(2), Scalar.rational(-1, 3))
     for report, factor in ((verify_essential(RANK2_UNRAM, pp, 6), l_factor(RANK2_UNRAM, pp)),

@@ -1,5 +1,6 @@
-"""Command-line arguments of the scripts under scripts/: bad values exit 2."""
+"""The scripts under scripts/: bad arguments exit 2, tiny runs pass, mutation anchors match."""
 
+import importlib.util
 import os
 import subprocess
 import sys
@@ -43,3 +44,14 @@ def test_tiny_runs_pass(script, argv, last):
     done = _run(script, *argv)
     assert done.returncode == 0, done.stderr
     assert last in done.stdout.splitlines()[-1]
+
+
+def test_every_mutation_anchor_occurs_once_in_src():
+    # scripts/mutation_check.py runs outside tier-1; its anchors must keep
+    # matching the code, or a mutant would silently test nothing
+    spec = importlib.util.spec_from_file_location("mutation_check",
+                                                  ROOT / "scripts" / "mutation_check.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    assert module.MUTATIONS
+    assert module.anchor_problems() == []
