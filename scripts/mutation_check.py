@@ -65,11 +65,9 @@ MUTATIONS = [
              ("tests/test_whitfun.py", "tests/test_rseng.py")),
     # the Cauchy identity route (symfunc._cauchy_identity) and its callers
     Mutation("holds-forced-true-scalars", "whittaker/symfunc.py",
-             "return sums, roots, sums == h.scalars()", "return sums, roots, True",
-             IDENTITY_TESTS),
+             "not shift and sums == rhs else rhs", "not shift else rhs", IDENTITY_TESTS),
     Mutation("holds-forced-true-ints", "whittaker/symfunc.py",
-             "for c in roots], lattice == h.values", "for c in roots], True",
-             IDENTITY_TESTS),
+             "if not shift and lattice == euler:", "if not shift:", IDENTITY_TESTS),
     Mutation("sums-scaled-by-s-to-the-k-plus-one", "whittaker/symfunc.py",
              "scale ** k) for k, c in enumerate(lattice)]",
              "scale ** (k + 1)) for k, c in enumerate(lattice)]", IDENTITY_TESTS),
@@ -79,21 +77,34 @@ MUTATIONS = [
     Mutation("map-slice-drops-a-term", "whittaker/symfunc.py",
              "zip(x.values[a:b], y.values[a:b])", "zip(x.values[a + 1:b], y.values[a + 1:b])",
              IDENTITY_TESTS),
-    Mutation("cross-check-removed", "whittaker/symfunc.py",
-             "if _counts(roots) != _counts(theorem):", "if False:", CLI_TESTS),
     Mutation("spot-check-ignores-holds", "whittaker/cli.py",
-             "if not holds or [c.as_fraction() for c in sums]",
+             "if rhs is not None or [c.as_fraction() for c in sums]",
              "if [c.as_fraction() for c in sums]", CLI_TESTS),
     Mutation("spot-check-ignores-sums", "whittaker/cli.py",
              "[c.as_fraction() for c in sums] != at_point(lhs.coeffs):", "False:", CLI_TESTS),
     Mutation("roots-scaled-by-2s", "whittaker/symfunc.py",
-             "[Scalar.rational(c, scale) for c in roots]",
-             "[Scalar.rational(c, 2 * scale) for c in roots]", IDENTITY_TESTS),
+             "[Scalar.rational(c, scale) for c in ints]",
+             "[Scalar.rational(c, 2 * scale) for c in ints]", IDENTITY_TESTS),
     Mutation("hook-unit-inverted", "whittaker/rseng.py",
              "unit = unit / v ** _NEGATIVE_DEPTH", "unit = unit * v ** _NEGATIVE_DEPTH",
              ("tests/test_rseng.py",)),
+    # the shifted check decided as an unshifted one through order + shift,
+    # where the sides agree
     Mutation("hook-trusts-holds", "whittaker/rseng.py",
-             "holds and not shift", "holds", ("tests/test_rseng.py", "tests/test_cli.py")),
+             "_cauchy_identity(params, pi_prime.satake, order, shift)",
+             "_cauchy_identity(params, pi_prime.satake, order + shift)",
+             ("tests/test_rseng.py", "tests/test_cli.py")),
+    # the reduction from the integral to the Cauchy sum (ROADMAP item 16)
+    Mutation("hook-depth-3", "whittaker/rseng.py",
+             "_NEGATIVE_DEPTH = 2", "_NEGATIVE_DEPTH = 3", IDENTITY_TESTS),
+    Mutation("hook-shifts-at-m-below-r", "whittaker/rseng.py",
+             "(rs_series)\n    shift = _NEGATIVE_DEPTH * m if drop_integrality and m == r else 0",
+             "(rs_series)\n    shift = _NEGATIVE_DEPTH * m if drop_integrality and m <= r else 0",
+             IDENTITY_TESTS),
+    Mutation("first-unramified-top-dropped", "whittaker/repdata.py",
+             'tops = tuple(s.top.value for s in segments if s.kind == "unramified")',
+             'tops = tuple(s.top.value for s in segments if s.kind == "unramified")[1:]',
+             IDENTITY_TESTS),
 ]
 
 

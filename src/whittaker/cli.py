@@ -21,8 +21,8 @@ from typing import Optional, Sequence, Tuple
 
 from .errors import ConfigError, InvariantViolation, WhittakerError
 from .repdata import GenericRep, UnramifiedLanglandsRep, compute_piu, parse_rep, parse_scalar_atom
-from .ringcore import Scalar
-from .rseng import VerificationReport, cauchy_check, euler_expand, l_factor, verify_essential
+from .ringcore import Scalar, euler_expand
+from .rseng import VerificationReport, cauchy_check, l_factor, verify_essential
 from .symfunc import ALGORITHMS, Partition, _cauchy_identity, schur
 from .whitfun import essential_value, spherical_value
 
@@ -117,8 +117,8 @@ def _spot_check(report: VerificationReport, seed: int, params: Sequence[Scalar],
     def at_point(values):
         return [c.as_fraction() if c.is_rational() else c.substitute(bindings) for c in values]
 
-    sums, _, holds = _cauchy_identity(at_point(params), at_point(satake_prime), lhs.order)
-    if not holds or [c.as_fraction() for c in sums] != at_point(lhs.coeffs):
+    sums, _, rhs = _cauchy_identity(at_point(params), at_point(satake_prime), lhs.order)
+    if rhs is not None or [c.as_fraction() for c in sums] != at_point(lhs.coeffs):
         raise InvariantViolation("numeric recomputation disagrees with the symbolic series")
     return f"numeric spot-check (seed {seed}): pass"
 

@@ -11,10 +11,11 @@ Every power of u cancels in a lattice term (rs_series), so the lattice
 sum is the Cauchy sum of the two tuples, sum_lam s_lam(params)
 s_lam(satake) by degree, and the Euler factor's expansion is h_k of its
 roots x_i * y_j (Macdonald I.(4.3)).  symfunc._cauchy_identity computes
-both sides and the roots, cross-checks the roots' two orders and decides
-whether the sides agree, in the ring it chooses (the ints of one scale
-for a rational pair); this module only builds the reports, and _report
-locates the first mismatch of a failing one.
+both sides and the roots in one pass and decides whether the sides agree,
+in the ring it chooses (the ints of one scale for a rational pair),
+handing back the Euler side's coefficients when they do not; this module
+only builds the reports, and _report locates the first mismatch of a
+failing one.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from typing import Optional, Sequence, Tuple, Union
 
 from .errors import BadRanks, InvariantViolation, Unsupported
 from .repdata import GenericRep, UnramifiedLanglandsRep, compute_piu
-from .ringcore import EulerFactor, Scalar, TruncatedSeries, euler_expand, series_equal
+from .ringcore import EulerFactor, Scalar, TruncatedSeries
 from .symfunc import _cauchy_identity, _cauchy_sums
 
 LeftInput = Union[GenericRep, UnramifiedLanglandsRep]
@@ -161,22 +162,19 @@ def _hooked(sums: list, params: Sequence[Scalar], satake: Sequence[Scalar],
     return TruncatedSeries(order, [unit * c for c in sums[shift:]])
 
 
-def _report(lhs: TruncatedSeries, factor: EulerFactor, metadata: dict,
-            passed: bool = False) -> VerificationReport:
-    """The report comparing lhs with the expansion of factor through lhs.order.
+def _report(lhs: TruncatedSeries, rhs: Optional[list], metadata: dict) -> VerificationReport:
+    """The report comparing lhs with rhs, the Euler side's coefficients
+    through lhs.order, or None when _cauchy_identity found the two equal.
 
-    passed says that _cauchy_identity found the two equal; otherwise
-    euler_expand expands factor and series_equal locates the first
-    mismatch, if any.  Equal values are interchangeable, so a passing
-    report keeps lhs as both series; a failing one shows the expansion.
+    Equal values are interchangeable, so a passing report keeps lhs as
+    both series; a failing one shows rhs and its first mismatch.
     """
     order = lhs.order
-    if not passed:
-        rhs = euler_expand(factor, order)
-        k = series_equal(lhs, rhs, order)
-        if k is not None:
-            return VerificationReport(False, order, (k, lhs.coeffs[k], rhs.coeffs[k]), lhs, rhs,
-                                      metadata)
+    if rhs is not None:
+        for k, (lc, rc) in enumerate(zip(lhs.coeffs, rhs)):
+            if lc != rc:
+                return VerificationReport(False, order, (k, lc, rc), lhs,
+                                          TruncatedSeries(order, rhs), metadata)
     return VerificationReport(True, order, None, lhs, lhs, metadata)
 
 
@@ -185,8 +183,8 @@ def verify_essential(rep: GenericRep, pi_prime: UnramifiedLanglandsRep,
     """Compare I(W_ess, W'_0, s) with L(pi, pi', s) exactly through t^order.
 
     Requires 1 <= m <= n-1, or m = n with an unramified representation.
-    Also cross-checks that the two Euler-factor constructions, l_factor's
-    and theorem_product's, agree as multisets (symfunc._cauchy_identity).
+    The Euler factor is l_factor's; symfunc._cauchy_identity fills its
+    expansion once, through t^order, hook or not.
     """
     n = rep.n
     m = pi_prime.rank
@@ -195,15 +193,14 @@ def verify_essential(rep: GenericRep, pi_prime: UnramifiedLanglandsRep,
         raise BadRanks(f"need 1 <= m <= n-1 (or m = n unramified); got n={n}, m={m}, r={r}")
     # the integrality hook shifts the series only at m = r (rs_series)
     shift = _NEGATIVE_DEPTH * m if drop_integrality and m == r else 0
-    sums, roots, holds = _cauchy_identity(params, pi_prime.satake, order + shift)
-    factor = EulerFactor(roots)
-    return _report(_hooked(sums, params, pi_prime.satake, order), factor, {
+    sums, roots, rhs = _cauchy_identity(params, pi_prime.satake, order, shift)
+    return _report(_hooked(sums, params, pi_prime.satake, order), rhs, {
         "n": n,
         "m": m,
         "r": r,
         "q": "symbolic" if rep.q is None else str(rep.q),
-        "roots": "[" + ", ".join(factor.root_texts()) + "]",
-    }, holds and not shift)
+        "roots": "[" + ", ".join(EulerFactor(roots).root_texts()) + "]",
+    })
 
 
 def cauchy_check(n: int, m: int, params_x: Sequence[Scalar],
@@ -212,8 +209,8 @@ def cauchy_check(n: int, m: int, params_x: Sequence[Scalar],
 
     Expands the lattice sum for a rank-n and a rank-m unramified pair and
     compares it with the expansion of the product over all x_i * y_j; this
-    is the truncated Cauchy identity routed through the full engine, with
-    the same cross-check of the roots as verify_essential.
+    is the truncated Cauchy identity routed through the same
+    symfunc._cauchy_identity as verify_essential.
     """
     params_x = tuple(Scalar.of(v) for v in params_x)
     params_y = tuple(Scalar.of(v) for v in params_y)
@@ -222,9 +219,9 @@ def cauchy_check(n: int, m: int, params_x: Sequence[Scalar],
     if not 1 <= m <= n:
         raise BadRanks(f"need 1 <= m <= n, got n={n}, m={m}")
     x, y = UnramifiedLanglandsRep(params_x), UnramifiedLanglandsRep(params_y)
-    sums, roots, holds = _cauchy_identity(x.satake, y.satake, order)
-    return _report(TruncatedSeries(order, sums), EulerFactor(roots),
-                   {"n": n, "m": m, "kind": "unramified-pairing"}, holds)
+    sums, _, rhs = _cauchy_identity(x.satake, y.satake, order)
+    return _report(TruncatedSeries(order, sums), rhs,
+                   {"n": n, "m": m, "kind": "unramified-pairing"})
 
 
 def cauchy_term_count(n: int, m: int, k: int) -> int:

@@ -14,8 +14,9 @@ length (_cauchy_sums); a single value s_lam fills the partitions
 contained in lam; and h_k = s_(k) is read off the table of the one-row
 ideal (0), ..., (k) (_h_table), for complete_homogeneous, the
 Jacobi-Trudi determinant, ringcore.euler_expand and _cauchy_identity,
-which decides the Cauchy identity for rseng and the CLI spot-check.  This
-module alone decides the ring: when every value is rational a table runs
+which decides the Cauchy identity for rseng and the CLI spot-check and
+returns a failing check's Euler side off that one table.  This module
+alone decides the ring: when every value is rational a table runs
 in Python ints, scaled by the lcm of the denominators (_scaled_ints), so
 a rational pair holds both sides and the roots in the ints of one scale;
 otherwise a table runs in plain terms maps on the tuple's union
@@ -37,9 +38,9 @@ from math import lcm
 from operator import ge, mul
 from typing import Iterable, Iterator, Sequence
 
-from .errors import DivisionByZero, InvariantViolation, UnsupportedWeight
+from .errors import DivisionByZero, UnsupportedWeight
 from .packing import _add_product, _aligned, _finished, _repack, _union, _unpack, _width
-from .ringcore import _ONE, _ZERO, Scalar, _counts
+from .ringcore import _ONE, _ZERO, Scalar
 
 ALGORITHMS = ("branching", "jacobi-trudi", "bialternant")
 
@@ -437,36 +438,33 @@ def _cauchy_sums(xs: Sequence, ys: Sequence, order: int) -> list:
     return _cauchy_tables(xs, ys, order)[0]
 
 
-def _check_roots(roots: list, theorem: list) -> None:
-    """Raise unless l_factor's roots and theorem_product's order of them agree as multisets."""
-    if _counts(roots) != _counts(theorem):
-        raise InvariantViolation("l_factor and theorem_product disagree")
+def _cauchy_identity(xs: Sequence, ys: Sequence, order: int, shift: int = 0) -> tuple:
+    """(sums, roots, rhs): the Cauchy sums of xs and ys through t^(order + shift),
+    the roots x * y, x outer (l_factor's order), and None when shift is 0
+    and sums[k] = h_k(roots) for every k (Macdonald I.(4.3)), else
+    h_0..h_order of the roots, the Euler side for the caller to compare.
 
-
-def _cauchy_identity(xs: Sequence, ys: Sequence, order: int) -> tuple:
-    """(sums, roots, holds): the Cauchy sums of xs and ys through t^order,
-    the roots x * y, x outer (l_factor's order), and whether
-    sums[k] = h_k(roots) for every k (Macdonald I.(4.3)).
-
-    The roots are first checked against theorem_product's order, y outer.
-    A rational pair runs in the ints of one scale (_cauchy_tables' L, X, Y
-    and S): the roots are R = X_i * Y_j, the Euler side V_k = S^k h_k(R / S)
-    comes from the one-row int table of R, and holds is L == V; only the
-    returned Scalar.rational(L_k, S^k) and Scalar.rational(R, S) are built.
-    Otherwise the roots are Scalar products and the sums are compared with
-    their one-row table's Scalars.
+    The roots' one-row table is filled once, through t^order.  A rational
+    pair runs in the ints of one scale (_cauchy_tables' L, X, Y and S): the
+    roots are R = X_i * Y_j, the Euler side V_k = S^k h_k(R / S) comes from
+    the one-row int table of R, and the sides agree when L == V; only the
+    returned Scalar.rational(L_k, S^k), Scalar.rational(R, S) and, for rhs,
+    Scalar.rational(V_k, S^k) are built.  Otherwise the roots are Scalar
+    products and the sums are compared with their table's Scalars.
     """
-    sums, rational = _cauchy_tables(xs, ys, order)
+    sums, rational = _cauchy_tables(xs, ys, order + shift)
     if rational is None:
         xs, ys = tuple(map(Scalar.of, xs)), tuple(map(Scalar.of, ys))
-    else:
-        lattice, xs, ys, scale = rational
-    roots = [a * b for a in xs for b in ys]
-    _check_roots(roots, [b * a for b in ys for a in xs])
-    h = _h_table(roots, order)
-    if rational is None:
-        return sums, roots, sums == h.scalars()
-    return sums, [Scalar.rational(c, scale) for c in roots], lattice == h.values
+        roots = [a * b for a in xs for b in ys]
+        rhs = _h_table(roots, order).scalars()
+        return sums, roots, None if not shift and sums == rhs else rhs
+    lattice, xs, ys, scale = rational
+    ints = [a * b for a in xs for b in ys]
+    euler = _h_table(ints, order).values
+    roots = [Scalar.rational(c, scale) for c in ints]
+    if not shift and lattice == euler:
+        return sums, roots, None
+    return sums, roots, [Scalar.rational(v, scale ** k) for k, v in enumerate(euler)]
 
 
 def schur(shape, variables: Sequence, algorithm: str = "branching") -> Scalar:

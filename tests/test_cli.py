@@ -390,18 +390,33 @@ def test_exit_one_iff_report_fails(tmp_path):
 
 
 def test_internal_invariant_violation_exit_three(tmp_path, capsys, monkeypatch):
-    # theorem_product's order of the roots loses one, on symbolic Scalars
-    # and on the ints of a rational check alike, in verify and cauchy
+    # a report whose pass flag contradicts its first mismatch, on symbolic
+    # Scalars and on the ints of a rational check alike, in verify and
+    # cauchy; and a derivative that derives an unramified segment's kept
+    # top away
+    from whittaker import repdata, rseng
+    from whittaker.rseng import VerificationReport
+
+    report, derived = rseng._report, repdata._derived_segment
+
+    def flipped(lhs, rhs, metadata):
+        done = report(lhs, rhs, metadata)
+        return VerificationReport(not done.passed, done.degree_checked, done.first_mismatch,
+                                  done.lhs_series, done.rhs_series, done.metadata)
+
+    monkeypatch.setattr(rseng, "_report", flipped)
+    monkeypatch.setattr(repdata, "_derived_segment",
+                        lambda seg, steps: derived(seg, min(steps + 1, seg.length)))
     rep = _write(tmp_path, "rep.json", RANK2)
-    check_roots = symfunc._check_roots
-    monkeypatch.setattr(symfunc, "_check_roots",
-                        lambda roots, theorem: check_roots(roots, theorem[1:]))
-    for argv in (["verify", "--rep", rep, "--satake-prime", "w1"],
-                 ["verify", "--rep", rep, "--satake-prime", "7,1/11"],
-                 ["cauchy", "--n", "2", "--m", "2"]):
+    flag = "pass flag inconsistent with first_mismatch"
+    for argv, message in ((["verify", "--rep", rep, "--satake-prime", "w1"], flag),
+                          (["verify", "--rep", rep, "--satake-prime", "7,1/11"], flag),
+                          (["cauchy", "--n", "2", "--m", "2"], flag),
+                          (["derivatives", "--rep", rep, "--order", "1"],
+                           "spherical subquotient does not match pi_u")):
         assert main(argv) == 3
         captured = capsys.readouterr()
-        assert "l_factor and theorem_product disagree" in captured.err
+        assert f"internal invariant violation: {message}" in captured.err
         assert captured.out == ""
 
 

@@ -11,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import whittaker.rseng as rseng
-from whittaker import symfunc
+from whittaker import ringcore, symfunc
 from whittaker.errors import BadRanks, Unsupported
 from whittaker.repdata import UnramifiedLanglandsRep, compute_piu, parse_rep, parse_scalar_atom
 from whittaker.ringcore import (EulerFactor, Scalar, TruncatedSeries, euler_expand, series_equal,
@@ -340,11 +340,11 @@ _PAIR_TUPLES = st.one_of(_TUPLES, _IN_PLACE_TUPLES)
 def test_cauchy_identity_decides_on_every_kind_of_pair(params, satake, order, data):
     # rational pairs decide in ints, symbolic and mixed ones on Scalars;
     # a fault in one degree of the sums, in the ints and the Scalars alike,
-    # must turn holds False on either path
-    sums, roots, holds = symfunc._cauchy_identity(params, satake, order)
+    # must return the Euler side on either path
+    sums, roots, rhs = symfunc._cauchy_identity(params, satake, order)
     assert _same(sums, _operator_lattice(params, satake, order))
     assert _same(roots, [x * y for x in params for y in satake])
-    assert holds
+    assert rhs is None
     k = data.draw(st.integers(0, order), label="k") if data else order
     tables = symfunc._cauchy_tables
 
@@ -357,7 +357,8 @@ def test_cauchy_identity_decides_on_every_kind_of_pair(params, satake, order, da
 
     symfunc._cauchy_tables = corrupted
     try:
-        assert not symfunc._cauchy_identity(params, satake, order)[2]
+        rhs = symfunc._cauchy_identity(params, satake, order)[2]
+        assert rhs is not None and _same(rhs, _operator_h(roots, order))
     finally:
         symfunc._cauchy_tables = tables
 
@@ -662,14 +663,15 @@ def test_rational_comparison_matches_series_equal(roots, order, data):
     # by a nonzero term in z (z^0 included), which leaves a z^e term's
     # constant term as it was
     factor = EulerFactor([Scalar.of(v) for v in roots])
-    coeffs = list(euler_expand(factor, order).coeffs)
+    rhs = euler_expand(factor, order).coeffs
+    coeffs = list(rhs)
     k = data.draw(st.integers(0, order))
     change = data.draw(st.sampled_from(["none", "rational", "symbolic"]))
     if change == "rational":
         coeffs[k] = coeffs[k] + Scalar.of(data.draw(VALUES))
     elif change == "symbolic":
         coeffs[k] = coeffs[k] + Scalar.of(data.draw(VALUES)) * _Z ** data.draw(st.integers(-2, 2))
-    report = rseng._report(TruncatedSeries(order, coeffs), factor, {"roots": len(roots)})
+    report = rseng._report(TruncatedSeries(order, coeffs), rhs, {"roots": len(roots)})
     assert report.passed == (change == "none")
     _assert_oracle_report(report, factor)
 
@@ -729,19 +731,21 @@ def test_empty_single_root_and_failing_reports_match_series_equal():
 
 def test_a_symbolic_coefficient_with_the_right_constant_term_is_a_mismatch():
     factor = EulerFactor([Scalar.rational(1, 2), Scalar.of(-3)])
-    coeffs = list(euler_expand(factor, 4).coeffs)
+    rhs = euler_expand(factor, 4).coeffs
+    coeffs = list(rhs)
     coeffs[2] = coeffs[2] + _Z
-    report = rseng._report(TruncatedSeries(4, coeffs), factor, {})
+    report = rseng._report(TruncatedSeries(4, coeffs), rhs, {})
     assert _mismatch_texts(report) == (2, "31/4 + z", "31/4")
     _assert_oracle_report(report, factor)
 
 
 def test_symbolic_factors_keep_the_scalar_comparison():
     factor = EulerFactor([W, Scalar.rational(2, 3)])
-    coeffs = list(euler_expand(factor, 3).coeffs)
-    assert rseng._report(TruncatedSeries(3, coeffs), factor, {}).passed
+    rhs = euler_expand(factor, 3).coeffs
+    coeffs = list(rhs)
+    assert rseng._report(TruncatedSeries(3, coeffs), rhs, {}).passed
     coeffs[3] = coeffs[3] + 1
-    report = rseng._report(TruncatedSeries(3, coeffs), factor, {})
+    report = rseng._report(TruncatedSeries(3, coeffs), rhs, {})
     assert report.first_mismatch[0] == 3
     _assert_oracle_report(report, factor)
 
@@ -766,13 +770,47 @@ def test_a_fault_in_the_int_lattice_sums_fails_through_the_scalar_route(monkeypa
         _assert_oracle_report(report, factor)
 
 
+def test_each_report_fills_the_roots_table_once_at_its_order(monkeypatch):
+    # the integrality hook at m = r, rational and symbolic, and a symbolic
+    # check whose sums are off at t^2: each report fills the roots' one-row
+    # table once, through its own order, and shows that table's Scalars as
+    # the expansion of the Euler factor
+    orders, h_table, tables = [], symfunc._h_table, symfunc._cauchy_tables
+
+    def counted(values, order):
+        orders.append(order)
+        return h_table(values, order)
+
+    def corrupted(xs, ys, top):
+        sums, rational = tables(xs, ys, top)
+        sums[2] = sums[2] + 1
+        return sums, rational
+
+    monkeypatch.setattr(symfunc, "_h_table", counted)
+    symbolic = _rep_with_tops(("a1", "a2"), 3)
+    bs = UnramifiedLanglandsRep((Scalar.variable("b1"), Scalar.variable("b2")))
+    pp = UnramifiedLanglandsRep((Scalar.of(7), Scalar.rational(1, 11)))
+    for rep, pi_prime, order, drop in ((RANK2_UNRAM, pp, 6, True), (symbolic, bs, 4, True),
+                                       (symbolic, bs, 4, False)):
+        if not drop:
+            monkeypatch.setattr(symfunc, "_cauchy_tables", corrupted)
+        orders.clear()
+        report = verify_essential(rep, pi_prime, order, drop_integrality=drop)
+        assert orders == [order]
+        assert not report.passed
+        roots = [x * y for x in compute_piu(rep)[1] for y in pi_prime.satake]
+        expected = euler_expand(EulerFactor(roots), order)
+        assert str(report.rhs_series) == str(expected)
+        assert _same(report.rhs_series.coeffs, expected.coeffs)
+
+
 def test_a_passing_rational_check_makes_no_scalar_of_the_euler_side(monkeypatch):
     # nor multiplies any Scalar: the roots, both sides and the comparison
     # are ints, and the report's Scalars are built as Scalar.rational
     def refuse(*args):
         raise AssertionError("a Scalar of the Euler side was made, or Scalars multiplied")
 
-    monkeypatch.setattr(rseng, "euler_expand", refuse)
+    monkeypatch.setattr(ringcore, "euler_expand", refuse)
     monkeypatch.setattr(_SchurTable, "_read", refuse)
     monkeypatch.setattr(Scalar, "__mul__", refuse)
     monkeypatch.setattr(Scalar, "__rmul__", refuse)
