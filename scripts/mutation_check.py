@@ -105,6 +105,11 @@ MUTATIONS = [
              'tops = tuple(s.top.value for s in segments if s.kind == "unramified")',
              'tops = tuple(s.top.value for s in segments if s.kind == "unramified")[1:]',
              IDENTITY_TESTS),
+    # printing: a passing report's rhs line formatted a second time (same
+    # bytes, twice the text in memory)
+    Mutation("rhs-formatted-again", "whittaker/rseng.py",
+             "rhs = lhs if self.rhs_series == self.lhs_series else str(self.rhs_series)",
+             "rhs = str(self.rhs_series)", ("tests/test_rseng.py",)),
 ]
 
 

@@ -125,8 +125,7 @@ def _spot_check(report: VerificationReport, seed: int, params: Sequence[Scalar],
 
 def _print_report(report: VerificationReport, seed: int, params: Sequence[Scalar],
                   satake_prime: Sequence[Scalar]) -> int:
-    for line in report.summary_lines():
-        print(line)
+    report.write_summary(sys.stdout.write)
     note = _spot_check(report, seed, params, satake_prime)
     if note:
         print(note)

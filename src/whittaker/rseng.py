@@ -15,7 +15,8 @@ both sides and the roots in one pass and decides whether the sides agree,
 in the ring it chooses (the ints of one scale for a rational pair),
 handing back the Euler side's coefficients when they do not; this module
 only builds the reports, and _report locates the first mismatch of a
-failing one.
+failing one.  A report is printed by VerificationReport.write_summary,
+which writes each series' text as it is, not copied into a line.
 """
 
 from __future__ import annotations
@@ -51,21 +52,33 @@ class VerificationReport:
         if self.passed != (self.first_mismatch is None):
             raise InvariantViolation("pass flag inconsistent with first_mismatch")
 
-    def summary_lines(self):
+    def write_summary(self, write) -> None:
+        """Write the report's lines, each ending in a newline, through calls
+        of write(text).
+
+        A series' text is written as it is, not copied into its line, and a
+        passing report formats its series once for the lhs and rhs lines.
+        """
         meta = " ".join(f"{k}={self.metadata[k]}" for k in sorted(self.metadata))
-        lines = [meta] if meta else []
+        if meta:
+            write(meta + "\n")
         # printing is a function of the canonical value, so equal series
         # (every passing report) are printed once
         lhs = str(self.lhs_series)
         rhs = lhs if self.rhs_series == self.lhs_series else str(self.rhs_series)
-        lines.append(f"lhs: {lhs}")
-        lines.append(f"rhs: {rhs}")
+        for text in ("lhs: ", lhs, "\nrhs: ", rhs, "\n"):
+            write(text)
         if self.passed:
-            lines.append(f"result: pass (exact through t^{self.degree_checked})")
+            write(f"result: pass (exact through t^{self.degree_checked})\n")
         else:
             k, lc, rc = self.first_mismatch
-            lines.append(f"result: FAIL first_mismatch=t^{k} lhs={lc} rhs={rc}")
-        return lines
+            write(f"result: FAIL first_mismatch=t^{k} lhs={lc} rhs={rc}\n")
+
+    def summary_lines(self) -> list:
+        """The lines that write_summary writes, without their newlines."""
+        chunks = []
+        self.write_summary(chunks.append)
+        return "".join(chunks).split("\n")[:-1]
 
 
 def l_factor(rep: GenericRep, pi_prime: UnramifiedLanglandsRep) -> EulerFactor:

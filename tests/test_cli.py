@@ -442,14 +442,41 @@ def test_spot_check_catches_a_fault_shared_by_both_series(tmp_path, capsys, monk
     for argv in argvs:
         assert main(argv) == 0
         assert "numeric spot-check (seed 0): pass" in capsys.readouterr().out
-    monkeypatch.setattr(cli, "verify_essential", lambda *a, **k: corrupted(verify(*a, **k)))
-    monkeypatch.setattr(cli, "cauchy_check", lambda *a: corrupted(cauchy(*a)))
+    reports = []
+
+    def kept(report):
+        reports.append(corrupted(report))
+        return reports[-1]
+
+    monkeypatch.setattr(cli, "verify_essential", lambda *a, **k: kept(verify(*a, **k)))
+    monkeypatch.setattr(cli, "cauchy_check", lambda *a: kept(cauchy(*a)))
     for argv in argvs:
         assert main(argv) == 3
         captured = capsys.readouterr()
+        # the whole report is on stdout before the spot-check fails, with
+        # no note after it
+        assert captured.out == "\n".join(reports[-1].summary_lines()) + "\n"
         assert "result: pass" in captured.out
-        assert "spot-check" not in captured.out
         assert "invariant" in captured.err
+
+
+def test_an_error_in_the_spot_check_exits_two_after_the_report(tmp_path, capsys, monkeypatch):
+    import whittaker.cli as cli
+    from whittaker.errors import PoleAtPoint
+
+    def pole(*args):
+        raise PoleAtPoint("spot-check point is a pole")
+
+    rep = _write(tmp_path, "rep.json", SYMBOLIC)
+    argv = ["verify", "--rep", rep, "--satake-prime", "b1,b2", "--degree", "4"]
+    assert main(argv) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-1] == "numeric spot-check (seed 0): pass"
+    monkeypatch.setattr(cli, "_spot_check", pole)
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out.splitlines() == lines[:-1]
+    assert captured.err == "error: spot-check point is a pole\n"
 
 
 def test_spot_check_compares_both_recomputations(tmp_path, capsys, monkeypatch):

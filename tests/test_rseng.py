@@ -1,5 +1,6 @@
 """Series expansion of the local integrals and the main-identity verifier."""
 
+import collections
 import itertools
 import json
 import random
@@ -828,3 +829,65 @@ def test_a_passing_rational_check_makes_no_scalar_of_the_euler_side(monkeypatch)
     for report in reports:
         assert report.passed
         assert report.summary_lines()[-1] == "result: pass (exact through t^6)"
+
+
+# --- writing a report ------------------------------------------------------------
+
+def _written(report):
+    chunks = []
+    report.write_summary(chunks.append)
+    return chunks
+
+
+def _writer_reports():
+    # passing and failing, symbolic and rational, and the integrality hook
+    symbolic = _rep_with_tops(("a1", "a2"), 3)
+    bs = UnramifiedLanglandsRep((Scalar.variable("b1"), Scalar.variable("b2")))
+    pp = UnramifiedLanglandsRep((Scalar.of(7), Scalar.rational(1, 11)))
+    xs = [Scalar.variable(f"x{i}") for i in (1, 2)]
+    lhs = euler_expand(EulerFactor([W, Scalar.rational(-2, 3)]), 3)
+    corrupted = list(lhs.coeffs)
+    corrupted[2] = corrupted[2] - W ** 2
+    return [
+        verify_essential(symbolic, bs, 4),
+        verify_essential(RANK2_UNRAM, pp, 6),
+        cauchy_check(2, 2, xs, bs.satake, 5),
+        verify_essential(symbolic, bs, 4, drop_integrality=True),
+        verify_essential(RANK2_UNRAM, pp, 6, drop_integrality=True),
+        rseng._report(TruncatedSeries(3, corrupted), lhs.coeffs, {}),
+    ]
+
+
+def test_write_summary_writes_the_summary_lines():
+    # the lines as whole strings: metadata, both series, the result
+    for report in _writer_reports():
+        meta = " ".join(f"{k}={report.metadata[k]}" for k in sorted(report.metadata))
+        lines = ([meta] if meta else []) + [f"lhs: {report.lhs_series}",
+                                            f"rhs: {report.rhs_series}"]
+        if report.passed:
+            lines.append(f"result: pass (exact through t^{report.degree_checked})")
+        else:
+            k, lc, rc = report.first_mismatch
+            lines.append(f"result: FAIL first_mismatch=t^{k} lhs={lc} rhs={rc}")
+        assert report.summary_lines() == lines
+        assert "".join(_written(report)) == "\n".join(lines) + "\n"
+    assert [r.passed for r in _writer_reports()] == [True, True, True, False, False, False]
+
+
+def test_a_passing_report_formats_its_series_once(monkeypatch):
+    # each coefficient goes through Scalar.__str__ once, and the series'
+    # text is handed to write whole on both lines, not copied into them
+    calls = collections.Counter()
+    text = Scalar.__str__
+
+    def counted(self):
+        calls[id(self)] += 1
+        return text(self)
+
+    monkeypatch.setattr(Scalar, "__str__", counted)
+    for report in _writer_reports()[:3]:
+        calls.clear()
+        chunks = _written(report)
+        assert calls == collections.Counter(map(id, report.lhs_series.coeffs))
+        series = [chunk for chunk in chunks if chunk.endswith(f"O(t^{report.degree_checked + 1})")]
+        assert len(series) == 2 and series[0] is series[1]
