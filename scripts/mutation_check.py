@@ -78,10 +78,12 @@ MUTATIONS = [
              "zip(x.values[a:b], y.values[a:b])", "zip(x.values[a + 1:b], y.values[a + 1:b])",
              IDENTITY_TESTS),
     Mutation("spot-check-ignores-holds", "whittaker/cli.py",
-             "if rhs is not None or [c.as_fraction() for c in sums]",
-             "if [c.as_fraction() for c in sums]", CLI_TESTS),
+             "holds = lattice == _int_identity(rational, lhs.order)[1]", "holds = True",
+             CLI_TESTS),
     Mutation("spot-check-ignores-sums", "whittaker/cli.py",
-             "[c.as_fraction() for c in sums] != at_point(lhs.coeffs):", "False:", CLI_TESTS),
+             "if not (holds and agree):", "if not holds:", CLI_TESTS),
+    Mutation("spot-check-scale-off-by-one", "whittaker/cli.py",
+             "num * scale ** k == c * den", "num * scale ** (k + 1) == c * den", CLI_TESTS),
     Mutation("roots-scaled-by-2s", "whittaker/symfunc.py",
              "[Scalar.rational(c, scale) for c in ints]",
              "[Scalar.rational(c, 2 * scale) for c in ints]", IDENTITY_TESTS),
@@ -110,6 +112,10 @@ MUTATIONS = [
     Mutation("rhs-formatted-again", "whittaker/rseng.py",
              "rhs = lhs if self.rhs_series == self.lhs_series else str(self.rhs_series)",
              "rhs = str(self.rhs_series)", ("tests/test_rseng.py",)),
+    # the blocks of the text and evaluation kernels: a cut that skips the
+    # first key of the next slice
+    Mutation("text-block-seam", "whittaker/packing.py",
+             "start += _BLOCK\n", "start += _BLOCK + 1\n", KERNEL_TESTS),
 ]
 
 

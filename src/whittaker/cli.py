@@ -21,9 +21,10 @@ from typing import Optional, Sequence, Tuple
 
 from .errors import ConfigError, InvariantViolation, WhittakerError
 from .repdata import GenericRep, UnramifiedLanglandsRep, compute_piu, parse_rep, parse_scalar_atom
+from .packing import _evaluate
 from .ringcore import Scalar, euler_expand
 from .rseng import VerificationReport, cauchy_check, l_factor, verify_essential
-from .symfunc import ALGORITHMS, Partition, _cauchy_identity, schur
+from .symfunc import ALGORITHMS, Partition, _cauchy_tables, _int_identity, schur
 from .whitfun import essential_value, spherical_value
 
 DEFAULT_DEGREE = 8
@@ -80,22 +81,29 @@ def _resolve_degree(flag_value: Optional[str]) -> int:
     return degree
 
 
+# the numerators of a spot-check point's coordinates
+_NUMERATORS = tuple(x for x in range(-9, 10) if x)
+
+
 def _spot_check(report: VerificationReport, seed: int, params: Sequence[Scalar],
                 satake_prime: Sequence[Scalar]) -> Optional[str]:
     """Recompute a passing symbolic report at a seeded rational point.
 
     The report came from the unramified parameters params of a
-    representation and the Satake values of pi'.  Every atom of theirs is
-    bound to a seeded random nonzero rational; u needs no value, as it is
-    reserved in every input and cancels from the lattice sum.  The
-    identity is then recomputed from the bound values by
-    symfunc._cauchy_identity, as a rational check runs it, in the ints of
-    one scale: the two sides must agree there, and the lattice sum must
-    equal the symbolic lhs at the same point.  Those ints share no Scalar
-    products with the symbolic series; so a fault that corrupts both
-    symbolic series alike shows up as a disagreement, an internal bug.
-    Every coefficient is a Laurent polynomial, which has poles only where
-    a variable is 0, so one sample of nonzero values always evaluates.
+    representation and the Satake values of pi', atoms each: a rational
+    or a single indeterminate.  Every indeterminate is bound to a seeded
+    random nonzero rational; u needs no value, as it is reserved in every
+    input and cancels from the lattice sum.  The identity is then
+    recomputed from the bound values in the ints of one scale S, as a
+    rational check runs it (symfunc._cauchy_tables and _int_identity):
+    the lattice sums L must equal the Euler side V, and the symbolic lhs,
+    evaluated by packing._evaluate as numerators over one denominator,
+    must equal L_k / S^k, compared by cross-multiplying in ints.  Those
+    ints share no Scalar products with the symbolic series; so a fault
+    that corrupts both symbolic series alike shows up as a disagreement,
+    an internal bug.  Every coefficient is a Laurent polynomial, which has
+    poles only where a variable is 0, so one sample of nonzero values
+    always evaluates.
     """
     if not report.passed:
         return None
@@ -110,15 +118,20 @@ def _spot_check(report: VerificationReport, seed: int, params: Sequence[Scalar],
     rng = random.Random(seed)
     bindings = {}
     for v in sorted(variables):
-        num = rng.choice([x for x in range(-9, 10) if x])
-        den = rng.randint(1, 9)
-        bindings[v] = Fraction(num, den)
+        num = rng.choice(_NUMERATORS)
+        x = Fraction(num, rng.randint(1, 9))
+        # an int when integral, so that the tables run in ints (symfunc._scaled_ints)
+        bindings[v] = x.numerator if x.denominator == 1 else x
 
-    def at_point(values):
-        return [c.as_fraction() if c.is_rational() else c.substitute(bindings) for c in values]
+    def at_point(atoms):
+        return [bindings[c.names[0]] if c.names else c.terms.get(0, 0) for c in atoms]
 
-    sums, _, rhs = _cauchy_identity(at_point(params), at_point(satake_prime), lhs.order)
-    if rhs is not None or [c.as_fraction() for c in sums] != at_point(lhs.coeffs):
+    _, rational = _cauchy_tables(at_point(params), at_point(satake_prime), lhs.order)
+    lattice, scale = rational[0], rational[3]
+    holds = lattice == _int_identity(rational, lhs.order)[1]
+    nums, den = _evaluate(lhs.coeffs, bindings)
+    agree = all(num * scale ** k == c * den for k, (num, c) in enumerate(zip(nums, lattice)))
+    if not (holds and agree):
         raise InvariantViolation("numeric recomputation disagrees with the symbolic series")
     return f"numeric spot-check (seed {seed}): pass"
 

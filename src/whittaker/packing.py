@@ -24,13 +24,25 @@ at a width that holds every product to be formed, _add_product adds a
 product into a map in place, and _finished makes the canonical value of
 a finished map (canonical coefficients, the alphabet trimmed, and the
 exact width of a value with an exponent of 2^(_WIDTH - 1) or more).
+
+Values are read a block of terms at a time (_blocks): their key lists,
+in order, are cut into blocks of at most _BLOCK keys, small lists sharing
+a block and a longer one cut into slices.  _columns decodes a block's keys
+in one pass.  _evaluate, the one evaluation kernel, takes every value of
+a call on one layout through those blocks to integers over one common
+denominator; ringcore._texts, the one text kernel, does the same for text.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
-from typing import Tuple, Union
+from functools import lru_cache, partial, reduce
+from itertools import chain, islice
+from math import lcm
+from operator import mul
+from typing import Iterator, Mapping, Tuple, Union
+
+from .errors import PoleAtPoint, UnboundVariable
 
 Rational = Union[int, Fraction]
 
@@ -329,3 +341,113 @@ def _normalise(terms: dict, names: tuple, w: int) -> Tuple[dict, tuple, int]:
         return terms, names, bound
     return ({_pack([exps[j] for j in used], w_out): c for exps, c in rows},
             tuple(names[j] for j in used), bound)
+
+
+# Terms decoded at once by _evaluate and ringcore._texts.  It bounds the per-term
+# strings and ints they hold, and lets the small coefficients of a series
+# share one decode; a coefficient of more terms is cut into slices.
+_BLOCK = 2048
+
+
+def _blocks(key_lists) -> Iterator[list]:
+    """Blocks of at most _BLOCK keys taken in order from (i, keys) pairs.
+
+    A block lists (i, start, piece) with piece = keys[start:start + len(piece)].
+    Lists that fit share a block; one that does not fit in the room left
+    starts a new block, and one longer than a block is cut into slices of
+    _BLOCK keys, the last of which may share.  So every key is in exactly
+    one block, and a list is cut only where it must be.
+    """
+    block, room = [], _BLOCK
+    for i, keys in key_lists:
+        if len(keys) > room and block:
+            yield block
+            block, room = [], _BLOCK
+        start = 0
+        while len(keys) - start > _BLOCK:
+            yield [(i, start, keys[start:start + _BLOCK])]
+            start += _BLOCK
+        piece = keys[start:] if start else keys
+        block.append((i, start, piece))
+        room -= len(piece)
+    if block:
+        yield block
+
+
+def _evaluate(values, bindings: Mapping[str, Rational]) -> tuple:
+    """(nums, den): value i at the rational point bindings is nums[i] / den.
+
+    Every variable of the values must be bound to an int or a Fraction
+    (UnboundVariable and TypeError otherwise).  Each variable v, bound to
+    p/q, has over a block's keys (_blocks) an exponent range [lo, hi] that
+    contains 0, and p^(e - lo) * q^(hi - e) is an integer for every e in
+    it; with the lcm of the coefficient denominators this puts every term
+    of the block over one denominator, so its sum is taken in integers.  A
+    term's integer factor is the product of the columns of _columns, with
+    one table per variable and block.  The blocks' sums are brought onto
+    the ranges of all blocks at the end, so every value shares den and no
+    Fraction is made.
+    """
+    names, w, _, maps = _aligned(values, 1)
+    point = []
+    for v in names:
+        if v not in bindings:
+            raise UnboundVariable(f"no binding for variable {v}")
+        x = bindings[v]
+        if x.__class__ is not int and x.__class__ is not Fraction:
+            if not isinstance(x, (int, Fraction)):
+                raise TypeError(f"variable {v} is bound to a {type(x).__name__}, "
+                                f"not an int or a Fraction")
+            x = Fraction(x)
+        point.append(x)
+    distinct = set()
+    for terms in maps:
+        distinct.update(terms.values())
+    coeff_den = lcm(*[c.denominator for c in distinct if c.__class__ is not int])
+    n, half = len(names), 1 << (w - 1)
+    # exponents e are biased to e + half; every range contains e = 0
+    low, high = [half] * n, [half] * n
+    blocks = []     # (the block's ranges, [(i, sum)]) per block
+    # the coefficients are cut into the same blocks as the keys, as the
+    # lists have the same lengths
+    for block, coeff_block in zip(
+            _blocks((i, list(terms)) for i, terms in enumerate(maps) if terms),
+            _blocks((i, list(terms.values())) for i, terms in enumerate(maps) if terms)):
+        ranges = [None] * n
+
+        def factors(j, fields):
+            lo, hi = min(min(fields), half), max(max(fields), half)
+            p, q = point[j].numerator, point[j].denominator
+            if lo < half and not p:
+                raise PoleAtPoint(f"variable {names[j]} is 0 with negative exponent")
+            ranges[j] = lo, hi
+            low[j], high[j] = min(low[j], lo), max(high[j], hi)
+            table = {}
+            for f in fields:
+                table[f] = p ** (f - lo) * q ** (hi - f)
+            return table
+
+        keys = block[0][2] if len(block) == 1 else [k for _, _, piece in block for k in piece]
+        total = chain.from_iterable(piece for _, _, piece in coeff_block)
+        if coeff_den != 1:
+            # the coefficients over the common denominator
+            total = [c * coeff_den if c.__class__ is int
+                     else c.numerator * (coeff_den // c.denominator) for c in total]
+        # a term times its factor from each column
+        total = reduce(partial(map, mul), _columns(keys, n, w, factors, mul), total)
+        blocks.append((ranges, [(i, sum(islice(total, len(piece)))) for i, _, piece in block]))
+        # the block's tables go before the next block is decoded
+        del keys, total
+    den = coeff_den
+    for x, lo, hi in zip(point, low, high):
+        den *= x.numerator ** (half - lo) * x.denominator ** (hi - half)
+    nums = [0] * len(values)
+    for ranges, sums in blocks:
+        # the block's sums times the powers that its ranges lack
+        factor = 1
+        for x, lo, hi, (b_lo, b_hi) in zip(point, low, high, ranges):
+            if b_lo != lo or b_hi != hi:
+                factor *= x.numerator ** (b_lo - lo) * x.denominator ** (hi - b_hi)
+        for i, s in sums:
+            nums[i] += s * factor
+    return nums, den

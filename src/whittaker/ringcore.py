@@ -10,7 +10,8 @@ pay for Fraction arithmetic.  The variable alphabet is ordered with u first
 (u^2 plays the role of the residue cardinality q, so half-integral powers
 of q are Laurent monomials in u) followed by parameter names in
 lexicographic order.  No floating point is used anywhere; exact evaluation
-at a rational point sums integers over one common denominator.
+at a rational point sums integers over one common denominator, and a
+binding must be an int or a Fraction.
 
 Each value stores its alphabet: exactly the variables it contains, in that
 order.  A monomial is one Python int holding one signed field per variable
@@ -23,6 +24,16 @@ place (_add_product), and the canonical value is made once (_finished).
 The operators + and * run it on one sum or one product, and symfunc's
 Schur tables on a whole sum of products: the lattice sum, and the Euler
 expansion, whose h_k are read off a one-row table (euler_expand).
+
+Text and values at a point come from two kernels, each run on many values
+at once and a block of at most packing._BLOCK terms at a time: _texts
+here and packing._evaluate.  str of a Scalar, of a truncated series and
+of an Euler factor's roots are calls of _texts, and substitute is a call
+of _evaluate; a series is printed, and the CLI spot-check evaluates one,
+in one call for all its coefficients.  A block's keys are decoded once,
+with one table per variable, so small coefficients share that work, and
+what a call holds per term is bounded by a block, not by the largest
+coefficient.
 
 Every value in scope lives in this ring: Satake values are rationals or
 single indeterminates, Schur polynomials and complete homogeneous
@@ -37,20 +48,12 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from fractions import Fraction
-from math import lcm
-from operator import add, mul
+from operator import add
 from typing import Iterable, Iterator, Mapping, Optional
 
-from .errors import (
-    DivisionByZero,
-    InsufficientOrder,
-    InvalidCharacter,
-    PoleAtPoint,
-    UnboundVariable,
-    Unsupported,
-)
-from .packing import (_VAR, Rational, _add_product, _aligned, _canon, _canon_all, _columns,
-                      _finished, _layout, _pack, _unpack, _var_key, _width)
+from .errors import DivisionByZero, InsufficientOrder, InvalidCharacter, Unsupported
+from .packing import (_VAR, Rational, _add_product, _aligned, _blocks, _canon, _canon_all,
+                      _columns, _evaluate, _finished, _layout, _pack, _unpack, _var_key, _width)
 
 def _int_text(i: int) -> str:
     """Decimal text of i, also past Python's limit on int-to-str digits.
@@ -297,70 +300,9 @@ class Scalar:
             base = base * base
 
     def substitute(self, bindings: Mapping[str, Rational]) -> Fraction:
-        """Evaluate at a rational point (exact); see module-level substitute.
-
-        Each variable v, bound to n/d, has an exponent range [lo, hi] that
-        contains 0, and n^(e - lo) * d^(hi - e) is an integer for every e in
-        it; with the lcm of the coefficient denominators this puts every
-        term over one common denominator, so the sum is taken in integers
-        and only the result is a Fraction.  A term's integer factor is the
-        product of the columns of packing._columns, so a term of a value
-        whose key halves repeat costs two multiplies, however many
-        variables it has.
-        """
-        names = self.names
-        point = []
-        for v in names:
-            if v not in bindings:
-                raise UnboundVariable(f"no binding for variable {v}")
-            x = bindings[v]
-            point.append(x if x.__class__ is int or x.__class__ is Fraction else Fraction(x))
-        terms = self.terms
-        n = len(names)
-        if len(terms) <= n:
-            # no more terms than variables: tables would cost more than they
-            # save, so each term is a fraction of its own, summed over the
-            # product of the denominators
-            w = _width(self.bound)
-            num, den = 0, 1
-            for k, c in terms.items():
-                a, b = c.numerator, c.denominator
-                for x, e, v in zip(point, _unpack(k, n, w), names):
-                    p, q = x.numerator, x.denominator
-                    if e < 0:
-                        if not p:
-                            raise PoleAtPoint(f"variable {v} is 0 with negative exponent")
-                        p, q, e = q, p, -e
-                    a *= p ** e
-                    b *= q ** e
-                num, den = num * b + a * den, den * b
-            return Fraction(num, den)
-        coeff_den = lcm(*(c.denominator for c in terms.values() if c.__class__ is not int))
-        # the coefficients over the common denominator
-        total = terms.values() if coeff_den == 1 else [
-            c * coeff_den if c.__class__ is int else c.numerator * (coeff_den // c.denominator)
-            for c in terms.values()]
-        den = coeff_den
-        if names:
-            w = _width(self.bound)
-            half = 1 << (w - 1)
-
-            def factors(i, fields):
-                # exponents e biased to e + half; the range always contains e = 0
-                nonlocal den
-                low, high = min(min(fields), half), max(max(fields), half)
-                num, d = point[i].numerator, point[i].denominator
-                if low < half and not num:
-                    raise PoleAtPoint(f"variable {names[i]} is 0 with negative exponent")
-                den *= num ** (half - low) * d ** (high - half)
-                table = {}
-                for f in fields:
-                    table[f] = num ** (f - low) * d ** (high - f)
-                return table
-
-            for column in _columns(terms, n, w, factors, mul):
-                total = map(mul, total, column)
-        return Fraction(sum(total), den)
+        """Evaluate at a rational point (exact); see module-level substitute."""
+        nums, den = _evaluate((self,), bindings)
+        return Fraction(nums[0], den)
 
     def _needs_parens(self) -> bool:
         terms = self.terms
@@ -372,51 +314,10 @@ class Scalar:
         return c < 0
 
     def __str__(self):
-        terms = self.terms
-        if not terms:
-            return "0"
-        names = self.names
-        if not names:
-            return _coeff_text(terms[0])
-        n, w = len(names), _width(self.bound)
-        top = w * n
-        bias = _layout(n, w)[0]
-        # ascending keys run by degree, and within a degree by packed
-        # exponents ascending; the print order has higher exponents on
-        # earlier variables first, so each degree's block is reversed (a
-        # degree is (key + bias) >> top, and its keys lie below
-        # (degree << top) + 2^(top - 1))
-        keys = sorted(terms)
-        if (keys[0] + bias) >> top == (keys[-1] + bias) >> top:
-            keys.reverse()
-        else:
-            start = 0
-            while start < len(keys):
-                end = bisect_left(keys, (((keys[start] + bias) >> top) << top) + (1 << (top - 1)),
-                                  start)
-                keys[start:end] = keys[start:end][::-1]
-                start = end
-        if len(keys) <= n:
-            # no more terms than variables: each term is written by itself
-            return _join_terms([_term_text(terms[k], "".join(
-                map(_power_text, names, _unpack(k, n, w)))[1:]) for k in keys])
-        half = 1 << (w - 1)
-
-        def powers(i, fields):
-            v, table = names[i], {}
-            for f in fields:
-                table[f] = _power_text(v, f - half)
-            return table
-
-        # a monomial's text joins its power texts (packing._columns), each
-        # made once per variable and exponent; then the sign and coefficient
-        # of each distinct coefficient go in front
-        signed = {c: _signed_text(c) for c in set(terms.values())}
-        parts = [signed[terms[k]] + "".join(pieces)[1:]
-                 for k, pieces in zip(keys, zip(*_columns(keys, n, w, powers, add)))]
-        if 0 in terms:
-            parts[keys.index(0)] = _term_text(terms[0], "")
-        return _join_terms(parts)
+        if not self.names:
+            # a rational constant, such as a numeric q, is its coefficient's text
+            return _coeff_text(self.terms[0]) if self.terms else "0"
+        return "".join(_texts((self,))[0])
 
     def __repr__(self):
         return f"Scalar({self!s})"
@@ -428,6 +329,95 @@ _ONE = Scalar({0: 1})
 # Former name of the class, kept because perfbench/spans.py times the ring
 # layer by patching __mul__ and __add__ under it.
 LaurentPoly = Scalar
+
+
+# ---------------------------------------------------------------------------
+# the text kernel
+# ---------------------------------------------------------------------------
+
+def _print_order(terms, n: int, w: int) -> list:
+    """The keys of terms, n fields at width w, in print order.
+
+    Ascending keys run by degree, and within a degree by packed exponents
+    ascending; the print order has higher exponents on earlier variables
+    first, so each degree's run is reversed (a degree is (key + bias) >>
+    top, and its keys lie below (degree << top) + 2^(top - 1)).
+    """
+    keys = sorted(terms)
+    top, bias = w * n, _layout(n, w)[0]
+    if (keys[0] + bias) >> top == (keys[-1] + bias) >> top:
+        keys.reverse()
+        return keys
+    start = 0
+    while start < len(keys):
+        end = bisect_left(keys, (((keys[start] + bias) >> top) << top) + (1 << (top - 1)), start)
+        keys[start:end] = keys[start:end][::-1]
+        start = end
+    return keys
+
+
+def _texts(values) -> list:
+    """The text of each value, as a list of pieces whose join is its text.
+
+    A rational constant is its coefficient's text, and a value of no more
+    terms than variables writes each term by itself (packing._unpack), as
+    tables would cost more than they save.  The other values are put on
+    one layout (packing._aligned), each one's keys in print order, and cut
+    into blocks (_blocks): a block's keys are decoded in one
+    packing._columns pass, with one power-text table per variable, and
+    each value gets one piece per block that holds terms of it.
+    """
+    out, poly = [], []
+    for v in values:
+        terms, names = v.terms, v.names
+        if not names:
+            out.append([_coeff_text(terms[0]) if terms else "0"])
+        elif len(terms) <= len(names):
+            n, w = len(names), _width(v.bound)
+            out.append([_join_terms([
+                _term_text(terms[k], "".join(map(_power_text, names, _unpack(k, n, w)))[1:])
+                for k in _print_order(terms, n, w)])])
+        else:
+            poly.append(len(out))
+            out.append([])
+    if not poly:
+        return out
+    names, w, _, maps = _aligned([values[i] for i in poly], 1)
+    n, half = len(names), 1 << (w - 1)
+    maps = dict(zip(poly, maps))
+    # the print orders are made as the blocks take them
+    lists = ((i, _print_order(terms, n, w)) for i, terms in maps.items())
+
+    def powers(j, fields):
+        v, table = names[j], {}
+        for f in fields:
+            table[f] = _power_text(v, f - half)
+        return table
+
+    # a monomial's text joins its power texts (packing._columns), each made
+    # once per variable and exponent in a block; the sign and coefficient of
+    # each distinct coefficient, made once per call, go in front
+    signed = {}
+    for block in _blocks(lists):
+        keys = block[0][2] if len(block) == 1 else [k for _, _, piece in block for k in piece]
+        rows, texts = zip(*_columns(keys, n, w, powers, add)), []
+        for i, start, piece in block:
+            terms = maps[i]
+            if not start:
+                signed.update((c, _signed_text(c)) for c in set(terms.values()).difference(signed))
+            # zip takes from piece first, so it stops at the piece's end
+            # without taking a row
+            parts = [signed[terms[k]] + "".join(row)[1:] for k, row in zip(piece, rows)]
+            if 0 in terms and 0 in piece:
+                parts[piece.index(0)] = _term_text(terms[0], "")
+            texts.append(parts)
+        # the block's tables go before its texts are joined, and its texts
+        # before the next block is decoded
+        del rows
+        for (i, start, _), parts in zip(block, texts):
+            out[i].append("".join(parts) if start else _join_terms(parts))
+        del keys, texts, parts
+    return out
 
 
 def substitute(p: Scalar, bindings: Mapping[str, Rational]) -> Fraction:
@@ -474,19 +464,20 @@ class TruncatedSeries:
         return hash((self.order, self.coeffs))
 
     def __str__(self):
+        # the coefficients' texts come from one _texts call, in pieces
+        # that are joined once, with the whole series
         parts = []
-        for k, c in enumerate(self.coeffs):
-            cs = str(c)
-            if k and c._needs_parens():
-                cs = f"({cs})"
-            if k == 0:
-                parts.append(cs)
-            elif k == 1:
-                parts.append(f"{cs}*t")
+        for k, (c, pieces) in enumerate(zip(self.coeffs, _texts(self.coeffs))):
+            if not k:
+                parts += pieces
+                continue
+            if c._needs_parens():
+                parts += (" + (", *pieces, ")")
             else:
-                parts.append(f"{cs}*t^{k}")
-        parts.append(f"O(t^{self.order + 1})")
-        return " + ".join(parts)
+                parts += (" + ", *pieces)
+            parts.append("*t" if k == 1 else f"*t^{k}")
+        parts.append(f" + O(t^{self.order + 1})")
+        return "".join(parts)
 
     def __repr__(self):
         return f"TruncatedSeries({self!s})"

@@ -396,22 +396,21 @@ def _int_sums(x: _SchurTable, y: _SchurTable) -> list:
 def _cauchy_tables(xs: Sequence, ys: Sequence, order: int) -> tuple:
     """(sums, rational) read off the Schur tables of xs and ys, filled for
     this call only over the partitions of size <= order with at most
-    min(len(xs), len(ys)) parts, sorted by size: sums = [c_0, ..., c_order],
-    c_k the sum of s_lam(xs) * s_lam(ys) over the partitions lam of k, and
-    rational = (L, X, Y, S) when both tables run in ints, else None.
+    min(len(xs), len(ys)) parts, sorted by size: rational = (L, X, Y, S)
+    and sums None when both tables run in ints, else rational None and
+    sums = [c_0, ..., c_order], c_k the sum of s_lam(xs) * s_lam(ys) over
+    the partitions lam of k.
 
     Two int tables, at the int points X = x.ints and Y = y.ints, give
-    L = _int_sums and c_k = L_k / S^k, S = x.scale * y.scale.  Otherwise
-    both tables are moved value by value onto the union alphabet, at a
-    width holding the sum of their bounds, and c_k adds the products of
-    their slices of size k into one map in place.
+    L = _int_sums and c_k = L_k / S^k, S = x.scale * y.scale
+    (_rational_sums).  Otherwise both tables are moved value by value onto
+    the union alphabet, at a width holding the sum of their bounds, and
+    c_k adds the products of their slices of size k into one map in place.
     """
     ideal = _order_ideal((order,) * min(len(xs), len(ys)), order)
     x, y = _SchurTable(xs, ideal), _SchurTable(ys, ideal)
     if x.ints is not None and y.ints is not None:
-        lattice, scale = _int_sums(x, y), x.scale * y.scale
-        return ([Scalar.rational(c, scale ** k) for k, c in enumerate(lattice)],
-                (lattice, x.ints, y.ints, scale))
+        return None, (_int_sums(x, y), x.ints, y.ints, x.scale * y.scale)
     names = _union(x.names or (), y.names or ())
     bound = x.bound + y.bound
     w = _width(bound)
@@ -433,9 +432,25 @@ def _cauchy_tables(xs: Sequence, ys: Sequence, order: int) -> tuple:
     return sums, None
 
 
+def _rational_sums(lattice: list, scale: int) -> list:
+    """The Scalars c_k = L_k / S^k of a rational pair's lattice sums L at scale S."""
+    return [Scalar.rational(c, scale ** k) for k, c in enumerate(lattice)]
+
+
 def _cauchy_sums(xs: Sequence, ys: Sequence, order: int) -> list:
     """[c_0, ..., c_order], c_k the sum of s_lam(xs) * s_lam(ys) over the partitions lam of k."""
-    return _cauchy_tables(xs, ys, order)[0]
+    sums, rational = _cauchy_tables(xs, ys, order)
+    return sums if rational is None else _rational_sums(rational[0], rational[3])
+
+
+def _int_identity(rational: tuple, order: int) -> tuple:
+    """(R, V) of a rational pair's (L, X, Y, S) from _cauchy_tables: the
+    roots R = X_i * Y_j, X outer, and the Euler side V_k = S^k h_k(R / S)
+    for k <= order, from the one-row int table of R.  The two sides of the
+    Cauchy identity agree through t^order when L[:order + 1] == V."""
+    _, xs, ys, _ = rational
+    roots = [a * b for a in xs for b in ys]
+    return roots, _h_table(roots, order).values
 
 
 def _cauchy_identity(xs: Sequence, ys: Sequence, order: int, shift: int = 0) -> tuple:
@@ -445,12 +460,11 @@ def _cauchy_identity(xs: Sequence, ys: Sequence, order: int, shift: int = 0) -> 
     h_0..h_order of the roots, the Euler side for the caller to compare.
 
     The roots' one-row table is filled once, through t^order.  A rational
-    pair runs in the ints of one scale (_cauchy_tables' L, X, Y and S): the
-    roots are R = X_i * Y_j, the Euler side V_k = S^k h_k(R / S) comes from
-    the one-row int table of R, and the sides agree when L == V; only the
-    returned Scalar.rational(L_k, S^k), Scalar.rational(R, S) and, for rhs,
-    Scalar.rational(V_k, S^k) are built.  Otherwise the roots are Scalar
-    products and the sums are compared with their table's Scalars.
+    pair runs in the ints of one scale (_int_identity), and the sides agree
+    when L == V; only the returned Scalar.rational(L_k, S^k),
+    Scalar.rational(R, S) and, for rhs, Scalar.rational(V_k, S^k) are
+    built.  Otherwise the roots are Scalar products and the sums are
+    compared with their table's Scalars.
     """
     sums, rational = _cauchy_tables(xs, ys, order + shift)
     if rational is None:
@@ -458,10 +472,9 @@ def _cauchy_identity(xs: Sequence, ys: Sequence, order: int, shift: int = 0) -> 
         roots = [a * b for a in xs for b in ys]
         rhs = _h_table(roots, order).scalars()
         return sums, roots, None if not shift and sums == rhs else rhs
-    lattice, xs, ys, scale = rational
-    ints = [a * b for a in xs for b in ys]
-    euler = _h_table(ints, order).values
-    roots = [Scalar.rational(c, scale) for c in ints]
+    lattice, scale = rational[0], rational[3]
+    ints, euler = _int_identity(rational, order)
+    sums, roots = _rational_sums(lattice, scale), [Scalar.rational(c, scale) for c in ints]
     if not shift and lattice == euler:
         return sums, roots, None
     return sums, roots, [Scalar.rational(v, scale ** k) for k, v in enumerate(euler)]

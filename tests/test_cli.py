@@ -460,6 +460,51 @@ def test_spot_check_catches_a_fault_shared_by_both_series(tmp_path, capsys, monk
         assert "invariant" in captured.err
 
 
+def test_spot_check_catches_one_term_changed_inside_a_cut_coefficient(tmp_path, capsys,
+                                                                       monkeypatch):
+    # with blocks of 3 terms the top coefficient is cut into several; one
+    # term in its middle, changed alike in both series, must still fail the
+    # spot-check's evaluation, after the whole report
+    import whittaker.cli as cli
+    from whittaker import packing
+    from whittaker.ringcore import TruncatedSeries
+    from whittaker.rseng import VerificationReport
+
+    monkeypatch.setattr(packing, "_BLOCK", 3)
+
+    def corrupted(report):
+        coeffs = list(report.lhs_series.coeffs)
+        top = coeffs[-1]
+        assert len(top.terms) > 2 * packing._BLOCK
+        mono, _ = list(top.iter_terms())[len(top.terms) // 2]
+        coeffs[-1] = top + Scalar.monomial(dict(mono), 1)
+        series = TruncatedSeries(report.lhs_series.order, coeffs)
+        return VerificationReport(True, report.degree_checked, None, series, series,
+                                  report.metadata)
+
+    verify, cauchy = cli.verify_essential, cli.cauchy_check
+    rep = _write(tmp_path, "rep.json", SYMBOLIC)
+    argvs = (["verify", "--rep", rep, "--satake-prime", "b1,b2", "--degree", "6"],
+             ["cauchy", "--n", "2", "--m", "2", "--degree", "4"])
+    for argv in argvs:
+        assert main(argv) == 0
+        assert capsys.readouterr().out.endswith("numeric spot-check (seed 0): pass\n")
+    reports = []
+
+    def kept(report):
+        reports.append(corrupted(report))
+        return reports[-1]
+
+    monkeypatch.setattr(cli, "verify_essential", lambda *a, **k: kept(verify(*a, **k)))
+    monkeypatch.setattr(cli, "cauchy_check", lambda *a: kept(cauchy(*a)))
+    for argv in argvs:
+        assert main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == "\n".join(reports[-1].summary_lines()) + "\n"
+        assert "result: pass" in captured.out
+        assert "internal invariant violation" in captured.err
+
+
 def test_an_error_in_the_spot_check_exits_two_after_the_report(tmp_path, capsys, monkeypatch):
     import whittaker.cli as cli
     from whittaker.errors import PoleAtPoint

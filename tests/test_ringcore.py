@@ -13,7 +13,9 @@ from whittaker.errors import (
     UnboundVariable,
     Unsupported,
 )
-from whittaker.packing import _WIDTH, _add_product, _aligned, _finished, _pack, _unpack, _width
+from whittaker import packing, ringcore
+from whittaker.packing import (_WIDTH, _add_product, _aligned, _blocks, _evaluate, _finished, _pack,
+                               _unpack, _width)
 from whittaker.ringcore import (
     EulerFactor,
     Scalar,
@@ -681,6 +683,111 @@ def test_cauchy_lhs_matches_the_oracles():
     _check_against_oracles(lhs.coeffs[8] * Scalar.monomial({"y2": -1}), {**bindings, "y2": 0})
     del bindings["x3"]
     _check_against_oracles(lhs.coeffs[8], bindings)
+
+
+# --- the text and evaluation kernels, block by block ----------------------------------
+
+def _old_series_format(series):
+    # the series text as the coefficients' texts joined term by term
+    parts = []
+    for k, c in enumerate(series.coeffs):
+        cs = _old_format(c)
+        if k and (len(c.terms) > 1 or (c.terms and next(iter(c.terms.values())) < 0)):
+            cs = f"({cs})"
+        parts.append(cs if k == 0 else f"{cs}*t" if k == 1 else f"{cs}*t^{k}")
+    return " + ".join(parts + [f"O(t^{series.order + 1})"])
+
+
+def _check_kernels(values, bindings):
+    # the text of each value, of the values as a series and as Euler roots,
+    # and their values at one point over one denominator, against the
+    # term-by-term oracles
+    assert ["".join(pieces) for pieces in ringcore._texts(values)] == list(map(_old_format, values))
+    if values:
+        series = TruncatedSeries(len(values) - 1, values)
+        assert str(series) == _old_series_format(series)
+    roots = [v for v in values if v]
+    assert EulerFactor(roots).root_texts() == sorted(map(_old_format, roots))
+    expected = [_substitute_oracle(v, bindings) for v in values]
+    if None in expected:
+        with pytest.raises(UnboundVariable):
+            _evaluate(values, bindings)
+    elif "pole" in expected:
+        with pytest.raises(PoleAtPoint):
+            _evaluate(values, bindings)
+    else:
+        nums, den = _evaluate(values, bindings)
+        assert [Fraction(num, den) for num in nums] == expected
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.one_of(half_polys(), packed_polys(max_terms=5),
+                          rational_polys(low=-3, max_terms=5)), max_size=5),
+       st.integers(1, 5), _eight_bindings)
+@example([Scalar.of(0), Scalar.rational(-1, 2), x1 + 1, 3 * u ** 2 - x1 * x2 ** -1 + 1], 3,
+         {"u": Fraction(1, 2), "x1": Fraction(-2, 3), "x2": 5})
+@example([x1 * x2 + x1 - x2 + 1, x1 * x2 + x1 - x2 + 1], 2, {"x1": 0, "x2": 1})
+def test_kernels_in_small_blocks_match_the_oracles(values, block, bindings):
+    # a block of a few terms cuts most values, and the values of one batch
+    # lie on different alphabets, some at the wide layout
+    if any(v.bound >= _LIMIT for v in values):
+        # keep the oracle's exact powers of exponents near 2^15 small
+        bindings = {v: x.numerator % 5 - 2 for v, x in bindings.items()}
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(packing, "_BLOCK", block)
+        _check_kernels(values, bindings)
+
+
+def _laurent(size: int, name: str = "x1") -> Scalar:
+    # size terms c * x^e in one variable, e from -size // 2 on, with a
+    # constant term and coefficients of both signs, some Fractions
+    exps = range(-(size // 2), size - size // 2)
+    terms = {_pack([e], _WIDTH): (Fraction(e, 3) if e % 3 else e // 3 + (e == 0))
+             for e in exps}
+    return Scalar(terms, (name,), size // 2)
+
+
+def test_a_value_of_one_block_and_one_of_a_block_and_a_term():
+    bindings = {"x1": Fraction(-1, 2), "x2": 3}
+    for block in (3, packing._BLOCK):
+        values = [_laurent(block), _laurent(block + 1, "x2"), _laurent(block)]
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(packing, "_BLOCK", block)
+            _check_kernels(values, bindings)
+            assert [len(pieces) for pieces in ringcore._texts(values)] == [1, 2, 1]
+    assert packing._BLOCK == 2048
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.integers(1, 9), max_size=8), st.integers(1, 6))
+@example([3, 3], 3)
+@example([4, 1, 2], 3)
+def test_blocks_take_every_key_once(lengths, block):
+    key_lists = []
+    for i, length in enumerate(lengths):
+        key_lists.append((i, list(range(10 * i, 10 * i + length))))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(packing, "_BLOCK", block)
+        blocks = list(_blocks(key_lists))
+    pieces = [(i, start, piece) for b in blocks for i, start, piece in b]
+    assert all(0 < sum(len(piece) for _, _, piece in b) <= block for b in blocks)
+    for i, keys in key_lists:
+        mine = [(start, piece) for j, start, piece in pieces if j == i]
+        assert [k for _, piece in mine for k in piece] == keys
+        assert all(keys[start:start + len(piece)] == piece for start, piece in mine)
+        # a list is cut only where it must be: every piece but its last
+        # fills a block
+        assert all(len(piece) == block for _, piece in mine[:-1])
+
+
+def test_substitute_takes_only_ints_and_fractions():
+    for bad in (0.1, "3", 1.0):
+        with pytest.raises(TypeError):
+            substitute(x1, {"x1": bad})
+        with pytest.raises(TypeError):
+            substitute(3 * x1 ** 2 - x1 + 1, {"x1": bad})
+    # a binding of a variable the value lacks is not read
+    assert substitute(x1, {"x1": 2, "x2": 0.1}) == 2
 
 
 # --- sums of products added in place -----------------------------------------------
