@@ -24,7 +24,7 @@ from .repdata import GenericRep, UnramifiedLanglandsRep, compute_piu, parse_rep,
 from .packing import _evaluate
 from .ringcore import Scalar, euler_expand
 from .rseng import VerificationReport, cauchy_check, l_factor, verify_essential
-from .symfunc import ALGORITHMS, Partition, _cauchy_tables, _int_identity, schur
+from .symfunc import ALGORITHMS, Partition, _h_table, _lattice, schur
 from .whitfun import essential_value, spherical_value
 
 DEFAULT_DEGREE = 8
@@ -94,11 +94,12 @@ def _spot_check(report: VerificationReport, seed: int, params: Sequence[Scalar],
     or a single indeterminate.  Every indeterminate is bound to a seeded
     random nonzero rational; u needs no value, as it is reserved in every
     input and cancels from the lattice sum.  The identity is then
-    recomputed from the bound values in the ints of one scale S, as a
-    rational check runs it (symfunc._cauchy_tables and _int_identity):
-    the lattice sums L must equal the Euler side V, and the symbolic lhs,
-    evaluated by packing._evaluate as numerators over one denominator,
-    must equal L_k / S^k, compared by cross-multiplying in ints.  Those
+    recomputed from the bound values in the ring that symfunc._lattice
+    chooses for a rational pair, the ints of one scale S: the lattice sums
+    L must equal the Euler side V, h_k of the roots filled in that ring by
+    symfunc._h_table, and the symbolic lhs, evaluated by packing._evaluate
+    as numerators over one denominator, must equal L_k / S^k, compared by
+    cross-multiplying in ints.  Those
     ints share no Scalar products with the symbolic series; so a fault
     that corrupts both symbolic series alike shows up as a disagreement,
     an internal bug.  Every coefficient is a Laurent polynomial, which has
@@ -119,16 +120,14 @@ def _spot_check(report: VerificationReport, seed: int, params: Sequence[Scalar],
     bindings = {}
     for v in sorted(variables):
         num = rng.choice(_NUMERATORS)
-        x = Fraction(num, rng.randint(1, 9))
-        # an int when integral, so that the tables run in ints (symfunc._scaled_ints)
-        bindings[v] = x.numerator if x.denominator == 1 else x
+        bindings[v] = Fraction(num, rng.randint(1, 9))
 
     def at_point(atoms):
         return [bindings[c.names[0]] if c.names else c.terms.get(0, 0) for c in atoms]
 
-    _, rational = _cauchy_tables(at_point(params), at_point(satake_prime), lhs.order)
-    lattice, scale = rational[0], rational[3]
-    holds = lattice == _int_identity(rational, lhs.order)[1]
+    ring, lattice, roots = _lattice(at_point(params), at_point(satake_prime), lhs.order)
+    scale = ring[0]
+    holds = lattice == _h_table(roots, lhs.order, ring).values
     nums, den = _evaluate(lhs.coeffs, bindings)
     agree = all(num * scale ** k == c * den for k, (num, c) in enumerate(zip(nums, lattice)))
     if not (holds and agree):

@@ -11,9 +11,9 @@ Every power of u cancels in a lattice term (rs_series), so the lattice
 sum is the Cauchy sum of the two tuples, sum_lam s_lam(params)
 s_lam(satake) by degree, and the Euler factor's expansion is h_k of its
 roots x_i * y_j (Macdonald I.(4.3)).  symfunc._cauchy_identity computes
-both sides and the roots in one pass and decides whether the sides agree,
-in the ring it chooses (the ints of one scale for a rational pair),
-handing back the Euler side's coefficients when they do not; this module
+both sides and the roots in one ring, chosen once per check (the ints of
+one scale for a rational pair, else terms maps), compares them raw and
+hands back the Euler side's coefficients when they differ; this module
 only builds the reports, and _report locates the first mismatch of a
 failing one.  A report is printed by VerificationReport.write_summary,
 which writes each series' text as it is, not copied into a line.
@@ -118,8 +118,8 @@ def rs_series(left: LeftInput, pi_prime: UnramifiedLanglandsRep, order: int, *,
     -(r-1-2i) - (n-r) - (m-1-2i) + (n+m-2-4i) = 0 on each part lam_i.  So
     the t^k coefficient is sum_lam s_lam(params) s_lam(satake'), the
     degree-k part of the Cauchy identity (Macdonald I.(4.3)), which
-    symfunc._cauchy_sums sums over two Schur tables, in ints when a tuple
-    is rational and in terms maps otherwise.
+    symfunc._cauchy_sums sums over two Schur tables, in the ints of one
+    scale when both tuples are rational and in terms maps otherwise.
 
     The left argument is a GenericRep (essential-function side, m <= n-1,
     or m = n when the representation is unramified) or an

@@ -14,14 +14,16 @@ length (_cauchy_sums); a single value s_lam fills the partitions
 contained in lam; and h_k = s_(k) is read off the table of the one-row
 ideal (0), ..., (k) (_h_table), for complete_homogeneous, the
 Jacobi-Trudi determinant, ringcore.euler_expand and _cauchy_identity,
-which decides the Cauchy identity for rseng and the CLI spot-check and
-returns a failing check's Euler side off that one table.  This module
-alone decides the ring: when every value is rational a table runs
-in Python ints, scaled by the lcm of the denominators (_scaled_ints), so
-a rational pair holds both sides and the roots in the ints of one scale;
-otherwise a table runs in plain terms maps on the tuple's union
-alphabet, each step adding a product into an entry in place, with a
-Scalar built only for a value read out.  schur is the one entry point:
+which decides the Cauchy identity for rseng and returns a failing check's
+Euler side off that one table (the CLI spot-check recomputes it from
+_lattice and _h_table).  This module alone decides the ring, in
+two places: _ring for a table of one tuple (schur, _h_table) and _lattice
+for a Cauchy check, whose sums, roots and Euler side all live in the one
+ring it chooses.  When every value is rational that ring is the Python
+ints at a scale, the lcm of the denominators (_scaled_ints); otherwise it
+is plain terms maps on the union alphabet, each step adding a product
+into an entry in place.  Values are compared raw, and a Scalar is built
+only for a value read out (_read).  schur is the one entry point:
 the Jacobi-Trudi determinant in complete homogeneous polynomials and the
 bialternant ratio (exact polynomial division at a generic point) stay
 selectable by name, and with a semistandard-tableau enumerator they are
@@ -33,10 +35,10 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from math import lcm
 from operator import ge, mul
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import DivisionByZero, UnsupportedWeight
 from .packing import _add_product, _aligned, _finished, _repack, _union, _unpack, _width
@@ -268,8 +270,23 @@ def _order_ideal(cap: tuple, bound: int) -> _OrderIdeal:
     return _OrderIdeal(cap, bound)
 
 
+# A ring is a tuple (scale, names, width, bound).  names is None for the
+# Python ints at the point D*x, D = scale the lcm of the denominators: by
+# homogeneity a value of degree k there is D^k times its value at x.
+# Otherwise scale is 1 and a value is a packing terms map over the alphabet
+# names at the field width width, which holds every exponent up to bound.
+
+
+def _read(ring: tuple, values, sizes) -> list:
+    """The Scalars of the raw values of ring, value i of degree sizes[i]."""
+    scale, names, w, bound = ring
+    if names is None:
+        return [Scalar.rational(v, scale ** k) for v, k in zip(values, sizes)]
+    return [Scalar(*_finished(v, names, w, bound)) for v in values]
+
+
 class _SchurTable:
-    """Schur values of one variable tuple x_1..x_n on one order ideal.
+    """Schur values of one tuple of points x_1..x_n on one order ideal.
 
     s_lam(x_1..x_k) is the sum, over mu interlacing lam
     (lam_1 >= mu_1 >= lam_2 >= ... >= mu_(k-1) >= lam_k), of
@@ -294,36 +311,21 @@ class _SchurTable:
     convolution h_k += x_k * h_(k-1) of the h_k = s_(k) (Macdonald
     I.(3.9)), which is how every h_k is made.
 
-    The table chooses the ring for every caller.  When every value is
-    rational it is filled in ints at the point y = D*x, D the lcm of the
-    denominators, and homogeneity gives s_lam(x) = s_lam(y) / D^|lam|;
-    otherwise at y = x, D = 1, in packing terms maps over the alphabet
-    self.names (None for ints) at the field width self.width, which holds
-    every exponent up to self.bound, each step adding x_k times one map
-    into another in place (packing._add_product).  scale is D, ints the
-    point y as ints (None for terms maps), and values the raw values at
-    y, in the order of ideal.states; a Scalar is built only for a value
-    read out (value, scalars, or a whole sum of products in
-    _cauchy_tables).
+    The points are raw values of ring (_ring, _lattice): ints, or terms
+    maps, each step then adding x_k times one map into another in place
+    (packing._add_product).  values holds the raw values in the order of
+    ideal.states; a Scalar is built only for a value read out (value,
+    scalars).
     """
 
-    __slots__ = ("ideal", "scale", "ints", "values", "names", "width", "bound")
+    __slots__ = ("ideal", "ring", "values")
 
-    def __init__(self, vars_key: Sequence, ideal: _OrderIdeal, top: tuple = ()):
+    def __init__(self, points: Sequence, ideal: _OrderIdeal, ring: tuple, top: tuple = ()):
         size = len(ideal.states)
-        scaled = _scaled_ints(vars_key)
-        if scaled:
-            self.scale, self.ints = scaled
-            self.names, self.width, self.bound, xs = None, None, 0, self.ints
-            values = [1] + [0] * (size - 1)
-        else:
-            # a value is a sum of products of |lam| factors, and the last
-            # state has the largest size
-            self.scale, self.ints = 1, None
-            self.names, self.width, self.bound, xs = _aligned(vars_key, sum(ideal.states[-1]))
-            values = [{0: 1}] + [{} for _ in range(size - 1)]
-        n, length, states = len(xs), len(ideal.cap), ideal.states
-        for k, x in enumerate(xs, 1):
+        ints = ring[1] is None
+        values = [1] + [0] * (size - 1) if ints else [{0: 1}] + [{} for _ in range(size - 1)]
+        n, length, states = len(points), len(ideal.cap), ideal.states
+        for k, x in enumerate(points, 1):
             # the rows to sweep at step k, in order: the ideal's, unless the
             # window of top narrows some
             sweeps, window = ideal.sweeps[min(k, length)], top[n - k:]
@@ -335,7 +337,7 @@ class _SchurTable:
                         row = [(j, d) for j, d in row if all(map(ge, states[d], floor))]
                     narrowed.append(row)
                 sweeps = narrowed
-            if self.names is None:
+            if ints:
                 for row in sweeps:
                     for j, d in row:
                         values[j] += x * values[d]
@@ -343,31 +345,22 @@ class _SchurTable:
                 for row in sweeps:
                     for j, d in row:
                         _add_product(values[j], x, values[d])
-        self.ideal = ideal
-        self.values = values
-
-    def _read(self, values, states) -> list:
-        # the Scalars of the raw values of the given states, in order
-        if self.names is not None:
-            names, w, bound = self.names, self.width, self.bound
-            return [Scalar(*_finished(v, names, w, bound)) for v in values]
-        scale = self.scale
-        return [Scalar.rational(v, scale ** sum(mu)) for v, mu in zip(values, states)]
+        self.ideal, self.ring, self.values = ideal, ring, values
 
     def value(self, parts: tuple) -> Scalar:
         """s_parts(x_1..x_n); parts (no trailing zeros) is top, or any state if no top."""
         mu = parts + (0,) * (len(self.ideal.cap) - len(parts))
-        return self._read([self.values[self.ideal.index[mu]]], [mu])[0]
+        return _read(self.ring, [self.values[self.ideal.index[mu]]], [sum(mu)])[0]
 
     def scalars(self) -> list:
         """s_mu(x_1..x_n) for every state mu, in the order of ideal.states; no top."""
-        return self._read(self.values, self.ideal.states)
+        return _read(self.ring, self.values, map(sum, self.ideal.states))
 
 
 def _scaled_ints(values: Sequence) -> tuple:
     """(D, [D * v for v in values]), D the lcm of the denominators, if every
-    value is an int, a Fraction or a rational Scalar; else None.  By
-    homogeneity s_lam(values) = s_lam(D * values) / D^|lam|."""
+    value is an int, a Fraction or a rational Scalar; else None.  Every
+    D * v is an int, also when v is an integral Fraction."""
     cs = []
     for v in values:
         if v.__class__ is Scalar:
@@ -376,81 +369,76 @@ def _scaled_ints(values: Sequence) -> tuple:
             v = v.terms.get(0, 0)
         cs.append(v)
     scale = lcm(*[c.denominator for c in cs])
-    return scale, cs if scale == 1 else [c.numerator * (scale // c.denominator) for c in cs]
+    return scale, [c.numerator * (scale // c.denominator) for c in cs]
 
 
-def _h_table(values: Sequence, order: int) -> _SchurTable:
+def _ring(values: Sequence, degree: int) -> tuple:
+    """(ring, points): the ring of the sums of products of degree factors
+    among values, the ints of one scale when every value is rational, and
+    the values as raw points of it."""
+    scaled = _scaled_ints(values)
+    if scaled:
+        return (scaled[0], None, None, 0), scaled[1]
+    names, w, bound, points = _aligned(tuple(map(Scalar.of, values)), degree)
+    return (1, names, w, bound), points
+
+
+def _h_table(values: Sequence, order: int, ring: Optional[tuple] = None) -> _SchurTable:
     """The table of h_0..h_order of values: state k of the one-row ideal
-    (0), (1), ..., (order) is (k), and h_k = s_(k)."""
-    return _SchurTable(values, _order_ideal((order,), order))
+    (0), (1), ..., (order) is (k), and h_k = s_(k).  values are raw points
+    of ring, or with no ring any values, in the ring that _ring chooses."""
+    if ring is None:
+        ring, values = _ring(values, order)
+    return _SchurTable(values, _order_ideal((order,), order), ring)
 
 
-def _int_sums(x: _SchurTable, y: _SchurTable) -> list:
-    """[L_0, ..., L_order] of two int tables on one ideal sorted by size,
-    L_k the dot product of their slices of size k: (x.scale * y.scale)^k
-    times the Cauchy sum c_k of the two tuples."""
-    starts, u, v = x.ideal.starts, x.values, y.values
-    return [sum(map(mul, u[a:b], v[a:b])) for a, b in zip(starts, starts[1:])]
+def _lattice(xs: Sequence, ys: Sequence, order: int) -> tuple:
+    """(ring, sums, roots) of a Cauchy check through t^order, raw values of
+    ring: sums[k] the sum of s_lam(xs) * s_lam(ys) over the partitions lam
+    of k, and roots the products x * y, x outer.
 
-
-def _cauchy_tables(xs: Sequence, ys: Sequence, order: int) -> tuple:
-    """(sums, rational) read off the Schur tables of xs and ys, filled for
-    this call only over the partitions of size <= order with at most
-    min(len(xs), len(ys)) parts, sorted by size: rational = (L, X, Y, S)
-    and sums None when both tables run in ints, else rational None and
-    sums = [c_0, ..., c_order], c_k the sum of s_lam(xs) * s_lam(ys) over
-    the partitions lam of k.
-
-    Two int tables, at the int points X = x.ints and Y = y.ints, give
-    L = _int_sums and c_k = L_k / S^k, S = x.scale * y.scale
-    (_rational_sums).  Otherwise both tables are moved value by value onto
-    the union alphabet, at a width holding the sum of their bounds, and
-    c_k adds the products of their slices of size k into one map in place.
+    Both Schur tables are filled for this call only, over the partitions of
+    size <= order with at most min(len(xs), len(ys)) parts, sorted by size,
+    and sums[k] is the dot product of their slices of size k.  Two rational
+    tuples fill in ints at their own scales Dx and Dy, so the sums and the
+    roots are ints at the scale Dx * Dy.  Otherwise both tables fill in
+    terms maps on the union alphabet, at a width that holds a product of
+    order factors from each tuple (and the roots at order 0).
     """
     ideal = _order_ideal((order,) * min(len(xs), len(ys)), order)
-    x, y = _SchurTable(xs, ideal), _SchurTable(ys, ideal)
-    if x.ints is not None and y.ints is not None:
-        return None, (_int_sums(x, y), x.ints, y.ints, x.scale * y.scale)
-    names = _union(x.names or (), y.names or ())
-    bound = x.bound + y.bound
-    w = _width(bound)
-    for table in (x, y):
-        values, src, w_src = table.values, table.names, table.width
-        for j, v in enumerate(values):
-            if src is None:
-                values[j] = {0: v} if v else {}
-            else:
-                values[j] = _repack(v, src, names, w_src, w)
-    starts, scale, sums = ideal.starts, x.scale * y.scale, []
-    for k in range(order + 1):
-        a, b, den = starts[k], starts[k + 1], scale ** k
-        out = {}
-        for u, v in zip(x.values[a:b], y.values[a:b]):
-            _add_product(out, u, v)
-        c = Scalar(*_finished(out, names, w, bound))
-        sums.append(c if den == 1 else c * Scalar.rational(1, den))
-    return sums, None
-
-
-def _rational_sums(lattice: list, scale: int) -> list:
-    """The Scalars c_k = L_k / S^k of a rational pair's lattice sums L at scale S."""
-    return [Scalar.rational(c, scale ** k) for k, c in enumerate(lattice)]
+    x, y = _scaled_ints(xs), _scaled_ints(ys)
+    if x and y:
+        (dx, px), (dy, py) = x, y
+        ring = (dx * dy, None, None, 0)
+    else:
+        xs, ys = tuple(map(Scalar.of, xs)), tuple(map(Scalar.of, ys))
+        bx, by = (max((v.bound for v in vs), default=0) for vs in (xs, ys))
+        bound = (bx + by) * max(order, 1)
+        names, w = reduce(_union, [v.names for v in xs + ys], ()), _width(bound)
+        px, py = ([_repack(v.terms, v.names, names, _width(v.bound), w) for v in vs]
+                  for vs in (xs, ys))
+        ring = (1, names, w, bound)
+    # no value of the two tables is read out, so they can share ring
+    u, v = (_SchurTable(points, ideal, ring).values for points in (px, py))
+    slices = zip(ideal.starts, ideal.starts[1:])
+    if ring[1] is None:
+        return (ring, [sum(map(mul, u[a:b], v[a:b])) for a, b in slices],
+                [a * b for a in px for b in py])
+    sums = []
+    for a, b in slices:
+        sums.append({})
+        for p, q in zip(u[a:b], v[a:b]):
+            _add_product(sums[-1], p, q)
+    roots = [{} for _ in px for _ in py]
+    for root, (p, q) in zip(roots, itertools.product(px, py)):
+        _add_product(root, p, q)
+    return ring, sums, roots
 
 
 def _cauchy_sums(xs: Sequence, ys: Sequence, order: int) -> list:
     """[c_0, ..., c_order], c_k the sum of s_lam(xs) * s_lam(ys) over the partitions lam of k."""
-    sums, rational = _cauchy_tables(xs, ys, order)
-    return sums if rational is None else _rational_sums(rational[0], rational[3])
-
-
-def _int_identity(rational: tuple, order: int) -> tuple:
-    """(R, V) of a rational pair's (L, X, Y, S) from _cauchy_tables: the
-    roots R = X_i * Y_j, X outer, and the Euler side V_k = S^k h_k(R / S)
-    for k <= order, from the one-row int table of R.  The two sides of the
-    Cauchy identity agree through t^order when L[:order + 1] == V."""
-    _, xs, ys, _ = rational
-    roots = [a * b for a in xs for b in ys]
-    return roots, _h_table(roots, order).values
+    ring, sums, _ = _lattice(xs, ys, order)
+    return _read(ring, sums, range(order + 1))
 
 
 def _cauchy_identity(xs: Sequence, ys: Sequence, order: int, shift: int = 0) -> tuple:
@@ -459,25 +447,16 @@ def _cauchy_identity(xs: Sequence, ys: Sequence, order: int, shift: int = 0) -> 
     and sums[k] = h_k(roots) for every k (Macdonald I.(4.3)), else
     h_0..h_order of the roots, the Euler side for the caller to compare.
 
-    The roots' one-row table is filled once, through t^order.  A rational
-    pair runs in the ints of one scale (_int_identity), and the sides agree
-    when L == V; only the returned Scalar.rational(L_k, S^k),
-    Scalar.rational(R, S) and, for rhs, Scalar.rational(V_k, S^k) are
-    built.  Otherwise the roots are Scalar products and the sums are
-    compared with their table's Scalars.
+    The sums, the roots and the roots' one-row table, filled once through
+    t^order, are raw values of the one ring of _lattice, and the sides are
+    compared raw: an integral Fraction equals its int, and a terms map
+    holds no cancelled key.  Scalars are built only for what is returned.
     """
-    sums, rational = _cauchy_tables(xs, ys, order + shift)
-    if rational is None:
-        xs, ys = tuple(map(Scalar.of, xs)), tuple(map(Scalar.of, ys))
-        roots = [a * b for a in xs for b in ys]
-        rhs = _h_table(roots, order).scalars()
-        return sums, roots, None if not shift and sums == rhs else rhs
-    lattice, scale = rational[0], rational[3]
-    ints, euler = _int_identity(rational, order)
-    sums, roots = _rational_sums(lattice, scale), [Scalar.rational(c, scale) for c in ints]
-    if not shift and lattice == euler:
-        return sums, roots, None
-    return sums, roots, [Scalar.rational(v, scale ** k) for k, v in enumerate(euler)]
+    ring, sums, roots = _lattice(xs, ys, order + shift)
+    euler = _h_table(roots, order, ring).values
+    holds = not shift and sums == euler
+    return (_read(ring, sums, range(order + shift + 1)), _read(ring, roots, [1] * len(roots)),
+            None if holds else _read(ring, euler, range(order + 1)))
 
 
 def schur(shape, variables: Sequence, algorithm: str = "branching") -> Scalar:
@@ -495,7 +474,8 @@ def schur(shape, variables: Sequence, algorithm: str = "branching") -> Scalar:
     parts = shape.parts
     if algorithm == "branching":
         # a table on the partitions contained in parts, swept toward parts
-        return _SchurTable(vars_key, _order_ideal(parts, sum(parts)), parts).value(parts)
+        ring, points = _ring(vars_key, sum(parts))
+        return _SchurTable(points, _order_ideal(parts, sum(parts)), ring, parts).value(parts)
     if algorithm == "jacobi-trudi":
         return _schur_jacobi_trudi(parts, vars_key)
     return _schur_bialternant(parts, vars_key)

@@ -9,7 +9,7 @@ import whittaker
 from whittaker.repdata import GenericRep, Segment, UnramifiedLanglandsRep
 from whittaker.ringcore import Scalar
 from whittaker.rseng import cauchy_check, rs_series, verify_essential
-from whittaker.symfunc import _order_ideal, _SchurTable, schur
+from whittaker.symfunc import _h_table, _SchurTable, schur
 
 # every cache the library keeps across calls, by defining module
 CACHES = {
@@ -57,7 +57,7 @@ def _live_tables() -> int:
 
 
 def test_no_schur_table_outlives_its_call():
-    table = _SchurTable((Scalar.variable("ownt"),), _order_ideal((2,), 2))
+    table = _h_table((Scalar.variable("ownt"),), 2)
     assert _live_tables() >= 1  # the count sees a live table
     del table
     a, b, c, d = (Scalar.variable(f"own{v}") for v in "abcd")

@@ -525,17 +525,19 @@ def test_an_error_in_the_spot_check_exits_two_after_the_report(tmp_path, capsys,
 
 
 def test_spot_check_compares_both_recomputations(tmp_path, capsys, monkeypatch):
-    # the lattice recomputation is right and the Euler one, the only int h
-    # table of a symbolic run, is off at t^2
-    h_table = symfunc._h_table
+    # the lattice recomputation is right and the Euler one, the spot-check's
+    # h table in the ints of the lattice's scale, is off at t^2
+    import whittaker.cli as cli
 
-    def corrupted(values, order):
-        table = h_table(values, order)
-        if table.ints is not None:
-            table.values[2] += 1
+    h_table = cli._h_table
+
+    def corrupted(values, order, ring):
+        table = h_table(values, order, ring)
+        assert ring[1] is None
+        table.values[2] += 1
         return table
 
-    monkeypatch.setattr(symfunc, "_h_table", corrupted)
+    monkeypatch.setattr(cli, "_h_table", corrupted)
     rep = _write(tmp_path, "rep.json", SYMBOLIC)
     assert main(["verify", "--rep", rep, "--satake-prime", "b1,b2", "--degree", "4"]) == 3
     captured = capsys.readouterr()

@@ -14,13 +14,14 @@ from hypothesis import strategies as st
 import whittaker.rseng as rseng
 from whittaker import ringcore, symfunc
 from whittaker.errors import BadRanks, Unsupported
+from whittaker.packing import _add_product
 from whittaker.repdata import UnramifiedLanglandsRep, compute_piu, parse_rep, parse_scalar_atom
 from whittaker.ringcore import (EulerFactor, Scalar, TruncatedSeries, euler_expand, series_equal,
                                 u_power)
 from whittaker.rseng import (VerificationReport, cauchy_check, cauchy_term_count, l_factor,
                              rs_series, theorem_product, verify_essential)
 from whittaker.suite import generate_suite, make_pi_prime
-from whittaker.symfunc import (Partition, _cauchy_sums, _order_ideal, _SchurTable,
+from whittaker.symfunc import (Partition, _cauchy_sums, _order_ideal,
                                complete_homogeneous, partitions_up_to, schur, schur_ssyt_oracle)
 from whittaker.whitfun import _delta_half_exponent, delta_half, essential_value, spherical_value
 
@@ -334,35 +335,43 @@ def test_in_place_sums_match_the_operator_loops(params, satake, order):
 _PAIR_TUPLES = st.one_of(_TUPLES, _IN_PLACE_TUPLES)
 
 
+def _sums_off_at(k):
+    """symfunc._lattice with its raw sum of degree k one more, in the int ring
+    and the map ring alike."""
+    lattice = symfunc._lattice
+
+    def corrupted(xs, ys, top):
+        ring, sums, roots = lattice(xs, ys, top)
+        if ring[1] is None:
+            sums[k] += 1
+        else:
+            # the unit monomial is the key 0 at every width
+            _add_product(sums[k], {0: 1}, {0: 1})
+        return ring, sums, roots
+
+    return corrupted
+
+
 @settings(max_examples=60, deadline=None)
 @given(_PAIR_TUPLES, _PAIR_TUPLES, st.integers(0, 4), st.data())
 @example([Scalar.of(2), Scalar.rational(-1, 3)], [Scalar.rational(1, 11)], 3, None)
 @example([_a, Scalar.rational(1, 2)], [Scalar.of(3)], 3, None)
 def test_cauchy_identity_decides_on_every_kind_of_pair(params, satake, order, data):
-    # rational pairs decide in ints, symbolic and mixed ones on Scalars;
-    # a fault in one degree of the sums, in the ints and the Scalars alike,
-    # must return the Euler side on either path
+    # rational pairs decide in the ints of one scale, symbolic and mixed
+    # ones in terms maps; a fault in one degree of the sums, in either ring,
+    # must return the Euler side
     sums, roots, rhs = symfunc._cauchy_identity(params, satake, order)
     assert _same(sums, _operator_lattice(params, satake, order))
     assert _same(roots, [x * y for x in params for y in satake])
     assert rhs is None
     k = data.draw(st.integers(0, order), label="k") if data else order
-    tables = symfunc._cauchy_tables
-
-    def corrupted(xs, ys, top):
-        sums, rational = tables(xs, ys, top)
-        if rational is None:
-            sums[k] = sums[k] + 1
-        else:
-            rational[0][k] += 1
-        return sums, rational
-
-    symfunc._cauchy_tables = corrupted
+    lattice = symfunc._lattice
+    symfunc._lattice = _sums_off_at(k)
     try:
         rhs = symfunc._cauchy_identity(params, satake, order)[2]
         assert rhs is not None and _same(rhs, _operator_h(roots, order))
     finally:
-        symfunc._cauchy_tables = tables
+        symfunc._lattice = lattice
 
 
 def test_in_place_h_convolution_of_a_wide_root():
@@ -755,14 +764,7 @@ def test_symbolic_factors_keep_the_scalar_comparison():
 def test_a_fault_in_the_int_lattice_sums_fails_through_the_scalar_route(monkeypatch):
     # the int comparison sees L != V, and the report is made as the Scalar
     # route makes it, from the corrupted series
-    int_sums = symfunc._int_sums
-
-    def corrupted(x, y):
-        sums = int_sums(x, y)
-        sums[3] += 1
-        return sums
-
-    monkeypatch.setattr(symfunc, "_int_sums", corrupted)
+    monkeypatch.setattr(symfunc, "_lattice", _sums_off_at(3))
     pp = UnramifiedLanglandsRep((Scalar.of(7), Scalar.rational(1, 11)))
     xs = (Scalar.of(2), Scalar.rational(-1, 3))
     for report, factor in ((verify_essential(RANK2_UNRAM, pp, 6), l_factor(RANK2_UNRAM, pp)),
@@ -777,16 +779,11 @@ def test_each_report_fills_the_roots_table_once_at_its_order(monkeypatch):
     # check whose sums are off at t^2: each report fills the roots' one-row
     # table once, through its own order, and shows that table's Scalars as
     # the expansion of the Euler factor
-    orders, h_table, tables = [], symfunc._h_table, symfunc._cauchy_tables
+    orders, h_table = [], symfunc._h_table
 
-    def counted(values, order):
+    def counted(values, order, ring=None):
         orders.append(order)
-        return h_table(values, order)
-
-    def corrupted(xs, ys, top):
-        sums, rational = tables(xs, ys, top)
-        sums[2] = sums[2] + 1
-        return sums, rational
+        return h_table(values, order, ring)
 
     monkeypatch.setattr(symfunc, "_h_table", counted)
     symbolic = _rep_with_tops(("a1", "a2"), 3)
@@ -795,7 +792,7 @@ def test_each_report_fills_the_roots_table_once_at_its_order(monkeypatch):
     for rep, pi_prime, order, drop in ((RANK2_UNRAM, pp, 6, True), (symbolic, bs, 4, True),
                                        (symbolic, bs, 4, False)):
         if not drop:
-            monkeypatch.setattr(symfunc, "_cauchy_tables", corrupted)
+            monkeypatch.setattr(symfunc, "_lattice", _sums_off_at(2))
         orders.clear()
         report = verify_essential(rep, pi_prime, order, drop_integrality=drop)
         assert orders == [order]
@@ -806,30 +803,66 @@ def test_each_report_fills_the_roots_table_once_at_its_order(monkeypatch):
         assert _same(report.rhs_series.coeffs, expected.coeffs)
 
 
-def test_a_passing_rational_check_makes_no_scalar_of_the_euler_side(monkeypatch):
-    # nor multiplies any Scalar: the roots, both sides and the comparison
-    # are ints, and the report's Scalars are built as Scalar.rational
+def _reads_of_passing_checks(monkeypatch, checks) -> list:
+    """The number of raw values each check reads out as Scalars (symfunc._read),
+    per read, with no Scalar multiplied and no euler_expand called; each
+    check must pass, at order 6."""
     def refuse(*args):
         raise AssertionError("a Scalar of the Euler side was made, or Scalars multiplied")
 
+    reads, read = [], symfunc._read
+
+    def recorded(ring, values, sizes):
+        out = read(ring, values, sizes)
+        reads[-1].append(len(out))
+        return out
+
     monkeypatch.setattr(ringcore, "euler_expand", refuse)
-    monkeypatch.setattr(_SchurTable, "_read", refuse)
+    monkeypatch.setattr(symfunc, "_read", recorded)
     monkeypatch.setattr(Scalar, "__mul__", refuse)
     monkeypatch.setattr(Scalar, "__rmul__", refuse)
-    pp = UnramifiedLanglandsRep((Scalar.of(7), Scalar.rational(1, 11)))
-    full_rank = _rep_with_tops(("2", "-1/3"), 2)
-    reports = [
-        verify_essential(RANK2_UNRAM, pp, 6),
-        verify_essential(ALL_RAMIFIED4, pp, 6),
-        verify_essential(full_rank, UnramifiedLanglandsRep((Scalar.rational(5, 10 ** 12),
-                                                            Scalar.of(-3))), 6),
-        # the integrality hook at m = 1 != r = 2 adds no shift
-        verify_essential(MIXED, UnramifiedLanglandsRep((Scalar.of(7),)), 6, drop_integrality=True),
-        cauchy_check(2, 2, (Scalar.of(2), Scalar.rational(-1, 3)), pp.satake, 6),
-    ]
-    for report in reports:
+    for check in checks:
+        reads.append([])
+        report = check()
         assert report.passed
         assert report.summary_lines()[-1] == "result: pass (exact through t^6)"
+    return reads
+
+
+def test_a_passing_rational_check_makes_no_scalar_of_the_euler_side(monkeypatch):
+    # nor multiplies any Scalar: the roots, both sides and the comparison
+    # are ints, and the report's Scalars are built as Scalar.rational; only
+    # the order + 1 sums and the r*m roots are read out
+    pp = UnramifiedLanglandsRep((Scalar.of(7), Scalar.rational(1, 11)))
+    full_rank = _rep_with_tops(("2", "-1/3"), 2)
+    reads = _reads_of_passing_checks(monkeypatch, [
+        lambda: verify_essential(RANK2_UNRAM, pp, 6),
+        lambda: verify_essential(ALL_RAMIFIED4, pp, 6),
+        lambda: verify_essential(full_rank, UnramifiedLanglandsRep((Scalar.rational(5, 10 ** 12),
+                                                                    Scalar.of(-3))), 6),
+        # the integrality hook at m = 1 != r = 2 adds no shift
+        lambda: verify_essential(MIXED, UnramifiedLanglandsRep((Scalar.of(7),)), 6,
+                                 drop_integrality=True),
+        lambda: cauchy_check(2, 2, (Scalar.of(2), Scalar.rational(-1, 3)), pp.satake, 6),
+    ])
+    assert reads == [[7, 4], [7, 0], [7, 4], [7, 2], [7, 4]]
+
+
+def test_a_passing_symbolic_check_makes_no_scalar_of_the_euler_side(monkeypatch):
+    # the map-ring twin of the rational test: the roots, both sides and the
+    # comparison are raw terms maps, and only the order + 1 sums and the r*m
+    # roots are read out as Scalars
+    symbolic = _rep_with_tops(("a1", "a2"), 3)
+    bs = UnramifiedLanglandsRep((Scalar.variable("b1"), Scalar.variable("b2")))
+    xs = [Scalar.variable(f"x{i}") for i in (1, 2, 3)]
+    mixed = (Scalar.variable("b1"), Scalar.rational(-2, 3))
+    reads = _reads_of_passing_checks(monkeypatch, [
+        lambda: verify_essential(symbolic, bs, 6),
+        lambda: verify_essential(symbolic, UnramifiedLanglandsRep(mixed), 6),
+        lambda: verify_essential(MIXED, UnramifiedLanglandsRep((W,)), 6),
+        lambda: cauchy_check(3, 2, xs, bs.satake, 6),
+    ])
+    assert reads == [[7, 4], [7, 4], [7, 2], [7, 6]]
 
 
 # --- writing a report ------------------------------------------------------------

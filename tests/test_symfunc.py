@@ -1,6 +1,7 @@
 """Partitions, Schur polynomials, and the combinatorial cross-checks."""
 
 import itertools
+from fractions import Fraction
 from functools import lru_cache
 
 import pytest
@@ -184,12 +185,26 @@ def test_branching_table_in_any_access_order(values, data):
     # order of reads (full-column shapes among them) must find the same
     # values; a fresh table, not the cached one, is filled from nothing
     ideal = symfunc._order_ideal((7,) * len(values), 7)
-    table = symfunc._SchurTable(tuple(values), ideal)
+    ring, points = symfunc._ring(values, 7)
+    table = symfunc._SchurTable(points, ideal, ring)
     shapes = data.draw(st.permutations(partitions_up_to(7, len(values))))
     assert len(ideal.states) == len(shapes) == \
         sum(_count_partitions(k, len(values)) for k in range(8))
     for shape in shapes:
         assert table.value(shape.parts) == schur(shape, values, "jacobi-trudi"), shape
+
+
+def test_integral_fractions_fill_in_ints():
+    # Fraction(2, 1) is an integral value: the tables of a tuple holding it,
+    # and a lattice on such tuples, run in Python ints
+    table = symfunc._h_table((Fraction(2, 1), 3), 3)
+    assert table.values == [1, 5, 19, 65]
+    assert all(type(v) is int for v in table.values)
+    ring, sums, roots = symfunc._lattice((Fraction(2, 1), 3), (Fraction(-4, 1),), 3)
+    assert ring[:2] == (1, None)
+    assert all(type(v) is int for v in sums + roots)
+    assert schur((2, 1), (Fraction(2, 1), 3, Fraction(1, 1))) == \
+        schur((2, 1), (2, 3, 1), "jacobi-trudi")
 
 
 def test_branching_fill_of_a_120_value_rational_tuple_matches_jacobi_trudi():
