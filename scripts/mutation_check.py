@@ -47,16 +47,17 @@ class Mutation(NamedTuple):
 MUTATIONS = [
     # the kernel and the layouts (ROADMAP item 14's starting list)
     Mutation("finished-keeps-vanished-variables", "whittaker/packing.py",
-             "names, terms = _drop_vanished(terms, names, w)", "names, terms = names, terms",
+             "if not (some >> s & mask) == half == (every >> s & mask))", "if True)",
              KERNEL_TESTS),
     Mutation("finished-skips-canon", "whittaker/packing.py",
              "    _canon_all(terms)\n", "    pass\n", KERNEL_TESTS),
-    Mutation("lattice-width-from-max", "whittaker/symfunc.py",
-             "bound = (bx + by) * max(order, 1)", "bound = max(bx, by) * max(order, 1)",
-             KERNEL_TESTS),
-    Mutation("lattice-width-from-one-tuple", "whittaker/symfunc.py",
-             "bound = (bx + by) * max(order, 1)", "bound = (by + by) * max(order, 1)",
-             KERNEL_TESTS),
+    Mutation("lattice-width-of-one-tuple", "whittaker/symfunc.py",
+             "2 * max(order, 1))", "max(order, 1))", KERNEL_TESTS),
+    Mutation("repack-ignores-target-width", "whittaker/packing.py",
+             "out[_pack(exps, w)] = c", "out[_pack(exps, w_src)] = c", KERNEL_TESTS),
+    Mutation("repack-misplaces-a-field", "whittaker/packing.py",
+             "where = [dst.index(v) if v in dst else None for v in src]",
+             "where = [src.index(v) if v in dst else None for v in src]", KERNEL_TESTS),
     Mutation("aligned-without-degree", "whittaker/packing.py",
              "bound = max((v.bound for v in values), default=0) * degree",
              "bound = max((v.bound for v in values), default=0)", KERNEL_TESTS),

@@ -17,13 +17,16 @@ A terms map sends packed monomials to nonzero coefficients: an int when
 integral, else a Fraction with denominator > 1.  Maps over different
 alphabets are repacked into the union before they meet; the functions
 here take maps already over one alphabet unless they say otherwise.
+_repack is the one routine that re-keys a map, to another alphabet or
+width.
 
 One kernel adds and multiplies terms maps, for ringcore's + and * and for
 every sum of products: _aligned puts the values on their union alphabet
 at a width that holds every product to be formed, _add_product adds a
-product into a map in place, and _finished makes the canonical value of
-a finished map (canonical coefficients, the alphabet trimmed, and the
-exact width of a value with an exponent of 2^(_WIDTH - 1) or more).
+product into a map in place, and _finished, the one trim, makes the
+canonical value of a finished map (canonical coefficients, the alphabet
+trimmed, and the exact width of a value with an exponent of
+2^(_WIDTH - 1) or more).
 
 Values are read a block of terms at a time (_blocks): their key lists,
 in order, are cut into blocks of at most _BLOCK keys, small lists sharing
@@ -169,75 +172,16 @@ def _union(a: tuple, b: tuple) -> tuple:
     return b if not a or a == b else tuple(sorted(set(a).union(b), key=_var_key))
 
 
-@lru_cache(maxsize=1024)
-def _mover(src: tuple, dst: tuple, w: int):
-    """Function re-keying a terms map from alphabet src to dst, both at width w.
-
-    None when the keys stay as they are.  Every variable of src that some
-    key uses must be in dst.  The fields of src that stay adjacent in dst
-    form runs; a single run (one alphabet is a contiguous block of the
-    other) moves by one shift, and only the degree field needs a fix,
-    except for a leading block.
-    """
-    if not src or src == dst:
-        return None
-    n, m = len(src), len(dst)
-    if not m:
-        return lambda terms: {0: c for c in terms.values()}
-    index = {v: j for j, v in enumerate(dst)}
-    runs = []       # [first src field, first dst field, length]
-    for j, v in enumerate(src):
-        q = index.get(v)
-        if q is None:
-            continue
-        if runs and runs[-1][0] + runs[-1][2] == j and runs[-1][1] + runs[-1][2] == q:
-            runs[-1][2] += 1
-        else:
-            runs.append([j, q, 1])
-    top, dst_top = w * n, w * m
-    if len(runs) == 1:
-        (j, q, length), = runs
-        shift = w * (m - q - length) - w * (n - j - length)
-        fix = (1 << dst_top) - (1 << (top + shift))
-        half = 1 << (top - 1)
-        if shift >= 0:
-            if not fix:
-                return lambda terms: {k << shift: c for k, c in terms.items()}
-            return lambda terms: {(k << shift) + ((k + half) >> top) * fix: c
-                                  for k, c in terms.items()}
-        shift = -shift
-        if not fix:
-            return lambda terms: {k >> shift: c for k, c in terms.items()}
-        return lambda terms: {(k >> shift) + ((k + half) >> top) * fix: c
-                              for k, c in terms.items()}
-    # with t = key + bias every field is nonnegative, so each run moves as
-    # one masked shift and loses its bias afterwards
-    bias, _, half, _ = _layout(n, w)
-    moves = []
-    unbias = 0
-    for j, q, length in runs:
-        low = w * (m - q - length)
-        moves.append((w * (n - j - length), (1 << w * length) - 1, low))
-        unbias += sum(half << (low + w * i) for i in range(length))
-
-    def move(terms):
-        out = {}
-        for k, c in terms.items():
-            t = k + bias
-            key = (t >> top << dst_top) - unbias
-            for src_low, mask, low in moves:
-                key += (t >> src_low & mask) << low
-            out[key] = c
-        return out
-
-    return move
-
-
 def _repack(terms: dict, src: tuple, dst: tuple, w_src: int, w: int) -> dict:
-    """terms re-keyed from alphabet src at width w_src to dst at width w."""
-    if w_src == w:
-        move = _mover(src, dst, w)
-        return move(terms) if move else terms
+    """terms re-keyed from alphabet src at width w_src to alphabet dst at width w.
+
+    Every variable of src that some key uses must be in dst.  terms itself
+    is returned when no key changes: src is empty (every key is the unit
+    monomial 0), or dst is src at the same width.  Otherwise each key is
+    unpacked and its exponents packed into the fields of dst.
+    """
+    if not src or (src == dst and w_src == w):
+        return terms
     n, m = len(src), len(dst)
     where = [dst.index(v) if v in dst else None for v in src]
     out = {}
@@ -297,50 +241,26 @@ def _finished(terms: dict, names: tuple, w: int, bound: int) -> Tuple[dict, tupl
     """(terms, alphabet, bound) of the value of a map summed in place over names at width w.
 
     bound bounds its exponents.  The coefficients are made canonical and the
-    variables no key uses are dropped; a width above _WIDTH gives the value
-    its exact bound and own width (_normalise).  terms is reused.
+    variables that no key uses are dropped: a field is 0 in every key exactly
+    when its biased value is the same in the OR and in the AND of all biased
+    keys and equals the bias.  A width above _WIDTH gives the value its
+    exact bound and its own width.  terms is reused when no key changes.
     """
     if not terms:
         return terms, (), 0
     _canon_all(terms)
-    if w > _WIDTH:
-        return _normalise(terms, names, w)
-    names, terms = _drop_vanished(terms, names, w)
-    return terms, names, bound
-
-
-def _drop_vanished(terms: dict, names: tuple, w: int) -> Tuple[tuple, dict]:
-    """(alphabet, terms) without the variables that no key uses.
-
-    A field is 0 in every key exactly when its biased value is the same in
-    the OR and in the AND of all biased keys and equals the bias.
-    """
-    bias, mask, half, shifts = _layout(len(names), w)
+    n = len(names)
+    bias, mask, half, shifts = _layout(n, w)
     some, every = 0, -1
     for k in terms:
         t = k + bias
         some |= t
         every &= t
-    gone = {v for v, s in zip(names, shifts) if (some >> s & mask) == half == (every >> s & mask)}
-    if not gone:
-        return names, terms
-    kept = tuple(v for v in names if v not in gone)
-    return kept, _repack(terms, names, kept, w, w)
-
-
-def _normalise(terms: dict, names: tuple, w: int) -> Tuple[dict, tuple, int]:
-    """(terms, alphabet, bound) of the value of terms, keys at width w, with
-    its exact bound, its trimmed alphabet and its own width; used whenever a
-    width above _WIDTH is in play."""
-    n = len(names)
-    rows = [(_unpack(k, n, w), c) for k, c in terms.items()]
-    used = [j for j in range(n) if any(exps[j] for exps, _ in rows)]
-    bound = max((abs(e) for exps, _ in rows for e in exps), default=0)
-    w_out = _width(bound)
-    if len(used) == n and w_out == w:
-        return terms, names, bound
-    return ({_pack([exps[j] for j in used], w_out): c for exps, c in rows},
-            tuple(names[j] for j in used), bound)
+    kept = tuple(v for v, s in zip(names, shifts)
+                 if not (some >> s & mask) == half == (every >> s & mask))
+    if w > _WIDTH:
+        bound = max((abs(e) for k in terms for e in _unpack(k, n, w)), default=0)
+    return _repack(terms, names, kept, w, _width(bound)), kept, bound
 
 
 # Terms decoded at once by _evaluate and ringcore._texts.  It bounds the per-term

@@ -35,13 +35,13 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, reduce
+from functools import lru_cache
 from math import lcm
 from operator import ge, mul
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import DivisionByZero, UnsupportedWeight
-from .packing import _add_product, _aligned, _finished, _repack, _union, _unpack, _width
+from .packing import _add_product, _aligned, _finished, _unpack, _width
 from .ringcore import _ONE, _ZERO, Scalar
 
 ALGORITHMS = ("branching", "jacobi-trudi", "bialternant")
@@ -301,11 +301,12 @@ class _SchurTable:
     down to 0 are swept in place, in order of size, over the states with at
     most k parts: one add and one multiply by x_k per state and row, and no
     recursion at any width.  Those sweeps are the ideal's (ideal.sweeps),
-    made once per ideal.  When only s_top is wanted, row i at step k
-    sweeps only the lam with lam_j >= top_(j+n-k+1) for j <= i and
-    lam_j >= top_(j+n-k) for j > i, the states that a Gelfand-Tsetlin
+    made once per ideal.  When only s_top is wanted in terms maps, row i
+    at step k sweeps only the lam with lam_j >= top_(j+n-k+1) for j <= i
+    and lam_j >= top_(j+n-k) for j > i, the states that a Gelfand-Tsetlin
     pattern ending at top passes through, with their chains; the other
-    values go stale.  Only this window filters rows per table.
+    values go stale.  Only this window filters rows per table, and only in
+    terms maps: filtering a row costs more than the int adds it saves.
 
     On the one-row ideal (0), (1), ..., (order) the one row is the
     convolution h_k += x_k * h_(k-1) of the h_k = s_(k) (Macdonald
@@ -327,9 +328,10 @@ class _SchurTable:
         n, length, states = len(points), len(ideal.cap), ideal.states
         for k, x in enumerate(points, 1):
             # the rows to sweep at step k, in order: the ideal's, unless the
-            # window of top narrows some
+            # window of top narrows some; an int add costs less than the
+            # window's filter, so only terms maps are narrowed
             sweeps, window = ideal.sweeps[min(k, length)], top[n - k:]
-            if window:
+            if window and not ints:
                 narrowed = []
                 for i, row in zip(range(len(sweeps) - 1, -1, -1), sweeps):
                     floor = window[1:i + 2] + window[i + 1:]
@@ -402,8 +404,9 @@ def _lattice(xs: Sequence, ys: Sequence, order: int) -> tuple:
     and sums[k] is the dot product of their slices of size k.  Two rational
     tuples fill in ints at their own scales Dx and Dy, so the sums and the
     roots are ints at the scale Dx * Dy.  Otherwise both tables fill in
-    terms maps on the union alphabet, at a width that holds a product of
-    order factors from each tuple (and the roots at order 0).
+    terms maps on the union alphabet (packing._aligned), at a width that
+    holds a product of 2 * order factors, so of order from each tuple (and
+    the roots at order 0).
     """
     ideal = _order_ideal((order,) * min(len(xs), len(ys)), order)
     x, y = _scaled_ints(xs), _scaled_ints(ys)
@@ -411,12 +414,9 @@ def _lattice(xs: Sequence, ys: Sequence, order: int) -> tuple:
         (dx, px), (dy, py) = x, y
         ring = (dx * dy, None, None, 0)
     else:
-        xs, ys = tuple(map(Scalar.of, xs)), tuple(map(Scalar.of, ys))
-        bx, by = (max((v.bound for v in vs), default=0) for vs in (xs, ys))
-        bound = (bx + by) * max(order, 1)
-        names, w = reduce(_union, [v.names for v in xs + ys], ()), _width(bound)
-        px, py = ([_repack(v.terms, v.names, names, _width(v.bound), w) for v in vs]
-                  for vs in (xs, ys))
+        names, w, bound, points = _aligned([*map(Scalar.of, xs), *map(Scalar.of, ys)],
+                                           2 * max(order, 1))
+        px, py = points[:len(xs)], points[len(xs):]
         ring = (1, names, w, bound)
     # no value of the two tables is read out, so they can share ring
     u, v = (_SchurTable(points, ideal, ring).values for points in (px, py))

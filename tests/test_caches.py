@@ -15,7 +15,6 @@ from whittaker.symfunc import _h_table, _SchurTable, schur
 CACHES = {
     "whittaker.cli._parser",
     "whittaker.packing._layout",
-    "whittaker.packing._mover",
     "whittaker.symfunc._order_ideal",
 }
 

@@ -15,7 +15,7 @@ from whittaker.errors import (
 )
 from whittaker import packing, ringcore
 from whittaker.packing import (_WIDTH, _add_product, _aligned, _blocks, _evaluate, _finished, _pack,
-                               _unpack, _width)
+                               _repack, _unpack, _width)
 from whittaker.ringcore import (
     EulerFactor,
     Scalar,
@@ -483,6 +483,42 @@ def _expected_terms(value):
 def test_pack_unpack_round_trip(exps, width):
     assume(all(abs(e) < 2 ** (width - 1) for e in exps))
     assert _unpack(_pack(exps, width), len(exps), width) == exps
+
+
+_REPACK_NAMES = ("u", "a", "b", "c", "d", "e")
+_MASK = st.lists(st.booleans(), min_size=6, max_size=6)
+_FIELD = st.one_of(st.integers(-3, 3), st.integers(-2 ** 15 + 1, 2 ** 15 - 1))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_MASK, _MASK, _MASK, st.sampled_from((16, 32, 64)), st.sampled_from((16, 32, 64)),
+       st.lists(st.lists(_FIELD, min_size=6, max_size=6), max_size=6))
+# src u, b, d interleaved with the a, c, e of dst: three runs of one field
+@example([1, 0, 1, 0, 1, 0], [1] * 6, [1] * 6, 16, 16, [[1, 0, -2, 0, 3, 0], [0, 0, 4, 0, 0, 0]])
+# b and d are 0 in every key and dropped; the width goes up
+@example([1, 1, 1, 1, 1, 0], [1, 1, 0, 1, 0, 0], [0] * 6, 16, 64,
+         [[5, -2 ** 15 + 1, 0, 7, 0, 0], [0, 1, 0, -1, 0, 0]])
+# the width goes down, on the same alphabet
+@example([0, 1, 1, 0, 0, 1], [1] * 6, [0] * 6, 64, 16, [[0, -3, 2 ** 15 - 1, 0, 0, 1]])
+# an empty src: the unit monomial only
+@example([0] * 6, [1] * 6, [0, 1, 0, 1, 0, 0], 32, 16, [[0] * 6])
+def test_repack_moves_each_exponent_to_its_field_and_back(in_src, used, in_dst, w_src, w, rows):
+    # a variable of src that some key uses is in dst; the others, 0 in every
+    # key, are kept or dropped as in_dst says, and dst may add variables
+    src = tuple(v for v, keep in zip(_REPACK_NAMES, in_src) if keep)
+    live = {v for v, keep, u in zip(_REPACK_NAMES, in_src, used) if keep and u}
+    dst = tuple(v for v, keep in zip(_REPACK_NAMES, in_dst) if keep or v in live)
+    exps = {}
+    for row in rows:
+        e = {v: x if v in live else 0 for v, x in zip(_REPACK_NAMES, row)}
+        exps[_pack([e[v] for v in src], w_src)] = e
+    terms = {k: i + 1 for i, k in enumerate(exps)}
+    out = _repack(terms, src, dst, w_src, w)
+    assert sorted(out.values()) == sorted(terms.values())
+    key_of = {c: k for k, c in out.items()}
+    for k, c in terms.items():
+        assert _unpack(key_of[c], len(dst), w) == [exps[k][v] for v in dst]
+    assert _repack(out, dst, src, w, w_src) == terms
 
 
 @settings(max_examples=80, deadline=None)

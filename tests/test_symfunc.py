@@ -214,6 +214,16 @@ def test_branching_fill_of_a_120_value_rational_tuple_matches_jacobi_trudi():
     assert schur((2, 1), values) == schur((2, 1), values, "jacobi-trudi")
 
 
+@pytest.mark.parametrize("shape, nvars", [((3, 2, 1), 4), ((8, 6, 4, 2), 6),
+                                          ((12, 8, 5, 3, 1), 9)])
+def test_branching_on_rational_shapes_of_three_or_more_parts(shape, nvars):
+    # a rational value of a long shape sweeps the whole ideal below it, with
+    # no window toward the shape
+    values = [Scalar.rational(i % 5 - 2, i % 3 + 1) for i in range(nvars)]
+    assert schur(shape, values) == schur(shape, values, "jacobi-trudi")
+    assert schur(shape, range(1, nvars + 1)) == schur(shape, range(1, nvars + 1), "jacobi-trudi")
+
+
 @pytest.mark.parametrize("shape", [(2, 1), (4, 4, 2, 2)])
 def test_branching_on_thousands_of_rational_values(shape):
     # the fill is iterative, so the width of the tuple is bounded by time
