@@ -301,12 +301,11 @@ class _SchurTable:
     down to 0 are swept in place, in order of size, over the states with at
     most k parts: one add and one multiply by x_k per state and row, and no
     recursion at any width.  Those sweeps are the ideal's (ideal.sweeps),
-    made once per ideal.  When only s_top is wanted in terms maps, row i
-    at step k sweeps only the lam with lam_j >= top_(j+n-k+1) for j <= i
-    and lam_j >= top_(j+n-k) for j > i, the states that a Gelfand-Tsetlin
+    made once per ideal.  When only s_top is wanted, row i at step k
+    sweeps only the lam with lam_j >= top_(j+n-k+1) for j <= i and
+    lam_j >= top_(j+n-k) for j > i, the states that a Gelfand-Tsetlin
     pattern ending at top passes through, with their chains; the other
-    values go stale.  Only this window filters rows per table, and only in
-    terms maps: filtering a row costs more than the int adds it saves.
+    values go stale.  Only this window filters rows per table.
 
     On the one-row ideal (0), (1), ..., (order) the one row is the
     convolution h_k += x_k * h_(k-1) of the h_k = s_(k) (Macdonald
@@ -328,10 +327,9 @@ class _SchurTable:
         n, length, states = len(points), len(ideal.cap), ideal.states
         for k, x in enumerate(points, 1):
             # the rows to sweep at step k, in order: the ideal's, unless the
-            # window of top narrows some; an int add costs less than the
-            # window's filter, so only terms maps are narrowed
+            # window of top narrows some
             sweeps, window = ideal.sweeps[min(k, length)], top[n - k:]
-            if window and not ints:
+            if window:
                 narrowed = []
                 for i, row in zip(range(len(sweeps) - 1, -1, -1), sweeps):
                     floor = window[1:i + 2] + window[i + 1:]
