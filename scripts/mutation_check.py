@@ -50,7 +50,7 @@ MUTATIONS = [
              "if not (some >> s & mask) == half == (every >> s & mask))", "if True)",
              KERNEL_TESTS),
     Mutation("finished-skips-canon", "whittaker/packing.py",
-             "    _canon_all(terms)\n", "    pass\n", KERNEL_TESTS),
+             "terms[k] = _canon(c)\n", "pass\n", KERNEL_TESTS),
     Mutation("lattice-width-of-one-tuple", "whittaker/symfunc.py",
              "2 * max(order, 1))", "max(order, 1))", KERNEL_TESTS),
     Mutation("repack-ignores-target-width", "whittaker/packing.py",
@@ -121,6 +121,11 @@ MUTATIONS = [
     # first key of the next slice
     Mutation("text-block-seam", "whittaker/packing.py",
              "start += _BLOCK\n", "start += _BLOCK + 1\n", KERNEL_TESTS),
+    # the half fold of _columns: a half's value read from its first field
+    # only, so keys that differ in a later field of the half share its items
+    Mutation("columns-half-of-its-first-field", "whittaker/packing.py",
+             "run = sum(mask << shifts[i] for i in half)",
+             "run = sum(mask << shifts[i] for i in half[:1])", KERNEL_TESTS),
 ]
 
 

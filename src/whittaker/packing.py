@@ -75,14 +75,6 @@ def _canon(c: Rational) -> Rational:
     return c.numerator if c.denominator == 1 else c
 
 
-def _canon_all(terms: dict) -> dict:
-    # canonical coefficients in place; returns terms
-    for m, c in terms.items():
-        if c.__class__ is not int:
-            terms[m] = _canon(c)
-    return terms
-
-
 def _width(bound: int) -> int:
     # field width of a value whose exponents have absolute value <= bound
     w = _WIDTH
@@ -114,17 +106,6 @@ def _unpack(key: Mono, n: int, w: int) -> list:
     return [(t >> s & mask) - half for s in shifts]
 
 
-def _field_items(values, fields, shifts, mask: int, table_of) -> list:
-    # one iterator per field i of fields over the item table_of(i, ...)
-    # gives to field i of each value, field i of t being t >> shifts[i] & mask
-    out = []
-    for i in fields:
-        s = shifts[i]
-        column = [t >> s & mask for t in values]
-        out.append(map(table_of(i, set(column)).__getitem__, column))
-    return out
-
-
 def _columns(keys, n: int, w: int, table_of, combine) -> list:
     """Columns of items over keys of n fields at width w.
 
@@ -134,37 +115,26 @@ def _columns(keys, n: int, w: int, table_of, combine) -> list:
     fold of the items of its fields, in field order.
 
     The fields split into a high half, fields 0..n-n//2-1, and a low half,
-    the other n // 2.  A half of two or more fields whose values repeat,
-    each distinct value on four or more keys on average, gives one
-    column: it is folded once per distinct value and looked up per key,
-    so a key pays one lookup for the half, however many fields it has.
-    Every other field gives a column of its own.  Finding a half's
-    distinct values costs about a field lookup per key, so it is skipped
-    when there are fewer than four keys per field: the tables could then
-    save little.
+    the other n // 2.  Each nonempty half gives one column: its items are
+    folded once per distinct value of the half and looked up per key, so a
+    key pays one lookup per half, however many fields it has.
     """
     bias, mask, _, shifts = _layout(n, w)
-    biased = [k + bias for k in keys]
-    if len(keys) < 4 * n:
-        return _field_items(biased, range(n), shifts, mask, table_of)
-    split, low_bits = n - n // 2, w * (n // 2)
     columns = []
-    for first, stop in ((0, split), (split, n)):
-        if stop - first > 1:
-            # a half's value is the run of its biased fields
-            shift, run = (low_bits if first == 0 else 0), (1 << w * (stop - first)) - 1
-            values = [t >> shift & run for t in biased] if shift else [t & run for t in biased]
-            distinct = set(values)
-            if 4 * len(distinct) <= len(values):
-                source = list(distinct)
-                items = _field_items(source, range(first, stop), [s - shift for s in shifts],
-                                     mask, table_of)
-                folded = items[0]
-                for column in items[1:]:
-                    folded = map(combine, folded, column)
-                columns.append(map(dict(zip(source, folded)).__getitem__, values))
-                continue
-        columns += _field_items(biased, range(first, stop), shifts, mask, table_of)
+    for half in (range(n - n // 2), range(n - n // 2, n)):
+        if not half:
+            continue
+        # a half's value is its biased fields, in place
+        run = sum(mask << shifts[i] for i in half)
+        values = [k + bias & run for k in keys]
+        source = list(set(values))
+        folded = None
+        for i in half:
+            s = shifts[i]
+            column = [t >> s & mask for t in source]
+            items = map(table_of(i, set(column)).__getitem__, column)
+            folded = items if folded is None else map(combine, folded, items)
+        columns.append(map(dict(zip(source, folded)).__getitem__, values))
     return columns
 
 
@@ -199,7 +169,7 @@ def _add_product(out: dict, a: dict, b: dict) -> None:
 
     Keys that cancel are deleted.  Coefficients are left as the arithmetic
     gives them, so an integral Fraction may remain: a sum of products is
-    made canonical once, with _canon_all, when it is complete.
+    made canonical once, by _finished, when it is complete.
     """
     if len(a) > len(b):
         a, b = b, a
@@ -248,11 +218,12 @@ def _finished(terms: dict, names: tuple, w: int, bound: int) -> Tuple[dict, tupl
     """
     if not terms:
         return terms, (), 0
-    _canon_all(terms)
     n = len(names)
     bias, mask, half, shifts = _layout(n, w)
     some, every = 0, -1
-    for k in terms:
+    for k, c in terms.items():
+        if c.__class__ is not int:
+            terms[k] = _canon(c)
         t = k + bias
         some |= t
         every &= t

@@ -347,7 +347,7 @@ def _config_int(document: dict, key: str) -> int:
 def parse_rep(config: dict) -> GenericRep:
     """Build a validated GenericRep from a configuration document.
 
-    Expected shape: {"q": "symbolic" | "<rational>", "segments": [...]},
+    Expected shape: {"q": "symbolic" | "<rational>" | <integer>, "segments": [...]},
     with unramified entries {"kind": "unramified", "satake": <atom>,
     "length": k} and ramified entries {"kind": "ramified", "id": <name>,
     "degree": m, "length": k}.  An optional "n" is checked against the
@@ -362,11 +362,15 @@ def parse_rep(config: dict) -> GenericRep:
         raise ConfigError(f"missing config key {missing}") from None
     if q_raw == "symbolic":
         q = None
-    else:
+    elif q_raw.__class__ is int:  # a JSON integer, not a bool
+        q = Fraction(q_raw)
+    elif isinstance(q_raw, str) and _RATIONAL_RE.fullmatch(q_raw.strip()):
         try:
-            q = Fraction(str(q_raw))
-        except (ValueError, ZeroDivisionError):
+            q = Fraction(q_raw.strip())
+        except (ValueError, ZeroDivisionError):  # more digits than int() converts, or p/0
             raise ConfigError(f"cannot parse q value {q_raw!r}") from None
+    else:
+        raise ConfigError(f"cannot parse q value {q_raw!r}")
     if not isinstance(entries, list) or not entries:
         raise ConfigError("config needs a nonempty list of segments")
     segments = []

@@ -52,7 +52,7 @@ from operator import add
 from typing import Iterable, Iterator, Mapping, Optional
 
 from .errors import DivisionByZero, InsufficientOrder, InvalidCharacter, Unsupported
-from .packing import (_VAR, Rational, _add_product, _aligned, _blocks, _canon, _canon_all,
+from .packing import (_VAR, Rational, _add_product, _aligned, _blocks, _canon,
                       _columns, _evaluate, _finished, _layout, _pack, _unpack, _var_key, _width)
 
 def _int_text(i: int) -> str:
@@ -257,7 +257,7 @@ class Scalar:
                 return Scalar({0: _canon(c * big.terms[0])})
             if c.__class__ is int and c == 1:
                 return big
-            return Scalar(_canon_all({m: c * cb for m, cb in big.terms.items()}),
+            return Scalar({m: _canon(c * cb) for m, cb in big.terms.items()},
                           big.names, big.bound)
         names, w, _, (a, b) = _aligned((small, big), 2)
         out = {}

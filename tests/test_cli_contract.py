@@ -94,7 +94,8 @@ def _segment(draw):
 @st.composite
 def _document(draw):
     doc = {"q": draw(_mostly(st.sampled_from(["symbolic", "3", "5/2", "1000001/1000000", 3]),
-                             st.sampled_from(["1", "0", "-3", "1/0", "abc"]) | _JSON_JUNK)),
+                             st.sampled_from(["1", "0", "-3", "1/0", "abc", "1e5000", "2.5"])
+                             | _JSON_JUNK)),
            "segments": draw(_mostly(st.lists(_segment(), min_size=1, max_size=3), _JSON_JUNK))}
     if draw(_rarely()):
         del doc[draw(st.sampled_from(["q", "segments"]))]

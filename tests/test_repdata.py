@@ -166,6 +166,18 @@ def test_cuspidal_id_is_the_whole_string():
                 {"kind": "ramified", "id": cid, "degree": 1, "length": 1}]})
 
 
+def test_numeric_q_is_a_json_integer_or_a_rational_string():
+    # "1e5000" was read through Fraction, and its 5,001-digit value ended
+    # verify in a traceback when the report's metadata printed it
+    segments = [{"kind": "unramified", "satake": "2", "length": 1}]
+    for q, value in ((3, 3), ("3", 3), (" +5/2 ", Fraction(5, 2)), ("10/4", Fraction(5, 2))):
+        assert parse_rep({"q": q, "segments": segments}).q == value
+    for q in ("1e5000", "1e5", "2.5", "2.", "0x10", "1_000", "٣", "3/", "1/0", "9" * 4301,
+              2.5, 3.0, True, None, [3], {"q": 3}):
+        with pytest.raises(ConfigError, match="cannot parse q value"):
+            parse_rep({"q": q, "segments": segments})
+
+
 # --- compute_piu / langlands_order ----------------------------------------------
 
 def test_compute_piu_mixed():

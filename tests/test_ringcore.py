@@ -763,6 +763,17 @@ def _check_kernels(values, bindings):
 @example([Scalar.of(0), Scalar.rational(-1, 2), x1 + 1, 3 * u ** 2 - x1 * x2 ** -1 + 1], 3,
          {"u": Fraction(1, 2), "x1": Fraction(-2, 3), "x2": 5})
 @example([x1 * x2 + x1 - x2 + 1, x1 * x2 + x1 - x2 + 1], 2, {"x1": 0, "x2": 1})
+# one variable: a high half of one field and an empty low half
+@example([x1 ** 3 - 2 * x1 + Fraction(1, 3) * x1 ** -2 + 5, x1 ** 2 + x1 + 1], 4,
+         {"x1": Fraction(-2, 3)})
+# two variables: two halves of one field each
+@example([x1 ** 2 * x2 - x1 * x2 ** -1 + Fraction(3, 2) * x2 ** 3 - x1 + 1
+          + x1 ** -1 * x2 ** 2 + 2 * x1 ** 3 - x2, x2 - x1], 8,
+         {"x1": 3, "x2": Fraction(1, 2)})
+# a block of 16 keys over four variables in which no half value repeats
+@example([sum((Fraction(i + 1, 3) * Scalar.monomial({"u": i, "a1": i - 8, "x1": i % 5, "x2": -i})
+               for i in range(16)), Scalar.of(0)), x1 - 1], 16,
+         {"u": Fraction(1, 2), "a1": 3, "x1": Fraction(-2, 3), "x2": 2})
 def test_kernels_in_small_blocks_match_the_oracles(values, block, bindings):
     # a block of a few terms cuts most values, and the values of one batch
     # lie on different alphabets, some at the wide layout
