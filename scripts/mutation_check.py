@@ -126,6 +126,13 @@ MUTATIONS = [
     Mutation("columns-half-of-its-first-field", "whittaker/packing.py",
              "run = sum(mask << shifts[i] for i in half)",
              "run = sum(mask << shifts[i] for i in half[:1])", KERNEL_TESTS),
+    # the print order: each degree's run of keys left ascending
+    Mutation("print-order-ascending", "whittaker/ringcore.py",
+             "keys[start:end] = keys[start:end][::-1]", "pass", CLI_TESTS),
+    # Euler factors compared as sets, so multiplicities are lost
+    Mutation("euler-roots-as-a-set", "whittaker/ringcore.py",
+             "Counter(self.roots) == Counter(other.roots)",
+             "set(self.roots) == set(other.roots)", KERNEL_TESTS),
 ]
 
 

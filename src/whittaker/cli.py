@@ -158,7 +158,8 @@ def _cmd_schur(args: argparse.Namespace) -> int:
 
 
 def _cmd_spherical(args: argparse.Namespace) -> int:
-    satake = _parse_atom_list(args.satake)
+    # a zero Satake value is refused here as in every other command
+    satake = UnramifiedLanglandsRep(_parse_atom_list(args.satake)).satake
     print(spherical_value(satake, _parse_int_list(args.weight, "--weight")))
     return 0
 

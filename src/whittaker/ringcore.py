@@ -30,7 +30,8 @@ at once and a block of at most packing._BLOCK terms at a time: _texts
 here and packing._evaluate.  str of a Scalar, of a truncated series and
 of an Euler factor's roots are calls of _texts, and substitute is a call
 of _evaluate; a series is printed, and the CLI spot-check evaluates one,
-in one call for all its coefficients.  A block's keys are decoded once,
+in one call for all its coefficients, and an Euler factor's roots are
+printed in one call for all its roots.  A block's keys are decoded once,
 with one table per variable, so small coefficients share that work, and
 what a call holds per term is bounded by a block, not by the largest
 coefficient.
@@ -47,6 +48,7 @@ factors (multisets of reciprocal roots), with exact comparison.
 from __future__ import annotations
 
 from bisect import bisect_left
+from collections import Counter
 from fractions import Fraction
 from operator import add
 from typing import Iterable, Iterator, Mapping, Optional
@@ -127,13 +129,12 @@ class Scalar:
     other value raises Unsupported.
     """
 
-    __slots__ = ("terms", "names", "bound", "_hash")
+    __slots__ = ("terms", "names", "bound")
 
     def __init__(self, terms: dict, names: tuple = (), bound: int = 0):
         self.terms = terms
         self.names = names
         self.bound = bound
-        self._hash = None
 
     @classmethod
     def of(cls, value) -> "Scalar":
@@ -202,19 +203,17 @@ class Scalar:
 
     def __eq__(self, other):
         if other.__class__ is not Scalar:
-            if isinstance(other, (int, Fraction)):
-                other = Scalar.of(other)
-            elif not isinstance(other, Scalar):
+            if not isinstance(other, (int, Fraction)):
                 return NotImplemented
+            other = Scalar.of(other)
         return (self.names == other.names and self.terms == other.terms
                 and _width(self.bound) == _width(other.bound))
 
     def __hash__(self):
-        if self._hash is None:
-            # hash(3) == hash(Fraction(3)), so a constant hashes like its Fraction
-            self._hash = (hash(self.terms.get(0, 0)) if not self.names
-                          else hash((self.names, frozenset(self.terms.items()))))
-        return self._hash
+        # hash(3) == hash(Fraction(3)), so a constant hashes like its Fraction
+        if not self.names:
+            return hash(self.terms.get(0, 0))
+        return hash((self.names, frozenset(self.terms.items())))
 
     def __neg__(self):
         return Scalar({m: -c for m, c in self.terms.items()}, self.names, self.bound)
@@ -314,9 +313,6 @@ class Scalar:
         return c < 0
 
     def __str__(self):
-        if not self.names:
-            # a rational constant, such as a numeric q, is its coefficient's text
-            return _coeff_text(self.terms[0]) if self.terms else "0"
         return "".join(_texts((self,))[0])
 
     def __repr__(self):
@@ -345,9 +341,6 @@ def _print_order(terms, n: int, w: int) -> list:
     """
     keys = sorted(terms)
     top, bias = w * n, _layout(n, w)[0]
-    if (keys[0] + bias) >> top == (keys[-1] + bias) >> top:
-        keys.reverse()
-        return keys
     start = 0
     while start < len(keys):
         end = bisect_left(keys, (((keys[start] + bias) >> top) << top) + (1 << (top - 1)), start)
@@ -483,15 +476,6 @@ class TruncatedSeries:
         return f"TruncatedSeries({self!s})"
 
 
-def _counts(values: Iterable) -> dict:
-    # each value's multiplicity, for ints and Scalars alike; a plain dict,
-    # as a collections.Counter costs a few microseconds more
-    counts = {}
-    for c in values:
-        counts[c] = counts.get(c, 0) + 1
-    return counts
-
-
 class EulerFactor:
     """Multiset of reciprocal roots c_i, denoting the product of 1/(1 - c_i t)."""
 
@@ -508,16 +492,16 @@ class EulerFactor:
         return len(self.roots)
 
     def root_texts(self) -> list:
-        """The text of every root, sorted."""
-        return sorted(map(str, self.roots))
+        """The text of every root, sorted, from one _texts call."""
+        return sorted(map("".join, _texts(self.roots)))
 
     def __eq__(self, other):
         if not isinstance(other, EulerFactor):
             return NotImplemented
-        return _counts(self.roots) == _counts(other.roots)
+        return Counter(self.roots) == Counter(other.roots)
 
     def __hash__(self):
-        return hash(frozenset(_counts(self.roots).items()))
+        return hash(frozenset(Counter(self.roots).items()))
 
     def __str__(self):
         if not self.roots:

@@ -332,10 +332,24 @@ def test_spherical_output(capsys):
     assert capsys.readouterr().out.strip() == "u^-1*z1 + u^-1*z2"
 
 
+def test_every_command_refuses_a_zero_satake_value(tmp_path, capsys):
+    steinberg = _write(tmp_path, "rep.json", STEINBERG)
+    for argv in (["spherical", "--satake", "0", "--weight", "1"],
+                 ["spherical", "--satake", "0,1", "--weight", "1,0"],
+                 ["spherical", "--satake", "z1,0", "--weight", "1,0"],
+                 ["verify", "--rep", steinberg, "--satake-prime", "0"],
+                 ["lfactor", "--rep", steinberg, "--satake-prime", "2,0"]):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: Satake values must be nonzero\n"
+
+
 def test_spherical_on_600_rational_values(capsys):
     # the Schur table has no recursion, so a wide tuple is no harder than a
-    # long one; the values start with "-", hence the --satake= form
-    values = [Scalar.rational(i % 13 - 6, i % 7 + 1) for i in range(600)]
+    # long one; the values start with "-", hence the --satake= form, and
+    # none is 0, as a Satake value must be nonzero
+    values = [Scalar.rational(i % 13 - 6 or 7, i % 7 + 1) for i in range(600)]
     weight = (2, 1) + (0,) * 598
     satake = ",".join(map(str, values))
     assert main(["spherical", f"--satake={satake}", "--weight", ",".join(map(str, weight))]) == 0
