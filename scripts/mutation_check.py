@@ -126,6 +126,22 @@ MUTATIONS = [
     Mutation("columns-half-of-its-first-field", "whittaker/packing.py",
              "run = sum(mask << shifts[i] for i in half)",
              "run = sum(mask << shifts[i] for i in half[:1])", KERNEL_TESTS),
+    # the evaluation kernel: each block's sum over its own denominator, the
+    # blocks joined over the lcm of those denominators
+    Mutation("evaluate-drops-block-rebase", "whittaker/packing.py",
+             "nums[i] += s * (den // den_b)", "nums[i] += s", KERNEL_TESTS),
+    Mutation("evaluate-den-not-a-common-multiple", "whittaker/packing.py",
+             "den = lcm(*[den_b for _, _, den_b in sums])",
+             "den = max([den_b for _, _, den_b in sums], default=1)", KERNEL_TESTS),
+    # a batch with no variable folds no column, and a list of coefficients
+    # read piece by piece must be one iterator
+    Mutation("evaluate-pieces-share-a-start", "whittaker/packing.py",
+             "_columns(keys, n, w, factors, mul), iter(total))",
+             "_columns(keys, n, w, factors, mul), total)", KERNEL_TESTS),
+    # the bialternant's long division: a quotient key with an exponent of -1
+    Mutation("exact-div-skips-exactness", "whittaker/symfunc.py",
+             "if min(_unpack(key, n, w)) < 0:", "if min(_unpack(key, n, w)) < -1:",
+             KERNEL_TESTS),
     # the print order: each degree's run of keys left ascending
     Mutation("print-order-ascending", "whittaker/ringcore.py",
              "keys[start:end] = keys[start:end][::-1]", "pass", CLI_TESTS),

@@ -269,15 +269,15 @@ def _evaluate(values, bindings: Mapping[str, Rational]) -> tuple:
     """(nums, den): value i at the rational point bindings is nums[i] / den.
 
     Every variable of the values must be bound to an int or a Fraction
-    (UnboundVariable and TypeError otherwise).  Each variable v, bound to
-    p/q, has over a block's keys (_blocks) an exponent range [lo, hi] that
-    contains 0, and p^(e - lo) * q^(hi - e) is an integer for every e in
-    it; with the lcm of the coefficient denominators this puts every term
-    of the block over one denominator, so its sum is taken in integers.  A
-    term's integer factor is the product of the columns of _columns, with
-    one table per variable and block.  The blocks' sums are brought onto
-    the ranges of all blocks at the end, so every value shares den and no
-    Fraction is made.
+    (UnboundVariable and TypeError otherwise).  Each block of terms
+    (_blocks) is summed in integers over a denominator of its own: the lcm
+    of its coefficient denominators times, for each variable v bound to
+    p/q, p^(-lo) * q^hi, where [lo, hi] is v's exponent range over the
+    block's keys widened to contain 0, so that p^(e - lo) * q^(hi - e) is
+    an integer for every e in it.  A term's integer factor is the product
+    of the columns of _columns, with one table per variable and block.
+    den is the lcm of the blocks' denominators, so every value shares it
+    and no Fraction is made.
     """
     names, w, _, maps = _aligned(values, 1)
     point = []
@@ -291,54 +291,43 @@ def _evaluate(values, bindings: Mapping[str, Rational]) -> tuple:
                                 f"not an int or a Fraction")
             x = Fraction(x)
         point.append(x)
-    distinct = set()
-    for terms in maps:
-        distinct.update(terms.values())
-    coeff_den = lcm(*[c.denominator for c in distinct if c.__class__ is not int])
     n, half = len(names), 1 << (w - 1)
-    # exponents e are biased to e + half; every range contains e = 0
-    low, high = [half] * n, [half] * n
-    blocks = []     # (the block's ranges, [(i, sum)]) per block
+    sums = []       # (i, sum, den_b): a piece of value i is sum / den_b
     # the coefficients are cut into the same blocks as the keys, as the
     # lists have the same lengths
     for block, coeff_block in zip(
             _blocks((i, list(terms)) for i, terms in enumerate(maps) if terms),
             _blocks((i, list(terms.values())) for i, terms in enumerate(maps) if terms)):
-        ranges = [None] * n
+        total = chain.from_iterable(piece for _, _, piece in coeff_block)
+        den_b = lcm(*[c.denominator for _, _, piece in coeff_block for c in piece
+                      if c.__class__ is not int])
+        if den_b != 1:
+            # the coefficients over the lcm of their denominators
+            total = [c * den_b if c.__class__ is int
+                     else c.numerator * (den_b // c.denominator) for c in total]
 
         def factors(j, fields):
+            # exponents e are biased to e + half
+            nonlocal den_b
             lo, hi = min(min(fields), half), max(max(fields), half)
             p, q = point[j].numerator, point[j].denominator
             if lo < half and not p:
                 raise PoleAtPoint(f"variable {names[j]} is 0 with negative exponent")
-            ranges[j] = lo, hi
-            low[j], high[j] = min(low[j], lo), max(high[j], hi)
+            den_b *= p ** (half - lo) * q ** (hi - half)
             table = {}
             for f in fields:
                 table[f] = p ** (f - lo) * q ** (hi - f)
             return table
 
         keys = block[0][2] if len(block) == 1 else [k for _, _, piece in block for k in piece]
-        total = chain.from_iterable(piece for _, _, piece in coeff_block)
-        if coeff_den != 1:
-            # the coefficients over the common denominator
-            total = [c * coeff_den if c.__class__ is int
-                     else c.numerator * (coeff_den // c.denominator) for c in total]
-        # a term times its factor from each column
-        total = reduce(partial(map, mul), _columns(keys, n, w, factors, mul), total)
-        blocks.append((ranges, [(i, sum(islice(total, len(piece)))) for i, _, piece in block]))
+        # a term times its factor from each column; with no variable there
+        # is no column, and the pieces still take their coefficients in turn
+        total = reduce(partial(map, mul), _columns(keys, n, w, factors, mul), iter(total))
+        sums.extend((i, sum(islice(total, len(piece))), den_b) for i, _, piece in block)
         # the block's tables go before the next block is decoded
         del keys, total
-    den = coeff_den
-    for x, lo, hi in zip(point, low, high):
-        den *= x.numerator ** (half - lo) * x.denominator ** (hi - half)
+    den = lcm(*[den_b for _, _, den_b in sums])
     nums = [0] * len(values)
-    for ranges, sums in blocks:
-        # the block's sums times the powers that its ranges lack
-        factor = 1
-        for x, lo, hi, (b_lo, b_hi) in zip(point, low, high, ranges):
-            if b_lo != lo or b_hi != hi:
-                factor *= x.numerator ** (b_lo - lo) * x.denominator ** (hi - b_hi)
-        for i, s in sums:
-            nums[i] += s * factor
+    for i, s, den_b in sums:
+        nums[i] += s * (den // den_b)
     return nums, den

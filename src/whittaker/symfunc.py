@@ -41,7 +41,7 @@ from operator import ge, mul
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import DivisionByZero, UnsupportedWeight
-from .packing import _add_product, _aligned, _finished, _unpack, _width
+from .packing import _add_product, _aligned, _canon, _finished, _unpack
 from .ringcore import _ONE, _ZERO, Scalar
 
 ALGORITHMS = ("branching", "jacobi-trudi", "bialternant")
@@ -177,31 +177,30 @@ def _schur_generic(parts: tuple, nvars: int) -> Scalar:
     return _exact_div(numer, vandermonde)
 
 
-def _lead(p: Scalar):
-    # exponents of the graded-lexicographic leading monomial: the largest key
-    m = max(p.terms)
-    return dict(zip(p.names, _unpack(m, len(p.names), _width(p.bound)))), p.terms[m]
-
-
 def _exact_div(f: Scalar, g: Scalar) -> Scalar:
-    """Exact division of ordinary polynomials; g must divide f."""
+    """Exact division of ordinary polynomials; g must divide f.
+
+    Long division on packed keys: the quotient's next key is the
+    remainder's leading key minus g's, and the division is exact only
+    while that key has no negative exponent.  The width holds every
+    product of two of the values, as in Scalar.__mul__, so every
+    remainder term fits it.
+    """
     if g.is_zero():
         raise DivisionByZero("polynomial division by zero")
     if g.is_rational():
         return f * g.inverse()
-    mg, cg = _lead(g)
-    q = _ZERO
-    r = f
+    names, w, bound, (r, divisor) = _aligned((f, g), 2)
+    n, lead = len(names), max(divisor)
+    r, q = dict(r), {}
     while r:
-        exps, cr = _lead(r)
-        for v, e in mg.items():
-            exps[v] = exps.get(v, 0) - e
-        if any(e < 0 for e in exps.values()):
+        top = max(r)
+        key = top - lead
+        if min(_unpack(key, n, w)) < 0:
             raise ValueError("inexact polynomial division")
-        term = Scalar.monomial(exps, Fraction(cr) / cg)
-        q = q + term
-        r = r - term * g
-    return q
+        c = q[key] = _canon(Fraction(r[top]) / divisor[lead])
+        _add_product(r, {key: -c}, divisor)
+    return Scalar(*_finished(q, names, w, bound))
 
 
 def _schur_bialternant(parts: tuple, vars_key: tuple) -> Scalar:

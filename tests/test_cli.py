@@ -84,10 +84,19 @@ def test_hook_at_full_rank_exit_one(tmp_path, capsys):
 
 
 def test_invalid_config_exit_two(tmp_path, capsys):
-    rep = _write(tmp_path, "linked.json", LINKED)
-    assert main(["verify", "--rep", rep, "--satake-prime", "w1"]) == 2
-    err = capsys.readouterr().err
-    assert "linked" in err
+    unramified = {"kind": "unramified", "satake": "2", "length": 1}
+    for document, message in ((LINKED, "linked"),
+                              ({"q": "1", "segments": [unramified]}, "q must exceed 1"),
+                              ({"q": "3", "segments": []}, "nonempty list of segments"),
+                              ({"q": "3", "segments": [dict(unramified, kind="other")]},
+                               "unknown segment kind"),
+                              ({"q": "3", "segments": [{"kind": "unramified", "length": 1}]},
+                               "missing key 'satake'")):
+        rep = _write(tmp_path, "rep.json", document)
+        assert main(["verify", "--rep", rep, "--satake-prime", "w1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1 and message in captured.err
 
 
 ONE_SEGMENT = {"q": "3", "segments": [{"kind": "unramified", "satake": "2", "length": 1}]}
@@ -234,9 +243,19 @@ def test_unknown_subcommand_exit_two(capsys):
     assert main(["frobnicate"]) == 2
 
 
-def test_bad_flag_value_exit_two(capsys):
-    assert main(["cauchy", "--n", "0", "--m", "1"]) == 2
-    assert main(["schur", "--partition", "1,2", "--vars", "2"]) == 2
+def test_bad_flag_value_exit_two(capsys, monkeypatch):
+    monkeypatch.delenv("WHITTAKER_DEGREE", raising=False)
+    for argv, env in ((["cauchy", "--n", "0", "--m", "1"], None),
+                      (["schur", "--partition", "1,2", "--vars", "2"], None),
+                      (["schur", "--partition", "1", "--vars", "-1"], None),
+                      (["cauchy", "--n", "1", "--m", "1", "--degree", "0"], None),
+                      (["cauchy", "--n", "1", "--m", "1"], "0")):
+        if env is not None:
+            monkeypatch.setenv("WHITTAKER_DEGREE", env)
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1
 
 
 @pytest.mark.parametrize("argv,env", [

@@ -87,6 +87,10 @@ def test_scalar_reduction_matches_long_division():
                      ([-1, 0, 0, 0, 1], [1, 0, 1])):
         expected = _poly_from_u_coeffs(_divide_univariate(num, den))
         assert _exact_div(_poly_from_u_coeffs(num), _poly_from_u_coeffs(den)) == expected
+    # a remainder of 2, and a quotient term x2 / x1 that is no polynomial
+    for num, den in ((u ** 2 + 1, u + 1), (x1 ** 2 + x2, x1)):
+        with pytest.raises(ValueError, match="inexact"):
+            _exact_div(num, den)
 
 
 def test_power_squares_only_while_bits_remain(monkeypatch):
@@ -121,6 +125,8 @@ def test_division_by_zero():
         x1 / Scalar.of(0)
     with pytest.raises(DivisionByZero):
         Scalar.of(0) ** -1
+    with pytest.raises(DivisionByZero):
+        _exact_div(x1, Scalar.of(0))
 
 
 # --- substitute examples ----------------------------------------------------
@@ -427,6 +433,9 @@ _bindings = st.dictionaries(
 @example(x1 ** -1 + x2, {"x1": 0, "x2": 1})
 @example(x1 ** 2 * x2 ** -1, {"x1": 0, "x2": Fraction(-1, 2)})
 @example(x1 + u, {"x1": 1})
+# a bool is an int
+@example(x1 ** -1 + u, {"u": True, "x1": False})
+@example(x1 ** 2 + u, {"u": True, "x1": Fraction(1, 2)})
 def test_substitute_matches_naive_oracle(value, bindings):
     expected = _substitute_oracle(value, bindings)
     if expected is None:
@@ -779,6 +788,8 @@ def _check_kernels(values, bindings):
 @example([sum((Fraction(i + 1, 3) * Scalar.monomial({"u": i, "a1": i - 8, "x1": i % 5, "x2": -i})
                for i in range(16)), Scalar.of(0)), x1 - 1], 16,
          {"u": Fraction(1, 2), "a1": 3, "x1": Fraction(-2, 3), "x2": 2})
+# constants only, with a Fraction: no variable, so no column to fold
+@example([Scalar.rational(1, 2), Scalar.rational(1, 3)], 2, {})
 def test_kernels_in_small_blocks_match_the_oracles(values, block, bindings):
     # a block of a few terms cuts most values, and the values of one batch
     # lie on different alphabets, some at the wide layout

@@ -112,6 +112,15 @@ def test_rs_series_rank_errors():
     with pytest.raises(Unsupported):
         # equal rank with a ramified left argument is out of scope
         rs_series(STEINBERG, UnramifiedLanglandsRep((W, W)), 3)
+    # a spherical left: its rank below m, the integrality hook, and a left
+    # argument of neither kind
+    spherical = UnramifiedLanglandsRep((W,))
+    with pytest.raises(BadRanks):
+        rs_series(spherical, UnramifiedLanglandsRep((W, W)), 3)
+    with pytest.raises(Unsupported):
+        rs_series(spherical, spherical, 3, drop_integrality=True)
+    with pytest.raises(TypeError):
+        rs_series((W,), spherical, 3)
 
 
 # --- verify_essential ----------------------------------------------------------
@@ -185,6 +194,8 @@ def test_cauchy_equal_rank_branch():
 def test_cauchy_rank_validation():
     with pytest.raises(BadRanks):
         cauchy_check(1, 2, [Scalar.of(2)], [Scalar.of(3), Scalar.of(5)], 4)
+    with pytest.raises(BadRanks, match="must match the stated ranks"):
+        cauchy_check(2, 1, [Scalar.of(2)], [Scalar.of(3)], 4)
 
 
 # --- support / finiteness ----------------------------------------------------------
