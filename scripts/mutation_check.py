@@ -53,11 +53,21 @@ MUTATIONS = [
              "terms[k] = _canon(c)\n", "pass\n", KERNEL_TESTS),
     Mutation("lattice-width-of-one-tuple", "whittaker/symfunc.py",
              "2 * max(order, 1))", "max(order, 1))", KERNEL_TESTS),
+    # _repack's key of each variable to the power 1 in dst: built at the
+    # source width, or at the variable's field in src
     Mutation("repack-ignores-target-width", "whittaker/packing.py",
-             "out[_pack(exps, w)] = c", "out[_pack(exps, w_src)] = c", KERNEL_TESTS),
+             "unit = {i: (1 << w * m) + (1 << w * (m - 1 - dst.index(v)))",
+             "unit = {i: (1 << w_src * m) + (1 << w_src * (m - 1 - dst.index(v)))",
+             KERNEL_TESTS),
     Mutation("repack-misplaces-a-field", "whittaker/packing.py",
-             "where = [dst.index(v) if v in dst else None for v in src]",
-             "where = [src.index(v) if v in dst else None for v in src]", KERNEL_TESTS),
+             "(m - 1 - dst.index(v))", "(m - 1 - src.index(v))", KERNEL_TESTS),
+    # the key reader numbers its fields from the low end of the key
+    Mutation("fields-numbers-from-the-wrong-end", "whittaker/packing.py",
+             "yield n - 1 - s // w, ", "yield s // w, ", KERNEL_TESTS),
+    # the union alphabet sorted by plain name order, so u no longer comes first
+    Mutation("aligned-names-in-plain-order", "whittaker/packing.py",
+             "sorted({x for v in values for x in v.names}, key=_var_key)",
+             "sorted({x for v in values for x in v.names})", KERNEL_TESTS + CLI_TESTS),
     Mutation("aligned-without-degree", "whittaker/packing.py",
              "bound = max((v.bound for v in values), default=0) * degree",
              "bound = max((v.bound for v in values), default=0)", KERNEL_TESTS),
@@ -140,7 +150,8 @@ MUTATIONS = [
              "_columns(keys, n, w, factors, mul), total)", KERNEL_TESTS),
     # the bialternant's long division: a quotient key with an exponent of -1
     Mutation("exact-div-skips-exactness", "whittaker/symfunc.py",
-             "if min(_unpack(key, n, w)) < 0:", "if min(_unpack(key, n, w)) < -1:",
+             "if any(e < 0 for _, e in _fields(key, n, w)):",
+             "if any(e < -1 for _, e in _fields(key, n, w)):",
              KERNEL_TESTS),
     # the print order: each degree's run of keys left ascending
     Mutation("print-order-ascending", "whittaker/ringcore.py",

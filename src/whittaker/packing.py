@@ -12,13 +12,15 @@ exponents need no bias, a monomial product is one integer add, and integer
 order is graded lexicographic order with v_0 most significant (graded
 packing after Monagan and Pearce, "Sparse polynomial division using a
 heap", J. Symb. Comp. 2011).  The unit monomial is 0 over every alphabet.
+A key is linear in its exponents, the sum of e_i (2^(W n) + 2^(W (n-1-i))),
+and _fields reads only the fields it uses, in time set by those, not by n.
 
 A terms map sends packed monomials to nonzero coefficients: an int when
 integral, else a Fraction with denominator > 1.  Maps over different
 alphabets are repacked into the union before they meet; the functions
 here take maps already over one alphabet unless they say otherwise.
 _repack is the one routine that re-keys a map, to another alphabet or
-width.
+width: by linearity, one sum per key over the fields it uses.
 
 One kernel adds and multiplies terms maps, for ringcore's + and * and for
 every sum of products: _aligned puts the values on their union alphabet
@@ -100,10 +102,15 @@ def _pack(exps, w: int) -> Mono:
     return key
 
 
-def _unpack(key: Mono, n: int, w: int) -> list:
-    bias, mask, half, shifts = _layout(n, w)
-    t = key + bias
-    return [(t >> s & mask) - half for s in shifts]
+def _fields(key: Mono, n: int, w: int) -> Iterator[tuple]:
+    # (i, e) for each nonzero exponent e of key, in alphabet order: the biased
+    # fields xor the bias are nonzero where e is; read and clear the highest
+    bias, _, half, _ = _layout(n, w)
+    t = (key + bias & (1 << w * n) - 1) ^ bias
+    while t:
+        s = (t.bit_length() - 1) // w * w
+        yield n - 1 - s // w, (t >> s ^ half) - half
+        t &= (1 << s) - 1
 
 
 def _columns(keys, n: int, w: int, table_of, combine) -> list:
@@ -138,30 +145,21 @@ def _columns(keys, n: int, w: int, table_of, combine) -> list:
     return columns
 
 
-def _union(a: tuple, b: tuple) -> tuple:
-    return b if not a or a == b else tuple(sorted(set(a).union(b), key=_var_key))
-
-
 def _repack(terms: dict, src: tuple, dst: tuple, w_src: int, w: int) -> dict:
     """terms re-keyed from alphabet src at width w_src to alphabet dst at width w.
 
     Every variable of src that some key uses must be in dst.  terms itself
     is returned when no key changes: src is empty (every key is the unit
     monomial 0), or dst is src at the same width.  Otherwise each key is
-    unpacked and its exponents packed into the fields of dst.
+    the sum, over the fields it uses, of its exponent times the key of that
+    variable to the power 1 in dst at width w.
     """
     if not src or (src == dst and w_src == w):
         return terms
     n, m = len(src), len(dst)
-    where = [dst.index(v) if v in dst else None for v in src]
-    out = {}
-    for k, c in terms.items():
-        exps = [0] * m
-        for j, e in zip(where, _unpack(k, n, w_src)):
-            if j is not None:
-                exps[j] = e
-        out[_pack(exps, w)] = c
-    return out
+    unit = {i: (1 << w * m) + (1 << w * (m - 1 - dst.index(v)))
+            for i, v in enumerate(src) if v in dst}
+    return {sum(e * unit[i] for i, e in _fields(k, n, w_src)): c for k, c in terms.items()}
 
 
 def _add_product(out: dict, a: dict, b: dict) -> None:
@@ -198,9 +196,7 @@ def _aligned(values, degree: int) -> tuple:
     value over names at width w.  A value that needs no move keeps its own
     map, so the maps are only to be read.
     """
-    names = ()
-    for v in values:
-        names = _union(names, v.names)
+    names = tuple(sorted({x for v in values for x in v.names}, key=_var_key))
     bound = max((v.bound for v in values), default=0) * degree
     w = _width(bound)
     return names, w, bound, [_repack(v.terms, v.names, names, _width(v.bound), w)
@@ -230,7 +226,7 @@ def _finished(terms: dict, names: tuple, w: int, bound: int) -> Tuple[dict, tupl
     kept = tuple(v for v, s in zip(names, shifts)
                  if not (some >> s & mask) == half == (every >> s & mask))
     if w > _WIDTH:
-        bound = max((abs(e) for k in terms for e in _unpack(k, n, w)), default=0)
+        bound = max((abs(e) for k in terms for _, e in _fields(k, n, w)), default=0)
     return _repack(terms, names, kept, w, _width(bound)), kept, bound
 
 

@@ -55,7 +55,7 @@ from typing import Iterable, Iterator, Mapping, Optional
 
 from .errors import DivisionByZero, InsufficientOrder, InvalidCharacter, Unsupported
 from .packing import (_VAR, Rational, _add_product, _aligned, _blocks, _canon,
-                      _columns, _evaluate, _finished, _layout, _pack, _unpack, _var_key, _width)
+                      _columns, _evaluate, _fields, _finished, _layout, _pack, _var_key, _width)
 
 def _int_text(i: int) -> str:
     """Decimal text of i, also past Python's limit on int-to-str digits.
@@ -196,7 +196,7 @@ class Scalar:
         names = self.names
         n, w = len(names), _width(self.bound)
         for k, c in self.terms.items():
-            yield tuple((v, e) for v, e in zip(names, _unpack(k, n, w)) if e), c
+            yield tuple((names[i], e) for i, e in _fields(k, n, w)), c
 
     def __bool__(self):
         return bool(self.terms)
@@ -353,12 +353,12 @@ def _texts(values) -> list:
     """The text of each value, as a list of pieces whose join is its text.
 
     A rational constant is its coefficient's text, and a value of no more
-    terms than variables writes each term by itself (packing._unpack), as
-    tables would cost more than they save.  The other values are put on
-    one layout (packing._aligned), each one's keys in print order, and cut
-    into blocks (_blocks): a block's keys are decoded in one
-    packing._columns pass, with one power-text table per variable, and
-    each value gets one piece per block that holds terms of it.
+    terms than variables writes each term from the fields it uses
+    (packing._fields), as tables would cost more than they save.  The
+    others are put on one layout (packing._aligned), each one's keys in
+    print order, and cut into blocks (_blocks): a block's keys are decoded
+    in one packing._columns pass, with one power-text table per variable,
+    and each value gets one piece per block that holds terms of it.
     """
     out, poly = [], []
     for v in values:
@@ -368,7 +368,8 @@ def _texts(values) -> list:
         elif len(terms) <= len(names):
             n, w = len(names), _width(v.bound)
             out.append([_join_terms([
-                _term_text(terms[k], "".join(map(_power_text, names, _unpack(k, n, w)))[1:])
+                _term_text(terms[k], "".join(_power_text(names[i], e)
+                                             for i, e in _fields(k, n, w))[1:])
                 for k in _print_order(terms, n, w)])])
         else:
             poly.append(len(out))

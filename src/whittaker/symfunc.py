@@ -41,7 +41,7 @@ from operator import ge, mul
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import DivisionByZero, UnsupportedWeight
-from .packing import _add_product, _aligned, _canon, _finished, _unpack
+from .packing import _add_product, _aligned, _canon, _fields, _finished
 from .ringcore import _ONE, _ZERO, Scalar
 
 ALGORITHMS = ("branching", "jacobi-trudi", "bialternant")
@@ -196,7 +196,7 @@ def _exact_div(f: Scalar, g: Scalar) -> Scalar:
     while r:
         top = max(r)
         key = top - lead
-        if min(_unpack(key, n, w)) < 0:
+        if any(e < 0 for _, e in _fields(key, n, w)):
             raise ValueError("inexact polynomial division")
         c = q[key] = _canon(Fraction(r[top]) / divisor[lead])
         _add_product(r, {key: -c}, divisor)

@@ -319,6 +319,11 @@ def test_schur_in_many_variables(capsys):
     assert main(["schur", "--partition", "1,1", "--vars", "60"]) == 0
     out = capsys.readouterr().out
     assert out.count(" + ") == 60 * 59 // 2 - 1 and "x59*x60" in out
+    # one-variable terms in a wide alphabet, each read and re-keyed by the
+    # fields it uses, not by the alphabet; names print in name order
+    assert main(["schur", "--partition", "1", "--vars", "1500"]) == 0
+    out = capsys.readouterr().out
+    assert out.endswith("\n") and out[:-1].split(" + ") == sorted(f"x{i}" for i in range(1, 1501))
 
 
 def test_schur_vanishing_note_on_stderr(capsys):
@@ -334,6 +339,10 @@ def test_schur_algorithm_flag(capsys):
     bialt = capsys.readouterr().out
     assert main(["schur", "--partition", "2,1", "--vars", "3"]) == 0
     assert capsys.readouterr().out == bialt
+    # the empty alphabet: s_() is 1 whichever algorithm makes it
+    for algorithm in symfunc.ALGORITHMS:
+        assert main(["schur", "--partition", "0", "--vars", "0", "--algorithm", algorithm]) == 0
+        assert capsys.readouterr().out == "1\n"
 
 
 def test_schur_defaults_to_the_branching_table(capsys, monkeypatch):

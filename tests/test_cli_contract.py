@@ -179,6 +179,10 @@ def _run(argv, environment):
           suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
 @given(_invocation())
 @example((["derivatives", "--rep", _REP_FILE, "--order", "1"], "[" * 5000, None))
+# the empty alphabet, for every algorithm
+@example((["schur", "--partition", "0", "--vars", "0", "--algorithm", "branching"], "", None))
+@example((["schur", "--partition", "0", "--vars", "0", "--algorithm", "jacobi-trudi"], "", None))
+@example((["schur", "--partition", "0", "--vars", "0", "--algorithm", "bialternant"], "", None))
 def test_every_exit_keeps_the_contract(invocation):
     argv, text, environment = invocation
     with tempfile.TemporaryDirectory() as workdir:

@@ -14,8 +14,8 @@ from whittaker.errors import (
     Unsupported,
 )
 from whittaker import packing, ringcore
-from whittaker.packing import (_WIDTH, _add_product, _aligned, _blocks, _evaluate, _finished, _pack,
-                               _repack, _unpack, _width)
+from whittaker.packing import (_WIDTH, _add_product, _aligned, _blocks, _evaluate, _fields,
+                               _finished, _pack, _repack, _width)
 from whittaker.ringcore import (
     EulerFactor,
     Scalar,
@@ -487,11 +487,37 @@ def _expected_terms(value):
     return {frozenset(mono): c for mono, c in value.iter_terms()}
 
 
-@settings(max_examples=80, deadline=None)
-@given(st.lists(st.integers(-2 ** 40, 2 ** 40), max_size=5), st.sampled_from((16, 32, 64)))
-def test_pack_unpack_round_trip(exps, width):
+_WIDTHS = st.sampled_from((16, 32, 64, 128))
+
+
+@st.composite
+def _sparse_exponents(draw):
+    # 100 to 600 fields, 1 to 3 of them nonzero, up to the field's limit
+    width = draw(_WIDTHS)
+    limit = 2 ** (width - 1) - 1
+    exps = [0] * draw(st.integers(100, 600))
+    for i in draw(st.sets(st.integers(0, len(exps) - 1), min_size=1, max_size=3)):
+        exps[i] = draw(st.one_of(st.integers(-3, 3), st.integers(-limit, limit),
+                                 st.sampled_from((-limit, limit))).filter(bool))
+    return exps, width
+
+
+def _dense(key, n, w):
+    # every exponent of key, zeros included, read through packing._fields
+    exps = [0] * n
+    for i, e in _fields(key, n, w):
+        exps[i] = e
+    return exps
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.one_of(st.tuples(st.lists(st.integers(-2 ** 40, 2 ** 40), max_size=5), _WIDTHS),
+                 _sparse_exponents()))
+def test_pack_fields_round_trip(case):
+    exps, width = case
     assume(all(abs(e) < 2 ** (width - 1) for e in exps))
-    assert _unpack(_pack(exps, width), len(exps), width) == exps
+    assert list(_fields(_pack(exps, width), len(exps), width)) == \
+        [(i, e) for i, e in enumerate(exps) if e]
 
 
 _REPACK_NAMES = ("u", "a", "b", "c", "d", "e")
@@ -501,22 +527,32 @@ _FIELD = st.one_of(st.integers(-3, 3), st.integers(-2 ** 15 + 1, 2 ** 15 - 1))
 
 @settings(max_examples=150, deadline=None)
 @given(_MASK, _MASK, _MASK, st.sampled_from((16, 32, 64)), st.sampled_from((16, 32, 64)),
-       st.lists(st.lists(_FIELD, min_size=6, max_size=6), max_size=6))
+       st.lists(st.lists(_FIELD, min_size=6, max_size=6), max_size=6),
+       st.one_of(st.just(0), st.integers(100, 600)))
 # src u, b, d interleaved with the a, c, e of dst: three runs of one field
-@example([1, 0, 1, 0, 1, 0], [1] * 6, [1] * 6, 16, 16, [[1, 0, -2, 0, 3, 0], [0, 0, 4, 0, 0, 0]])
+@example([1, 0, 1, 0, 1, 0], [1] * 6, [1] * 6, 16, 16, [[1, 0, -2, 0, 3, 0], [0, 0, 4, 0, 0, 0]],
+         0)
 # b and d are 0 in every key and dropped; the width goes up
 @example([1, 1, 1, 1, 1, 0], [1, 1, 0, 1, 0, 0], [0] * 6, 16, 64,
-         [[5, -2 ** 15 + 1, 0, 7, 0, 0], [0, 1, 0, -1, 0, 0]])
+         [[5, -2 ** 15 + 1, 0, 7, 0, 0], [0, 1, 0, -1, 0, 0]], 0)
 # the width goes down, on the same alphabet
-@example([0, 1, 1, 0, 0, 1], [1] * 6, [0] * 6, 64, 16, [[0, -3, 2 ** 15 - 1, 0, 0, 1]])
+@example([0, 1, 1, 0, 0, 1], [1] * 6, [0] * 6, 64, 16, [[0, -3, 2 ** 15 - 1, 0, 0, 1]], 0)
 # an empty src: the unit monomial only
-@example([0] * 6, [1] * 6, [0, 1, 0, 1, 0, 0], 32, 16, [[0] * 6])
-def test_repack_moves_each_exponent_to_its_field_and_back(in_src, used, in_dst, w_src, w, rows):
+@example([0] * 6, [1] * 6, [0, 1, 0, 1, 0, 0], 32, 16, [[0] * 6], 0)
+# the same moves into a dst of hundreds of names, the width going up and down
+@example([1, 0, 1, 0, 1, 1], [1] * 6, [1] * 6, 16, 64,
+         [[1, 0, -2 ** 15 + 1, 0, 3, 0], [0, 0, 4, 0, 0, -1]], 400)
+@example([1, 1, 0, 1, 0, 1], [1] * 6, [0] * 6, 64, 16, [[-5, 2 ** 15 - 1, 0, 7, 0, 1]], 600)
+def test_repack_moves_each_exponent_to_its_field_and_back(in_src, used, in_dst, w_src, w, rows,
+                                                          padding):
     # a variable of src that some key uses is in dst; the others, 0 in every
-    # key, are kept or dropped as in_dst says, and dst may add variables
+    # key, are kept or dropped as in_dst says, and dst may add variables:
+    # padding more names, spread between and after the names of src
     src = tuple(v for v, keep in zip(_REPACK_NAMES, in_src) if keep)
     live = {v for v, keep, u in zip(_REPACK_NAMES, in_src, used) if keep and u}
     dst = tuple(v for v, keep in zip(_REPACK_NAMES, in_dst) if keep or v in live)
+    dst = tuple(sorted({*dst, *(f"{'abcde'[j % 5]}{j:03}" for j in range(padding))},
+                       key=lambda v: (v != "u", v)))
     exps = {}
     for row in rows:
         e = {v: x if v in live else 0 for v, x in zip(_REPACK_NAMES, row)}
@@ -526,7 +562,7 @@ def test_repack_moves_each_exponent_to_its_field_and_back(in_src, used, in_dst, 
     assert sorted(out.values()) == sorted(terms.values())
     key_of = {c: k for k, c in out.items()}
     for k, c in terms.items():
-        assert _unpack(key_of[c], len(dst), w) == [exps[k][v] for v in dst]
+        assert _dense(key_of[c], len(dst), w) == [exps[k].get(v, 0) for v in dst]
     assert _repack(out, dst, src, w, w_src) == terms
 
 
