@@ -56,11 +56,11 @@ MUTATIONS = [
     # _repack's key of each variable to the power 1 in dst: built at the
     # source width, or at the variable's field in src
     Mutation("repack-ignores-target-width", "whittaker/packing.py",
-             "unit = {i: (1 << w * m) + (1 << w * (m - 1 - dst.index(v)))",
-             "unit = {i: (1 << w_src * m) + (1 << w_src * (m - 1 - dst.index(v)))",
+             "unit = {i: (1 << w * m) + (1 << w * (m - 1 - dst[v]))",
+             "unit = {i: (1 << w_src * m) + (1 << w_src * (m - 1 - dst[v]))",
              KERNEL_TESTS),
     Mutation("repack-misplaces-a-field", "whittaker/packing.py",
-             "(m - 1 - dst.index(v))", "(m - 1 - src.index(v))", KERNEL_TESTS),
+             "(m - 1 - dst[v])", "(m - 1 - i)", KERNEL_TESTS),
     # the key reader numbers its fields from the low end of the key
     Mutation("fields-numbers-from-the-wrong-end", "whittaker/packing.py",
              "yield n - 1 - s // w, ", "yield s // w, ", KERNEL_TESTS),
@@ -73,6 +73,9 @@ MUTATIONS = [
              "bound = max((v.bound for v in values), default=0)", KERNEL_TESTS),
     Mutation("kernel-keeps-cancelled-keys", "whittaker/packing.py",
              "del out[m]", "out[m] = s", KERNEL_TESTS),
+    # the n-ary sum started from an empty map, so the largest value is lost
+    Mutation("sum-drops-the-largest-map", "whittaker/ringcore.py",
+             "out = dict(largest)", "out = {}", KERNEL_TESTS),
     Mutation("delta-half-sign", "whittaker/whitfun.py",
              "return -sum(x * (rank - 1 - 2 * i)", "return sum(x * (rank - 1 - 2 * i)",
              ("tests/test_whitfun.py", "tests/test_rseng.py")),
@@ -153,6 +156,10 @@ MUTATIONS = [
              "if any(e < 0 for _, e in _fields(key, n, w)):",
              "if any(e < -1 for _, e in _fields(key, n, w)):",
              KERNEL_TESTS),
+    # the alternants of the bialternant with every permutation's sign +1
+    Mutation("alternant-without-signs", "whittaker/symfunc.py",
+             "for p, e in zip(perm, exps)}, _perm_sign(perm))",
+             "for p, e in zip(perm, exps)}, 1)", KERNEL_TESTS),
     # the print order: each degree's run of keys left ascending
     Mutation("print-order-ascending", "whittaker/ringcore.py",
              "keys[start:end] = keys[start:end][::-1]", "pass", CLI_TESTS),

@@ -20,7 +20,8 @@ integral, else a Fraction with denominator > 1.  Maps over different
 alphabets are repacked into the union before they meet; the functions
 here take maps already over one alphabet unless they say otherwise.
 _repack is the one routine that re-keys a map, to another alphabet or
-width: by linearity, one sum per key over the fields it uses.
+width: by linearity, one sum per key over the fields it uses, each name
+looked up in one map of the target alphabet's fields.
 
 One kernel adds and multiplies terms maps, for ringcore's + and * and for
 every sum of products: _aligned puts the values on their union alphabet
@@ -145,20 +146,22 @@ def _columns(keys, n: int, w: int, table_of, combine) -> list:
     return columns
 
 
-def _repack(terms: dict, src: tuple, dst: tuple, w_src: int, w: int) -> dict:
+def _repack(terms: dict, src: tuple, dst: dict, w_src: int, w: int) -> dict:
     """terms re-keyed from alphabet src at width w_src to alphabet dst at width w.
 
-    Every variable of src that some key uses must be in dst.  terms itself
-    is returned when no key changes: src is empty (every key is the unit
-    monomial 0), or dst is src at the same width.  Otherwise each key is
-    the sum, over the fields it uses, of its exponent times the key of that
-    variable to the power 1 in dst at width w.
+    dst maps each name of its alphabet to its field, in alphabet order
+    ({v: i for i, v in enumerate(names)}), so each variable of src is
+    looked up once, whatever the size of dst.  Every variable of src that
+    some key uses must be in dst.  terms itself is returned when no key
+    changes: src is empty (every key is the unit monomial 0), or dst is
+    src at the same width.  Otherwise each key is the sum, over the fields
+    it uses, of its exponent times the key of that variable to the power 1
+    in dst at width w.
     """
-    if not src or (src == dst and w_src == w):
-        return terms
     n, m = len(src), len(dst)
-    unit = {i: (1 << w * m) + (1 << w * (m - 1 - dst.index(v)))
-            for i, v in enumerate(src) if v in dst}
+    if not src or (w_src == w and n == m and src == tuple(dst)):
+        return terms
+    unit = {i: (1 << w * m) + (1 << w * (m - 1 - dst[v])) for i, v in enumerate(src) if v in dst}
     return {sum(e * unit[i] for i, e in _fields(k, n, w_src)): c for k, c in terms.items()}
 
 
@@ -193,13 +196,17 @@ def _aligned(values, degree: int) -> tuple:
     exponent bound.  names is the union of their alphabets, bound the
     largest exponent such a product can reach, degree times the largest
     bound of a value, and w its width; maps holds the terms map of each
-    value over names at width w.  A value that needs no move keeps its own
-    map, so the maps are only to be read.
+    value over names at width w.  The field of every name is put in one
+    map, made once per call, where _repack looks up the names of each
+    value, so aligning costs the names the values use, not the alphabet
+    once per value.  A value that needs no move keeps its own map, so the
+    maps are only to be read.
     """
     names = tuple(sorted({x for v in values for x in v.names}, key=_var_key))
     bound = max((v.bound for v in values), default=0) * degree
     w = _width(bound)
-    return names, w, bound, [_repack(v.terms, v.names, names, _width(v.bound), w)
+    field = {v: i for i, v in enumerate(names)}
+    return names, w, bound, [_repack(v.terms, v.names, field, _width(v.bound), w)
                              for v in values]
 
 
@@ -227,7 +234,8 @@ def _finished(terms: dict, names: tuple, w: int, bound: int) -> Tuple[dict, tupl
                  if not (some >> s & mask) == half == (every >> s & mask))
     if w > _WIDTH:
         bound = max((abs(e) for k in terms for _, e in _fields(k, n, w)), default=0)
-    return _repack(terms, names, kept, w, _width(bound)), kept, bound
+    field = {v: i for i, v in enumerate(kept)}
+    return _repack(terms, names, field, w, _width(bound)), kept, bound
 
 
 # Terms decoded at once by _evaluate and ringcore._texts.  It bounds the per-term

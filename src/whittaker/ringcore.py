@@ -21,9 +21,10 @@ comparison is one integer compare.  Sums and products of values go
 through one kernel in packing: the operands are put on the union of
 their alphabets (_aligned), the products are added into one terms map in
 place (_add_product), and the canonical value is made once (_finished).
-The operators + and * run it on one sum or one product, and symfunc's
-Schur tables on a whole sum of products: the lattice sum, and the Euler
-expansion, whose h_k are read off a one-row table (euler_expand).
+_sum runs it on a sum of many values, finished once, and + is its
+two-value case; * runs it on one product, and symfunc's Schur tables on
+a whole sum of products: the lattice sum, and the Euler expansion, whose
+h_k are read off a one-row table (euler_expand).
 
 Text and values at a point come from two kernels, each run on many values
 at once and a block of at most packing._BLOCK terms at a time: _texts
@@ -122,8 +123,9 @@ class Scalar:
     it is 2^(_WIDTH - 1) or more) and fixes the field width.  Together they
     are the canonical form, so instances are safe to share between threads
     and to use as dict keys.  A rational constant hashes like its Fraction.
-    + and * make every result through packing's kernel, and so its one
-    canonical form; a rational constant factor only scales coefficients.
+    + (a call of _sum) and * make every result through packing's kernel,
+    and so its one canonical form; a rational constant factor only scales
+    coefficients.
     Division is exact and defined only by units, nonzero rationals times
     monomials: dividing by zero raises DivisionByZero and dividing by any
     other value raises Unsupported.
@@ -219,18 +221,7 @@ class Scalar:
         return Scalar({m: -c for m, c in self.terms.items()}, self.names, self.bound)
 
     def __add__(self, other):
-        if other.__class__ is not Scalar:
-            other = Scalar.of(other)
-        if not self.terms:
-            return other
-        if not other.terms:
-            return self
-        # copy the larger map and add the smaller one into it
-        big, small = (self, other) if len(self.terms) >= len(other.terms) else (other, self)
-        names, w, bound, (a, b) = _aligned((big, small), 1)
-        out = dict(a)
-        _add_product(out, _ONE.terms, b)
-        return Scalar(*_finished(out, names, w, bound))
+        return _sum((self, other if other.__class__ is Scalar else Scalar.of(other)))
 
     __radd__ = __add__
 
@@ -321,6 +312,27 @@ class Scalar:
 
 _ZERO = Scalar({})
 _ONE = Scalar({0: 1})
+
+
+def _sum(values) -> Scalar:
+    """The sum of the Scalars values, in one pass of packing's kernel.
+
+    With at most one nonzero value that value is returned as it is.
+    Otherwise the values are put on one layout (_aligned), the largest map
+    is copied, every other map is added into the copy in place
+    (_add_product), and the canonical value is made once (_finished), so a
+    sum of many values costs their terms, not a growing map per value.
+    """
+    values = [v for v in values if v.terms]
+    if len(values) < 2:
+        return values[0] if values else _ZERO
+    names, w, bound, maps = _aligned(values, 1)
+    largest, *others = sorted(maps, key=len, reverse=True)
+    out = dict(largest)
+    for terms in others:
+        _add_product(out, _ONE.terms, terms)
+    return Scalar(*_finished(out, names, w, bound))
+
 
 # Former name of the class, kept because perfbench/spans.py times the ring
 # layer by patching __mul__ and __add__ under it.

@@ -25,9 +25,11 @@ is plain terms maps on the union alphabet, each step adding a product
 into an entry in place.  Values are compared raw, and a Scalar is built
 only for a value read out (_read).  schur is the one entry point:
 the Jacobi-Trudi determinant in complete homogeneous polynomials and the
-bialternant ratio (exact polynomial division at a generic point) stay
-selectable by name, and with a semistandard-tableau enumerator they are
-the independent oracles the tests compare against.
+bialternant ratio a_(lam+delta) / a_delta (exact polynomial division at
+a generic point, both alternants from one builder) stay selectable by
+name, and with a semistandard-tableau enumerator they are the independent
+oracles the tests compare against.  Each oracle builds its terms with
+Scalar * and adds them in one kernel sum (ringcore._sum).
 """
 
 from __future__ import annotations
@@ -36,13 +38,13 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
+from math import lcm, prod
 from operator import ge, mul
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import DivisionByZero, UnsupportedWeight
 from .packing import _add_product, _aligned, _canon, _fields, _finished
-from .ringcore import _ONE, _ZERO, Scalar
+from .ringcore import _ONE, _ZERO, Scalar, _sum
 
 ALGORITHMS = ("branching", "jacobi-trudi", "bialternant")
 
@@ -115,32 +117,15 @@ def _as_partition(shape) -> Partition:
 
 
 def _schur_jacobi_trudi(parts: tuple, vars_key: tuple) -> Scalar:
+    # det(h_(parts_i - i + j)), one signed product of h's per permutation
     ell = len(parts)
-    if ell == 0:
-        return _ONE
-    top = parts[0] + ell
-    hs = _h_table(vars_key, top).scalars()
-
-    def entry(i, j):
-        e = parts[i] - (i + 1) + (j + 1)
-        if e < 0:
-            return _ZERO
-        return hs[e]
-
-    total = _ZERO
+    hs = _h_table(vars_key, max(parts, default=0) + ell).scalars()
+    terms = []
     for perm in itertools.permutations(range(ell)):
-        sign = _perm_sign(perm)
-        prod = _ONE
-        ok = True
-        for i in range(ell):
-            a = entry(i, perm[i])
-            if a.is_zero():
-                ok = False
-                break
-            prod = prod * a
-        if ok:
-            total = total + (prod if sign > 0 else -prod)
-    return total
+        es = [p - i + j for i, (p, j) in enumerate(zip(parts, perm))]
+        if min(es, default=0) >= 0:
+            terms.append(prod(map(hs.__getitem__, es), start=Scalar.of(_perm_sign(perm))))
+    return _sum(terms)
 
 
 def _perm_sign(perm) -> int:
@@ -160,21 +145,20 @@ def _perm_sign(perm) -> int:
     return sign
 
 
+def _alternant(exps: Sequence, names: list) -> Scalar:
+    """a_exps, the sum over permutations p of sign(p) * prod_i names[p[i]]^exps[i]."""
+    return _sum(Scalar.monomial({names[p]: e for p, e in zip(perm, exps)}, _perm_sign(perm))
+                for perm in itertools.permutations(range(len(names))))
+
+
 def _schur_generic(parts: tuple, nvars: int) -> Scalar:
-    """Schur polynomial in internal symbols _g1.._gk via the bialternant."""
+    """Schur polynomial in internal symbols _g1.._gk: the bialternant
+    a_(parts + delta) / a_delta, delta = (k - 1, ..., 1, 0) (Macdonald I.(3.1))."""
     names = [f"_g{i + 1}" for i in range(nvars)]
+    delta = range(nvars - 1, -1, -1)
     padded = parts + (0,) * (nvars - len(parts))
-    exps = [padded[i] + nvars - 1 - i for i in range(nvars)]
-    numer = Scalar.of(0)
-    for perm in itertools.permutations(range(nvars)):
-        numer = numer + Scalar.monomial({names[perm[i]]: exps[i] for i in range(nvars)},
-                                        _perm_sign(perm))
-    gens = [Scalar.variable(name) for name in names]
-    vandermonde = Scalar.of(1)
-    for i in range(nvars):
-        for j in range(i + 1, nvars):
-            vandermonde = vandermonde * (gens[i] - gens[j])
-    return _exact_div(numer, vandermonde)
+    return _exact_div(_alternant([p + d for p, d in zip(padded, delta)], names),
+                      _alternant(delta, names))
 
 
 def _exact_div(f: Scalar, g: Scalar) -> Scalar:
@@ -204,15 +188,10 @@ def _exact_div(f: Scalar, g: Scalar) -> Scalar:
 
 
 def _schur_bialternant(parts: tuple, vars_key: tuple) -> Scalar:
+    # each term of the generic value with _gi replaced by vars_key[i - 1]
     generic = _schur_generic(parts, len(vars_key))
-    total = Scalar.of(0)
-    for mono, c in generic.iter_terms():
-        term = Scalar.of(c)
-        for name, e in mono:
-            idx = int(name[2:]) - 1
-            term = term * vars_key[idx] ** e
-        total = total + term
-    return total
+    return _sum(prod((vars_key[int(name[2:]) - 1] ** e for name, e in mono), start=Scalar.of(c))
+                for mono, c in generic.iter_terms())
 
 
 def _ideal_states(cap: tuple, bound: int) -> tuple:
@@ -510,11 +489,5 @@ def ssyt_tableaux(shape, nvars: int) -> Iterator[tuple]:
 def schur_ssyt_oracle(shape, variables: Sequence) -> Scalar:
     """Schur polynomial by brute-force tableau enumeration (test oracle)."""
     vars_key = tuple(Scalar.of(v) for v in variables)
-    total = Scalar.of(0)
-    for tab in ssyt_tableaux(shape, len(vars_key)):
-        term = Scalar.of(1)
-        for row in tab:
-            for v in row:
-                term = term * vars_key[v - 1]
-        total = total + term
-    return total
+    return _sum(prod((vars_key[v - 1] for row in tab for v in row), start=_ONE)
+                for tab in ssyt_tableaux(shape, len(vars_key)))

@@ -20,6 +20,7 @@ from whittaker.ringcore import (
     EulerFactor,
     Scalar,
     TruncatedSeries,
+    _sum,
     euler_expand,
     series_equal,
     substitute,
@@ -558,12 +559,13 @@ def test_repack_moves_each_exponent_to_its_field_and_back(in_src, used, in_dst, 
         e = {v: x if v in live else 0 for v, x in zip(_REPACK_NAMES, row)}
         exps[_pack([e[v] for v in src], w_src)] = e
     terms = {k: i + 1 for i, k in enumerate(exps)}
-    out = _repack(terms, src, dst, w_src, w)
+    # _repack takes its target as the map of each name to its field
+    out = _repack(terms, src, {v: i for i, v in enumerate(dst)}, w_src, w)
     assert sorted(out.values()) == sorted(terms.values())
     key_of = {c: k for k, c in out.items()}
     for k, c in terms.items():
         assert _dense(key_of[c], len(dst), w) == [exps[k].get(v, 0) for v in dst]
-    assert _repack(out, dst, src, w, w_src) == terms
+    assert _repack(out, dst, {v: i for i, v in enumerate(src)}, w, w_src) == terms
 
 
 @settings(max_examples=80, deadline=None)
@@ -949,16 +951,18 @@ def _assert_is_reference(value, reference):
 @example([(x1 - _y1, x1 + _y1)])
 @example([(x1 - _y1, Scalar.of(1)), (_y1 - x1, Scalar.of(1))])
 @example([(x1 ** (_LIMIT - 1), x1 ** (_LIMIT - 1)), (x1 ** -5, x1 ** 5)])
+@example([])
 def test_sum_of_products_in_place_matches_the_operators(pairs):
     # the kernel route of the Schur tables, the lattice sum and the h
     # convolution: every factor on one alphabet at the width of a product
     # of two, each product added into one map, one Scalar at the end.  The
-    # operators run the same kernel, so both are held to a reference sum
-    # of plain dicts.
+    # operators and the n-ary sum run the same kernel, so all three are
+    # held to a reference sum of plain dicts.
     reference = _reference_sum(pairs)
     expected = Scalar.of(0)
     for a, b in pairs:
         expected = expected + a * b
+    _assert_is_reference(_sum([a * b for a, b in pairs]), reference)
     names, w, bound, maps = _aligned([v for pair in pairs for v in pair], 2)
     out = {}
     for i in range(len(pairs)):

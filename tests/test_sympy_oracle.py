@@ -16,7 +16,7 @@ from hypothesis import example, given, settings, strategies as st
 
 sympy = pytest.importorskip("sympy")
 
-from whittaker.ringcore import Scalar  # noqa: E402
+from whittaker.ringcore import Scalar, _sum  # noqa: E402
 from whittaker.rseng import cauchy_check  # noqa: E402
 
 _NAMES = ("u", "x1", "x2")
@@ -77,6 +77,9 @@ def test_ring_operations_match_sympy_expand(a_terms, b_terms, k):
     assert _agrees(a - b, sympy.expand(ea - eb))
     assert _agrees(a * b, sympy.expand(ea * eb))
     assert _agrees(a ** k, sympy.expand(ea ** k))
+    # the n-ary sum of the kernel, of three values and of none
+    assert _agrees(_sum((a, b, a * b)), sympy.expand(ea + eb + ea * eb))
+    assert _agrees(_sum(()), sympy.Integer(0))
 
 
 @settings(max_examples=40, deadline=None)
