@@ -96,7 +96,7 @@ MUTATIONS = [
     Mutation("map-slice-drops-a-term", "whittaker/symfunc.py",
              "zip(u[a:b], v[a:b])", "zip(u[a + 1:b], v[a + 1:b])", IDENTITY_TESTS),
     Mutation("spot-check-ignores-holds", "whittaker/cli.py",
-             "holds = lattice == _h_table(roots, lhs.order, ring).values", "holds = True",
+             "holds = lattice == _h_values(roots, lhs.order, ring)", "holds = True",
              CLI_TESTS),
     Mutation("spot-check-ignores-sums", "whittaker/cli.py",
              "if not (holds and agree):", "if not holds:", CLI_TESTS),
@@ -151,6 +151,16 @@ MUTATIONS = [
     Mutation("evaluate-pieces-share-a-start", "whittaker/packing.py",
              "_columns(keys, n, w, factors, mul), iter(total))",
              "_columns(keys, n, w, factors, mul), total)", KERNEL_TESTS),
+    # the Schur tables (symfunc._fill): a single value read out as one of
+    # the next degree, and the one-row table of h_k filled without its
+    # first point
+    Mutation("schur-read-at-the-wrong-degree", "whittaker/symfunc.py",
+             "_read(ring, [value], [sum(parts)])", "_read(ring, [value], [sum(parts) + 1])",
+             KERNEL_TESTS),
+    Mutation("h-values-drops-a-point", "whittaker/symfunc.py",
+             "_fill(points, _order_ideal((order,), order), ring)",
+             "_fill(points[1:], _order_ideal((order,), order), ring)",
+             KERNEL_TESTS),
     # the bialternant's long division: a quotient key with an exponent of -1
     Mutation("exact-div-skips-exactness", "whittaker/symfunc.py",
              "if any(e < 0 for _, e in _fields(key, n, w)):",

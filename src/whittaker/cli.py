@@ -20,11 +20,12 @@ from functools import lru_cache
 from typing import Optional, Sequence, Tuple
 
 from .errors import ConfigError, InvariantViolation, WhittakerError
-from .repdata import GenericRep, UnramifiedLanglandsRep, compute_piu, parse_rep, parse_scalar_atom
+from .repdata import (GenericRep, UnramifiedLanglandsRep, compute_piu, derivative_subquotients,
+                      parse_rep, parse_scalar_atom)
 from .packing import _evaluate
 from .ringcore import Scalar, euler_expand
 from .rseng import VerificationReport, cauchy_check, l_factor, verify_essential
-from .symfunc import ALGORITHMS, Partition, _h_table, _lattice, schur
+from .symfunc import ALGORITHMS, Partition, _h_values, _lattice, schur
 from .whitfun import essential_value, spherical_value
 
 DEFAULT_DEGREE = 8
@@ -97,7 +98,7 @@ def _spot_check(report: VerificationReport, seed: int, params: Sequence[Scalar],
     recomputed from the bound values in the ring that symfunc._lattice
     chooses for a rational pair, the ints of one scale S: the lattice sums
     L must equal the Euler side V, h_k of the roots filled in that ring by
-    symfunc._h_table, and the symbolic lhs, evaluated by packing._evaluate
+    symfunc._h_values, and the symbolic lhs, evaluated by packing._evaluate
     as numerators over one denominator, must equal L_k / S^k, compared by
     cross-multiplying in ints.  Those
     ints share no Scalar products with the symbolic series; so a fault
@@ -127,7 +128,7 @@ def _spot_check(report: VerificationReport, seed: int, params: Sequence[Scalar],
 
     ring, lattice, roots = _lattice(at_point(params), at_point(satake_prime), lhs.order)
     scale = ring[0]
-    holds = lattice == _h_table(roots, lhs.order, ring).values
+    holds = lattice == _h_values(roots, lhs.order, ring)
     nums, den = _evaluate(lhs.coeffs, bindings)
     agree = all(num * scale ** k == c * den for k, (num, c) in enumerate(zip(nums, lattice)))
     if not (holds and agree):
@@ -200,8 +201,6 @@ def _cmd_cauchy(args: argparse.Namespace) -> int:
 
 
 def _cmd_derivatives(args: argparse.Namespace) -> int:
-    from .repdata import derivative_subquotients
-
     order = _parse_int(args.order, "--order")
     products = derivative_subquotients(_load_rep(args.rep), order)
     print(f"order {order}: {len(products)} subquotients")

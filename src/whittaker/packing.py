@@ -33,10 +33,11 @@ trimmed, and the exact width of a value with an exponent of
 
 Values are read a block of terms at a time (_blocks): their key lists,
 in order, are cut into blocks of at most _BLOCK keys, small lists sharing
-a block and a longer one cut into slices.  _columns decodes a block's keys
-in one pass.  _evaluate, the one evaluation kernel, takes every value of
-a call on one layout through those blocks to integers over one common
-denominator; ringcore._texts, the one text kernel, does the same for text.
+a block and a longer one cut into slices, and each block comes with its
+keys in one list, which _columns decodes in one pass.  _evaluate, the one
+evaluation kernel, takes every value of a call on one layout through
+those blocks to integers over one common denominator; ringcore._texts,
+the one text kernel, does the same for text.
 """
 
 from __future__ import annotations
@@ -244,8 +245,9 @@ def _finished(terms: dict, names: tuple, w: int, bound: int) -> Tuple[dict, tupl
 _BLOCK = 2048
 
 
-def _blocks(key_lists) -> Iterator[list]:
-    """Blocks of at most _BLOCK keys taken in order from (i, keys) pairs.
+def _blocks(key_lists) -> Iterator[tuple]:
+    """(block, keys): blocks of at most _BLOCK keys taken in order from
+    (i, keys) pairs, each with its keys in one list, in order.
 
     A block lists (i, start, piece) with piece = keys[start:start + len(piece)].
     Lists that fit share a block; one that does not fit in the room left
@@ -253,20 +255,21 @@ def _blocks(key_lists) -> Iterator[list]:
     _BLOCK keys, the last of which may share.  So every key is in exactly
     one block, and a list is cut only where it must be.
     """
-    block, room = [], _BLOCK
+    block, flat = [], []
     for i, keys in key_lists:
-        if len(keys) > room and block:
-            yield block
-            block, room = [], _BLOCK
+        if len(keys) > _BLOCK - len(flat) and block:
+            yield block, flat
+            block, flat = [], []
         start = 0
         while len(keys) - start > _BLOCK:
-            yield [(i, start, keys[start:start + _BLOCK])]
+            piece = keys[start:start + _BLOCK]
+            yield [(i, start, piece)], piece
             start += _BLOCK
         piece = keys[start:] if start else keys
         block.append((i, start, piece))
-        room -= len(piece)
+        flat += piece
     if block:
-        yield block
+        yield block, flat
 
 
 def _evaluate(values, bindings: Mapping[str, Rational]) -> tuple:
@@ -297,14 +300,12 @@ def _evaluate(values, bindings: Mapping[str, Rational]) -> tuple:
         point.append(x)
     n, half = len(names), 1 << (w - 1)
     sums = []       # (i, sum, den_b): a piece of value i is sum / den_b
-    # the coefficients are cut into the same blocks as the keys, as the
-    # lists have the same lengths
-    for block, coeff_block in zip(
-            _blocks((i, list(terms)) for i, terms in enumerate(maps) if terms),
-            _blocks((i, list(terms.values())) for i, terms in enumerate(maps) if terms)):
-        total = chain.from_iterable(piece for _, _, piece in coeff_block)
-        den_b = lcm(*[c.denominator for _, _, piece in coeff_block for c in piece
-                      if c.__class__ is not int])
+    coeffs = [list(terms.values()) for terms in maps]
+    for block, keys in _blocks((i, list(terms)) for i, terms in enumerate(maps) if terms):
+        # a piece's coefficients are the same slice of its value's list
+        total = list(chain.from_iterable(coeffs[i][start:start + len(piece)]
+                                         for i, start, piece in block))
+        den_b = lcm(*[c.denominator for c in total if c.__class__ is not int])
         if den_b != 1:
             # the coefficients over the lcm of their denominators
             total = [c * den_b if c.__class__ is int
@@ -323,7 +324,6 @@ def _evaluate(values, bindings: Mapping[str, Rational]) -> tuple:
                 table[f] = p ** (f - lo) * q ** (hi - f)
             return table
 
-        keys = block[0][2] if len(block) == 1 else [k for _, _, piece in block for k in piece]
         # a term times its factor from each column; with no variable there
         # is no column, and the pieces still take their coefficients in turn
         total = reduce(partial(map, mul), _columns(keys, n, w, factors, mul), iter(total))

@@ -404,8 +404,7 @@ def _texts(values) -> list:
     # once per variable and exponent in a block; the sign and coefficient of
     # each distinct coefficient, made once per call, go in front
     signed = {}
-    for block in _blocks(lists):
-        keys = block[0][2] if len(block) == 1 else [k for _, _, piece in block for k in piece]
+    for block, keys in _blocks(lists):
         rows, texts = zip(*_columns(keys, n, w, powers, add)), []
         for i, start, piece in block:
             terms = maps[i]
@@ -531,15 +530,16 @@ def euler_expand(factor: EulerFactor, order: int) -> TruncatedSeries:
     The coefficient of t^k is the complete homogeneous polynomial h_k of the
     roots (with multiplicity), and h_k = s_(k), so the series is read off
     one symfunc Schur table of the roots over the one-row order ideal
-    (0), (1), ..., (order): state k is (k), and its fill is the geometric
-    convolution h_k += x * h_(k-1), one root at a time.  The table runs in
-    ints or in terms maps, as symfunc decides; the constant term is 1.
+    (0), (1), ..., (order), as Scalars (symfunc._h_scalars): state k is
+    (k), and its fill is the geometric convolution h_k += x * h_(k-1), one
+    root at a time.  The table runs in ints or in terms maps, as symfunc
+    decides; the constant term is 1.
     """
     from . import symfunc
 
     if order < 0:
         raise ValueError("expansion order must be nonnegative")
-    return TruncatedSeries(order, symfunc._h_table(factor.roots, order).scalars())
+    return TruncatedSeries(order, symfunc._h_scalars(factor.roots, order))
 
 
 def series_equal(a: TruncatedSeries, b: TruncatedSeries, order: int) -> Optional[int]:

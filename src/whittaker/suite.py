@@ -12,7 +12,7 @@ import random
 from fractions import Fraction
 from typing import List
 
-from .repdata import GenericRep, Segment, UnramifiedLanglandsRep
+from .repdata import GenericRep, Segment, UnramifiedLanglandsRep, compute_piu
 from .ringcore import Scalar
 
 _PRIME_POOL = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -99,6 +99,4 @@ def generate_suite(min_count: int = 50, seed: int = 20260810) -> List[GenericRep
 
 def rep_coverage(reps) -> set:
     """Set of (n, r) pairs realized by the given representations."""
-    from .repdata import compute_piu
-
     return {(rep.n, compute_piu(rep)[0]) for rep in reps}

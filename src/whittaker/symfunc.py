@@ -8,16 +8,18 @@ variable and one interlacing row at a time, each row in order of size, in
 place and without recursion, so every value shares the work of the smaller
 ones.  The rows a fill sweeps at each step depend on the step alone, so
 an ideal lists them once for every table on it.  That fill is the one
-engine for sums of products of symmetric functions.  The Cauchy sums of
-rseng's lattice sum pair two tables of the partitions of bounded size and
-length (_cauchy_sums); a single value s_lam fills the partitions
-contained in lam; and h_k = s_(k) is read off the table of the one-row
-ideal (0), ..., (k) (_h_table), for complete_homogeneous, the
-Jacobi-Trudi determinant, ringcore.euler_expand and _cauchy_identity,
-which decides the Cauchy identity for rseng and returns a failing check's
-Euler side off that one table (the CLI spot-check recomputes it from
-_lattice and _h_table).  This module alone decides the ring, in
-two places: _ring for a table of one tuple (schur, _h_table) and _lattice
+engine for sums of products of symmetric functions, and a table is the
+plain list of its raw values (_fill).  The Cauchy sums of rseng's lattice
+sum pair two tables of the partitions of bounded size and length
+(_cauchy_sums); a single value s_lam fills the partitions contained in
+lam, so complete_homogeneous, h_k = s_(k), fills the one-row ideal (0),
+..., (k).  h_0..h_k are read off that table raw, in a ring the caller
+chose (_h_values), for _cauchy_identity, which decides the Cauchy
+identity for rseng and returns a failing check's Euler side off that one
+table, and for the CLI spot-check, which recomputes it from _lattice and
+_h_values; or as Scalars (_h_scalars), for the Jacobi-Trudi determinant
+and ringcore.euler_expand.  This module alone decides the ring, in two
+places: _ring for a table of one tuple (schur, _h_scalars) and _lattice
 for a Cauchy check, whose sums, roots and Euler side all live in the one
 ring it chooses.  When every value is rational that ring is the Python
 ints at a scale, the lcm of the denominators (_scaled_ints); otherwise it
@@ -40,7 +42,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import lcm, prod
 from operator import ge, mul
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import DivisionByZero, UnsupportedWeight
 from .packing import _add_product, _aligned, _canon, _fields, _finished
@@ -119,7 +121,7 @@ def _as_partition(shape) -> Partition:
 def _schur_jacobi_trudi(parts: tuple, vars_key: tuple) -> Scalar:
     # det(h_(parts_i - i + j)), one signed product of h's per permutation
     ell = len(parts)
-    hs = _h_table(vars_key, max(parts, default=0) + ell).scalars()
+    hs = _h_scalars(vars_key, max(parts, default=0) + ell)
     terms = []
     for perm in itertools.permutations(range(ell)):
         es = [p - i + j for i, (p, j) in enumerate(zip(parts, perm))]
@@ -221,8 +223,8 @@ class _OrderIdeal:
     whenever that is a partition.  states and starts are those of
     _ideal_states, in the order of partitions_up_to.  Row i lists, in the
     order of j, the pairs (j, d) with states[d] = states[j] - e_i.
-    sweeps[min(k, len(cap))] lists the rows that step k of a _SchurTable
-    fill sweeps, last row first: for k < len(cap), rows k-1 down to 0 over
+    sweeps[min(k, len(cap))] lists the rows that step k of _fill sweeps,
+    last row first: for k < len(cap), rows k-1 down to 0 over
     the states with at most k parts, and from k = len(cap) on every row
     whole (so sweeps[-1] is rows len(cap)-1 down to 0).  They depend on k
     alone, so every table on the ideal shares them.
@@ -263,8 +265,9 @@ def _read(ring: tuple, values, sizes) -> list:
     return [Scalar(*_finished(v, names, w, bound)) for v in values]
 
 
-class _SchurTable:
-    """Schur values of one tuple of points x_1..x_n on one order ideal.
+def _fill(points: Sequence, ideal: _OrderIdeal, ring: tuple, top: tuple = ()) -> list:
+    """The Schur values of points x_1..x_n on ideal: raw values of ring, in
+    the order of ideal.states.
 
     s_lam(x_1..x_k) is the sum, over mu interlacing lam
     (lam_1 >= mu_1 >= lam_2 >= ... >= mu_(k-1) >= lam_k), of
@@ -283,7 +286,7 @@ class _SchurTable:
     sweeps only the lam with lam_j >= top_(j+n-k+1) for j <= i and
     lam_j >= top_(j+n-k) for j > i, the states that a Gelfand-Tsetlin
     pattern ending at top passes through, with their chains; the other
-    values go stale.  Only this window filters rows per table.
+    values go stale.  Only this window filters rows per fill.
 
     On the one-row ideal (0), (1), ..., (order) the one row is the
     convolution h_k += x_k * h_(k-1) of the h_k = s_(k) (Macdonald
@@ -291,48 +294,34 @@ class _SchurTable:
 
     The points are raw values of ring (_ring, _lattice): ints, or terms
     maps, each step then adding x_k times one map into another in place
-    (packing._add_product).  values holds the raw values in the order of
-    ideal.states; a Scalar is built only for a value read out (value,
-    scalars).
+    (packing._add_product).  A Scalar is built only for a value read out
+    (_read).
     """
-
-    __slots__ = ("ideal", "ring", "values")
-
-    def __init__(self, points: Sequence, ideal: _OrderIdeal, ring: tuple, top: tuple = ()):
-        size = len(ideal.states)
-        ints = ring[1] is None
-        values = [1] + [0] * (size - 1) if ints else [{0: 1}] + [{} for _ in range(size - 1)]
-        n, length, states = len(points), len(ideal.cap), ideal.states
-        for k, x in enumerate(points, 1):
-            # the rows to sweep at step k, in order: the ideal's, unless the
-            # window of top narrows some
-            sweeps, window = ideal.sweeps[min(k, length)], top[n - k:]
-            if window:
-                narrowed = []
-                for i, row in zip(range(len(sweeps) - 1, -1, -1), sweeps):
-                    floor = window[1:i + 2] + window[i + 1:]
-                    if any(floor):
-                        row = [(j, d) for j, d in row if all(map(ge, states[d], floor))]
-                    narrowed.append(row)
-                sweeps = narrowed
-            if ints:
-                for row in sweeps:
-                    for j, d in row:
-                        values[j] += x * values[d]
-            else:
-                for row in sweeps:
-                    for j, d in row:
-                        _add_product(values[j], x, values[d])
-        self.ideal, self.ring, self.values = ideal, ring, values
-
-    def value(self, parts: tuple) -> Scalar:
-        """s_parts(x_1..x_n); parts (no trailing zeros) is top, or any state if no top."""
-        mu = parts + (0,) * (len(self.ideal.cap) - len(parts))
-        return _read(self.ring, [self.values[self.ideal.index[mu]]], [sum(mu)])[0]
-
-    def scalars(self) -> list:
-        """s_mu(x_1..x_n) for every state mu, in the order of ideal.states; no top."""
-        return _read(self.ring, self.values, map(sum, self.ideal.states))
+    size = len(ideal.states)
+    ints = ring[1] is None
+    values = [1] + [0] * (size - 1) if ints else [{0: 1}] + [{} for _ in range(size - 1)]
+    n, length, states = len(points), len(ideal.cap), ideal.states
+    for k, x in enumerate(points, 1):
+        # the rows to sweep at step k, in order: the ideal's, unless the
+        # window of top narrows some
+        sweeps, window = ideal.sweeps[min(k, length)], top[n - k:]
+        if window:
+            narrowed = []
+            for i, row in zip(range(len(sweeps) - 1, -1, -1), sweeps):
+                floor = window[1:i + 2] + window[i + 1:]
+                if any(floor):
+                    row = [(j, d) for j, d in row if all(map(ge, states[d], floor))]
+                narrowed.append(row)
+            sweeps = narrowed
+        if ints:
+            for row in sweeps:
+                for j, d in row:
+                    values[j] += x * values[d]
+        else:
+            for row in sweeps:
+                for j, d in row:
+                    _add_product(values[j], x, values[d])
+    return values
 
 
 def _scaled_ints(values: Sequence) -> tuple:
@@ -361,13 +350,16 @@ def _ring(values: Sequence, degree: int) -> tuple:
     return (1, names, w, bound), points
 
 
-def _h_table(values: Sequence, order: int, ring: Optional[tuple] = None) -> _SchurTable:
-    """The table of h_0..h_order of values: state k of the one-row ideal
-    (0), (1), ..., (order) is (k), and h_k = s_(k).  values are raw points
-    of ring, or with no ring any values, in the ring that _ring chooses."""
-    if ring is None:
-        ring, values = _ring(values, order)
-    return _SchurTable(values, _order_ideal((order,), order), ring)
+def _h_values(points: Sequence, order: int, ring: tuple) -> list:
+    """h_0..h_order of points, raw values of ring: state k of the one-row
+    ideal (0), (1), ..., (order) is (k), and h_k = s_(k)."""
+    return _fill(points, _order_ideal((order,), order), ring)
+
+
+def _h_scalars(values: Sequence, order: int) -> list:
+    """h_0..h_order of values as Scalars, filled in the ring that _ring chooses."""
+    ring, points = _ring(values, order)
+    return _read(ring, _h_values(points, order, ring), range(order + 1))
 
 
 def _lattice(xs: Sequence, ys: Sequence, order: int) -> tuple:
@@ -395,7 +387,7 @@ def _lattice(xs: Sequence, ys: Sequence, order: int) -> tuple:
         px, py = points[:len(xs)], points[len(xs):]
         ring = (1, names, w, bound)
     # no value of the two tables is read out, so they can share ring
-    u, v = (_SchurTable(points, ideal, ring).values for points in (px, py))
+    u, v = (_fill(points, ideal, ring) for points in (px, py))
     slices = zip(ideal.starts, ideal.starts[1:])
     if ring[1] is None:
         return (ring, [sum(map(mul, u[a:b], v[a:b])) for a, b in slices],
@@ -429,7 +421,7 @@ def _cauchy_identity(xs: Sequence, ys: Sequence, order: int, shift: int = 0) -> 
     holds no cancelled key.  Scalars are built only for what is returned.
     """
     ring, sums, roots = _lattice(xs, ys, order + shift)
-    euler = _h_table(roots, order, ring).values
+    euler = _h_values(roots, order, ring)
     holds = not shift and sums == euler
     return (_read(ring, sums, range(order + shift + 1)), _read(ring, roots, [1] * len(roots)),
             None if holds else _read(ring, euler, range(order + 1)))
@@ -451,7 +443,9 @@ def schur(shape, variables: Sequence, algorithm: str = "branching") -> Scalar:
     if algorithm == "branching":
         # a table on the partitions contained in parts, swept toward parts
         ring, points = _ring(vars_key, sum(parts))
-        return _SchurTable(points, _order_ideal(parts, sum(parts)), ring, parts).value(parts)
+        ideal = _order_ideal(parts, sum(parts))
+        value = _fill(points, ideal, ring, parts)[ideal.index[parts]]
+        return _read(ring, [value], [sum(parts)])[0]
     if algorithm == "jacobi-trudi":
         return _schur_jacobi_trudi(parts, vars_key)
     return _schur_bialternant(parts, vars_key)

@@ -4,12 +4,14 @@ import functools
 import gc
 import importlib
 import pkgutil
+import weakref
 
 import whittaker
+from whittaker import symfunc
 from whittaker.repdata import GenericRep, Segment, UnramifiedLanglandsRep
 from whittaker.ringcore import Scalar
 from whittaker.rseng import cauchy_check, rs_series, verify_essential
-from whittaker.symfunc import _h_table, _SchurTable, schur
+from whittaker.symfunc import schur
 
 # every cache the library keeps across calls, by defining module
 CACHES = {
@@ -50,14 +52,28 @@ def test_cache_inventory():
     assert knobs == {"whittaker.symfunc.PARTITION_CACHE_SIZE"}
 
 
-def _live_tables() -> int:
+class _Table(list):
+    """A filled Schur table that a weak reference can follow."""
+
+
+def _live_tables(filled) -> int:
     gc.collect()
-    return sum(isinstance(obj, _SchurTable) for obj in gc.get_objects())
+    return sum(ref() is not None for ref in filled)
 
 
-def test_no_schur_table_outlives_its_call():
-    table = _h_table((Scalar.variable("ownt"),), 2)
-    assert _live_tables() >= 1  # the count sees a live table
+def test_no_schur_table_outlives_its_call(monkeypatch):
+    # every table symfunc fills is followed by a weak reference
+    fill, filled = symfunc._fill, []
+
+    def followed(*args):
+        table = _Table(fill(*args))
+        filled.append(weakref.ref(table))
+        return table
+
+    monkeypatch.setattr(symfunc, "_fill", followed)
+    ring, points = symfunc._ring((Scalar.variable("ownt"),), 2)
+    table = symfunc._h_values(points, 2, ring)
+    assert _live_tables(filled) >= 1  # the count sees a live table
     del table
     a, b, c, d = (Scalar.variable(f"own{v}") for v in "abcd")
     rep = GenericRep((Segment.unramified(a, 1), Segment.unramified(b, 2)))
@@ -67,4 +83,4 @@ def test_no_schur_table_outlives_its_call():
     assert verify_essential(rep, UnramifiedLanglandsRep((c,)), 4).passed
     assert cauchy_check(2, 2, (a, Scalar.rational(1, 2)), (c, d), 4).passed
     assert schur((2, 1), (a, b, c)) == schur((2, 1), (a, b, c), "jacobi-trudi")
-    assert _live_tables() == 0
+    assert len(filled) > 1 and _live_tables(filled) == 0

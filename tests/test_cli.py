@@ -571,15 +571,15 @@ def test_spot_check_compares_both_recomputations(tmp_path, capsys, monkeypatch):
     # h table in the ints of the lattice's scale, is off at t^2
     import whittaker.cli as cli
 
-    h_table = cli._h_table
+    h_values = cli._h_values
 
-    def corrupted(values, order, ring):
-        table = h_table(values, order, ring)
+    def corrupted(points, order, ring):
+        table = h_values(points, order, ring)
         assert ring[1] is None
-        table.values[2] += 1
+        table[2] += 1
         return table
 
-    monkeypatch.setattr(cli, "_h_table", corrupted)
+    monkeypatch.setattr(cli, "_h_values", corrupted)
     rep = _write(tmp_path, "rep.json", SYMBOLIC)
     assert main(["verify", "--rep", rep, "--satake-prime", "b1,b2", "--degree", "4"]) == 3
     captured = capsys.readouterr()

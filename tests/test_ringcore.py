@@ -870,8 +870,10 @@ def test_blocks_take_every_key_once(lengths, block):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(packing, "_BLOCK", block)
         blocks = list(_blocks(key_lists))
-    pieces = [(i, start, piece) for b in blocks for i, start, piece in b]
-    assert all(0 < sum(len(piece) for _, _, piece in b) <= block for b in blocks)
+    pieces = [(i, start, piece) for b, _ in blocks for i, start, piece in b]
+    assert all(0 < sum(len(piece) for _, _, piece in b) <= block for b, _ in blocks)
+    # each block comes with its keys, in order, in one list
+    assert all(keys == [k for _, _, piece in b for k in piece] for b, keys in blocks)
     for i, keys in key_lists:
         mine = [(start, piece) for j, start, piece in pieces if j == i]
         assert [k for _, piece in mine for k in piece] == keys

@@ -272,7 +272,7 @@ def test_lattice_read_out_is_the_cauchy_sum(params, satake, order):
 # one operator per step.
 
 def _operator_table(values, ideal, top=()):
-    """The Schur table fill of symfunc._SchurTable with a Scalar + and * per state and row."""
+    """The Schur table fill of symfunc._fill with a Scalar + and * per state and row."""
     xs = tuple(map(Scalar.of, values))
     out = [Scalar.of(1)] + [Scalar.of(0)] * (len(ideal.states) - 1)
     n, length, states = len(xs), len(ideal.cap), ideal.states
@@ -790,13 +790,13 @@ def test_each_report_fills_the_roots_table_once_at_its_order(monkeypatch):
     # check whose sums are off at t^2: each report fills the roots' one-row
     # table once, through its own order, and shows that table's Scalars as
     # the expansion of the Euler factor
-    orders, h_table = [], symfunc._h_table
+    orders, h_values = [], symfunc._h_values
 
-    def counted(values, order, ring=None):
+    def counted(points, order, ring):
         orders.append(order)
-        return h_table(values, order, ring)
+        return h_values(points, order, ring)
 
-    monkeypatch.setattr(symfunc, "_h_table", counted)
+    monkeypatch.setattr(symfunc, "_h_values", counted)
     symbolic = _rep_with_tops(("a1", "a2"), 3)
     bs = UnramifiedLanglandsRep((Scalar.variable("b1"), Scalar.variable("b2")))
     pp = UnramifiedLanglandsRep((Scalar.of(7), Scalar.rational(1, 11)))

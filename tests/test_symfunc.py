@@ -206,20 +206,23 @@ def test_branching_table_in_any_access_order(values, data):
     # values; a fresh table, not the cached one, is filled from nothing
     ideal = symfunc._order_ideal((7,) * len(values), 7)
     ring, points = symfunc._ring(values, 7)
-    table = symfunc._SchurTable(points, ideal, ring)
+    table = symfunc._fill(points, ideal, ring)
     shapes = data.draw(st.permutations(partitions_up_to(7, len(values))))
     assert len(ideal.states) == len(shapes) == \
         sum(_count_partitions(k, len(values)) for k in range(8))
     for shape in shapes:
-        assert table.value(shape.parts) == schur(shape, values, "jacobi-trudi"), shape
+        value = table[ideal.index[shape.padded(len(values))]]
+        assert symfunc._read(ring, [value], [shape.size])[0] == \
+            schur(shape, values, "jacobi-trudi"), shape
 
 
 def test_integral_fractions_fill_in_ints():
     # Fraction(2, 1) is an integral value: the tables of a tuple holding it,
     # and a lattice on such tuples, run in Python ints
-    table = symfunc._h_table((Fraction(2, 1), 3), 3)
-    assert table.values == [1, 5, 19, 65]
-    assert all(type(v) is int for v in table.values)
+    ring, points = symfunc._ring((Fraction(2, 1), 3), 3)
+    table = symfunc._h_values(points, 3, ring)
+    assert table == [1, 5, 19, 65]
+    assert all(type(v) is int for v in table)
     ring, sums, roots = symfunc._lattice((Fraction(2, 1), 3), (Fraction(-4, 1),), 3)
     assert ring[:2] == (1, None)
     assert all(type(v) is int for v in sums + roots)
