@@ -95,17 +95,17 @@ def _spot_check(report: VerificationReport, seed: int, params: Sequence[Scalar],
     or a single indeterminate.  Every indeterminate is bound to a seeded
     random nonzero rational; u needs no value, as it is reserved in every
     input and cancels from the lattice sum.  The identity is then
-    recomputed from the bound values in the ring that symfunc._lattice
-    chooses for a rational pair, the ints of one scale S: the lattice sums
-    L must equal the Euler side V, h_k of the roots filled in that ring by
-    symfunc._h_values, and the symbolic lhs, evaluated by packing._evaluate
-    as numerators over one denominator, must equal L_k / S^k, compared by
-    cross-multiplying in ints.  Those
-    ints share no Scalar products with the symbolic series; so a fault
-    that corrupts both symbolic series alike shows up as a disagreement,
-    an internal bug.  Every coefficient is a Laurent polynomial, which has
-    poles only where a variable is 0, so one sample of nonzero values
-    always evaluates.
+    recomputed from the bound values by symfunc._lattice, in the ring that
+    symfunc._ring chooses for a rational pair, the ints at the product S
+    of the two tuples' scales: the lattice sums L must equal the Euler
+    side V, h_k of the roots filled in that ring by symfunc._h_values, and
+    the symbolic lhs, evaluated by packing._evaluate as numerators over
+    one denominator, must equal L_k / S^k, compared by cross-multiplying
+    in ints.  Those ints share no Scalar products with the symbolic
+    series; so a fault that corrupts both symbolic series alike shows up
+    as a disagreement, an internal bug.  Every coefficient is a Laurent
+    polynomial, which has poles only where a variable is 0, so one sample
+    of nonzero values always evaluates.
     """
     if not report.passed:
         return None

@@ -123,9 +123,8 @@ class Scalar:
     it is 2^(_WIDTH - 1) or more) and fixes the field width.  Together they
     are the canonical form, so instances are safe to share between threads
     and to use as dict keys.  A rational constant hashes like its Fraction.
-    + (a call of _sum) and * make every result through packing's kernel,
-    and so its one canonical form; a rational constant factor only scales
-    coefficients.
+    + (a call of _sum) and * make every nonzero result through packing's
+    kernel, a rational constant factor too, and so its one canonical form.
     Division is exact and defined only by units, nonzero rationals times
     monomials: dividing by zero raises DivisionByZero and dividing by any
     other value raises Unsupported.
@@ -237,18 +236,6 @@ class Scalar:
         small, big = (self, other) if len(self.terms) <= len(other.terms) else (other, self)
         if not small.terms:
             return _ZERO
-        if not big.names:
-            small, big = big, small
-        if not small.names:
-            # a rational constant scales the coefficients
-            (c,) = small.terms.values()
-            if not big.names:
-                # times another nonzero constant: one coefficient product
-                return Scalar({0: _canon(c * big.terms[0])})
-            if c.__class__ is int and c == 1:
-                return big
-            return Scalar({m: _canon(c * cb) for m, cb in big.terms.items()},
-                          big.names, big.bound)
         names, w, _, (a, b) = _aligned((small, big), 2)
         out = {}
         _add_product(out, a, b)
@@ -468,9 +455,12 @@ class TruncatedSeries:
     def __hash__(self):
         return hash((self.order, self.coeffs))
 
-    def __str__(self):
-        # the coefficients' texts come from one _texts call, in pieces
-        # that are joined once, with the whole series
+    def text_pieces(self) -> list:
+        """The text of the series as a list of pieces whose join is its str.
+
+        The coefficients' texts come from one _texts call, so no piece
+        holds more than one block of terms (packing._BLOCK).
+        """
         parts = []
         for k, (c, pieces) in enumerate(zip(self.coeffs, _texts(self.coeffs))):
             if not k:
@@ -482,7 +472,10 @@ class TruncatedSeries:
                 parts += (" + ", *pieces)
             parts.append("*t" if k == 1 else f"*t^{k}")
         parts.append(f" + O(t^{self.order + 1})")
-        return "".join(parts)
+        return parts
+
+    def __str__(self):
+        return "".join(self.text_pieces())
 
     def __repr__(self):
         return f"TruncatedSeries({self!s})"

@@ -16,7 +16,7 @@ one scale for a rational pair, else terms maps), compares them raw and
 hands back the Euler side's coefficients when they differ; this module
 only builds the reports, and _report locates the first mismatch of a
 failing one.  A report is printed by VerificationReport.write_summary,
-which writes each series' text as it is, not copied into a line.
+which writes each series' text a piece at a time, never joined.
 """
 
 from __future__ import annotations
@@ -56,18 +56,22 @@ class VerificationReport:
         """Write the report's lines, each ending in a newline, through calls
         of write(text).
 
-        A series' text is written as it is, not copied into its line, and a
-        passing report formats its series once for the lhs and rhs lines.
+        A series' text is written a piece at a time
+        (TruncatedSeries.text_pieces), never joined, and a passing report
+        formats its series once for the lhs and rhs lines.
         """
         meta = " ".join(f"{k}={self.metadata[k]}" for k in sorted(self.metadata))
         if meta:
             write(meta + "\n")
         # printing is a function of the canonical value, so equal series
         # (every passing report) are printed once
-        lhs = str(self.lhs_series)
-        rhs = lhs if self.rhs_series == self.lhs_series else str(self.rhs_series)
-        for text in ("lhs: ", lhs, "\nrhs: ", rhs, "\n"):
-            write(text)
+        lhs = self.lhs_series.text_pieces()
+        rhs = lhs if self.rhs_series == self.lhs_series else self.rhs_series.text_pieces()
+        for label, pieces in (("lhs: ", lhs), ("rhs: ", rhs)):
+            write(label)
+            for piece in pieces:
+                write(piece)
+            write("\n")
         if self.passed:
             write(f"result: pass (exact through t^{self.degree_checked})\n")
         else:

@@ -18,11 +18,12 @@ chose (_h_values), for _cauchy_identity, which decides the Cauchy
 identity for rseng and returns a failing check's Euler side off that one
 table, and for the CLI spot-check, which recomputes it from _lattice and
 _h_values; or as Scalars (_h_scalars), for the Jacobi-Trudi determinant
-and ringcore.euler_expand.  This module alone decides the ring, in two
-places: _ring for a table of one tuple (schur, _h_scalars) and _lattice
-for a Cauchy check, whose sums, roots and Euler side all live in the one
-ring it chooses.  When every value is rational that ring is the Python
-ints at a scale, the lcm of the denominators (_scaled_ints); otherwise it
+and ringcore.euler_expand.  This module alone decides the ring, in one
+place, _ring: for a table of one tuple (schur, _h_scalars) and for the
+pair of a Cauchy check (_lattice), whose sums, roots and Euler side all
+live in that one ring.  When every value is rational that ring is the
+Python ints, each tuple at its own scale, the lcm of its denominators
+(_scaled_ints), and the ring at the product of those scales; otherwise it
 is plain terms maps on the union alphabet, each step adding a product
 into an entry in place.  Values are compared raw, and a Scalar is built
 only for a value read out (_read).  schur is the one entry point:
@@ -250,9 +251,10 @@ def _order_ideal(cap: tuple, bound: int) -> _OrderIdeal:
     return _OrderIdeal(cap, bound)
 
 
-# A ring is a tuple (scale, names, width, bound).  names is None for the
-# Python ints at the point D*x, D = scale the lcm of the denominators: by
-# homogeneity a value of degree k there is D^k times its value at x.
+# A ring is a tuple (scale, names, width, bound), chosen by _ring.  names
+# is None for the Python ints, each tuple of points x at D*x, D the lcm of
+# its denominators, and scale the product of those D: by homogeneity a
+# value of degree k in each tuple is scale^k times its value at the x.
 # Otherwise scale is 1 and a value is a packing terms map over the alphabet
 # names at the field width width, which holds every exponent up to bound.
 
@@ -292,8 +294,8 @@ def _fill(points: Sequence, ideal: _OrderIdeal, ring: tuple, top: tuple = ()) ->
     convolution h_k += x_k * h_(k-1) of the h_k = s_(k) (Macdonald
     I.(3.9)), which is how every h_k is made.
 
-    The points are raw values of ring (_ring, _lattice): ints, or terms
-    maps, each step then adding x_k times one map into another in place
+    The points are raw values of ring (_ring): ints, or terms maps, each
+    step then adding x_k times one map into another in place
     (packing._add_product).  A Scalar is built only for a value read out
     (_read).
     """
@@ -339,15 +341,19 @@ def _scaled_ints(values: Sequence) -> tuple:
     return scale, [c.numerator * (scale // c.denominator) for c in cs]
 
 
-def _ring(values: Sequence, degree: int) -> tuple:
-    """(ring, points): the ring of the sums of products of degree factors
-    among values, the ints of one scale when every value is rational, and
-    the values as raw points of it."""
-    scaled = _scaled_ints(values)
-    if scaled:
-        return (scaled[0], None, None, 0), scaled[1]
-    names, w, bound, points = _aligned(tuple(map(Scalar.of, values)), degree)
-    return (1, names, w, bound), points
+def _ring(tuples: Sequence, degree: int) -> tuple:
+    """(ring, points): the one ring of the sums of products of degree factors
+    among the values of tuples, and points[i] the values of tuples[i] as raw
+    points of it.  When every value is rational the ring is the Python ints,
+    each tuple at its own scale (_scaled_ints) and the ring at the product
+    of those scales; otherwise it is terms maps on the union alphabet
+    (packing._aligned)."""
+    scaled = [_scaled_ints(values) for values in tuples]
+    if all(scaled):
+        return (prod(d for d, _ in scaled), None, None, 0), [p for _, p in scaled]
+    names, w, bound, maps = _aligned([Scalar.of(v) for values in tuples for v in values], degree)
+    maps = iter(maps)
+    return (1, names, w, bound), [list(itertools.islice(maps, len(values))) for values in tuples]
 
 
 def _h_values(points: Sequence, order: int, ring: tuple) -> list:
@@ -358,7 +364,7 @@ def _h_values(points: Sequence, order: int, ring: tuple) -> list:
 
 def _h_scalars(values: Sequence, order: int) -> list:
     """h_0..h_order of values as Scalars, filled in the ring that _ring chooses."""
-    ring, points = _ring(values, order)
+    ring, (points,) = _ring((values,), order)
     return _read(ring, _h_values(points, order, ring), range(order + 1))
 
 
@@ -369,23 +375,14 @@ def _lattice(xs: Sequence, ys: Sequence, order: int) -> tuple:
 
     Both Schur tables are filled for this call only, over the partitions of
     size <= order with at most min(len(xs), len(ys)) parts, sorted by size,
-    and sums[k] is the dot product of their slices of size k.  Two rational
-    tuples fill in ints at their own scales Dx and Dy, so the sums and the
-    roots are ints at the scale Dx * Dy.  Otherwise both tables fill in
-    terms maps on the union alphabet (packing._aligned), at a width that
-    holds a product of 2 * order factors, so of order from each tuple (and
-    the roots at order 0).
+    and sums[k] is the dot product of their slices of size k.  The ring is
+    _ring's for the pair, at a degree that holds a product of order factors
+    from each tuple (and the roots at order 0): so two rational tuples fill
+    in ints at their own scales Dx and Dy, and the sums and the roots are
+    ints at the scale Dx * Dy.
     """
     ideal = _order_ideal((order,) * min(len(xs), len(ys)), order)
-    x, y = _scaled_ints(xs), _scaled_ints(ys)
-    if x and y:
-        (dx, px), (dy, py) = x, y
-        ring = (dx * dy, None, None, 0)
-    else:
-        names, w, bound, points = _aligned([*map(Scalar.of, xs), *map(Scalar.of, ys)],
-                                           2 * max(order, 1))
-        px, py = points[:len(xs)], points[len(xs):]
-        ring = (1, names, w, bound)
+    ring, (px, py) = _ring((xs, ys), 2 * max(order, 1))
     # no value of the two tables is read out, so they can share ring
     u, v = (_fill(points, ideal, ring) for points in (px, py))
     slices = zip(ideal.starts, ideal.starts[1:])
@@ -442,7 +439,7 @@ def schur(shape, variables: Sequence, algorithm: str = "branching") -> Scalar:
     parts = shape.parts
     if algorithm == "branching":
         # a table on the partitions contained in parts, swept toward parts
-        ring, points = _ring(vars_key, sum(parts))
+        ring, (points,) = _ring((vars_key,), sum(parts))
         ideal = _order_ideal(parts, sum(parts))
         value = _fill(points, ideal, ring, parts)[ideal.index[parts]]
         return _read(ring, [value], [sum(parts)])[0]

@@ -71,7 +71,7 @@ def test_no_schur_table_outlives_its_call(monkeypatch):
         return table
 
     monkeypatch.setattr(symfunc, "_fill", followed)
-    ring, points = symfunc._ring((Scalar.variable("ownt"),), 2)
+    ring, (points,) = symfunc._ring(((Scalar.variable("ownt"),),), 2)
     table = symfunc._h_values(points, 2, ring)
     assert _live_tables(filled) >= 1  # the count sees a live table
     del table

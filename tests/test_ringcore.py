@@ -946,6 +946,9 @@ def _assert_is_reference(value, reference):
     assert value.names == tuple(sorted(names, key=lambda v: (v != "u", v)))
     largest = max((abs(e) for mono in reference for _, e in mono), default=0)
     assert _width(value.bound) == _width(largest)
+    if largest >= _LIMIT:
+        # a wide value's bound is exact
+        assert value.bound == largest
 
 
 @settings(max_examples=120, deadline=None)
@@ -954,6 +957,13 @@ def _assert_is_reference(value, reference):
 @example([(x1 - _y1, Scalar.of(1)), (_y1 - x1, Scalar.of(1))])
 @example([(x1 ** (_LIMIT - 1), x1 ** (_LIMIT - 1)), (x1 ** -5, x1 ** 5)])
 @example([])
+# a rational constant factor runs the kernel like any other: a Fraction
+# coefficient, a product of constants that is the int 1, the unit 1, and a
+# wide value that keeps its exact bound and width
+@example([(Scalar.rational(1, 2), x1)])
+@example([(Scalar.of(3), Scalar.rational(1, 3))])
+@example([(Scalar.of(1), x1 - _y1)])
+@example([(Scalar.rational(-2, 3), x1 ** 40000 * _y1)])
 def test_sum_of_products_in_place_matches_the_operators(pairs):
     # the kernel route of the Schur tables, the lattice sum and the h
     # convolution: every factor on one alphabet at the width of a product

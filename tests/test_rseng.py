@@ -385,6 +385,21 @@ def test_cauchy_identity_decides_on_every_kind_of_pair(params, satake, order, da
         symfunc._lattice = lattice
 
 
+def test_one_ring_chooser_for_a_tuple_or_a_pair():
+    # two rational tuples: ints, each tuple at its own scale and the ring at
+    # the product of the scales, so a Cauchy check keeps the scale Dx * Dy
+    ring, points = symfunc._ring(((Fraction(1, 2), 3), (Fraction(2, 3),)), 4)
+    assert ring == (6, None, None, 0) and points == [[1, 6], [2]]
+    assert symfunc._lattice((Fraction(1, 2), 3), (Fraction(2, 3),), 2)[0][0] == 6
+    # a rational tuple beside a symbolic one: terms maps on the union
+    # alphabet for both, split back into the two tuples' points
+    xs, ys = (Fraction(1, 2), 3), (_a, Scalar.rational(2, 3) * _a ** -1)
+    ring, points = symfunc._ring((xs, ys), 8)
+    assert ring[:2] == (1, ("a",)) and [len(p) for p in points] == [2, 2]
+    ring, sums, _ = symfunc._lattice(xs, ys, 4)
+    assert _same(symfunc._read(ring, sums, range(5)), _operator_lattice(xs, ys, 4))
+
+
 def test_in_place_h_convolution_of_a_wide_root():
     # x^40000 needs 32-bit fields; h_0 and h_1 fit in 16
     series = euler_expand(EulerFactor([_WIDE]), 2)
@@ -921,8 +936,8 @@ def test_write_summary_writes_the_summary_lines():
 
 def test_a_passing_report_formats_its_series_once(monkeypatch):
     # the text kernel formats each coefficient's terms once, in one call for
-    # the series, and the series' text is handed to write whole on both
-    # lines, not copied into them
+    # the series, and write receives the same piece objects on the lhs and
+    # rhs lines, one at a time, never joined
     calls = []
     texts = ringcore._texts
 
@@ -935,5 +950,28 @@ def test_a_passing_report_formats_its_series_once(monkeypatch):
         calls.clear()
         chunks = _written(report)
         assert calls == [collections.Counter(map(id, report.lhs_series.coeffs))]
-        series = [chunk for chunk in chunks if chunk.endswith(f"O(t^{report.degree_checked + 1})")]
-        assert len(series) == 2 and series[0] is series[1]
+        # [meta], "lhs: ", pieces, "\n", "rhs: ", pieces, "\n", result line
+        lhs, rhs = chunks.index("lhs: "), chunks.index("rhs: ")
+        pieces = chunks[lhs + 1:rhs - 1]
+        assert len(pieces) > 1 and len(chunks[rhs + 1:-2]) == len(pieces)
+        assert all(a is b for a, b in zip(pieces, chunks[rhs + 1:-2]))
+        assert "".join(pieces) == str(report.lhs_series)
+
+
+def test_a_series_is_written_a_block_of_terms_at_a_time(monkeypatch):
+    # with blocks of 8 terms, the t^5 coefficient of a symbolic 3x3 check
+    # (441 terms) is cut into pieces, and write never receives a string
+    # longer than the text of one block: 8 terms with their signs
+    from whittaker import packing
+
+    xs = [Scalar.variable(f"x{i}") for i in (1, 2, 3)]
+    ys = [Scalar.variable(f"y{i}") for i in (1, 2, 3)]
+    report = cauchy_check(3, 3, xs, ys, 5)
+    assert report.passed and len(report.lhs_series.coeffs[5].terms) == 441
+    longest = max(len(str(Scalar.monomial(dict(mono), c)))
+                  for coeff in report.lhs_series.coeffs for mono, c in coeff.iter_terms())
+    lines = report.summary_lines()
+    monkeypatch.setattr(packing, "_BLOCK", 8)
+    chunks = _written(report)
+    assert max(map(len, chunks)) <= packing._BLOCK * (longest + len(" + "))
+    assert "".join(chunks).split("\n")[:-1] == lines

@@ -205,7 +205,7 @@ def test_branching_table_in_any_access_order(values, data):
     # order of reads (full-column shapes among them) must find the same
     # values; a fresh table, not the cached one, is filled from nothing
     ideal = symfunc._order_ideal((7,) * len(values), 7)
-    ring, points = symfunc._ring(values, 7)
+    ring, (points,) = symfunc._ring((values,), 7)
     table = symfunc._fill(points, ideal, ring)
     shapes = data.draw(st.permutations(partitions_up_to(7, len(values))))
     assert len(ideal.states) == len(shapes) == \
@@ -219,7 +219,7 @@ def test_branching_table_in_any_access_order(values, data):
 def test_integral_fractions_fill_in_ints():
     # Fraction(2, 1) is an integral value: the tables of a tuple holding it,
     # and a lattice on such tuples, run in Python ints
-    ring, points = symfunc._ring((Fraction(2, 1), 3), 3)
+    ring, (points,) = symfunc._ring(((Fraction(2, 1), 3),), 3)
     table = symfunc._h_values(points, 3, ring)
     assert table == [1, 5, 19, 65]
     assert all(type(v) is int for v in table)
