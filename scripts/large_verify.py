@@ -1,0 +1,136 @@
+#!/usr/bin/env python3
+"""Run the large symbolic verify on two src/ trees in alternating fresh processes.
+
+For the shape (n, r, m), each run is
+
+    python3 -m whittaker.cli verify --rep REP --satake-prime bp1,...,bpm --degree 8
+
+in a fresh process with PYTHONPATH set to one side's src/ directory and
+stdout written to a file. REP is a symbolic-q representation of GL(n) with
+unramified rank r. Each pair runs both sides, the parent first in even
+pairs and the change first in odd ones. One JSON object is printed: for
+each side, every run's exit code, wall time, peak resident size (the
+child's ru_maxrss, in MB of 1024 KB) and the bytes and sha256 of what it
+printed.
+
+    python3 scripts/large_verify.py PARENT_SRC CHANGE_SRC [--pairs N] [--shape n,r,m]
+
+Exit 0 when every run exits 0 and prints the same bytes, and a shape with
+recorded output prints exactly that; 1 otherwise; 2 on bad arguments. The
+(6, 5, 5) and (6, 4, 5) representations are the ones the perfbench
+workload generator gives for those shapes at token "p" and random seed 3;
+any other shape uses r unramified segments ap1..apr of length one and,
+when r < n, one ramified segment of degree n - r. Stdlib only.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import os
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+
+def _unramified(*order):
+    return [{"kind": "unramified", "satake": f"ap{i}", "length": 1} for i in order]
+
+
+REPS = {
+    (6, 5, 5): [{"kind": "ramified", "id": "rho1", "degree": 1, "length": 1},
+                *_unramified(4, 1, 2, 5, 3)],
+    (6, 4, 5): [*_unramified(4, 3, 2, 1),
+                {"kind": "ramified", "id": "rho1", "degree": 2, "length": 1}],
+}
+
+# (bytes, sha256) of the verify output of a known shape
+DIGESTS = {
+    (6, 5, 5): (32216868, "8beb6017a0095e70bdf816c7aa0d16d88a9dd8470fdfd38e8e6bf8c289a5bd1b"),
+    (6, 4, 5): (10817143, "81d4d0607fffea0efd05f2cd44feebb291b2d989de38a687ff8e43c8b0d2094e"),
+}
+
+
+def _rep(shape) -> dict:
+    n, r, _ = shape
+    segments = REPS.get(shape)
+    if segments is None:
+        segments = _unramified(*range(1, r + 1))
+        if r < n:
+            segments.append({"kind": "ramified", "id": "rho1", "degree": n - r, "length": 1})
+    return {"q": "symbolic", "segments": segments}
+
+
+def _run(src: Path, rep: Path, m: int, out: Path) -> dict:
+    """One fresh-process verify against src: its exit code, wall time, peak and output."""
+    argv = [sys.executable, "-m", "whittaker.cli", "verify", "--rep", str(rep),
+            "--satake-prime", ",".join(f"bp{j + 1}" for j in range(m)), "--degree", "8"]
+    env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
+    with open(out, "wb") as sink:
+        start = time.perf_counter()
+        child = subprocess.Popen(argv, stdout=sink, stderr=subprocess.DEVNULL, env=env)
+        _, status, usage = os.wait4(child.pid, 0)
+        wall = time.perf_counter() - start
+    child.returncode = os.waitstatus_to_exitcode(status)
+    digest = hashlib.sha256()
+    with open(out, "rb") as printed:
+        for block in iter(lambda: printed.read(1 << 20), b""):
+            digest.update(block)
+    return {"exit": child.returncode, "wall_s": round(wall, 4),
+            "maxrss_mb": round(usage.ru_maxrss / 1024, 2),
+            "bytes": out.stat().st_size, "sha256": digest.hexdigest()}
+
+
+def _shape(text: str) -> tuple:
+    try:
+        n, r, m = (int(part) for part in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError("expected three integers n,r,m") from None
+    if not (n >= 1 and 0 <= r <= n and m >= 1):
+        raise argparse.ArgumentTypeError("expected n >= 1, 0 <= r <= n and m >= 1")
+    return n, r, m
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("parent", type=Path, help="the parent's src/ directory")
+    parser.add_argument("change", type=Path, help="the change's src/ directory")
+    parser.add_argument("--pairs", type=int, default=1, help="alternating pairs (default 1)")
+    parser.add_argument("--shape", type=_shape, default=(6, 5, 5),
+                        help="n,r,m: GL(n), unramified rank r, m Satake parameters "
+                             "(default 6,5,5)")
+    args = parser.parse_args(argv)
+    if args.pairs < 1:
+        parser.error("--pairs must be positive")
+    sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    for name, src in sides.items():
+        if not (src / "whittaker" / "cli.py").is_file():
+            parser.error(f"{name}: {src} holds no whittaker package")
+    runs = {name: [] for name in sides}
+    with tempfile.TemporaryDirectory(prefix="large-verify-") as tmp:
+        rep, out = Path(tmp) / "rep.json", Path(tmp) / "out.txt"
+        rep.write_text(json.dumps(_rep(args.shape)), encoding="utf-8")
+        for pair in range(args.pairs):
+            for name in (("parent", "change") if pair % 2 == 0 else ("change", "parent")):
+                runs[name].append(_run(sides[name], rep, args.shape[2], out))
+    printed = {(run["bytes"], run["sha256"]) for side in runs.values() for run in side}
+    problems = [f"{name} run {i} exited {run['exit']}" for name, side in runs.items()
+                for i, run in enumerate(side) if run["exit"]]
+    if len(printed) > 1:
+        problems.append("the runs printed different bytes")
+    recorded = DIGESTS.get(args.shape)
+    if recorded is not None and printed != {recorded}:
+        problems.append("the output differs from the recorded digest")
+    print(json.dumps({"shape": list(args.shape), "pairs": args.pairs,
+                      "recorded": recorded and {"bytes": recorded[0], "sha256": recorded[1]},
+                      **{name: {"src": str(sides[name]), "runs": side}
+                         for name, side in runs.items()},
+                      "problems": problems}, indent=1))
+    return 1 if problems else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

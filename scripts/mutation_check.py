@@ -108,6 +108,12 @@ MUTATIONS = [
              CLI_TESTS),
     Mutation("spot-check-ignores-sums", "whittaker/cli.py",
              "if not (holds and agree):", "if not holds:", CLI_TESTS),
+    # running out of memory left to the last-resort handler (exit 3), or
+    # reported while the frames still hold what filled memory
+    Mutation("memory-error-not-caught", "whittaker/cli.py",
+             "except MemoryError as exc:", "except OverflowError as exc:", CLI_TESTS),
+    Mutation("memory-error-keeps-the-frames", "whittaker/cli.py",
+             "exc.__traceback__ = None", "pass", CLI_TESTS),
     Mutation("spot-check-scale-off-by-one", "whittaker/cli.py",
              "num * scale ** k == c * den", "num * scale ** (k + 1) == c * den", CLI_TESTS),
     Mutation("roots-scaled-by-2s", "whittaker/symfunc.py",
@@ -169,6 +175,11 @@ MUTATIONS = [
              "_fill(points, _order_ideal((order,), order), ring)",
              "_fill(points[1:], _order_ideal((order,), order), ring)",
              KERNEL_TESTS),
+    # a single Schur value read from the first state of its ideal, the empty
+    # partition, in place of the last, the shape itself
+    Mutation("schur-reads-the-first-state", "whittaker/symfunc.py",
+             "_order_ideal(parts, sum(parts)), ring, parts)[-1]",
+             "_order_ideal(parts, sum(parts)), ring, parts)[0]", KERNEL_TESTS),
     # the bialternant's long division: a quotient key with an exponent of -1
     Mutation("exact-div-skips-exactness", "whittaker/symfunc.py",
              "if any(e < 0 for _, e in _fields(key, n, w)):",

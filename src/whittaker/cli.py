@@ -3,9 +3,9 @@
 Subcommands: schur, spherical, essential, lfactor, verify, cauchy,
 derivatives.  Results go to stdout, diagnostics to stderr.  Exit codes:
 0 success / verified, 1 verification mismatch, 2 invalid input or
-configuration, 3 internal invariant violation or any other internal error,
-so a crash never reads as a mismatch.  Output is byte-stable for identical
-configurations.
+configuration, or a request too large for the memory available, 3 internal
+invariant violation or any other internal error, so a crash never reads as
+a mismatch.  Output is byte-stable for identical configurations.
 """
 
 from __future__ import annotations
@@ -303,6 +303,11 @@ def main(argv=None) -> int:
         return 3
     except WhittakerError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        # drop the frames and what they hold; import nothing, it could fail too
+        exc.__traceback__ = None
+        print(f"error: {args.command}: the request is too large for memory", file=sys.stderr)
         return 2
     except Exception as exc:
         # last resort: exit 1 would read as "the identity failed"

@@ -7,10 +7,11 @@ ideal by the Gelfand-Tsetlin branching rule (Macdonald I.(5.11)): one
 variable and one interlacing row at a time, each row in order of size, in
 place and without recursion, so every value shares the work of the smaller
 ones.  The rows a fill sweeps at each step depend on the step alone, so
-an ideal lists them once for every table on it.  That fill is the one
-engine for sums of products of symmetric functions, and a table is the
-plain list of its raw values (_fill).  The Cauchy sums of rseng's lattice
-sum pair two tables of the partitions of bounded size and length
+an ideal, the plain tuple (states, starts, sweeps) that _order_ideal
+builds and caches, lists them once for every table on it.  That fill is
+the one engine for sums of products of symmetric functions, and a table
+is the plain list of its raw values (_fill).  The Cauchy sums of rseng's
+lattice sum pair two tables of the partitions of bounded size and length
 (_cauchy_sums); a single value s_lam fills the partitions contained in
 lam, so complete_homogeneous, h_k = s_(k), fills the one-row ideal (0),
 ..., (k).  h_0..h_k are read off that table raw, in a ring the caller
@@ -40,7 +41,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from math import lcm, prod
 from operator import ge, mul
 from typing import Iterable, Iterator, Sequence
@@ -120,14 +121,17 @@ def _as_partition(shape) -> Partition:
 
 
 def _schur_jacobi_trudi(parts: tuple, vars_key: tuple) -> Scalar:
-    # det(h_(parts_i - i + j)), one signed product of h's per permutation
+    # det(h_(parts_i - i + j)), one product of h's per permutation, from its
+    # first factor on and without h_0 = 1, negated for an odd permutation
     ell = len(parts)
     hs = _h_scalars(vars_key, max(parts, default=0) + ell)
     terms = []
     for perm in itertools.permutations(range(ell)):
         es = [p - i + j for i, (p, j) in enumerate(zip(parts, perm))]
         if min(es, default=0) >= 0:
-            terms.append(prod(map(hs.__getitem__, es), start=Scalar.of(_perm_sign(perm))))
+            factors = [hs[e] for e in es if e]
+            term = reduce(mul, factors) if factors else _ONE
+            terms.append(term if _perm_sign(perm) > 0 else -term)
     return _sum(terms)
 
 
@@ -217,38 +221,29 @@ def _ideal_states(cap: tuple, bound: int) -> tuple:
     return states, starts
 
 
-class _OrderIdeal:
-    """The partitions mu contained in cap with |mu| <= bound.
+@lru_cache(maxsize=PARTITION_CACHE_SIZE)
+def _order_ideal(cap: tuple, bound: int) -> tuple:
+    """(states, starts, sweeps) of the partitions mu inside cap with |mu| <= bound.
 
     Such a set is an order ideal of Young's lattice: it holds mu - e_i
     whenever that is a partition.  states and starts are those of
     _ideal_states, in the order of partitions_up_to.  Row i lists, in the
     order of j, the pairs (j, d) with states[d] = states[j] - e_i.
     sweeps[min(k, len(cap))] lists the rows that step k of _fill sweeps,
-    last row first: for k < len(cap), rows k-1 down to 0 over
-    the states with at most k parts, and from k = len(cap) on every row
-    whole (so sweeps[-1] is rows len(cap)-1 down to 0).  They depend on k
-    alone, so every table on the ideal shares them.
+    last row first: for k < len(cap), rows k-1 down to 0 over the states
+    with at most k parts, and from k = len(cap) on every row whole (so
+    sweeps[-1] is rows len(cap)-1 down to 0), all of the whole rows' pairs.
+    They depend on k alone, so every table on the ideal shares them.
     """
-
-    __slots__ = ("cap", "states", "index", "starts", "sweeps")
-
-    def __init__(self, cap: tuple, bound: int):
-        self.cap = cap
-        states, self.starts = _ideal_states(cap, bound)
-        index = {mu: j for j, mu in enumerate(states)}
-        rows = [[(j, d) for j, mu in enumerate(states)
-                 if (d := index.get(mu[:i] + (mu[i] - 1,) + mu[i + 1:])) is not None]
-                for i in range(len(cap))]
-        self.sweeps = [[[(j, d) for j, d in rows[i] if not states[j][k]]
-                        for i in reversed(range(k))] for k in range(len(cap))]
-        self.sweeps.append(rows[::-1])
-        self.states, self.index = states, index
-
-
-@lru_cache(maxsize=PARTITION_CACHE_SIZE)
-def _order_ideal(cap: tuple, bound: int) -> _OrderIdeal:
-    return _OrderIdeal(cap, bound)
+    states, starts = _ideal_states(cap, bound)
+    index = {mu: j for j, mu in enumerate(states)}
+    rows = [[(j, d) for mu, j in index.items()
+             if (d := index.get(mu[:i] + (mu[i] - 1,) + mu[i + 1:])) is not None]
+            for i in range(len(cap))]
+    sweeps = [[[p for p in rows[i] if not states[p[0]][k]] for i in reversed(range(k))]
+              for k in range(len(cap))]
+    sweeps.append(rows[::-1])
+    return states, starts, sweeps
 
 
 # A ring is a tuple (scale, names, width, bound), chosen by _ring.  names
@@ -267,9 +262,9 @@ def _read(ring: tuple, values, sizes) -> list:
     return [Scalar(*_finished(v, names, w, bound)) for v in values]
 
 
-def _fill(points: Sequence, ideal: _OrderIdeal, ring: tuple, top: tuple = ()) -> list:
-    """The Schur values of points x_1..x_n on ideal: raw values of ring, in
-    the order of ideal.states.
+def _fill(points: Sequence, ideal: tuple, ring: tuple, top: tuple = ()) -> list:
+    """The Schur values of points x_1..x_n on ideal (states, starts, sweeps)
+    of _order_ideal: raw values of ring, in the order of states.
 
     s_lam(x_1..x_k) is the sum, over mu interlacing lam
     (lam_1 >= mu_1 >= lam_2 >= ... >= mu_(k-1) >= lam_k), of
@@ -280,12 +275,12 @@ def _fill(points: Sequence, ideal: _OrderIdeal, ring: tuple, top: tuple = ()) ->
     when lam - e_i is not a partition; W_0(lam) = s_lam(x_1..x_k), and
     W_k(lam) = s_lam(x_1..x_(k-1)), which is 0 when lam has k parts.  So one
     list holds W over the ideal, starting from s_lam() (1 at the empty
-    partition, else 0), and for k = 1..n the rows i = min(len(cap), k) - 1
-    down to 0 are swept in place, in order of size, over the states with at
-    most k parts: one add and one multiply by x_k per state and row, and no
-    recursion at any width.  Those sweeps are the ideal's (ideal.sweeps),
-    made once per ideal.  When only s_top is wanted, row i at step k
-    sweeps only the lam with lam_j >= top_(j+n-k+1) for j <= i and
+    partition, else 0), and for k = 1..n the rows i = min(L, k) - 1 down to
+    0, L = len(sweeps) - 1 the ideal's length, are swept in place, in order
+    of size, over the states with at most k parts: one add and one multiply
+    by x_k per state and row, and no recursion at any width.  Those sweeps
+    are the ideal's, made once per ideal.  When only s_top is wanted, row i
+    at step k sweeps only the lam with lam_j >= top_(j+n-k+1) for j <= i and
     lam_j >= top_(j+n-k) for j > i, the states that a Gelfand-Tsetlin
     pattern ending at top passes through, with their chains; the other
     values go stale.  Only this window filters rows per fill.
@@ -299,28 +294,28 @@ def _fill(points: Sequence, ideal: _OrderIdeal, ring: tuple, top: tuple = ()) ->
     (packing._add_product).  A Scalar is built only for a value read out
     (_read).
     """
-    size = len(ideal.states)
+    states, _, sweeps = ideal
+    size, length, n = len(states), len(sweeps) - 1, len(points)
     ints = ring[1] is None
     values = [1] + [0] * (size - 1) if ints else [{0: 1}] + [{} for _ in range(size - 1)]
-    n, length, states = len(points), len(ideal.cap), ideal.states
     for k, x in enumerate(points, 1):
         # the rows to sweep at step k, in order: the ideal's, unless the
         # window of top narrows some
-        sweeps, window = ideal.sweeps[min(k, length)], top[n - k:]
+        step, window = sweeps[min(k, length)], top[n - k:]
         if window:
             narrowed = []
-            for i, row in zip(range(len(sweeps) - 1, -1, -1), sweeps):
+            for i, row in zip(range(len(step) - 1, -1, -1), step):
                 floor = window[1:i + 2] + window[i + 1:]
                 if any(floor):
                     row = [(j, d) for j, d in row if all(map(ge, states[d], floor))]
                 narrowed.append(row)
-            sweeps = narrowed
+            step = narrowed
         if ints:
-            for row in sweeps:
+            for row in step:
                 for j, d in row:
                     values[j] += x * values[d]
         else:
-            for row in sweeps:
+            for row in step:
                 for j, d in row:
                     _add_product(values[j], x, values[d])
     return values
@@ -385,7 +380,7 @@ def _lattice(xs: Sequence, ys: Sequence, order: int) -> tuple:
     ring, (px, py) = _ring((xs, ys), 2 * max(order, 1))
     # no value of the two tables is read out, so they can share ring
     u, v = (_fill(points, ideal, ring) for points in (px, py))
-    slices = zip(ideal.starts, ideal.starts[1:])
+    slices = zip(ideal[1], ideal[1][1:])
     if ring[1] is None:
         return (ring, [sum(map(mul, u[a:b], v[a:b])) for a, b in slices],
                 [a * b for a in px for b in py])
@@ -438,10 +433,10 @@ def schur(shape, variables: Sequence, algorithm: str = "branching") -> Scalar:
         return _ZERO
     parts = shape.parts
     if algorithm == "branching":
-        # a table on the partitions contained in parts, swept toward parts
+        # a table on the partitions inside parts of size at most |parts|,
+        # swept toward parts, its one state of that size and so its last
         ring, (points,) = _ring((vars_key,), sum(parts))
-        ideal = _order_ideal(parts, sum(parts))
-        value = _fill(points, ideal, ring, parts)[ideal.index[parts]]
+        value = _fill(points, _order_ideal(parts, sum(parts)), ring, parts)[-1]
         return _read(ring, [value], [sum(parts)])[0]
     if algorithm == "jacobi-trudi":
         return _schur_jacobi_trudi(parts, vars_key)

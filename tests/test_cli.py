@@ -648,3 +648,51 @@ def test_an_unexpected_exception_exits_three_not_one(capsys, monkeypatch):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.splitlines()[-1] == "internal error: RuntimeError: boom"
+
+
+@pytest.mark.parametrize("imports_fail", [False, True])
+def test_running_out_of_memory_exits_2_with_one_line(monkeypatch, imports_fail):
+    # an oversized request that exhausts memory is a request error, not a
+    # crash (3) and never a mismatch (1).  The frames, with what they hold,
+    # are gone before the message is written, and nothing is imported on
+    # the way, since after a MemoryError an import can raise another one.
+    # No test here exhausts real memory.
+    import builtins
+    import weakref
+
+    import whittaker.cli as cli
+
+    class Held:
+        pass
+
+    refs, written = [], []
+
+    class Stderr:
+        def write(self, text):
+            written.append((text, refs[0]() is None))
+
+        def flush(self):
+            pass
+
+    real_import = builtins.__import__
+
+    def refuse(*args, **kwargs):
+        raise MemoryError
+
+    def exhaust(args):
+        held = Held()
+        refs.append(weakref.ref(held))
+        if imports_fail:
+            builtins.__import__ = refuse
+        raise MemoryError
+
+    monkeypatch.setitem(cli._HANDLERS, "spherical", exhaust)
+    monkeypatch.setattr(sys, "stderr", Stderr())
+    try:
+        code = main(["spherical", "--satake", "2", "--weight", "3"])
+    finally:
+        builtins.__import__ = real_import
+    assert code == 2
+    assert "".join(text for text, _ in written).splitlines() == [
+        "error: spherical: the request is too large for memory"]
+    assert all(dropped for _, dropped in written)

@@ -273,12 +273,14 @@ def test_lattice_read_out_is_the_cauchy_sum(params, satake, order):
 
 def _operator_table(values, ideal, top=()):
     """The Schur table fill of symfunc._fill with a Scalar + and * per state and row."""
-    xs = tuple(map(Scalar.of, values))
-    out = [Scalar.of(1)] + [Scalar.of(0)] * (len(ideal.states) - 1)
-    n, length, states = len(xs), len(ideal.cap), ideal.states
+    xs, states = tuple(map(Scalar.of, values)), ideal[0]
+    out = [Scalar.of(1)] + [Scalar.of(0)] * (len(states) - 1)
+    # the states are zero-padded to the ideal's length
+    n, length = len(xs), len(states[0])
+    index = {mu: j for j, mu in enumerate(states)}
     # row i: the pairs (j, d) with states[d] = states[j] - e_i
     rows = [[(j, d) for j, mu in enumerate(states)
-             if mu[i] and (d := ideal.index.get(mu[:i] + (mu[i] - 1,) + mu[i + 1:])) is not None]
+             if mu[i] and (d := index.get(mu[:i] + (mu[i] - 1,) + mu[i + 1:])) is not None]
             for i in range(length)]
     for k, x in enumerate(xs, 1):
         window = top[n - k:]
@@ -295,7 +297,7 @@ def _operator_table(values, ideal, top=()):
 
 def _operator_lattice(params, satake, order):
     ideal = _order_ideal((order,) * min(len(params), len(satake)), order)
-    x, y, starts = _operator_table(params, ideal), _operator_table(satake, ideal), ideal.starts
+    x, y, starts = _operator_table(params, ideal), _operator_table(satake, ideal), ideal[1]
     return [sum(map(mul, x[starts[k]:starts[k + 1]], y[starts[k]:starts[k + 1]]), Scalar.of(0))
             for k in range(order + 1)]
 

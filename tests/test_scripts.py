@@ -1,6 +1,7 @@
 """The scripts under scripts/: bad arguments exit 2, tiny runs pass, mutation anchors match."""
 
 import importlib.util
+import json
 import os
 import subprocess
 import sys
@@ -11,6 +12,7 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 SUITE = ROOT / "scripts" / "run_verification_suite.py"
 SWEEP = ROOT / "scripts" / "cauchy_sweep.py"
+LARGE = ROOT / "scripts" / "large_verify.py"
 
 
 def _run(script, *argv):
@@ -26,6 +28,8 @@ def _run(script, *argv):
     (SUITE, ["--count", "0"], "--count must be positive"),
     (SWEEP, ["--degree", "-1"], "--degree must be nonnegative"),
     (SWEEP, ["--nmax", "0"], "--nmax must be positive"),
+    (LARGE, ["src", "src", "--pairs", "0"], "--pairs must be positive"),
+    (LARGE, ["src", "src", "--shape", "2,3,1"], "0 <= r <= n"),
 ])
 def test_bad_arguments_exit_2(script, argv, message):
     # exit 1 means the identity failed, and a run that checks nothing is
@@ -46,12 +50,35 @@ def test_tiny_runs_pass(script, argv, last):
     assert last in done.stdout.splitlines()[-1]
 
 
+def _load(name):
+    spec = importlib.util.spec_from_file_location(name, ROOT / "scripts" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_large_verify_of_one_src_against_itself_agrees():
+    done = _run(LARGE, str(ROOT / "src"), str(ROOT / "src"), "--shape", "2,1,1")
+    assert done.returncode == 0, done.stdout + done.stderr
+    report = json.loads(done.stdout)
+    runs = report["parent"]["runs"] + report["change"]["runs"]
+    assert report["problems"] == [] and len(runs) == 2
+    assert len({(run["bytes"], run["sha256"]) for run in runs}) == 1
+    assert all(run["exit"] == 0 and run["bytes"] > 0 for run in runs)
+
+
+def test_large_verify_fails_on_a_wrong_recorded_digest(monkeypatch, capsys):
+    module = _load("large_verify")
+    monkeypatch.setitem(module.DIGESTS, (2, 1, 1), (414, "0" * 64))
+    src = str(ROOT / "src")
+    assert module.main([src, src, "--shape", "2,1,1"]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert report["problems"] == ["the output differs from the recorded digest"]
+
+
 def test_every_mutation_anchor_occurs_once_in_src():
     # scripts/mutation_check.py runs outside tier-1; its anchors must keep
     # matching the code, or a mutant would silently test nothing
-    spec = importlib.util.spec_from_file_location("mutation_check",
-                                                  ROOT / "scripts" / "mutation_check.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
+    module = _load("mutation_check")
     assert module.MUTATIONS
     assert module.anchor_problems() == []
