@@ -14,6 +14,16 @@ child's ru_maxrss, in MB of 1024 KB) and the bytes and sha256 of what it
 printed.
 
     python3 scripts/large_verify.py PARENT_SRC CHANGE_SRC [--pairs N] [--shape n,r,m]
+                                    [--stages]
+
+--stages adds one in-process run per side, in a child process that
+imports that side's src/. It records the wall time and the tracemalloc
+peak of three stages of the same verify: verify_essential, write_summary
+to /dev/null, and cli._spot_check. A stage's peak is counted above what
+was traced when it began, so the report that the last two read is not
+in it, and its wall time is taken under tracemalloc, which slows
+allocation: compare it with the other side's, not with a fresh-process
+run's.
 
 Exit 0 when every run exits 0 and prints the same bytes, and a shape with
 recorded output prints exactly that; 1 otherwise; 2 on bad arguments. The
@@ -64,10 +74,14 @@ def _rep(shape) -> dict:
     return {"q": "symbolic", "segments": segments}
 
 
+def _satake_prime(m: int) -> str:
+    return ",".join(f"bp{j + 1}" for j in range(m))
+
+
 def _run(src: Path, rep: Path, m: int, out: Path) -> dict:
     """One fresh-process verify against src: its exit code, wall time, peak and output."""
     argv = [sys.executable, "-m", "whittaker.cli", "verify", "--rep", str(rep),
-            "--satake-prime", ",".join(f"bp{j + 1}" for j in range(m)), "--degree", "8"]
+            "--satake-prime", _satake_prime(m), "--degree", "8"]
     env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
     with open(out, "wb") as sink:
         start = time.perf_counter()
@@ -82,6 +96,51 @@ def _run(src: Path, rep: Path, m: int, out: Path) -> dict:
     return {"exit": child.returncode, "wall_s": round(wall, 4),
             "maxrss_mb": round(usage.ru_maxrss / 1024, 2),
             "bytes": out.stat().st_size, "sha256": digest.hexdigest()}
+
+
+def stages(rep_path: str, m: int) -> dict:
+    """The wall time and traced peak of each stage of one verify, in this
+    process; run in a child whose path holds one side's src/."""
+    import tracemalloc
+
+    from whittaker import cli
+    from whittaker.repdata import UnramifiedLanglandsRep, compute_piu
+
+    rep = cli._load_rep(rep_path)
+    pi_prime = UnramifiedLanglandsRep(cli._parse_atom_list(_satake_prime(m)))
+    figures = {}
+
+    def stage(name, call):
+        held = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        start = time.perf_counter()
+        value = call()
+        wall = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1] - held
+        figures[name] = {"wall_s": round(wall, 4), "traced_peak_mb": round(peak / 2 ** 20, 2)}
+        return value
+
+    tracemalloc.start()
+    report = stage("verify_essential", lambda: cli.verify_essential(rep, pi_prime, 8))
+    with open(os.devnull, "w", encoding="utf-8") as sink:
+        stage("write_summary", lambda: report.write_summary(sink.write))
+    stage("spot_check", lambda: cli._spot_check(report, 0, compute_piu(rep)[1], pi_prime.satake))
+    tracemalloc.stop()
+    return figures
+
+
+def _stages_of(src: Path, rep: Path, m: int) -> dict:
+    """stages() run in a fresh child process against src: its figures, or
+    an "error" with the child's exit code and last line of stderr."""
+    code = ("import json, sys, large_verify; "
+            "print(json.dumps(large_verify.stages(sys.argv[1], int(sys.argv[2]))))")
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1",
+               PYTHONPATH=os.pathsep.join([str(src), str(Path(__file__).resolve().parent)]))
+    done = subprocess.run([sys.executable, "-c", code, str(rep), str(m)], env=env,
+                          capture_output=True, text=True)
+    if done.returncode:
+        return {"error": f"exit {done.returncode}: {(done.stderr.splitlines() or [''])[-1]}"}
+    return json.loads(done.stdout)
 
 
 def _shape(text: str) -> tuple:
@@ -102,6 +161,9 @@ def main(argv=None) -> int:
     parser.add_argument("--shape", type=_shape, default=(6, 5, 5),
                         help="n,r,m: GL(n), unramified rank r, m Satake parameters "
                              "(default 6,5,5)")
+    parser.add_argument("--stages", action="store_true",
+                        help="add one in-process run per side, timing and tracing "
+                             "verify_essential, write_summary and the spot-check")
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be positive")
@@ -116,9 +178,13 @@ def main(argv=None) -> int:
         for pair in range(args.pairs):
             for name in (("parent", "change") if pair % 2 == 0 else ("change", "parent")):
                 runs[name].append(_run(sides[name], rep, args.shape[2], out))
+        staged = {name: _stages_of(src, rep, args.shape[2])
+                  for name, src in sides.items()} if args.stages else {}
     printed = {(run["bytes"], run["sha256"]) for side in runs.values() for run in side}
     problems = [f"{name} run {i} exited {run['exit']}" for name, side in runs.items()
                 for i, run in enumerate(side) if run["exit"]]
+    problems += [f"{name} stages failed ({figures['error']})" for name, figures in staged.items()
+                 if "error" in figures]
     if len(printed) > 1:
         problems.append("the runs printed different bytes")
     recorded = DIGESTS.get(args.shape)
@@ -126,7 +192,8 @@ def main(argv=None) -> int:
         problems.append("the output differs from the recorded digest")
     print(json.dumps({"shape": list(args.shape), "pairs": args.pairs,
                       "recorded": recorded and {"bytes": recorded[0], "sha256": recorded[1]},
-                      **{name: {"src": str(sides[name]), "runs": side}
+                      **{name: {"src": str(sides[name]), "runs": side,
+                                **({"stages": staged[name]} if name in staged else {})}
                          for name, side in runs.items()},
                       "problems": problems}, indent=1))
     return 1 if problems else 0

@@ -12,18 +12,21 @@ first, so a failure there is not mistaken for a kill.
 
 Names select mutations (default: all).  Exit 0 when every mutant is
 killed, 1 when one survives, 2 when an anchor does not occur exactly once
-in src/ or the unmutated copy fails.  Stdlib only; not part of tier-1,
-whose tests check only that every anchor occurs exactly once.
+in src/ or overlaps a comment, or the unmutated copy fails.  Stdlib only;
+not part of tier-1, whose tests check only that every anchor occurs
+exactly once, in code.
 """
 
 from __future__ import annotations
 
 import argparse
+import io
 import os
 import shutil
 import subprocess
 import sys
 import tempfile
+import tokenize
 from pathlib import Path
 from typing import NamedTuple, Tuple
 
@@ -132,9 +135,12 @@ MUTATIONS = [
     Mutation("hook-depth-3", "whittaker/rseng.py",
              "_NEGATIVE_DEPTH = 2", "_NEGATIVE_DEPTH = 3", IDENTITY_TESTS),
     Mutation("hook-shifts-at-m-below-r", "whittaker/rseng.py",
-             "(rs_series)\n    shift = _NEGATIVE_DEPTH * m if drop_integrality and m == r else 0",
-             "(rs_series)\n    shift = _NEGATIVE_DEPTH * m if drop_integrality and m <= r else 0",
-             IDENTITY_TESTS),
+             "_NEGATIVE_DEPTH * m if drop_integrality and m == r else 0",
+             "_NEGATIVE_DEPTH * m if drop_integrality and m <= r else 0", IDENTITY_TESTS),
+    # the one rank rule (rseng._pairing): a ramified left argument let
+    # through at equal rank
+    Mutation("equal-rank-ramified-allowed", "whittaker/rseng.py",
+             "if m == n and r != n:", "if False:", IDENTITY_TESTS),
     Mutation("first-unramified-top-dropped", "whittaker/repdata.py",
              'tops = tuple(s.top.value for s in segments if s.kind == "unramified")',
              'tops = tuple(s.top.value for s in segments if s.kind == "unramified")[1:]',
@@ -142,8 +148,12 @@ MUTATIONS = [
     # printing: a passing report's rhs line formatted a second time (same
     # bytes, twice the text in memory)
     Mutation("rhs-formatted-again", "whittaker/rseng.py",
-             "rhs = lhs if self.rhs_series == self.lhs_series else self.rhs_series.text_pieces()",
+             "rhs = lhs if mismatch is None else self.rhs_series.text_pieces()",
              "rhs = self.rhs_series.text_pieces()", ("tests/test_rseng.py",)),
+    # the verdict read off the two series: no report ever mismatches
+    Mutation("verdict-skips-the-comparison", "whittaker/rseng.py",
+             "if self.rhs_series is not self.lhs_series:", "if False:",
+             ("tests/test_rseng.py", "tests/test_cli.py")),
     # the blocks of the text and evaluation kernels: a cut that skips the
     # first key of the next slice
     Mutation("text-block-seam", "whittaker/packing.py",
@@ -199,15 +209,31 @@ MUTATIONS = [
 ]
 
 
+def _comments(text: str) -> list:
+    """The (start, end) character offsets of every comment in Python source text."""
+    starts = [0]
+    for line in io.StringIO(text).readlines():
+        starts.append(starts[-1] + len(line))
+    return [(starts[a[0] - 1] + a[1], starts[b[0] - 1] + b[1])
+            for kind, _, a, b, _ in tokenize.generate_tokens(io.StringIO(text).readline)
+            if kind == tokenize.COMMENT]
+
+
 def anchor_problems(src: Path = SRC) -> list:
-    """One line per mutation whose anchor does not occur exactly once in src/."""
+    """One line per mutation whose anchor does not occur exactly once in src/,
+    or overlaps a comment there: a mutant must change code, found by code."""
     texts = {p: p.read_text(encoding="utf-8") for p in src.rglob("*.py")}
     problems = []
     for m in MUTATIONS:
         total = sum(text.count(m.anchor) for text in texts.values())
-        if total != 1 or m.anchor not in texts.get(src / m.path, ""):
+        text = texts.get(src / m.path, "")
+        if total != 1 or m.anchor not in text:
             problems.append(f"{m.name}: anchor occurs {total} times in src/, "
                             f"expected once in {m.path}")
+        else:
+            start = text.index(m.anchor)
+            if any(a < start + len(m.anchor) and start < b for a, b in _comments(text)):
+                problems.append(f"{m.name}: anchor overlaps a comment in {m.path}")
         if m.replacement == m.anchor:
             problems.append(f"{m.name}: the replacement equals the anchor")
     return problems

@@ -13,10 +13,11 @@ s_lam(satake) by degree, and the Euler factor's expansion is h_k of its
 roots x_i * y_j (Macdonald I.(4.3)).  symfunc._cauchy_identity computes
 both sides and the roots in one ring, chosen once per check (the ints of
 one scale for a rational pair, else terms maps), compares them raw and
-hands back the Euler side's coefficients when they differ; this module
-only builds the reports, and _report locates the first mismatch of a
-failing one.  A report is printed by VerificationReport.write_summary,
-which writes each series' text a piece at a time, never joined.
+hands back the Euler side's coefficients when they differ.  Here a
+report is its two series, with its verdict read off them, and one
+resolver, _pairing, holds the rank rules and the hook's shift.  A report
+is printed by VerificationReport.write_summary, which writes each series'
+text a piece at a time, never joined.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from dataclasses import dataclass, field
 from math import comb
 from typing import Optional, Sequence, Tuple, Union
 
-from .errors import BadRanks, InvariantViolation, Unsupported
+from .errors import BadRanks, Unsupported
 from .repdata import GenericRep, UnramifiedLanglandsRep, compute_piu
 from .ringcore import EulerFactor, Scalar, TruncatedSeries
 from .symfunc import _cauchy_identity, _cauchy_sums
@@ -39,43 +40,54 @@ _NEGATIVE_DEPTH = 2
 
 @dataclass
 class VerificationReport:
-    """Evidence object for one exact series comparison."""
+    """Evidence object for one exact series comparison: two series through
+    one order, and metadata.  The verdict is read off the series, and a
+    passing check keeps one series object as both sides: an `is` test."""
 
-    passed: bool
-    degree_checked: int
-    first_mismatch: Optional[Tuple[int, Scalar, Scalar]]
     lhs_series: TruncatedSeries
     rhs_series: TruncatedSeries
     metadata: dict = field(default_factory=dict)
 
-    def __post_init__(self):
-        if self.passed != (self.first_mismatch is None):
-            raise InvariantViolation("pass flag inconsistent with first_mismatch")
+    @property
+    def first_mismatch(self) -> Optional[Tuple[int, Scalar, Scalar]]:
+        """(k, lhs coefficient, rhs coefficient) at the first t^k where the
+        series differ, or None."""
+        if self.rhs_series is not self.lhs_series:
+            for k, (lc, rc) in enumerate(zip(self.lhs_series.coeffs, self.rhs_series.coeffs)):
+                if lc != rc:
+                    return k, lc, rc
+        return None
+
+    @property
+    def passed(self) -> bool:
+        return self.first_mismatch is None
+
+    @property
+    def degree_checked(self) -> int:
+        return self.lhs_series.order
 
     def write_summary(self, write) -> None:
         """Write the report's lines, each ending in a newline, through calls
-        of write(text).
-
-        A series' text is written a piece at a time
-        (TruncatedSeries.text_pieces), never joined, and a passing report
-        formats its series once for the lhs and rhs lines.
-        """
+        of write(text): a series' text a piece at a time
+        (TruncatedSeries.text_pieces), never joined, and a passing report's
+        series formatted once for the lhs and rhs lines."""
         meta = " ".join(f"{k}={self.metadata[k]}" for k in sorted(self.metadata))
         if meta:
             write(meta + "\n")
         # printing is a function of the canonical value, so equal series
         # (every passing report) are printed once
+        mismatch = self.first_mismatch
         lhs = self.lhs_series.text_pieces()
-        rhs = lhs if self.rhs_series == self.lhs_series else self.rhs_series.text_pieces()
+        rhs = lhs if mismatch is None else self.rhs_series.text_pieces()
         for label, pieces in (("lhs: ", lhs), ("rhs: ", rhs)):
             write(label)
             for piece in pieces:
                 write(piece)
             write("\n")
-        if self.passed:
+        if mismatch is None:
             write(f"result: pass (exact through t^{self.degree_checked})\n")
         else:
-            k, lc, rc = self.first_mismatch
+            k, lc, rc = mismatch
             write(f"result: FAIL first_mismatch=t^{k} lhs={lc} rhs={rc}\n")
 
     def summary_lines(self) -> list:
@@ -125,10 +137,8 @@ def rs_series(left: LeftInput, pi_prime: UnramifiedLanglandsRep, order: int, *,
     symfunc._cauchy_sums sums over two Schur tables, in the ints of one
     scale when both tuples are rational and in terms maps otherwise.
 
-    The left argument is a GenericRep (essential-function side, m <= n-1,
-    or m = n when the representation is unramified) or an
-    UnramifiedLanglandsRep of rank n >= m (spherical side; the equal-rank
-    branch restricts to partitions through the lattice indicator).
+    The left argument is a GenericRep or, on the spherical side, an
+    UnramifiedLanglandsRep, at the ranks that _pairing admits.
 
     drop_integrality (test hook) removes the 1_O(a_r) factor from the
     essential function, so the index set grows to the dominant weights w
@@ -142,26 +152,33 @@ def rs_series(left: LeftInput, pi_prime: UnramifiedLanglandsRep, order: int, *,
     coefficient of the ordinary series times the unit
     (prod params * prod satake')^(-D) (_hooked).
     """
-    m = pi_prime.rank
+    _, _, params, shift = _pairing(left, pi_prime, drop_integrality)
     satake_prime = pi_prime.satake
+    return _hooked(_cauchy_sums(params, satake_prime, order + shift), params, satake_prime, order)
+
+
+def _pairing(left: LeftInput, pi_prime: UnramifiedLanglandsRep, drop_integrality: bool) -> tuple:
+    """(n, r, params, shift): the left argument's rank, unramified rank and
+    parameters, and the integrality hook's shift of the series.  The one
+    rank rule of every pairing with pi' of rank m: m <= n (else BadRanks),
+    and m = n only for an unramified left argument, r = n (else
+    Unsupported: for ramified pi the K-integral of W_ess is no torus sum).
+    A spherical left argument refuses the hook, which shifts the series by
+    D*m at m = r only (rs_series)."""
+    m = pi_prime.rank
     if isinstance(left, GenericRep):
-        n = left.n
-        if m > n:
-            raise BadRanks(f"pi' rank {m} exceeds n = {n}")
-        r, params = compute_piu(left)
-        if m == n and r != n:
-            raise Unsupported("equal-rank integrals need an unramified left argument")
+        n, (r, params) = left.n, compute_piu(left)
     elif isinstance(left, UnramifiedLanglandsRep):
-        n = left.rank
-        if m > n:
-            raise BadRanks(f"pi' rank {m} exceeds n = {n}")
-        if drop_integrality:
-            raise Unsupported("the integrality hook applies to the essential-function side")
-        r, params = n, left.satake
+        n, r, params = left.rank, left.rank, left.satake
     else:
         raise TypeError(f"unsupported left argument {type(left).__name__}")
-    shift = _NEGATIVE_DEPTH * m if drop_integrality and m == r else 0
-    return _hooked(_cauchy_sums(params, satake_prime, order + shift), params, satake_prime, order)
+    if m > n:
+        raise BadRanks(f"pi' rank {m} exceeds n = {n}")
+    if m == n and r != n:
+        raise Unsupported("equal-rank integrals need an unramified left argument")
+    if drop_integrality and not isinstance(left, GenericRep):
+        raise Unsupported("the integrality hook applies to the essential-function side")
+    return n, r, params, _NEGATIVE_DEPTH * m if drop_integrality and m == r else 0
 
 
 def _hooked(sums: list, params: Sequence[Scalar], satake: Sequence[Scalar],
@@ -180,40 +197,27 @@ def _hooked(sums: list, params: Sequence[Scalar], satake: Sequence[Scalar],
 
 
 def _report(lhs: TruncatedSeries, rhs: Optional[list], metadata: dict) -> VerificationReport:
-    """The report comparing lhs with rhs, the Euler side's coefficients
-    through lhs.order, or None when _cauchy_identity found the two equal.
-
-    Equal values are interchangeable, so a passing report keeps lhs as
-    both series; a failing one shows rhs and its first mismatch.
-    """
-    order = lhs.order
-    if rhs is not None:
-        for k, (lc, rc) in enumerate(zip(lhs.coeffs, rhs)):
-            if lc != rc:
-                return VerificationReport(False, order, (k, lc, rc), lhs,
-                                          TruncatedSeries(order, rhs), metadata)
-    return VerificationReport(True, order, None, lhs, lhs, metadata)
+    """The report of lhs against rhs, the Euler side's coefficients through
+    lhs.order, or None when _cauchy_identity found them equal; equal values
+    are interchangeable, so a passing check keeps lhs as both series."""
+    return VerificationReport(lhs, lhs if rhs is None else TruncatedSeries(lhs.order, rhs),
+                              metadata)
 
 
 def verify_essential(rep: GenericRep, pi_prime: UnramifiedLanglandsRep,
                      order: int = 8, *, drop_integrality: bool = False) -> VerificationReport:
     """Compare I(W_ess, W'_0, s) with L(pi, pi', s) exactly through t^order.
 
-    Requires 1 <= m <= n-1, or m = n with an unramified representation.
-    The Euler factor is l_factor's; symfunc._cauchy_identity fills its
-    expansion once, through t^order, hook or not.
-    """
-    n = rep.n
-    m = pi_prime.rank
-    r, params = compute_piu(rep)
-    if not (1 <= m <= n - 1 or (m == n and r == n)):
-        raise BadRanks(f"need 1 <= m <= n-1 (or m = n unramified); got n={n}, m={m}, r={r}")
-    # the integrality hook shifts the series only at m = r (rs_series)
-    shift = _NEGATIVE_DEPTH * m if drop_integrality and m == r else 0
+    rep is a GenericRep at the ranks that _pairing admits.  The Euler
+    factor is l_factor's; symfunc._cauchy_identity fills its expansion
+    once, through t^order, hook or not."""
+    if not isinstance(rep, GenericRep):
+        raise TypeError(f"verify_essential needs a GenericRep, not {type(rep).__name__}")
+    n, r, params, shift = _pairing(rep, pi_prime, drop_integrality)
     sums, roots, rhs = _cauchy_identity(params, pi_prime.satake, order, shift)
     return _report(_hooked(sums, params, pi_prime.satake, order), rhs, {
         "n": n,
-        "m": m,
+        "m": pi_prime.rank,
         "r": r,
         "q": "symbolic" if rep.q is None else str(rep.q),
         "roots": "[" + ", ".join(EulerFactor(roots).root_texts()) + "]",
@@ -224,18 +228,14 @@ def cauchy_check(n: int, m: int, params_x: Sequence[Scalar],
                  params_y: Sequence[Scalar], order: int = 8) -> VerificationReport:
     """Unramified pairing identity: spherical-by-spherical integral vs Euler factor.
 
-    Expands the lattice sum for a rank-n and a rank-m unramified pair and
-    compares it with the expansion of the product over all x_i * y_j; this
-    is the truncated Cauchy identity routed through the same
-    symfunc._cauchy_identity as verify_essential.
+    The truncated Cauchy identity for a rank-n and a rank-m unramified
+    pair, through the same symfunc._cauchy_identity as verify_essential,
+    at the ranks _pairing admits: 1 <= m <= n.
     """
-    params_x = tuple(Scalar.of(v) for v in params_x)
-    params_y = tuple(Scalar.of(v) for v in params_y)
-    if len(params_x) != n or len(params_y) != m:
+    x, y = UnramifiedLanglandsRep(tuple(params_x)), UnramifiedLanglandsRep(tuple(params_y))
+    if (x.rank, y.rank) != (n, m):
         raise BadRanks("parameter lists must match the stated ranks")
-    if not 1 <= m <= n:
-        raise BadRanks(f"need 1 <= m <= n, got n={n}, m={m}")
-    x, y = UnramifiedLanglandsRep(params_x), UnramifiedLanglandsRep(params_y)
+    _pairing(x, y, False)
     sums, _, rhs = _cauchy_identity(x.satake, y.satake, order)
     return _report(TruncatedSeries(order, sums), rhs,
                    {"n": n, "m": m, "kind": "unramified-pairing"})

@@ -1,6 +1,7 @@
 """Series expansion of the local integrals and the main-identity verifier."""
 
 import collections
+import dataclasses
 import itertools
 import json
 import random
@@ -20,7 +21,7 @@ from whittaker.ringcore import (EulerFactor, Scalar, TruncatedSeries, euler_expa
                                 u_power)
 from whittaker.rseng import (VerificationReport, cauchy_check, cauchy_term_count, l_factor,
                              rs_series, theorem_product, verify_essential)
-from whittaker.suite import generate_suite, make_pi_prime
+from whittaker.suite import generate_suite, make_pi_prime, make_rep
 from whittaker.symfunc import (Partition, _cauchy_sums, _order_ideal,
                                complete_homogeneous, partitions_up_to, schur, schur_ssyt_oracle)
 from whittaker.whitfun import _delta_half_exponent, delta_half, essential_value, spherical_value
@@ -166,8 +167,12 @@ def test_negative_control_is_invisible_off_the_critical_rank():
 
 
 def test_verify_rank_precondition():
-    with pytest.raises(BadRanks):
+    # m = n with a ramified representation is out of scope, as in rs_series;
+    # m > n is a bad pair of ranks
+    with pytest.raises(Unsupported):
         verify_essential(STEINBERG, UnramifiedLanglandsRep((W, W)), 4)
+    with pytest.raises(BadRanks):
+        verify_essential(STEINBERG, UnramifiedLanglandsRep((W, W, W)), 4)
 
 
 # --- cauchy_check -----------------------------------------------------------------
@@ -196,6 +201,87 @@ def test_cauchy_rank_validation():
         cauchy_check(1, 2, [Scalar.of(2)], [Scalar.of(3), Scalar.of(5)], 4)
     with pytest.raises(BadRanks, match="must match the stated ranks"):
         cauchy_check(2, 1, [Scalar.of(2)], [Scalar.of(3)], 4)
+
+
+def test_verify_refuses_a_left_argument_that_is_not_a_generic_rep():
+    with pytest.raises(TypeError, match="UnramifiedLanglandsRep"):
+        verify_essential(UnramifiedLanglandsRep((W, W)), UnramifiedLanglandsRep((W,)), 3)
+
+
+# --- one rank rule (rseng._pairing) ----------------------------------------------
+
+def _refusal(check):
+    """The class of the rank error that check() raises, or None."""
+    try:
+        check()
+    except (BadRanks, Unsupported) as exc:
+        return type(exc)
+    return None
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 5), st.data())
+def test_rs_series_and_verify_admit_the_same_ranks(n, data):
+    # m > n is BadRanks, m = n with a ramified representation Unsupported,
+    # hook or not, for the series and the check alike
+    r, m = data.draw(st.integers(0, n), label="r"), data.draw(st.integers(1, n + 1), label="m")
+    drop = data.draw(st.booleans(), label="drop_integrality")
+    rng = random.Random(data.draw(st.integers(0, 2 ** 16), label="seed"))
+    rep, pi_prime = make_rep(n, r, Fraction(3), rng), make_pi_prime(m, rng)
+    expected = BadRanks if m > n else Unsupported if m == n != r else None
+    assert _refusal(lambda: rs_series(rep, pi_prime, 1, drop_integrality=drop)) is expected
+    assert _refusal(lambda: verify_essential(rep, pi_prime, 1, drop_integrality=drop)) is expected
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 5), st.integers(1, 6), st.data())
+def test_spherical_rs_series_and_cauchy_admit_the_same_ranks(n, m, data):
+    rng = random.Random(data.draw(st.integers(0, 2 ** 16), label="seed"))
+    x, y = make_pi_prime(n, rng), make_pi_prime(m, rng)
+    expected = BadRanks if m > n else None
+    assert _refusal(lambda: rs_series(x, y, 1)) is expected
+    assert _refusal(lambda: cauchy_check(n, m, x.satake, y.satake, 1)) is expected
+
+
+# --- a report is its two series --------------------------------------------------
+
+def test_a_report_holds_only_its_two_series_and_metadata():
+    assert [f.name for f in dataclasses.fields(VerificationReport)] == [
+        "lhs_series", "rhs_series", "metadata"]
+
+
+def test_a_passing_verdict_compares_no_coefficient(monkeypatch):
+    # the verdict of a passing check, or of any report built with one series
+    # object as both sides, is read off that object: no Scalar is compared
+    reports = [verify_essential(RANK2_UNRAM, UnramifiedLanglandsRep((W, Scalar.of(7))), 5),
+               cauchy_check(2, 2, (W, Scalar.of(2)), (Scalar.variable("y"), Scalar.of(3)), 5)]
+    series = reports[-1].lhs_series
+    reports.append(VerificationReport(series, series, {}))
+    calls = []
+
+    def spy(self, other):
+        calls.append(self)
+        return NotImplemented
+
+    monkeypatch.setattr(Scalar, "__eq__", spy)
+    for report in reports:
+        assert (report.passed, report.first_mismatch, report.degree_checked) == (True, None, 5)
+    assert calls == []
+
+
+@pytest.mark.parametrize("at", ["first", "last"])
+def test_a_failing_report_mismatches_first_where_the_series_differ(at):
+    # lhs against a copy changed at k and at every later degree: the first
+    # mismatch is k, at k = 0 and at k = order; an unchanged copy passes
+    lhs = cauchy_check(2, 2, (W, Scalar.of(2)), (Scalar.variable("y"), Scalar.of(3)), 4).lhs_series
+    k = 0 if at == "first" else lhs.order
+    coeffs = [c + 1 if j >= k else c for j, c in enumerate(lhs.coeffs)]
+    report = VerificationReport(lhs, TruncatedSeries(lhs.order, coeffs), {})
+    assert report.first_mismatch == (k, lhs.coeffs[k], coeffs[k])
+    assert (report.passed, report.degree_checked) == (False, 4)
+    assert report.summary_lines()[-1] == (
+        f"result: FAIL first_mismatch=t^{k} lhs={lhs.coeffs[k]} rhs={coeffs[k]}")
+    assert VerificationReport(lhs, TruncatedSeries(lhs.order, lhs.coeffs), {}).passed
 
 
 # --- support / finiteness ----------------------------------------------------------
@@ -673,12 +759,13 @@ _Z = Scalar.variable("z")
 
 
 def _oracle_report(lhs, factor, metadata):
+    # a passing report keeps lhs as both series; a failing one mismatches
+    # first where series_equal says
     rhs = euler_expand(factor, lhs.order)
     k = series_equal(lhs, rhs, lhs.order)
-    if k is None:
-        return VerificationReport(True, lhs.order, None, lhs, lhs, metadata)
-    return VerificationReport(False, lhs.order, (k, lhs.coeffs[k], rhs.coeffs[k]), lhs, rhs,
-                              metadata)
+    report = VerificationReport(lhs, lhs if k is None else rhs, metadata)
+    assert report.first_mismatch == (None if k is None else (k, lhs.coeffs[k], rhs.coeffs[k]))
+    return report
 
 
 def _mismatch_texts(report):

@@ -76,9 +76,35 @@ def test_large_verify_fails_on_a_wrong_recorded_digest(monkeypatch, capsys):
     assert report["problems"] == ["the output differs from the recorded digest"]
 
 
+def test_large_verify_stages_on_both_sides():
+    done = _run(LARGE, str(ROOT / "src"), str(ROOT / "src"), "--shape", "2,1,1", "--stages")
+    assert done.returncode == 0, done.stdout + done.stderr
+    report = json.loads(done.stdout)
+    for side in ("parent", "change"):
+        stages = report[side]["stages"]
+        assert sorted(stages) == ["spot_check", "verify_essential", "write_summary"]
+        assert all(sorted(figures) == ["traced_peak_mb", "wall_s"]
+                   and min(figures.values()) >= 0 for figures in stages.values())
+
+
+def test_an_anchor_reaching_a_comment_is_reported(monkeypatch, tmp_path):
+    # an anchor must lie in code: one that takes in a trailing comment, or
+    # runs from a comment into the next line, is reported; one that stops
+    # short of the comment is not
+    module = _load("mutation_check")
+    (tmp_path / "whittaker").mkdir()
+    (tmp_path / "whittaker" / "x.py").write_text("a = 1  # one\nb = 2\n", encoding="utf-8")
+    anchors = {"code": "a = 1", "trailing": "1  # o", "across": "# one\nb"}
+    monkeypatch.setattr(module, "MUTATIONS", [
+        module.Mutation(name, "whittaker/x.py", anchor, "", ()) for name, anchor in anchors.items()])
+    assert module.anchor_problems(tmp_path) == [
+        f"{name}: anchor overlaps a comment in whittaker/x.py" for name in ("trailing", "across")]
+
+
 def test_every_mutation_anchor_occurs_once_in_src():
     # scripts/mutation_check.py runs outside tier-1; its anchors must keep
-    # matching the code, or a mutant would silently test nothing
+    # matching the code, and lie in code, or a mutant would silently test
+    # nothing
     module = _load("mutation_check")
     assert module.MUTATIONS
     assert module.anchor_problems() == []
