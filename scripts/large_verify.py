@@ -16,14 +16,15 @@ printed.
     python3 scripts/large_verify.py PARENT_SRC CHANGE_SRC [--pairs N] [--shape n,r,m]
                                     [--stages]
 
---stages adds one in-process run per side, in a child process that
-imports that side's src/. It records the wall time and the tracemalloc
-peak of three stages of the same verify: verify_essential, write_summary
-to /dev/null, and cli._spot_check. A stage's peak is counted above what
-was traced when it began, so the report that the last two read is not
-in it, and its wall time is taken under tracemalloc, which slows
-allocation: compare it with the other side's, not with a fresh-process
-run's.
+--stages adds two in-process runs per side, each in its own fresh child
+process that imports that side's src/, of three stages of the same
+verify: verify_essential, write_summary to /dev/null, and cli._spot_check.
+The first run times each stage untraced (wall_s), so that no stage finds
+tables or caches warm from another run and its times compare with
+fresh-process runs. The second runs under tracemalloc and records each
+stage's wall time (traced_wall_s, slowed by the tracing) and its peak
+above what was traced when the stage began (traced_peak_mb), so the
+report that the last two stages read is not in it.
 
 Exit 0 when every run exits 0 and prints the same bytes, and a shape with
 recorded output prints exactly that; 1 otherwise; 2 on bad arguments. The
@@ -98,9 +99,10 @@ def _run(src: Path, rep: Path, m: int, out: Path) -> dict:
             "bytes": out.stat().st_size, "sha256": digest.hexdigest()}
 
 
-def stages(rep_path: str, m: int) -> dict:
-    """The wall time and traced peak of each stage of one verify, in this
-    process; run in a child whose path holds one side's src/."""
+def stages(rep_path: str, m: int, traced: bool) -> dict:
+    """The wall time of each stage of one verify, in this process, and when
+    traced its tracemalloc peak too; run in a child whose path holds one
+    side's src/."""
     import tracemalloc
 
     from whittaker import cli
@@ -115,12 +117,14 @@ def stages(rep_path: str, m: int) -> dict:
         tracemalloc.reset_peak()
         start = time.perf_counter()
         value = call()
-        wall = time.perf_counter() - start
-        peak = tracemalloc.get_traced_memory()[1] - held
-        figures[name] = {"wall_s": round(wall, 4), "traced_peak_mb": round(peak / 2 ** 20, 2)}
+        figures[name] = {"wall_s": round(time.perf_counter() - start, 4)}
+        if traced:
+            peak = tracemalloc.get_traced_memory()[1] - held
+            figures[name]["traced_peak_mb"] = round(peak / 2 ** 20, 2)
         return value
 
-    tracemalloc.start()
+    if traced:
+        tracemalloc.start()
     report = stage("verify_essential", lambda: cli.verify_essential(rep, pi_prime, 8))
     with open(os.devnull, "w", encoding="utf-8") as sink:
         stage("write_summary", lambda: report.write_summary(sink.write))
@@ -130,17 +134,25 @@ def stages(rep_path: str, m: int) -> dict:
 
 
 def _stages_of(src: Path, rep: Path, m: int) -> dict:
-    """stages() run in a fresh child process against src: its figures, or
-    an "error" with the child's exit code and last line of stderr."""
-    code = ("import json, sys, large_verify; "
-            "print(json.dumps(large_verify.stages(sys.argv[1], int(sys.argv[2]))))")
+    """stages() run untraced and then traced, each in a fresh child process
+    against src: per stage its untraced wall time, and its traced wall
+    time and peak; or an "error" with a child's exit code and last line of
+    stderr."""
+    code = ("import json, sys, large_verify; print(json.dumps("
+            "large_verify.stages(sys.argv[1], int(sys.argv[2]), sys.argv[3] == '1')))")
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1",
                PYTHONPATH=os.pathsep.join([str(src), str(Path(__file__).resolve().parent)]))
-    done = subprocess.run([sys.executable, "-c", code, str(rep), str(m)], env=env,
-                          capture_output=True, text=True)
-    if done.returncode:
-        return {"error": f"exit {done.returncode}: {(done.stderr.splitlines() or [''])[-1]}"}
-    return json.loads(done.stdout)
+    runs = []
+    for traced in "01":
+        done = subprocess.run([sys.executable, "-c", code, str(rep), str(m), traced], env=env,
+                              capture_output=True, text=True)
+        if done.returncode:
+            return {"error": f"exit {done.returncode}: {(done.stderr.splitlines() or [''])[-1]}"}
+        runs.append(json.loads(done.stdout))
+    untraced, traced = runs
+    return {name: {"wall_s": untraced[name]["wall_s"], "traced_wall_s": figures["wall_s"],
+                   "traced_peak_mb": figures["traced_peak_mb"]}
+            for name, figures in traced.items()}
 
 
 def _shape(text: str) -> tuple:
@@ -162,8 +174,8 @@ def main(argv=None) -> int:
                         help="n,r,m: GL(n), unramified rank r, m Satake parameters "
                              "(default 6,5,5)")
     parser.add_argument("--stages", action="store_true",
-                        help="add one in-process run per side, timing and tracing "
-                             "verify_essential, write_summary and the spot-check")
+                        help="add two in-process runs per side, one timing and one "
+                             "tracing verify_essential, write_summary and the spot-check")
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be positive")

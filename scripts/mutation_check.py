@@ -106,6 +106,19 @@ MUTATIONS = [
              IDENTITY_TESTS),
     Mutation("map-slice-drops-a-term", "whittaker/symfunc.py",
              "zip(u[a:b], v[a:b])", "zip(u[a + 1:b], v[a + 1:b])", IDENTITY_TESTS),
+    # the orbit route of distinct atoms (symfunc._orbit_lattice, orbits): a
+    # Kostka number read at a key with one exponent moved from the first
+    # atom to the last, out of its orbit; the expansion without the last
+    # composition of each degree; the matrices transposed, which shows only
+    # when the tuples differ in length
+    Mutation("kostka-read-outside-its-orbit", "whittaker/orbits.py",
+             "sum(map(mul, alpha, us))", "sum(map(mul, alpha, us)) + us[-1] - us[0]",
+             IDENTITY_TESTS),
+    Mutation("expansion-skips-a-composition", "whittaker/orbits.py",
+             "for kx in fx[k] for", "for kx in fx[k][:-1] for", IDENTITY_TESTS),
+    Mutation("orbit-matrix-transposed", "whittaker/orbits.py",
+             "[[sum(map(mul, p, q)) for q in ky] for p in kx]",
+             "[[sum(map(mul, p, q)) for p in kx] for q in ky]", IDENTITY_TESTS),
     Mutation("spot-check-ignores-holds", "whittaker/cli.py",
              "holds = lattice == _h_values(roots, lhs.order, ring)", "holds = True",
              CLI_TESTS),

@@ -13,7 +13,8 @@ s_lam(satake) by degree, and the Euler factor's expansion is h_k of its
 roots x_i * y_j (Macdonald I.(4.3)).  symfunc._cauchy_identity computes
 both sides and the roots in one ring, chosen once per check (the ints of
 one scale for a rational pair, else terms maps), compares them raw and
-hands back the Euler side's coefficients when they differ.  Here a
+hands back the Euler side's coefficients when they differ; distinct
+atoms it decides on small integer matrices and expands by orbits.  Here a
 report is its two series, with its verdict read off them, and one
 resolver, _pairing, holds the rank rules and the hook's shift.  A report
 is printed by VerificationReport.write_summary, which writes each series'
@@ -210,7 +211,7 @@ def verify_essential(rep: GenericRep, pi_prime: UnramifiedLanglandsRep,
 
     rep is a GenericRep at the ranks that _pairing admits.  The Euler
     factor is l_factor's; symfunc._cauchy_identity fills its expansion
-    once, through t^order, hook or not."""
+    at most once, through t^order, hook or not."""
     if not isinstance(rep, GenericRep):
         raise TypeError(f"verify_essential needs a GenericRep, not {type(rep).__name__}")
     n, r, params, shift = _pairing(rep, pi_prime, drop_integrality)

@@ -19,20 +19,24 @@ chose (_h_values), for _cauchy_identity, which decides the Cauchy
 identity for rseng and returns a failing check's Euler side off that one
 table, and for the CLI spot-check, which recomputes it from _lattice and
 _h_values; or as Scalars (_h_scalars), for the Jacobi-Trudi determinant
-and ringcore.euler_expand.  This module alone decides the ring, in one
-place, _ring: for a table of one tuple (schur, _h_scalars) and for the
-pair of a Cauchy check (_lattice), whose sums, roots and Euler side all
-live in that one ring.  When every value is rational that ring is the
-Python ints, each tuple at its own scale, the lcm of its denominators
-(_scaled_ints), and the ring at the product of those scales; otherwise it
-is plain terms maps on the union alphabet, each step adding a product
-into an entry in place.  Values are compared raw, and a Scalar is built
-only for a value read out (_read).  schur is the one entry point:
-the Jacobi-Trudi determinant in complete homogeneous polynomials and the
-bialternant ratio a_(lam+delta) / a_delta (exact polynomial division at
-a generic point, both alternants from one builder) stay selectable by
-name, and with a semistandard-tableau enumerator they are the independent
-oracles the tests compare against.  Each oracle builds its terms with
+and ringcore.euler_expand.  Distinct atoms are decided on small integer
+matrices instead (_orbit_lattice): Kostka numbers read off the pair's two
+tables against counts of contingency tables, whose sums are expanded by
+orbits (orbits), with no roots' table filled unless the check fails.
+This module alone decides the ring, in one place, _ring: for a table of
+one tuple (schur, _h_scalars) and for the pair of a Cauchy check
+(_filled), whose sums, roots and Euler side all live in that one ring.
+When every value is rational that ring is the Python ints, each tuple at
+its own scale, the lcm of its denominators (_scaled_ints), and the ring
+at the product of those scales; otherwise it is plain terms maps on the
+union alphabet, each step adding a product into an entry in place.
+Values are compared raw, and a Scalar is built only for a value read out
+(_read).  schur is the one entry point: the Jacobi-Trudi determinant in
+complete homogeneous polynomials and the bialternant ratio
+a_(lam+delta) / a_delta (exact polynomial division at a generic point,
+both alternants from one builder) stay selectable by name, and with a
+semistandard-tableau enumerator they are the independent oracles the
+tests compare against.  Each oracle builds its terms with
 Scalar * and adds them in one kernel sum (ringcore._sum).
 """
 
@@ -46,6 +50,7 @@ from math import lcm, prod
 from operator import ge, mul
 from typing import Iterable, Iterator, Sequence
 
+from . import orbits
 from .errors import DivisionByZero, UnsupportedWeight
 from .packing import _add_product, _aligned, _canon, _fields, _finished
 from .ringcore import _ONE, _ZERO, Scalar, _sum
@@ -287,7 +292,10 @@ def _fill(points: Sequence, ideal: tuple, ring: tuple, top: tuple = ()) -> list:
 
     On the one-row ideal (0), (1), ..., (order) the one row is the
     convolution h_k += x_k * h_(k-1) of the h_k = s_(k) (Macdonald
-    I.(3.9)), which is how every h_k is made.
+    I.(3.9)), which is how every h_k is made.  On distinct atoms the
+    coefficient of a dominant monomial x^alpha in s_lam is the Kostka
+    number K[lam][alpha], which the orbit route reads off the table
+    (orbits.kostka_products).
 
     The points are raw values of ring (_ring): ints, or terms maps, each
     step then adding x_k times one map into another in place
@@ -363,35 +371,44 @@ def _h_scalars(values: Sequence, order: int) -> list:
     return _read(ring, _h_values(points, order, ring), range(order + 1))
 
 
-def _lattice(xs: Sequence, ys: Sequence, order: int) -> tuple:
-    """(ring, sums, roots) of a Cauchy check through t^order, raw values of
-    ring: sums[k] the sum of s_lam(xs) * s_lam(ys) over the partitions lam
-    of k, and roots the products x * y, x outer.
+def _filled(xs: Sequence, ys: Sequence, order: int) -> tuple:
+    """(ring, ideal, points, tables, roots) of a Cauchy check through t^order,
+    raw values of ring: the Schur tables of xs and ys over ideal, the
+    partitions of size <= order with at most min(len(xs), len(ys)) parts,
+    the two tuples as points of ring, and roots the products x * y, x outer.
 
-    Both Schur tables are filled for this call only, over the partitions of
-    size <= order with at most min(len(xs), len(ys)) parts, sorted by size,
-    and sums[k] is the dot product of their slices of size k.  The ring is
-    _ring's for the pair, at a degree that holds a product of order factors
-    from each tuple (and the roots at order 0): so two rational tuples fill
-    in ints at their own scales Dx and Dy, and the sums and the roots are
-    ints at the scale Dx * Dy.
+    The ring is _ring's for the pair, at a degree that holds a product of
+    order factors from each tuple (and the roots at order 0): so two
+    rational tuples fill in ints at their own scales Dx and Dy, and the
+    roots are ints at the scale Dx * Dy.  No value of the two tables is
+    read out, so they can share ring.  Both tables are filled for this call
+    only.
     """
     ideal = _order_ideal((order,) * min(len(xs), len(ys)), order)
     ring, (px, py) = _ring((xs, ys), 2 * max(order, 1))
-    # no value of the two tables is read out, so they can share ring
-    u, v = (_fill(points, ideal, ring) for points in (px, py))
+    tables = [_fill(points, ideal, ring) for points in (px, py)]
+    if ring[1] is None:
+        return ring, ideal, (px, py), tables, [a * b for a in px for b in py]
+    roots = [{} for _ in px for _ in py]
+    for root, (p, q) in zip(roots, itertools.product(px, py)):
+        _add_product(root, p, q)
+    return ring, ideal, (px, py), tables, roots
+
+
+def _lattice(xs: Sequence, ys: Sequence, order: int) -> tuple:
+    """(ring, sums, roots) of a Cauchy check through t^order, raw values of
+    ring (_filled): sums[k] the sum of s_lam(xs) * s_lam(ys) over the
+    partitions lam of k, the dot product of the two tables' slices of size
+    k, in ints at the scale Dx * Dy for a rational pair."""
+    ring, ideal, _, (u, v), roots = _filled(xs, ys, order)
     slices = zip(ideal[1], ideal[1][1:])
     if ring[1] is None:
-        return (ring, [sum(map(mul, u[a:b], v[a:b])) for a, b in slices],
-                [a * b for a in px for b in py])
+        return ring, [sum(map(mul, u[a:b], v[a:b])) for a, b in slices], roots
     sums = []
     for a, b in slices:
         sums.append({})
         for p, q in zip(u[a:b], v[a:b]):
             _add_product(sums[-1], p, q)
-    roots = [{} for _ in px for _ in py]
-    for root, (p, q) in zip(roots, itertools.product(px, py)):
-        _add_product(root, p, q)
     return ring, sums, roots
 
 
@@ -401,20 +418,69 @@ def _cauchy_sums(xs: Sequence, ys: Sequence, order: int) -> list:
     return _read(ring, sums, range(order + 1))
 
 
+def _distinct_atoms(xs: Sequence, ys: Sequence) -> bool:
+    """Whether every value of xs and ys is an indeterminate with coefficient
+    1 and exponent 1, and no two of them share a name."""
+    values = (*xs, *ys)
+    return (all(v.__class__ is Scalar and v.is_variable() for v in values)
+            and len({v.names[0] for v in values}) == len(values))
+
+
+@lru_cache(maxsize=PARTITION_CACHE_SIZE)
+def _orbit_table(size: int, order: int) -> list:
+    """orbits.orbit_table of the partitions of 0..order with at most size parts."""
+    states, starts = _ideal_states((order,) * size, order)
+    return orbits.orbit_table([states[a:b] for a, b in zip(starts, starts[1:])])
+
+
+@lru_cache(maxsize=PARTITION_CACHE_SIZE)
+def _contingency(n: int, m: int, order: int) -> list:
+    """orbits.contingency_counts of n x m matrices, on _orbit_table's partitions."""
+    return orbits.contingency_counts(*([alphas for alphas, _ in _orbit_table(size, order)]
+                                       for size in (n, m)))
+
+
+def _orbit_lattice(xs: Sequence, ys: Sequence, order: int) -> tuple:
+    """(ring, sums, roots, holds) of a Cauchy check of the distinct atoms xs
+    and ys through t^order: _lattice's ring, sums and roots, and whether
+    sums[k] = h_k(roots) for every k.
+
+    The t^k coefficient of x^a y^b depends on the orbits of a and b alone
+    (orbits): it is ms[k] = K_x^T K_y, the Kostka numbers read off _filled's
+    two Schur tables at dominant keys, on the lattice side, and the count
+    of contingency tables on the Euler side.  holds is their equality on
+    every k, and the sums are ms expanded by orbits on the atoms' keys.
+    """
+    ring, ideal, points, tables, roots = _filled(xs, ys, order)
+    units = [[next(iter(p)) for p in side] for side in points]
+    shapes = [_orbit_table(len(xs), order), _orbit_table(len(ys), order)]
+    ms = orbits.kostka_products(ideal[1], tables, units, shapes)
+    holds = ms == _contingency(len(xs), len(ys), order)
+    return ring, orbits.expanded(ms, units, shapes), roots, holds
+
+
 def _cauchy_identity(xs: Sequence, ys: Sequence, order: int, shift: int = 0) -> tuple:
     """(sums, roots, rhs): the Cauchy sums of xs and ys through t^(order + shift),
     the roots x * y, x outer (l_factor's order), and None when shift is 0
     and sums[k] = h_k(roots) for every k (Macdonald I.(4.3)), else
     h_0..h_order of the roots, the Euler side for the caller to compare.
 
-    The sums, the roots and the roots' one-row table, filled once through
-    t^order, are raw values of the one ring of _lattice, and the sides are
-    compared raw: an integral Fraction equals its int, and a terms map
-    holds no cancelled key.  Scalars are built only for what is returned.
+    Distinct atoms, at least two on each side and with shift 0, are
+    decided on small integer matrices and their sums expanded by orbits
+    (_orbit_lattice); the roots' one-row table is filled, through t^order,
+    only for a failing check.  Every other pair fills it and compares it
+    with _lattice's sums.  Either way the sums, the roots and the Euler
+    side are raw values of _filled's one ring, compared raw: an integral
+    Fraction equals its int, and a terms map holds no cancelled key.
+    Scalars are built only for what is returned.
     """
-    ring, sums, roots = _lattice(xs, ys, order + shift)
-    euler = _h_values(roots, order, ring)
-    holds = not shift and sums == euler
+    if not shift and min(len(xs), len(ys)) > 1 and _distinct_atoms(xs, ys):
+        ring, sums, roots, holds = _orbit_lattice(xs, ys, order)
+        euler = None if holds else _h_values(roots, order, ring)
+    else:
+        ring, sums, roots = _lattice(xs, ys, order + shift)
+        euler = _h_values(roots, order, ring)
+        holds = not shift and sums == euler
     return (_read(ring, sums, range(order + shift + 1)), _read(ring, roots, [1] * len(roots)),
             None if holds else _read(ring, euler, range(order + 1)))
 

@@ -17,6 +17,8 @@ from whittaker.symfunc import schur
 CACHES = {
     "whittaker.cli._parser",
     "whittaker.packing._layout",
+    "whittaker.symfunc._contingency",
+    "whittaker.symfunc._orbit_table",
     "whittaker.symfunc._order_ideal",
 }
 
@@ -46,6 +48,9 @@ def test_cache_inventory():
     assert set(found) == CACHES
     for name, cache in found.items():
         assert cache.cache_parameters()["maxsize"] is not None, name
+    # the tables of partitions, orbits and contingency counts share one bound
+    for cache in (symfunc._order_ideal, symfunc._orbit_table, symfunc._contingency):
+        assert cache.cache_parameters()["maxsize"] == symfunc.PARTITION_CACHE_SIZE
     # and one size knob bounds them: a new knob has to be listed here too
     knobs = {f"{module.__name__}.{name}" for module in _modules()
              for name in vars(module) if name.endswith("_CACHE_SIZE")}

@@ -569,6 +569,27 @@ def test_spot_check_compares_both_recomputations(tmp_path, capsys, monkeypatch):
     assert "result: pass" in captured.out and "invariant" in captured.err
 
 
+def test_spot_check_catches_a_term_changed_in_the_orbit_expansion(capsys, monkeypatch):
+    # distinct atoms are decided on their orbit matrices, which hold; one
+    # coefficient of the expanded lhs is then changed, and only the
+    # spot-check, which evaluates every printed term, can see it
+    from whittaker import orbits
+
+    expanded = orbits.expanded
+
+    def changed(*args):
+        sums = expanded(*args)
+        key = max(sums[3])
+        sums[3][key] += 1
+        return sums
+
+    monkeypatch.setattr(orbits, "expanded", changed)
+    assert main(["cauchy", "--n", "3", "--m", "2", "--degree", "4"]) == 3
+    captured = capsys.readouterr()
+    assert "result: pass" in captured.out
+    assert "numeric recomputation disagrees" in captured.err
+
+
 def test_a_list_that_starts_negative_is_read_in_the_equals_form(tmp_path, capsys):
     # argparse takes "-2" for a value but "-2,3" or "-1/2" for an option
     # name; "--option=-2,3", the form the help strings give, reads any value

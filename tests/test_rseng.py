@@ -13,7 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import whittaker.rseng as rseng
-from whittaker import ringcore, symfunc
+from whittaker import orbits, ringcore, symfunc
 from whittaker.errors import BadRanks, Unsupported
 from whittaker.packing import _add_product
 from whittaker.repdata import UnramifiedLanglandsRep, compute_piu, parse_rep, parse_scalar_atom
@@ -447,6 +447,18 @@ def _sums_off_at(k):
             # the unit monomial is the key 0 at every width
             _add_product(sums[k], {0: 1}, {0: 1})
         return ring, sums, roots
+
+    return corrupted
+
+
+def _products_off_at(k):
+    """orbits.kostka_products with its first entry of degree k one more."""
+    products = orbits.kostka_products
+
+    def corrupted(*args):
+        ms = products(*args)
+        ms[k][0][0] += 1
+        return ms
 
     return corrupted
 
@@ -891,9 +903,9 @@ def test_a_fault_in_the_int_lattice_sums_fails_through_the_scalar_route(monkeypa
 
 def test_each_report_fills_the_roots_table_once_at_its_order(monkeypatch):
     # the integrality hook at m = r, rational and symbolic, and a symbolic
-    # check whose sums are off at t^2: each report fills the roots' one-row
-    # table once, through its own order, and shows that table's Scalars as
-    # the expansion of the Euler factor
+    # check of distinct atoms whose orbit matrix is off at t^2: each report
+    # fills the roots' one-row table once, through its own order, and shows
+    # that table's Scalars as the expansion of the Euler factor
     orders, h_values = [], symfunc._h_values
 
     def counted(points, order, ring):
@@ -907,7 +919,8 @@ def test_each_report_fills_the_roots_table_once_at_its_order(monkeypatch):
     for rep, pi_prime, order, drop in ((RANK2_UNRAM, pp, 6, True), (symbolic, bs, 4, True),
                                        (symbolic, bs, 4, False)):
         if not drop:
-            monkeypatch.setattr(symfunc, "_lattice", _sums_off_at(2))
+            # distinct atoms: the orbit route decides, on its matrices
+            monkeypatch.setattr(orbits, "kostka_products", _products_off_at(2))
         orders.clear()
         report = verify_essential(rep, pi_prime, order, drop_integrality=drop)
         assert orders == [order]
@@ -1064,3 +1077,107 @@ def test_a_series_is_written_a_block_of_terms_at_a_time(monkeypatch):
     chunks = _written(report)
     assert max(map(len, chunks)) <= packing._BLOCK * (longest + len(" + "))
     assert "".join(chunks).split("\n")[:-1] == lines
+
+
+# --- distinct atoms: the orbit route ------------------------------------------------
+
+def _distinct_atom_pair(data, n, m):
+    """n and m distinct atoms, the x names all before the y names in sort
+    order or interleaved with them, each tuple in a drawn order."""
+    if data.draw(st.booleans(), label="interleaved"):
+        names = data.draw(st.permutations([f"c{i}" for i in range(1, n + m + 1)]), label="names")
+        xs, ys = names[:n], names[n:]
+    else:
+        xs = data.draw(st.permutations([f"x{i}" for i in range(1, n + 1)]), label="xs")
+        ys = data.draw(st.permutations([f"y{i}" for i in range(1, m + 1)]), label="ys")
+    return [Scalar.variable(v) for v in xs], [Scalar.variable(v) for v in ys]
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+@example(None)
+def test_the_orbit_route_expands_the_lattice_sums(data):
+    # the same ring, roots, keys and coefficients as _lattice, which fills
+    # and multiplies terms maps, and every pair of exponent vectors of
+    # degree k present
+    if data is None:
+        n, m, order = 5, 5, 8
+        xs, ys = ([Scalar.variable(f"{v}{i}") for i in range(1, 6)] for v in "xy")
+    else:
+        n, m = data.draw(st.integers(2, 5), label="n"), data.draw(st.integers(2, 5), label="m")
+        order = data.draw(st.integers(0, 8), label="order")
+        xs, ys = _distinct_atom_pair(data, n, m)
+    ring, sums, roots, holds = symfunc._orbit_lattice(xs, ys, order)
+    assert holds and (ring, sums, roots) == symfunc._lattice(xs, ys, order)
+    assert [len(terms) for terms in sums] == [cauchy_term_count(n, m, k) for k in range(order + 1)]
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.data())
+def test_the_orbit_route_prints_the_map_route_bytes(data):
+    # verify and cauchy reports of drawn distinct atoms, through the orbit
+    # route and through the map route (the route refused), line for line;
+    # the map route's cost caps the order of the larger pairs
+    n, m = data.draw(st.integers(2, 5), label="n"), data.draw(st.integers(2, 5), label="m")
+    order = data.draw(st.integers(0, 8 if n * m <= 9 else 4), label="order")
+    xs, ys = _distinct_atom_pair(data, n, m)
+    rep = _rep_with_tops([str(x) for x in xs], max(n, m) + 1)
+    longer, shorter = (xs, ys) if n >= m else (ys, xs)
+    checks = [lambda: verify_essential(rep, UnramifiedLanglandsRep(tuple(ys)), order),
+              lambda: cauchy_check(len(longer), len(shorter), longer, shorter, order)]
+    route, atoms = symfunc._orbit_lattice, symfunc._distinct_atoms
+    taken = []
+    try:
+        symfunc._orbit_lattice = lambda *args: taken.append(args) or route(*args)
+        printed = [check().summary_lines() for check in checks]
+        symfunc._distinct_atoms = lambda *args: False
+        assert [check().summary_lines() for check in checks] == printed
+    finally:
+        symfunc._orbit_lattice, symfunc._distinct_atoms = route, atoms
+    assert len(taken) == 2
+
+
+def test_only_distinct_atoms_with_no_shift_take_the_orbit_route(monkeypatch):
+    taken = []
+    route = symfunc._orbit_lattice
+    monkeypatch.setattr(symfunc, "_orbit_lattice",
+                        lambda *args: taken.append(args) or route(*args))
+    a, b, c, d = (Scalar.variable(v) for v in "abcd")
+    for xs, ys in [((a, a), (b, c)),                       # a repeated atom
+                   ((a, Scalar.rational(1, 2)), (b, c)),   # a rational
+                   ((a, b), (b, c)),                       # a name of both tuples
+                   ((a,), (b, c)), ((a, b, c), (d,)),      # min(n, m) = 1
+                   ((a * a, b), (c, d)),                   # an exponent 2
+                   ((Scalar.of(2) * a, b), (c, d))]:       # a coefficient 2
+        sums, roots, rhs = symfunc._cauchy_identity(xs, ys, 4)
+        assert rhs is None and _same(sums, _operator_lattice(xs, ys, 4))
+    # the integrality hook at m = r shifts the series, and keeps the map route
+    rep = _rep_with_tops(("a1", "a2"), 3)
+    bs = UnramifiedLanglandsRep((Scalar.variable("b1"), Scalar.variable("b2")))
+    verify_essential(rep, bs, 3, drop_integrality=True)
+    assert taken == []
+    assert symfunc._cauchy_identity((a, b), (c, d), 4)[2] is None
+    report = verify_essential(rep, bs, 3)
+    assert report.passed and len(taken) == 2
+
+
+@pytest.mark.parametrize("k", [0, 3, 6])
+def test_an_orbit_matrix_off_by_one_fails_at_its_degree(monkeypatch, k):
+    # the lhs is that matrix expanded, and the rhs the Euler factor's
+    # expansion, filled once for the failing check
+    monkeypatch.setattr(orbits, "kostka_products", _products_off_at(k))
+    xs = [Scalar.variable(f"x{i}") for i in (1, 2, 3)]
+    ys = [Scalar.variable(f"y{i}") for i in (1, 2)]
+    roots = [x * y for x in xs for y in ys]
+    expected = euler_expand(EulerFactor(roots), 6)
+    rep = _rep_with_tops(("x1", "x2", "x3"), 4)
+    for report in (cauchy_check(3, 2, xs, ys, 6),
+                   verify_essential(rep, UnramifiedLanglandsRep(tuple(ys)), 6)):
+        mismatch = report.first_mismatch
+        assert mismatch[0] == k
+        # one more of each monomial of the orbits of (k) and (k), alpha and
+        # beta first in their lists: m_(k)(x) * m_(k)(y)
+        assert mismatch[1] - mismatch[2] == (sum(x ** k for x in xs) * sum(y ** k for y in ys)
+                                             if k else 1)
+        assert str(report.rhs_series) == str(expected)
+        assert _same(report.rhs_series.coeffs, expected.coeffs)

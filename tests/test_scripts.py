@@ -77,14 +77,29 @@ def test_large_verify_fails_on_a_wrong_recorded_digest(monkeypatch, capsys):
 
 
 def test_large_verify_stages_on_both_sides():
+    # each stage's wall time from an untraced child, and its traced time
+    # and peak from a traced one
     done = _run(LARGE, str(ROOT / "src"), str(ROOT / "src"), "--shape", "2,1,1", "--stages")
     assert done.returncode == 0, done.stdout + done.stderr
     report = json.loads(done.stdout)
     for side in ("parent", "change"):
         stages = report[side]["stages"]
         assert sorted(stages) == ["spot_check", "verify_essential", "write_summary"]
-        assert all(sorted(figures) == ["traced_peak_mb", "wall_s"]
+        assert all(sorted(figures) == ["traced_peak_mb", "traced_wall_s", "wall_s"]
                    and min(figures.values()) >= 0 for figures in stages.values())
+
+
+def test_large_verify_stages_untraced_record_no_peak(tmp_path):
+    # the untraced pass starts no tracing, so it has no peak to give
+    import tracemalloc
+
+    module = _load("large_verify")
+    rep = tmp_path / "rep.json"
+    rep.write_text(json.dumps(module._rep((2, 1, 1))), encoding="utf-8")
+    figures = module.stages(str(rep), 1, False)
+    assert not tracemalloc.is_tracing()
+    assert sorted(figures) == ["spot_check", "verify_essential", "write_summary"]
+    assert all(list(stage) == ["wall_s"] for stage in figures.values())
 
 
 def test_an_anchor_reaching_a_comment_is_reported(monkeypatch, tmp_path):
