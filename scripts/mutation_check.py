@@ -12,7 +12,8 @@ first, so a failure there is not mistaken for a kill.
 
 Names select mutations (default: all).  Exit 0 when every mutant is
 killed, 1 when one survives, 2 when an anchor does not occur exactly once
-in src/ or overlaps a comment, or the unmutated copy fails.  Stdlib only;
+in src/ or overlaps a comment, a named test file does not exist, or the
+unmutated copy fails.  Stdlib only;
 not part of tier-1, whose tests check only that every anchor occurs
 exactly once, in code.
 """
@@ -90,17 +91,17 @@ MUTATIONS = [
     Mutation("delta-half-sign", "whittaker/whitfun.py",
              "return -sum(x * (rank - 1 - 2 * i)", "return sum(x * (rank - 1 - 2 * i)",
              ("tests/test_whitfun.py", "tests/test_rseng.py")),
-    # the Cauchy identity route (symfunc._cauchy_identity) and its callers:
-    # the one raw comparison forced true in one ring at a time
+    # the one Cauchy decision (symfunc._cauchy_decision) and its readers:
+    # the raw comparison forced true in one ring at a time
     Mutation("holds-forced-true-ints", "whittaker/symfunc.py",
-             "holds = not shift and sums == euler",
-             "holds = not shift and (sums == euler or ring[1] is None)", IDENTITY_TESTS),
+             "None if sums == euler else euler",
+             "None if sums == euler or ring[1] is None else euler", IDENTITY_TESTS),
     Mutation("holds-forced-true-maps", "whittaker/symfunc.py",
-             "holds = not shift and sums == euler",
-             "holds = not shift and (sums == euler or ring[1] is not None)", IDENTITY_TESTS),
+             "None if sums == euler else euler",
+             "None if sums == euler or ring[1] is not None else euler", IDENTITY_TESTS),
     Mutation("sums-scaled-by-s-to-the-k-plus-one", "whittaker/symfunc.py",
-             "_read(ring, sums, range(order + shift + 1))",
-             "_read(ring, sums, range(1, order + shift + 2))", IDENTITY_TESTS),
+             "_read(ring, sums, sizes)",
+             "_read(ring, sums, range(1, order + 2))", IDENTITY_TESTS),
     Mutation("int-slice-drops-a-term", "whittaker/symfunc.py",
              "sum(map(mul, u[a:b], v[a:b]))", "sum(map(mul, u[a + 1:b], v[a + 1:b]))",
              IDENTITY_TESTS),
@@ -119,18 +120,19 @@ MUTATIONS = [
     Mutation("orbit-matrix-transposed", "whittaker/orbits.py",
              "[[sum(map(mul, p, q)) for q in ky] for p in kx]",
              "[[sum(map(mul, p, q)) for p in kx] for q in ky]", IDENTITY_TESTS),
-    Mutation("spot-check-ignores-holds", "whittaker/cli.py",
-             "holds = lattice == _h_values(roots, lhs.order, ring)", "holds = True",
-             CLI_TESTS),
-    Mutation("spot-check-ignores-sums", "whittaker/cli.py",
-             "if not (holds and agree):", "if not holds:", CLI_TESTS),
+    # the spot-check's reading of that decision at a rational point
+    # (symfunc._agrees_at)
+    Mutation("spot-check-ignores-holds", "whittaker/symfunc.py",
+             "holds = euler is None", "holds = True", CLI_TESTS),
+    Mutation("spot-check-ignores-sums", "whittaker/symfunc.py",
+             "return holds and agree", "return holds", CLI_TESTS),
     # running out of memory left to the last-resort handler (exit 3), or
     # reported while the frames still hold what filled memory
     Mutation("memory-error-not-caught", "whittaker/cli.py",
              "except MemoryError as exc:", "except OverflowError as exc:", CLI_TESTS),
     Mutation("memory-error-keeps-the-frames", "whittaker/cli.py",
              "exc.__traceback__ = None", "pass", CLI_TESTS),
-    Mutation("spot-check-scale-off-by-one", "whittaker/cli.py",
+    Mutation("spot-check-scale-off-by-one", "whittaker/symfunc.py",
              "num * scale ** k == c * den", "num * scale ** (k + 1) == c * den", CLI_TESTS),
     Mutation("roots-scaled-by-2s", "whittaker/symfunc.py",
              "_read(ring, roots, [1] * len(roots))",
@@ -138,11 +140,10 @@ MUTATIONS = [
     Mutation("hook-unit-inverted", "whittaker/rseng.py",
              "unit = unit / v ** _NEGATIVE_DEPTH", "unit = unit * v ** _NEGATIVE_DEPTH",
              ("tests/test_rseng.py",)),
-    # the shifted check decided as an unshifted one through order + shift,
-    # where the sides agree
+    # the shifted check's verdict taken from the ordinary decision through
+    # order + shift, where the sides agree, in place of its Euler side
     Mutation("hook-trusts-holds", "whittaker/rseng.py",
-             "_cauchy_identity(params, pi_prime.satake, order, shift)",
-             "_cauchy_identity(params, pi_prime.satake, order + shift)",
+             "rhs = (euler or sums)[:order + 1] if shift else euler", "rhs = euler",
              ("tests/test_rseng.py", "tests/test_cli.py")),
     # the reduction from the integral to the Cauchy sum (ROADMAP item 16)
     Mutation("hook-depth-3", "whittaker/rseng.py",
@@ -234,7 +235,8 @@ def _comments(text: str) -> list:
 
 def anchor_problems(src: Path = SRC) -> list:
     """One line per mutation whose anchor does not occur exactly once in src/,
-    or overlaps a comment there: a mutant must change code, found by code."""
+    or overlaps a comment there, or whose named test file does not exist: a
+    mutant must change code, found by code, and be run against tests."""
     texts = {p: p.read_text(encoding="utf-8") for p in src.rglob("*.py")}
     problems = []
     for m in MUTATIONS:
@@ -249,6 +251,9 @@ def anchor_problems(src: Path = SRC) -> list:
                 problems.append(f"{m.name}: anchor overlaps a comment in {m.path}")
         if m.replacement == m.anchor:
             problems.append(f"{m.name}: the replacement equals the anchor")
+        for test in m.tests:
+            if not (ROOT / test).is_file():
+                problems.append(f"{m.name}: no test file {test}")
     return problems
 
 

@@ -22,10 +22,9 @@ from typing import Optional, Sequence, Tuple
 from .errors import ConfigError, InvariantViolation, WhittakerError
 from .repdata import (GenericRep, UnramifiedLanglandsRep, compute_piu, derivative_subquotients,
                       parse_rep, parse_scalar_atom)
-from .packing import _evaluate
 from .ringcore import Scalar, euler_expand
 from .rseng import VerificationReport, cauchy_check, l_factor, verify_essential
-from .symfunc import ALGORITHMS, Partition, _h_values, _lattice, schur
+from .symfunc import ALGORITHMS, Partition, _agrees_at, schur
 from .whitfun import essential_value, spherical_value
 
 DEFAULT_DEGREE = 8
@@ -94,18 +93,15 @@ def _spot_check(report: VerificationReport, seed: int, params: Sequence[Scalar],
     representation and the Satake values of pi', atoms each: a rational
     or a single indeterminate.  Every indeterminate is bound to a seeded
     random nonzero rational; u needs no value, as it is reserved in every
-    input and cancels from the lattice sum.  The identity is then
-    recomputed from the bound values by symfunc._lattice, in the ring that
-    symfunc._ring chooses for a rational pair, the ints at the product S
-    of the two tuples' scales: the lattice sums L must equal the Euler
-    side V, h_k of the roots filled in that ring by symfunc._h_values, and
-    the symbolic lhs, evaluated by packing._evaluate as numerators over
-    one denominator, must equal L_k / S^k, compared by cross-multiplying
-    in ints.  Those ints share no Scalar products with the symbolic
-    series; so a fault that corrupts both symbolic series alike shows up
-    as a disagreement, an internal bug.  Every coefficient is a Laurent
-    polynomial, which has poles only where a variable is 0, so one sample
-    of nonzero values always evaluates.
+    input and cancels from the lattice sum.  symfunc._agrees_at then runs
+    the reports' own Cauchy decision on the bound values, in ints, and
+    evaluates the symbolic lhs at the point: the decision must hold there,
+    and the lhs must take the values of its sums.  Those ints share no
+    Scalar products with the symbolic series; so a fault that corrupts
+    both symbolic series alike shows up as a disagreement, an internal
+    bug.  Every coefficient is a Laurent polynomial, which has poles only
+    where a variable is 0, so one sample of nonzero values always
+    evaluates.
     """
     if not report.passed:
         return None
@@ -122,16 +118,7 @@ def _spot_check(report: VerificationReport, seed: int, params: Sequence[Scalar],
     for v in sorted(variables):
         num = rng.choice(_NUMERATORS)
         bindings[v] = Fraction(num, rng.randint(1, 9))
-
-    def at_point(atoms):
-        return [bindings[c.names[0]] if c.names else c.terms.get(0, 0) for c in atoms]
-
-    ring, lattice, roots = _lattice(at_point(params), at_point(satake_prime), lhs.order)
-    scale = ring[0]
-    holds = lattice == _h_values(roots, lhs.order, ring)
-    nums, den = _evaluate(lhs.coeffs, bindings)
-    agree = all(num * scale ** k == c * den for k, (num, c) in enumerate(zip(nums, lattice)))
-    if not (holds and agree):
+    if not _agrees_at(lhs.coeffs, params, satake_prime, bindings):
         raise InvariantViolation("numeric recomputation disagrees with the symbolic series")
     return f"numeric spot-check (seed {seed}): pass"
 

@@ -14,8 +14,10 @@ roots x_i * y_j (Macdonald I.(4.3)).  symfunc._cauchy_identity computes
 both sides and the roots in one ring, chosen once per check (the ints of
 one scale for a rational pair, else terms maps), compares them raw and
 hands back the Euler side's coefficients when they differ; distinct
-atoms it decides on small integer matrices and expands by orbits.  Here a
-report is its two series, with its verdict read off them, and one
+atoms it decides on small integer matrices and expands by orbits.  The
+integrality hook asks it the ordinary question through the shifted order
+and compares the shifted sums with the Euler side through the order.
+Here a report is its two series, with its verdict read off them, and one
 resolver, _pairing, holds the rank rules and the hook's shift.  A report
 is printed by VerificationReport.write_summary, which writes each series'
 text a piece at a time, never joined.
@@ -210,12 +212,16 @@ def verify_essential(rep: GenericRep, pi_prime: UnramifiedLanglandsRep,
     """Compare I(W_ess, W'_0, s) with L(pi, pi', s) exactly through t^order.
 
     rep is a GenericRep at the ranks that _pairing admits.  The Euler
-    factor is l_factor's; symfunc._cauchy_identity fills its expansion
-    at most once, through t^order, hook or not."""
+    factor is l_factor's.  One ordinary decision, symfunc._cauchy_identity
+    through t^(order + shift), gives both sides: the lhs is its sums,
+    shifted by the integrality hook (_hooked), and the hook's rhs the
+    first order + 1 coefficients of its Euler side, which are the sums
+    themselves when the ordinary identity holds."""
     if not isinstance(rep, GenericRep):
         raise TypeError(f"verify_essential needs a GenericRep, not {type(rep).__name__}")
     n, r, params, shift = _pairing(rep, pi_prime, drop_integrality)
-    sums, roots, rhs = _cauchy_identity(params, pi_prime.satake, order, shift)
+    sums, roots, euler = _cauchy_identity(params, pi_prime.satake, order + shift)
+    rhs = (euler or sums)[:order + 1] if shift else euler
     return _report(_hooked(sums, params, pi_prime.satake, order), rhs, {
         "n": n,
         "m": pi_prime.rank,

@@ -15,14 +15,15 @@ lattice sum pair two tables of the partitions of bounded size and length
 (_cauchy_sums); a single value s_lam fills the partitions contained in
 lam, so complete_homogeneous, h_k = s_(k), fills the one-row ideal (0),
 ..., (k).  h_0..h_k are read off that table raw, in a ring the caller
-chose (_h_values), for _cauchy_identity, which decides the Cauchy
-identity for rseng and returns a failing check's Euler side off that one
-table, and for the CLI spot-check, which recomputes it from _lattice and
-_h_values; or as Scalars (_h_scalars), for the Jacobi-Trudi determinant
-and ringcore.euler_expand.  Distinct atoms are decided on small integer
-matrices instead (_orbit_lattice): Kostka numbers read off the pair's two
-tables against counts of contingency tables, whose sums are expanded by
-orbits (orbits), with no roots' table filled unless the check fails.
+chose (_h_values), for _cauchy_decision, the one decision of the Cauchy
+identity, which returns a failing check's Euler side off that one table
+and is asked by rseng, through _cauchy_identity, and by the CLI
+spot-check at a rational point, through _agrees_at; or as Scalars
+(_h_scalars), for the Jacobi-Trudi determinant and ringcore.euler_expand.
+Distinct atoms are decided on small integer matrices instead
+(_orbit_lattice): Kostka numbers read off the pair's two tables against
+counts of contingency tables, whose sums are expanded by orbits (orbits),
+with no roots' table filled unless the check fails.
 This module alone decides the ring, in one place, _ring: for a table of
 one tuple (schur, _h_scalars) and for the pair of a Cauchy check
 (_filled), whose sums, roots and Euler side all live in that one ring.
@@ -52,7 +53,7 @@ from typing import Iterable, Iterator, Sequence
 
 from . import orbits
 from .errors import DivisionByZero, UnsupportedWeight
-from .packing import _add_product, _aligned, _canon, _fields, _finished
+from .packing import _add_product, _aligned, _canon, _evaluate, _fields, _finished
 from .ringcore import _ONE, _ZERO, Scalar, _sum
 
 ALGORITHMS = ("branching", "jacobi-trudi", "bialternant")
@@ -459,30 +460,50 @@ def _orbit_lattice(xs: Sequence, ys: Sequence, order: int) -> tuple:
     return ring, orbits.expanded(ms, units, shapes), roots, holds
 
 
-def _cauchy_identity(xs: Sequence, ys: Sequence, order: int, shift: int = 0) -> tuple:
-    """(sums, roots, rhs): the Cauchy sums of xs and ys through t^(order + shift),
-    the roots x * y, x outer (l_factor's order), and None when shift is 0
-    and sums[k] = h_k(roots) for every k (Macdonald I.(4.3)), else
-    h_0..h_order of the roots, the Euler side for the caller to compare.
+def _cauchy_decision(xs: Sequence, ys: Sequence, order: int) -> tuple:
+    """(ring, sums, roots, euler) of the Cauchy check of xs and ys through
+    t^order, raw values of _filled's one ring: the roots x * y, x outer
+    (l_factor's order), and euler None when sums[k] = h_k(roots) for every
+    k (Macdonald I.(4.3)), else h_0..h_order of the roots.
 
-    Distinct atoms, at least two on each side and with shift 0, are
-    decided on small integer matrices and their sums expanded by orbits
-    (_orbit_lattice); the roots' one-row table is filled, through t^order,
-    only for a failing check.  Every other pair fills it and compares it
-    with _lattice's sums.  Either way the sums, the roots and the Euler
-    side are raw values of _filled's one ring, compared raw: an integral
-    Fraction equals its int, and a terms map holds no cancelled key.
-    Scalars are built only for what is returned.
+    The route depends on the two tuples alone.  Distinct atoms, at least
+    two on each side, are decided on integer matrices (_orbit_lattice),
+    and the roots' one-row table filled only for a failing check; every
+    other pair compares that table with _lattice's sums, raw.
     """
-    if not shift and min(len(xs), len(ys)) > 1 and _distinct_atoms(xs, ys):
+    if min(len(xs), len(ys)) > 1 and _distinct_atoms(xs, ys):
         ring, sums, roots, holds = _orbit_lattice(xs, ys, order)
-        euler = None if holds else _h_values(roots, order, ring)
-    else:
-        ring, sums, roots = _lattice(xs, ys, order + shift)
-        euler = _h_values(roots, order, ring)
-        holds = not shift and sums == euler
-    return (_read(ring, sums, range(order + shift + 1)), _read(ring, roots, [1] * len(roots)),
-            None if holds else _read(ring, euler, range(order + 1)))
+        return ring, sums, roots, None if holds else _h_values(roots, order, ring)
+    ring, sums, roots = _lattice(xs, ys, order)
+    euler = _h_values(roots, order, ring)
+    return ring, sums, roots, None if sums == euler else euler
+
+
+def _cauchy_identity(xs: Sequence, ys: Sequence, order: int) -> tuple:
+    """(sums, roots, rhs): _cauchy_decision's sums, roots and Euler side as
+    Scalars, rhs None when the two sides agree.  Scalars are built only for
+    what is returned."""
+    ring, sums, roots, euler = _cauchy_decision(xs, ys, order)
+    sizes = range(order + 1)
+    return (_read(ring, sums, sizes), _read(ring, roots, [1] * len(roots)),
+            None if euler is None else _read(ring, euler, sizes))
+
+
+def _agrees_at(coeffs: Sequence, xs: Sequence, ys: Sequence, bindings: dict) -> bool:
+    """Whether _cauchy_decision holds for the atoms xs and ys (rationals or
+    single indeterminates) bound at the rational point bindings, in the
+    ints of one scale S, and the Cauchy sums coeffs, evaluated there by
+    packing._evaluate, equal its sums[k] / S^k, cross-multiplied in ints.
+    """
+    def point(atoms):
+        return [bindings[v.names[0]] if v.names else v.terms.get(0, 0) for v in atoms]
+
+    ring, sums, _, euler = _cauchy_decision(point(xs), point(ys), len(coeffs) - 1)
+    scale = ring[0]
+    holds = euler is None
+    nums, den = _evaluate(coeffs, bindings)
+    agree = all(num * scale ** k == c * den for k, (num, c) in enumerate(zip(nums, sums)))
+    return holds and agree
 
 
 def schur(shape, variables: Sequence, algorithm: str = "branching") -> Scalar:

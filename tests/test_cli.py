@@ -550,23 +550,71 @@ def test_an_error_in_the_spot_check_exits_two_after_the_report(tmp_path, capsys,
 
 
 def test_spot_check_compares_both_recomputations(tmp_path, capsys, monkeypatch):
-    # the lattice recomputation is right and the Euler one, the spot-check's
-    # h table in the ints of the lattice's scale, is off at t^2
-    import whittaker.cli as cli
-
-    h_values = cli._h_values
+    # the lattice recomputation is right and the Euler one, an h table in
+    # the ints of one scale, is off at t^2; only the spot-check fills such a
+    # table here, so the symbolic report still passes
+    h_values, ints = symfunc._h_values, []
 
     def corrupted(points, order, ring):
         table = h_values(points, order, ring)
-        assert ring[1] is None
-        table[2] += 1
+        if ring[1] is None:
+            ints.append(order)
+            table[2] += 1
         return table
 
-    monkeypatch.setattr(cli, "_h_values", corrupted)
+    monkeypatch.setattr(symfunc, "_h_values", corrupted)
     rep = _write(tmp_path, "rep.json", SYMBOLIC)
     assert main(["verify", "--rep", rep, "--satake-prime", "b1,b2", "--degree", "4"]) == 3
     captured = capsys.readouterr()
     assert "result: pass" in captured.out and "invariant" in captured.err
+    assert ints == [4]
+
+
+def test_the_spot_check_runs_the_reports_own_decision(tmp_path, capsys, monkeypatch):
+    # one core decides each report, on its atoms, and then its spot-check,
+    # on the bound rationals, through the same order; cli holds neither the
+    # lattice, the Euler side's table nor the evaluation kernel
+    import whittaker.cli as cli
+
+    decision, calls = symfunc._cauchy_decision, []
+
+    def spied(xs, ys, order):
+        calls.append((sorted({type(v).__name__ for v in (*xs, *ys)}), order))
+        return decision(xs, ys, order)
+
+    monkeypatch.setattr(symfunc, "_cauchy_decision", spied)
+    rep = _write(tmp_path, "rep.json", SYMBOLIC)
+    for argv in (["verify", "--rep", rep, "--satake-prime", "b1,1/2", "--degree", "4"],
+                 ["cauchy", "--n", "3", "--m", "2", "--degree", "4"]):
+        calls.clear()
+        assert main(argv) == 0
+        assert capsys.readouterr().out.endswith("numeric spot-check (seed 0): pass\n")
+        assert calls[0] == (["Scalar"], 4)
+        assert len(calls) == 2 and calls[1][1] == 4 and "Scalar" not in calls[1][0]
+    assert not any(hasattr(cli, name) for name in ("_lattice", "_h_values", "_evaluate"))
+
+
+def test_cli_and_rseng_leave_the_ring_to_symfunc():
+    # neither module imports from packing, nor the parts of symfunc that
+    # know the ring: the lattice, the tables, the ring chooser and reader,
+    # and the raw decision
+    import ast
+
+    inner = {"_lattice", "_h_values", "_read", "_ring", "_filled", "_cauchy_decision"}
+    for module in ("cli", "rseng"):
+        tree = ast.parse((SRC / "whittaker" / f"{module}.py").read_text(encoding="utf-8"))
+        imported = []
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported += [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                base = "whittaker" if node.level else ""
+                base = ".".join(filter(None, (base, node.module)))
+                imported += [f"{base}.{alias.name}" for alias in node.names]
+        assert imported
+        for name in imported:
+            assert not name.startswith("whittaker.packing"), (module, name)
+            assert name not in {f"whittaker.symfunc.{x}" for x in inner}, (module, name)
 
 
 def test_spot_check_catches_a_term_changed_in_the_orbit_expansion(capsys, monkeypatch):

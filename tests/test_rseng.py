@@ -904,8 +904,10 @@ def test_a_fault_in_the_int_lattice_sums_fails_through_the_scalar_route(monkeypa
 def test_each_report_fills_the_roots_table_once_at_its_order(monkeypatch):
     # the integrality hook at m = r, rational and symbolic, and a symbolic
     # check of distinct atoms whose orbit matrix is off at t^2: each report
-    # fills the roots' one-row table once, through its own order, and shows
-    # that table's Scalars as the expansion of the Euler factor
+    # fills the roots' one-row table at most once, at the order its one
+    # decision ran at (order + 2m for the hook, whose distinct atoms pass
+    # it on the orbit route with no fill), and shows the Euler factor's
+    # expansion through its own order
     orders, h_values = [], symfunc._h_values
 
     def counted(points, order, ring):
@@ -916,14 +918,15 @@ def test_each_report_fills_the_roots_table_once_at_its_order(monkeypatch):
     symbolic = _rep_with_tops(("a1", "a2"), 3)
     bs = UnramifiedLanglandsRep((Scalar.variable("b1"), Scalar.variable("b2")))
     pp = UnramifiedLanglandsRep((Scalar.of(7), Scalar.rational(1, 11)))
-    for rep, pi_prime, order, drop in ((RANK2_UNRAM, pp, 6, True), (symbolic, bs, 4, True),
-                                       (symbolic, bs, 4, False)):
+    for rep, pi_prime, order, drop, fills in ((RANK2_UNRAM, pp, 6, True, [10]),
+                                              (symbolic, bs, 4, True, []),
+                                              (symbolic, bs, 4, False, [4])):
         if not drop:
             # distinct atoms: the orbit route decides, on its matrices
             monkeypatch.setattr(orbits, "kostka_products", _products_off_at(2))
         orders.clear()
         report = verify_essential(rep, pi_prime, order, drop_integrality=drop)
-        assert orders == [order]
+        assert orders == fills
         assert not report.passed
         roots = [x * y for x in compute_piu(rep)[1] for y in pi_prime.satake]
         expected = euler_expand(EulerFactor(roots), order)
@@ -1115,16 +1118,22 @@ def test_the_orbit_route_expands_the_lattice_sums(data):
 @settings(max_examples=25, deadline=None)
 @given(st.data())
 def test_the_orbit_route_prints_the_map_route_bytes(data):
-    # verify and cauchy reports of drawn distinct atoms, through the orbit
-    # route and through the map route (the route refused), line for line;
-    # the map route's cost caps the order of the larger pairs
+    # verify and cauchy reports of drawn distinct atoms, and for n * m <= 9
+    # the hooked verify, through the orbit route and through the map route
+    # (the route refused), line for line; the map route's cost caps the
+    # order of the larger pairs and of the hook, which decides through
+    # order + 2m
     n, m = data.draw(st.integers(2, 5), label="n"), data.draw(st.integers(2, 5), label="m")
     order = data.draw(st.integers(0, 8 if n * m <= 9 else 4), label="order")
     xs, ys = _distinct_atom_pair(data, n, m)
     rep = _rep_with_tops([str(x) for x in xs], max(n, m) + 1)
+    pi_prime = UnramifiedLanglandsRep(tuple(ys))
     longer, shorter = (xs, ys) if n >= m else (ys, xs)
-    checks = [lambda: verify_essential(rep, UnramifiedLanglandsRep(tuple(ys)), order),
+    checks = [lambda: verify_essential(rep, pi_prime, order),
               lambda: cauchy_check(len(longer), len(shorter), longer, shorter, order)]
+    if n * m <= 9:
+        checks.append(lambda: verify_essential(rep, pi_prime, min(order, 4),
+                                               drop_integrality=True))
     route, atoms = symfunc._orbit_lattice, symfunc._distinct_atoms
     taken = []
     try:
@@ -1134,10 +1143,10 @@ def test_the_orbit_route_prints_the_map_route_bytes(data):
         assert [check().summary_lines() for check in checks] == printed
     finally:
         symfunc._orbit_lattice, symfunc._distinct_atoms = route, atoms
-    assert len(taken) == 2
+    assert len(taken) == len(checks)
 
 
-def test_only_distinct_atoms_with_no_shift_take_the_orbit_route(monkeypatch):
+def test_only_distinct_atoms_take_the_orbit_route(monkeypatch):
     taken = []
     route = symfunc._orbit_lattice
     monkeypatch.setattr(symfunc, "_orbit_lattice",
@@ -1151,14 +1160,16 @@ def test_only_distinct_atoms_with_no_shift_take_the_orbit_route(monkeypatch):
                    ((Scalar.of(2) * a, b), (c, d))]:       # a coefficient 2
         sums, roots, rhs = symfunc._cauchy_identity(xs, ys, 4)
         assert rhs is None and _same(sums, _operator_lattice(xs, ys, 4))
-    # the integrality hook at m = r shifts the series, and keeps the map route
+    assert taken == []
+    # the integrality hook at m = r shifts the series, and its one ordinary
+    # decision, through order + 2m, takes the route too
     rep = _rep_with_tops(("a1", "a2"), 3)
     bs = UnramifiedLanglandsRep((Scalar.variable("b1"), Scalar.variable("b2")))
-    verify_essential(rep, bs, 3, drop_integrality=True)
-    assert taken == []
+    report = verify_essential(rep, bs, 3, drop_integrality=True)
+    assert not report.passed and [args[2] for args in taken] == [3 + 2 * 2]
     assert symfunc._cauchy_identity((a, b), (c, d), 4)[2] is None
     report = verify_essential(rep, bs, 3)
-    assert report.passed and len(taken) == 2
+    assert report.passed and len(taken) == 3
 
 
 @pytest.mark.parametrize("k", [0, 3, 6])

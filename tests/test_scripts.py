@@ -116,6 +116,20 @@ def test_an_anchor_reaching_a_comment_is_reported(monkeypatch, tmp_path):
         f"{name}: anchor overlaps a comment in whittaker/x.py" for name in ("trailing", "across")]
 
 
+def test_a_mutation_naming_a_missing_test_file_is_reported(monkeypatch, tmp_path):
+    # a mutant run against a test file that does not exist would fail its
+    # unmutated baseline only after minutes; the anchor check names it
+    module = _load("mutation_check")
+    (tmp_path / "whittaker").mkdir()
+    (tmp_path / "whittaker" / "x.py").write_text("a = 1\n", encoding="utf-8")
+    monkeypatch.setattr(module, "MUTATIONS", [
+        module.Mutation("present", "whittaker/x.py", "a = 1", "a = 2", ("tests/test_scripts.py",)),
+        module.Mutation("missing", "whittaker/x.py", "a = 1", "a = 3",
+                        ("tests/test_scripts.py", "tests/test_no_such_file.py"))])
+    assert module.anchor_problems(tmp_path) == [
+        "missing: no test file tests/test_no_such_file.py"]
+
+
 def test_every_mutation_anchor_occurs_once_in_src():
     # scripts/mutation_check.py runs outside tier-1; its anchors must keep
     # matching the code, and lie in code, or a mutant would silently test
