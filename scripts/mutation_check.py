@@ -120,6 +120,19 @@ MUTATIONS = [
     Mutation("orbit-matrix-transposed", "whittaker/orbits.py",
              "[[sum(map(mul, p, q)) for q in ky] for p in kx]",
              "[[sum(map(mul, p, q)) for p in kx] for q in ky]", IDENTITY_TESTS),
+    # a passing report of distinct atoms printed from its orbit form
+    # (orbits.Orbits.texts) with each y composition's text taken from the
+    # next one, and spot-checked from that form (orbits.evaluated) with each
+    # y orbit's value one more, or with the matrices read transposed, which
+    # shows only when the tuples differ in length
+    Mutation("orbit-printer-y-text-offset", "whittaker/orbits.py",
+             "ys, block = yt[k], packing._BLOCK",
+             "ys, block = yt[k][1:] + yt[k][:1], packing._BLOCK",
+             IDENTITY_TESTS),
+    Mutation("orbit-evaluator-y-value-offset", "whittaker/orbits.py",
+             "sum(map(mul, row, my))", "sum(map(mul, row, [v + 1 for v in my]))", CLI_TESTS),
+    Mutation("orbit-evaluator-matrix-transposed", "whittaker/orbits.py",
+             "my)) for row in mk]", "my)) for row in zip(*mk)]", CLI_TESTS),
     # the spot-check's reading of that decision at a rational point
     # (symfunc._agrees_at)
     Mutation("spot-check-ignores-holds", "whittaker/symfunc.py",
@@ -143,7 +156,7 @@ MUTATIONS = [
     # the shifted check's verdict taken from the ordinary decision through
     # order + shift, where the sides agree, in place of its Euler side
     Mutation("hook-trusts-holds", "whittaker/rseng.py",
-             "rhs = (euler or sums)[:order + 1] if shift else euler", "rhs = euler",
+             "rhs = (euler or lhs.coeffs)[:order + 1] if shift else euler", "rhs = euler",
              ("tests/test_rseng.py", "tests/test_cli.py")),
     # the reduction from the integral to the Cauchy sum (ROADMAP item 16)
     Mutation("hook-depth-3", "whittaker/rseng.py",

@@ -91,34 +91,32 @@ def _spot_check(report: VerificationReport, seed: int, params: Sequence[Scalar],
 
     The report came from the unramified parameters params of a
     representation and the Satake values of pi', atoms each: a rational
-    or a single indeterminate.  Every indeterminate is bound to a seeded
-    random nonzero rational; u needs no value, as it is reserved in every
-    input and cancels from the lattice sum.  symfunc._agrees_at then runs
-    the reports' own Cauchy decision on the bound values, in ints, and
-    evaluates the symbolic lhs at the point: the decision must hold there,
-    and the lhs must take the values of its sums.  Those ints share no
-    Scalar products with the symbolic series; so a fault that corrupts
-    both symbolic series alike shows up as a disagreement, an internal
-    bug.  Every coefficient is a Laurent polynomial, which has poles only
-    where a variable is 0, so one sample of nonzero values always
-    evaluates.
+    or a single indeterminate.  A report whose lhs holds no indeterminate
+    is not checked.  Otherwise every indeterminate of the atoms is bound
+    to a seeded random nonzero rational; u needs no value, as it is
+    reserved in every input and cancels from the lattice sum.
+    symfunc._agrees_at then runs the reports' own Cauchy decision on the
+    bound values, in ints, and evaluates the symbolic lhs at the point,
+    from its orbit form when it has one, so no coefficient of it is read:
+    the decision must hold there, and the lhs must take the values of its
+    sums.  Those ints share no Scalar products with the symbolic series;
+    so a fault that corrupts both symbolic series alike shows up as a
+    disagreement, an internal bug.  Every coefficient is a Laurent
+    polynomial, which has poles only where a variable is 0, so one sample
+    of nonzero values always evaluates.
     """
-    if not report.passed:
-        return None
     lhs = report.lhs_series
-    variables = set()
-    for c in lhs.coeffs:
-        variables.update(c.variables())
-    if not variables:
+    # an lhs in orbit form holds every atom from t^1 on
+    symbolic = lhs.order > 0 if lhs.form is not None else any(c.names for c in lhs.coeffs)
+    if not report.passed or not symbolic:
         return None
-    for v in (*params, *satake_prime):
-        variables.update(v.variables())
+    variables = {v for atom in (*params, *satake_prime) for v in atom.variables()}
     rng = random.Random(seed)
     bindings = {}
     for v in sorted(variables):
         num = rng.choice(_NUMERATORS)
         bindings[v] = Fraction(num, rng.randint(1, 9))
-    if not _agrees_at(lhs.coeffs, params, satake_prime, bindings):
+    if not _agrees_at(lhs, params, satake_prime, bindings):
         raise InvariantViolation("numeric recomputation disagrees with the symbolic series")
     return f"numeric spot-check (seed {seed}): pass"
 

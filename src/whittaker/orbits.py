@@ -16,36 +16,119 @@ out by orbits.
 Compositions of k into s parts are listed in one order, lexicographic
 descending, so the first member of each orbit is the partition itself,
 its dominant member; the partitions come from the caller, zero-padded.
-A key here is any int-linear form of the exponents, a packed monomial
-(packing) for instance: key(a) = sum_i a_i * units[i].
+One enumerator, compositions, walks them for everything read per
+composition: the tuples of the orbit tables, the keys of an expansion,
+where a key is any int-linear form of the exponents, a packed monomial
+(packing) for instance, key(a) = sum_i a_i * units[i], the texts that
+ringcore prints and the values that a spot-check sums.
+
+A passing check of distinct atoms keeps its sums in that form (Orbits):
+the matrices, the two orbit tables and each side's atoms.  It is printed
+(Orbits.texts, for ringcore.TruncatedSeries.text_pieces) and evaluated at
+a point (evaluated) from the form, and expanded into terms maps only when
+its values are read (expanded).
 """
 
 from __future__ import annotations
 
 from itertools import chain
-from operator import mul
+from operator import add, mul
+from typing import NamedTuple
+
+from . import packing
+from .packing import _var_key
+from .ringcore import Scalar, _join_terms, _power_text, _signed_text
 
 
-def linear_forms(units, order: int) -> list:
-    """forms[k]: key(a) for each composition a of k into len(units) parts,
-    for k = 0..order, in lexicographic descending order of a."""
-    *head, last = units
-    forms = [[k * last] for k in range(order + 1)]
-    for unit in reversed(head):
-        forms = [[e * unit + f for e in range(k, -1, -1) for f in forms[k - e]]
-                 for k in range(order + 1)]
+def _distinct_atoms(xs, ys) -> bool:
+    """Whether every value of xs and ys is an indeterminate with coefficient
+    1 and exponent 1, and no two of them share a name."""
+    values = (*xs, *ys)
+    return (all(v.__class__ is Scalar and v.is_variable() for v in values)
+            and len({v.names[0] for v in values}) == len(values))
+
+
+class Orbits(NamedTuple):
+    """The Cauchy sums of the distinct atoms atoms[0] (x) and atoms[1] (y)
+    through t^order by orbits: the t^k coefficient of x^a y^b is
+    ms[k][orbit of a][orbit of b], the orbits those of shapes, the orbit
+    tables of the two sides (orbit_table), and units[i] the atoms' keys,
+    in the order of atoms[i].  Both sides are symmetric, so the order of
+    the atoms matters only to the text, which takes them by name."""
+
+    ms: list
+    shapes: list
+    atoms: tuple
+    units: list
+
+    def in_print_order(self) -> bool:
+        """Whether every x name sorts before every y name (packing._var_key),
+        so that texts writes the terms in print order."""
+        x, y = ([_var_key(v.names[0]) for v in atoms] for atoms in self.atoms)
+        return max(x) < min(y)
+
+    def texts(self, order: int) -> list:
+        """The text of each coefficient of the sums through t^order, as
+        pieces, as ringcore._texts gives those of their values when every x
+        name sorts before every y name: then within a degree the print
+        order (ringcore._print_order) is the x compositions descending and,
+        for each, the y compositions descending.  A term is its
+        coefficient's sign text (ringcore._signed_text), the x monomial, "*"
+        and the y monomial, each composition's text made once.  For each x
+        orbit, a row of terms is one join, by the x monomial, of the first
+        sign, each y text with the next sign, and the last y text, in
+        chunks of at most packing._BLOCK terms, and so are the pieces."""
+        xt, yt = (compositions([[_power_text(name, e) for e in range(order + 1)]
+                                for name in sorted((v.names[0] for v in atoms), key=_var_key)],
+                               add)
+                  for atoms in self.atoms)
+        out, signed = [["1"]], {}
+        for k in range(1, order + 1):
+            (_, ox), (_, oy) = self.shapes[0][k], self.shapes[1][k]
+            ys, block = yt[k], packing._BLOCK
+            cuts = [*range(0, len(ys), block), len(ys)]
+            rows = []
+            for row in self.ms[k]:
+                for c in set(row).difference(signed):
+                    signed[c] = _signed_text(c)
+                signs = [signed[row[j]] for j in oy]
+                glue = list(map(add, ys, signs[1:]))
+                rows.append([(e - b, [signs[b], *glue[b:e - 1], ys[e - 1]])
+                             for b, e in zip(cuts, cuts[1:])])
+            pieces, piece, size = [], [], 0
+            for x, i in zip(xt[k], ox):
+                x = x[1:]
+                for terms, chunk in rows[i]:
+                    if size + terms > block:
+                        pieces.append("".join(piece))
+                        piece, size = [], 0
+                    piece.append(x.join(chunk))
+                    size += terms
+            pieces.append("".join(piece))
+            pieces[0] = _join_terms(pieces[:1])
+            out.append(pieces)
+        return out
+
+
+def compositions(powers, combine) -> list:
+    """forms[k] for k = 0..order, order = len(powers[0]) - 1: for each
+    composition a of k into len(powers) parts, in lexicographic descending
+    order, combine's fold of powers[0][a_0], powers[1][a_1], ..., in that
+    order (combine(p_0, combine(p_1, ...)))."""
+    *head, last = powers
+    forms = [[p] for p in last]
+    for power in reversed(head):
+        forms = [[combine(power[e], f) for e in range(k, -1, -1) for f in forms[k - e]]
+                 for k in range(len(last))]
     return forms
 
 
 def orbit_table(levels) -> list:
     """(alphas, orbits) for k = 0..order: alphas = levels[k], the partitions
     of k zero-padded to one size, and orbits[i] the index in alphas of the
-    orbit of the i-th composition of k into size parts (linear_forms' order)."""
+    orbit of the i-th composition of k into size parts (compositions' order)."""
     size, order = len(levels[0][0]), len(levels) - 1
-    comps = [[(k,)] for k in range(order + 1)]
-    for _ in range(size - 1):
-        comps = [[(e,) + a for e in range(k, -1, -1) for a in comps[k - e]]
-                 for k in range(order + 1)]
+    comps = compositions([[(e,) for e in range(order + 1)]] * size, add)
     table = []
     for alphas, level in zip(levels, comps):
         index = {alpha: i for i, alpha in enumerate(alphas)}
@@ -113,17 +196,37 @@ def kostka_products(starts, tables, units, shapes) -> list:
     return ms
 
 
-def expanded(ms, units, shapes) -> list:
+def expanded(form: Orbits) -> list:
     """sums[k] = {key(a) + key(b): ms[k][orbit of a][orbit of b]} over the
-    compositions a of k on units[0] and b on units[1], their orbits those of
-    shapes (orbit_table)."""
-    order = len(ms) - 1
-    fx, fy = (linear_forms(us, order) for us in units)
+    compositions a of k on the x units and b on the y units of form."""
+    order = len(form.ms) - 1
+    fx, fy = (compositions([[e * u for e in range(order + 1)] for u in us], add)
+              for us in form.units)
     sums = []
-    for k, mk in enumerate(ms):
-        (_, ox), (_, oy) = shapes[0][k], shapes[1][k]
+    for k, mk in enumerate(form.ms):
+        (_, ox), (_, oy) = form.shapes[0][k], form.shapes[1][k]
         # row i of ms[k] spread over the compositions b, one row per a
         rows = [[row[j] for j in oy] for row in mk]
         keys = [kx + ky for kx in fx[k] for ky in fy[k]]
         sums.append(dict(zip(keys, chain.from_iterable(map(rows.__getitem__, ox)))))
     return sums
+
+
+def evaluated(form: Orbits, points) -> list:
+    """values[k], the t^k sum of form at a point: the sum over i and j of
+    ms[k][i][j] * m_i(x) * m_j(y), where m_i(x), the monomial symmetric
+    sum of the partition alpha_i, sums x^a over the compositions a of its
+    orbit, and points[0] and points[1] are the values of each side's
+    atoms in form's order (ints, say)."""
+    order = len(form.ms) - 1
+    sides = []
+    for side, shape in zip(points, form.shapes):
+        values, sums = compositions([[p ** e for e in range(order + 1)] for p in side], mul), []
+        for (alphas, orbits), level in zip(shape, values):
+            m = [0] * len(alphas)
+            for i, v in zip(orbits, level):
+                m[i] += v
+            sums.append(m)
+        sides.append(sums)
+    return [sum(map(mul, mx, [sum(map(mul, row, my)) for row in mk]))
+            for mk, mx, my in zip(form.ms, *sides)]

@@ -43,7 +43,12 @@ polynomials are polynomials, and the only divisions are by monomials,
 which are units.  Division is therefore defined by units only.
 
 The module also provides truncated power series in t = q^(-s) and Euler
-factors (multisets of reciprocal roots), with exact comparison.
+factors (multisets of reciprocal roots), with exact comparison.  The
+lhs of a passing Cauchy check of distinct atoms, whose x names all sort
+before its y names, is a series in orbit form (orbits.Orbits): it is
+printed from that form, a block of terms per piece, and evaluated from
+it by the spot-check (symfunc._agrees_at), so neither kernel runs on it,
+and its Scalars are made only when its coefficients are first read.
 """
 
 from __future__ import annotations
@@ -434,19 +439,27 @@ def u_power(e: int) -> Scalar:
 class TruncatedSeries:
     """Formal power series in t, stored through a fixed truncation order.
 
-    Exactly order+1 coefficients are stored.
+    Exactly order+1 coefficients are stored.  A series given an orbit form
+    (form, an orbits.Orbits) is printed from it, and coeffs is then a
+    function that makes them, called when they are first read.
     """
 
-    __slots__ = ("order", "coeffs")
+    __slots__ = ("order", "form", "_coeffs")
 
-    def __init__(self, order: int, coeffs: Iterable):
-        coeffs = tuple(map(Scalar.of, coeffs))
-        if order < 0:
-            raise ValueError("series order must be nonnegative")
-        if len(coeffs) != order + 1:
-            raise ValueError(f"expected {order + 1} coefficients, got {len(coeffs)}")
-        self.order = order
-        self.coeffs = coeffs
+    def __init__(self, order: int, coeffs, form=None):
+        if form is None:
+            coeffs = tuple(map(Scalar.of, coeffs))
+            if order < 0:
+                raise ValueError("series order must be nonnegative")
+            if len(coeffs) != order + 1:
+                raise ValueError(f"expected {order + 1} coefficients, got {len(coeffs)}")
+        self.order, self.form, self._coeffs = order, form, coeffs
+
+    @property
+    def coeffs(self) -> tuple:
+        if self._coeffs.__class__ is not tuple:
+            self._coeffs = TruncatedSeries(self.order, self._coeffs()).coeffs
+        return self._coeffs
 
     def __eq__(self, other):
         return (isinstance(other, TruncatedSeries)
@@ -458,15 +471,18 @@ class TruncatedSeries:
     def text_pieces(self) -> list:
         """The text of the series as a list of pieces whose join is its str.
 
-        The coefficients' texts come from one _texts call, so no piece
-        holds more than one block of terms (packing._BLOCK).
+        The coefficients' texts come from one _texts call, or from the
+        orbit form (orbits.Orbits.texts), so no piece holds more than one
+        block of terms (packing._BLOCK).
         """
-        parts = []
-        for k, (c, pieces) in enumerate(zip(self.coeffs, _texts(self.coeffs))):
+        form, parts = self.form, []
+        texts = _texts(self.coeffs) if form is None else form.texts(self.order)
+        for k, pieces in enumerate(texts):
             if not k:
                 parts += pieces
                 continue
-            if c._needs_parens():
+            # past t^0 a coefficient in orbit form holds every x_i * y_j, 4 terms or more
+            if form is not None or self.coeffs[k]._needs_parens():
                 parts += (" + (", *pieces, ")")
             else:
                 parts += (" + ", *pieces)

@@ -12,15 +12,18 @@ sum is the Cauchy sum of the two tuples, sum_lam s_lam(params)
 s_lam(satake) by degree, and the Euler factor's expansion is h_k of its
 roots x_i * y_j (Macdonald I.(4.3)).  symfunc._cauchy_identity computes
 both sides and the roots in one ring, chosen once per check (the ints of
-one scale for a rational pair, else terms maps), compares them raw and
-hands back the Euler side's coefficients when they differ; distinct
-atoms it decides on small integer matrices and expands by orbits.  The
+one scale for a rational pair, else terms maps), compares them raw, and
+hands back the lhs series and the Euler side's coefficients when they
+differ; distinct atoms it decides on small integer matrices, and when
+such a check passes with every x name before every y name the lhs stays
+in orbit form (orbits.Orbits), its Scalars made only if read.  The
 integrality hook asks it the ordinary question through the shifted order
 and compares the shifted sums with the Euler side through the order.
 Here a report is its two series, with its verdict read off them, and one
 resolver, _pairing, holds the rank rules and the hook's shift.  A report
 is printed by VerificationReport.write_summary, which writes each series'
-text a piece at a time, never joined.
+text a piece at a time, never joined; a passing report reads no
+coefficient, so an lhs in orbit form is printed from its form.
 """
 
 from __future__ import annotations
@@ -157,7 +160,8 @@ def rs_series(left: LeftInput, pi_prime: UnramifiedLanglandsRep, order: int, *,
     """
     _, _, params, shift = _pairing(left, pi_prime, drop_integrality)
     satake_prime = pi_prime.satake
-    return _hooked(_cauchy_sums(params, satake_prime, order + shift), params, satake_prime, order)
+    sums = TruncatedSeries(order + shift, _cauchy_sums(params, satake_prime, order + shift))
+    return _hooked(sums, params, satake_prime, order)
 
 
 def _pairing(left: LeftInput, pi_prime: UnramifiedLanglandsRep, drop_integrality: bool) -> tuple:
@@ -184,19 +188,20 @@ def _pairing(left: LeftInput, pi_prime: UnramifiedLanglandsRep, drop_integrality
     return n, r, params, _NEGATIVE_DEPTH * m if drop_integrality and m == r else 0
 
 
-def _hooked(sums: list, params: Sequence[Scalar], satake: Sequence[Scalar],
+def _hooked(sums: TruncatedSeries, params: Sequence[Scalar], satake: Sequence[Scalar],
             order: int) -> TruncatedSeries:
-    """The series through t^order from the Cauchy sums of params and satake
-    through t^(order + shift): the sums themselves when shift is 0, and
-    for the integrality hook's shift D*m (rs_series) the unit
-    (prod params * prod satake)^(-D) times sums[k + shift] at t^k."""
-    shift = len(sums) - 1 - order
+    """The series through t^order from the series of the Cauchy sums of
+    params and satake through t^(order + shift): that series itself when
+    shift is 0, and for the integrality hook's shift D*m (rs_series) the
+    unit (prod params * prod satake)^(-D) times its t^(k + shift)
+    coefficient at t^k."""
+    shift = sums.order - order
     if not shift:
-        return TruncatedSeries(order, sums)
+        return sums
     unit = Scalar.of(1)
     for v in (*params, *satake):
         unit = unit / v ** _NEGATIVE_DEPTH
-    return TruncatedSeries(order, [unit * c for c in sums[shift:]])
+    return TruncatedSeries(order, [unit * c for c in sums.coeffs[shift:]])
 
 
 def _report(lhs: TruncatedSeries, rhs: Optional[list], metadata: dict) -> VerificationReport:
@@ -220,9 +225,9 @@ def verify_essential(rep: GenericRep, pi_prime: UnramifiedLanglandsRep,
     if not isinstance(rep, GenericRep):
         raise TypeError(f"verify_essential needs a GenericRep, not {type(rep).__name__}")
     n, r, params, shift = _pairing(rep, pi_prime, drop_integrality)
-    sums, roots, euler = _cauchy_identity(params, pi_prime.satake, order + shift)
-    rhs = (euler or sums)[:order + 1] if shift else euler
-    return _report(_hooked(sums, params, pi_prime.satake, order), rhs, {
+    lhs, roots, euler = _cauchy_identity(params, pi_prime.satake, order + shift)
+    rhs = (euler or lhs.coeffs)[:order + 1] if shift else euler
+    return _report(_hooked(lhs, params, pi_prime.satake, order), rhs, {
         "n": n,
         "m": pi_prime.rank,
         "r": r,
@@ -243,9 +248,8 @@ def cauchy_check(n: int, m: int, params_x: Sequence[Scalar],
     if (x.rank, y.rank) != (n, m):
         raise BadRanks("parameter lists must match the stated ranks")
     _pairing(x, y, False)
-    sums, _, rhs = _cauchy_identity(x.satake, y.satake, order)
-    return _report(TruncatedSeries(order, sums), rhs,
-                   {"n": n, "m": m, "kind": "unramified-pairing"})
+    lhs, _, rhs = _cauchy_identity(x.satake, y.satake, order)
+    return _report(lhs, rhs, {"n": n, "m": m, "kind": "unramified-pairing"})
 
 
 def cauchy_term_count(n: int, m: int, k: int) -> int:

@@ -22,8 +22,11 @@ spot-check at a rational point, through _agrees_at; or as Scalars
 (_h_scalars), for the Jacobi-Trudi determinant and ringcore.euler_expand.
 Distinct atoms are decided on small integer matrices instead
 (_orbit_lattice): Kostka numbers read off the pair's two tables against
-counts of contingency tables, whose sums are expanded by orbits (orbits),
-with no roots' table filled unless the check fails.
+counts of contingency tables, with no roots' table filled unless the
+check fails.  Their sums are returned in orbit form (orbits.Orbits); a
+passing check whose x names all sort before its y names keeps its lhs in
+that form (_cauchy_identity), printed and spot-checked from it, and
+every other check expands it by orbits and reads its Scalars.
 This module alone decides the ring, in one place, _ring: for a table of
 one tuple (schur, _h_scalars) and for the pair of a Cauchy check
 (_filled), whose sums, roots and Euler side all live in that one ring.
@@ -52,9 +55,10 @@ from operator import ge, mul
 from typing import Iterable, Iterator, Sequence
 
 from . import orbits
+from .orbits import _distinct_atoms
 from .errors import DivisionByZero, UnsupportedWeight
 from .packing import _add_product, _aligned, _canon, _evaluate, _fields, _finished
-from .ringcore import _ONE, _ZERO, Scalar, _sum
+from .ringcore import _ONE, _ZERO, Scalar, TruncatedSeries, _sum
 
 ALGORITHMS = ("branching", "jacobi-trudi", "bialternant")
 
@@ -419,14 +423,6 @@ def _cauchy_sums(xs: Sequence, ys: Sequence, order: int) -> list:
     return _read(ring, sums, range(order + 1))
 
 
-def _distinct_atoms(xs: Sequence, ys: Sequence) -> bool:
-    """Whether every value of xs and ys is an indeterminate with coefficient
-    1 and exponent 1, and no two of them share a name."""
-    values = (*xs, *ys)
-    return (all(v.__class__ is Scalar and v.is_variable() for v in values)
-            and len({v.names[0] for v in values}) == len(values))
-
-
 @lru_cache(maxsize=PARTITION_CACHE_SIZE)
 def _orbit_table(size: int, order: int) -> list:
     """orbits.orbit_table of the partitions of 0..order with at most size parts."""
@@ -436,28 +432,33 @@ def _orbit_table(size: int, order: int) -> list:
 
 @lru_cache(maxsize=PARTITION_CACHE_SIZE)
 def _contingency(n: int, m: int, order: int) -> list:
-    """orbits.contingency_counts of n x m matrices, on _orbit_table's partitions."""
+    """orbits.contingency_counts of n x m matrices, on _orbit_table's
+    partitions; for n < m the transposes of the m x n counts, so the two
+    shapes of a transposed pair share one count."""
+    if n < m:
+        return [[list(col) for col in zip(*counts)] for counts in _contingency(m, n, order)]
     return orbits.contingency_counts(*([alphas for alphas, _ in _orbit_table(size, order)]
                                        for size in (n, m)))
 
 
 def _orbit_lattice(xs: Sequence, ys: Sequence, order: int) -> tuple:
-    """(ring, sums, roots, holds) of a Cauchy check of the distinct atoms xs
-    and ys through t^order: _lattice's ring, sums and roots, and whether
-    sums[k] = h_k(roots) for every k.
+    """(ring, form, roots, holds) of a Cauchy check of the distinct atoms xs
+    and ys through t^order: _lattice's ring and roots, form the
+    orbits.Orbits of _lattice's sums, whose expansion (orbits.expanded) they
+    are, and whether sums[k] = h_k(roots) for every k.
 
     The t^k coefficient of x^a y^b depends on the orbits of a and b alone
     (orbits): it is ms[k] = K_x^T K_y, the Kostka numbers read off _filled's
     two Schur tables at dominant keys, on the lattice side, and the count
     of contingency tables on the Euler side.  holds is their equality on
-    every k, and the sums are ms expanded by orbits on the atoms' keys.
+    every k.
     """
     ring, ideal, points, tables, roots = _filled(xs, ys, order)
     units = [[next(iter(p)) for p in side] for side in points]
     shapes = [_orbit_table(len(xs), order), _orbit_table(len(ys), order)]
     ms = orbits.kostka_products(ideal[1], tables, units, shapes)
     holds = ms == _contingency(len(xs), len(ys), order)
-    return ring, orbits.expanded(ms, units, shapes), roots, holds
+    return ring, orbits.Orbits(ms, shapes, (xs, ys), units), roots, holds
 
 
 def _cauchy_decision(xs: Sequence, ys: Sequence, order: int) -> tuple:
@@ -468,40 +469,65 @@ def _cauchy_decision(xs: Sequence, ys: Sequence, order: int) -> tuple:
 
     The route depends on the two tuples alone.  Distinct atoms, at least
     two on each side, are decided on integer matrices (_orbit_lattice),
-    and the roots' one-row table filled only for a failing check; every
-    other pair compares that table with _lattice's sums, raw.
+    their sums returned as its orbits.Orbits form, and the roots' one-row
+    table filled only for a failing check; every other pair compares that
+    table with _lattice's sums, raw.
     """
     if min(len(xs), len(ys)) > 1 and _distinct_atoms(xs, ys):
-        ring, sums, roots, holds = _orbit_lattice(xs, ys, order)
-        return ring, sums, roots, None if holds else _h_values(roots, order, ring)
+        ring, form, roots, holds = _orbit_lattice(xs, ys, order)
+        return ring, form, roots, None if holds else _h_values(roots, order, ring)
     ring, sums, roots = _lattice(xs, ys, order)
     euler = _h_values(roots, order, ring)
     return ring, sums, roots, None if sums == euler else euler
 
 
 def _cauchy_identity(xs: Sequence, ys: Sequence, order: int) -> tuple:
-    """(sums, roots, rhs): _cauchy_decision's sums, roots and Euler side as
-    Scalars, rhs None when the two sides agree.  Scalars are built only for
-    what is returned."""
+    """(lhs, roots, rhs): the TruncatedSeries of _cauchy_decision's sums,
+    and its roots and Euler side as Scalars, rhs None when the two sides
+    agree.  Scalars are built only for what is returned.  A passing check
+    of distinct atoms whose x names all sort before its y names
+    (orbits.Orbits.in_print_order) returns its lhs in orbit form, printed
+    and spot-checked from the form and expanded (orbits.expanded, _read)
+    only when its coefficients are read; any other orbit-route check,
+    failing or with interleaved names, expands it here.
+    """
     ring, sums, roots, euler = _cauchy_decision(xs, ys, order)
     sizes = range(order + 1)
-    return (_read(ring, sums, sizes), _read(ring, roots, [1] * len(roots)),
+    if sums.__class__ is not orbits.Orbits:
+        lhs = TruncatedSeries(order, _read(ring, sums, sizes))
+    else:
+        lhs = TruncatedSeries(order, lambda: _read(ring, orbits.expanded(sums), sizes), sums)
+        if euler is not None or not sums.in_print_order():
+            lhs = TruncatedSeries(order, lhs.coeffs)
+    return (lhs, _read(ring, roots, [1] * len(roots)),
             None if euler is None else _read(ring, euler, sizes))
 
 
-def _agrees_at(coeffs: Sequence, xs: Sequence, ys: Sequence, bindings: dict) -> bool:
+def _agrees_at(lhs, xs: Sequence, ys: Sequence, bindings: dict) -> bool:
     """Whether _cauchy_decision holds for the atoms xs and ys (rationals or
     single indeterminates) bound at the rational point bindings, in the
-    ints of one scale S, and the Cauchy sums coeffs, evaluated there by
-    packing._evaluate, equal its sums[k] / S^k, cross-multiplied in ints.
+    ints of one scale S, and the series lhs takes the values of its sums
+    there, sums[k] / S^k at t^k.
+
+    A series in orbit form is evaluated from that form, the sum over i
+    and j of M_k[i][j] m_i(X) m_j(Y) (orbits.evaluated), X and Y each
+    side's atoms in the ints of that side's scale, as the decision's ring
+    has them: so its values must equal the sums exactly, and neither its
+    Scalars nor packing._evaluate are made or run.  That reads M, the
+    orbit indices and the compositions, all that its text is written
+    from.  Any other series is evaluated by packing._evaluate and compared
+    by cross-multiplying in ints.
     """
     def point(atoms):
         return [bindings[v.names[0]] if v.names else v.terms.get(0, 0) for v in atoms]
 
-    ring, sums, _, euler = _cauchy_decision(point(xs), point(ys), len(coeffs) - 1)
-    scale = ring[0]
+    ring, sums, _, euler = _cauchy_decision(point(xs), point(ys), lhs.order)
     holds = euler is None
-    nums, den = _evaluate(coeffs, bindings)
+    if lhs.form is not None:
+        points = [_scaled_ints(point(atoms))[1] for atoms in lhs.form.atoms]
+        return holds and orbits.evaluated(lhs.form, points) == sums
+    scale = ring[0]
+    nums, den = _evaluate(lhs.coeffs, bindings)
     agree = all(num * scale ** k == c * den for k, (num, c) in enumerate(zip(nums, sums)))
     return holds and agree
 

@@ -617,25 +617,73 @@ def test_cli_and_rseng_leave_the_ring_to_symfunc():
             assert name not in {f"whittaker.symfunc.{x}" for x in inner}, (module, name)
 
 
+def _orbit_matrix_changed(form):
+    form.ms[3][1][0] += 1
+    return form
+
+
+def _orbit_index_changed(form):
+    # the x composition (3, 0, 0) read in the orbit of (2, 1, 0)
+    x, y = form.shapes
+    alphas, orbits = x[3]
+    x = (*x[:3], (alphas, (1, *orbits[1:])), *x[4:])
+    return form._replace(shapes=(x, y))
+
+
 def test_spot_check_catches_a_term_changed_in_the_orbit_expansion(capsys, monkeypatch):
     # distinct atoms are decided on their orbit matrices, which hold; one
-    # coefficient of the expanded lhs is then changed, and only the
-    # spot-check, which evaluates every printed term, can see it
-    from whittaker import orbits
+    # matrix entry or one orbit index of the form that the lhs is printed
+    # from is then changed, and only the spot-check, which evaluates that
+    # form, can see it
+    route = symfunc._orbit_lattice
+    argv = ["cauchy", "--n", "3", "--m", "2", "--degree", "4"]
+    assert main(argv) == 0
+    printed = capsys.readouterr().out
+    for change in (_orbit_matrix_changed, _orbit_index_changed):
+        def changed(*args):
+            ring, form, roots, holds = route(*args)
+            assert holds
+            return ring, change(form), roots, holds
 
-    expanded = orbits.expanded
+        monkeypatch.setattr(symfunc, "_orbit_lattice", changed)
+        assert main(argv) == 3
+        captured = capsys.readouterr()
+        assert "result: pass" in captured.out and captured.out != printed
+        assert "numeric recomputation disagrees" in captured.err
 
-    def changed(*args):
-        sums = expanded(*args)
-        key = max(sums[3])
-        sums[3][key] += 1
-        return sums
 
-    monkeypatch.setattr(orbits, "expanded", changed)
-    assert main(["cauchy", "--n", "3", "--m", "2", "--degree", "4"]) == 3
-    captured = capsys.readouterr()
-    assert "result: pass" in captured.out
-    assert "numeric recomputation disagrees" in captured.err
+def test_a_routed_report_is_spot_checked_without_its_expansion(tmp_path, capsys, monkeypatch):
+    # a passing check of distinct atoms, every x name before every y name,
+    # keeps its lhs by orbits: neither printing it nor its spot-check
+    # expands it, reads a Scalar of it or calls the evaluation kernel, and a
+    # whole run reads out only the roots
+    import whittaker.cli as cli
+    from whittaker import orbits, packing
+
+    xs = [Scalar.variable(f"x{i}") for i in (1, 2, 3)]
+    ys = [Scalar.variable(f"y{i}") for i in (1, 2)]
+    report = cli.cauchy_check(3, 2, xs, ys, 6)
+    assert report.passed and report.lhs_series.form is not None
+    calls = []
+    for owner, name in ((packing, "_evaluate"), (symfunc, "_evaluate"), (symfunc, "_read"),
+                        (orbits, "expanded")):
+        original = getattr(owner, name)
+        monkeypatch.setattr(owner, name, lambda *args, name=name, original=original:
+                            calls.append(name) or original(*args))
+    report.write_summary(lambda text: None)
+    assert cli._spot_check(report, 0, xs, ys) == "numeric spot-check (seed 0): pass"
+    assert calls == []
+    twotops = {"q": "symbolic", "segments": [
+        {"kind": "unramified", "satake": "a1", "length": 1},
+        {"kind": "unramified", "satake": "a2", "length": 1},
+        {"kind": "ramified", "id": "rho1", "degree": 2, "length": 1}]}
+    rep = _write(tmp_path, "rep.json", twotops)
+    for argv in (["cauchy", "--n", "3", "--m", "2", "--degree", "6"],
+                 ["verify", "--rep", rep, "--satake-prime", "b1,b2,b3", "--degree", "6"]):
+        assert main(argv) == 0
+        assert capsys.readouterr().out.endswith("numeric spot-check (seed 0): pass\n")
+        assert calls == ["_read"]
+        calls.clear()
 
 
 def test_a_list_that_starts_negative_is_read_in_the_equals_form(tmp_path, capsys):

@@ -471,8 +471,8 @@ def test_cauchy_identity_decides_on_every_kind_of_pair(params, satake, order, da
     # rational pairs decide in the ints of one scale, symbolic and mixed
     # ones in terms maps; a fault in one degree of the sums, in either ring,
     # must return the Euler side
-    sums, roots, rhs = symfunc._cauchy_identity(params, satake, order)
-    assert _same(sums, _operator_lattice(params, satake, order))
+    lhs, roots, rhs = symfunc._cauchy_identity(params, satake, order)
+    assert _same(lhs.coeffs, _operator_lattice(params, satake, order))
     assert _same(roots, [x * y for x in params for y in satake])
     assert rhs is None
     k = data.draw(st.integers(0, order), label="k") if data else order
@@ -982,7 +982,9 @@ def test_a_passing_rational_check_makes_no_scalar_of_the_euler_side(monkeypatch)
 def test_a_passing_symbolic_check_makes_no_scalar_of_the_euler_side(monkeypatch):
     # the map-ring twin of the rational test: the roots, both sides and the
     # comparison are raw terms maps, and only the order + 1 sums and the r*m
-    # roots are read out as Scalars
+    # roots are read out as Scalars; distinct atoms whose x names sort
+    # before their y names (a1, a2 against b1, b2) keep their sums by
+    # orbits, so only their roots are read out
     symbolic = _rep_with_tops(("a1", "a2"), 3)
     bs = UnramifiedLanglandsRep((Scalar.variable("b1"), Scalar.variable("b2")))
     xs = [Scalar.variable(f"x{i}") for i in (1, 2, 3)]
@@ -993,7 +995,7 @@ def test_a_passing_symbolic_check_makes_no_scalar_of_the_euler_side(monkeypatch)
         lambda: verify_essential(MIXED, UnramifiedLanglandsRep((W,)), 6),
         lambda: cauchy_check(3, 2, xs, bs.satake, 6),
     ])
-    assert reads == [[7, 4], [7, 4], [7, 2], [7, 6]]
+    assert reads == [[4], [7, 4], [7, 2], [7, 6]]
 
 
 # --- writing a report ------------------------------------------------------------
@@ -1041,20 +1043,30 @@ def test_write_summary_writes_the_summary_lines():
 
 def test_a_passing_report_formats_its_series_once(monkeypatch):
     # the text kernel formats each coefficient's terms once, in one call for
-    # the series, and write receives the same piece objects on the lhs and
-    # rhs lines, one at a time, never joined
+    # the series, or for a series by orbits one call of the orbit printer,
+    # and write receives the same piece objects on the lhs and rhs lines,
+    # one at a time, never joined
     calls = []
-    texts = ringcore._texts
+    texts, orbit_texts = ringcore._texts, orbits.Orbits.texts
 
     def counted(values):
         calls.append(collections.Counter(map(id, values)))
         return texts(values)
 
+    def by_orbits(form, order):
+        calls.append(form)
+        return orbit_texts(form, order)
+
     monkeypatch.setattr(ringcore, "_texts", counted)
-    for report in _writer_reports()[:3]:
+    monkeypatch.setattr(orbits.Orbits, "texts", by_orbits)
+    reports = _writer_reports()[:3]
+    assert [report.lhs_series.form is not None for report in reports] == [True, False, False]
+    for report in reports:
         calls.clear()
         chunks = _written(report)
-        assert calls == [collections.Counter(map(id, report.lhs_series.coeffs))]
+        form = report.lhs_series.form
+        assert calls == [form if form is not None
+                         else collections.Counter(map(id, report.lhs_series.coeffs))]
         # [meta], "lhs: ", pieces, "\n", "rhs: ", pieces, "\n", result line
         lhs, rhs = chunks.index("lhs: "), chunks.index("rhs: ")
         pieces = chunks[lhs + 1:rhs - 1]
@@ -1110,7 +1122,8 @@ def test_the_orbit_route_expands_the_lattice_sums(data):
         n, m = data.draw(st.integers(2, 5), label="n"), data.draw(st.integers(2, 5), label="m")
         order = data.draw(st.integers(0, 8), label="order")
         xs, ys = _distinct_atom_pair(data, n, m)
-    ring, sums, roots, holds = symfunc._orbit_lattice(xs, ys, order)
+    ring, form, roots, holds = symfunc._orbit_lattice(xs, ys, order)
+    sums = orbits.expanded(form)
     assert holds and (ring, sums, roots) == symfunc._lattice(xs, ys, order)
     assert [len(terms) for terms in sums] == [cauchy_term_count(n, m, k) for k in range(order + 1)]
 
@@ -1146,6 +1159,80 @@ def test_the_orbit_route_prints_the_map_route_bytes(data):
     assert len(taken) == len(checks)
 
 
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_a_passing_orbit_report_prints_and_reads_as_its_expansion(data):
+    # distinct atoms, every x name before every y name, each tuple in a
+    # drawn order whose names do not sort in numeric order (x10 before x2):
+    # the report keeps its lhs by orbits and prints it from that form, in
+    # pieces of at most a block of terms, as the text kernel prints the
+    # expanded series; the lhs, read, equals and hashes like the map
+    # route's, which prints the same lines
+    from whittaker import packing
+
+    n, m = data.draw(st.integers(2, 5), label="n"), data.draw(st.integers(2, 5), label="m")
+    order = data.draw(st.integers(0, 8 if n * m <= 9 else 5), label="order")
+    xs, ys = ([Scalar.variable(f"{v}{i}") for i in data.draw(
+        st.lists(st.integers(1, 12), min_size=size, max_size=size, unique=True), label=v)]
+        for v, size in (("x", n), ("y", m)))
+    rep = _rep_with_tops([str(x) for x in xs], max(n, m) + 1)
+    checks = [lambda: verify_essential(rep, UnramifiedLanglandsRep(tuple(ys)), order)]
+    if n >= m:
+        checks.append(lambda: cauchy_check(n, m, xs, ys, order))
+    block = data.draw(st.sampled_from([5, 64, packing._BLOCK]), label="block")
+    for check in checks:
+        report = check()
+        lhs = report.lhs_series
+        assert report.passed and lhs.form is not None
+        saved, packing._BLOCK = packing._BLOCK, block
+        try:
+            pieces = lhs.text_pieces()
+        finally:
+            packing._BLOCK = saved
+        # t^0, then " + (", the pieces, ")" and "*t^k" for each k, then O(...)
+        assert len(pieces) >= 2 + 3 * order + sum(-(-cauchy_term_count(n, m, k) // block)
+                                                   for k in range(1, order + 1))
+        assert max(piece.count(" + ") + piece.count(" - ") for piece in pieces) <= block
+        lines = report.summary_lines()
+        atoms = symfunc._distinct_atoms
+        symfunc._distinct_atoms = lambda *args: False
+        try:
+            plain = check()
+        finally:
+            symfunc._distinct_atoms = atoms
+        assert plain.lhs_series.form is None and plain.summary_lines() == lines
+        assert hash(lhs) == hash(plain.lhs_series) and lhs == plain.lhs_series
+        assert _same(lhs.coeffs, plain.lhs_series.coeffs)
+        assert "".join(pieces) == str(TruncatedSeries(order, lhs.coeffs)) == str(lhs)
+
+
+def test_only_a_passing_report_in_name_order_is_printed_by_orbits(monkeypatch):
+    # interleaved names, the integrality hook and a failing check keep
+    # their lhs as Scalars, printed by the text kernel
+    calls = []
+    orbit_texts = orbits.Orbits.texts
+    monkeypatch.setattr(orbits.Orbits, "texts",
+                        lambda *args: calls.append(args) or orbit_texts(*args))
+    xs = [Scalar.variable(f"x{i}") for i in (1, 2, 3)]
+    ys = UnramifiedLanglandsRep(tuple(Scalar.variable(f"y{i}") for i in (1, 2)))
+    cs = [Scalar.variable(f"c{i}") for i in range(1, 6)]
+    rep = _rep_with_tops(("x1", "x2", "x3"), 4)
+    for report in (cauchy_check(3, 2, xs, ys.satake, 4), verify_essential(rep, ys, 4)):
+        assert report.passed and report.lhs_series.form is not None
+        report.summary_lines()
+    assert len(calls) == 2
+    calls.clear()
+    reports = [cauchy_check(3, 2, cs[::2], cs[1::2], 4),
+               verify_essential(_rep_with_tops(("x1", "x2"), 3), ys, 3, drop_integrality=True)]
+    monkeypatch.setattr(orbits, "kostka_products", _products_off_at(2))
+    reports.append(cauchy_check(3, 2, xs, ys.satake, 4))
+    assert [report.passed for report in reports] == [True, False, False]
+    for report in reports:
+        assert report.lhs_series.form is None
+        report.summary_lines()
+    assert calls == []
+
+
 def test_only_distinct_atoms_take_the_orbit_route(monkeypatch):
     taken = []
     route = symfunc._orbit_lattice
@@ -1158,8 +1245,8 @@ def test_only_distinct_atoms_take_the_orbit_route(monkeypatch):
                    ((a,), (b, c)), ((a, b, c), (d,)),      # min(n, m) = 1
                    ((a * a, b), (c, d)),                   # an exponent 2
                    ((Scalar.of(2) * a, b), (c, d))]:       # a coefficient 2
-        sums, roots, rhs = symfunc._cauchy_identity(xs, ys, 4)
-        assert rhs is None and _same(sums, _operator_lattice(xs, ys, 4))
+        lhs, roots, rhs = symfunc._cauchy_identity(xs, ys, 4)
+        assert rhs is None and _same(lhs.coeffs, _operator_lattice(xs, ys, 4))
     assert taken == []
     # the integrality hook at m = r shifts the series, and its one ordinary
     # decision, through order + 2m, takes the route too

@@ -76,10 +76,8 @@ def test_large_verify_fails_on_a_wrong_recorded_digest(monkeypatch, capsys):
     assert report["problems"] == ["the output differs from the recorded digest"]
 
 
-def test_large_verify_stages_on_both_sides():
-    # each stage's wall time from an untraced child, and its traced time
-    # and peak from a traced one
-    done = _run(LARGE, str(ROOT / "src"), str(ROOT / "src"), "--shape", "2,1,1", "--stages")
+def _stages_on_both_sides(shape):
+    done = _run(LARGE, str(ROOT / "src"), str(ROOT / "src"), "--shape", shape, "--stages")
     assert done.returncode == 0, done.stdout + done.stderr
     report = json.loads(done.stdout)
     for side in ("parent", "change"):
@@ -87,6 +85,19 @@ def test_large_verify_stages_on_both_sides():
         assert sorted(stages) == ["spot_check", "verify_essential", "write_summary"]
         assert all(sorted(figures) == ["traced_peak_mb", "traced_wall_s", "wall_s"]
                    and min(figures.values()) >= 0 for figures in stages.values())
+
+
+def test_large_verify_stages_on_both_sides():
+    # each stage's wall time from an untraced child, and its traced time
+    # and peak from a traced one
+    _stages_on_both_sides("2,1,1")
+
+
+def test_large_verify_stages_of_an_orbit_route_shape():
+    # 2 x 2 distinct atoms take the orbit route, and a stage that raised,
+    # as a spot-check of their orbit form that disagreed would, exits
+    # nonzero
+    _stages_on_both_sides("3,2,2")
 
 
 def test_large_verify_stages_untraced_record_no_peak(tmp_path):
