@@ -92,34 +92,42 @@ MUTATIONS = [
              "return -sum(x * (rank - 1 - 2 * i)", "return sum(x * (rank - 1 - 2 * i)",
              ("tests/test_whitfun.py", "tests/test_rseng.py")),
     # the one Cauchy decision (symfunc._cauchy_decision) and its readers:
-    # the raw comparison forced true in one ring at a time
+    # the comparison forced true on each of its two routes, the int
+    # lattice's raw sums against the Euler side, and the per-check
+    # comparison of the value-free matrices M and N
     Mutation("holds-forced-true-ints", "whittaker/symfunc.py",
              "None if sums == euler else euler",
              "None if sums == euler or ring[1] is None else euler", IDENTITY_TESTS),
-    Mutation("holds-forced-true-maps", "whittaker/symfunc.py",
-             "None if sums == euler else euler",
-             "None if sums == euler or ring[1] is not None else euler", IDENTITY_TESTS),
+    Mutation("orbit-verdict-forced-true", "whittaker/symfunc.py",
+             "None if ms == ns else", "None if True else", IDENTITY_TESTS),
     Mutation("sums-scaled-by-s-to-the-k-plus-one", "whittaker/symfunc.py",
              "_read(ring, sums, sizes)",
              "_read(ring, sums, range(1, order + 2))", IDENTITY_TESTS),
     Mutation("int-slice-drops-a-term", "whittaker/symfunc.py",
              "sum(map(mul, u[a:b], v[a:b]))", "sum(map(mul, u[a + 1:b], v[a + 1:b]))",
              IDENTITY_TESTS),
-    Mutation("map-slice-drops-a-term", "whittaker/symfunc.py",
-             "zip(u[a:b], v[a:b])", "zip(u[a + 1:b], v[a + 1:b])", IDENTITY_TESTS),
-    # the orbit route of distinct atoms (symfunc._orbit_lattice, orbits): a
-    # Kostka number read at a key with one exponent moved from the first
-    # atom to the last, out of its orbit; the expansion without the last
-    # composition of each degree; the matrices transposed, which shows only
-    # when the tuples differ in length
+    # the orbit route (symfunc._orbit_matrices, orbits): the top degree's
+    # first canonical Kostka product one more; a Kostka number read at a
+    # key with one exponent moved from the first atom to the last, out of
+    # its orbit; the matrices transposed, which shows only when the tuples
+    # differ in length; the expansion without the last composition of each
+    # degree, or with each y-side monomial sum m_j read at the next orbit
+    Mutation("canonical-kostka-entry-off-by-one", "whittaker/symfunc.py",
+             "orbits.kostka_products(ideal[1], tables, units, shapes)",
+             "(lambda ms: (*ms[:-1], ((ms[-1][0][0] + 1, *ms[-1][0][1:]), *ms[-1][1:])))"
+             "(orbits.kostka_products(ideal[1], tables, units, shapes))", IDENTITY_TESTS),
     Mutation("kostka-read-outside-its-orbit", "whittaker/orbits.py",
              "sum(map(mul, alpha, us))", "sum(map(mul, alpha, us)) + us[-1] - us[0]",
              IDENTITY_TESTS),
-    Mutation("expansion-skips-a-composition", "whittaker/orbits.py",
-             "for kx in fx[k] for", "for kx in fx[k][:-1] for", IDENTITY_TESTS),
     Mutation("orbit-matrix-transposed", "whittaker/orbits.py",
-             "[[sum(map(mul, p, q)) for q in ky] for p in kx]",
-             "[[sum(map(mul, p, q)) for p in kx] for q in ky]", IDENTITY_TESTS),
+             "tuple(tuple(sum(map(mul, p, q)) for q in ky) for p in kx)",
+             "tuple(tuple(sum(map(mul, p, q)) for p in kx) for q in ky)", IDENTITY_TESTS),
+    Mutation("expansion-skips-a-composition", "whittaker/orbits.py",
+             "compositions(powers, product, one, order)",
+             "[level[:-1] for level in compositions(powers, product, one, order)]",
+             IDENTITY_TESTS),
+    Mutation("expansion-y-sum-at-the-wrong-orbit", "whittaker/orbits.py",
+             "zip(row, my)", "zip(row, my[1:] + my[:1])", IDENTITY_TESTS),
     # a passing report of distinct atoms printed from its orbit form
     # (orbits.Orbits.texts) with each y composition's text taken from the
     # next one, and spot-checked from that form (orbits.evaluated) with each

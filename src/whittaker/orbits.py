@@ -1,7 +1,7 @@
-"""Name-free tables of the Cauchy identity on distinct indeterminates.
+"""Name-free tables of the Cauchy identity, and its sums by orbits.
 
-For n distinct indeterminates x and m distinct y, each side of the Cauchy
-identity sum_lam s_lam(x) s_lam(y) t^|lam| = prod (1 - x_i y_j t)^-1 is
+Each side of the Cauchy identity sum_lam s_lam(x) s_lam(y) t^|lam| =
+prod (1 - x_i y_j t)^-1 in n indeterminates x and m indeterminates y is
 symmetric in x and, separately, in y.  So the coefficient of x^a y^b
 depends only on the orbits of the compositions a and b, the partitions
 alpha = sort(a) and beta = sort(b): on the lattice side it is
@@ -9,34 +9,33 @@ sum_lam K[lam][alpha] K[lam][beta], K the Kostka numbers (Macdonald,
 Symmetric Functions and Hall Polynomials, I.6), and on the Euler side the
 number of n x m nonnegative integer matrices with row sums alpha and
 column sums beta, the coefficient of y^beta in h_alpha(y) (I.(4.2)).  The
-two are equal by RSK (Knuth, Pacific J. Math. 34, 1970), so a check can
-decide the identity on these small integer matrices and write its terms
-out by orbits.
+two are equal by RSK (Knuth, Pacific J. Math. 34, 1970), so the identity
+is an equation of small integer matrices, M_k = K_x^T K_y against those
+counts N_k, that depends on (n, m, k) alone.  At any values, repeated,
+rational, shared by the two tuples or of many terms, the t^k sum is then
+sum_(i,j) M_k[i][j] m_i(x) m_j(y), m_i the monomial symmetric sum of the
+i-th partition (I.(2.1)).
 
 Compositions of k into s parts are listed in one order, lexicographic
 descending, so the first member of each orbit is the partition itself,
 its dominant member; the partitions come from the caller, zero-padded.
 One enumerator, compositions, walks them for everything read per
-composition: the tuples of the orbit tables, the keys of an expansion,
-where a key is any int-linear form of the exponents, a packed monomial
-(packing) for instance, key(a) = sum_i a_i * units[i], the texts that
-ringcore prints and the values that a spot-check sums.
-
-A passing check of distinct atoms keeps its sums in that form (Orbits):
-the matrices, the two orbit tables and each side's atoms.  It is printed
-(Orbits.texts, for ringcore.TruncatedSeries.text_pieces) and evaluated at
-a point (evaluated) from the form, and expanded into terms maps only when
-its values are read (expanded).
+composition: the tuples of the orbit tables, the products of powers that
+an expansion sums, the texts that ringcore prints and the values that a
+spot-check sums.  A check keeps its sums in that form (Orbits), expanded
+into terms maps by packing's product kernel (expanded); a passing check
+of distinct atoms is printed (Orbits.texts) and evaluated at a point
+(evaluated) from the form.
 """
 
 from __future__ import annotations
 
-from itertools import chain
+from itertools import accumulate
 from operator import add, mul
 from typing import NamedTuple
 
 from . import packing
-from .packing import _var_key
+from .packing import _add_product, _var_key
 from .ringcore import Scalar, _join_terms, _power_text, _signed_text
 
 
@@ -49,23 +48,25 @@ def _distinct_atoms(xs, ys) -> bool:
 
 
 class Orbits(NamedTuple):
-    """The Cauchy sums of the distinct atoms atoms[0] (x) and atoms[1] (y)
-    through t^order by orbits: the t^k coefficient of x^a y^b is
-    ms[k][orbit of a][orbit of b], the orbits those of shapes, the orbit
-    tables of the two sides (orbit_table), and units[i] the atoms' keys,
-    in the order of atoms[i].  Both sides are symmetric, so the order of
-    the atoms matters only to the text, which takes them by name."""
+    """The Cauchy sums of the values atoms[0] (x) and atoms[1] (y) through
+    t^order by orbits: the t^k sum is the sum over i and j of
+    ms[k][i][j] m_i(x) m_j(y), the orbits those of shapes, the orbit tables
+    of the two sides (orbit_table), and points[i] the values of atoms[i] as
+    raw points of the check's ring (terms maps), in that order.  Both sides
+    are symmetric, so the order of the values matters only to the text,
+    which takes distinct atoms by name."""
 
-    ms: list
-    shapes: list
+    ms: tuple
+    shapes: tuple
     atoms: tuple
-    units: list
+    points: tuple
 
     def in_print_order(self) -> bool:
         """Whether every x name sorts before every y name (packing._var_key),
-        so that texts writes the terms in print order."""
+        so that texts writes the terms in print order, with atoms on both
+        sides; form's atoms must be distinct atoms (_distinct_atoms)."""
         x, y = ([_var_key(v.names[0]) for v in atoms] for atoms in self.atoms)
-        return max(x) < min(y)
+        return all(self.atoms) and max(x) < min(y)
 
     def texts(self, order: int) -> list:
         """The text of each coefficient of the sums through t^order, as
@@ -80,7 +81,7 @@ class Orbits(NamedTuple):
         chunks of at most packing._BLOCK terms, and so are the pieces."""
         xt, yt = (compositions([[_power_text(name, e) for e in range(order + 1)]
                                 for name in sorted((v.names[0] for v in atoms), key=_var_key)],
-                               add)
+                               add, "", order)
                   for atoms in self.atoms)
         out, signed = [["1"]], {}
         for k in range(1, order + 1):
@@ -110,33 +111,33 @@ class Orbits(NamedTuple):
         return out
 
 
-def compositions(powers, combine) -> list:
-    """forms[k] for k = 0..order, order = len(powers[0]) - 1: for each
-    composition a of k into len(powers) parts, in lexicographic descending
-    order, combine's fold of powers[0][a_0], powers[1][a_1], ..., in that
-    order (combine(p_0, combine(p_1, ...)))."""
-    *head, last = powers
-    forms = [[p] for p in last]
-    for power in reversed(head):
+def compositions(powers, combine, unit, order: int) -> list:
+    """forms[k] for k = 0..order: for each composition a of k into
+    len(powers) parts, in lexicographic descending order, combine's fold of
+    powers[0][a_0], powers[1][a_1], ... and unit, in that order
+    (combine(p_0, combine(p_1, ... combine(p_last, unit)))); with no parts,
+    unit alone at k = 0."""
+    forms = [[unit]] + [[] for _ in range(order)]
+    for power in reversed(powers):
         forms = [[combine(power[e], f) for e in range(k, -1, -1) for f in forms[k - e]]
-                 for k in range(len(last))]
+                 for k in range(order + 1)]
     return forms
 
 
-def orbit_table(levels) -> list:
+def orbit_table(levels) -> tuple:
     """(alphas, orbits) for k = 0..order: alphas = levels[k], the partitions
     of k zero-padded to one size, and orbits[i] the index in alphas of the
     orbit of the i-th composition of k into size parts (compositions' order)."""
     size, order = len(levels[0][0]), len(levels) - 1
-    comps = compositions([[(e,) for e in range(order + 1)]] * size, add)
+    comps = compositions([[(e,) for e in range(order + 1)]] * size, add, (), order)
     table = []
     for alphas, level in zip(levels, comps):
         index = {alpha: i for i, alpha in enumerate(alphas)}
-        table.append((alphas, tuple(index[tuple(sorted(a, reverse=True))] for a in level)))
-    return table
+        table.append((tuple(alphas), tuple(index[tuple(sorted(a, reverse=True))] for a in level)))
+    return tuple(table)
 
 
-def contingency_counts(rows, cols) -> list:
+def contingency_counts(rows, cols) -> tuple:
     """counts[k][i][j] for k = 0..order: the number of matrices of
     nonnegative integers whose row sums are rows[k][i] and whose column
     sums are cols[k][j], rows and cols partitions as in orbit_table.
@@ -161,8 +162,8 @@ def contingency_counts(rows, cols) -> list:
     def nonzero(alpha):
         return tuple(p for p in alpha if p)
 
-    return [[[count(nonzero(alpha), nonzero(beta)) for beta in betas] for alpha in alphas]
-            for alphas, betas in zip(rows, cols)]
+    return tuple(tuple(tuple(count(nonzero(alpha), nonzero(beta)) for beta in betas)
+                       for alpha in alphas) for alphas, betas in zip(rows, cols))
 
 
 def _rests(cols: tuple, a: int) -> list:
@@ -179,7 +180,7 @@ def _rests(cols: tuple, a: int) -> list:
     return [tuple(sorted(filter(None, left), reverse=True)) for left, _ in level]
 
 
-def kostka_products(starts, tables, units, shapes) -> list:
+def kostka_products(starts, tables, units, shapes) -> tuple:
     """ms[k][i][j]: the sum, over the states lam of size k, those of
     starts[k]:starts[k + 1], of K_x[lam][alpha_i] * K_y[lam][beta_j], where
     alpha_i and beta_j are the partitions of k of shapes[0] and shapes[1]
@@ -192,24 +193,42 @@ def kostka_products(starts, tables, units, shapes) -> list:
         kx, ky = ([[t.get(key, 0) for t in table[a:b]]
                    for key in [sum(map(mul, alpha, us)) for alpha in shape[k][0]]]
                   for table, us, shape in zip(tables, units, shapes))
-        ms.append([[sum(map(mul, p, q)) for q in ky] for p in kx])
-    return ms
+        ms.append(tuple(tuple(sum(map(mul, p, q)) for q in ky) for p in kx))
+    return tuple(ms)
 
 
 def expanded(form: Orbits) -> list:
-    """sums[k] = {key(a) + key(b): ms[k][orbit of a][orbit of b]} over the
-    compositions a of k on the x units and b on the y units of form."""
-    order = len(form.ms) - 1
-    fx, fy = (compositions([[e * u for e in range(order + 1)] for u in us], add)
-              for us in form.units)
-    sums = []
-    for k, mk in enumerate(form.ms):
-        (_, ox), (_, oy) = form.shapes[0][k], form.shapes[1][k]
-        # row i of ms[k] spread over the compositions b, one row per a
-        rows = [[row[j] for j in oy] for row in mk]
-        keys = [kx + ky for kx in fx[k] for ky in fy[k]]
-        sums.append(dict(zip(keys, chain.from_iterable(map(rows.__getitem__, ox)))))
-    return sums
+    """sums[k], the t^k sum of form as a terms map of its ring: the sum over
+    i and j of ms[k][i][j] m_i(x) m_j(y), m_i the sum, over the compositions
+    a of its orbit, of the product of each point to the power a_i, every
+    product and sum made in place by packing's kernel (_add_product)."""
+    order, one = len(form.ms) - 1, {0: 1}
+
+    def product(a, b):
+        out = {}
+        _add_product(out, a, b)
+        return out
+
+    sides = []
+    for points, shape in zip(form.points, form.shapes):
+        powers = [list(accumulate([p] * order, product, initial=one)) for p in points]
+        sums = []
+        for (alphas, orbits), level in zip(shape, compositions(powers, product, one, order)):
+            m = [{} for _ in alphas]
+            for i, v in zip(orbits, level):
+                _add_product(m[i], one, v)
+            sums.append(m)
+        sides.append(sums)
+    out = []
+    for mk, mx, my in zip(form.ms, *sides):
+        out.append({})
+        for row, x in zip(mk, mx):
+            # the y side of row i, sum_j ms[k][i][j] m_j(y), times m_i(x)
+            y = {}
+            for c, v in zip(row, my):
+                _add_product(y, {0: c}, v)
+            _add_product(out[-1], x, y)
+    return out
 
 
 def evaluated(form: Orbits, points) -> list:
@@ -221,7 +240,8 @@ def evaluated(form: Orbits, points) -> list:
     order = len(form.ms) - 1
     sides = []
     for side, shape in zip(points, form.shapes):
-        values, sums = compositions([[p ** e for e in range(order + 1)] for p in side], mul), []
+        values = compositions([[p ** e for e in range(order + 1)] for p in side], mul, 1, order)
+        sums = []
         for (alphas, orbits), level in zip(shape, values):
             m = [0] * len(alphas)
             for i, v in zip(orbits, level):

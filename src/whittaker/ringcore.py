@@ -481,8 +481,10 @@ class TruncatedSeries:
             if not k:
                 parts += pieces
                 continue
-            # past t^0 a coefficient in orbit form holds every x_i * y_j, 4 terms or more
-            if form is not None or self.coeffs[k]._needs_parens():
+            # a coefficient in orbit form has a positive term per pair of an
+            # x and a y composition of k, one only for one atom on each side
+            if (self.coeffs[k]._needs_parens() if form is None
+                    else len(form.shapes[0][k][1]) * len(form.shapes[1][k][1]) > 1):
                 parts += (" + (", *pieces, ")")
             else:
                 parts += (" + ", *pieces)

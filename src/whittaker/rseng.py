@@ -10,16 +10,16 @@ pinned by cauchy_check.
 Every power of u cancels in a lattice term (rs_series), so the lattice
 sum is the Cauchy sum of the two tuples, sum_lam s_lam(params)
 s_lam(satake) by degree, and the Euler factor's expansion is h_k of its
-roots x_i * y_j (Macdonald I.(4.3)).  symfunc._cauchy_identity computes
-both sides and the roots in one ring, chosen once per check (the ints of
-one scale for a rational pair, else terms maps), compares them raw, and
-hands back the lhs series and the Euler side's coefficients when they
-differ; distinct atoms it decides on small integer matrices, and when
-such a check passes with every x name before every y name the lhs stays
-in orbit form (orbits.Orbits), its Scalars made only if read.  The
-integrality hook asks it the ordinary question through the shifted order
-and compares the shifted sums with the Euler side through the order.
-Here a report is its two series, with its verdict read off them, and one
+roots x_i * y_j (Macdonald I.(4.3)).  symfunc._cauchy_identity decides
+the identity in one ring, chosen once per check, and hands back the lhs
+series, the roots and the Euler side's coefficients when they differ: a
+rational pair compares its sums with the Euler side in the ints of one
+scale, and every other pair compares value-free integer matrices of its
+shape, its lhs kept in orbit form (orbits.Orbits) when the check passes
+on distinct atoms with every x name before every y name.  rs_series,
+verify_essential and the integrality hook, which asks the ordinary
+question through the shifted order, all read that one decision.  Here a
+report is its two series, with its verdict read off them, and one
 resolver, _pairing, holds the rank rules and the hook's shift.  A report
 is printed by VerificationReport.write_summary, which writes each series'
 text a piece at a time, never joined; a passing report reads no
@@ -35,7 +35,7 @@ from typing import Optional, Sequence, Tuple, Union
 from .errors import BadRanks, Unsupported
 from .repdata import GenericRep, UnramifiedLanglandsRep, compute_piu
 from .ringcore import EulerFactor, Scalar, TruncatedSeries
-from .symfunc import _cauchy_identity, _cauchy_sums
+from .symfunc import _cauchy_identity
 
 LeftInput = Union[GenericRep, UnramifiedLanglandsRep]
 
@@ -139,9 +139,8 @@ def rs_series(left: LeftInput, pi_prime: UnramifiedLanglandsRep, order: int, *,
     and the inverse modulus with its twist u^((n-m)|lam|) put
     -(r-1-2i) - (n-r) - (m-1-2i) + (n+m-2-4i) = 0 on each part lam_i.  So
     the t^k coefficient is sum_lam s_lam(params) s_lam(satake'), the
-    degree-k part of the Cauchy identity (Macdonald I.(4.3)), which
-    symfunc._cauchy_sums sums over two Schur tables, in the ints of one
-    scale when both tuples are rational and in terms maps otherwise.
+    degree-k part of the Cauchy identity (Macdonald I.(4.3)), the lhs of
+    symfunc._cauchy_identity, as in verify_essential.
 
     The left argument is a GenericRep or, on the spherical side, an
     UnramifiedLanglandsRep, at the ranks that _pairing admits.
@@ -159,9 +158,8 @@ def rs_series(left: LeftInput, pi_prime: UnramifiedLanglandsRep, order: int, *,
     (prod params * prod satake')^(-D) (_hooked).
     """
     _, _, params, shift = _pairing(left, pi_prime, drop_integrality)
-    satake_prime = pi_prime.satake
-    sums = TruncatedSeries(order + shift, _cauchy_sums(params, satake_prime, order + shift))
-    return _hooked(sums, params, satake_prime, order)
+    lhs = _cauchy_identity(params, pi_prime.satake, order + shift)[0]
+    return _hooked(lhs, params, pi_prime.satake, order)
 
 
 def _pairing(left: LeftInput, pi_prime: UnramifiedLanglandsRep, drop_integrality: bool) -> tuple:

@@ -10,38 +10,39 @@ ones.  The rows a fill sweeps at each step depend on the step alone, so
 an ideal, the plain tuple (states, starts, sweeps) that _order_ideal
 builds and caches, lists them once for every table on it.  That fill is
 the one engine for sums of products of symmetric functions, and a table
-is the plain list of its raw values (_fill).  The Cauchy sums of rseng's
-lattice sum pair two tables of the partitions of bounded size and length
-(_cauchy_sums); a single value s_lam fills the partitions contained in
-lam, so complete_homogeneous, h_k = s_(k), fills the one-row ideal (0),
-..., (k).  h_0..h_k are read off that table raw, in a ring the caller
-chose (_h_values), for _cauchy_decision, the one decision of the Cauchy
-identity, which returns a failing check's Euler side off that one table
-and is asked by rseng, through _cauchy_identity, and by the CLI
-spot-check at a rational point, through _agrees_at; or as Scalars
-(_h_scalars), for the Jacobi-Trudi determinant and ringcore.euler_expand.
-Distinct atoms are decided on small integer matrices instead
-(_orbit_lattice): Kostka numbers read off the pair's two tables against
-counts of contingency tables, with no roots' table filled unless the
-check fails.  Their sums are returned in orbit form (orbits.Orbits); a
-passing check whose x names all sort before its y names keeps its lhs in
-that form (_cauchy_identity), printed and spot-checked from it, and
-every other check expands it by orbits and reads its Scalars.
+is the plain list of its raw values (_fill).  A single value s_lam fills
+the partitions contained in lam, so complete_homogeneous, h_k = s_(k),
+fills the one-row ideal (0), ..., (k): h_0..h_k are read off that table
+raw, in a ring the caller chose (_h_values), or as Scalars (_h_scalars),
+for the Jacobi-Trudi determinant and ringcore.euler_expand.
+_cauchy_decision is the one decision of the Cauchy identity of rseng's
+lattice sum, asked by rseng through _cauchy_identity and by the CLI
+spot-check at a rational point through _agrees_at.  The ring chooses its
+route.  A rational pair dots two Schur tables of the partitions of
+bounded size and length in ints (_lattice) and compares the sums with the
+roots' one-row table.  Every other pair is decided on the integer
+matrices of its shape (_orbit_matrices: Kostka products read once off the
+tables of canonical indeterminates, against counts of contingency
+tables), with no table filled unless the check fails, and its sums are
+returned in orbit form (orbits.Orbits): a passing check of distinct atoms
+whose x names all sort before its y names keeps its lhs in that form,
+printed and spot-checked from it, and every other check expands it
+through packing's product kernel (orbits.expanded).
 This module alone decides the ring, in one place, _ring: for a table of
-one tuple (schur, _h_scalars) and for the pair of a Cauchy check
-(_filled), whose sums, roots and Euler side all live in that one ring.
-When every value is rational that ring is the Python ints, each tuple at
-its own scale, the lcm of its denominators (_scaled_ints), and the ring
-at the product of those scales; otherwise it is plain terms maps on the
-union alphabet, each step adding a product into an entry in place.
-Values are compared raw, and a Scalar is built only for a value read out
-(_read).  schur is the one entry point: the Jacobi-Trudi determinant in
-complete homogeneous polynomials and the bialternant ratio
-a_(lam+delta) / a_delta (exact polynomial division at a generic point,
-both alternants from one builder) stay selectable by name, and with a
-semistandard-tableau enumerator they are the independent oracles the
-tests compare against.  Each oracle builds its terms with
-Scalar * and adds them in one kernel sum (ringcore._sum).
+one tuple (schur, _h_scalars) and for the pair of a Cauchy check, whose
+sums, roots and Euler side all live in that one ring.  When every value
+is rational that ring is the Python ints, each tuple at its own scale,
+the lcm of its denominators (_scaled_ints), and the ring at the product
+of those scales; otherwise it is plain terms maps on the union alphabet,
+each product added into an entry in place.  Values are compared raw, and
+a Scalar is built only for a value read out (_read).  schur is the one
+entry point: the Jacobi-Trudi determinant in complete homogeneous
+polynomials and the bialternant ratio a_(lam+delta) / a_delta (exact
+polynomial division at a generic point, both alternants from one
+builder) stay selectable by name, and with a semistandard-tableau
+enumerator they are the independent oracles the tests compare against.
+Each oracle builds its terms with Scalar * and adds them in one kernel
+sum (ringcore._sum).
 """
 
 from __future__ import annotations
@@ -299,8 +300,8 @@ def _fill(points: Sequence, ideal: tuple, ring: tuple, top: tuple = ()) -> list:
     convolution h_k += x_k * h_(k-1) of the h_k = s_(k) (Macdonald
     I.(3.9)), which is how every h_k is made.  On distinct atoms the
     coefficient of a dominant monomial x^alpha in s_lam is the Kostka
-    number K[lam][alpha], which the orbit route reads off the table
-    (orbits.kostka_products).
+    number K[lam][alpha], which _orbit_matrices reads off a table of
+    canonical indeterminates (orbits.kostka_products).
 
     The points are raw values of ring (_ring): ints, or terms maps, each
     step then adding x_k times one map into another in place
@@ -376,109 +377,85 @@ def _h_scalars(values: Sequence, order: int) -> list:
     return _read(ring, _h_values(points, order, ring), range(order + 1))
 
 
-def _filled(xs: Sequence, ys: Sequence, order: int) -> tuple:
-    """(ring, ideal, points, tables, roots) of a Cauchy check through t^order,
-    raw values of ring: the Schur tables of xs and ys over ideal, the
-    partitions of size <= order with at most min(len(xs), len(ys)) parts,
-    the two tuples as points of ring, and roots the products x * y, x outer.
-
-    The ring is _ring's for the pair, at a degree that holds a product of
-    order factors from each tuple (and the roots at order 0): so two
-    rational tuples fill in ints at their own scales Dx and Dy, and the
-    roots are ints at the scale Dx * Dy.  No value of the two tables is
-    read out, so they can share ring.  Both tables are filled for this call
-    only.
-    """
-    ideal = _order_ideal((order,) * min(len(xs), len(ys)), order)
-    ring, (px, py) = _ring((xs, ys), 2 * max(order, 1))
-    tables = [_fill(points, ideal, ring) for points in (px, py)]
-    if ring[1] is None:
-        return ring, ideal, (px, py), tables, [a * b for a in px for b in py]
-    roots = [{} for _ in px for _ in py]
-    for root, (p, q) in zip(roots, itertools.product(px, py)):
-        _add_product(root, p, q)
-    return ring, ideal, (px, py), tables, roots
+def _filled(points: Sequence, ring: tuple, order: int) -> tuple:
+    """(ideal, tables) of a Cauchy check through t^order: the Schur tables of
+    the two tuples of points of ring over ideal, the partitions of size <=
+    order with at most as many parts as the shorter tuple, raw values of
+    ring.  No value of the two tables is read out, so they can share ring,
+    and both are filled for this call only."""
+    ideal = _order_ideal((order,) * min(map(len, points)), order)
+    return ideal, [_fill(p, ideal, ring) for p in points]
 
 
-def _lattice(xs: Sequence, ys: Sequence, order: int) -> tuple:
-    """(ring, sums, roots) of a Cauchy check through t^order, raw values of
-    ring (_filled): sums[k] the sum of s_lam(xs) * s_lam(ys) over the
-    partitions lam of k, the dot product of the two tables' slices of size
-    k, in ints at the scale Dx * Dy for a rational pair."""
-    ring, ideal, _, (u, v), roots = _filled(xs, ys, order)
-    slices = zip(ideal[1], ideal[1][1:])
-    if ring[1] is None:
-        return ring, [sum(map(mul, u[a:b], v[a:b])) for a, b in slices], roots
-    sums = []
-    for a, b in slices:
-        sums.append({})
-        for p, q in zip(u[a:b], v[a:b]):
-            _add_product(sums[-1], p, q)
-    return ring, sums, roots
-
-
-def _cauchy_sums(xs: Sequence, ys: Sequence, order: int) -> list:
-    """[c_0, ..., c_order], c_k the sum of s_lam(xs) * s_lam(ys) over the partitions lam of k."""
-    ring, sums, _ = _lattice(xs, ys, order)
-    return _read(ring, sums, range(order + 1))
+def _lattice(ring: tuple, points: Sequence, order: int) -> list:
+    """sums[k] for k = 0..order, the sum of s_lam(x) * s_lam(y) over the
+    partitions lam of k, for two tuples of points of the int ring of a
+    rational pair (_ring), each at its own scale: the dot product of the two
+    tables' slices of size k (_filled), at the scale Dx * Dy."""
+    ideal, (u, v) = _filled(points, ring, order)
+    return [sum(map(mul, u[a:b], v[a:b])) for a, b in zip(ideal[1], ideal[1][1:])]
 
 
 @lru_cache(maxsize=PARTITION_CACHE_SIZE)
-def _orbit_table(size: int, order: int) -> list:
+def _orbit_table(size: int, order: int) -> tuple:
     """orbits.orbit_table of the partitions of 0..order with at most size parts."""
     states, starts = _ideal_states((order,) * size, order)
     return orbits.orbit_table([states[a:b] for a, b in zip(starts, starts[1:])])
 
 
 @lru_cache(maxsize=PARTITION_CACHE_SIZE)
-def _contingency(n: int, m: int, order: int) -> list:
-    """orbits.contingency_counts of n x m matrices, on _orbit_table's
-    partitions; for n < m the transposes of the m x n counts, so the two
-    shapes of a transposed pair share one count."""
+def _orbit_matrices(n: int, m: int, order: int) -> tuple:
+    """(shapes, ms, ns), tuples all, of every Cauchy check of n values
+    against m through t^order: shapes the orbit tables of the two sides
+    (_orbit_table), and at each k the integer matrices ms[k] = K_x^T K_y
+    and ns[k], the counts of n x m contingency tables, indexed by the
+    partitions of k of the two shapes (orbits).  They depend on (n, m,
+    order) alone, so they are made once, on n + m canonical indeterminates:
+    the Kostka numbers are read off one Schur table of each side (_filled)
+    at each orbit's dominant key (orbits.kostka_products), and the counts
+    are made without them (orbits.contingency_counts).  For n < m they are
+    the transposes of the (m, n) ones, so the two shapes of a transposed
+    pair share one fill and one count."""
     if n < m:
-        return [[list(col) for col in zip(*counts)] for counts in _contingency(m, n, order)]
-    return orbits.contingency_counts(*([alphas for alphas, _ in _orbit_table(size, order)]
-                                       for size in (n, m)))
-
-
-def _orbit_lattice(xs: Sequence, ys: Sequence, order: int) -> tuple:
-    """(ring, form, roots, holds) of a Cauchy check of the distinct atoms xs
-    and ys through t^order: _lattice's ring and roots, form the
-    orbits.Orbits of _lattice's sums, whose expansion (orbits.expanded) they
-    are, and whether sums[k] = h_k(roots) for every k.
-
-    The t^k coefficient of x^a y^b depends on the orbits of a and b alone
-    (orbits): it is ms[k] = K_x^T K_y, the Kostka numbers read off _filled's
-    two Schur tables at dominant keys, on the lattice side, and the count
-    of contingency tables on the Euler side.  holds is their equality on
-    every k.
-    """
-    ring, ideal, points, tables, roots = _filled(xs, ys, order)
+        shapes, *pair = _orbit_matrices(m, n, order)
+        return (shapes[::-1], *(tuple(tuple(zip(*mk)) for mk in ks) for ks in pair))
+    atoms = [Scalar.variable(f"_c{i}") for i in range(n + m)]
+    ring, points = _ring((atoms[:n], atoms[n:]), order)
+    ideal, tables = _filled(points, ring, order)
     units = [[next(iter(p)) for p in side] for side in points]
-    shapes = [_orbit_table(len(xs), order), _orbit_table(len(ys), order)]
-    ms = orbits.kostka_products(ideal[1], tables, units, shapes)
-    holds = ms == _contingency(len(xs), len(ys), order)
-    return ring, orbits.Orbits(ms, shapes, (xs, ys), units), roots, holds
+    shapes = _orbit_table(n, order), _orbit_table(m, order)
+    return (shapes, orbits.kostka_products(ideal[1], tables, units, shapes),
+            orbits.contingency_counts(*([alphas for alphas, _ in shape] for shape in shapes)))
 
 
 def _cauchy_decision(xs: Sequence, ys: Sequence, order: int) -> tuple:
     """(ring, sums, roots, euler) of the Cauchy check of xs and ys through
-    t^order, raw values of _filled's one ring: the roots x * y, x outer
-    (l_factor's order), and euler None when sums[k] = h_k(roots) for every
-    k (Macdonald I.(4.3)), else h_0..h_order of the roots.
+    t^order, raw values of the one ring that _ring chooses for the pair, at
+    a degree that holds a product of order factors from each tuple (and the
+    roots at order 0): the roots x * y, x outer (l_factor's order), and
+    euler None when sums[k] = h_k(roots) for every k (Macdonald I.(4.3)),
+    else h_0..h_order of the roots.
 
-    The route depends on the two tuples alone.  Distinct atoms, at least
-    two on each side, are decided on integer matrices (_orbit_lattice),
-    their sums returned as its orbits.Orbits form, and the roots' one-row
-    table filled only for a failing check; every other pair compares that
-    table with _lattice's sums, raw.
+    The ring chooses the route.  A rational pair fills its two tables in
+    the ints of its scales and compares _lattice's sums with the roots'
+    one-row table, raw.  Any other pair is decided on the value-free
+    matrices of its shape, ms against ns (_orbit_matrices), compared
+    afresh for every check, and its sums are returned as the
+    orbits.Orbits of its values; the roots' table is filled only for a
+    failing check.
     """
-    if min(len(xs), len(ys)) > 1 and _distinct_atoms(xs, ys):
-        ring, form, roots, holds = _orbit_lattice(xs, ys, order)
-        return ring, form, roots, None if holds else _h_values(roots, order, ring)
-    ring, sums, roots = _lattice(xs, ys, order)
-    euler = _h_values(roots, order, ring)
-    return ring, sums, roots, None if sums == euler else euler
+    ring, points = _ring((xs, ys), 2 * max(order, 1))
+    px, py = points
+    if ring[1] is None:
+        roots = [a * b for a in px for b in py]
+        sums, euler = _lattice(ring, points, order), _h_values(roots, order, ring)
+        return ring, sums, roots, None if sums == euler else euler
+    roots = [{} for _ in px for _ in py]
+    for root, (p, q) in zip(roots, itertools.product(px, py)):
+        _add_product(root, p, q)
+    shapes, ms, ns = _orbit_matrices(len(xs), len(ys), order)
+    return (ring, orbits.Orbits(ms, shapes, (xs, ys), points), roots,
+            None if ms == ns else _h_values(roots, order, ring))
 
 
 def _cauchy_identity(xs: Sequence, ys: Sequence, order: int) -> tuple:
@@ -488,17 +465,17 @@ def _cauchy_identity(xs: Sequence, ys: Sequence, order: int) -> tuple:
     of distinct atoms whose x names all sort before its y names
     (orbits.Orbits.in_print_order) returns its lhs in orbit form, printed
     and spot-checked from the form and expanded (orbits.expanded, _read)
-    only when its coefficients are read; any other orbit-route check,
-    failing or with interleaved names, expands it here.
+    only when its coefficients are read; every other non-rational check,
+    failing, of other values or with interleaved names, expands it here.
     """
     ring, sums, roots, euler = _cauchy_decision(xs, ys, order)
     sizes = range(order + 1)
-    if sums.__class__ is not orbits.Orbits:
+    if ring[1] is None:
         lhs = TruncatedSeries(order, _read(ring, sums, sizes))
-    else:
+    elif euler is None and _distinct_atoms(xs, ys) and sums.in_print_order():
         lhs = TruncatedSeries(order, lambda: _read(ring, orbits.expanded(sums), sizes), sums)
-        if euler is not None or not sums.in_print_order():
-            lhs = TruncatedSeries(order, lhs.coeffs)
+    else:
+        lhs = TruncatedSeries(order, _read(ring, orbits.expanded(sums), sizes))
     return (lhs, _read(ring, roots, [1] * len(roots)),
             None if euler is None else _read(ring, euler, sizes))
 

@@ -17,7 +17,7 @@ from whittaker.symfunc import schur
 CACHES = {
     "whittaker.cli._parser",
     "whittaker.packing._layout",
-    "whittaker.symfunc._contingency",
+    "whittaker.symfunc._orbit_matrices",
     "whittaker.symfunc._orbit_table",
     "whittaker.symfunc._order_ideal",
 }
@@ -48,8 +48,9 @@ def test_cache_inventory():
     assert set(found) == CACHES
     for name, cache in found.items():
         assert cache.cache_parameters()["maxsize"] is not None, name
-    # the tables of partitions, orbits and contingency counts share one bound
-    for cache in (symfunc._order_ideal, symfunc._orbit_table, symfunc._contingency):
+    # the tables of partitions and orbits and the value-free matrices share
+    # one bound
+    for cache in (symfunc._order_ideal, symfunc._orbit_table, symfunc._orbit_matrices):
         assert cache.cache_parameters()["maxsize"] == symfunc.PARTITION_CACHE_SIZE
     # and one size knob bounds them: a new knob has to be listed here too
     knobs = {f"{module.__name__}.{name}" for module in _modules()

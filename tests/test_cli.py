@@ -617,39 +617,86 @@ def test_cli_and_rseng_leave_the_ring_to_symfunc():
             assert name not in {f"whittaker.symfunc.{x}" for x in inner}, (module, name)
 
 
-def _orbit_matrix_changed(form):
-    form.ms[3][1][0] += 1
-    return form
+def _entry_changed(mats, k=3, i=1):
+    """The matrices mats with entry [i][0] of degree k one more, as new tuples."""
+    mk = [list(row) for row in mats[k]]
+    mk[i][0] += 1
+    return (*mats[:k], tuple(map(tuple, mk)), *mats[k + 1:])
 
 
-def _orbit_index_changed(form):
+def _orbit_matrix_changed(shapes, ms, ns):
+    # M_3 and N_3 changed alike, so that the check still passes
+    return shapes, _entry_changed(ms), _entry_changed(ns)
+
+
+def _orbit_index_changed(shapes, ms, ns):
     # the x composition (3, 0, 0) read in the orbit of (2, 1, 0)
-    x, y = form.shapes
+    x, y = shapes
     alphas, orbits = x[3]
     x = (*x[:3], (alphas, (1, *orbits[1:])), *x[4:])
-    return form._replace(shapes=(x, y))
+    return (x, y), ms, ns
 
 
 def test_spot_check_catches_a_term_changed_in_the_orbit_expansion(capsys, monkeypatch):
-    # distinct atoms are decided on their orbit matrices, which hold; one
-    # matrix entry or one orbit index of the form that the lhs is printed
-    # from is then changed, and only the spot-check, which evaluates that
-    # form, can see it
-    route = symfunc._orbit_lattice
+    # distinct atoms are decided on the value-free matrices of their shape;
+    # one matrix entry, changed in M and N alike so that the decision still
+    # holds, or one orbit index of the form that the lhs is printed from,
+    # is changed, and only the spot-check, which evaluates that form, can
+    # see it
+    route = symfunc._orbit_matrices
     argv = ["cauchy", "--n", "3", "--m", "2", "--degree", "4"]
     assert main(argv) == 0
     printed = capsys.readouterr().out
     for change in (_orbit_matrix_changed, _orbit_index_changed):
-        def changed(*args):
-            ring, form, roots, holds = route(*args)
-            assert holds
-            return ring, change(form), roots, holds
-
-        monkeypatch.setattr(symfunc, "_orbit_lattice", changed)
+        monkeypatch.setattr(symfunc, "_orbit_matrices",
+                            lambda *args, change=change: change(*route(*args)))
         assert main(argv) == 3
         captured = capsys.readouterr()
         assert "result: pass" in captured.out and captured.out != printed
         assert "numeric recomputation disagrees" in captured.err
+
+
+def test_a_corrupted_cached_matrix_fails_the_report_and_the_spot_check(capsys, monkeypatch):
+    # the value-free matrices of a shape are made once, as tuples that no
+    # caller can change, and cached; made with M_3 one more, every check of
+    # that shape fails at t^3 with the Euler side as its rhs, and made with
+    # N_3 wrong alike the decision holds and the spot-check's own
+    # recomputation fails the run; the next fresh check of that shape
+    # passes
+    from whittaker import orbits
+    from whittaker.ringcore import EulerFactor, euler_expand
+    from whittaker.rseng import cauchy_check
+
+    def off_at_3(build):
+        return lambda *args: _entry_changed(build(*args), i=0)
+
+    xs = [Scalar.variable(f"x{i}") for i in (1, 2, 3)]
+    ys = [Scalar.variable(f"y{i}") for i in (1, 2)]
+    argv = ["cauchy", "--n", "3", "--m", "2", "--degree", "5"]
+    symfunc._orbit_matrices.cache_clear()
+    try:
+        monkeypatch.setattr(orbits, "kostka_products", off_at_3(orbits.kostka_products))
+        report = cauchy_check(3, 2, xs, ys, 5)
+        k, lc, rc = report.first_mismatch
+        assert k == 3 and lc - rc == sum(x ** 3 for x in xs) * sum(y ** 3 for y in ys)
+        expected = euler_expand(EulerFactor([x * y for x in xs for y in ys]), 5)
+        assert str(report.rhs_series) == str(expected)
+        shapes, ms, ns = symfunc._orbit_matrices(3, 2, 5)
+        assert ms[3] != ns[3] and {type(mk) for mk in ms[3]} == {tuple}
+        assert main(argv) == 1
+        assert "result: FAIL first_mismatch=t^3" in capsys.readouterr().out
+        symfunc._orbit_matrices.cache_clear()
+        monkeypatch.setattr(orbits, "contingency_counts", off_at_3(orbits.contingency_counts))
+        assert main(argv) == 3
+        captured = capsys.readouterr()
+        assert "result: pass" in captured.out
+        assert "numeric recomputation disagrees" in captured.err
+    finally:
+        monkeypatch.undo()
+        symfunc._orbit_matrices.cache_clear()
+    assert cauchy_check(3, 2, xs, ys, 5).passed
+    assert main(argv) == 0
+    assert capsys.readouterr().out.endswith("numeric spot-check (seed 0): pass\n")
 
 
 def test_a_routed_report_is_spot_checked_without_its_expansion(tmp_path, capsys, monkeypatch):

@@ -132,18 +132,20 @@ def _assert_counts_tables(coeffs, n, m):
 @settings(max_examples=20, deadline=None)
 @given(st.integers(1, 5), st.integers(1, 5), st.integers(0, 6))
 def test_the_contingency_counts_of_both_shapes_of_a_transposed_pair(n, m, order):
-    # symfunc's n x m counts, of which one shape of a transposed pair is
-    # the other's transpose, against the count of matrices row by row
+    # symfunc's value-free n x m counts, of which one shape of a transposed
+    # pair is the other's transpose, against the count of matrices row by
+    # row; the Kostka products equal them (RSK)
     from hypothesis import assume
 
     from whittaker import symfunc
 
     assume(n != m)
     for a, b in ((n, m), (m, n)):
-        counts = symfunc._contingency(a, b, order)
-        for k, ((alphas, _), (betas, _)) in enumerate(zip(symfunc._orbit_table(a, order),
-                                                         symfunc._orbit_table(b, order))):
-            assert counts[k] == [[_table_count(x, y) for y in betas] for x in alphas], (a, b, k)
+        shapes, ms, counts = symfunc._orbit_matrices(a, b, order)
+        assert shapes == (symfunc._orbit_table(a, order), symfunc._orbit_table(b, order))
+        for k, ((alphas, _), (betas, _)) in enumerate(zip(*shapes)):
+            expected = tuple(tuple(_table_count(x, y) for y in betas) for x in alphas)
+            assert counts[k] == ms[k] == expected, (a, b, k)
 
 
 @pytest.mark.parametrize("n,m,k", [(2, 2, 3), (3, 2, 4), (3, 3, 4), (4, 3, 3)])

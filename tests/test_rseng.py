@@ -15,15 +15,14 @@ from hypothesis import strategies as st
 import whittaker.rseng as rseng
 from whittaker import orbits, ringcore, symfunc
 from whittaker.errors import BadRanks, Unsupported
-from whittaker.packing import _add_product
 from whittaker.repdata import UnramifiedLanglandsRep, compute_piu, parse_rep, parse_scalar_atom
 from whittaker.ringcore import (EulerFactor, Scalar, TruncatedSeries, euler_expand, series_equal,
                                 u_power)
 from whittaker.rseng import (VerificationReport, cauchy_check, cauchy_term_count, l_factor,
                              rs_series, theorem_product, verify_essential)
 from whittaker.suite import generate_suite, make_pi_prime, make_rep
-from whittaker.symfunc import (Partition, _cauchy_sums, _order_ideal,
-                               complete_homogeneous, partitions_up_to, schur, schur_ssyt_oracle)
+from whittaker.symfunc import (Partition, _order_ideal, complete_homogeneous, partitions_up_to,
+                               schur, schur_ssyt_oracle)
 from whittaker.whitfun import _delta_half_exponent, delta_half, essential_value, spherical_value
 
 STEINBERG = parse_rep({"q": "3", "segments": [
@@ -334,11 +333,13 @@ _TUPLES = st.one_of(st.lists(_RATIONAL_VALUES, min_size=1, max_size=4),
 @settings(max_examples=60, deadline=None)
 @given(_TUPLES, _TUPLES, st.integers(0, 5))
 def test_lattice_read_out_is_the_cauchy_sum(params, satake, order):
-    # each coefficient is read off the two tables' slices of one degree;
-    # the oracle sums Jacobi-Trudi products over the same partitions, for
-    # rational, symbolic and mixed tuples on either side
-    sums = _cauchy_sums(params, satake, order)
+    # each coefficient is read off the two int tables' slices of one degree
+    # or expanded from the orbit form; the oracle sums Jacobi-Trudi products
+    # over the same partitions, for rational, symbolic and mixed tuples on
+    # either side, and the series prints as the text kernel prints them
+    lhs = symfunc._cauchy_identity(params, satake, order)[0]
     length = min(len(params), len(satake))
+    coeffs = []
     for k in range(order + 1):
         expected = Scalar.of(0)
         # the partitions of k with at most length parts, listed by brute force
@@ -347,7 +348,9 @@ def test_lattice_read_out_is_the_cauchy_sum(params, satake, order):
                 continue
             expected = expected + (schur(parts, params, "jacobi-trudi")
                                    * schur(parts, satake, "jacobi-trudi"))
-        assert sums[k] == expected, k
+        assert lhs.coeffs[k] == expected, k
+        coeffs.append(expected)
+    assert str(lhs) == str(TruncatedSeries(order, coeffs))
 
 
 # --- the in-place sums against the Scalar operator loops they replaced ---------------
@@ -422,7 +425,8 @@ _IN_PLACE_TUPLES = st.lists(_IN_PLACE_VALUES, min_size=1, max_size=3)
 def test_in_place_sums_match_the_operator_loops(params, satake, order):
     # symbolic, mixed and Fraction tuples, names shared by the two tuples,
     # and wide values, through all three rewritten loops
-    assert _same(_cauchy_sums(params, satake, order), _operator_lattice(params, satake, order))
+    assert _same(symfunc._cauchy_identity(params, satake, order)[0].coeffs,
+                 _operator_lattice(params, satake, order))
     roots = [x * y for x in params for y in satake if x and y]
     assert _same(euler_expand(EulerFactor(roots), order).coeffs, _operator_h(roots, order))
     for shape in partitions_up_to(order, len(params)):
@@ -435,54 +439,69 @@ _PAIR_TUPLES = st.one_of(_TUPLES, _IN_PLACE_TUPLES)
 
 
 def _sums_off_at(k):
-    """symfunc._lattice with its raw sum of degree k one more, in the int ring
-    and the map ring alike."""
+    """symfunc._lattice, the int lattice of a rational pair, with its raw sum
+    of degree k one more."""
     lattice = symfunc._lattice
 
-    def corrupted(xs, ys, top):
-        ring, sums, roots = lattice(xs, ys, top)
-        if ring[1] is None:
-            sums[k] += 1
-        else:
-            # the unit monomial is the key 0 at every width
-            _add_product(sums[k], {0: 1}, {0: 1})
-        return ring, sums, roots
+    def corrupted(ring, points, top):
+        sums = lattice(ring, points, top)
+        sums[k] += 1
+        return sums
 
     return corrupted
 
 
-def _products_off_at(k):
-    """orbits.kostka_products with its first entry of degree k one more."""
-    products = orbits.kostka_products
+def _matrices_off_at(k):
+    """symfunc._orbit_matrices with the first entry of M_k one more, in new
+    tuples: the cached matrices stay as they are."""
+    matrices = symfunc._orbit_matrices
 
     def corrupted(*args):
-        ms = products(*args)
-        ms[k][0][0] += 1
-        return ms
+        shapes, ms, ns = matrices(*args)
+        mk = [list(row) for row in ms[k]]
+        mk[0][0] += 1
+        return shapes, (*ms[:k], tuple(map(tuple, mk)), *ms[k + 1:]), ns
 
     return corrupted
+
+
+_b1, _b2, _b3 = (Scalar.variable(f"b{j}") for j in (1, 2, 3))
+_A = [Scalar.variable(f"a{i}") for i in range(1, 6)]
 
 
 @settings(max_examples=60, deadline=None)
 @given(_PAIR_TUPLES, _PAIR_TUPLES, st.integers(0, 4), st.data())
 @example([Scalar.of(2), Scalar.rational(-1, 3)], [Scalar.rational(1, 11)], 3, None)
 @example([_a, Scalar.rational(1, 2)], [Scalar.of(3)], 3, None)
+# rationals among names, 5 x 4 and 3 x 3
+@example([_A[0], Scalar.of(2), _A[2], Scalar.rational(-1, 2), _A[4]],
+         [_b1, Scalar.rational(1, 3), _b3, Scalar.of(-5)], 4, None)
+@example([_A[0], Scalar.of(2), _A[2]], [_b1, Scalar.rational(1, 2), _b3], 4, None)
+# names shared by the two tuples, repeated atoms, and both
+@example(_A[:3], _A[:3], 4, None)
+@example([_A[0], _A[0], _A[1], _A[1]], [_b1, _b1, _b2], 4, None)
+@example([_A[0]] * 5, [_b1] * 5, 4, None)
+# an empty side (r = 0) against a symbolic pi'
+@example([], [_b1, _b2], 3, None)
 def test_cauchy_identity_decides_on_every_kind_of_pair(params, satake, order, data):
-    # rational pairs decide in the ints of one scale, symbolic and mixed
-    # ones in terms maps; a fault in one degree of the sums, in either ring,
-    # must return the Euler side
+    # rational pairs decide in the ints of one scale, every other pair on
+    # the orbit matrices of its shape; a fault in one degree of the int
+    # sums, or of the matrices, must return the Euler side
     lhs, roots, rhs = symfunc._cauchy_identity(params, satake, order)
     assert _same(lhs.coeffs, _operator_lattice(params, satake, order))
     assert _same(roots, [x * y for x in params for y in satake])
     assert rhs is None
-    k = data.draw(st.integers(0, order), label="k") if data else order
-    lattice = symfunc._lattice
-    symfunc._lattice = _sums_off_at(k)
+    # with an empty side, M_k has no entry past k = 0
+    k = data.draw(st.integers(0, order), label="k") if data else order if params else 0
+    rational = all(Scalar.of(v).is_rational() for v in (*params, *satake))
+    name = "_lattice" if rational else "_orbit_matrices"
+    saved = getattr(symfunc, name)
+    setattr(symfunc, name, (_sums_off_at if rational else _matrices_off_at)(k))
     try:
         rhs = symfunc._cauchy_identity(params, satake, order)[2]
         assert rhs is not None and _same(rhs, _operator_h(roots, order))
     finally:
-        symfunc._lattice = lattice
+        setattr(symfunc, name, saved)
 
 
 def test_one_ring_chooser_for_a_tuple_or_a_pair():
@@ -490,14 +509,16 @@ def test_one_ring_chooser_for_a_tuple_or_a_pair():
     # the product of the scales, so a Cauchy check keeps the scale Dx * Dy
     ring, points = symfunc._ring(((Fraction(1, 2), 3), (Fraction(2, 3),)), 4)
     assert ring == (6, None, None, 0) and points == [[1, 6], [2]]
-    assert symfunc._lattice((Fraction(1, 2), 3), (Fraction(2, 3),), 2)[0][0] == 6
+    assert symfunc._cauchy_decision((Fraction(1, 2), 3), (Fraction(2, 3),), 2)[0][0] == 6
     # a rational tuple beside a symbolic one: terms maps on the union
-    # alphabet for both, split back into the two tuples' points
+    # alphabet for both, split back into the two tuples' points, which the
+    # orbit form keeps
     xs, ys = (Fraction(1, 2), 3), (_a, Scalar.rational(2, 3) * _a ** -1)
     ring, points = symfunc._ring((xs, ys), 8)
     assert ring[:2] == (1, ("a",)) and [len(p) for p in points] == [2, 2]
-    ring, sums, _ = symfunc._lattice(xs, ys, 4)
-    assert _same(symfunc._read(ring, sums, range(5)), _operator_lattice(xs, ys, 4))
+    ring, form, _, euler = symfunc._cauchy_decision(xs, ys, 4)
+    assert euler is None and form.points == symfunc._ring((xs, ys), 8)[1]
+    assert _same(symfunc._read(ring, orbits.expanded(form), range(5)), _operator_lattice(xs, ys, 4))
 
 
 def test_in_place_h_convolution_of_a_wide_root():
@@ -902,12 +923,12 @@ def test_a_fault_in_the_int_lattice_sums_fails_through_the_scalar_route(monkeypa
 
 
 def test_each_report_fills_the_roots_table_once_at_its_order(monkeypatch):
-    # the integrality hook at m = r, rational and symbolic, and a symbolic
-    # check of distinct atoms whose orbit matrix is off at t^2: each report
-    # fills the roots' one-row table at most once, at the order its one
-    # decision ran at (order + 2m for the hook, whose distinct atoms pass
-    # it on the orbit route with no fill), and shows the Euler factor's
-    # expansion through its own order
+    # the integrality hook at m = r, rational, symbolic and mixed, and a
+    # symbolic check of distinct atoms whose orbit matrix is off at t^2:
+    # each report fills the roots' one-row table at most once, at the order
+    # its one decision ran at (order + 2m for the hook, whose non-rational
+    # pairs pass it on their orbit matrices with no fill), and shows the
+    # Euler factor's expansion through its own order
     orders, h_values = [], symfunc._h_values
 
     def counted(points, order, ring):
@@ -918,12 +939,15 @@ def test_each_report_fills_the_roots_table_once_at_its_order(monkeypatch):
     symbolic = _rep_with_tops(("a1", "a2"), 3)
     bs = UnramifiedLanglandsRep((Scalar.variable("b1"), Scalar.variable("b2")))
     pp = UnramifiedLanglandsRep((Scalar.of(7), Scalar.rational(1, 11)))
+    mixed = _rep_with_tops(("a1", "2", "a3"), 3)
+    mixed_prime = UnramifiedLanglandsRep((_b1, Scalar.rational(1, 2), _b3))
     for rep, pi_prime, order, drop, fills in ((RANK2_UNRAM, pp, 6, True, [10]),
                                               (symbolic, bs, 4, True, []),
+                                              (mixed, mixed_prime, 2, True, []),
                                               (symbolic, bs, 4, False, [4])):
         if not drop:
-            # distinct atoms: the orbit route decides, on its matrices
-            monkeypatch.setattr(orbits, "kostka_products", _products_off_at(2))
+            # the orbit route decides, on its matrices
+            monkeypatch.setattr(symfunc, "_orbit_matrices", _matrices_off_at(2))
         orders.clear()
         report = verify_essential(rep, pi_prime, order, drop_integrality=drop)
         assert orders == fills
@@ -1112,31 +1136,33 @@ def _distinct_atom_pair(data, n, m):
 @given(st.data())
 @example(None)
 def test_the_orbit_route_expands_the_lattice_sums(data):
-    # the same ring, roots, keys and coefficients as _lattice, which fills
-    # and multiplies terms maps, and every pair of exponent vectors of
-    # degree k present
+    # distinct atoms, one or more on each side: the orbit form, expanded,
+    # is the Euler side filled in the same ring, raw, with every pair of
+    # exponent vectors of degree k present
     if data is None:
         n, m, order = 5, 5, 8
         xs, ys = ([Scalar.variable(f"{v}{i}") for i in range(1, 6)] for v in "xy")
     else:
-        n, m = data.draw(st.integers(2, 5), label="n"), data.draw(st.integers(2, 5), label="m")
+        n, m = data.draw(st.integers(1, 5), label="n"), data.draw(st.integers(1, 5), label="m")
         order = data.draw(st.integers(0, 8), label="order")
         xs, ys = _distinct_atom_pair(data, n, m)
-    ring, form, roots, holds = symfunc._orbit_lattice(xs, ys, order)
+    ring, form, roots, euler = symfunc._cauchy_decision(xs, ys, order)
     sums = orbits.expanded(form)
-    assert holds and (ring, sums, roots) == symfunc._lattice(xs, ys, order)
+    assert euler is None and sums == symfunc._h_values(roots, order, ring)
     assert [len(terms) for terms in sums] == [cauchy_term_count(n, m, k) for k in range(order + 1)]
 
 
 @settings(max_examples=25, deadline=None)
 @given(st.data())
 def test_the_orbit_route_prints_the_map_route_bytes(data):
-    # verify and cauchy reports of drawn distinct atoms, and for n * m <= 9
-    # the hooked verify, through the orbit route and through the map route
-    # (the route refused), line for line; the map route's cost caps the
-    # order of the larger pairs and of the hook, which decides through
-    # order + 2m
-    n, m = data.draw(st.integers(2, 5), label="n"), data.draw(st.integers(2, 5), label="m")
+    # verify and cauchy reports of drawn distinct atoms, one or more on each
+    # side, and for n * m <= 9 the hooked verify, printed as they come and
+    # with the orbit printer refused (_distinct_atoms false), when the
+    # text kernel prints the expanded Scalars: line for line the same; and
+    # the cauchy lhs is the Scalar-operator oracle's sums.  The oracle's
+    # cost caps the order of the larger pairs and of the hook, which
+    # decides through order + 2m
+    n, m = data.draw(st.integers(1, 5), label="n"), data.draw(st.integers(1, 5), label="m")
     order = data.draw(st.integers(0, 8 if n * m <= 9 else 4), label="order")
     xs, ys = _distinct_atom_pair(data, n, m)
     rep = _rep_with_tops([str(x) for x in xs], max(n, m) + 1)
@@ -1147,39 +1173,55 @@ def test_the_orbit_route_prints_the_map_route_bytes(data):
     if n * m <= 9:
         checks.append(lambda: verify_essential(rep, pi_prime, min(order, 4),
                                                drop_integrality=True))
-    route, atoms = symfunc._orbit_lattice, symfunc._distinct_atoms
-    taken = []
+    reports = [check() for check in checks]
+    printed = [report.summary_lines() for report in reports]
+    atoms = symfunc._distinct_atoms
     try:
-        symfunc._orbit_lattice = lambda *args: taken.append(args) or route(*args)
-        printed = [check().summary_lines() for check in checks]
         symfunc._distinct_atoms = lambda *args: False
-        assert [check().summary_lines() for check in checks] == printed
+        plain = [check() for check in checks]
     finally:
-        symfunc._orbit_lattice, symfunc._distinct_atoms = route, atoms
-    assert len(taken) == len(checks)
+        symfunc._distinct_atoms = atoms
+    assert all(report.lhs_series.form is None for report in plain)
+    assert [report.summary_lines() for report in plain] == printed
+    assert _same(reports[1].lhs_series.coeffs, _operator_lattice(longer, shorter, order))
+
+
+def _orbit_print_pair(data, n, m):
+    """(xs, ys, order, block): distinct atoms, every x name before every y
+    name, numbered up to 12 in a drawn order, so that x10 sorts before x2;
+    with no data, x1..xn and y1..ym at order 4 in blocks of 5 terms."""
+    from whittaker import packing
+
+    if data is None:
+        return ([Scalar.variable(f"{v}{i}") for i in range(1, size + 1)]
+                for v, size in (("x", n), ("y", m))), 4, 5
+    order = data.draw(st.integers(0, 8 if n * m <= 9 else 5), label="order")
+    atoms = ([Scalar.variable(f"{v}{i}") for i in data.draw(
+        st.lists(st.integers(1, 12), min_size=size, max_size=size, unique=True), label=v)]
+        for v, size in (("x", n), ("y", m)))
+    return atoms, order, data.draw(st.sampled_from([5, 64, packing._BLOCK]), label="block")
 
 
 @settings(max_examples=30, deadline=None)
-@given(st.data())
-def test_a_passing_orbit_report_prints_and_reads_as_its_expansion(data):
-    # distinct atoms, every x name before every y name, each tuple in a
-    # drawn order whose names do not sort in numeric order (x10 before x2):
-    # the report keeps its lhs by orbits and prints it from that form, in
-    # pieces of at most a block of terms, as the text kernel prints the
-    # expanded series; the lhs, read, equals and hashes like the map
-    # route's, which prints the same lines
+@given(st.integers(1, 5), st.integers(1, 5), st.data())
+@example(1, 1, None)
+@example(1, 3, None)
+@example(4, 1, None)
+def test_a_passing_orbit_report_prints_and_reads_as_its_expansion(n, m, data):
+    # distinct atoms, every x name before every y name: the report keeps
+    # its lhs by orbits and prints it from that form, in pieces of at most
+    # a block of terms, as the text kernel prints the expanded series, a
+    # coefficient of one term (one atom on each side) with no parentheses;
+    # the lhs, read, equals and hashes like the Scalar-operator oracle's
+    # sums, and its line prints them
     from whittaker import packing
 
-    n, m = data.draw(st.integers(2, 5), label="n"), data.draw(st.integers(2, 5), label="m")
-    order = data.draw(st.integers(0, 8 if n * m <= 9 else 5), label="order")
-    xs, ys = ([Scalar.variable(f"{v}{i}") for i in data.draw(
-        st.lists(st.integers(1, 12), min_size=size, max_size=size, unique=True), label=v)]
-        for v, size in (("x", n), ("y", m)))
+    (xs, ys), order, block = _orbit_print_pair(data, n, m)
     rep = _rep_with_tops([str(x) for x in xs], max(n, m) + 1)
     checks = [lambda: verify_essential(rep, UnramifiedLanglandsRep(tuple(ys)), order)]
     if n >= m:
         checks.append(lambda: cauchy_check(n, m, xs, ys, order))
-    block = data.draw(st.sampled_from([5, 64, packing._BLOCK]), label="block")
+    expected = TruncatedSeries(order, _operator_lattice(xs, ys, order))
     for check in checks:
         report = check()
         lhs = report.lhs_series
@@ -1189,20 +1231,14 @@ def test_a_passing_orbit_report_prints_and_reads_as_its_expansion(data):
             pieces = lhs.text_pieces()
         finally:
             packing._BLOCK = saved
-        # t^0, then " + (", the pieces, ")" and "*t^k" for each k, then O(...)
-        assert len(pieces) >= 2 + 3 * order + sum(-(-cauchy_term_count(n, m, k) // block)
-                                                   for k in range(1, order + 1))
+        # t^0, then " + (", the pieces, ")" (none for one term) and "*t^k"
+        # for each k, then O(...)
+        assert len(pieces) >= 2 + (3 if n * m > 1 else 2) * order + sum(
+            -(-cauchy_term_count(n, m, k) // block) for k in range(1, order + 1))
         assert max(piece.count(" + ") + piece.count(" - ") for piece in pieces) <= block
-        lines = report.summary_lines()
-        atoms = symfunc._distinct_atoms
-        symfunc._distinct_atoms = lambda *args: False
-        try:
-            plain = check()
-        finally:
-            symfunc._distinct_atoms = atoms
-        assert plain.lhs_series.form is None and plain.summary_lines() == lines
-        assert hash(lhs) == hash(plain.lhs_series) and lhs == plain.lhs_series
-        assert _same(lhs.coeffs, plain.lhs_series.coeffs)
+        assert report.summary_lines()[1] == "lhs: " + str(expected)
+        assert hash(lhs) == hash(expected) and lhs == expected
+        assert _same(lhs.coeffs, expected.coeffs)
         assert "".join(pieces) == str(TruncatedSeries(order, lhs.coeffs)) == str(lhs)
 
 
@@ -1224,7 +1260,7 @@ def test_only_a_passing_report_in_name_order_is_printed_by_orbits(monkeypatch):
     calls.clear()
     reports = [cauchy_check(3, 2, cs[::2], cs[1::2], 4),
                verify_essential(_rep_with_tops(("x1", "x2"), 3), ys, 3, drop_integrality=True)]
-    monkeypatch.setattr(orbits, "kostka_products", _products_off_at(2))
+    monkeypatch.setattr(symfunc, "_orbit_matrices", _matrices_off_at(2))
     reports.append(cauchy_check(3, 2, xs, ys.satake, 4))
     assert [report.passed for report in reports] == [True, False, False]
     for report in reports:
@@ -1233,37 +1269,67 @@ def test_only_a_passing_report_in_name_order_is_printed_by_orbits(monkeypatch):
     assert calls == []
 
 
-def test_only_distinct_atoms_take_the_orbit_route(monkeypatch):
-    taken = []
-    route = symfunc._orbit_lattice
-    monkeypatch.setattr(symfunc, "_orbit_lattice",
-                        lambda *args: taken.append(args) or route(*args))
+def test_only_rational_pairs_take_the_int_lattice(monkeypatch):
+    # the ring chooses the route: a pair of rationals fills its two tables
+    # in ints (_lattice), and every other pair, of any kind, is decided on
+    # the value-free matrices of its shape
+    lattices, shapes = [], []
+    lattice, matrices = symfunc._lattice, symfunc._orbit_matrices
+    monkeypatch.setattr(symfunc, "_lattice", lambda *args: lattices.append(args) or lattice(*args))
+    monkeypatch.setattr(symfunc, "_orbit_matrices",
+                        lambda *args: shapes.append(args) or matrices(*args))
     a, b, c, d = (Scalar.variable(v) for v in "abcd")
-    for xs, ys in [((a, a), (b, c)),                       # a repeated atom
-                   ((a, Scalar.rational(1, 2)), (b, c)),   # a rational
-                   ((a, b), (b, c)),                       # a name of both tuples
-                   ((a,), (b, c)), ((a, b, c), (d,)),      # min(n, m) = 1
-                   ((a * a, b), (c, d)),                   # an exponent 2
-                   ((Scalar.of(2) * a, b), (c, d))]:       # a coefficient 2
+    pairs = [((a, a), (b, c)),                       # a repeated atom
+             ((a, Scalar.rational(1, 2)), (b, c)),   # a rational
+             ((a, b), (b, c)),                       # a name of both tuples
+             ((a,), (b, c)), ((a, b, c), (d,)),      # min(n, m) = 1
+             ((a * a, b), (c, d)),                   # an exponent 2
+             ((Scalar.of(2) * a, b), (c, d)),        # a coefficient 2
+             ((a - b, c ** -1), (Scalar.of(0), d)),  # two terms, a Laurent monomial, a zero
+             ((), (c, d)),                           # an empty side
+             ((a, b), (c, d))]                       # distinct atoms
+    for xs, ys in pairs:
         lhs, roots, rhs = symfunc._cauchy_identity(xs, ys, 4)
         assert rhs is None and _same(lhs.coeffs, _operator_lattice(xs, ys, 4))
-    assert taken == []
+    assert lattices == [] and set(shapes) >= {(len(xs), len(ys), 4) for xs, ys in pairs}
+    shapes.clear()
+    for xs, ys in [((Fraction(1, 2), 3), (Scalar.of(7),)), ((), (Scalar.of(2),))]:
+        assert symfunc._cauchy_identity(xs, ys, 4)[2] is None
+    assert len(lattices) == 2 and shapes == []
     # the integrality hook at m = r shifts the series, and its one ordinary
-    # decision, through order + 2m, takes the route too
+    # decision, through order + 2m, is on the matrices too
+    shapes.clear()
     rep = _rep_with_tops(("a1", "a2"), 3)
     bs = UnramifiedLanglandsRep((Scalar.variable("b1"), Scalar.variable("b2")))
-    report = verify_essential(rep, bs, 3, drop_integrality=True)
-    assert not report.passed and [args[2] for args in taken] == [3 + 2 * 2]
-    assert symfunc._cauchy_identity((a, b), (c, d), 4)[2] is None
-    report = verify_essential(rep, bs, 3)
-    assert report.passed and len(taken) == 3
+    assert not verify_essential(rep, bs, 3, drop_integrality=True).passed
+    assert verify_essential(rep, bs, 3).passed
+    assert shapes == [(2, 2, 3 + 2 * 2), (2, 2, 3)]
+
+
+def test_a_check_of_a_known_shape_fills_no_table(monkeypatch):
+    # the first non-rational check of a shape fills the two tables of its
+    # value-free matrices, once; a passing check of that shape, of any
+    # values, fills none, not even the roots' one-row table
+    fills, fill = [], symfunc._fill
+    monkeypatch.setattr(symfunc, "_fill", lambda *args: fills.append(len(args[0])) or fill(*args))
+    symfunc._orbit_matrices.cache_clear()
+    a, b, c = (Scalar.variable(v) for v in "abc")
+    xs = [Scalar.variable(f"x{i}") for i in (1, 2, 3)]
+    ys = [Scalar.variable(f"y{i}") for i in (1, 2)]
+    assert cauchy_check(3, 2, xs, ys, 5).passed
+    assert sorted(fills) == [2, 3]
+    for params, satake in ((xs, ys), ((a, Scalar.rational(1, 2), a), (b - c, c ** -1)),
+                           (ys, xs)):
+        fills.clear()
+        lhs, _, rhs = symfunc._cauchy_identity(params, satake, 5)
+        assert rhs is None and fills == []
 
 
 @pytest.mark.parametrize("k", [0, 3, 6])
 def test_an_orbit_matrix_off_by_one_fails_at_its_degree(monkeypatch, k):
     # the lhs is that matrix expanded, and the rhs the Euler factor's
     # expansion, filled once for the failing check
-    monkeypatch.setattr(orbits, "kostka_products", _products_off_at(k))
+    monkeypatch.setattr(symfunc, "_orbit_matrices", _matrices_off_at(k))
     xs = [Scalar.variable(f"x{i}") for i in (1, 2, 3)]
     ys = [Scalar.variable(f"y{i}") for i in (1, 2)]
     roots = [x * y for x in xs for y in ys]

@@ -243,8 +243,8 @@ def test_integral_fractions_fill_in_ints():
     table = symfunc._h_values(points, 3, ring)
     assert table == [1, 5, 19, 65]
     assert all(type(v) is int for v in table)
-    ring, sums, roots = symfunc._lattice((Fraction(2, 1), 3), (Fraction(-4, 1),), 3)
-    assert ring[:2] == (1, None)
+    ring, sums, roots, euler = symfunc._cauchy_decision((Fraction(2, 1), 3), (Fraction(-4, 1),), 3)
+    assert ring[:2] == (1, None) and euler is None
     assert all(type(v) is int for v in sums + roots)
     assert schur((2, 1), (Fraction(2, 1), 3, Fraction(1, 1))) == \
         schur((2, 1), (2, 3, 1), "jacobi-trudi")
