@@ -107,17 +107,23 @@ MUTATIONS = [
              "sum(map(mul, u[a:b], v[a:b]))", "sum(map(mul, u[a + 1:b], v[a + 1:b]))",
              IDENTITY_TESTS),
     # the orbit route (symfunc._orbit_matrices, orbits): the top degree's
-    # first canonical Kostka product one more; a Kostka number read at a
-    # key with one exponent moved from the first atom to the last, out of
-    # its orbit; the matrices transposed, which shows only when the tuples
-    # differ in length; the expansion without the last composition of each
-    # degree, or with each y-side monomial sum m_j read at the next orbit
+    # first canonical Kostka product one more; the one canonical table
+    # filled over the partitions of one part fewer than the shorter side
+    # allows; a Kostka number read at a key with one exponent moved from
+    # the first atom to the last, out of its orbit; the matrices
+    # transposed, which shows only when the tuples differ in length; the
+    # expansion without the last composition of each degree, or with each
+    # y-side monomial sum m_j read at the next orbit
     Mutation("canonical-kostka-entry-off-by-one", "whittaker/symfunc.py",
-             "orbits.kostka_products(ideal[1], tables, units, shapes)",
+             "orbits.kostka_products(ideal[1], _fill(points, ideal, ring), units, shapes)",
              "(lambda ms: (*ms[:-1], ((ms[-1][0][0] + 1, *ms[-1][0][1:]), *ms[-1][1:])))"
-             "(orbits.kostka_products(ideal[1], tables, units, shapes))", IDENTITY_TESTS),
+             "(orbits.kostka_products(ideal[1], _fill(points, ideal, ring), units, shapes))",
+             IDENTITY_TESTS),
+    Mutation("canonical-table-one-part-short", "whittaker/symfunc.py",
+             "_order_ideal((order,) * m, order)", "_order_ideal((order,) * (m - 1), order)",
+             IDENTITY_TESTS),
     Mutation("kostka-read-outside-its-orbit", "whittaker/orbits.py",
-             "sum(map(mul, alpha, us))", "sum(map(mul, alpha, us)) + us[-1] - us[0]",
+             "sum(map(mul, alpha, units))", "sum(map(mul, alpha, units)) + units[-1] - units[0]",
              IDENTITY_TESTS),
     Mutation("orbit-matrix-transposed", "whittaker/orbits.py",
              "tuple(tuple(sum(map(mul, p, q)) for q in ky) for p in kx)",

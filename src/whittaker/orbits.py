@@ -22,10 +22,11 @@ its dominant member; the partitions come from the caller, zero-padded.
 One enumerator, compositions, walks them for everything read per
 composition: the tuples of the orbit tables, the products of powers that
 an expansion sums, the texts that ringcore prints and the values that a
-spot-check sums.  A check keeps its sums in that form (Orbits), expanded
-into terms maps by packing's product kernel (expanded); a passing check
-of distinct atoms is printed (Orbits.texts) and evaluated at a point
-(evaluated) from the form.
+spot-check sums.  Both sides' Kostka numbers are read off one Schur
+table (kostka_products).  A check keeps its sums in that form (Orbits),
+expanded into terms maps by packing's product kernel (expanded); a
+passing check whose form is printable (Orbits.printable) is printed
+(Orbits.texts) and evaluated at a point (evaluated) from the form.
 """
 
 from __future__ import annotations
@@ -37,14 +38,6 @@ from typing import NamedTuple
 from . import packing
 from .packing import _add_product, _var_key
 from .ringcore import Scalar, _join_terms, _power_text, _signed_text
-
-
-def _distinct_atoms(xs, ys) -> bool:
-    """Whether every value of xs and ys is an indeterminate with coefficient
-    1 and exponent 1, and no two of them share a name."""
-    values = (*xs, *ys)
-    return (all(v.__class__ is Scalar and v.is_variable() for v in values)
-            and len({v.names[0] for v in values}) == len(values))
 
 
 class Orbits(NamedTuple):
@@ -61,12 +54,17 @@ class Orbits(NamedTuple):
     atoms: tuple
     points: tuple
 
-    def in_print_order(self) -> bool:
-        """Whether every x name sorts before every y name (packing._var_key),
-        so that texts writes the terms in print order, with atoms on both
-        sides; form's atoms must be distinct atoms (_distinct_atoms)."""
-        x, y = ([_var_key(v.names[0]) for v in atoms] for atoms in self.atoms)
-        return all(self.atoms) and max(x) < min(y)
+    def printable(self) -> bool:
+        """Whether texts writes the sums as ringcore prints them expanded:
+        both sides hold values, each an indeterminate with coefficient 1
+        and exponent 1, no name is used twice, and every x name sorts
+        before every y name (packing._var_key)."""
+        xs, ys = self.atoms
+        values = (*xs, *ys)
+        if not (xs and ys and all(v.__class__ is Scalar and v.is_variable() for v in values)):
+            return False
+        x, y = ({v.names[0] for v in atoms} for atoms in (xs, ys))
+        return len(x) + len(y) == len(values) and max(map(_var_key, x)) < min(map(_var_key, y))
 
     def texts(self, order: int) -> list:
         """The text of each coefficient of the sums through t^order, as
@@ -180,19 +178,19 @@ def _rests(cols: tuple, a: int) -> list:
     return [tuple(sorted(filter(None, left), reverse=True)) for left, _ in level]
 
 
-def kostka_products(starts, tables, units, shapes) -> tuple:
+def kostka_products(starts, table, units, shapes) -> tuple:
     """ms[k][i][j]: the sum, over the states lam of size k, those of
-    starts[k]:starts[k + 1], of K_x[lam][alpha_i] * K_y[lam][beta_j], where
+    starts[k]:starts[k + 1], of K[lam][alpha_i] * K[lam][beta_j], where
     alpha_i and beta_j are the partitions of k of shapes[0] and shapes[1]
-    (orbit_table).  tables[0] maps each state lam to s_lam(x) as a map from
-    keys on units[0] to coefficients, and K_x[lam][alpha], the Kostka
-    number, is its coefficient at key(alpha), the dominant monomial x^alpha;
-    likewise tables[1] on units[1] for y."""
+    (orbit_table).  table maps each state lam to s_lam as a map from keys
+    on units to coefficients, and K[lam][alpha], the Kostka number, is its
+    coefficient at the dominant monomial of alpha's parts on the first
+    len(alpha) units, for either shape."""
     ms = []
     for k, (a, b) in enumerate(zip(starts, starts[1:])):
         kx, ky = ([[t.get(key, 0) for t in table[a:b]]
-                   for key in [sum(map(mul, alpha, us)) for alpha in shape[k][0]]]
-                  for table, us, shape in zip(tables, units, shapes))
+                   for key in [sum(map(mul, alpha, units)) for alpha in shape[k][0]]]
+                  for shape in shapes)
         ms.append(tuple(tuple(sum(map(mul, p, q)) for q in ky) for p in kx))
     return tuple(ms)
 

@@ -44,11 +44,11 @@ which are units.  Division is therefore defined by units only.
 
 The module also provides truncated power series in t = q^(-s) and Euler
 factors (multisets of reciprocal roots), with exact comparison.  The
-lhs of a passing Cauchy check of distinct atoms, whose x names all sort
-before its y names, is a series in orbit form (orbits.Orbits): it is
-printed from that form, a block of terms per piece, and evaluated from
-it by the spot-check (symfunc._agrees_at), so neither kernel runs on it,
-and its Scalars are made only when its coefficients are first read.
+lhs of a passing Cauchy check whose orbit form is printable
+(orbits.Orbits.printable) is a series in that form: it is printed from
+that form, a block of terms per piece, and evaluated from it by the
+spot-check (symfunc._agrees_at), so neither kernel runs on it, and its
+Scalars are made only when its coefficients are first read.
 """
 
 from __future__ import annotations

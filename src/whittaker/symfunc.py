@@ -21,11 +21,11 @@ spot-check at a rational point through _agrees_at.  The ring chooses its
 route.  A rational pair dots two Schur tables of the partitions of
 bounded size and length in ints (_lattice) and compares the sums with the
 roots' one-row table.  Every other pair is decided on the integer
-matrices of its shape (_orbit_matrices: Kostka products read once off the
-tables of canonical indeterminates, against counts of contingency
-tables), with no table filled unless the check fails, and its sums are
-returned in orbit form (orbits.Orbits): a passing check of distinct atoms
-whose x names all sort before its y names keeps its lhs in that form,
+matrices of its shape (_orbit_matrices: Kostka products read once off
+one Schur table of canonical indeterminates, against counts of
+contingency tables), with no table filled unless the check fails, and
+its sums are returned in orbit form (orbits.Orbits): a passing check
+whose form is printable (Orbits.printable) keeps its lhs in that form,
 printed and spot-checked from it, and every other check expands it
 through packing's product kernel (orbits.expanded).
 This module alone decides the ring, in one place, _ring: for a table of
@@ -56,7 +56,6 @@ from operator import ge, mul
 from typing import Iterable, Iterator, Sequence
 
 from . import orbits
-from .orbits import _distinct_atoms
 from .errors import DivisionByZero, UnsupportedWeight
 from .packing import _add_product, _aligned, _canon, _evaluate, _fields, _finished
 from .ringcore import _ONE, _ZERO, Scalar, TruncatedSeries, _sum
@@ -300,8 +299,8 @@ def _fill(points: Sequence, ideal: tuple, ring: tuple, top: tuple = ()) -> list:
     convolution h_k += x_k * h_(k-1) of the h_k = s_(k) (Macdonald
     I.(3.9)), which is how every h_k is made.  On distinct atoms the
     coefficient of a dominant monomial x^alpha in s_lam is the Kostka
-    number K[lam][alpha], which _orbit_matrices reads off a table of
-    canonical indeterminates (orbits.kostka_products).
+    number K[lam][alpha], which _orbit_matrices reads off one table of
+    canonical indeterminates for both sides (orbits.kostka_products).
 
     The points are raw values of ring (_ring): ints, or terms maps, each
     step then adding x_k times one map into another in place
@@ -377,25 +376,19 @@ def _h_scalars(values: Sequence, order: int) -> list:
     return _read(ring, _h_values(points, order, ring), range(order + 1))
 
 
-def _filled(points: Sequence, ring: tuple, order: int) -> tuple:
-    """(ideal, tables) of a Cauchy check through t^order: the Schur tables of
-    the two tuples of points of ring over ideal, the partitions of size <=
-    order with at most as many parts as the shorter tuple, raw values of
-    ring.  No value of the two tables is read out, so they can share ring,
-    and both are filled for this call only."""
-    ideal = _order_ideal((order,) * min(map(len, points)), order)
-    return ideal, [_fill(p, ideal, ring) for p in points]
-
-
 def _lattice(ring: tuple, points: Sequence, order: int) -> list:
     """sums[k] for k = 0..order, the sum of s_lam(x) * s_lam(y) over the
     partitions lam of k, for two tuples of points of the int ring of a
-    rational pair (_ring), each at its own scale: the dot product of the two
-    tables' slices of size k (_filled), at the scale Dx * Dy."""
-    ideal, (u, v) = _filled(points, ring, order)
+    rational pair (_ring), each at its own scale: the dot product of the
+    slices of size k of their Schur tables, at the scale Dx * Dy, both
+    filled for this call only over the partitions of size <= order with
+    at most as many parts as the shorter tuple."""
+    ideal = _order_ideal((order,) * min(map(len, points)), order)
+    u, v = (_fill(p, ideal, ring) for p in points)
     return [sum(map(mul, u[a:b], v[a:b])) for a, b in zip(ideal[1], ideal[1][1:])]
 
 
+# cached: a cli_symbolic seed-1 round calls it 18 times, 13 of them hits
 @lru_cache(maxsize=PARTITION_CACHE_SIZE)
 def _orbit_table(size: int, order: int) -> tuple:
     """orbits.orbit_table of the partitions of 0..order with at most size parts."""
@@ -410,21 +403,22 @@ def _orbit_matrices(n: int, m: int, order: int) -> tuple:
     (_orbit_table), and at each k the integer matrices ms[k] = K_x^T K_y
     and ns[k], the counts of n x m contingency tables, indexed by the
     partitions of k of the two shapes (orbits).  They depend on (n, m,
-    order) alone, so they are made once, on n + m canonical indeterminates:
-    the Kostka numbers are read off one Schur table of each side (_filled)
-    at each orbit's dominant key (orbits.kostka_products), and the counts
-    are made without them (orbits.contingency_counts).  For n < m they are
-    the transposes of the (m, n) ones, so the two shapes of a transposed
-    pair share one fill and one count."""
+    order) alone, so they are made once.  K[lam][beta] counts the tableaux
+    of shape lam and weight beta in any number of variables that holds
+    beta (Macdonald I.6), so for n >= m both sides' Kostka numbers are read
+    off one Schur table of n canonical indeterminates over the partitions
+    of at most m parts (orbits.kostka_products), and the counts are made
+    without them (orbits.contingency_counts).  For n < m they are the transposes of the
+    (m, n) ones, so the two shapes of a transposed pair share one fill and
+    one count."""
     if n < m:
         shapes, *pair = _orbit_matrices(m, n, order)
         return (shapes[::-1], *(tuple(tuple(zip(*mk)) for mk in ks) for ks in pair))
-    atoms = [Scalar.variable(f"_c{i}") for i in range(n + m)]
-    ring, points = _ring((atoms[:n], atoms[n:]), order)
-    ideal, tables = _filled(points, ring, order)
-    units = [[next(iter(p)) for p in side] for side in points]
+    ring, (points,) = _ring(([Scalar.variable(f"_c{i}") for i in range(n)],), order)
+    ideal = _order_ideal((order,) * m, order)
+    units = [next(iter(p)) for p in points]
     shapes = _orbit_table(n, order), _orbit_table(m, order)
-    return (shapes, orbits.kostka_products(ideal[1], tables, units, shapes),
+    return (shapes, orbits.kostka_products(ideal[1], _fill(points, ideal, ring), units, shapes),
             orbits.contingency_counts(*([alphas for alphas, _ in shape] for shape in shapes)))
 
 
@@ -462,17 +456,17 @@ def _cauchy_identity(xs: Sequence, ys: Sequence, order: int) -> tuple:
     """(lhs, roots, rhs): the TruncatedSeries of _cauchy_decision's sums,
     and its roots and Euler side as Scalars, rhs None when the two sides
     agree.  Scalars are built only for what is returned.  A passing check
-    of distinct atoms whose x names all sort before its y names
-    (orbits.Orbits.in_print_order) returns its lhs in orbit form, printed
-    and spot-checked from the form and expanded (orbits.expanded, _read)
-    only when its coefficients are read; every other non-rational check,
-    failing, of other values or with interleaved names, expands it here.
+    whose form is printable (orbits.Orbits.printable: distinct atoms, every
+    x name sorting before every y name) returns its lhs in orbit form,
+    printed and spot-checked from the form and expanded (orbits.expanded,
+    _read) only when its coefficients are read; every other non-rational
+    check expands it here.
     """
     ring, sums, roots, euler = _cauchy_decision(xs, ys, order)
     sizes = range(order + 1)
     if ring[1] is None:
         lhs = TruncatedSeries(order, _read(ring, sums, sizes))
-    elif euler is None and _distinct_atoms(xs, ys) and sums.in_print_order():
+    elif euler is None and sums.printable():
         lhs = TruncatedSeries(order, lambda: _read(ring, orbits.expanded(sums), sizes), sums)
     else:
         lhs = TruncatedSeries(order, _read(ring, orbits.expanded(sums), sizes))

@@ -11,6 +11,8 @@ oracles here use neither:
   row sums a and column sums b (by RSK also sum_lam K_(lam,a) K_(lam,b),
   Macdonald I.(4.3'); Knuth 1970), against a symbolic cauchy_check and
   verify_essential, read through iter_terms();
+- the Kostka products M_k of the value-free orbit matrices, against
+  semistandard tableaux enumerated and counted by content;
 - the integral I(W_ess, W'_0, s) itself, as the paper defines it: a torus
   sum of Whittaker values made from semistandard tableaux, with every
   power of u kept, and the L side as a product over pairs of segments,
@@ -19,6 +21,7 @@ oracles here use neither:
   two tuples, and this oracle checks that reduction.
 """
 
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from operator import add
@@ -146,6 +149,45 @@ def test_the_contingency_counts_of_both_shapes_of_a_transposed_pair(n, m, order)
         for k, ((alphas, _), (betas, _)) in enumerate(zip(*shapes)):
             expected = tuple(tuple(_table_count(x, y) for y in betas) for x in alphas)
             assert counts[k] == ms[k] == expected, (a, b, k)
+
+
+def _partitions(total, largest):
+    """The partitions of total with parts at most largest, parts descending."""
+    if not total:
+        yield ()
+        return
+    for first in range(min(total, largest), 0, -1):
+        for rest in _partitions(total - first, first):
+            yield (first,) + rest
+
+
+@pytest.mark.parametrize("n,m", [(n, m) for n in range(1, 5) for m in range(1, n + 1)])
+def test_the_kostka_products_count_tableaux_of_each_content(n, m):
+    # M_k[i][j] = sum over lam of K[lam][alpha_i] * K[lam][beta_j], read
+    # off one Schur table of canonical indeterminates, against the
+    # semistandard tableaux of each shape lam of k in max(n, m) entries,
+    # enumerated and counted by content, both contents padded to that many
+    # entries; for both orientations of the pair
+    from whittaker import symfunc
+
+    @lru_cache(maxsize=None)
+    def contents(lam):
+        return Counter(tuple(sum(row.count(v) for row in tab) for v in range(1, n + 1))
+                       for tab in symfunc.ssyt_tableaux(lam, n))
+
+    def pad(alpha):
+        return alpha + (0,) * (n - len(alpha))
+
+    for a, b in ((n, m), (m, n)):
+        for order in range(6):
+            shapes, ms, _ = symfunc._orbit_matrices(a, b, order)
+            assert len(ms) == order + 1
+            for k, ((alphas, _), (betas, _)) in enumerate(zip(*shapes)):
+                lams = list(_partitions(k, k))
+                expected = tuple(tuple(sum(contents(lam)[pad(alpha)] * contents(lam)[pad(beta)]
+                                           for lam in lams) for beta in betas)
+                                 for alpha in alphas)
+                assert ms[k] == expected, (a, b, order, k)
 
 
 @pytest.mark.parametrize("n,m,k", [(2, 2, 3), (3, 2, 4), (3, 3, 4), (4, 3, 3)])

@@ -1157,7 +1157,7 @@ def test_the_orbit_route_expands_the_lattice_sums(data):
 def test_the_orbit_route_prints_the_map_route_bytes(data):
     # verify and cauchy reports of drawn distinct atoms, one or more on each
     # side, and for n * m <= 9 the hooked verify, printed as they come and
-    # with the orbit printer refused (_distinct_atoms false), when the
+    # with the orbit printer refused (Orbits.printable false), when the
     # text kernel prints the expanded Scalars: line for line the same; and
     # the cauchy lhs is the Scalar-operator oracle's sums.  The oracle's
     # cost caps the order of the larger pairs and of the hook, which
@@ -1175,12 +1175,12 @@ def test_the_orbit_route_prints_the_map_route_bytes(data):
                                                drop_integrality=True))
     reports = [check() for check in checks]
     printed = [report.summary_lines() for report in reports]
-    atoms = symfunc._distinct_atoms
+    printable = orbits.Orbits.printable
     try:
-        symfunc._distinct_atoms = lambda *args: False
+        orbits.Orbits.printable = lambda self: False
         plain = [check() for check in checks]
     finally:
-        symfunc._distinct_atoms = atoms
+        orbits.Orbits.printable = printable
     assert all(report.lhs_series.form is None for report in plain)
     assert [report.summary_lines() for report in plain] == printed
     assert _same(reports[1].lhs_series.coeffs, _operator_lattice(longer, shorter, order))
@@ -1307,9 +1307,10 @@ def test_only_rational_pairs_take_the_int_lattice(monkeypatch):
 
 
 def test_a_check_of_a_known_shape_fills_no_table(monkeypatch):
-    # the first non-rational check of a shape fills the two tables of its
-    # value-free matrices, once; a passing check of that shape, of any
-    # values, fills none, not even the roots' one-row table
+    # the first non-rational check of a shape fills the one table of its
+    # value-free matrices, on as many points as the longer tuple, once; a
+    # passing check of that shape, of any values, fills none, not even the
+    # roots' one-row table
     fills, fill = [], symfunc._fill
     monkeypatch.setattr(symfunc, "_fill", lambda *args: fills.append(len(args[0])) or fill(*args))
     symfunc._orbit_matrices.cache_clear()
@@ -1317,7 +1318,7 @@ def test_a_check_of_a_known_shape_fills_no_table(monkeypatch):
     xs = [Scalar.variable(f"x{i}") for i in (1, 2, 3)]
     ys = [Scalar.variable(f"y{i}") for i in (1, 2)]
     assert cauchy_check(3, 2, xs, ys, 5).passed
-    assert sorted(fills) == [2, 3]
+    assert fills == [3]
     for params, satake in ((xs, ys), ((a, Scalar.rational(1, 2), a), (b - c, c ** -1)),
                            (ys, xs)):
         fills.clear()
